@@ -520,29 +520,19 @@ func BenchmarkAblationOracleHeadroom(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
-// BenchmarkDESEventThroughput measures raw event-kernel throughput.
+// BenchmarkDESEventThroughput measures raw event-kernel throughput: one
+// AfterFunc schedule plus its pop per iteration.
 func BenchmarkDESEventThroughput(b *testing.B) {
 	env := sim.NewEnvironment()
+	fn := func() {}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env.Timeout(float64(i%97), nil)
+		env.AfterFunc(float64(i%97), fn)
 		if env.QueueLen() > 1024 {
 			env.Run()
 		}
 	}
-	env.Run()
-}
-
-// BenchmarkDESProcessSwitch measures coroutine hand-off cost.
-func BenchmarkDESProcessSwitch(b *testing.B) {
-	env := sim.NewEnvironment()
-	env.Process(func(p *sim.Proc) any {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1)
-		}
-		return nil
-	})
-	b.ResetTimer()
 	env.Run()
 }
 

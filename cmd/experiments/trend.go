@@ -175,7 +175,8 @@ func resolveBenchKeys(entries []*trendEntry) (notes []string, err error) {
 // per-commit timeline, prints each metric's trajectory, and returns an
 // error (non-zero exit) when the newest point of any metric shifted
 // significantly from its predecessor — Welch's t where both points
-// store a dispersion estimate, |Δ|/|prev| > relTol otherwise.
+// store a dispersion estimate, |Δ|/|prev| > relTol otherwise. For
+// ns/op, B/op and allocs/op only a rise counts (see trendShifted).
 func runTrend(w io.Writer, dir string, relTol float64) error {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
@@ -275,7 +276,7 @@ func runTrend(w io.Writer, dir string, relTol float64) error {
 			}
 			if pts[len(pts)-1].entry != len(entries)-1 {
 				flag = "stale"
-			} else if trendShifted(prev, last, relTol) {
+			} else if trendShifted(name, prev, last, relTol) {
 				flag = "SHIFT"
 				shifted = append(shifted, name)
 			}
@@ -292,12 +293,24 @@ func runTrend(w io.Writer, dir string, relTol float64) error {
 	return nil
 }
 
-// trendShifted decides whether the latest point moved significantly
-// off its predecessor: Welch's t when both points carry a dispersion
-// estimate, the relative threshold otherwise.
-func trendShifted(prev, last trendPoint, relTol float64) bool {
+// costUnits are the benchmark units where lower is better: only a rise
+// is a regression, so a speed-up or an allocation drop never fails the
+// gate. Every other metric — simulated results such as tsim_s and muF,
+// and custom bench metrics — is gated in both directions.
+var costUnits = []string{"/ns_per_op", "/B_per_op", "/allocs_per_op"}
+
+// trendShifted decides whether the latest point of metric name moved
+// significantly off its predecessor: Welch's t when both points carry a
+// dispersion estimate, the relative threshold otherwise (any move at
+// all off a zero baseline). For cost units only an increase counts.
+func trendShifted(name string, prev, last trendPoint, relTol float64) bool {
 	if math.IsNaN(prev.mean) || math.IsNaN(last.mean) {
 		return math.IsNaN(prev.mean) != math.IsNaN(last.mean)
+	}
+	for _, unit := range costUnits {
+		if strings.HasSuffix(name, unit) && last.mean <= prev.mean {
+			return false
+		}
 	}
 	if prev.n >= 2 && last.n >= 2 && (prev.stderr > 0 || last.stderr > 0) {
 		return stats.WelchSignificant(

@@ -259,3 +259,60 @@ func TestLoadAggregatedAny(t *testing.T) {
 		t.Fatalf("bench artifact accepted by -diff -sig loader: %v", err)
 	}
 }
+
+// TestTrendGatesCostRegressionsOnly: ns/op, B/op and allocs/op are
+// lower-is-better, so only a rise fails the gate — a 2x speed-up or a
+// 2x allocation drop passes — while every other metric (a bench's
+// custom muF, simulated results) stays gated in both directions.
+func TestTrendGatesCostRegressionsOnly(t *testing.T) {
+	line := func(ns, bytes, allocs, muF string) string {
+		return "BenchmarkTable2-4 1 " + ns + " ns/op " + muF + " muF " + bytes + " B/op " + allocs + " allocs/op"
+	}
+	base := line("1000000", "4096", "64", "0.40")
+	cases := []struct {
+		name   string
+		newest string
+		flag   string // metric expected in the error, "" = gate passes
+	}{
+		{"2x speed-up", line("500000", "4096", "64", "0.40"), ""},
+		{"2x alloc drop", line("1000000", "2048", "32", "0.40"), ""},
+		{"2x slowdown", line("2000000", "4096", "64", "0.40"), "bench/BenchmarkTable2/ns_per_op"},
+		{"2x alloc rise", line("1000000", "4096", "128", "0.40"), "bench/BenchmarkTable2/allocs_per_op"},
+		{"muF up", line("1000000", "4096", "64", "0.90"), "bench/BenchmarkTable2/muF"},
+		{"muF down", line("1000000", "4096", "64", "0.10"), "bench/BenchmarkTable2/muF"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeFile(t, dir, "0001.json", `{"date":"2026-07-01T00:00:00Z","benchmarks":["`+base+`"]}`)
+			writeFile(t, dir, "0002.json", `{"date":"2026-07-02T00:00:00Z","benchmarks":["`+c.newest+`"]}`)
+			var out bytes.Buffer
+			err := runTrend(&out, dir, 0.5)
+			if c.flag == "" {
+				if err != nil {
+					t.Fatalf("gate failed: %v\n%s", err, out.String())
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.flag) {
+				t.Fatalf("want %s flagged, got %v\n%s", c.flag, err, out.String())
+			}
+		})
+	}
+
+	// Zero-baseline rule: any rise off zero allocs still fails, while
+	// the aggregated (Welch) path keeps flagging a moved tsim_s either
+	// way round.
+	dir := t.TempDir()
+	writeFile(t, dir, "0001.json", `{"date":"2026-07-01T00:00:00Z","benchmarks":["BenchmarkBroker-4 1 100 ns/op 0 allocs/op"]}`)
+	writeFile(t, dir, "0002.json", `{"date":"2026-07-02T00:00:00Z","benchmarks":["BenchmarkBroker-4 1 100 ns/op 1 allocs/op"]}`)
+	if err := runTrend(&bytes.Buffer{}, dir, 0.5); err == nil || !strings.Contains(err.Error(), "allocs_per_op") {
+		t.Fatalf("rise off a zero allocs baseline not flagged: %v", err)
+	}
+	dir = t.TempDir()
+	writeFile(t, dir, "0001.json", aggregatedJSON(t, 0))
+	writeFile(t, dir, "0002.json", aggregatedJSON(t, -4))
+	if err := runTrend(&bytes.Buffer{}, dir, 0.5); err == nil || !strings.Contains(err.Error(), "mode/speed/tsim_s") {
+		t.Fatalf("tsim_s drop not flagged: %v", err)
+	}
+}

@@ -1,15 +1,21 @@
 // Package core is the quantum cloud simulation environment — the paper's
 // primary contribution (§3, §5). It orchestrates the end-to-end job flow:
-// a JobGenerator feeds QJobs to the Broker, which applies an allocation
-// policy (Algorithm 1) to partition each large circuit across QDevices,
-// runs the partitions in parallel on the event-driven kernel, simulates
-// blocking inter-device classical communication, computes final fidelity
-// with the Eq. 8 penalty, and logs everything to the JobRecordsManager.
+// QJobs reach the Broker, which applies an allocation policy
+// (Algorithm 1) to partition each large circuit across QDevices, runs
+// the partitions in parallel on the callback-driven event kernel,
+// simulates blocking inter-device classical communication, computes
+// final fidelity with the Eq. 8 penalty, and logs everything to the
+// JobRecordsManager.
+//
+// The Broker is the only scheduling engine. Batch runs (QCloudSimEnv)
+// release a finite workload into it at the jobs' arrival times and run
+// the kernel to exhaustion; serve mode admits jobs as a stream delivers
+// them. Both therefore produce byte-identical records for the same
+// workload.
 package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/calib"
@@ -38,7 +44,7 @@ type Config struct {
 	Backfill bool
 	// Drift, when enabled, runs the workload on time-varying hardware:
 	// drivers that honor the config (experiments.RunMode) start the
-	// EnableCalibrationDrift process right after workload submission.
+	// EnableCalibrationDrift ticker right after workload submission.
 	// The zero value keeps the paper's static calibration.
 	Drift DriftConfig
 }
@@ -82,26 +88,21 @@ func (c Config) validate() error {
 	return nil
 }
 
-// QCloud manages the device fleet, applies the allocation policy, and
-// owns the pending-job queue. It corresponds to the paper's QCloud plus
-// Broker: the Broker's device-selection step is delegated to the
-// pluggable Policy (users implement policy.Policy for custom brokers).
-type QCloud struct {
-	env     *sim.Environment
-	devices []*device.Device
-	pol     policy.Policy
-	rec     *records.Manager
-	cfg     Config
-	pending []*job.QJob
+// QCloud is the batch view of the cloud: the Broker that owns the
+// device fleet, applies the allocation policy, and keeps the pending-job
+// queue. It corresponds to the paper's QCloud plus Broker; the Broker's
+// device-selection step is delegated to the pluggable Policy (users
+// implement policy.Policy for custom brokers).
+type QCloud struct{ *Broker }
 
-	// lifecycle tracking for auxiliary processes (calibration drift).
-	workloadSubmitted bool
-	generatorDone     bool
-	activeJobs        int
-}
+// PendingJobs returns the number of jobs waiting for allocation.
+func (c *QCloud) PendingJobs() int { return c.QueueDepth() }
 
-// QCloudSimEnv bundles the simulation environment, cloud, and records —
-// the top-level object users interact with.
+// QCloudSimEnv is the batch front end over a Broker: it releases a
+// finite workload at its arrival times, optionally drifts calibration,
+// runs the event core to exhaustion and summarizes the records. It
+// bundles the simulation environment, cloud, and records — the
+// top-level object users interact with.
 type QCloudSimEnv struct {
 	// Env is the discrete-event kernel.
 	Env *sim.Environment
@@ -109,80 +110,73 @@ type QCloudSimEnv struct {
 	Cloud *QCloud
 	// Records collects lifecycle events and metrics.
 	Records *records.Manager
+
+	jobs          []*job.QJob // submitted workload, sorted by arrival
+	next          int         // index of the next job to release
+	submitted     bool
+	generatorDone bool
+	arriveFn      func()
+
+	driftInterval, driftRel float64
+	driftRNG                *rand.Rand
+	tickFn                  func()
 }
+
+// batchWindowCap sizes the broker's rolling metrics windows in batch
+// runs, which report from Records and never read the windows.
+const batchWindowCap = 1
 
 // NewQCloudSimEnv assembles a simulation over the given fleet with the
 // given allocation policy.
 func NewQCloudSimEnv(env *sim.Environment, fleet []*device.Device, pol policy.Policy, cfg Config) (*QCloudSimEnv, error) {
-	if len(fleet) == 0 {
-		return nil, fmt.Errorf("core: empty device fleet")
-	}
-	if pol == nil {
-		return nil, fmt.Errorf("core: nil policy")
-	}
-	if err := cfg.validate(); err != nil {
+	rec := records.NewManager()
+	b, err := newBroker(env, fleet, pol, cfg, ManagerRecorder{M: rec}, batchWindowCap)
+	if err != nil {
 		return nil, err
 	}
-	rec := records.NewManager()
-	cloud := &QCloud{env: env, devices: fleet, pol: pol, rec: rec, cfg: cfg}
-	return &QCloudSimEnv{Env: env, Cloud: cloud, Records: rec}, nil
+	e := &QCloudSimEnv{Env: env, Cloud: &QCloud{b}, Records: rec}
+	e.arriveFn = e.arrive
+	e.tickFn = e.tick
+	return e, nil
 }
 
-// Devices returns the fleet.
-func (c *QCloud) Devices() []*device.Device { return c.devices }
-
-// Policy returns the active allocation policy.
-func (c *QCloud) Policy() policy.Policy { return c.pol }
-
-// PendingJobs returns the number of jobs waiting for allocation.
-func (c *QCloud) PendingJobs() int { return len(c.pending) }
-
-// States snapshots the fleet for a policy decision.
-func (c *QCloud) States() []policy.DeviceState {
-	out := make([]policy.DeviceState, len(c.devices))
-	for i, d := range c.devices {
-		snap := d.Calibration()
-		out[i] = policy.DeviceState{
-			Index:       i,
-			Name:        d.Name(),
-			Free:        d.FreeQubits(),
-			Capacity:    d.NumQubits(),
-			ErrorScore:  d.ErrorScore(),
-			CLOPS:       d.CLOPS(),
-			Utilization: d.Utilization(),
-			Eps1Q:       snap.MeanSingleQubitError(),
-			Eps2Q:       snap.MeanTwoQubitError(),
-			EpsRO:       snap.MeanReadoutError(),
-		}
-	}
-	return out
-}
-
-// SubmitWorkload starts a JobGenerator process that releases each job at
-// its arrival time. Jobs must be sorted by arrival time.
+// SubmitWorkload schedules the release of each job at its arrival time.
+// Jobs must be sorted by arrival time. Arrivals form a callback chain —
+// each release schedules the next — and jobs sharing an arrival time
+// are admitted together, in workload order.
 func (e *QCloudSimEnv) SubmitWorkload(jobs []*job.QJob) {
-	cloud := e.Cloud
-	cloud.workloadSubmitted = true
-	e.Env.NamedProcess("job-generator", func(p *sim.Proc) any {
-		for _, j := range jobs {
-			if j.ArrivalTime > p.Now() {
-				p.Sleep(j.ArrivalTime - p.Now())
-			}
-			cloud.rec.LogArrival(j.ID, p.Now())
-			cloud.submit(j)
-		}
-		cloud.generatorDone = true
-		return nil
-	})
+	e.jobs = jobs
+	e.next = 0
+	e.submitted = true
+	e.Env.AfterFunc(0, e.arriveFn)
 }
 
-// EnableCalibrationDrift starts a background recalibration process: every
-// interval simulated seconds, each device's calibration takes one
-// multiplicative random-walk step of relative magnitude rel and its
-// error score is recomputed, so error-aware policies see *time-varying*
-// hardware quality — the dynamic variability the paper lists as absent
-// from its model (§7.2). The process stops once the workload completes.
-// It must be called after SubmitWorkload so it can observe completion.
+// arrive admits every job due now. The next release is scheduled first,
+// so it runs ahead of any timer of the admitted jobs that falls due at
+// the same instant.
+func (e *QCloudSimEnv) arrive() {
+	now := e.Env.Now()
+	first := e.next
+	for e.next < len(e.jobs) && !(e.jobs[e.next].ArrivalTime > now) {
+		e.next++
+	}
+	if e.next < len(e.jobs) {
+		e.Env.AfterFunc(e.jobs[e.next].ArrivalTime-now, e.arriveFn)
+	} else {
+		e.generatorDone = true
+	}
+	for _, j := range e.jobs[first:e.next] {
+		e.Cloud.Admit(j)
+	}
+}
+
+// EnableCalibrationDrift starts a recalibration ticker: every interval
+// simulated seconds, each device's calibration takes one multiplicative
+// random-walk step of relative magnitude rel and its error score is
+// recomputed, so error-aware policies see *time-varying* hardware
+// quality — the dynamic variability the paper lists as absent from its
+// model (§7.2). The ticker stops once the workload completes. It must
+// be called after SubmitWorkload so it can observe completion.
 func (e *QCloudSimEnv) EnableCalibrationDrift(interval, rel float64, seed int64) error {
 	if interval <= 0 {
 		return fmt.Errorf("core: drift interval %g", interval)
@@ -190,132 +184,31 @@ func (e *QCloudSimEnv) EnableCalibrationDrift(interval, rel float64, seed int64)
 	if rel < 0 {
 		return fmt.Errorf("core: drift magnitude %g", rel)
 	}
-	cloud := e.Cloud
-	if !cloud.workloadSubmitted {
+	if !e.submitted {
 		return fmt.Errorf("core: EnableCalibrationDrift requires a submitted workload")
 	}
-	rng := rand.New(rand.NewSource(seed))
-	e.Env.NamedProcess("calibration-drift", func(p *sim.Proc) any {
-		for {
-			p.Sleep(interval)
-			if cloud.generatorDone && len(cloud.pending) == 0 && cloud.activeJobs == 0 {
-				return nil
-			}
-			for _, d := range cloud.devices {
-				if err := d.Recalibrate(calib.Drift(rng, d.Calibration(), rel)); err != nil {
-					panic(fmt.Sprintf("core: drift recalibration failed: %v", err))
-				}
-			}
-		}
-	})
+	e.driftInterval, e.driftRel = interval, rel
+	e.driftRNG = rand.New(rand.NewSource(seed))
+	// Start on a zero-delay hop, like the arrival chain, so the first
+	// tick is scheduled after the release that follows any arrival at
+	// the start time: an arrival and a tick due at the same instant then
+	// run arrival first, as they do for every later tick.
+	e.Env.AfterFunc(0, func() { e.Env.AfterFunc(e.driftInterval, e.tickFn) })
 	return nil
 }
 
-// submit enqueues a job and attempts dispatch.
-func (c *QCloud) submit(j *job.QJob) {
-	c.pending = append(c.pending, j)
-	c.dispatch()
-}
-
-// dispatch places pending jobs until no further placement is possible.
-// In FIFO mode (default) only the head job is considered, so a blocked
-// head blocks the queue — keeping ordering fair across all policies. In
-// backfill mode later jobs that fit may skip ahead of a blocked head.
-// dispatch is called on job submission and on every qubit release.
-func (c *QCloud) dispatch() {
-	for {
-		placedAny := false
-		for idx := 0; idx < len(c.pending); idx++ {
-			j := c.pending[idx]
-			states := c.States()
-			allocs := c.pol.Allocate(j, states)
-			if allocs != nil {
-				if err := policy.Validate(j, states, allocs); err != nil {
-					panic(fmt.Sprintf("core: policy %q produced invalid allocation: %v", c.pol.Name(), err))
-				}
-				c.pending = append(c.pending[:idx], c.pending[idx+1:]...)
-				c.startJob(j, allocs)
-				placedAny = true
-				break
-			}
-			if !c.cfg.Backfill {
-				break
-			}
-		}
-		if !placedAny {
-			return
+// tick takes one drift step, or stops the ticker once every job has
+// been released and the broker is idle.
+func (e *QCloudSimEnv) tick() {
+	if e.generatorDone && e.Cloud.Quiescent() {
+		return
+	}
+	for _, d := range e.Cloud.Devices() {
+		if err := d.Recalibrate(calib.Drift(e.driftRNG, d.Calibration(), e.driftRel)); err != nil {
+			panic(fmt.Sprintf("core: drift recalibration failed: %v", err))
 		}
 	}
-}
-
-// startJob reserves qubits and launches the job's execution process —
-// Algorithm 1 lines 6–14.
-func (c *QCloud) startJob(j *job.QJob, allocs []policy.Allocation) {
-	// Reserve synchronously: the policy guaranteed feasibility and no
-	// simulation time passes between decision and reservation.
-	grants := make([]*device.Allocation, len(allocs))
-	devNames := make([]string, len(allocs))
-	for i, a := range allocs {
-		g, err := c.devices[a.DeviceIndex].Allocate(a.Qubits)
-		if err != nil {
-			panic(fmt.Sprintf("core: reservation failed after validation: %v", err))
-		}
-		grants[i] = g
-		devNames[i] = c.devices[a.DeviceIndex].Name()
-	}
-	c.rec.LogStart(j.ID, c.env.Now())
-	c.activeJobs++
-
-	c.env.NamedProcess("job:"+j.ID, func(p *sim.Proc) any {
-		// Parallel execution: one timed sub-job per device; the job
-		// completes when the slowest partition finishes (T = max T_i).
-		subs := make([]*sim.Event, len(allocs))
-		for i, a := range allocs {
-			d := c.devices[a.DeviceIndex]
-			subs[i] = p.Env().Timeout(d.ProcessTime(c.cfg.M, c.cfg.K, j.Shots), d.Name())
-		}
-		if _, err := p.WaitAll(subs...); err != nil {
-			panic(fmt.Sprintf("core: sub-job failed: %v", err))
-		}
-
-		// Blocking classical communication across the k-1 links (Eq. 9).
-		commTime := metrics.CommunicationTime(j.NumQubits, c.cfg.Lambda, len(allocs))
-		if commTime > 0 {
-			p.Sleep(commTime)
-		}
-
-		fidelity := c.jobFidelity(j, allocs)
-
-		for _, g := range grants {
-			if err := g.Device.Release(g); err != nil {
-				panic(fmt.Sprintf("core: release failed: %v", err))
-			}
-		}
-		c.rec.LogFinish(j.ID, p.Now(), fidelity, commTime, devNames)
-		c.activeJobs--
-		c.dispatch()
-		return nil
-	})
-}
-
-// jobFidelity computes the job's final fidelity from per-partition
-// fidelities (Eqs. 4–8). Two-qubit gates are attributed to partitions in
-// proportion to their qubit share.
-func (c *QCloud) jobFidelity(j *job.QJob, allocs []policy.Allocation) float64 {
-	fids := make([]float64, len(allocs))
-	qubits := make([]int, len(allocs))
-	for i, a := range allocs {
-		snap := c.devices[a.DeviceIndex].Calibration()
-		t2i := int(math.Round(float64(j.TwoQubitGates) * float64(a.Qubits) / float64(j.NumQubits)))
-		fids[i] = metrics.PartitionFidelity(
-			snap.MeanSingleQubitError(),
-			snap.MeanTwoQubitError(),
-			snap.MeanReadoutError(),
-			j.Depth, a.Qubits, t2i,
-		)
-		qubits[i] = a.Qubits
-	}
-	return metrics.FinalFidelity(fids, qubits, c.cfg.Phi)
+	e.Env.AfterFunc(e.driftInterval, e.tickFn)
 }
 
 // Results summarizes a completed simulation in the paper's Table 2
@@ -344,11 +237,11 @@ func (e *QCloudSimEnv) Run() (Results, error) {
 	e.Env.Run()
 	if n := e.Records.NumPending(); n > 0 || e.Cloud.PendingJobs() > 0 {
 		return Results{}, fmt.Errorf("core: %d jobs unfinished (policy %q cannot place them)",
-			n, e.Cloud.pol.Name())
+			n, e.Cloud.Policy().Name())
 	}
 	mean, std := e.Records.FidelityMeanStd()
 	return Results{
-		Policy:            e.Cloud.pol.Name(),
+		Policy:            e.Cloud.Policy().Name(),
 		TotalSimTime:      e.Records.Makespan(),
 		FidelityMean:      mean,
 		FidelityStd:       std,

@@ -9,13 +9,13 @@ import (
 )
 
 // TestSimulatedFidelityMatchesPrediction cross-checks the simulator's
-// per-job fidelity (core.jobFidelity) against the policy package's
+// per-job fidelity (jobRun.fidelity) against the policy package's
 // independent PredictFidelity implementation: they implement the same
 // Eq. 4–8 model and must agree exactly.
 func TestSimulatedFidelityMatchesPrediction(t *testing.T) {
 	e := buildEnv(t, policy.Fidelity{})
 	jobs := smallWorkload(t, 20)
-	states := e.Cloud.States()
+	states := e.Cloud.statesInto()
 	// Record the fidelity-policy allocation prediction per job while
 	// the fleet is idle (sequential check; run one job at a time).
 	for _, j := range jobs {

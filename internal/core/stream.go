@@ -36,10 +36,11 @@ type StreamRecorder interface {
 }
 
 // ManagerRecorder adapts a records.Manager to the StreamRecorder seam.
-// A broker recording through it produces per-job records byte-identical
-// to a batch QCloudSimEnv run over the same workload: ingest provenance
-// is recorded in dedicated columns that batch-vs-serve diffs exclude
-// explicitly, like host/attempt in run manifests.
+// Batch runs record through it, so a serve-mode broker recording through
+// it produces per-job records byte-identical to a batch QCloudSimEnv run
+// over the same workload: ingest provenance is recorded in dedicated
+// columns that batch-vs-serve diffs exclude explicitly, like
+// host/attempt in run manifests.
 type ManagerRecorder struct{ M *records.Manager }
 
 // Arrival implements StreamRecorder.
@@ -217,16 +218,14 @@ type pendingJob struct {
 	arrival float64
 }
 
-// Broker is the long-running service counterpart of QCloudSimEnv: jobs
-// are injected one at a time (Admit) as an external stream delivers
-// them, the discrete-event core advances in real or scaled time, and
-// completions feed rolling-window metrics. The job lifecycle is
-// callback-driven rather than goroutine-per-job, and every per-job
-// working set lives in a recycled run pool, so the steady-state
-// admit→schedule→complete cycle performs zero heap allocations (gated
-// by AllocsPerRun in tests and CI). Scheduling semantics — dispatch
-// order, FIFO/backfill, fidelity and timing arithmetic — replicate the
-// batch path exactly.
+// Broker is the scheduling engine: jobs are injected one at a time
+// (Admit) — by QCloudSimEnv at their arrival times in batch runs, or as
+// an external stream delivers them in serve mode — the discrete-event
+// core advances in logical, real or scaled time, and completions feed
+// rolling-window metrics. The job lifecycle is a chain of AfterFunc
+// callbacks, and every per-job working set lives in a recycled run
+// pool, so the steady-state admit→schedule→complete cycle performs zero
+// heap allocations (gated by AllocsPerRun in tests and CI).
 type Broker struct {
 	env     *sim.Environment
 	devices []*device.Device
@@ -238,7 +237,6 @@ type Broker struct {
 	pending []pendingJob
 	runPool []*jobRun
 	states  []policy.DeviceState
-	seen    []bool
 
 	admission AdmissionConfig
 	admStats  AdmissionStats
@@ -270,8 +268,18 @@ type jobRun struct {
 // NewBroker assembles a streaming broker over the given fleet. The
 // recorder receives every lifecycle event; windowCap sizes the rolling
 // metrics windows (per tenant and global). Calibration drift is a
-// batch-run feature and is rejected here.
+// batch-run feature (QCloudSimEnv.EnableCalibrationDrift) and is
+// rejected here.
 func NewBroker(env *sim.Environment, fleet []*device.Device, pol policy.Policy, cfg Config, rec StreamRecorder, windowCap int) (*Broker, error) {
+	if cfg.Drift.Enabled() {
+		return nil, fmt.Errorf("core: broker mode does not support calibration drift")
+	}
+	return newBroker(env, fleet, pol, cfg, rec, windowCap)
+}
+
+// newBroker is NewBroker without the drift check: the batch front end
+// carries drift in its Config and runs the ticker itself.
+func newBroker(env *sim.Environment, fleet []*device.Device, pol policy.Policy, cfg Config, rec StreamRecorder, windowCap int) (*Broker, error) {
 	if len(fleet) == 0 {
 		return nil, fmt.Errorf("core: empty device fleet")
 	}
@@ -284,9 +292,6 @@ func NewBroker(env *sim.Environment, fleet []*device.Device, pol policy.Policy, 
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Drift.Enabled() {
-		return nil, fmt.Errorf("core: broker mode does not support calibration drift")
-	}
 	if windowCap <= 0 {
 		return nil, fmt.Errorf("core: window capacity %d", windowCap)
 	}
@@ -298,7 +303,6 @@ func NewBroker(env *sim.Environment, fleet []*device.Device, pol policy.Policy, 
 		rec:      rec,
 		windows:  metrics.NewTenantWindows(windowCap),
 		states:   make([]policy.DeviceState, len(fleet)),
-		seen:     make([]bool, len(fleet)),
 		inflight: make(map[string]int),
 	}, nil
 }
@@ -454,8 +458,8 @@ func (b *Broker) Offer(j *job.QJob) Decision {
 	return d
 }
 
-// statesInto snapshots the fleet into the broker's reusable buffer —
-// the allocation-free twin of QCloud.States.
+// statesInto snapshots the fleet for a policy decision into the broker's
+// reusable buffer.
 //
 //repro:noalloc
 func (b *Broker) statesInto() []policy.DeviceState {
@@ -478,45 +482,11 @@ func (b *Broker) statesInto() []policy.DeviceState {
 	return out
 }
 
-// validate enforces the Policy contract without the allocation policy.
-// Validate performs (it builds a map per call); the broker's reusable
-// scratch keeps the hot path allocation-free.
-func (b *Broker) validate(j *job.QJob, states []policy.DeviceState, allocs []policy.Allocation) {
-	fail := func(msg string, args ...any) {
-		panic(fmt.Sprintf("core: policy %q produced invalid allocation: "+msg, append([]any{b.pol.Name()}, args...)...))
-	}
-	if len(allocs) == 0 {
-		fail("empty allocation for %s", j.ID)
-	}
-	seen := b.seen[:len(states)]
-	for i := range seen {
-		seen[i] = false
-	}
-	total := 0
-	for _, a := range allocs {
-		if a.DeviceIndex < 0 || a.DeviceIndex >= len(states) {
-			fail("device index %d out of range", a.DeviceIndex)
-		}
-		if seen[a.DeviceIndex] {
-			fail("device %d assigned twice", a.DeviceIndex)
-		}
-		seen[a.DeviceIndex] = true
-		if a.Qubits <= 0 {
-			fail("non-positive share %d on device %d", a.Qubits, a.DeviceIndex)
-		}
-		if a.Qubits > states[a.DeviceIndex].Free {
-			fail("share %d exceeds free %d on %s", a.Qubits, states[a.DeviceIndex].Free, states[a.DeviceIndex].Name)
-		}
-		total += a.Qubits
-	}
-	if total != j.NumQubits {
-		fail("shares sum to %d, job needs %d", total, j.NumQubits)
-	}
-}
-
-// dispatch places pending jobs until no further placement is possible,
-// replicating QCloud.dispatch: FIFO head-only by default, skip-ahead in
-// backfill mode.
+// dispatch places pending jobs until no further placement is possible.
+// In FIFO mode (default) only the head job is considered, so a blocked
+// head blocks the queue — keeping ordering fair across all policies. In
+// backfill mode later jobs that fit may skip ahead of a blocked head.
+// dispatch runs on every admission and every qubit release.
 //
 //repro:noalloc
 func (b *Broker) dispatch() {
@@ -527,7 +497,9 @@ func (b *Broker) dispatch() {
 			states := b.statesInto()
 			allocs := b.pol.Allocate(pj.j, states)
 			if allocs != nil {
-				b.validate(pj.j, states, allocs)
+				if err := policy.Validate(pj.j, states, allocs); err != nil {
+					panic(fmt.Sprintf("core: policy %q produced invalid allocation: %v", b.pol.Name(), err))
+				}
 				b.pending = append(b.pending[:idx], b.pending[idx+1:]...)
 				b.start(pj, allocs)
 				placedAny = true
@@ -567,9 +539,10 @@ func (b *Broker) getRun() *jobRun {
 
 // start reserves qubits and schedules the job's completion chain —
 // Algorithm 1 lines 6–14 in callback form. The parallel sub-jobs
-// complete at start + max τ_i; the chained communication timer then
-// reproduces the batch path's (start+maxProc)+comm float arithmetic
-// exactly, keeping finish times bit-identical.
+// complete at start + max τ_i (T = max T_i); the chained communication
+// timer then finishes the job at (start+maxProc)+comm. Reservation is
+// synchronous: the policy guaranteed feasibility and no simulation time
+// passes between decision and reservation.
 //
 //repro:noalloc
 func (b *Broker) start(pj pendingJob, allocs []policy.Allocation) {
@@ -614,8 +587,7 @@ func (jr *jobRun) onProcessed() {
 }
 
 // finish computes fidelity, releases the reservations, records the
-// completion, and re-dispatches — mirroring the tail of
-// QCloud.startJob.
+// completion, and re-dispatches.
 //
 //repro:noalloc
 func (jr *jobRun) finish() {
@@ -642,8 +614,9 @@ func (jr *jobRun) finish() {
 }
 
 // fidelity computes the job's final fidelity from per-partition
-// fidelities (Eqs. 4–8) using the run's scratch buffers — the
-// allocation-free twin of QCloud.jobFidelity.
+// fidelities (Eqs. 4–8) using the run's scratch buffers. Two-qubit
+// gates are attributed to partitions in proportion to their qubit
+// share.
 //
 //repro:noalloc
 func (jr *jobRun) fidelity() float64 {

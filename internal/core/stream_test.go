@@ -33,7 +33,7 @@ func admitWorkload(t *testing.T, b *Broker, jobs []*job.QJob) {
 	}
 }
 
-// batchCSV runs the goroutine-based batch simulator and exports its
+// batchCSV runs the batch front end (arrival chain, Run) and exports its
 // per-job records.
 func batchCSV(t *testing.T, jobs []*job.QJob, mkPol func() policy.Policy, cfg Config) []byte {
 	t.Helper()
@@ -79,8 +79,11 @@ func brokerCSV(t *testing.T, jobs []*job.QJob, mkPol func() policy.Policy, cfg C
 	return buf.Bytes()
 }
 
-// The broker must be an exact drop-in for the batch path: same dispatch
-// decisions, same float arithmetic, byte-identical per-job records.
+// Serve-style admission (the driver advancing the clock to each arrival)
+// and the batch front end's arrival chain must make the same dispatch
+// decisions with the same float arithmetic: byte-identical per-job
+// records. TestBatchRecordsPinned holds the batch side to its pinned
+// digests.
 func TestBrokerMatchesBatchRecords(t *testing.T) {
 	jobs := smallWorkload(t, 60)
 	cases := []struct {
@@ -108,7 +111,7 @@ func TestBrokerMatchesBatchRecords(t *testing.T) {
 
 // The RL policy samples its action distribution on every placement, so
 // identical records additionally prove the broker consumes the policy's
-// RNG stream exactly like the batch path.
+// RNG stream identically under both drivers.
 func TestBrokerMatchesBatchRecordsRLBase(t *testing.T) {
 	jobs := smallWorkload(t, 40)
 	trained := rl.NewGaussianPolicy(rand.New(rand.NewSource(3)), rlsched.StateDim, rlsched.NumDevices, 16, 16)
@@ -144,9 +147,6 @@ func TestBrokerCountsAndWindows(t *testing.T) {
 	}
 	if !b.Quiescent() || b.Active() != 0 || b.QueueDepth() != 0 {
 		t.Fatalf("broker not quiescent after drain: active=%d depth=%d", b.Active(), b.QueueDepth())
-	}
-	if got := env.ActiveProcs(); got != 0 {
-		t.Fatalf("ActiveProcs = %d after drained serve session", got)
 	}
 	tw := b.Windows()
 	if tw.Global().Len() != 16 {
@@ -465,4 +465,40 @@ func BenchmarkBrokerSteadyState(b *testing.B) {
 		br.Admit(j)
 		br.Env().Run()
 	}
+}
+
+// dupPolicy violates the Policy contract by placing both halves of a
+// job on the same device.
+type dupPolicy struct{}
+
+func (dupPolicy) Name() string { return "dup" }
+
+func (dupPolicy) Allocate(j *job.QJob, _ []policy.DeviceState) []policy.Allocation {
+	half := j.NumQubits / 2
+	return []policy.Allocation{{DeviceIndex: 0, Qubits: half}, {DeviceIndex: 0, Qubits: j.NumQubits - half}}
+}
+
+// An invalid allocation is a policy bug: dispatch panics with the
+// policy's name and policy.Validate's reason instead of reserving it.
+func TestBrokerPanicsOnInvalidAllocation(t *testing.T) {
+	env := sim.NewEnvironment()
+	fleet, err := device.StandardFleet(env, 2025)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBroker(env, fleet, dupPolicy{}, DefaultConfig(), nopRecorder{}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		const want = `core: policy "dup" produced invalid allocation: policy: device 0 assigned twice`
+		if msg != want {
+			t.Fatalf("panic = %q, want %q", msg, want)
+		}
+		if device.TotalFree(fleet) != 635 {
+			t.Fatalf("invalid allocation reserved qubits: free = %d", device.TotalFree(fleet))
+		}
+	}()
+	b.Admit(&job.QJob{ID: "dup", NumQubits: 100, Depth: 5, Shots: 1000, TwoQubitGates: 1})
 }

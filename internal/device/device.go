@@ -1,5 +1,5 @@
 // Package device models quantum processing units: qubit capacity managed
-// as a sim.Container (the paper's device.container.level), coupling-map
+// as a free-qubit count (the paper's device.container.level), coupling-map
 // topology, calibration data, and the IBM performance metrics (CLOPS,
 // quantum volume) that drive the execution-time model.
 //
@@ -51,14 +51,15 @@ type Allocation struct {
 // Device is a simulated quantum processor. It satisfies BaseQDevice and
 // QuantumDevice and corresponds to the paper's IBM_QuantumDevice.
 type Device struct {
-	name      string
-	env       *sim.Environment
-	container *sim.Container
-	topo      *graph.Graph
-	snapshot  *calib.Snapshot
-	clops     float64
-	qv        float64
-	score     float64
+	name     string
+	env      *sim.Environment
+	capacity int
+	free     int
+	topo     *graph.Graph
+	snapshot *calib.Snapshot
+	clops    float64
+	qv       float64
+	score    float64
 
 	// strict enables explicit connected-subgraph allocation instead of
 	// the paper's black-box abstraction.
@@ -98,14 +99,15 @@ func New(env *sim.Environment, topo *graph.Graph, snap *calib.Snapshot, clops, q
 	}
 	n := topo.NumVertices()
 	d := &Device{
-		name:      snap.DeviceName,
-		env:       env,
-		container: env.NewContainer(float64(n), float64(n)),
-		topo:      topo,
-		snapshot:  snap,
-		clops:     clops,
-		qv:        quantumVolume,
-		score:     calib.ErrorScore(snap, calib.DefaultWeights),
+		name:     snap.DeviceName,
+		env:      env,
+		capacity: n,
+		free:     n,
+		topo:     topo,
+		snapshot: snap,
+		clops:    clops,
+		qv:       quantumVolume,
+		score:    calib.ErrorScore(snap, calib.DefaultWeights),
 	}
 	for _, o := range opts {
 		o(d)
@@ -123,10 +125,10 @@ func New(env *sim.Environment, topo *graph.Graph, snap *calib.Snapshot, clops, q
 func (d *Device) Name() string { return d.name }
 
 // NumQubits returns total capacity.
-func (d *Device) NumQubits() int { return int(d.container.Capacity()) }
+func (d *Device) NumQubits() int { return d.capacity }
 
 // FreeQubits returns the currently available qubit count.
-func (d *Device) FreeQubits() int { return int(d.container.Level()) }
+func (d *Device) FreeQubits() int { return d.free }
 
 // Topology returns the coupling map.
 func (d *Device) Topology() *graph.Graph { return d.topo }
@@ -150,12 +152,16 @@ func (d *Device) JobsRun() int { return d.jobsRun }
 // simulation start until now.
 func (d *Device) Utilization() float64 {
 	now := d.env.Now()
-	integral := d.busyTime + d.container.InUse()*(now-d.lastT)
+	integral := d.busyTime + d.inUse()*(now-d.lastT)
 	if now <= 0 {
 		return 0
 	}
-	return integral / (now * d.container.Capacity())
+	return integral / (now * float64(d.capacity))
 }
+
+// inUse returns the reserved qubit count as the float the utilization
+// integral accumulates.
+func (d *Device) inUse() float64 { return float64(d.capacity - d.free) }
 
 // UtilizationState exposes the raw utilization integral (busy
 // qubit-seconds and its fold point) plus the sub-job counter, for broker
@@ -175,7 +181,7 @@ func (d *Device) RestoreUtilizationState(busyTime, lastT float64, jobsRun int) {
 // accrue folds elapsed busy time into the utilization integral.
 func (d *Device) accrue() {
 	now := d.env.Now()
-	d.busyTime += d.container.InUse() * (now - d.lastT)
+	d.busyTime += d.inUse() * (now - d.lastT)
 	d.lastT = now
 }
 
@@ -192,43 +198,14 @@ func (d *Device) CanAllocate(q int) bool {
 	return d.topo.LargestAvailableComponent(d.freeList()) >= q
 }
 
-// Allocate reserves q qubits immediately. The caller must have
-// established feasibility (CanAllocate); Allocate returns an error if the
-// reservation cannot be satisfied synchronously, which indicates a
-// scheduler bug rather than a transient condition.
-func (d *Device) Allocate(q int) (*Allocation, error) {
-	if q <= 0 {
-		return nil, fmt.Errorf("device %s: allocate %d qubits", d.name, q)
-	}
-	if q > d.FreeQubits() {
-		return nil, fmt.Errorf("device %s: allocate %d with only %d free", d.name, q, d.FreeQubits())
-	}
-	alloc := &Allocation{Device: d, Qubits: q}
-	if d.strict {
-		sub := d.topo.ConnectedSubgraph(q, d.freeList())
-		if sub == nil {
-			return nil, fmt.Errorf("device %s: no connected %d-qubit region free", d.name, q)
-		}
-		for _, v := range sub {
-			delete(d.freeSet, v)
-		}
-		alloc.PhysicalQubits = sub
-	}
-	d.accrue()
-	ev := d.container.Get(float64(q))
-	if !ev.Triggered() {
-		// Impossible given the level check above; fail loudly.
-		panic(fmt.Sprintf("device %s: synchronous Get(%d) blocked", d.name, q))
-	}
-	d.jobsRun++
-	return alloc, nil
-}
-
 // AllocateInto reserves q qubits immediately into a caller-owned
-// Allocation, which may be reused across reservations: the streaming
-// broker recycles grant structs so its steady-state admit→complete cycle
-// never allocates. Semantics match Allocate; strict-topology mode still
-// allocates for the physical-qubit assignment.
+// Allocation, which may be reused across reservations: the broker
+// recycles grant structs so its steady-state admit→complete cycle never
+// allocates. The caller must have established feasibility
+// (CanAllocate); an error means the reservation cannot be satisfied,
+// which indicates a scheduler bug rather than a transient condition.
+// Strict-topology mode still allocates for the physical-qubit
+// assignment.
 func (d *Device) AllocateInto(q int, a *Allocation) error {
 	if q <= 0 {
 		return fmt.Errorf("device %s: allocate %d qubits", d.name, q)
@@ -251,18 +228,14 @@ func (d *Device) AllocateInto(q int, a *Allocation) error {
 		a.PhysicalQubits = sub
 	}
 	d.accrue()
-	if !d.container.TryGet(float64(q)) {
-		// Impossible given the level check above; fail loudly.
-		panic(fmt.Sprintf("device %s: synchronous TryGet(%d) blocked", d.name, q))
-	}
+	d.free -= q
 	d.jobsRun++
 	return nil
 }
 
-// ReleaseDirect returns an allocation's qubits synchronously without
-// creating a deposit event — the event-free counterpart of Release for
-// allocation-gated steady-state code. Blocked Get requests the deposit
-// unblocks are still served.
+// ReleaseDirect returns an allocation's qubits to the device. Releasing
+// twice, or on another device, is an error: the scheduler must own
+// allocation lifecycles exactly.
 func (d *Device) ReleaseDirect(a *Allocation) error {
 	if a.Device != d {
 		return fmt.Errorf("device %s: release of allocation from %s", d.name, a.Device.name)
@@ -272,29 +245,7 @@ func (d *Device) ReleaseDirect(a *Allocation) error {
 	}
 	a.released = true
 	d.accrue()
-	if !d.container.TryPut(float64(a.Qubits)) {
-		panic(fmt.Sprintf("device %s: synchronous TryPut(%d) blocked", d.name, a.Qubits))
-	}
-	if d.strict {
-		for _, v := range a.PhysicalQubits {
-			d.freeSet[v] = true
-		}
-	}
-	return nil
-}
-
-// Release returns an allocation's qubits to the device. Releasing twice
-// is an error (the scheduler must own allocation lifecycles exactly).
-func (d *Device) Release(a *Allocation) error {
-	if a.Device != d {
-		return fmt.Errorf("device %s: release of allocation from %s", d.name, a.Device.name)
-	}
-	if a.released {
-		return fmt.Errorf("device %s: double release", d.name)
-	}
-	a.released = true
-	d.accrue()
-	d.container.Put(float64(a.Qubits))
+	d.free += a.Qubits
 	if d.strict {
 		for _, v := range a.PhysicalQubits {
 			d.freeSet[v] = true

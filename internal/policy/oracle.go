@@ -107,7 +107,7 @@ func (Oracle) fillSubset(j *job.QJob, devices []DeviceState, mask int) ([]Alloca
 
 // PredictFidelity evaluates the Eq. 4–8 final-fidelity model for a
 // candidate allocation using the device snapshot's mean error rates. It
-// mirrors the simulator's own computation (core.jobFidelity), making it
+// mirrors the simulator's own per-job computation in core, making it
 // usable both by predictive policies and as a test oracle.
 func PredictFidelity(j *job.QJob, devices []DeviceState, allocs []Allocation, phi float64) float64 {
 	fids := make([]float64, len(allocs))

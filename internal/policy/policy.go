@@ -74,21 +74,22 @@ func totalFree(devices []DeviceState) int {
 
 // Validate checks that an allocation result satisfies the Policy
 // contract against the device snapshot it was produced from. The broker
-// calls this to fail fast on buggy (e.g. user-supplied) policies.
+// calls this on every placement to fail fast on buggy (e.g.
+// user-supplied) policies; it allocates only to build an error.
 func Validate(j *job.QJob, devices []DeviceState, allocs []Allocation) error {
 	if len(allocs) == 0 {
 		return fmt.Errorf("policy: empty allocation for %s", j.ID)
 	}
-	seen := make(map[int]bool)
 	total := 0
-	for _, a := range allocs {
+	for i, a := range allocs {
 		if a.DeviceIndex < 0 || a.DeviceIndex >= len(devices) {
 			return fmt.Errorf("policy: device index %d out of range", a.DeviceIndex)
 		}
-		if seen[a.DeviceIndex] {
-			return fmt.Errorf("policy: device %d assigned twice", a.DeviceIndex)
+		for _, prev := range allocs[:i] {
+			if prev.DeviceIndex == a.DeviceIndex {
+				return fmt.Errorf("policy: device %d assigned twice", a.DeviceIndex)
+			}
 		}
-		seen[a.DeviceIndex] = true
 		if a.Qubits <= 0 {
 			return fmt.Errorf("policy: non-positive share %d on device %d", a.Qubits, a.DeviceIndex)
 		}

@@ -1,31 +1,26 @@
 // Package sim implements a deterministic discrete-event simulation (DES)
-// kernel modeled after SimPy, the engine the original quantum-cloud
-// scheduling framework was built on.
+// kernel: a clock plus a queue of callbacks ordered by (time, sequence
+// number).
 //
-// The kernel provides:
-//
-//   - Environment: the event loop. Events are ordered by (time, priority,
-//     sequence number), so simulations are fully deterministic.
-//   - Event: a one-shot occurrence carrying a value or an error, with
-//     callbacks that run when the event is processed.
-//   - Process: a coroutine implemented as a goroutine with strict
-//     hand-off scheduling. Exactly one goroutine (either the scheduler or
-//     a single process) runs at any instant, so process code needs no
-//     locking and observes the same semantics as SimPy generators.
-//   - Timeout, AllOf, AnyOf: composite and timed events.
-//   - Container, Resource, Store: shared-resource primitives with FIFO
-//     queueing, mirroring simpy.Container / simpy.Resource / simpy.Store.
+// Environment.AfterFunc is the only scheduling primitive. Each call takes
+// the next sequence number, so callbacks due at the same simulated time
+// run in the order they were scheduled, and a run is fully deterministic.
+// A callback may schedule further callbacks — a chain of AfterFunc calls
+// is how a multi-step lifecycle (a job's execute → communicate → finish,
+// a workload's arrivals, a recalibration ticker) is expressed. The
+// kernel starts no goroutine: callbacks run one at a time on whichever
+// goroutine steps the environment (Step, StepWithin, AdvanceTo, Run,
+// RunUntil).
 //
 // A minimal simulation:
 //
 //	env := sim.NewEnvironment()
-//	env.Process(func(p *sim.Proc) {
-//	    p.Sleep(10)
-//	    fmt.Println("woke at", p.Now())
+//	env.AfterFunc(10, func() {
+//	    fmt.Println("woke at", env.Now())
 //	})
 //	env.Run()
 //
-// The quantum-cloud layers (internal/core, internal/device) use Container
-// to model qubit pools and Process to model job lifecycles, exactly as the
-// paper's SimPy implementation does.
+// The quantum-cloud layer (internal/core) drives every job, arrival and
+// drift tick through AfterFunc chains; devices (internal/device) keep
+// their qubit pools as plain free counts.
 package sim

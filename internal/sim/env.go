@@ -17,17 +17,15 @@ var ErrEmptySchedule = errors.New("sim: event queue is empty")
 // empty means "nothing scheduled at all".
 var ErrIdle = errors.New("sim: next event beyond horizon")
 
-// queuedEvent is a heap entry: an event (or a lightweight timer callback)
-// plus its ordering key. Exactly one of ev and fn is set.
+// queuedEvent is a heap entry: a scheduled callback plus its ordering
+// key.
 type queuedEvent struct {
-	time     float64
-	priority Priority
-	seq      uint64
-	ev       *Event
-	fn       func()
+	time float64
+	seq  uint64
+	fn   func()
 }
 
-// eventHeap is a binary min-heap ordered by (time, priority, seq). The
+// eventHeap is a binary min-heap ordered by (time, seq). The
 // sift operations are implemented directly instead of via container/heap:
 // heap.Push/heap.Pop box every queuedEvent through an interface value,
 // which allocates on each call — unacceptable in the broker's allocation-
@@ -37,9 +35,6 @@ type eventHeap []queuedEvent
 func (h eventHeap) less(i, j int) bool {
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
-	}
-	if h[i].priority != h[j].priority {
-		return h[i].priority < h[j].priority
 	}
 	return h[i].seq < h[j].seq
 }
@@ -62,8 +57,8 @@ func (h *eventHeap) push(item queuedEvent) {
 
 // pop removes and returns the minimum entry. The vacated tail slot is
 // zeroed before truncating: the backing array outlives the pop, and a
-// stale slot would pin the processed *Event (with its callbacks and
-// payloads) until the heap next grows past it — a real memory leak in a
+// stale slot would pin the processed callback (and everything its
+// closure captures) until the heap next grows past it — a real memory leak in a
 // long-running broker that hovers around a steady queue length.
 func (h *eventHeap) pop() queuedEvent {
 	q := *h
@@ -92,18 +87,14 @@ func (h *eventHeap) pop() queuedEvent {
 }
 
 // Environment is the discrete-event simulation core: it owns the clock and
-// the time-ordered event queue and drives event processing. It is the Go
-// analogue of simpy.Environment.
+// the time-ordered callback queue and drives event processing.
 //
-// An Environment is not safe for concurrent use; the Process hand-off
-// protocol guarantees only one goroutine touches it at a time.
+// An Environment is not safe for concurrent use: callbacks run on the
+// goroutine that steps it, one at a time.
 type Environment struct {
 	now   float64
 	queue eventHeap
 	seq   uint64
-	// activeProcs counts live process goroutines so tests can assert no
-	// leaks; purely diagnostic.
-	activeProcs int
 }
 
 // NewEnvironment creates an environment with the clock at zero.
@@ -119,61 +110,32 @@ func NewEnvironmentAt(start float64) *Environment {
 // Now returns the current simulation time.
 func (env *Environment) Now() float64 { return env.now }
 
-// QueueLen returns the number of scheduled (triggered but unprocessed)
-// events. Useful for tests and diagnostics.
+// QueueLen returns the number of scheduled, unprocessed events. Useful
+// for tests and diagnostics.
 func (env *Environment) QueueLen() int { return len(env.queue) }
 
-// ActiveProcs returns the number of live process goroutines. A drained
-// environment must report zero — anything else is a leaked process.
-func (env *Environment) ActiveProcs() int { return env.activeProcs }
-
-// checkDelay rejects the delays that would corrupt the event order.
-func (env *Environment) checkDelay(delay float64) {
-	if delay < 0 {
+// AfterFunc schedules fn to run after delay time units, behind every
+// callback already scheduled for the same instant. It is the kernel's
+// only scheduling primitive: only a heap slot is used, so a reused fn
+// (a pre-bound method value or closure) makes the call allocation-free.
+// fn runs on the goroutine stepping the environment and must not block;
+// it may schedule further callbacks, including at delay 0.
+func (env *Environment) AfterFunc(delay float64, fn func()) {
+	// A negative or NaN delay would corrupt the event order.
+	switch {
+	case fn == nil:
+		panic("sim: AfterFunc with nil fn")
+	case delay < 0:
 		panic(fmt.Sprintf("sim: negative delay %g", delay))
-	}
-	if math.IsNaN(delay) {
+	case math.IsNaN(delay):
 		panic("sim: NaN delay")
 	}
-}
-
-// schedule inserts a triggered event into the queue after delay time units.
-func (env *Environment) schedule(ev *Event, delay float64, prio Priority) {
-	env.checkDelay(delay)
 	env.seq++
 	env.queue.push(queuedEvent{
-		time:     env.now + delay,
-		priority: prio,
-		seq:      env.seq,
-		ev:       ev,
+		time: env.now + delay,
+		seq:  env.seq,
+		fn:   fn,
 	})
-}
-
-// AfterFunc schedules fn to run in scheduler context after delay time
-// units. It is the lightweight timer primitive for callback-driven
-// steady-state code: no Event is created, only a heap slot is used, so a
-// reused fn closure makes the call allocation-free. fn must not block; it
-// runs on the scheduler exactly like an event callback.
-func (env *Environment) AfterFunc(delay float64, fn func()) {
-	if fn == nil {
-		panic("sim: AfterFunc with nil fn")
-	}
-	env.checkDelay(delay)
-	env.seq++
-	env.queue.push(queuedEvent{
-		time:     env.now + delay,
-		priority: PriorityNormal,
-		seq:      env.seq,
-		fn:       fn,
-	})
-}
-
-// Timeout returns an event that succeeds after delay time units with the
-// given value. Timeouts are triggered at creation, like SimPy timeouts.
-func (env *Environment) Timeout(delay float64, value any) *Event {
-	ev := env.NewEvent()
-	ev.succeedAt(value, delay, PriorityNormal)
-	return ev
 }
 
 // Peek returns the scheduled time of the next event, or +Inf if the queue
@@ -196,11 +158,7 @@ func (env *Environment) Step() error {
 		panic(fmt.Sprintf("sim: time went backwards: %g < %g", item.time, env.now))
 	}
 	env.now = item.time
-	if item.fn != nil {
-		item.fn()
-		return nil
-	}
-	item.ev.process()
+	item.fn()
 	return nil
 }
 
@@ -255,16 +213,4 @@ func (env *Environment) RunUntil(until float64) float64 {
 	}
 	env.AdvanceTo(until)
 	return env.now
-}
-
-// RunUntilEvent processes events until ev has been processed. It returns
-// the event's value and error. If the queue drains first, it returns
-// ErrEmptySchedule.
-func (env *Environment) RunUntilEvent(ev *Event) (any, error) {
-	for !ev.Processed() {
-		if err := env.Step(); err != nil {
-			return nil, ErrEmptySchedule
-		}
-	}
-	return ev.Value(), ev.Err()
 }

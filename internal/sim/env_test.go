@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -22,24 +23,15 @@ func TestNewEnvironmentAt(t *testing.T) {
 	}
 }
 
+// A timer callback advances the clock to its due time, and Run returns
+// the time of the last event.
 func TestTimeoutAdvancesClock(t *testing.T) {
 	env := NewEnvironment()
-	env.Timeout(10, nil)
+	var at float64
+	env.AfterFunc(10, func() { at = env.Now() })
 	end := env.Run()
-	if end != 10 {
-		t.Fatalf("Run() = %g, want 10", end)
-	}
-}
-
-func TestTimeoutValueDelivered(t *testing.T) {
-	env := NewEnvironment()
-	ev := env.Timeout(3, "payload")
-	v, err := env.RunUntilEvent(ev)
-	if err != nil {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if v != "payload" {
-		t.Fatalf("value = %v, want payload", v)
+	if end != 10 || at != 10 {
+		t.Fatalf("Run() = %g, callback saw %g, want 10", end, at)
 	}
 }
 
@@ -48,7 +40,7 @@ func TestEventsProcessedInTimeOrder(t *testing.T) {
 	var order []float64
 	for _, d := range []float64{5, 1, 3, 2, 4} {
 		d := d
-		env.Timeout(d, nil).OnProcessed(func(*Event) {
+		env.AfterFunc(d, func() {
 			order = append(order, d)
 		})
 	}
@@ -66,11 +58,20 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		env.Timeout(7, nil).OnProcessed(func(*Event) {
+		env.AfterFunc(7, func() {
 			order = append(order, i)
 		})
 	}
+	// A callback scheduling at delay 0 queues behind everything already
+	// due at the same instant.
+	env.AfterFunc(7, func() {
+		env.AfterFunc(0, func() { order = append(order, 11) })
+		order = append(order, 10)
+	})
 	env.Run()
+	if len(order) != 12 {
+		t.Fatalf("processed %d events, want 12", len(order))
+	}
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("order[%d] = %d, want %d (full: %v)", i, got, i, order)
@@ -81,8 +82,8 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 func TestRunUntilStopsAtBoundary(t *testing.T) {
 	env := NewEnvironment()
 	fired := 0
-	env.Timeout(5, nil).OnProcessed(func(*Event) { fired++ })
-	env.Timeout(15, nil).OnProcessed(func(*Event) { fired++ })
+	env.AfterFunc(5, func() { fired++ })
+	env.AfterFunc(15, func() { fired++ })
 	end := env.RunUntil(10)
 	if end != 10 {
 		t.Fatalf("RunUntil = %g, want 10", end)
@@ -100,7 +101,7 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 func TestRunUntilInclusiveOfBoundaryEvents(t *testing.T) {
 	env := NewEnvironment()
 	fired := false
-	env.Timeout(10, nil).OnProcessed(func(*Event) { fired = true })
+	env.AfterFunc(10, func() { fired = true })
 	env.RunUntil(10)
 	if !fired {
 		t.Fatal("event at exactly the boundary should fire")
@@ -129,93 +130,42 @@ func TestPeek(t *testing.T) {
 	if !math.IsInf(env.Peek(), 1) {
 		t.Fatalf("Peek on empty queue = %g, want +Inf", env.Peek())
 	}
-	env.Timeout(9, nil)
+	env.AfterFunc(9, func() {})
+	env.AfterFunc(4, func() {})
+	if env.Peek() != 4 {
+		t.Fatalf("Peek = %g, want 4", env.Peek())
+	}
+	if err := env.Step(); err != nil {
+		t.Fatal(err)
+	}
 	if env.Peek() != 9 {
-		t.Fatalf("Peek = %g, want 9", env.Peek())
+		t.Fatalf("Peek after Step = %g, want 9", env.Peek())
 	}
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
-	env := NewEnvironment()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for negative delay")
-		}
-	}()
-	env.Timeout(-1, nil)
-}
-
-func TestEventDoubleSucceedPanics(t *testing.T) {
-	env := NewEnvironment()
-	ev := env.NewEvent()
-	ev.Succeed(nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for double Succeed")
-		}
-	}()
-	ev.Succeed(nil)
-}
-
-func TestEventFailNilErrorPanics(t *testing.T) {
-	env := NewEnvironment()
-	ev := env.NewEvent()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for Fail(nil)")
-		}
-	}()
-	ev.Fail(nil)
-}
-
-func TestEventFailPropagates(t *testing.T) {
-	env := NewEnvironment()
-	ev := env.NewEvent()
-	boom := errors.New("boom")
-	ev.Fail(boom)
-	_, err := env.RunUntilEvent(ev)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-}
-
-func TestEventStates(t *testing.T) {
-	env := NewEnvironment()
-	ev := env.NewEvent()
-	if !ev.Pending() || ev.Triggered() || ev.Processed() {
-		t.Fatal("fresh event should be pending only")
-	}
-	ev.Succeed(1)
-	if ev.Pending() || !ev.Triggered() || ev.Processed() {
-		t.Fatal("succeeded event should be triggered, not processed")
-	}
-	env.Run()
-	if !ev.Processed() {
-		t.Fatal("event should be processed after Run")
-	}
-	if ev.State().String() != "processed" {
-		t.Fatalf("State().String() = %q", ev.State().String())
-	}
-}
-
-func TestOnProcessedAfterProcessedRunsImmediately(t *testing.T) {
-	env := NewEnvironment()
-	ev := env.Timeout(1, nil)
-	env.Run()
-	ran := false
-	ev.OnProcessed(func(*Event) { ran = true })
-	if !ran {
-		t.Fatal("callback on already-processed event should run immediately")
+	for name, d := range map[string]float64{"negative": -1, "NaN": math.NaN()} {
+		func() {
+			env := NewEnvironment()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s delay: expected panic", name)
+				}
+			}()
+			env.AfterFunc(d, func() {})
+		}()
 	}
 }
 
 // Property: for any set of non-negative delays, Run processes all events in
-// nondecreasing time order and finishes at the max delay.
+// nondecreasing time order, starts no goroutine, and finishes at the max
+// delay.
 func TestPropertyTimeOrdering(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
 			return true
 		}
+		goroutines := runtime.NumGoroutine()
 		env := NewEnvironment()
 		var seen []float64
 		maxDelay := 0.0
@@ -224,12 +174,12 @@ func TestPropertyTimeOrdering(t *testing.T) {
 			if d > maxDelay {
 				maxDelay = d
 			}
-			env.Timeout(d, nil).OnProcessed(func(e *Event) {
-				seen = append(seen, e.Env().Now())
+			env.AfterFunc(d, func() {
+				seen = append(seen, env.Now())
 			})
 		}
 		end := env.Run()
-		if end != maxDelay {
+		if end != maxDelay || runtime.NumGoroutine() != goroutines {
 			return false
 		}
 		if len(seen) != len(raw) {
@@ -251,8 +201,8 @@ func TestPropertyRunUntilBoundary(t *testing.T) {
 		late := 0
 		for _, r := range raw {
 			d := float64(r)
-			env.Timeout(d, nil).OnProcessed(func(e *Event) {
-				if e.Env().Now() > T {
+			env.AfterFunc(d, func() {
+				if env.Now() > T {
 					late++
 				}
 			})

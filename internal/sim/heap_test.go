@@ -3,19 +3,20 @@ package sim
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 )
 
 // Regression for the event-heap leak: pop used to shrink the slice
 // without zeroing the vacated tail slot, so the backing array kept a
-// live pointer to every processed *Event (and its callbacks/payloads)
-// until the heap next grew past that index — unbounded retained memory
+// live pointer to every processed callback (and what its closure
+// captures) until the heap next grew past that index — unbounded retained memory
 // in a long-running broker hovering at a steady queue length. Inspect
 // the backing array directly: every slot beyond len must be zero.
 func TestEventHeapPopZeroesVacatedSlot(t *testing.T) {
 	env := NewEnvironment()
 	for i := 0; i < 32; i++ {
-		env.Timeout(float64(i), i)
+		env.AfterFunc(float64(i), func() {})
 	}
 	high := cap(env.queue)
 	env.Run()
@@ -27,7 +28,7 @@ func TestEventHeapPopZeroesVacatedSlot(t *testing.T) {
 		t.Fatalf("backing array shrank: %d < %d", cap(env.queue), high)
 	}
 	for i, slot := range backing {
-		if slot.ev != nil || slot.fn != nil {
+		if slot.fn != nil {
 			t.Fatalf("slot %d still pins a processed event: %+v", i, slot)
 		}
 		if slot.time != 0 || slot.seq != 0 {
@@ -85,7 +86,7 @@ func TestStepWithinDistinguishesIdleFromEmpty(t *testing.T) {
 	if err := env.StepWithin(100); !errors.Is(err, ErrEmptySchedule) {
 		t.Fatalf("empty queue: %v, want ErrEmptySchedule", err)
 	}
-	env.Timeout(50, nil)
+	env.AfterFunc(50, func() {})
 	if err := env.StepWithin(49); !errors.Is(err, ErrIdle) {
 		t.Fatalf("event beyond horizon: %v, want ErrIdle", err)
 	}
@@ -134,13 +135,19 @@ func TestAdvanceToProcessesDueEventsAndPinsClock(t *testing.T) {
 func TestAfterFuncOrdersWithEvents(t *testing.T) {
 	env := NewEnvironment()
 	var order []string
-	env.AfterFunc(10, func() { order = append(order, "fn@10") })
-	ev := env.Timeout(10, nil)
-	ev.OnProcessed(func(*Event) { order = append(order, "ev@10") })
-	env.AfterFunc(5, func() { order = append(order, "fn@5") })
+	env.AfterFunc(10, func() { order = append(order, "a@10") })
+	env.AfterFunc(10, func() { order = append(order, "b@10") })
+	env.AfterFunc(5, func() {
+		order = append(order, "c@5")
+		// Scheduled later but due at the same instant: runs after a and b.
+		env.AfterFunc(5, func() { order = append(order, "d@10") })
+	})
 	env.Run()
 	// Same-time entries fire in scheduling order (seq ties).
-	want := []string{"fn@5", "fn@10", "ev@10"}
+	want := []string{"c@5", "a@10", "b@10", "d@10"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
@@ -167,17 +174,16 @@ func TestAfterFuncValidation(t *testing.T) {
 }
 
 // A serve session starting from a checkpointed clock schedules relative
-// to the nonzero origin, and draining it leaves no live processes.
+// to the nonzero origin, and draining it leaves no goroutine behind.
 func TestNonzeroStartServeSessionDrainsClean(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
 	env := NewEnvironmentAt(5000)
 	done := 0
-	env.Process(func(p *Proc) any {
-		p.Sleep(10)
-		done++
-		return nil
+	// A two-step callback chain: start at the origin, finish 10 later.
+	env.AfterFunc(0, func() {
+		env.AfterFunc(10, func() { done++ })
 	})
 	env.AfterFunc(25, func() { done++ })
-	// The process-start event is scheduled at the nonzero origin itself.
 	if got := env.Peek(); got != 5000 {
 		t.Fatalf("first event at %g, want 5000", got)
 	}
@@ -187,7 +193,7 @@ func TestNonzeroStartServeSessionDrainsClean(t *testing.T) {
 	if done != 2 {
 		t.Fatalf("done = %d", done)
 	}
-	if env.ActiveProcs() != 0 {
-		t.Fatalf("ActiveProcs = %d after drain", env.ActiveProcs())
+	if n := runtime.NumGoroutine(); n != goroutines {
+		t.Fatalf("goroutines %d after drain, %d before", n, goroutines)
 	}
 }
