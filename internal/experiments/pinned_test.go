@@ -1,0 +1,55 @@
+package experiments
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+)
+
+// TestPinnedManifestDigests pins the SHA-256 of the normalized manifest
+// (wall time, worker accounting and host provenance zeroed — see
+// normalizedJSON) that the Sequential executor produces for each task
+// matrix kind on the small case. Every executor is proven equal to
+// Sequential elsewhere, so these digests are the independent reference
+// for what the experiment engine computes: a refactor of the engine
+// must leave every one of them unchanged.
+//
+// The per-artifact entry points that predate Run (RunAll, PhiSweep,
+// LambdaSweep, RunReplicated, RLDeploymentAblation and their *Parallel
+// and *Sharded forms) ran this same engine; these pins carry their
+// results forward, so no digest may change when those entry points go.
+func TestPinnedManifestDigests(t *testing.T) {
+	replicated := specForSmallCase(TaskMatrix{Kind: "modes", Modes: []string{"speed", "fair"}})
+	replicated.Replications = 2
+	cases := []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"modes", specForSmallCase(TaskMatrix{Kind: "modes"}),
+			"7708b152b46bbe72339ebdab7eaa397feb3aaa74ec9250ade595263c35ffb0e6"},
+		{"phi-sweep/speed", specForSmallCase(TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.85, 0.9, 0.95, 1}}),
+			"d76b538ce39b1744e79b5bc2a7bdc267fc72c654ae2f1e32094ddec4d5d66521"},
+		{"lambda-sweep/fair", specForSmallCase(TaskMatrix{Kind: "lambda-sweep", Mode: "fair", Values: []float64{0, 0.02, 0.05, 0.1}}),
+			"0ec7c29ab0dbbf41a3fbba81038c89679f4fd33dee0848aae573120b86358246"},
+		{"replicate/speed", specForSmallCase(TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2, 3}}),
+			"16fa593ac5eb9ca15ef40c9f45d18e1d9117c0dd403cb2b64cddfd6961fea5ec"},
+		{"rl-deploy", specForSmallCase(TaskMatrix{Kind: "rl-deploy"}),
+			"068bd3ff8e018c8e27bcdf632dc162c7d8233cd9cf26087fe50b22d20a158f72"},
+		{"replications=2", replicated,
+			"abe4b4208a13a578542ec69c4dc15bea287da2f3605069fb3bf1fac355edc365"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := Run(context.Background(), c.spec, Sequential{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(normalizedJSON(t, m))
+			if got := hex.EncodeToString(sum[:]); got != c.want {
+				t.Errorf("normalized manifest digest = %s, want %s", got, c.want)
+			}
+		})
+	}
+}
