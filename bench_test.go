@@ -25,6 +25,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/policy"
+	"repro/internal/records"
 	"repro/internal/rl"
 	"repro/internal/rlsched"
 	"repro/internal/sim"
@@ -41,26 +42,38 @@ func benchCase() *experiments.CaseStudy {
 	return cs
 }
 
+// execute runs one task matrix on cs through exec and returns the
+// manifest rows.
+func execute(b *testing.B, exec experiments.Executor, cs *experiments.CaseStudy, m experiments.TaskMatrix) []records.RunSummary {
+	b.Helper()
+	mf, err := exec.Execute(context.Background(), cs, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return mf.Runs
+}
+
+// modesMatrix is the four-strategy Table 2 fan-out.
+var modesMatrix = experiments.TaskMatrix{Kind: "modes"}
+
 // BenchmarkTable2 regenerates the paper's Table 2: the four allocation
 // strategies on the synthetic large-circuit workload, reporting Tsim,
 // μF±σF, and Tcomm per mode.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
-		rows, err := cs.Table2()
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := execute(b, experiments.Sequential{}, cs, modesMatrix)
 		if i == 0 {
 			b.Logf("Table 2 (scaled: %d jobs):", cs.Workload.N)
 			for _, r := range rows {
-				b.Logf("  %s", r.String())
+				b.Logf("  %-8s Tsim=%.1fs muF=%.4f±%.4f Tcomm=%.1fs k=%.2f",
+					r.Mode, r.TsimS, r.FidelityMean, r.FidelityStd, r.TcommS, r.MeanDevicesPerJob)
 			}
 			for _, r := range rows {
-				prefix := r.Policy + "_"
-				b.ReportMetric(r.TotalSimTime, prefix+"Tsim_s")
+				prefix := r.Mode + "_"
+				b.ReportMetric(r.TsimS, prefix+"Tsim_s")
 				b.ReportMetric(r.FidelityMean, prefix+"muF")
-				b.ReportMetric(r.TotalCommTime, prefix+"Tcomm_s")
+				b.ReportMetric(r.TcommS, prefix+"Tcomm_s")
 			}
 		}
 	}
@@ -77,9 +90,7 @@ func BenchmarkSequentialRunAll(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cs.RunAll(); err != nil {
-			b.Fatal(err)
-		}
+		execute(b, experiments.Sequential{}, cs, modesMatrix)
 	}
 }
 
@@ -99,18 +110,13 @@ func BenchmarkParallelRunAll(b *testing.B) {
 	baseN := min(b.N, 3)
 	seqStart := time.Now()
 	for i := 0; i < baseN; i++ {
-		if _, err := cs.RunAll(); err != nil {
-			b.Fatal(err)
-		}
+		execute(b, experiments.Sequential{}, cs, modesMatrix)
 	}
 	seqAvg := time.Since(seqStart).Seconds() / float64(baseN)
-	ctx := context.Background()
 	b.ResetTimer()
 	parStart := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cs.RunAllParallel(ctx, experiments.ParallelOptions{}); err != nil {
-			b.Fatal(err)
-		}
+		execute(b, experiments.Parallel{}, cs, modesMatrix)
 	}
 	parAvg := time.Since(parStart).Seconds() / float64(b.N)
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
@@ -123,22 +129,17 @@ func BenchmarkParallelRunAll(b *testing.B) {
 func BenchmarkParallelReplicated(b *testing.B) {
 	cs := benchCase()
 	cs.Workload.N = 150
-	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
-	ctx := context.Background()
+	m := experiments.TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}}
 	baseN := min(b.N, 3)
 	seqStart := time.Now()
 	for i := 0; i < baseN; i++ {
-		if _, err := cs.RunReplicated("speed", seeds); err != nil {
-			b.Fatal(err)
-		}
+		execute(b, experiments.Sequential{}, cs, m)
 	}
 	seqAvg := time.Since(seqStart).Seconds() / float64(baseN)
 	b.ResetTimer()
 	parStart := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cs.RunReplicatedParallel(ctx, experiments.ParallelOptions{}, "speed", seeds); err != nil {
-			b.Fatal(err)
-		}
+		execute(b, experiments.Parallel{}, cs, m)
 	}
 	parAvg := time.Since(parStart).Seconds() / float64(b.N)
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
@@ -170,9 +171,13 @@ func BenchmarkFig5Training(b *testing.B) {
 func BenchmarkFig6Histograms(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
-		runs, err := cs.RunAll()
-		if err != nil {
-			b.Fatal(err)
+		runs := make(map[string]*experiments.ModeRun, len(experiments.Modes))
+		for _, mode := range experiments.Modes {
+			run, err := cs.RunMode(mode)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runs[mode] = run
 		}
 		hists := experiments.Fig6Histograms(runs, 30)
 		if i == 0 {
@@ -211,14 +216,12 @@ func BenchmarkAblationPhiSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
 		cs.Workload.N = 60
-		points, err := cs.PhiSweep("speed", []float64{0.85, 0.90, 0.95, 1.0})
-		if err != nil {
-			b.Fatal(err)
-		}
+		points := execute(b, experiments.Sequential{}, cs,
+			experiments.TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.85, 0.90, 0.95, 1.0}})
 		if i == 0 {
 			for _, p := range points {
-				b.Logf("phi=%.2f -> muF=%.4f", p.Param, p.Results.FidelityMean)
-				b.ReportMetric(p.Results.FidelityMean, fmt.Sprintf("muF_phi_%.2f", p.Param))
+				b.Logf("phi=%.2f -> muF=%.4f", p.Param, p.FidelityMean)
+				b.ReportMetric(p.FidelityMean, fmt.Sprintf("muF_phi_%.2f", p.Param))
 			}
 		}
 	}
@@ -229,15 +232,12 @@ func BenchmarkAblationLambdaSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
 		cs.Workload.N = 60
-		points, err := cs.LambdaSweep("fair", []float64{0.0, 0.02, 0.05, 0.1})
-		if err != nil {
-			b.Fatal(err)
-		}
+		points := execute(b, experiments.Sequential{}, cs,
+			experiments.TaskMatrix{Kind: "lambda-sweep", Mode: "fair", Values: []float64{0.0, 0.02, 0.05, 0.1}})
 		if i == 0 {
 			for _, p := range points {
-				b.Logf("lambda=%.2f -> Tcomm=%.1f Tsim=%.1f",
-					p.Param, p.Results.TotalCommTime, p.Results.TotalSimTime)
-				b.ReportMetric(p.Results.TotalCommTime, fmt.Sprintf("Tcomm_lambda_%.2f", p.Param))
+				b.Logf("lambda=%.2f -> Tcomm=%.1f Tsim=%.1f", p.Param, p.TcommS, p.TsimS)
+				b.ReportMetric(p.TcommS, fmt.Sprintf("Tcomm_lambda_%.2f", p.Param))
 			}
 		}
 	}
@@ -292,17 +292,15 @@ func BenchmarkAblationRLDeployment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
 		cs.Workload.N = 60
-		sampled, det, err := cs.RLDeploymentAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := execute(b, experiments.Sequential{}, cs, experiments.TaskMatrix{Kind: "rl-deploy"})
+		sampled, det := rows[0], rows[1]
 		if i == 0 {
 			b.Logf("sampled:       muF=%.4f sigma=%.4f Tcomm=%.1f",
-				sampled.Results.FidelityMean, sampled.Results.FidelityStd, sampled.Results.TotalCommTime)
+				sampled.FidelityMean, sampled.FidelityStd, sampled.TcommS)
 			b.Logf("deterministic: muF=%.4f sigma=%.4f Tcomm=%.1f",
-				det.Results.FidelityMean, det.Results.FidelityStd, det.Results.TotalCommTime)
-			b.ReportMetric(sampled.Results.FidelityStd, "sampled_sigmaF")
-			b.ReportMetric(det.Results.FidelityStd, "deterministic_sigmaF")
+				det.FidelityMean, det.FidelityStd, det.TcommS)
+			b.ReportMetric(sampled.FidelityStd, "sampled_sigmaF")
+			b.ReportMetric(det.FidelityStd, "deterministic_sigmaF")
 		}
 	}
 }

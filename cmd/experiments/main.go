@@ -135,7 +135,6 @@ func run() error {
 		doctor    = flag.Bool("doctor", false, "probe each -hosts daemon and report reachability, protocol version and capacity; exit 1 when any host is unhealthy")
 		waitFor   = flag.Duration("wait", 0, "with -doctor: keep re-probing unhealthy hosts with backoff until all are healthy or this budget expires (e.g. 60s); replaces shell sleep-loops around daemon startup")
 	)
-	flag.IntVar(workers, "parallel", 0, "deprecated alias for -workers")
 	flag.Parse()
 
 	set := map[string]bool{}
@@ -200,8 +199,8 @@ func run() error {
 	}
 
 	// Flag path. Manifest artifacts compile to a Spec and share the
-	// exact Run code path with -spec; figure artifacts stay on the
-	// in-process harness.
+	// exact Run code path with -spec; figure artifacts execute the same
+	// matrices in-process on one trained case study.
 	switch *artifact {
 	case "table2", "replicate", "ablations":
 		spec, err := compileSpec(*artifact, *scenario, *n, *seed, *fleetSeed, *train, *reps)
@@ -249,14 +248,14 @@ func validateFlags(set map[string]bool, args []string, artifact, specPath string
 			return fmt.Errorf("-serve address %q is not host:port: %v", serveAddr, err)
 		}
 		for f := range set {
-			if f != "serve" && f != "workers" && f != "parallel" {
+			if f != "serve" && f != "workers" {
 				return fmt.Errorf("-serve runs a worker daemon; beyond -workers (advertised capacity), -%s conflicts with it", f)
 			}
 		}
 		if len(args) > 0 {
 			return fmt.Errorf("-serve takes the listen address as its value and no positional arguments")
 		}
-		if (set["workers"] || set["parallel"]) && workers < 1 {
+		if set["workers"] && workers < 1 {
 			return fmt.Errorf("-workers must be >= 1 (omit the flag for the automatic default)")
 		}
 		return nil
@@ -314,7 +313,7 @@ func validateFlags(set map[string]bool, args []string, artifact, specPath string
 	case len(args) > 0:
 		return fmt.Errorf("unexpected arguments %q (all inputs are flags; -diff takes the only positional arguments)", args)
 	}
-	if (set["workers"] || set["parallel"]) && workers < 1 {
+	if set["workers"] && workers < 1 {
 		return fmt.Errorf("-workers must be >= 1 (omit the flag for the automatic default)")
 	}
 	if set["shards"] && shards < 1 {
@@ -328,8 +327,8 @@ func validateFlags(set map[string]bool, args []string, artifact, specPath string
 			return err
 		}
 	}
-	if reps < 1 {
-		return fmt.Errorf("-replications must be >= 1, have %d", reps)
+	if reps < 1 || reps > experiments.MaxReplications {
+		return fmt.Errorf("-replications must be in [1, %d], have %d", experiments.MaxReplications, reps)
 	}
 	if n < 1 {
 		return fmt.Errorf("-n must be >= 1, have %d", n)
@@ -826,108 +825,71 @@ func hasReplicas(m *records.RunManifest) bool {
 	return false
 }
 
-// runFigures drives the artifacts that need in-process run state
-// (training history for fig5, per-job fidelity records for fig6, and
-// the combined "all", which also prints Table 2 and the ablations from
-// its cached four-mode fan-out).
+// runFigures drives the artifacts that need in-process run state:
+// fig5 (the training history), fig6 (per-job fidelity records) and
+// the combined "all", which also prints Table 2 and the ablations. The
+// case study is built once and trained in fig5; the manifest matrices
+// then execute on that same trained case study through the Parallel
+// executor, so PPO trains once per invocation. Figure 6 re-runs each
+// mode with RunMode for its per-job fidelities — the same simulations
+// as the manifest's mode rows, which carry only the headline results.
 func runFigures(artifact, scenario string, n int, seed, fleetSeed int64, train, workers int, progress bool, outdir, out string) error {
 	base := experiments.Spec{Scenario: scenario, Jobs: n, Seed: &seed, FleetSeed: &fleetSeed, TrainSteps: train}
 	cs, err := base.CaseStudy()
 	if err != nil {
 		return err
 	}
-	h := &harness{cs: cs}
-	// Resolve the auto default now so the manifest records a concrete
-	// pool cap instead of 0.
-	h.opt.Workers = workers
-	if h.opt.Workers <= 0 {
-		h.opt.Workers = runtime.GOMAXPROCS(0)
-	}
-	if progress {
-		h.opt.OnProgress = progressPrinter
-	}
-
-	switch artifact {
-	case "fig5":
-		err = fig5(h.cs, outdir)
-	case "fig6":
-		err = fig6(h, outdir)
-	case "all":
-		for _, step := range []func() error{
-			func() error { return fig5(h.cs, outdir) },
-			func() error { return table2All(h, outdir) },
-			func() error { return fig6(h, outdir) },
-			func() error { return ablationsAll(h) },
-		} {
-			if err = step(); err != nil {
-				break
-			}
+	if artifact != "fig6" {
+		if err := fig5(cs, outdir); err != nil {
+			return err
 		}
 	}
-	if err != nil {
+	if artifact == "fig5" {
+		if out != "" {
+			fmt.Fprintf(os.Stderr, "experiments: -artifact fig5 produces no simulation tasks; no manifest written to %s\n", out)
+		}
+		return nil
+	}
+
+	matrices := []experiments.TaskMatrix{{Kind: "modes"}}
+	if artifact == "all" {
+		ablations, err := compileSpec("ablations", scenario, n, seed, fleetSeed, train, 1)
+		if err != nil {
+			return err
+		}
+		matrices = append(matrices, ablations.Matrices...)
+	}
+	opt := experiments.ExecOptions{Workers: workers}
+	if progress {
+		opt.OnProgress = progressPrinter
+	}
+	m := &records.RunManifest{Label: artifact}
+	for _, matrix := range matrices {
+		mf, err := experiments.Parallel{Options: opt}.Execute(context.Background(), cs, matrix)
+		if err != nil {
+			return err
+		}
+		m.Workers = mf.Workers
+		m.Runs = append(m.Runs, mf.Runs...)
+	}
+
+	if artifact == "all" {
+		if err := renderArtifact("table2", m, 0, outdir); err != nil {
+			return err
+		}
+	}
+	if err := fig6(cs, outdir); err != nil {
 		return err
+	}
+	if artifact == "all" {
+		if err := renderArtifact("ablations", m, 0, outdir); err != nil {
+			return err
+		}
 	}
 	if out != "" {
-		if len(h.sums) == 0 {
-			fmt.Fprintf(os.Stderr, "experiments: -artifact %s produces no simulation tasks; no manifest written to %s\n", artifact, out)
-			return nil
-		}
-		return writeManifest(&records.RunManifest{Label: artifact, Workers: h.opt.Workers, Runs: h.sums}, out)
+		return writeManifest(m, out)
 	}
 	return nil
-}
-
-// harness bundles the case study with the orchestration options and
-// accumulates a manifest row per task it runs, for the figure
-// artifacts that need full in-process runs. Only the flat summaries
-// are kept — holding full RunArtifacts would pin every simulation's
-// record set in memory until exit.
-type harness struct {
-	cs   *experiments.CaseStudy
-	opt  experiments.ExecOptions
-	sums []records.RunSummary
-	// runs caches the four-mode fan-out so "all" reuses one execution
-	// for Table 2, Figure 6 and the manifest.
-	runs map[string]*experiments.ModeRun
-}
-
-func (h *harness) collect(arts []experiments.RunArtifact) {
-	for i := range arts {
-		h.sums = append(h.sums, arts[i].Summary())
-	}
-}
-
-func (h *harness) runAll() (map[string]*experiments.ModeRun, error) {
-	if h.runs != nil {
-		return h.runs, nil
-	}
-	runs, arts, err := h.cs.RunAllParallel(context.Background(), h.opt)
-	if err != nil {
-		return nil, err
-	}
-	h.collect(arts)
-	h.runs = runs
-	return runs, nil
-}
-
-// table2All renders Table 2 inside -artifact all from the cached
-// four-mode fan-out (which fig6 shares).
-func table2All(h *harness, outdir string) error {
-	fmt.Printf("== Table 2: performance of allocation strategies on %d large circuits ==\n", h.cs.Workload.N)
-	runs, err := h.runAll()
-	if err != nil {
-		return err
-	}
-	rows := make([]t2row, 0, len(experiments.Modes))
-	for _, mode := range experiments.Modes {
-		r := runs[mode].Results
-		rows = append(rows, t2row{
-			mode: r.Policy, tsim: r.TotalSimTime, muF: r.FidelityMean, sigmaF: r.FidelityStd,
-			tcomm: r.TotalCommTime, kMean: r.MeanDevicesPerJob, wait: r.MeanWaitTime,
-		})
-	}
-	printTable2(rows)
-	return writeTable2CSV(outdir, rows)
 }
 
 func fig5(cs *experiments.CaseStudy, outdir string) error {
@@ -955,11 +917,15 @@ func fig5(cs *experiments.CaseStudy, outdir string) error {
 	return nil
 }
 
-func fig6(h *harness, outdir string) error {
-	fmt.Printf("== Figure 6: fidelity distributions per strategy (%d jobs) ==\n", h.cs.Workload.N)
-	runs, err := h.runAll()
-	if err != nil {
-		return err
+func fig6(cs *experiments.CaseStudy, outdir string) error {
+	fmt.Printf("== Figure 6: fidelity distributions per strategy (%d jobs) ==\n", cs.Workload.N)
+	runs := make(map[string]*experiments.ModeRun, len(experiments.Modes))
+	for _, mode := range experiments.Modes {
+		run, err := cs.RunMode(mode)
+		if err != nil {
+			return err
+		}
+		runs[mode] = run
 	}
 	hists := experiments.Fig6Histograms(runs, 40)
 	for _, mode := range experiments.Modes {
@@ -976,46 +942,5 @@ func fig6(h *harness, outdir string) error {
 			}
 		}
 	}
-	return nil
-}
-
-// ablationsAll renders the ablation sweeps inside -artifact all via
-// the legacy in-process entry points (sharing the harness's manifest
-// accumulation).
-func ablationsAll(h *harness) error {
-	ctx := context.Background()
-	fmt.Println("== Ablation: communication penalty phi (speed mode) ==")
-	phiPoints, arts, err := h.cs.PhiSweepParallel(ctx, h.opt, "speed", []float64{0.85, 0.90, 0.95, 1.0})
-	if err != nil {
-		return err
-	}
-	h.collect(arts)
-	for _, p := range phiPoints {
-		fmt.Printf("  phi=%.2f  muF=%.5f\n", p.Param, p.Results.FidelityMean)
-	}
-
-	fmt.Println("== Ablation: per-qubit latency lambda (fair mode) ==")
-	lamPoints, arts, err := h.cs.LambdaSweepParallel(ctx, h.opt, "fair", []float64{0.0, 0.02, 0.05, 0.1})
-	if err != nil {
-		return err
-	}
-	h.collect(arts)
-	for _, p := range lamPoints {
-		fmt.Printf("  lambda=%.2f  Tcomm=%.1f  Tsim=%.1f\n",
-			p.Param, p.Results.TotalCommTime, p.Results.TotalSimTime)
-	}
-
-	fmt.Println("== Ablation: RL deployment mode (sampled vs deterministic) ==")
-	sampled, det, arts, err := h.cs.RLDeploymentAblationParallel(ctx, h.opt)
-	if err != nil {
-		return err
-	}
-	h.collect(arts)
-	fmt.Printf("  sampled:       muF=%.5f sigma=%.5f Tcomm=%.1f k=%.2f\n",
-		sampled.Results.FidelityMean, sampled.Results.FidelityStd,
-		sampled.Results.TotalCommTime, sampled.Results.MeanDevicesPerJob)
-	fmt.Printf("  deterministic: muF=%.5f sigma=%.5f Tcomm=%.1f k=%.2f\n",
-		det.Results.FidelityMean, det.Results.FidelityStd,
-		det.Results.TotalCommTime, det.Results.MeanDevicesPerJob)
 	return nil
 }

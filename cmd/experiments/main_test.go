@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -9,6 +11,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/faults"
+	"repro/internal/records"
 )
 
 // TestCommittedSpecsLoad: every spec file shipped under specs/ (the
@@ -96,6 +99,64 @@ func TestCompileSpecShapes(t *testing.T) {
 	}
 }
 
+// TestRunFiguresAllMatchesCompiledSpecs: -artifact all executes the
+// Table 2 and ablation matrices on its one trained case study, and its
+// manifest must hold exactly the rows — in order — that the table2 and
+// then ablations compiled specs produce through Run. "all" and the
+// per-artifact runs are then the same experiment.
+func TestRunFiguresAllMatchesCompiledSpecs(t *testing.T) {
+	const n, seed, fleetSeed, train = 20, 1, 2025, 2048
+	dir := t.TempDir()
+	if err := runFigures("all", "", n, seed, fleetSeed, train, 2, false, "", dir); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := records.ReadManifestJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Label != "all" {
+		t.Fatalf("manifest label %q, want all", got.Label)
+	}
+	want := &records.RunManifest{}
+	for _, artifact := range []string{"table2", "ablations"} {
+		spec, err := compileSpec(artifact, "", n, seed, fleetSeed, train, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := experiments.Run(context.Background(), spec, experiments.Sequential{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Runs = append(want.Runs, m.Runs...)
+	}
+	if g, w := normalizedRows(t, got), normalizedRows(t, want); !bytes.Equal(g, w) {
+		t.Fatalf("-artifact all rows diverge from the compiled table2+ablations specs:\n%s\n%s", g, w)
+	}
+}
+
+// normalizedRows renders a manifest's rows as JSON with the fields that
+// legitimately differ between runs of one experiment zeroed: label,
+// worker accounting, wall time and remote provenance.
+func normalizedRows(t *testing.T, m *records.RunManifest) []byte {
+	t.Helper()
+	c := records.RunManifest{Runs: append([]records.RunSummary(nil), m.Runs...)}
+	for i := range c.Runs {
+		c.Runs[i].WallMS = 0
+		c.Runs[i].Host = ""
+		c.Runs[i].Attempt = 0
+	}
+	var buf bytes.Buffer
+	if err := c.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestValidateFlags drives the upfront flag-combination validation:
 // each rejected combination must fail before any simulation starts,
 // with a message naming the offending flag.
@@ -155,11 +216,11 @@ func TestValidateFlags(t *testing.T) {
 		{"diff with flags", ok(args{set: map[string]bool{"diff": true, "n": true}, args: []string{"a.json", "b.json"}, diff: true}), "no other flags"},
 		{"stray args", ok(args{args: []string{"table2"}}), "unexpected arguments"},
 		{"workers zero", ok(args{set: map[string]bool{"workers": true}}), "-workers must be >= 1"},
-		{"parallel alias zero", ok(args{set: map[string]bool{"parallel": true}}), "-workers must be >= 1"},
 		{"workers set valid", ok(args{set: map[string]bool{"workers": true}, workers: 4}), ""},
 		{"shards zero", ok(args{set: map[string]bool{"shards": true}}), "-shards must be >= 1"},
 		{"shards valid", ok(args{set: map[string]bool{"shards": true}, shards: 2, artifact: "table2"}), ""},
 		{"replications zero", ok(args{set: map[string]bool{"replications": true}, reps: -5}), "-replications"},
+		{"replications above max", ok(args{set: map[string]bool{"replications": true}, reps: experiments.MaxReplications + 1, artifact: "replicate"}), "-replications"},
 		{"n zero", ok(args{set: map[string]bool{"n": true}, n: -1}), "-n"},
 		{"train zero", ok(args{set: map[string]bool{"train": true}, train: -1}), "-train"},
 		{"spec with artifact", ok(args{set: map[string]bool{"spec": true, "artifact": true}, spec: "s.json"}), "-artifact conflicts"},

@@ -2,21 +2,23 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 
+	"repro/internal/experiments/runner"
 	"repro/internal/records"
 )
 
-// Executor is the pluggable execution backend behind Run: it receives
-// a fully configured case study plus one task matrix and returns the
-// manifest rows in global task order. All four built-ins — Sequential,
-// Parallel, Sharded, Remote — are bit-identical for fixed seeds (wall
-// times and provenance aside), because they expand the same matrix
-// through the same enumeration and every task runs on a private
-// snapshot seeded only from the case study's configuration. The
-// out-of-process backends differ only in the transport they hand the
-// shard coordinator: Sharded spawns local subprocesses, Remote dials
-// worker daemons across a host fleet.
+// Executor is the pluggable execution backend behind Run, and the only
+// way to run a task matrix: it receives a fully configured case study
+// plus one task matrix and returns the manifest rows in global task
+// order. All four built-ins — Sequential, Parallel, Sharded, Remote —
+// are bit-identical for fixed seeds (wall times and provenance aside),
+// because they expand the same matrix through the same enumeration and
+// every task runs on a private snapshot seeded only from the case
+// study's configuration. The out-of-process backends differ only in
+// the transport they hand the shard coordinator: Sharded spawns local
+// subprocesses, Remote dials worker daemons across a host fleet.
 type Executor interface {
 	// Name identifies the backend in logs and errors.
 	Name() string
@@ -54,10 +56,24 @@ func (e Parallel) Execute(ctx context.Context, cs *CaseStudy, m TaskMatrix) (*re
 	return runMatrixManifest(ctx, cs, m, e.Options)
 }
 
-// runMatrixManifest is the shared in-process backend: expand, run
-// through the pool, flatten artifacts to manifest rows.
+// runMatrixManifest is the shared in-process backend: expand the
+// matrix, train the rlbase policy up front when any task needs it (so
+// worker snapshots share identical cloned weights), run the tasks
+// through the pool, and flatten the artifacts to manifest rows.
 func runMatrixManifest(ctx context.Context, cs *CaseStudy, m TaskMatrix, opt ExecOptions) (*records.RunManifest, error) {
-	arts, err := cs.runMatrix(ctx, opt, m, false)
+	specs, err := m.specs()
+	if err != nil {
+		return nil, err
+	}
+	if err := cs.ensureTrained(m.modes()...); err != nil {
+		return nil, fmt.Errorf("experiments: training rlbase: %w", err)
+	}
+	tasks := make([]runner.Task[RunArtifact], len(specs))
+	for i, spec := range specs {
+		tasks[i] = cs.task(spec)
+	}
+	pool := runner.Pool[RunArtifact]{Workers: opt.Workers, OnProgress: opt.OnProgress}
+	arts, err := pool.Run(ctx, tasks)
 	if err != nil {
 		return nil, err
 	}
@@ -72,19 +88,4 @@ func runMatrixManifest(ctx context.Context, cs *CaseStudy, m TaskMatrix, opt Exe
 		out.Runs = append(out.Runs, arts[i].Summary())
 	}
 	return out, nil
-}
-
-// Sharded executes the matrix across worker OS processes through the
-// shard coordinator. The zero value re-invokes the current executable
-// with -shard-worker on a single shard; set Options.Shards to fan out.
-type Sharded struct {
-	Options ShardOptions
-}
-
-// Name implements Executor.
-func (Sharded) Name() string { return "sharded" }
-
-// Execute implements Executor.
-func (e Sharded) Execute(ctx context.Context, cs *CaseStudy, m TaskMatrix) (*records.RunManifest, error) {
-	return cs.RunMatrixSharded(ctx, e.Options, m)
 }

@@ -10,17 +10,20 @@
 // to Run with any Executor (Sequential, Parallel across a goroutine
 // pool, Sharded across worker OS processes, or Remote across a fleet
 // of TCP worker daemons — see ServeShardDaemon and docs/operations.md).
-// All executors produce identical manifests for fixed seeds, remote
-// rows additionally carrying host/attempt provenance; allocation
-// strategies resolve
-// through the internal/policy registry, so new policies and new
-// scenarios plug in without touching this package. The per-artifact
-// entry points below (RunAll, PhiSweep, RunAllParallel, …) predate the
-// Spec API and survive as thin wrappers over the same engine.
+// Executor.Execute runs one TaskMatrix on a configured CaseStudy and is
+// the only way to run a task matrix; Run is Execute over every matrix
+// of a Spec. All executors produce identical manifests for fixed seeds,
+// remote rows additionally carrying host/attempt provenance. Allocation
+// strategies resolve through the internal/policy registry, so new
+// policies and new scenarios plug in without touching this package.
+//
+// Beside the manifest path sit the single-run and figure primitives:
+// CaseStudy.RunMode (one full simulation, with per-job records),
+// CaseStudy.TrainRL (the Fig. 5 training history), Fig5Series and
+// Fig6Histograms.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -171,9 +174,10 @@ func (cs *CaseStudy) TrainRL(onIter func(rl.TrainStats)) (*rl.GaussianPolicy, []
 
 // UseTrainedPolicy injects an externally trained policy (e.g. loaded
 // from disk), skipping TrainRL. Injected policies are confined to
-// in-process execution: the sharded entry points reject them, because
-// worker processes rebuild the rlbase policy from the serialized
-// config's seeds and would silently diverge from the injected weights.
+// in-process execution: the Sharded and Remote executors reject them,
+// because worker processes rebuild the rlbase policy from the
+// serialized config's seeds and would silently diverge from the
+// injected weights.
 func (cs *CaseStudy) UseTrainedPolicy(pol *rl.GaussianPolicy) {
 	cs.trained = pol
 	cs.injected = pol != nil
@@ -246,30 +250,6 @@ func (cs *CaseStudy) RunMode(mode string) (*ModeRun, error) {
 	}, nil
 }
 
-// RunAll runs every strategy and returns runs keyed by mode name. It is
-// a sequential (single-worker) wrapper over RunAllParallel, so both
-// paths share one execution engine and produce identical results.
-//
-// Deprecated: prefer Run with a {Kind: "modes"} matrix; RunAll remains
-// for callers that need the full ModeRun state (Figure 6).
-func (cs *CaseStudy) RunAll() (map[string]*ModeRun, error) {
-	runs, _, err := cs.RunAllParallel(context.Background(), ParallelOptions{Workers: 1})
-	return runs, err
-}
-
-// Table2 runs all four strategies and returns rows in the paper's order.
-func (cs *CaseStudy) Table2() ([]core.Results, error) {
-	runs, err := cs.RunAll()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]core.Results, 0, len(Modes))
-	for _, mode := range Modes {
-		rows = append(rows, runs[mode].Results)
-	}
-	return rows, nil
-}
-
 // Fig5Series converts PPO iteration statistics into the two Fig. 5
 // series: mean episode reward and entropy loss versus timesteps.
 func Fig5Series(hist []rl.TrainStats) (reward, entropyLoss *stats.Series) {
@@ -308,79 +288,4 @@ func Fig6Histograms(runs map[string]*ModeRun, bins int) map[string]*stats.Histog
 		out[mode] = stats.NewHistogram(r.Fidelities, lo, hi, bins)
 	}
 	return out
-}
-
-// SweepPoint is one parameter setting's outcome in an ablation sweep.
-type SweepPoint struct {
-	Param   float64
-	Mode    string
-	Results core.Results
-}
-
-// PhiSweep re-runs the given mode across communication-penalty values,
-// quantifying how the paper's fixed φ=0.95 drives the fidelity gap
-// between low-k and high-k strategies. It is a sequential wrapper over
-// PhiSweepParallel.
-//
-// Deprecated: prefer Run with a {Kind: "phi-sweep"} matrix.
-func (cs *CaseStudy) PhiSweep(mode string, phis []float64) ([]SweepPoint, error) {
-	points, _, err := cs.PhiSweepParallel(context.Background(), ParallelOptions{Workers: 1}, mode, phis)
-	return points, err
-}
-
-// LambdaSweep re-runs the given mode across per-qubit communication
-// latencies, the Eq. 9 parameter. It is a sequential wrapper over
-// LambdaSweepParallel.
-//
-// Deprecated: prefer Run with a {Kind: "lambda-sweep"} matrix.
-func (cs *CaseStudy) LambdaSweep(mode string, lambdas []float64) ([]SweepPoint, error) {
-	points, _, err := cs.LambdaSweepParallel(context.Background(), ParallelOptions{Workers: 1}, mode, lambdas)
-	return points, err
-}
-
-// ReplicatedStat summarizes one metric across workload seeds. Std is
-// the sample (n−1) standard deviation — replications are a sample, not
-// the population — and CI95 is the Student-t 95% confidence half-width
-// derived from that same Std, so CI95 == t·Std/√N holds on the struct's
-// own fields.
-type ReplicatedStat struct {
-	N                   int
-	Mean, Std, Min, Max float64
-	// StdErr is Std/√N, the standard error of the mean — the
-	// denominator of Welch's t, so significance diffing of replicated
-	// results needs it alongside CI95.
-	StdErr float64
-	CI95   float64
-}
-
-// ReplicatedResults aggregates a mode's Table 2 metrics across
-// independent workload seeds — the statistical replication the paper's
-// single-run Table 2 lacks.
-type ReplicatedResults struct {
-	Mode                         string
-	Seeds                        []int64
-	TsimStat, MuFStat, TcommStat ReplicatedStat
-}
-
-// RunReplicated runs the named mode once per workload seed and
-// aggregates the headline metrics. The fleet (calibration) is held fixed
-// so the variation isolates workload randomness. It is a sequential
-// wrapper over RunReplicatedParallel.
-//
-// Deprecated: prefer Run with a {Kind: "replicate"} matrix and
-// stats.AggregateSamples over the manifest rows.
-func (cs *CaseStudy) RunReplicated(mode string, seeds []int64) (*ReplicatedResults, error) {
-	rep, _, err := cs.RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 1}, mode, seeds)
-	return rep, err
-}
-
-// RLDeploymentAblation compares sampled versus deterministic deployment
-// of the trained policy — isolating how much of the RL mode's fidelity
-// loss comes from retained exploration noise. It is a sequential
-// wrapper over RLDeploymentAblationParallel.
-//
-// Deprecated: prefer Run with a {Kind: "rl-deploy"} matrix.
-func (cs *CaseStudy) RLDeploymentAblation() (sampled, deterministic *ModeRun, err error) {
-	sampled, deterministic, _, err = cs.RLDeploymentAblationParallel(context.Background(), ParallelOptions{Workers: 1})
-	return sampled, deterministic, err
 }

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/policy"
+	"repro/internal/records"
+	"repro/internal/stats"
 )
 
 // smallCase returns a scaled-down case study that keeps test time low
@@ -18,6 +22,17 @@ func smallCase() *CaseStudy {
 	cs.PPO.BatchSize = 64
 	cs.PPO.NEpochs = 3
 	return cs
+}
+
+// execute runs one task matrix on the Sequential executor — the
+// reference backend — and returns its manifest rows.
+func execute(t *testing.T, cs *CaseStudy, m TaskMatrix) []records.RunSummary {
+	t.Helper()
+	mf, err := Sequential{}.Execute(context.Background(), cs, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mf.Runs
 }
 
 func TestRunModeUnknown(t *testing.T) {
@@ -67,16 +82,13 @@ func TestTable2ShapeMatchesPaper(t *testing.T) {
 	}
 	cs := smallCase()
 	cs.Workload.N = 150
-	rows, err := cs.Table2()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := execute(t, cs, TaskMatrix{Kind: "modes"})
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	byMode := map[string]int{}
 	for i, r := range rows {
-		byMode[r.Policy] = i
+		byMode[r.Mode] = i
 	}
 	speed := rows[byMode["speed"]]
 	fid := rows[byMode["fidelity"]]
@@ -93,21 +105,21 @@ func TestTable2ShapeMatchesPaper(t *testing.T) {
 		t.Errorf("rlbase should have the lowest fidelity: rl=%.4f speed=%.4f fair=%.4f",
 			rlr.FidelityMean, speed.FidelityMean, fair.FidelityMean)
 	}
-	if ratio := fid.TotalSimTime / speed.TotalSimTime; ratio < 1.5 || ratio > 6 {
+	if ratio := fid.TsimS / speed.TsimS; ratio < 1.5 || ratio > 6 {
 		t.Errorf("fidelity/speed Tsim ratio = %.2f, want the paper's ~2-3x regime", ratio)
 	}
-	if !(fid.TotalCommTime < speed.TotalCommTime && fid.TotalCommTime < fair.TotalCommTime &&
-		fid.TotalCommTime < rlr.TotalCommTime) {
+	if !(fid.TcommS < speed.TcommS && fid.TcommS < fair.TcommS &&
+		fid.TcommS < rlr.TcommS) {
 		t.Errorf("fidelity mode should have the lowest comm: %+v", rows)
 	}
-	if !(rlr.TotalCommTime > speed.TotalCommTime && rlr.TotalCommTime > fair.TotalCommTime) {
+	if !(rlr.TcommS > speed.TcommS && rlr.TcommS > fair.TcommS) {
 		t.Errorf("rlbase should have the highest comm: rl=%.0f speed=%.0f fair=%.0f",
-			rlr.TotalCommTime, speed.TotalCommTime, fair.TotalCommTime)
+			rlr.TcommS, speed.TcommS, fair.TcommS)
 	}
 	// Speed and fair form a close middle cluster on runtime.
-	if speed.TotalSimTime > 1.3*fair.TotalSimTime || fair.TotalSimTime > 1.3*speed.TotalSimTime {
+	if speed.TsimS > 1.3*fair.TsimS || fair.TsimS > 1.3*speed.TsimS {
 		t.Errorf("speed (%.0f) and fair (%.0f) Tsim should be close",
-			speed.TotalSimTime, fair.TotalSimTime)
+			speed.TsimS, fair.TsimS)
 	}
 }
 
@@ -175,9 +187,13 @@ func TestFig5SeriesShape(t *testing.T) {
 
 func TestFig6HistogramsCoverAllModes(t *testing.T) {
 	cs := smallCase()
-	runs, err := cs.RunAll()
-	if err != nil {
-		t.Fatal(err)
+	runs := make(map[string]*ModeRun, len(Modes))
+	for _, mode := range Modes {
+		run, err := cs.RunMode(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[mode] = run
 	}
 	hists := Fig6Histograms(runs, 30)
 	if len(hists) != 4 {
@@ -214,21 +230,18 @@ func TestFig6EmptyRunsSafeRange(t *testing.T) {
 func TestPhiSweepMonotoneForMultiDeviceJobs(t *testing.T) {
 	cs := smallCase()
 	cs.Workload.N = 25
-	points, err := cs.PhiSweep("speed", []float64{0.85, 0.95, 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := execute(t, cs, TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.85, 0.95, 1.0}})
 	if len(points) != 3 {
 		t.Fatalf("points = %d", len(points))
 	}
 	// Every job is multi-device (q > 127), so higher φ ⇒ strictly higher
 	// mean fidelity.
 	for i := 1; i < len(points); i++ {
-		if points[i].Results.FidelityMean <= points[i-1].Results.FidelityMean {
+		if points[i].FidelityMean <= points[i-1].FidelityMean {
 			t.Fatalf("fidelity not monotone in φ: %+v", points)
 		}
 	}
-	// Config must be restored after the sweep.
+	// The sweep runs on task snapshots; the case study keeps its φ.
 	if cs.Core.Phi != 0.95 {
 		t.Fatalf("Phi not restored: %g", cs.Core.Phi)
 	}
@@ -237,24 +250,22 @@ func TestPhiSweepMonotoneForMultiDeviceJobs(t *testing.T) {
 func TestLambdaSweepScalesCommTime(t *testing.T) {
 	cs := smallCase()
 	cs.Workload.N = 25
-	points, err := cs.LambdaSweep("fair", []float64{0.0, 0.02, 0.04})
-	if err != nil {
-		t.Fatal(err)
+	points := execute(t, cs, TaskMatrix{Kind: "lambda-sweep", Mode: "fair", Values: []float64{0.0, 0.02, 0.04}})
+	if points[0].TcommS != 0 {
+		t.Fatalf("λ=0 should zero comm time, got %g", points[0].TcommS)
 	}
-	if points[0].Results.TotalCommTime != 0 {
-		t.Fatalf("λ=0 should zero comm time, got %g", points[0].Results.TotalCommTime)
-	}
-	if points[2].Results.TotalCommTime <= points[1].Results.TotalCommTime {
+	if points[2].TcommS <= points[1].TcommS {
 		t.Fatal("comm time should grow with λ")
 	}
 }
 
 func TestSweepValidation(t *testing.T) {
 	cs := smallCase()
-	if _, err := cs.PhiSweep("speed", nil); err == nil {
+	ctx := context.Background()
+	if _, err := (Sequential{}).Execute(ctx, cs, TaskMatrix{Kind: "phi-sweep", Mode: "speed"}); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
-	if _, err := cs.PhiSweep("bogus", []float64{0.9}); err == nil {
+	if _, err := (Sequential{}).Execute(ctx, cs, TaskMatrix{Kind: "phi-sweep", Mode: "bogus", Values: []float64{0.9}}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -262,14 +273,20 @@ func TestSweepValidation(t *testing.T) {
 func TestRLDeploymentAblation(t *testing.T) {
 	cs := smallCase()
 	cs.Workload.N = 30
-	sampled, det, err := cs.RLDeploymentAblation()
-	if err != nil {
-		t.Fatal(err)
+	rows := execute(t, cs, TaskMatrix{Kind: "rl-deploy"})
+	if len(rows) != 2 {
+		t.Fatalf("%d rows, want sampled and deterministic", len(rows))
 	}
-	if sampled.Results.JobsFinished != 30 || det.Results.JobsFinished != 30 {
-		t.Fatal("ablation runs incomplete")
+	for i, wantDet := range []bool{false, true} {
+		r := rows[i]
+		if r.Mode != "rlbase" || r.Jobs != 30 || r.RLDeterministic == nil || *r.RLDeterministic != wantDet {
+			t.Fatalf("row %d = %+v, want rlbase over 30 jobs with deterministic=%v", i, r, wantDet)
+		}
+		if r.TsimS <= 0 || r.FidelityMean <= 0 || r.FidelityMean >= 1 {
+			t.Fatalf("row %d degenerate: %+v", i, r)
+		}
 	}
-	// Flag restored.
+	// The deployments run on task snapshots; the case study keeps its flag.
 	if cs.RLDeterministic {
 		t.Fatal("RLDeterministic not restored")
 	}
@@ -278,24 +295,28 @@ func TestRLDeploymentAblation(t *testing.T) {
 func TestRunReplicatedAggregates(t *testing.T) {
 	cs := smallCase()
 	cs.Workload.N = 30
-	rep, err := cs.RunReplicated("speed", []int64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
+	rows := execute(t, cs, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2, 3}})
+	if len(rows) != 3 {
+		t.Fatalf("%d rows, want one per seed", len(rows))
 	}
-	if rep.Mode != "speed" || len(rep.Seeds) != 3 {
-		t.Fatalf("rep = %+v", rep)
+	var tsim, muF, tcomm []float64
+	for i, r := range rows {
+		if r.Mode != "speed" || r.WorkloadSeed != int64(i+1) {
+			t.Fatalf("row %d = %+v", i, r)
+		}
+		tsim = append(tsim, r.TsimS)
+		muF = append(muF, r.FidelityMean)
+		tcomm = append(tcomm, r.TcommS)
 	}
-	if rep.MuFStat.Min > rep.MuFStat.Mean || rep.MuFStat.Mean > rep.MuFStat.Max {
-		t.Fatalf("muF stats inconsistent: %+v", rep.MuFStat)
+	ts, mf, tc := stats.AggregateSamples(tsim), stats.AggregateSamples(muF), stats.AggregateSamples(tcomm)
+	if mf.N != 3 || mf.Std < 0 || mf.CI95 <= 0 {
+		t.Fatalf("muF stats inconsistent: %+v", mf)
 	}
-	if rep.MuFStat.Std < 0 {
-		t.Fatal("negative std")
-	}
-	if rep.TsimStat.Mean <= 0 || rep.TcommStat.Mean <= 0 {
-		t.Fatalf("degenerate stats: %+v", rep)
+	if ts.Mean <= 0 || tc.Mean <= 0 {
+		t.Fatalf("degenerate stats: tsim %+v, tcomm %+v", ts, tc)
 	}
 	// Different seeds must actually produce different workloads.
-	if rep.TsimStat.Min == rep.TsimStat.Max {
+	if ts.Std == 0 {
 		t.Fatal("replication shows no variation across seeds")
 	}
 	// Original seed restored.
@@ -306,11 +327,34 @@ func TestRunReplicatedAggregates(t *testing.T) {
 
 func TestRunReplicatedValidation(t *testing.T) {
 	cs := smallCase()
-	if _, err := cs.RunReplicated("speed", nil); err == nil {
+	ctx := context.Background()
+	if _, err := (Sequential{}).Execute(ctx, cs, TaskMatrix{Kind: "replicate", Mode: "speed"}); err == nil {
 		t.Fatal("empty seeds accepted")
 	}
-	if _, err := cs.RunReplicated("bogus", []int64{1}); err == nil {
+	if _, err := (Sequential{}).Execute(ctx, cs, TaskMatrix{Kind: "replicate", Mode: "bogus", Seeds: []int64{1}}); err == nil {
 		t.Fatal("unknown mode accepted")
+	}
+}
+
+// TestRunModeMatchesManifestRow: a RunMode on the trained case study is
+// the same simulation as that mode's task in the Table 2 manifest, so
+// Figure 6 (binned from RunMode's per-job fidelities) and Table 2
+// describe the same runs.
+func TestRunModeMatchesManifestRow(t *testing.T) {
+	cs := smallCase()
+	cs.Workload.N = 30
+	rows := execute(t, cs, TaskMatrix{Kind: "modes"})
+	for i, mode := range Modes {
+		run, err := cs.RunMode(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, r := run.Results, rows[i]
+		got := []float64{res.TotalSimTime, res.FidelityMean, res.FidelityStd, res.TotalCommTime, res.MeanDevicesPerJob, res.MeanWaitTime}
+		want := []float64{r.TsimS, r.FidelityMean, r.FidelityStd, r.TcommS, r.MeanDevicesPerJob, r.MeanWaitS}
+		if r.Mode != mode || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: RunMode results %v diverge from manifest row %s %v", mode, got, r.ID, want)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -10,13 +9,13 @@ import (
 )
 
 // TaskMatrix declaratively describes the task set of one orchestrated
-// run. It is the single enumeration source of truth shared by the
-// in-process parallel entry points and the multi-process shard
-// executor: both expand the same matrix into the same spec list in the
-// same order, which is what lets a shard coordinator ship bare task
-// indices to worker processes and still merge their manifests back
-// into the exact sequential row order. The type is JSON-portable so it
-// travels inside a ShardSpec.
+// run — the unit an Executor executes. It is the single enumeration
+// source of truth shared by every executor: in-process pools and shard
+// workers expand the same matrix into the same spec list in the same
+// order, which is what lets a shard coordinator ship bare task indices
+// to worker processes and still merge their manifests back into the
+// exact sequential row order. The type is JSON-portable so it travels
+// inside a ShardSpec.
 type TaskMatrix struct {
 	// Kind selects the expansion: "modes" (one task per strategy,
 	// Table 2 / Fig. 6), "phi-sweep" / "lambda-sweep" (one task per
@@ -84,12 +83,9 @@ func checkMode(mode string) error {
 }
 
 // specs expands the matrix into the ordered task list — the base
-// enumeration fanned out across ReplicationSeeds when set. keepRun
-// retains each task's full ModeRun on its artifact (records, per-job
-// fidelities); leave it false when only Results is consumed so a
-// 100-seed replication does not pin 100 record sets in memory.
-func (m TaskMatrix) specs(keepRun bool) ([]runSpec, error) {
-	base, err := m.baseSpecs(keepRun)
+// enumeration fanned out across ReplicationSeeds when set.
+func (m TaskMatrix) specs() ([]runSpec, error) {
+	base, err := m.baseSpecs()
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +115,7 @@ func (m TaskMatrix) specs(keepRun bool) ([]runSpec, error) {
 
 // baseSpecs expands the matrix's own enumeration, before any
 // replication fan-out.
-func (m TaskMatrix) baseSpecs(keepRun bool) ([]runSpec, error) {
+func (m TaskMatrix) baseSpecs() ([]runSpec, error) {
 	switch m.Kind {
 	case "modes":
 		modes := m.modes()
@@ -128,7 +124,7 @@ func (m TaskMatrix) baseSpecs(keepRun bool) ([]runSpec, error) {
 			if err := checkMode(mode); err != nil {
 				return nil, err
 			}
-			specs[i] = runSpec{id: "mode/" + mode, kind: "mode", mode: mode, keepRun: keepRun}
+			specs[i] = runSpec{id: "mode/" + mode, kind: "mode", mode: mode}
 		}
 		return specs, nil
 	case "phi-sweep", "lambda-sweep":
@@ -145,8 +141,7 @@ func (m TaskMatrix) baseSpecs(keepRun bool) ([]runSpec, error) {
 		specs := make([]runSpec, len(m.Values))
 		for i, v := range m.Values {
 			specs[i] = runSpec{
-				id: fmt.Sprintf("%s/%s/%g", m.Kind, m.Mode, v), kind: m.Kind,
-				mode: m.Mode, param: v, keepRun: keepRun,
+				id: fmt.Sprintf("%s/%s/%g", m.Kind, m.Mode, v), kind: m.Kind, mode: m.Mode, param: v,
 				mutate: func(snap *CaseStudy) { set(&snap.Core, v) },
 			}
 		}
@@ -161,17 +156,16 @@ func (m TaskMatrix) baseSpecs(keepRun bool) ([]runSpec, error) {
 		specs := make([]runSpec, len(m.Seeds))
 		for i, s := range m.Seeds {
 			specs[i] = runSpec{
-				id: fmt.Sprintf("replicate/%s/seed%d", m.Mode, s), kind: "replicate",
-				mode: m.Mode, keepRun: keepRun,
+				id: fmt.Sprintf("replicate/%s/seed%d", m.Mode, s), kind: "replicate", mode: m.Mode,
 				mutate: func(snap *CaseStudy) { snap.Workload.Seed = s },
 			}
 		}
 		return specs, nil
 	case "rl-deploy":
 		return []runSpec{
-			{id: "rl-deploy/sampled", kind: "rl-deploy", mode: "rlbase", keepRun: keepRun,
+			{id: "rl-deploy/sampled", kind: "rl-deploy", mode: "rlbase",
 				mutate: func(snap *CaseStudy) { snap.RLDeterministic = false }},
-			{id: "rl-deploy/deterministic", kind: "rl-deploy", mode: "rlbase", keepRun: keepRun,
+			{id: "rl-deploy/deterministic", kind: "rl-deploy", mode: "rlbase",
 				mutate: func(snap *CaseStudy) { snap.RLDeterministic = true }},
 		}, nil
 	default:
@@ -182,7 +176,7 @@ func (m TaskMatrix) baseSpecs(keepRun bool) ([]runSpec, error) {
 // TaskLabels returns the matrix's task IDs in execution order — the
 // descriptor list a shard coordinator partitions.
 func (m TaskMatrix) TaskLabels() ([]string, error) {
-	specs, err := m.specs(false)
+	specs, err := m.specs()
 	if err != nil {
 		return nil, err
 	}
@@ -191,17 +185,4 @@ func (m TaskMatrix) TaskLabels() ([]string, error) {
 		labels[i] = s.id
 	}
 	return labels, nil
-}
-
-// runMatrix expands and executes a matrix through the in-process worker
-// pool, training the rlbase policy up front when any task needs it.
-func (cs *CaseStudy) runMatrix(ctx context.Context, opt ParallelOptions, m TaskMatrix, keepRun bool) ([]RunArtifact, error) {
-	specs, err := m.specs(keepRun)
-	if err != nil {
-		return nil, err
-	}
-	if err := cs.ensureTrained(m.modes()...); err != nil {
-		return nil, fmt.Errorf("experiments: training rlbase: %w", err)
-	}
-	return cs.runSpecs(ctx, opt, specs)
 }

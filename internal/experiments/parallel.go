@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -10,13 +9,12 @@ import (
 	"repro/internal/job"
 	"repro/internal/policy"
 	"repro/internal/records"
-	"repro/internal/stats"
 )
 
 // ExecOptions carries the orchestration knobs every executor
 // understands — the single options struct shared by the in-process
-// pool (Sequential, Parallel) and the multi-process Sharded executor,
-// which embeds it in ShardOptions.
+// pool (Sequential, Parallel) and the out-of-process Sharded and Remote
+// executors, which embed it in ShardOptions and RemoteOptions.
 type ExecOptions struct {
 	// Workers caps concurrent simulations. In-process, <= 0 uses
 	// GOMAXPROCS; under sharded execution it sizes each worker
@@ -31,14 +29,11 @@ type ExecOptions struct {
 	OnProgress func(runner.Progress)
 }
 
-// ParallelOptions is the pre-registry name of ExecOptions.
-//
-// Deprecated: use ExecOptions (or the Parallel executor with Run).
-type ParallelOptions = ExecOptions
-
-// RunArtifact is one completed simulation task: the exact configuration
-// that produced it, the headline results, and the full run for deeper
-// analysis. Artifacts are what the runner aggregates into a manifest.
+// RunArtifact is one completed simulation task of a task matrix: the
+// exact configuration that produced it and the headline results. It is
+// the worker pool's result type; every executor flattens it to one
+// manifest row (Summary). Per-job records stay with CaseStudy.RunMode,
+// so a 100-seed replication never pins 100 record sets in memory.
 type RunArtifact struct {
 	// ID uniquely names the task, e.g. "mode/speed" or "phi-sweep/speed/0.95".
 	ID string
@@ -67,11 +62,6 @@ type RunArtifact struct {
 	Results core.Results
 	// Wall is the host wall-clock duration of the simulation.
 	Wall time.Duration
-	// Run is the full mode run (records, per-job fidelities). It is
-	// populated only where callers need it (RunAllParallel, which feeds
-	// Fig. 6); sweep and replication artifacts carry just Results so a
-	// 100-seed replication does not pin 100 record sets in memory.
-	Run *ModeRun
 }
 
 // Summary flattens the artifact for manifest export. The rlbase policy
@@ -146,9 +136,6 @@ func (cs *CaseStudy) ensureTrained(modes ...string) error {
 type runSpec struct {
 	id, kind, mode string
 	param          float64
-	// keepRun retains the full ModeRun on the artifact; leave false
-	// when only Results is consumed so the run's records can be freed.
-	keepRun bool
 	// mutate adapts the task's private snapshot (sweep value, workload
 	// seed). Nil means run the snapshot unchanged.
 	mutate func(*CaseStudy)
@@ -169,7 +156,7 @@ func (cs *CaseStudy) task(spec runSpec) runner.Task[RunArtifact] {
 			if err != nil {
 				return RunArtifact{}, err
 			}
-			art := RunArtifact{
+			return RunArtifact{
 				ID:              spec.id,
 				Kind:            spec.kind,
 				Mode:            spec.mode,
@@ -184,111 +171,7 @@ func (cs *CaseStudy) task(spec runSpec) runner.Task[RunArtifact] {
 				RLDeterministic: snap.RLDeterministic,
 				Results:         run.Results,
 				Wall:            time.Since(start),
-			}
-			if spec.keepRun {
-				art.Run = run
-			}
-			return art, nil
+			}, nil
 		},
 	}
-}
-
-// runSpecs executes specs through the worker pool.
-func (cs *CaseStudy) runSpecs(ctx context.Context, opt ParallelOptions, specs []runSpec) ([]RunArtifact, error) {
-	tasks := make([]runner.Task[RunArtifact], len(specs))
-	for i, spec := range specs {
-		tasks[i] = cs.task(spec)
-	}
-	pool := runner.Pool[RunArtifact]{Workers: opt.Workers, OnProgress: opt.OnProgress}
-	return pool.Run(ctx, tasks)
-}
-
-// RunAllParallel fans the four strategies of RunAll out across the
-// worker pool. Results are bit-identical to the sequential path: every
-// task runs on a private snapshot seeded only from the case study's
-// configured seeds. The rlbase policy is trained (once) before fan-out.
-func (cs *CaseStudy) RunAllParallel(ctx context.Context, opt ParallelOptions) (map[string]*ModeRun, []RunArtifact, error) {
-	arts, err := cs.runMatrix(ctx, opt, TaskMatrix{Kind: "modes"}, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make(map[string]*ModeRun, len(arts))
-	for i := range arts {
-		out[arts[i].Mode] = arts[i].Run
-	}
-	return out, arts, nil
-}
-
-// PhiSweepParallel is the parallel form of PhiSweep.
-func (cs *CaseStudy) PhiSweepParallel(ctx context.Context, opt ParallelOptions, mode string, phis []float64) ([]SweepPoint, []RunArtifact, error) {
-	return cs.sweepParallel(ctx, opt, TaskMatrix{Kind: "phi-sweep", Mode: mode, Values: phis})
-}
-
-// LambdaSweepParallel is the parallel form of LambdaSweep.
-func (cs *CaseStudy) LambdaSweepParallel(ctx context.Context, opt ParallelOptions, mode string, lambdas []float64) ([]SweepPoint, []RunArtifact, error) {
-	return cs.sweepParallel(ctx, opt, TaskMatrix{Kind: "lambda-sweep", Mode: mode, Values: lambdas})
-}
-
-func (cs *CaseStudy) sweepParallel(ctx context.Context, opt ParallelOptions, m TaskMatrix) ([]SweepPoint, []RunArtifact, error) {
-	arts, err := cs.runMatrix(ctx, opt, m, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	points := make([]SweepPoint, len(arts))
-	for i := range arts {
-		points[i] = SweepPoint{Param: arts[i].Param, Mode: m.Mode, Results: arts[i].Results}
-	}
-	sort.Slice(points, func(i, j int) bool { return points[i].Param < points[j].Param })
-	return points, arts, nil
-}
-
-// RLDeploymentAblationParallel runs the sampled and deterministic
-// rlbase deployments as two pool tasks and returns both runs plus
-// their artifacts.
-func (cs *CaseStudy) RLDeploymentAblationParallel(ctx context.Context, opt ParallelOptions) (sampled, deterministic *ModeRun, arts []RunArtifact, err error) {
-	arts, err = cs.runMatrix(ctx, opt, TaskMatrix{Kind: "rl-deploy"}, true)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return arts[0].Run, arts[1].Run, arts, nil
-}
-
-// RunReplicatedParallel is the parallel form of RunReplicated: one task
-// per workload seed, aggregated into mean/std/min/max and a 95%
-// confidence interval per headline metric.
-func (cs *CaseStudy) RunReplicatedParallel(ctx context.Context, opt ParallelOptions, mode string, seeds []int64) (*ReplicatedResults, []RunArtifact, error) {
-	arts, err := cs.runMatrix(ctx, opt, TaskMatrix{Kind: "replicate", Mode: mode, Seeds: seeds}, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	var tsim, muF, tcomm []float64
-	for i := range arts {
-		tsim = append(tsim, arts[i].Results.TotalSimTime)
-		muF = append(muF, arts[i].Results.FidelityMean)
-		tcomm = append(tcomm, arts[i].Results.TotalCommTime)
-	}
-	return &ReplicatedResults{
-		Mode:      mode,
-		Seeds:     append([]int64(nil), seeds...),
-		TsimStat:  replicate(tsim),
-		MuFStat:   replicate(muF),
-		TcommStat: replicate(tcomm),
-	}, arts, nil
-}
-
-// replicate summarizes one metric across replicated runs. Every field
-// stats.AggregateSamples computes is carried over — dropping StdErr
-// here once left significance tests without their denominator.
-func replicate(xs []float64) ReplicatedStat {
-	a := stats.AggregateSamples(xs)
-	st := ReplicatedStat{N: a.N, Mean: a.Mean, Std: a.Std, StdErr: a.StdErr, CI95: a.CI95}
-	for i, x := range xs {
-		if i == 0 || x < st.Min {
-			st.Min = x
-		}
-		if i == 0 || x > st.Max {
-			st.Max = x
-		}
-	}
-	return st
 }

@@ -1,99 +1,94 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
-	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/experiments/runner"
-	"repro/internal/records"
+	"repro/internal/stats"
 )
 
 // TestParallelRunAllMatchesSequential is the engine's core guarantee:
-// fanning the four strategies out across workers yields bit-identical
-// results to the sequential path, per-job fidelities included.
+// fanning the four strategies out across workers yields a manifest
+// bit-identical to the sequential one (wall times and worker
+// accounting aside).
 func TestParallelRunAllMatchesSequential(t *testing.T) {
-	seqCS := smallCase()
-	seq, err := seqCS.RunAll()
+	ctx := context.Background()
+	seq, err := Sequential{}.Execute(ctx, smallCase(), TaskMatrix{Kind: "modes"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parCS := smallCase()
-	par, arts, err := parCS.RunAllParallel(context.Background(), ParallelOptions{Workers: 4})
+	par, err := Parallel{Options: ExecOptions{Workers: 4}}.Execute(ctx, smallCase(), TaskMatrix{Kind: "modes"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(arts) != len(Modes) {
-		t.Fatalf("%d artifacts, want %d", len(arts), len(Modes))
+	if len(par.Runs) != len(Modes) {
+		t.Fatalf("%d rows, want %d", len(par.Runs), len(Modes))
 	}
-	for _, mode := range Modes {
-		s, p := seq[mode], par[mode]
-		if s == nil || p == nil {
-			t.Fatalf("%s: missing run (seq %v, par %v)", mode, s != nil, p != nil)
+	for i, mode := range Modes {
+		if par.Runs[i].Mode != mode {
+			t.Fatalf("row %d runs %q, want %q", i, par.Runs[i].Mode, mode)
 		}
-		if s.Results != p.Results {
-			t.Fatalf("%s: results diverge:\nseq %+v\npar %+v", mode, s.Results, p.Results)
-		}
-		if !reflect.DeepEqual(s.Fidelities, p.Fidelities) {
-			t.Fatalf("%s: per-job fidelities diverge", mode)
-		}
+	}
+	if want, got := normalizedJSON(t, seq), normalizedJSON(t, par); !bytes.Equal(want, got) {
+		t.Fatalf("parallel manifest diverges from sequential:\n%s\n%s", got, want)
 	}
 }
 
 func TestParallelSweepMatchesSequential(t *testing.T) {
-	phis := []float64{0.9, 0.95, 1.0}
-	seq, err := smallCase().PhiSweep("speed", phis)
+	ctx := context.Background()
+	m := TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.9, 0.95, 1.0}}
+	seq, err := Sequential{}.Execute(ctx, smallCase(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, arts, err := smallCase().PhiSweepParallel(context.Background(), ParallelOptions{Workers: 3}, "speed", phis)
+	par, err := Parallel{Options: ExecOptions{Workers: 3}}.Execute(ctx, smallCase(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("sweep diverges:\nseq %+v\npar %+v", seq, par)
+	if want, got := normalizedJSON(t, seq), normalizedJSON(t, par); !bytes.Equal(want, got) {
+		t.Fatalf("sweep diverges:\nseq %s\npar %s", want, got)
 	}
-	if len(arts) != len(phis) {
-		t.Fatalf("%d artifacts, want %d", len(arts), len(phis))
+	if len(par.Runs) != len(m.Values) {
+		t.Fatalf("%d rows, want %d", len(par.Runs), len(m.Values))
 	}
-	for _, a := range arts {
-		if a.Kind != "phi-sweep" || a.Core.Phi != a.Param {
-			t.Fatalf("artifact %q: kind %q, phi %g, param %g", a.ID, a.Kind, a.Core.Phi, a.Param)
-		}
-		if a.Run != nil {
-			t.Fatalf("artifact %q retains its full run; sweeps should carry Results only", a.ID)
+	for i, r := range par.Runs {
+		if r.Kind != "phi-sweep" || r.Phi != r.Param || r.Param != m.Values[i] {
+			t.Fatalf("row %q: kind %q, phi %g, param %g", r.ID, r.Kind, r.Phi, r.Param)
 		}
 	}
 }
 
 func TestParallelReplicatedMatchesSequential(t *testing.T) {
+	ctx := context.Background()
 	seeds := []int64{1, 2, 3, 4}
+	m := TaskMatrix{Kind: "replicate", Mode: "fair", Seeds: seeds}
 	cs := smallCase()
 	cs.Workload.N = 30
-	seq, err := cs.RunReplicated("fair", seeds)
+	seq, err := Sequential{}.Execute(ctx, cs, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cs2 := smallCase()
 	cs2.Workload.N = 30
-	par, arts, err := cs2.RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 4}, "fair", seeds)
+	par, err := Parallel{Options: ExecOptions{Workers: 4}}.Execute(ctx, cs2, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("replication diverges:\nseq %+v\npar %+v", seq, par)
+	if want, got := normalizedJSON(t, seq), normalizedJSON(t, par); !bytes.Equal(want, got) {
+		t.Fatalf("replication diverges:\nseq %s\npar %s", want, got)
 	}
-	if par.TsimStat.N != len(seeds) || par.TsimStat.CI95 <= 0 {
-		t.Fatalf("aggregate incomplete: %+v", par.TsimStat)
+	var tsim []float64
+	for i, r := range par.Runs {
+		if r.WorkloadSeed != seeds[i] {
+			t.Fatalf("row %d ran seed %d, want %d", i, r.WorkloadSeed, seeds[i])
+		}
+		tsim = append(tsim, r.TsimS)
 	}
-	for i, a := range arts {
-		if a.Workload.Seed != seeds[i] {
-			t.Fatalf("artifact %d ran seed %d, want %d", i, a.Workload.Seed, seeds[i])
-		}
-		if a.Run != nil {
-			t.Fatalf("artifact %d retains its full run; replicates should carry Results only", i)
-		}
+	if agg := stats.AggregateSamples(tsim); agg.N != len(seeds) || agg.CI95 <= 0 {
+		t.Fatalf("aggregate incomplete: %+v", agg)
 	}
 }
 
@@ -105,10 +100,11 @@ func TestParallelDoesNotMutateCaseStudy(t *testing.T) {
 	cs.Workload.N = 30
 	savedCore := cs.Core
 	savedWorkload := cs.Workload
-	if _, _, err := cs.PhiSweepParallel(context.Background(), ParallelOptions{Workers: 2}, "speed", []float64{0.9, 0.95}); err != nil {
+	exec := Parallel{Options: ExecOptions{Workers: 2}}
+	if _, err := exec.Execute(context.Background(), cs, TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.9, 0.95}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cs.RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 2}, "speed", []int64{5, 6}); err != nil {
+	if _, err := exec.Execute(context.Background(), cs, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{5, 6}}); err != nil {
 		t.Fatal(err)
 	}
 	if cs.Core != savedCore || cs.Workload != savedWorkload {
@@ -126,7 +122,7 @@ func TestParallelErrorPropagates(t *testing.T) {
 	// fails fast inside workload validation.
 	cs.Workload.MinQubits = 10000
 	cs.Workload.MaxQubits = 10001
-	_, _, err := cs.RunAllParallel(context.Background(), ParallelOptions{Workers: 4})
+	_, err := Parallel{Options: ExecOptions{Workers: 4}}.Execute(context.Background(), cs, TaskMatrix{Kind: "modes"})
 	if err == nil {
 		t.Fatal("impossible workload accepted")
 	}
@@ -137,7 +133,7 @@ func TestParallelProgressAndArtifacts(t *testing.T) {
 	var events []runner.Progress
 	cs := smallCase()
 	cs.Workload.N = 30
-	opt := ParallelOptions{
+	opt := ExecOptions{
 		Workers: 2,
 		OnProgress: func(p runner.Progress) {
 			mu.Lock()
@@ -145,18 +141,14 @@ func TestParallelProgressAndArtifacts(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	_, arts, err := cs.RunReplicatedParallel(context.Background(), opt, "speed", []int64{1, 2, 3})
+	m, err := Parallel{Options: opt}.Execute(context.Background(), cs, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 3 {
 		t.Fatalf("%d progress events, want 3", len(events))
 	}
-	m := records.RunManifest{Label: "replicate/speed", Workers: 2}
-	for i := range arts {
-		m.Runs = append(m.Runs, arts[i].Summary())
-	}
-	if len(m.Runs) != 3 {
+	if m.Label != "replicate/speed" || m.Workers != 2 || len(m.Runs) != 3 {
 		t.Fatalf("manifest = %+v", m)
 	}
 	for i, r := range m.Runs {

@@ -62,13 +62,7 @@ func (Remote) Name() string { return "remote" }
 
 // Execute implements Executor.
 func (e Remote) Execute(ctx context.Context, cs *CaseStudy, m TaskMatrix) (*records.RunManifest, error) {
-	return cs.RunMatrixRemote(ctx, e.Options, m)
-}
-
-// RunMatrixRemote executes an arbitrary task matrix across the
-// configured worker daemons and returns the merged manifest in global
-// task order, with per-row host provenance. See Remote.
-func (cs *CaseStudy) RunMatrixRemote(ctx context.Context, opt RemoteOptions, m TaskMatrix) (*records.RunManifest, error) {
+	opt := e.Options
 	if len(opt.Hosts) == 0 {
 		return nil, errors.New("experiments: remote execution needs at least one worker daemon host")
 	}

@@ -126,8 +126,8 @@ func TestRemoteDaemonKillRequeuesToSurvivor(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	m, err := cs.RunMatrixRemote(context.Background(), opt,
-		TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: seeds})
+	matrix := TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: seeds}
+	m, err := Remote{Options: opt}.Execute(context.Background(), cs, matrix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +157,7 @@ func TestRemoteDaemonKillRequeuesToSurvivor(t *testing.T) {
 		t.Fatal("no row records a requeued attempt; failover provenance lost")
 	}
 
-	cs2 := smallCase()
-	cs2.Workload.N = 30
-	_, arts, err := cs2.RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 2}, "speed", seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := normalizedJSON(t, manifestFromArts("", arts)); !bytes.Equal(want, normalizedJSON(t, m)) {
+	if want := inProcess(t, Parallel{Options: ExecOptions{Workers: 2}}, matrix); !bytes.Equal(want, normalizedJSON(t, m)) {
 		t.Fatal("manifest after daemon kill diverges from in-process run")
 	}
 }
@@ -172,7 +166,7 @@ func TestRemoteDaemonKillRequeuesToSurvivor(t *testing.T) {
 // configuration error, caught before any dialing.
 func TestRemoteRequiresHosts(t *testing.T) {
 	cs := smallCase()
-	_, err := cs.RunMatrixRemote(context.Background(), RemoteOptions{}, TaskMatrix{Kind: "modes"})
+	_, err := Remote{}.Execute(context.Background(), cs, TaskMatrix{Kind: "modes"})
 	if err == nil || !strings.Contains(err.Error(), "at least one worker daemon host") {
 		t.Fatalf("err = %v, want missing-hosts rejection", err)
 	}
@@ -194,7 +188,7 @@ func TestRemoteAllHostsDownFailsCleanly(t *testing.T) {
 		DialTimeout: time.Second,
 	}
 	start := time.Now()
-	_, err = cs.RunMatrixRemote(context.Background(), opt, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2}})
+	_, err = Remote{Options: opt}.Execute(context.Background(), cs, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2}})
 	if err == nil || !strings.Contains(err.Error(), "no worker daemon reachable") {
 		t.Fatalf("err = %v, want no-daemon-reachable error", err)
 	}
@@ -218,7 +212,7 @@ func TestRemoteStoppedDaemonDetected(t *testing.T) {
 		DialTimeout: 500 * time.Millisecond,
 	}
 	start := time.Now()
-	_, err := cs.RunMatrixRemote(context.Background(), opt, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1}})
+	_, err := Remote{Options: opt}.Execute(context.Background(), cs, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1}})
 	if err == nil {
 		t.Fatal("run against a SIGSTOP'd daemon succeeded")
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/records"
-	"repro/internal/stats"
 )
 
 // TestReplicationExpansion pins the fan-out: task-major order, replica
@@ -59,7 +58,7 @@ func TestReplicationExpansion(t *testing.T) {
 // mutations compose rather than clobber.
 func TestReplicatedSweepComposesMutations(t *testing.T) {
 	m := TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.9}, ReplicationSeeds: []int64{5}}
-	specs, err := m.specs(false)
+	specs, err := m.specs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,31 +168,5 @@ func TestReplicatedSpecExecutorEquivalence(t *testing.T) {
 	}
 	if d.Empty() {
 		t.Fatal("different replication seeds diffed Empty")
-	}
-}
-
-// TestReplicateCarriesStdErr is the satellite bugfix gate:
-// RunReplicated's per-metric stats carry the StdErr that
-// stats.AggregateSamples computes, instead of silently dropping it.
-func TestReplicateCarriesStdErr(t *testing.T) {
-	cs := smallCase()
-	cs.Workload.N = 30
-	rep, arts, err := cs.RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 2}, "speed", []int64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tsim []float64
-	for i := range arts {
-		tsim = append(tsim, arts[i].Results.TotalSimTime)
-	}
-	want := stats.AggregateSamples(tsim)
-	if rep.TsimStat.StdErr != want.StdErr {
-		t.Fatalf("StdErr = %g, want %g", rep.TsimStat.StdErr, want.StdErr)
-	}
-	if want.StdErr <= 0 {
-		t.Fatalf("degenerate fixture: StdErr = %g (seeds produced identical runs)", want.StdErr)
-	}
-	if rep.TsimStat.CI95 != want.CI95 || rep.TsimStat.Std != want.Std {
-		t.Fatalf("replicated stat drifted from AggregateSamples: %+v vs %+v", rep.TsimStat, want)
 	}
 }

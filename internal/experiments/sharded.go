@@ -39,7 +39,7 @@ type ShardSpec struct {
 	RLSeed          int64        `json:"rl_seed"`
 	RLDeterministic bool         `json:"rl_deterministic"`
 	// Matrix enumerates the run's tasks; workers expand it exactly like
-	// the in-process entry points do.
+	// the in-process executors do.
 	Matrix TaskMatrix `json:"matrix"`
 	// Workers sizes each worker process's in-process pool (<= 1 means
 	// sequential within the worker; parallelism normally comes from the
@@ -136,7 +136,7 @@ func shardRunFunc(ctx context.Context, raw []byte, indices []int, labels []strin
 		return fmt.Errorf("experiments: decoding shard spec: %w", err)
 	}
 	cs := spec.caseStudy()
-	specs, err := spec.Matrix.specs(false)
+	specs, err := spec.Matrix.specs()
 	if err != nil {
 		return err
 	}
@@ -199,14 +199,13 @@ func shardRunFunc(ctx context.Context, raw []byte, indices []int, labels []strin
 	return runErr
 }
 
-// ShardOptions configures the multi-process executor behind the
-// Sharded executor and the legacy *Sharded entry points. The knobs
-// shared with in-process execution (Workers, Retries, OnProgress) live
-// in the embedded ExecOptions; here Workers sizes each worker
-// process's internal pool (<= 1 runs a worker's tasks sequentially —
-// the usual choice, since parallelism comes from the process fan-out)
-// and OnProgress receives one callback per finished task, translated
-// from coordinator result events.
+// ShardOptions configures the Sharded executor. The knobs shared with
+// in-process execution (Workers, Retries, OnProgress) live in the
+// embedded ExecOptions; here Workers sizes each worker process's
+// internal pool (<= 1 runs a worker's tasks sequentially — the usual
+// choice, since parallelism comes from the process fan-out) and
+// OnProgress receives one callback per finished task, translated from
+// coordinator result events.
 type ShardOptions struct {
 	ExecOptions
 	// Shards is the worker process count; <= 0 means 1.
@@ -236,15 +235,25 @@ func (o ShardOptions) command() func(ctx context.Context) *exec.Cmd {
 	}
 }
 
-// RunMatrixSharded executes an arbitrary task matrix across worker OS
-// processes and returns the merged manifest in global task order. The
+// Sharded executes a task matrix across worker OS processes through
+// the shard coordinator and returns the merged manifest in global task
+// order. The zero value re-invokes the current executable with
+// -shard-worker on a single shard; set Options.Shards to fan out. The
 // merge fails loudly if crash retries ever produced a duplicate or
 // dropped a task, so a returned manifest is complete by construction.
-// Results are bit-identical to the in-process paths (wall times aside):
-// workers rebuild the exact per-task snapshots from the ShardSpec's
-// seeds, sharing the enumeration in TaskMatrix.specs with
-// RunAllParallel and friends.
-func (cs *CaseStudy) RunMatrixSharded(ctx context.Context, opt ShardOptions, m TaskMatrix) (*records.RunManifest, error) {
+// Results are bit-identical to the in-process executors (wall times
+// aside): workers rebuild the exact per-task snapshots from the
+// ShardSpec's seeds through the same TaskMatrix enumeration.
+type Sharded struct {
+	Options ShardOptions
+}
+
+// Name implements Executor.
+func (Sharded) Name() string { return "sharded" }
+
+// Execute implements Executor.
+func (e Sharded) Execute(ctx context.Context, cs *CaseStudy, m TaskMatrix) (*records.RunManifest, error) {
+	opt := e.Options
 	spec, labels, err := cs.shardPayload(m, opt.Workers)
 	if err != nil {
 		return nil, err
@@ -311,24 +320,4 @@ func coordinatorProgress(opt ExecOptions, onEvent func(shard.Progress)) func(sha
 			opt.OnProgress(runner.Progress{Index: p.Index, Label: p.Label, Done: p.Done, Total: p.Total})
 		}
 	}
-}
-
-// RunAllSharded is RunAllParallel across worker processes: the four
-// strategies of Table 2 partitioned over OS-process shards, returned as
-// one merged manifest.
-//
-// Deprecated: prefer Run with a {Kind: "modes"} matrix on the Sharded
-// executor.
-func (cs *CaseStudy) RunAllSharded(ctx context.Context, opt ShardOptions) (*records.RunManifest, error) {
-	return cs.RunMatrixSharded(ctx, opt, TaskMatrix{Kind: "modes"})
-}
-
-// RunReplicatedSharded is RunReplicatedParallel across worker
-// processes: one task per workload seed for the named mode. Aggregate
-// statistics over the manifest rows with stats.AggregateSamples.
-//
-// Deprecated: prefer Run with a {Kind: "replicate"} matrix on the
-// Sharded executor.
-func (cs *CaseStudy) RunReplicatedSharded(ctx context.Context, opt ShardOptions, mode string, seeds []int64) (*records.RunManifest, error) {
-	return cs.RunMatrixSharded(ctx, opt, TaskMatrix{Kind: "replicate", Mode: mode, Seeds: seeds})
 }

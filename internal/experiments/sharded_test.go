@@ -18,7 +18,7 @@ import (
 	"repro/internal/rl"
 )
 
-// The sharded entry points spawn worker OS processes. Re-exec this test
+// The Sharded executor spawns worker OS processes. Re-exec this test
 // binary: with REPRO_SHARD_WORKER=1 it serves the worker protocol on
 // stdin/stdout instead of running tests — exactly what the experiments
 // binary does for -shard-worker.
@@ -62,14 +62,18 @@ func selfWorker(t *testing.T, extraEnv ...string) func(context.Context) *exec.Cm
 	}
 }
 
-// manifestFromArts flattens in-process artifacts the same way the shard
-// workers do, giving the reference manifest a sharded run must match.
-func manifestFromArts(label string, arts []RunArtifact) *records.RunManifest {
-	m := &records.RunManifest{Label: label}
-	for i := range arts {
-		m.Runs = append(m.Runs, arts[i].Summary())
+// inProcess runs a matrix on a fresh 30-job small case through the
+// given in-process executor and returns the normalized manifest — the
+// reference an out-of-process run must match.
+func inProcess(t *testing.T, exec Executor, m TaskMatrix) []byte {
+	t.Helper()
+	cs := smallCase()
+	cs.Workload.N = 30
+	mf, err := exec.Execute(context.Background(), cs, m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return m
+	return normalizedJSON(t, mf)
 }
 
 // normalizedJSON renders a manifest with the fields that legitimately
@@ -99,26 +103,15 @@ func normalizedJSON(t *testing.T, m *records.RunManifest) []byte {
 // manifest is byte-identical (wall times aside) to the in-process
 // parallel manifest and to the sequential one, for 1, 2 and 4 shards.
 func TestShardedReplicateMatchesInProcess(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5, 6}
-	mk := func() *CaseStudy {
-		cs := smallCase()
-		cs.Workload.N = 30
-		return cs
-	}
-	_, seqArts, err := mk().RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 1}, "speed", seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := normalizedJSON(t, manifestFromArts("replicate/speed", seqArts))
-	_, parArts, err := mk().RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 4}, "speed", seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par := normalizedJSON(t, manifestFromArts("replicate/speed", parArts)); !bytes.Equal(seq, par) {
+	matrix := TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2, 3, 4, 5, 6}}
+	seq := inProcess(t, Sequential{}, matrix)
+	if par := inProcess(t, Parallel{Options: ExecOptions{Workers: 4}}, matrix); !bytes.Equal(seq, par) {
 		t.Fatalf("parallel manifest diverges from sequential:\n%s\n%s", seq, par)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		m, err := mk().RunReplicatedSharded(context.Background(), ShardOptions{Shards: shards, Command: selfWorker(t)}, "speed", seeds)
+		cs := smallCase()
+		cs.Workload.N = 30
+		m, err := Sharded{Options: ShardOptions{Shards: shards, Command: selfWorker(t)}}.Execute(context.Background(), cs, matrix)
 		if err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
 		}
@@ -133,25 +126,15 @@ func TestShardedReplicateMatchesInProcess(t *testing.T) {
 // process retrains independently from the spec's seeds — is
 // bit-identical across sequential, parallel and 1/2/4-shard execution.
 func TestShardedRunAllMatchesInProcess(t *testing.T) {
-	mk := func() *CaseStudy {
-		cs := smallCase()
-		cs.Workload.N = 30
-		return cs
-	}
-	_, seqArts, err := mk().RunAllParallel(context.Background(), ParallelOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := normalizedJSON(t, manifestFromArts("modes", seqArts))
-	_, parArts, err := mk().RunAllParallel(context.Background(), ParallelOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par := normalizedJSON(t, manifestFromArts("modes", parArts)); !bytes.Equal(seq, par) {
+	matrix := TaskMatrix{Kind: "modes"}
+	seq := inProcess(t, Sequential{}, matrix)
+	if par := inProcess(t, Parallel{Options: ExecOptions{Workers: 4}}, matrix); !bytes.Equal(seq, par) {
 		t.Fatalf("parallel manifest diverges from sequential:\n%s\n%s", seq, par)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		m, err := mk().RunAllSharded(context.Background(), ShardOptions{Shards: shards, Command: selfWorker(t)})
+		cs := smallCase()
+		cs.Workload.N = 30
+		m, err := Sharded{Options: ShardOptions{Shards: shards, Command: selfWorker(t)}}.Execute(context.Background(), cs, matrix)
 		if err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
 		}
@@ -167,18 +150,11 @@ func TestShardedRunAllMatchesInProcess(t *testing.T) {
 // TestShardedSweepMatchesInProcess covers the sweep mutate path: the
 // swept parameter must survive the spec round-trip into each worker.
 func TestShardedSweepMatchesInProcess(t *testing.T) {
-	phis := []float64{0.9, 0.95, 1.0}
+	matrix := TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.9, 0.95, 1.0}}
+	want := inProcess(t, Parallel{Options: ExecOptions{Workers: 3}}, matrix)
 	cs := smallCase()
 	cs.Workload.N = 30
-	_, arts, err := cs.PhiSweepParallel(context.Background(), ParallelOptions{Workers: 3}, "speed", phis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := normalizedJSON(t, manifestFromArts("phi-sweep/speed", arts))
-	cs2 := smallCase()
-	cs2.Workload.N = 30
-	m, err := cs2.RunMatrixSharded(context.Background(), ShardOptions{Shards: 2, Command: selfWorker(t)},
-		TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: phis})
+	m, err := Sharded{Options: ShardOptions{Shards: 2, Command: selfWorker(t)}}.Execute(context.Background(), cs, matrix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +186,8 @@ func TestShardedWorkerCrashIsRetried(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	m, err := cs.RunReplicatedSharded(context.Background(), opt, "speed", seeds)
+	matrix := TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: seeds}
+	m, err := Sharded{Options: opt}.Execute(context.Background(), cs, matrix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,13 +208,7 @@ func TestShardedWorkerCrashIsRetried(t *testing.T) {
 	}
 	// The crashed-and-retried manifest must still equal the in-process
 	// run: fault recovery may not change results.
-	cs2 := smallCase()
-	cs2.Workload.N = 30
-	_, arts, err := cs2.RunReplicatedParallel(context.Background(), ParallelOptions{Workers: 2}, "speed", seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := normalizedJSON(t, manifestFromArts("", arts)); !bytes.Equal(want, normalizedJSON(t, m)) {
+	if want := inProcess(t, Parallel{Options: ExecOptions{Workers: 2}}, matrix); !bytes.Equal(want, normalizedJSON(t, m)) {
 		t.Fatal("manifest after crash+retry diverges from in-process run")
 	}
 }
@@ -253,7 +224,7 @@ func TestShardedWorkerCrashExhaustsRetries(t *testing.T) {
 		Shards:      2,
 		Command:     selfWorker(t, "EXPERIMENTS_SHARD_CRASH_ALWAYS=1"),
 	}
-	_, err := cs.RunReplicatedSharded(context.Background(), opt, "speed", []int64{1, 2, 3, 4, 5, 6})
+	_, err := Sharded{Options: opt}.Execute(context.Background(), cs, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2, 3, 4, 5, 6}})
 	if err == nil {
 		t.Fatal("run with permanently crashing workers succeeded")
 	}
@@ -268,31 +239,32 @@ func TestShardedWorkerCrashExhaustsRetries(t *testing.T) {
 func TestShardedRejectsBadMatrix(t *testing.T) {
 	cs := smallCase()
 	spawned := false
-	opt := ShardOptions{Command: func(ctx context.Context) *exec.Cmd {
+	unspawned := Sharded{Options: ShardOptions{Command: func(ctx context.Context) *exec.Cmd {
 		spawned = true
 		return exec.CommandContext(ctx, os.Args[0])
-	}}
-	if _, err := cs.RunReplicatedSharded(context.Background(), opt, "warp", []int64{1}); err == nil {
+	}}}
+	ctx := context.Background()
+	if _, err := unspawned.Execute(ctx, cs, TaskMatrix{Kind: "replicate", Mode: "warp", Seeds: []int64{1}}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
-	if _, err := cs.RunReplicatedSharded(context.Background(), opt, "speed", nil); err == nil {
+	if _, err := unspawned.Execute(ctx, cs, TaskMatrix{Kind: "replicate", Mode: "speed"}); err == nil {
 		t.Fatal("empty seed list accepted")
 	}
 	// Duplicate seeds produce duplicate task IDs, which the merge would
 	// only reject after all the compute is spent — they must fail here.
-	if _, err := cs.RunReplicatedSharded(context.Background(), opt, "speed", []int64{1, 1}); err == nil || !strings.Contains(err.Error(), "twice") {
+	if _, err := unspawned.Execute(ctx, cs, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 1}}); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Fatalf("duplicate seeds: err = %v, want pre-spawn rejection", err)
 	}
 	// An injected policy never reaches worker processes; rlbase matrices
 	// must be rejected rather than silently retrained.
 	injected := smallCase()
 	injected.UseTrainedPolicy(rl.NewGaussianPolicy(rand.New(rand.NewSource(1)), 4, 2, 8))
-	if _, err := injected.RunAllSharded(context.Background(), opt); err == nil || !strings.Contains(err.Error(), "UseTrainedPolicy") {
+	if _, err := unspawned.Execute(ctx, injected, TaskMatrix{Kind: "modes"}); err == nil || !strings.Contains(err.Error(), "UseTrainedPolicy") {
 		t.Fatalf("injected policy: err = %v, want rejection naming UseTrainedPolicy", err)
 	}
 	injected.Workload.N = 30
-	realOpt := ShardOptions{Shards: 2, Command: selfWorker(t)}
-	if _, err := injected.RunReplicatedSharded(context.Background(), realOpt, "speed", []int64{1, 2}); err != nil {
+	spawning := Sharded{Options: ShardOptions{Shards: 2, Command: selfWorker(t)}}
+	if _, err := spawning.Execute(ctx, injected, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2}}); err != nil {
 		t.Fatalf("injected policy must not block rlbase-free matrices: %v", err)
 	}
 	if spawned {

@@ -137,6 +137,9 @@ func (s *Spec) Validate() error {
 	if s.Replications < 0 {
 		return fmt.Errorf("experiments: spec replications %d < 0", s.Replications)
 	}
+	if s.Replications > MaxReplications {
+		return fmt.Errorf("experiments: spec replications %d > MaxReplications (%d)", s.Replications, MaxReplications)
+	}
 	if s.Replications > 0 && len(s.ReplicationSeeds) > 0 {
 		return fmt.Errorf("experiments: spec sets both replications and replication_seeds; pick one")
 	}
@@ -147,7 +150,7 @@ func (s *Spec) Validate() error {
 	}
 	seen := make(map[string]bool)
 	for i, m := range s.runMatrices() {
-		specs, err := m.specs(false)
+		specs, err := m.specs()
 		if err != nil {
 			return fmt.Errorf("experiments: spec matrix %d: %w", i, err)
 		}
@@ -160,6 +163,13 @@ func (s *Spec) Validate() error {
 	}
 	return nil
 }
+
+// MaxReplications bounds a bare replication count (the spec's
+// Replications field and the CLI's -replications flag). Every replica
+// is a full simulation, so a count this large is already days of
+// compute; anything above it is a typo, and would otherwise reach an
+// out-of-range allocation of the seed list.
+const MaxReplications = 10000
 
 // CanonicalReplicationSeeds is the seed list a bare replication count
 // expands to: 1..n. It is the one definition shared by the spec-level
@@ -256,15 +266,15 @@ func (s *Spec) CaseStudy() (*CaseStudy, error) {
 
 // Run executes a declarative spec on the given executor and returns
 // the combined manifest, rows in spec order. A nil executor runs
-// sequentially. This is the experiments API: the legacy per-artifact
-// entry points (RunAllParallel, PhiSweepParallel, RunAllSharded, …)
-// are thin wrappers over the same engine and remain only for
-// compatibility.
+// sequentially. This is the experiments API: it materializes the
+// spec's case study and calls exec.Execute once per matrix. Callers
+// that already hold a configured (or trained) CaseStudy call
+// Execute directly.
 //
-// For fixed seeds the manifest is identical (wall times and worker
-// accounting aside) across the Sequential, Parallel and Sharded
-// executors, and identical to the legacy paths: every backend expands
-// the same matrices into the same task list and every task derives its
+// For fixed seeds the manifest is identical (wall times, worker
+// accounting and remote provenance aside) across the Sequential,
+// Parallel, Sharded and Remote executors: every backend expands the
+// same matrices into the same task list and every task derives its
 // random streams from seeds the spec pins.
 func Run(ctx context.Context, spec Spec, exec Executor) (*records.RunManifest, error) {
 	if exec == nil {
