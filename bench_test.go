@@ -19,6 +19,8 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/job"
@@ -532,6 +534,66 @@ func BenchmarkDESEventThroughput(b *testing.B) {
 		}
 	}
 	env.Run()
+}
+
+// discardRecorder drops every lifecycle event, so broker benches time
+// the scheduler alone.
+type discardRecorder struct{}
+
+func (discardRecorder) Arrival(*job.QJob, float64)                         {}
+func (discardRecorder) Start(string, float64)                              {}
+func (discardRecorder) Finish(string, float64, float64, float64, []string) {}
+func (discardRecorder) Drop(*job.QJob, float64, string)                    {}
+
+// BenchmarkBrokerBackfillBacklog measures a backfill broker's
+// re-dispatch over a deep queue: a wall job leaves 100 of the standard
+// fleet's 635 qubits free, and 1,000 queued jobs of 130–250 qubits
+// wait behind it. One op is one 100-qubit job's cycle: its admission,
+// its placement, and its release, each followed by a dispatch pass
+// over the whole backlog. The Speed policy sees only the one job that
+// fits; the passes themselves allocate nothing (see
+// core's TestBrokerBackfillPassAllocFree), so allocs/op counts the
+// placement's result slice.
+func BenchmarkBrokerBackfillBacklog(b *testing.B) {
+	const backlog, free = 1000, 100
+	env := sim.NewEnvironment()
+	fleet, err := deviceFleet(env)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := coreDefaultConfig()
+	cfg.Backfill = true
+	br, err := core.NewBroker(env, fleet, policy.Speed{}, cfg, discardRecorder{}, 128)
+	if err != nil {
+		b.Fatal(err)
+	}
+	capacity := device.TotalCapacity(fleet)
+	// The wall's 1e13 shots outlast any b.N of short cycles.
+	br.Admit(&job.QJob{ID: "wall", NumQubits: capacity - free, Depth: 20, Shots: 1e13, TwoQubitGates: 1000})
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < backlog; i++ {
+		q := 130 + rng.Intn(121)
+		br.Admit(&job.QJob{ID: fmt.Sprintf("backlog-%d", i), NumQubits: q, Depth: 10, Shots: 20000, TwoQubitGates: q})
+	}
+	short := &job.QJob{ID: "short", NumQubits: free, Depth: 5, Shots: 1000, TwoQubitGates: 50}
+	cycle := func() {
+		br.Admit(short)
+		for br.Active() > 1 {
+			if err := env.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	cycle() // warm the run pool and the event heap
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	b.StopTimer()
+	if br.QueueDepth() != backlog || br.Active() != 1 {
+		b.Fatalf("backlog %d, active %d: the cycle disturbed the saturated fleet", br.QueueDepth(), br.Active())
+	}
 }
 
 // BenchmarkApportion measures the allocation apportionment hot path.

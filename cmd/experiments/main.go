@@ -96,6 +96,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/experiments/runner"
 	"repro/internal/experiments/shard"
+	"repro/internal/profiling"
 	"repro/internal/records"
 	"repro/internal/retry"
 	"repro/internal/stats"
@@ -108,7 +109,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		artifact  = flag.String("artifact", "all", "which artifact: table2|fig5|fig6|ablations|replicate|all")
 		specPath  = flag.String("spec", "", "declarative experiment spec file (JSON); replaces -artifact, -scenario and the workload flags")
@@ -134,15 +135,22 @@ func run() error {
 		hostsFlag = flag.String("hosts", "", "comma-separated worker daemon addresses (host:port,…) to fan tasks out across via TCP; overrides a spec's hosts list and conflicts with -shards")
 		doctor    = flag.Bool("doctor", false, "probe each -hosts daemon and report reachability, protocol version and capacity; exit 1 when any host is unhealthy")
 		waitFor   = flag.Duration("wait", 0, "with -doctor: keep re-probing unhealthy hosts with backoff until all are healthy or this budget expires (e.g. 60s); replaces shell sleep-loops around daemon startup")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of this process to this file; -shards worker processes are not profiled")
+		memProf   = flag.String("memprofile", "", "write a heap profile (runtime/pprof) of this process to this file at exit")
 	)
 	flag.Parse()
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := validateFlags(set, flag.Args(), *artifact, *specPath, *n, *train, *workers, *reps, *shards, *diff, *shardWork,
-		*sig, *tol, *rtol, *trendDir, *trendTol, *serveAddr, *hostsFlag, *doctor); err != nil {
+		*sig, *tol, *rtol, *trendDir, *trendTol, *serveAddr, *hostsFlag, *doctor, *cpuProf, *memProf); err != nil {
 		return err
 	}
+	stopProfiles, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	// Worker mode: the coordinator process ships the full experiment
 	// spec over stdin, so no other flag matters here (and validateFlags
@@ -230,7 +238,14 @@ func run() error {
 // actionable messages, instead of failing late inside a run (or worse,
 // silently ignoring a flag the user set).
 func validateFlags(set map[string]bool, args []string, artifact, specPath string, n, train, workers, reps, shards int, diff, shardWork bool,
-	sig bool, tol, rtol float64, trendDir string, trendTol float64, serveAddr, hostsFlag string, doctor bool) error {
+	sig bool, tol, rtol float64, trendDir string, trendTol float64, serveAddr, hostsFlag string, doctor bool,
+	cpuProfile, memProfile string) error {
+	if err := profiling.CheckPath("cpuprofile", cpuProfile); err != nil {
+		return err
+	}
+	if err := profiling.CheckPath("memprofile", memProfile); err != nil {
+		return err
+	}
 	if set["wait"] && !doctor {
 		return fmt.Errorf("-wait paces -doctor readiness probes; pass -doctor with it")
 	}

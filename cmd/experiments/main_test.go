@@ -181,6 +181,8 @@ func TestValidateFlags(t *testing.T) {
 		serve     string
 		hosts     string
 		doctor    bool
+		cpuProf   string
+		memProf   string
 	}
 	ok := func(a args) args { // fill valid defaults
 		if a.artifact == "" {
@@ -262,12 +264,16 @@ func TestValidateFlags(t *testing.T) {
 		{"doctor without hosts", ok(args{set: map[string]bool{"doctor": true}, doctor: true}), "pass -hosts"},
 		{"doctor with n", ok(args{set: map[string]bool{"doctor": true, "hosts": true, "n": true}, doctor: true, hosts: "a:7070"}), "-n conflicts"},
 		{"doctor bad host", ok(args{set: map[string]bool{"doctor": true, "hosts": true}, doctor: true, hosts: "nope"}), "not host:port"},
+		{"profiles", ok(args{set: map[string]bool{"cpuprofile": true, "memprofile": true}, cpuProf: filepath.Join(t.TempDir(), "cpu.prof"), memProf: filepath.Join(t.TempDir(), "mem.prof")}), ""},
+		{"cpuprofile unwritable", ok(args{set: map[string]bool{"cpuprofile": true}, cpuProf: filepath.Join(t.TempDir(), "missing", "cpu.prof")}), "-cpuprofile"},
+		{"memprofile unwritable", ok(args{set: map[string]bool{"memprofile": true}, memProf: filepath.Join(t.TempDir(), "missing", "mem.prof")}), "-memprofile"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			err := validateFlags(c.a.set, c.a.args, c.a.artifact, c.a.spec,
 				c.a.n, c.a.train, c.a.workers, c.a.reps, c.a.shards, c.a.diff, c.a.shardWork,
-				c.a.sig, c.a.tol, c.a.rtol, c.a.trend, c.a.trendTol, c.a.serve, c.a.hosts, c.a.doctor)
+				c.a.sig, c.a.tol, c.a.rtol, c.a.trend, c.a.trendTol, c.a.serve, c.a.hosts, c.a.doctor,
+				c.a.cpuProf, c.a.memProf)
 			if c.want == "" {
 				if err != nil {
 					t.Fatalf("rejected: %v", err)

@@ -21,6 +21,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,6 +38,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/job"
 	"repro/internal/policy"
+	"repro/internal/profiling"
 	"repro/internal/rlsched"
 	"repro/internal/sim"
 )
@@ -48,7 +50,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		configPath   = flag.String("config", "", "JSON simulation spec (Configurations Layer; replaces the workload/model flags)")
 		polName      = flag.String("policy", "speed", "allocation policy: speed|fidelity|fair|rlbase|speed-proportional|fair-proportional")
@@ -86,6 +88,9 @@ func run() error {
 		resume           = flag.Bool("resume", false, "restore broker state from -checkpoint before serving")
 		supervise        = flag.Bool("supervise", false, "restart the broker from the latest checkpoint after a crash (requires -checkpoint and -checkpoint-every)")
 		faultPlan        = flag.String("fault-plan", "", "JSON fault-injection plan file (see internal/faults)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this file at exit")
 	)
 	flag.Parse()
 
@@ -94,9 +99,14 @@ func run() error {
 	if err := validateFlags(set, flag.Args(), *serve, *polName, *rlModel, *listen, *httpAddr,
 		*admitPolicy, *admitMaxQueue, *admitTenantQuota, *admitRetryAfter, *admitRate, *admitBurst,
 		*timeScale, *window, *metricsEvery, *checkpointPath, *checkpointEvery, *resume,
-		*supervise, *faultPlan); err != nil {
+		*supervise, *faultPlan, *cpuProfile, *memProfile); err != nil {
 		return err
 	}
+	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	cfg := core.Config{M: *mConst, K: *kConst, Phi: *phi, Lambda: *lambda, Backfill: *backfill}
 
@@ -252,9 +262,15 @@ func buildInjector(planPath string, supervise bool, errOut io.Writer) (*faults.I
 func validateFlags(set map[string]bool, args []string, serve bool, polName, rlModel, listen, httpAddr string,
 	admitPolicy string, admitMaxQueue, admitTenantQuota int, admitRetryAfter, admitRate, admitBurst float64,
 	timeScale float64, window int, metricsEvery float64, checkpointPath string, checkpointEvery float64, resume bool,
-	supervise bool, faultPlan string) error {
+	supervise bool, faultPlan, cpuProfile, memProfile string) error {
 	if len(args) > 0 {
 		return fmt.Errorf("unexpected positional arguments %q (all inputs are flags)", args)
+	}
+	if err := profiling.CheckPath("cpuprofile", cpuProfile); err != nil {
+		return err
+	}
+	if err := profiling.CheckPath("memprofile", memProfile); err != nil {
+		return err
 	}
 	if serve {
 		for f := range set {
@@ -363,7 +379,7 @@ func validateFlags(set map[string]bool, args []string, serve bool, polName, rlMo
 		if set["config"] {
 			for f := range set {
 				switch f {
-				case "config", "export", "v":
+				case "config", "export", "v", "cpuprofile", "memprofile":
 				default:
 					return fmt.Errorf("-config specifies the whole simulation; -%s conflicts with it", f)
 				}

@@ -51,6 +51,8 @@ func TestValidateFlagsCombinations(t *testing.T) {
 		resume           bool
 		supervise        bool
 		faultPlan        string
+		cpuProfile       string
+		memProfile       string
 	}
 	ok := func(a args) args { // fill defaults
 		if a.polName == "" {
@@ -127,13 +129,17 @@ func TestValidateFlagsCombinations(t *testing.T) {
 		{"supervise with time-scale", ok(args{set: mkSet("serve", "supervise", "checkpoint", "checkpoint-every", "time-scale"), serve: true, supervise: true, checkpointPath: "cp.json", checkpointEvery: 50, timeScale: 10}), "drop -time-scale"},
 		{"fault-plan without serve", ok(args{set: mkSet("fault-plan"), faultPlan: "plan.json"}), "pass -serve with it"},
 		{"fault-plan with serve", ok(args{set: mkSet("serve", "fault-plan"), serve: true, faultPlan: "plan.json"}), ""},
+		{"cpuprofile", ok(args{set: mkSet("cpuprofile"), cpuProfile: filepath.Join(t.TempDir(), "cpu.prof")}), ""},
+		{"cpuprofile unwritable", ok(args{set: mkSet("cpuprofile"), cpuProfile: filepath.Join(t.TempDir(), "missing", "cpu.prof")}), "-cpuprofile"},
+		{"memprofile unwritable", ok(args{set: mkSet("serve", "memprofile"), serve: true, memProfile: filepath.Join(t.TempDir(), "missing", "mem.prof")}), "-memprofile"},
+		{"config with profiles", ok(args{set: mkSet("config", "cpuprofile", "memprofile"), cpuProfile: filepath.Join(t.TempDir(), "cpu.prof"), memProfile: filepath.Join(t.TempDir(), "mem.prof")}), ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			err := validateFlags(c.a.set, c.a.args, c.a.serve, c.a.polName, c.a.rlModel, c.a.listen, c.a.httpAddr,
 				c.a.admitPolicy, c.a.admitMaxQueue, c.a.admitTenantQuota, c.a.admitRetryAfter, c.a.admitRate, c.a.admitBurst,
 				c.a.timeScale, c.a.window, c.a.metricsEvery, c.a.checkpointPath, c.a.checkpointEvery, c.a.resume,
-				c.a.supervise, c.a.faultPlan)
+				c.a.supervise, c.a.faultPlan, c.a.cpuProfile, c.a.memProfile)
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

@@ -459,13 +459,14 @@ func (b *Broker) Offer(j *job.QJob) Decision {
 }
 
 // statesInto snapshots the fleet for a policy decision into the broker's
-// reusable buffer.
+// reusable buffer. Every field is O(1) per device: the mean error rates
+// come from the device's calibration cache.
 //
 //repro:noalloc
 func (b *Broker) statesInto() []policy.DeviceState {
 	out := b.states[:len(b.devices)]
 	for i, d := range b.devices {
-		snap := d.Calibration()
+		eps1Q, eps2Q, epsRO := d.MeanErrors()
 		out[i] = policy.DeviceState{
 			Index:       i,
 			Name:        d.Name(),
@@ -474,9 +475,9 @@ func (b *Broker) statesInto() []policy.DeviceState {
 			ErrorScore:  d.ErrorScore(),
 			CLOPS:       d.CLOPS(),
 			Utilization: d.Utilization(),
-			Eps1Q:       snap.MeanSingleQubitError(),
-			Eps2Q:       snap.MeanTwoQubitError(),
-			EpsRO:       snap.MeanReadoutError(),
+			Eps1Q:       eps1Q,
+			Eps2Q:       eps2Q,
+			EpsRO:       epsRO,
 		}
 	}
 	return out
@@ -488,14 +489,23 @@ func (b *Broker) statesInto() []policy.DeviceState {
 // backfill mode later jobs that fit may skip ahead of a blocked head.
 // dispatch runs on every admission and every qubit release.
 //
+// Each pass takes one fleet snapshot: neither the clock nor any device
+// changes between decisions until a placement, which restarts the pass.
+// A job larger than the fleet's free qubits is skipped without asking
+// the policy, whose contract forces nil there.
+//
 //repro:noalloc
 func (b *Broker) dispatch() {
-	for {
+	for len(b.pending) > 0 {
 		placedAny := false
+		states := b.statesInto()
+		free := device.TotalFree(b.devices)
 		for idx := 0; idx < len(b.pending); idx++ {
 			pj := b.pending[idx]
-			states := b.statesInto()
-			allocs := b.pol.Allocate(pj.j, states)
+			var allocs []policy.Allocation
+			if pj.j.NumQubits <= free {
+				allocs = b.pol.Allocate(pj.j, states)
+			}
 			if allocs != nil {
 				if err := policy.Validate(pj.j, states, allocs); err != nil {
 					panic(fmt.Sprintf("core: policy %q produced invalid allocation: %v", b.pol.Name(), err))
@@ -625,14 +635,9 @@ func (jr *jobRun) fidelity() float64 {
 	fids := jr.fids[:0]
 	qubits := jr.qubits[:0]
 	for _, a := range jr.allocs {
-		snap := b.devices[a.DeviceIndex].Calibration()
+		eps1Q, eps2Q, epsRO := b.devices[a.DeviceIndex].MeanErrors()
 		t2i := int(math.Round(float64(j.TwoQubitGates) * float64(a.Qubits) / float64(j.NumQubits)))
-		fids = append(fids, metrics.PartitionFidelity(
-			snap.MeanSingleQubitError(),
-			snap.MeanTwoQubitError(),
-			snap.MeanReadoutError(),
-			j.Depth, a.Qubits, t2i,
-		))
+		fids = append(fids, metrics.PartitionFidelity(eps1Q, eps2Q, epsRO, j.Depth, a.Qubits, t2i))
 		qubits = append(qubits, a.Qubits)
 	}
 	jr.fids, jr.qubits = fids, qubits

@@ -59,7 +59,12 @@ type Device struct {
 	snapshot *calib.Snapshot
 	clops    float64
 	qv       float64
-	score    float64
+
+	// score and the mean error rates are derived from snapshot by
+	// setCalibration. Snapshots are never mutated once built (drift and
+	// synthesis make new ones), so the cache is exact.
+	score               float64
+	eps1Q, eps2Q, epsRO float64
 
 	// strict enables explicit connected-subgraph allocation instead of
 	// the paper's black-box abstraction.
@@ -104,11 +109,10 @@ func New(env *sim.Environment, topo *graph.Graph, snap *calib.Snapshot, clops, q
 		capacity: n,
 		free:     n,
 		topo:     topo,
-		snapshot: snap,
 		clops:    clops,
 		qv:       quantumVolume,
-		score:    calib.ErrorScore(snap, calib.DefaultWeights),
 	}
+	d.setCalibration(snap)
 	for _, o := range opts {
 		o(d)
 	}
@@ -144,6 +148,14 @@ func (d *Device) QuantumVolume() float64 { return d.qv }
 
 // ErrorScore returns the Eq. 2 error score (lower is better).
 func (d *Device) ErrorScore() float64 { return d.score }
+
+// MeanErrors returns the current calibration's mean single-qubit,
+// two-qubit and readout error rates (ε̄_1Q, ε̄_2Q, ε̄_readout of Eqs.
+// 4–6), bit-identical to the snapshot's Mean*Error methods but cached,
+// so a scheduling decision costs nothing per qubit or coupler.
+func (d *Device) MeanErrors() (eps1Q, eps2Q, epsRO float64) {
+	return d.eps1Q, d.eps2Q, d.epsRO
+}
 
 // JobsRun returns the number of sub-jobs executed so far.
 func (d *Device) JobsRun() int { return d.jobsRun }
@@ -265,8 +277,9 @@ func (d *Device) freeList() []int {
 }
 
 // Recalibrate replaces the device's calibration snapshot (e.g. after a
-// simulated calibration job) and recomputes the error score. The new
-// snapshot must be valid and match the device's qubit count.
+// simulated calibration job) and recomputes the error score and mean
+// error rates. The new snapshot must be valid and match the device's
+// qubit count.
 func (d *Device) Recalibrate(snap *calib.Snapshot) error {
 	if err := snap.Validate(); err != nil {
 		return err
@@ -275,9 +288,18 @@ func (d *Device) Recalibrate(snap *calib.Snapshot) error {
 		return fmt.Errorf("device %s: recalibration has %d qubits, device has %d",
 			d.name, snap.NumQubits(), d.NumQubits())
 	}
+	d.setCalibration(snap)
+	return nil
+}
+
+// setCalibration installs a validated snapshot and caches everything
+// derived from it: the Eq. 2 error score and the mean error rates.
+func (d *Device) setCalibration(snap *calib.Snapshot) {
 	d.snapshot = snap
 	d.score = calib.ErrorScore(snap, calib.DefaultWeights)
-	return nil
+	d.eps1Q = snap.MeanSingleQubitError()
+	d.eps2Q = snap.MeanTwoQubitError()
+	d.epsRO = snap.MeanReadoutError()
 }
 
 // ProcessTime returns the Eq. 3 execution time of a sub-job with the

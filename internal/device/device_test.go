@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -293,5 +294,42 @@ func TestFleetDeterministicAcrossSeeds(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds should give different calibration")
+	}
+}
+
+// MeanErrors is a cache of the calibration snapshot's means: it must
+// equal them bit for bit after construction and after every
+// recalibration, and it must follow the new snapshot.
+func TestMeanErrorsMatchSnapshot(t *testing.T) {
+	_, d := testDevice(t)
+	check := func(stage string) {
+		t.Helper()
+		snap := d.Calibration()
+		got1Q, got2Q, gotRO := d.MeanErrors()
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"1Q", got1Q, snap.MeanSingleQubitError()},
+			{"2Q", got2Q, snap.MeanTwoQubitError()},
+			{"readout", gotRO, snap.MeanReadoutError()},
+			{"score", d.ErrorScore(), calib.ErrorScore(snap, calib.DefaultWeights)},
+		} {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Fatalf("%s: cached %s = %v, snapshot %v", stage, c.name, c.got, c.want)
+			}
+		}
+	}
+	check("New")
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 5; i++ {
+		before1Q, _, _ := d.MeanErrors()
+		if err := d.Recalibrate(calib.Drift(rng, d.Calibration(), 0.3)); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("Recalibrate #%d", i+1))
+		if after1Q, _, _ := d.MeanErrors(); after1Q == before1Q {
+			t.Fatalf("Recalibrate #%d left the cached 1Q mean at %v", i+1, after1Q)
+		}
 	}
 }

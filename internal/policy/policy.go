@@ -17,8 +17,10 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/job"
 )
@@ -60,7 +62,25 @@ type Policy interface {
 	// the job cannot be placed now (the broker re-tries on the next
 	// release). A non-nil result must satisfy: Σ qubits == j.NumQubits,
 	// every assignment within the device's Free, every count > 0.
+	//
+	// Allocate must not modify devices: the broker takes one snapshot
+	// per dispatch pass and shows it to every queued job in turn. The
+	// broker does not call Allocate for a job larger than the fleet's
+	// free qubits, where the contract above forces nil anyway.
 	Allocate(j *job.QJob, devices []DeviceState) []Allocation
+}
+
+// maxStackDevices sizes the on-stack device ranking buffers: fleets up
+// to this size rank without allocating.
+const maxStackDevices = 16
+
+// indices appends 0..n-1 to buf[:0].
+func indices(buf []int, n int) []int {
+	buf = buf[:0]
+	for i := 0; i < n; i++ {
+		buf = append(buf, i)
+	}
+	return buf
 }
 
 // totalFree sums free qubits over a fleet snapshot.
@@ -108,17 +128,16 @@ func Validate(j *job.QJob, devices []DeviceState, allocs []Allocation) error {
 // greedyFill allocates the job over free devices in the given preference
 // order, filling each device before moving to the next — the minimal-k
 // selection shared by the speed and fair modes (Algorithm 1 with
-// different sort keys). Returns nil if total free capacity is short.
-func greedyFill(j *job.QJob, devices []DeviceState, less func(a, b DeviceState) bool) []Allocation {
+// different sort keys). The sort is stable, so devices that compare
+// equal keep fleet order. Returns nil if total free capacity is short.
+func greedyFill(j *job.QJob, devices []DeviceState, compare func(a, b *DeviceState) int) []Allocation {
 	if totalFree(devices) < j.NumQubits {
 		return nil
 	}
-	order := make([]int, len(devices))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		return less(devices[order[x]], devices[order[y]])
+	var buf [maxStackDevices]int
+	order := indices(buf[:], len(devices))
+	slices.SortStableFunc(order, func(x, y int) int {
+		return compare(&devices[x], &devices[y])
 	})
 	need := j.NumQubits
 	var allocs []Allocation
@@ -148,11 +167,11 @@ func (Speed) Name() string { return "speed" }
 
 // Allocate implements Policy.
 func (Speed) Allocate(j *job.QJob, devices []DeviceState) []Allocation {
-	return greedyFill(j, devices, func(a, b DeviceState) bool {
-		if a.CLOPS != b.CLOPS {
-			return a.CLOPS > b.CLOPS
+	return greedyFill(j, devices, func(a, b *DeviceState) int {
+		if c := cmp.Compare(b.CLOPS, a.CLOPS); c != 0 {
+			return c // fastest first
 		}
-		return a.Name < b.Name
+		return strings.Compare(a.Name, b.Name)
 	})
 }
 
@@ -166,21 +185,19 @@ func (Fair) Name() string { return "fair" }
 
 // Allocate implements Policy.
 func (Fair) Allocate(j *job.QJob, devices []DeviceState) []Allocation {
-	return greedyFill(j, devices, func(a, b DeviceState) bool {
-		ba := busyFraction(a)
-		bb := busyFraction(b)
-		if ba != bb {
-			return ba < bb
+	return greedyFill(j, devices, func(a, b *DeviceState) int {
+		if c := cmp.Compare(busyFraction(a), busyFraction(b)); c != 0 {
+			return c
 		}
-		if a.Utilization != b.Utilization {
-			return a.Utilization < b.Utilization
+		if c := cmp.Compare(a.Utilization, b.Utilization); c != 0 {
+			return c
 		}
-		return a.Name < b.Name
+		return strings.Compare(a.Name, b.Name)
 	})
 }
 
 // busyFraction is the device's instantaneous occupancy.
-func busyFraction(d DeviceState) float64 {
+func busyFraction(d *DeviceState) float64 {
 	if d.Capacity == 0 {
 		return 1
 	}
@@ -245,17 +262,16 @@ func (Fidelity) Name() string { return "fidelity" }
 
 // Allocate implements Policy.
 func (Fidelity) Allocate(j *job.QJob, devices []DeviceState) []Allocation {
-	// Rank by error score (ties by name for determinism).
-	order := make([]int, len(devices))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := devices[order[a]], devices[order[b]]
-		if da.ErrorScore != db.ErrorScore {
-			return da.ErrorScore < db.ErrorScore
+	// Rank by error score (ties by name for determinism). Rejections
+	// allocate nothing: the ranking lives on the stack.
+	var buf [maxStackDevices]int
+	order := indices(buf[:], len(devices))
+	slices.SortFunc(order, func(a, b int) int {
+		da, db := &devices[a], &devices[b]
+		if c := cmp.Compare(da.ErrorScore, db.ErrorScore); c != 0 {
+			return c
 		}
-		return da.Name < db.Name
+		return strings.Compare(da.Name, db.Name)
 	})
 	// Minimal prefix by total capacity: the designated low-error set.
 	need := j.NumQubits

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -284,6 +285,35 @@ func TestFidelityWaitsForDesignatedSet(t *testing.T) {
 	devs := fleet(127, 127, 127, 0, 127)
 	if got := (Fidelity{}).Allocate(testJob(190), devs); got != nil {
 		t.Fatalf("expected wait (nil), got %v", got)
+	}
+}
+
+// A rejection is the common case under backfill — the designated set is
+// busy while the rest of the fleet is not — so it must not allocate.
+func TestFidelityRejectionAllocFree(t *testing.T) {
+	devs := fleet(127, 127, 127, 0, 127)
+	j := testJob(190)
+	if n := testing.AllocsPerRun(100, func() { Fidelity{}.Allocate(j, devs) }); n != 0 {
+		t.Fatalf("Fidelity rejection allocates %g/op, want 0", n)
+	}
+}
+
+// Devices with equal error scores rank by name, whatever their fleet
+// order.
+func TestFidelityBreaksScoreTiesByName(t *testing.T) {
+	devs := fleet()
+	devs[4].ErrorScore = devs[3].ErrorScore // kawasaki ties quebec
+	for _, c := range []struct {
+		q    int
+		want []Allocation
+	}{
+		{100, []Allocation{{DeviceIndex: 4, Qubits: 100}}},
+		{190, []Allocation{{DeviceIndex: 4, Qubits: 127}, {DeviceIndex: 3, Qubits: 63}}},
+	} {
+		got := Fidelity{}.Allocate(testJob(c.q), devs)
+		if !slices.Equal(got, c.want) {
+			t.Fatalf("%d qubits: allocation %v, want %v (ibm_kawasaki before ibm_quebec)", c.q, got, c.want)
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ type DeviceInfo struct {
 func InfoFromFleet(fleet []*device.Device) []DeviceInfo {
 	out := make([]DeviceInfo, len(fleet))
 	for i, d := range fleet {
-		snap := d.Calibration()
+		eps1Q, eps2Q, epsRO := d.MeanErrors()
 		out[i] = DeviceInfo{
 			State: policy.DeviceState{
 				Index:      i,
@@ -91,9 +91,9 @@ func InfoFromFleet(fleet []*device.Device) []DeviceInfo {
 				ErrorScore: d.ErrorScore(),
 				CLOPS:      d.CLOPS(),
 			},
-			Eps1Q: snap.MeanSingleQubitError(),
-			Eps2Q: snap.MeanTwoQubitError(),
-			EpsRO: snap.MeanReadoutError(),
+			Eps1Q: eps1Q,
+			Eps2Q: eps2Q,
+			EpsRO: epsRO,
 		}
 	}
 	return out
