@@ -2,12 +2,15 @@
 // users define the entire experiment — devices, topologies, calibration,
 // workload, policy, model constants — as JSON, without touching code.
 // This example builds a heterogeneous three-device cloud (different
-// sizes, speeds, and topologies) from an embedded spec and runs it.
+// sizes, speeds, and topologies) from the embedded spec.json and runs
+// it; `qcloudsim -config examples/configdriven/spec.json` runs the same
+// file.
 //
 //	go run ./examples/configdriven
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"log"
 	"strings"
@@ -16,29 +19,8 @@ import (
 	"repro/internal/sim"
 )
 
-const spec = `{
-  "devices": [
-    {"name": "eagle_fast", "num_qubits": 127, "clops": 220000,
-     "topology": "heavy-hex",
-     "calibration": {"median_readout": 0.014, "median_1q": 2.6e-4,
-                     "median_2q": 9e-3, "seed": 1}},
-    {"name": "lattice_clean", "num_qubits": 100, "clops": 45000,
-     "topology": "grid:10x10",
-     "calibration": {"median_readout": 0.009, "median_1q": 2.0e-4,
-                     "median_2q": 6e-3, "seed": 2}},
-    {"name": "chain_legacy", "num_qubits": 80, "clops": 20000,
-     "topology": "line",
-     "calibration": {"median_readout": 0.022, "median_1q": 3.5e-4,
-                     "median_2q": 1.5e-2, "seed": 3}}
-  ],
-  "workload": {"source": "synthetic",
-               "synthetic": {"n": 40, "min_qubits": 130, "max_qubits": 250,
-                             "min_depth": 5, "max_depth": 20,
-                             "min_shots": 10000, "max_shots": 100000,
-                             "mean_interarrival": 60, "seed": 4}},
-  "policy": "fidelity",
-  "model": {"m": 10, "k": 10, "phi": 0.95, "lambda": 0.02}
-}`
+//go:embed spec.json
+var spec string
 
 func main() {
 	s, err := config.Load(strings.NewReader(spec))
