@@ -445,16 +445,15 @@ func BenchmarkAblationCalibrationDrift(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		simEnv, err := newCoreEnv(env, fleet, policy.Fidelity{})
+		coreCfg := coreDefaultConfig()
+		if drift {
+			coreCfg.Drift = core.DriftConfig{IntervalS: 3600, Rel: 0.3, Seed: 17}
+		}
+		simEnv, err := coreNewEnv(env, fleet, policy.Fidelity{}, coreCfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		simEnv.SubmitWorkload(jobs)
-		if drift {
-			if err := simEnv.EnableCalibrationDrift(3600, 0.3, 17); err != nil {
-				b.Fatal(err)
-			}
-		}
 		res, err := simEnv.Run()
 		if err != nil {
 			b.Fatal(err)

@@ -81,3 +81,138 @@ func TestConfigRejected(t *testing.T) {
 		}
 	})
 }
+
+func TestLoadValidSpec(t *testing.T) {
+	c, err := loadConfig(strings.NewReader(exampleSpec(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Devices) != 3 || c.Devices[1].Topology != "grid:10x10" || c.Policy != "fidelity" {
+		t.Fatalf("config = %+v", c)
+	}
+	if s := c.Workload.Synthetic; s == nil || s.N != 40 || s.MinQubits != 130 || s.MeanInterarrival != 60 || s.Seed != 4 {
+		t.Fatalf("synthetic block = %+v", s)
+	}
+	if c.Model.M != 10 || c.Model.K != 10 || c.Model.Phi != 0.95 || c.Model.Lambda != 0.02 || c.Model.Backfill || c.Model.Drift.Enabled() {
+		t.Fatalf("model = %+v", c.Model)
+	}
+}
+
+// The model block is a core.Config, so it can also enable drift.
+func TestLoadConfigModelDrift(t *testing.T) {
+	spec := strings.Replace(exampleSpec(t), `"lambda": 0.02}`,
+		`"lambda": 0.02, "backfill": true, "drift": {"interval_s": 900, "rel": 0.2, "seed": 5}}`, 1)
+	c, err := loadConfig(strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Model.Backfill || c.Model.Drift.IntervalS != 900 || c.Model.Drift.Rel != 0.2 || c.Model.Drift.Seed != 5 {
+		t.Fatalf("model = %+v", c.Model)
+	}
+	// A negative interval is refused when the simulation is assembled.
+	dir := t.TempDir()
+	spec = strings.Replace(spec, `"interval_s": 900`, `"interval_s": -900`, 1)
+	if err := os.WriteFile(filepath.Join(dir, "spec.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := runQCloudSim(t, dir, "-config", "spec.json"); err == nil || !strings.Contains(out, "drift interval") {
+		t.Fatalf("negative drift interval: err %v, output:\n%s", err, out)
+	}
+}
+
+// A -config file is one JSON document: a second document, or any other
+// trailing content, is refused rather than silently ignored.
+func TestLoadConfigRejectsTrailingContent(t *testing.T) {
+	valid := exampleSpec(t)
+	for _, tail := range []string{"{}", `{"policy": "speed"}`, "x", "]"} {
+		if _, err := loadConfig(strings.NewReader(valid + tail)); err == nil || !strings.Contains(err.Error(), "trailing content") {
+			t.Errorf("trailing %q: error %v", tail, err)
+		}
+	}
+	if _, err := loadConfig(strings.NewReader(valid + "\n\t \n")); err != nil {
+		t.Errorf("trailing whitespace refused: %v", err)
+	}
+}
+
+func TestCSVWorkloadSourceWithRelativePath(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "jobs.txt"), []byte("j1,150,10,50000,0\nj2,140,8,20000,5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec := strings.Replace(exampleSpec(t), `"source": "synthetic"`, `"source": "csv", "path": "jobs.txt"`, 1)
+	path := filepath.Join(dir, "spec.json")
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := loadConfigFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := b.workload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 2 || jobs[0].ID != "j1" {
+		t.Fatalf("jobs = %v", jobs)
+	}
+	// The source names the format, whatever the extension.
+	spec = strings.Replace(spec, `"source": "csv"`, `"source": "json"`, 1)
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = loadConfigFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.workload(); err == nil {
+		t.Fatal("CSV rows decoded as a json source")
+	}
+	// A missing workload file errors cleanly.
+	if err := os.Remove(filepath.Join(dir, "jobs.txt")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.workload(); err == nil {
+		t.Fatal("missing workload file accepted")
+	}
+}
+
+func TestLoadConfigFile(t *testing.T) {
+	if _, err := loadConfigFile("../../examples/configdriven/spec.json"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadConfigFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+		t.Fatal("missing file accepted")
+	}
+}
+
+// Every registered policy builds by name, on the flag path and the
+// -config path alike; rlbase loads its model.
+func TestBuildPolicyVariants(t *testing.T) {
+	for _, name := range []string{"speed", "fair", "fidelity", "speed-proportional", "fair-proportional", "oracle"} {
+		p, err := newPolicy(name, "", 0, 0.9)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if p.Name() != name {
+			t.Fatalf("policy %q built as %q", name, p.Name())
+		}
+	}
+	dir := t.TempDir()
+	if p, err := newPolicy("rlbase", untrainedModel(t, dir), 11, 0.95); err != nil || p.Name() != "rlbase" {
+		t.Fatalf("rlbase: %v, %v", p, err)
+	}
+	if _, err := newPolicy("rlbase", filepath.Join(dir, "missing.json"), 11, 0.95); err == nil {
+		t.Fatal("missing RL model accepted")
+	}
+	if _, err := newPolicy("warp", "", 0, 0.95); err == nil {
+		t.Fatal("unknown policy built")
+	}
+}
+
+// -policy resolves through the registry, so a registered policy such
+// as oracle runs from the flags as it does from a -config file.
+func TestPolicyFlagResolvesRegistry(t *testing.T) {
+	out, err := runQCloudSim(t, t.TempDir(), "-policy", "oracle", "-n", "20")
+	if err != nil || !strings.Contains(out, "policy      oracle") || !strings.Contains(out, "jobs        20") {
+		t.Fatalf("-policy oracle: %v\n%s", err, out)
+	}
+}

@@ -1,7 +1,10 @@
 // Command qcloudsim runs one quantum-cloud scheduling simulation: it
 // builds the standard five-device cloud, loads or generates a workload,
 // applies the chosen allocation policy, and prints the Table 2 metrics
-// plus per-device load shares.
+// plus per-device load shares. A -config JSON file (the paper's
+// Configurations Layer; see docs/operations.md) describes the fleet,
+// workload, policy and model constants instead of the flags; both run
+// the same batch path.
 //
 // With -serve it instead runs as a long-lived broker service: jobs
 // arrive as line-delimited JSON (stdin, or TCP with -listen), enter the
@@ -14,6 +17,7 @@
 //	qcloudsim -policy speed -n 200
 //	qcloudsim -policy fidelity -jobs workload.csv
 //	qcloudsim -policy rlbase -rlmodel policy.json -n 100
+//	qcloudsim -config examples/configdriven/spec.json -export records.csv
 //	qcloudsim -serve -policy speed < jobs.ndjson
 //	qcloudsim -serve -listen 127.0.0.1:9066 -time-scale 100
 package main
@@ -28,11 +32,9 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/faults"
@@ -52,8 +54,8 @@ func main() {
 
 func run() (err error) {
 	var (
-		configPath   = flag.String("config", "", "JSON simulation spec (Configurations Layer; replaces the workload/model flags)")
-		polName      = flag.String("policy", "speed", "allocation policy: speed|fidelity|fair|rlbase|speed-proportional|fair-proportional")
+		configPath   = flag.String("config", "", "JSON batch simulation spec: fleet, workload, policy and model (Configurations Layer; replaces their flags)")
+		polName      = flag.String("policy", "speed", "allocation policy: "+strings.Join(policy.Names(), "|"))
 		jobsPath     = flag.String("jobs", "", "CSV or JSON workload file (default: synthetic)")
 		n            = flag.Int("n", 1000, "synthetic workload size")
 		seed         = flag.Int64("seed", 1, "synthetic workload seed")
@@ -111,7 +113,7 @@ func run() (err error) {
 	cfg := core.Config{M: *mConst, K: *kConst, Phi: *phi, Lambda: *lambda, Backfill: *backfill}
 
 	if *serve {
-		pol, err := buildPolicy(*polName, *rlModel, *rlSeed)
+		pol, err := newPolicy(*polName, *rlModel, *rlSeed, cfg.Phi)
 		if err != nil {
 			return err
 		}
@@ -143,55 +145,88 @@ func run() (err error) {
 		return runServe(ctx, opts, os.Stdin, os.Stdout, os.Stderr)
 	}
 
-	env := sim.NewEnvironment()
-
+	var b batch
 	if *configPath != "" {
-		spec, err := config.LoadFile(*configPath)
-		if err != nil {
+		if b, err = loadConfigFile(*configPath); err != nil {
 			return err
 		}
-		simEnv, jobs, err := spec.Build(env, filepath.Dir(*configPath))
-		if err != nil {
-			return err
+	} else {
+		cfg.Drift = core.DriftConfig{IntervalS: *driftEvery, Rel: *driftMag, Seed: *seed}
+		b = batch{fleetSeed: *fleetSeed, policy: *polName, rlModel: *rlModel, rlSeed: *rlSeed, cfg: cfg}
+		if path := *jobsPath; path != "" {
+			b.workload = func() ([]*job.QJob, error) { return job.LoadFile(path) }
+		} else {
+			sc := job.DefaultSyntheticConfig()
+			sc.N, sc.Seed, sc.MeanInterarrival = *n, *seed, *interarrival
+			b.workload = func() ([]*job.QJob, error) { return job.Synthetic(sc) }
 		}
-		simEnv.SubmitWorkload(jobs)
-		res, err := simEnv.Run()
-		if err != nil {
-			return err
-		}
-		return report(simEnv, res, *export, *verbose)
 	}
+	return b.run(*export, *verbose)
+}
 
-	fleet, err := device.StandardFleet(env, *fleetSeed)
+// batch is one batch simulation. The flags and a -config file both
+// describe one, and it runs the same way whichever did.
+type batch struct {
+	// devices describes the fleet; nil means the standard five-device
+	// cloud with calibration drawn from fleetSeed.
+	devices   []device.Spec
+	fleetSeed int64
+	workload  func() ([]*job.QJob, error)
+	// policy names a registered allocation policy; rlModel and rlSeed
+	// feed a model-requiring one (rlbase).
+	policy  string
+	rlModel string
+	rlSeed  int64
+	cfg     core.Config
+}
+
+// run assembles the simulation, runs the workload to completion and
+// reports it.
+func (b batch) run(export string, verbose bool) error {
+	env := sim.NewEnvironment()
+	var fleet []*device.Device
+	var err error
+	if b.devices != nil {
+		fleet, err = device.BuildFleet(env, b.devices)
+	} else {
+		fleet, err = device.StandardFleet(env, b.fleetSeed)
+	}
 	if err != nil {
 		return err
 	}
-
-	pol, err := buildPolicy(*polName, *rlModel, *rlSeed)
+	pol, err := newPolicy(b.policy, b.rlModel, b.rlSeed, b.cfg.Phi)
 	if err != nil {
 		return err
 	}
-
-	jobs, err := loadJobs(*jobsPath, *n, *seed, *interarrival)
+	jobs, err := b.workload()
 	if err != nil {
 		return err
 	}
-
-	simEnv, err := core.NewQCloudSimEnv(env, fleet, pol, cfg)
+	simEnv, err := core.NewQCloudSimEnv(env, fleet, pol, b.cfg)
 	if err != nil {
 		return err
 	}
 	simEnv.SubmitWorkload(jobs)
-	if *driftEvery > 0 {
-		if err := simEnv.EnableCalibrationDrift(*driftEvery, *driftMag, *seed); err != nil {
-			return err
-		}
-	}
 	res, err := simEnv.Run()
 	if err != nil {
 		return err
 	}
-	return report(simEnv, res, *export, *verbose)
+	return report(simEnv, res, export, verbose)
+}
+
+// newPolicy builds the named policy through the registry, loading the
+// trained model from rlModel when the policy needs one. phi is the
+// simulation's Eq. 8 penalty, for policies that predict fidelity.
+func newPolicy(name, rlModel string, rlSeed int64, phi float64) (policy.Policy, error) {
+	p := policy.Params{Seed: rlSeed, Phi: phi}
+	if policy.NeedsModel(name) {
+		trained, err := rlsched.LoadPolicy(rlModel)
+		if err != nil {
+			return nil, err
+		}
+		p.Model = trained
+	}
+	return policy.New(name, p)
 }
 
 // serveFlags are meaningful only with -serve.
@@ -394,46 +429,21 @@ func validateFlags(set map[string]bool, args []string, serve bool, polName, rlMo
 			}
 		}
 	}
-	if polName == "rlbase" {
+	if !policy.Registered(polName) {
+		return fmt.Errorf("unknown -policy %q (registered: %s)", polName, strings.Join(policy.Names(), ", "))
+	}
+	if policy.NeedsModel(polName) {
 		if rlModel == "" {
-			return fmt.Errorf("-policy rlbase requires -rlmodel (train one with ppotrain)")
+			return fmt.Errorf("-policy %s requires -rlmodel (train one with ppotrain)", polName)
 		}
 	} else {
 		for _, f := range []string{"rlmodel", "rlseed"} {
 			if set[f] {
-				return fmt.Errorf("-%s only applies to -policy rlbase, not %q", f, polName)
+				return fmt.Errorf("-%s only applies to -policy rlbase (a policy with a trained model), not %q", f, polName)
 			}
 		}
 	}
 	return nil
-}
-
-// buildPolicy resolves the named allocation policy, loading the trained
-// model for rlbase.
-func buildPolicy(polName, rlModel string, rlSeed int64) (policy.Policy, error) {
-	switch polName {
-	case "speed":
-		return policy.Speed{}, nil
-	case "fidelity":
-		return policy.Fidelity{}, nil
-	case "fair":
-		return policy.Fair{}, nil
-	case "speed-proportional":
-		return policy.ProportionalSpeed{}, nil
-	case "fair-proportional":
-		return policy.ProportionalFair{}, nil
-	case "rlbase":
-		if rlModel == "" {
-			return nil, fmt.Errorf("-policy rlbase requires -rlmodel (train one with ppotrain)")
-		}
-		trained, err := rlsched.LoadPolicy(rlModel)
-		if err != nil {
-			return nil, err
-		}
-		return rlsched.NewRLPolicy(trained, rlSeed), nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", polName)
-	}
 }
 
 // report prints the run summary and optionally exports per-job records.
@@ -477,23 +487,4 @@ func report(simEnv *core.QCloudSimEnv, res core.Results, export string, verbose 
 		}
 	}
 	return nil
-}
-
-func loadJobs(path string, n int, seed int64, interarrival float64) ([]*job.QJob, error) {
-	if path == "" {
-		cfg := job.DefaultSyntheticConfig()
-		cfg.N = n
-		cfg.Seed = seed
-		cfg.MeanInterarrival = interarrival
-		return job.Synthetic(cfg)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() //lint:allow errlint close of a read-only workload file cannot lose data
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		return job.LoadJSON(f)
-	}
-	return job.LoadCSV(f)
 }

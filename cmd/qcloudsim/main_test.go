@@ -79,6 +79,10 @@ func TestValidateFlagsCombinations(t *testing.T) {
 		{"rlseed without rlbase", ok(args{set: mkSet("rlseed"), polName: "fidelity"}), "only applies to -policy rlbase"},
 		{"rlbase without rlmodel", ok(args{set: mkSet("policy"), polName: "rlbase"}), "requires -rlmodel"},
 		{"rlbase with rlmodel", ok(args{set: mkSet("policy", "rlmodel"), polName: "rlbase", rlModel: "m.json"}), ""},
+		{"policy oracle", ok(args{set: mkSet("policy"), polName: "oracle"}), ""},
+		{"serve policy oracle", ok(args{set: mkSet("serve", "policy"), serve: true, polName: "oracle"}), ""},
+		{"unknown policy", ok(args{set: mkSet("policy"), polName: "warp"}), "registered: " + strings.Join(policy.Names(), ", ")},
+		{"rlseed with oracle", ok(args{set: mkSet("policy", "rlseed"), polName: "oracle"}), "only applies to -policy rlbase"},
 		{"config alone", ok(args{set: mkSet("config")}), ""},
 		{"config with export", ok(args{set: mkSet("config", "export")}), ""},
 		{"config with n", ok(args{set: mkSet("config", "n")}), "-config specifies the whole simulation"},

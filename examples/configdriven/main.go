@@ -11,24 +11,51 @@ package main
 
 import (
 	_ "embed"
+	"encoding/json"
 	"fmt"
 	"log"
-	"strings"
 
-	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/device"
+	"repro/internal/job"
+	"repro/internal/policy"
 	"repro/internal/sim"
 )
 
 //go:embed spec.json
-var spec string
+var specJSON []byte
+
+// spec is the example's slice of the qcloudsim -config schema: each
+// block decodes straight into the simulator's own types.
+type spec struct {
+	Devices  []device.Spec `json:"devices"`
+	Workload struct {
+		Source    string              `json:"source"`
+		Synthetic job.SyntheticConfig `json:"synthetic"`
+	} `json:"workload"`
+	Policy string      `json:"policy"`
+	Model  core.Config `json:"model"`
+}
 
 func main() {
-	s, err := config.Load(strings.NewReader(spec))
-	if err != nil {
+	var s spec
+	if err := json.Unmarshal(specJSON, &s); err != nil {
 		log.Fatal(err)
 	}
 	env := sim.NewEnvironment()
-	simEnv, jobs, err := s.Build(env, "")
+	fleet, err := device.BuildFleet(env, s.Devices)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pol, err := policy.New(s.Policy, policy.Params{Phi: s.Model.Phi})
+	if err != nil {
+		log.Fatal(err)
+	}
+	jobs, err := job.Synthetic(s.Workload.Synthetic)
+	if err != nil {
+		log.Fatal(err)
+	}
+	simEnv, err := core.NewQCloudSimEnv(env, fleet, pol, s.Model)
 	if err != nil {
 		log.Fatal(err)
 	}

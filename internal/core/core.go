@@ -27,32 +27,37 @@ import (
 	"repro/internal/sim"
 )
 
-// Config carries the model constants of the simulation.
+// Config carries the model constants of the simulation. Its JSON form
+// is the "model" block of a qcloudsim -config file.
 type Config struct {
 	// M and K are the Eq. 3 workload constants (circuit templates and
 	// parameter updates). The §6.1 worked example uses the CLOPS
 	// benchmark's M=100, K=10; the case study uses M=K=10 so that the
 	// 1,000-job workload completes within the paper's reported horizon.
-	M, K int
+	M int `json:"m"`
+	K int `json:"k"`
 	// Phi is the per-link communication fidelity penalty (Eq. 8).
-	Phi float64
+	Phi float64 `json:"phi"`
 	// Lambda is the per-qubit classical communication latency (Eq. 9).
-	Lambda float64
+	Lambda float64 `json:"lambda"`
 	// Backfill relaxes strict FIFO dispatch: when the head job cannot be
 	// placed, later queued jobs that fit may start ahead of it (EASY-style
 	// skip-ahead). Off by default, matching the paper's FIFO queues.
-	Backfill bool
-	// Drift, when enabled, runs the workload on time-varying hardware:
-	// drivers that honor the config (experiments.RunMode) start the
-	// EnableCalibrationDrift ticker right after workload submission.
-	// The zero value keeps the paper's static calibration.
-	Drift DriftConfig
+	Backfill bool `json:"backfill,omitempty"`
+	// Drift, when enabled, runs a batch workload on time-varying
+	// hardware: SubmitWorkload starts the recalibration ticker. The zero
+	// value keeps the paper's static calibration.
+	Drift DriftConfig `json:"drift,omitzero"`
 }
 
-// DriftConfig declaratively configures calibration drift (see
-// EnableCalibrationDrift). Carried inside Config, it travels wherever
-// the config does — including into shard worker processes — so a
-// drifting scenario reproduces identically on every executor.
+// DriftConfig declaratively configures calibration drift: every
+// IntervalS simulated seconds, each device's calibration takes one
+// multiplicative random-walk step of relative magnitude Rel and its
+// error score is recomputed, so error-aware policies see time-varying
+// hardware quality — the dynamic variability the paper lists as absent
+// from its model (§7.2). Carried inside Config, it travels wherever the
+// config does — including into shard worker processes — so a drifting
+// scenario reproduces identically on every executor.
 type DriftConfig struct {
 	// IntervalS is the simulated seconds between recalibration steps;
 	// 0 disables drift.
@@ -99,10 +104,10 @@ type QCloud struct{ *Broker }
 func (c *QCloud) PendingJobs() int { return c.QueueDepth() }
 
 // QCloudSimEnv is the batch front end over a Broker: it releases a
-// finite workload at its arrival times, optionally drifts calibration,
-// runs the event core to exhaustion and summarizes the records. It
-// bundles the simulation environment, cloud, and records — the
-// top-level object users interact with.
+// finite workload at its arrival times, drifts calibration when the
+// Config enables it, runs the event core to exhaustion and summarizes
+// the records. It bundles the simulation environment, cloud, and
+// records — the top-level object users interact with.
 type QCloudSimEnv struct {
 	// Env is the discrete-event kernel.
 	Env *sim.Environment
@@ -113,13 +118,11 @@ type QCloudSimEnv struct {
 
 	jobs          []*job.QJob // submitted workload, sorted by arrival
 	next          int         // index of the next job to release
-	submitted     bool
 	generatorDone bool
 	arriveFn      func()
 
-	driftInterval, driftRel float64
-	driftRNG                *rand.Rand
-	tickFn                  func()
+	driftRNG *rand.Rand
+	tickFn   func()
 }
 
 // batchWindowCap sizes the broker's rolling metrics windows in batch
@@ -140,15 +143,24 @@ func NewQCloudSimEnv(env *sim.Environment, fleet []*device.Device, pol policy.Po
 	return e, nil
 }
 
-// SubmitWorkload schedules the release of each job at its arrival time.
+// SubmitWorkload schedules the release of each job at its arrival time
+// and, when the Config enables drift, starts the recalibration ticker.
 // Jobs must be sorted by arrival time. Arrivals form a callback chain —
 // each release schedules the next — and jobs sharing an arrival time
 // are admitted together, in workload order.
 func (e *QCloudSimEnv) SubmitWorkload(jobs []*job.QJob) {
 	e.jobs = jobs
 	e.next = 0
-	e.submitted = true
 	e.Env.AfterFunc(0, e.arriveFn)
+	if d := e.Cloud.cfg.Drift; d.Enabled() {
+		e.driftRNG = rand.New(rand.NewSource(d.Seed))
+		// Start on a zero-delay hop, like the arrival chain, so the
+		// first tick is scheduled after the release that follows any
+		// arrival at the start time: an arrival and a tick due at the
+		// same instant then run arrival first, as they do for every
+		// later tick.
+		e.Env.AfterFunc(0, func() { e.Env.AfterFunc(d.IntervalS, e.tickFn) })
+	}
 }
 
 // arrive admits every job due now. The next release is scheduled first,
@@ -170,45 +182,19 @@ func (e *QCloudSimEnv) arrive() {
 	}
 }
 
-// EnableCalibrationDrift starts a recalibration ticker: every interval
-// simulated seconds, each device's calibration takes one multiplicative
-// random-walk step of relative magnitude rel and its error score is
-// recomputed, so error-aware policies see *time-varying* hardware
-// quality — the dynamic variability the paper lists as absent from its
-// model (§7.2). The ticker stops once the workload completes. It must
-// be called after SubmitWorkload so it can observe completion.
-func (e *QCloudSimEnv) EnableCalibrationDrift(interval, rel float64, seed int64) error {
-	if interval <= 0 {
-		return fmt.Errorf("core: drift interval %g", interval)
-	}
-	if rel < 0 {
-		return fmt.Errorf("core: drift magnitude %g", rel)
-	}
-	if !e.submitted {
-		return fmt.Errorf("core: EnableCalibrationDrift requires a submitted workload")
-	}
-	e.driftInterval, e.driftRel = interval, rel
-	e.driftRNG = rand.New(rand.NewSource(seed))
-	// Start on a zero-delay hop, like the arrival chain, so the first
-	// tick is scheduled after the release that follows any arrival at
-	// the start time: an arrival and a tick due at the same instant then
-	// run arrival first, as they do for every later tick.
-	e.Env.AfterFunc(0, func() { e.Env.AfterFunc(e.driftInterval, e.tickFn) })
-	return nil
-}
-
-// tick takes one drift step, or stops the ticker once every job has
-// been released and the broker is idle.
+// tick takes one drift step (see DriftConfig), or stops the ticker once
+// every job has been released and the broker is idle.
 func (e *QCloudSimEnv) tick() {
 	if e.generatorDone && e.Cloud.Quiescent() {
 		return
 	}
-	for _, d := range e.Cloud.Devices() {
-		if err := d.Recalibrate(calib.Drift(e.driftRNG, d.Calibration(), e.driftRel)); err != nil {
+	d := e.Cloud.cfg.Drift
+	for _, dev := range e.Cloud.Devices() {
+		if err := dev.Recalibrate(calib.Drift(e.driftRNG, dev.Calibration(), d.Rel)); err != nil {
 			panic(fmt.Sprintf("core: drift recalibration failed: %v", err))
 		}
 	}
-	e.Env.AfterFunc(e.driftInterval, e.tickFn)
+	e.Env.AfterFunc(d.IntervalS, e.tickFn)
 }
 
 // Results summarizes a completed simulation in the paper's Table 2

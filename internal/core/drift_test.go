@@ -5,36 +5,72 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/policy"
+	"repro/internal/sim"
 )
 
+// driftEnv builds the standard-fleet batch simulation with drift
+// configured; SubmitWorkload starts the ticker.
+func driftEnv(t *testing.T, pol policy.Policy, drift DriftConfig) *QCloudSimEnv {
+	t.Helper()
+	env := sim.NewEnvironment()
+	fleet, err := device.StandardFleet(env, 2025)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Drift = drift
+	e, err := NewQCloudSimEnv(env, fleet, pol, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// Drift ticks only while a submitted workload runs: without one, the
+// environment has nothing to do.
 func TestCalibrationDriftRequiresWorkload(t *testing.T) {
-	e := buildEnv(t, policy.Speed{})
-	if err := e.EnableCalibrationDrift(3600, 0.1, 1); err == nil {
-		t.Fatal("drift without workload accepted")
+	e := driftEnv(t, policy.Speed{}, DriftConfig{IntervalS: 3600, Rel: 0.1, Seed: 1})
+	before := e.Cloud.Devices()[0].ErrorScore()
+	e.Env.Run()
+	if now := e.Env.Now(); now != 0 {
+		t.Fatalf("drift ran without a workload: clock at %g", now)
+	}
+	if after := e.Cloud.Devices()[0].ErrorScore(); after != before {
+		t.Fatalf("drift changed a score without a workload: %g -> %g", before, after)
 	}
 }
 
 func TestCalibrationDriftValidation(t *testing.T) {
-	e := buildEnv(t, policy.Speed{})
-	e.SubmitWorkload(smallWorkload(t, 5))
-	if err := e.EnableCalibrationDrift(0, 0.1, 1); err == nil {
-		t.Fatal("zero interval accepted")
+	env := sim.NewEnvironment()
+	fleet, err := device.StandardFleet(env, 2025)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := e.EnableCalibrationDrift(3600, -1, 1); err == nil {
-		t.Fatal("negative magnitude accepted")
+	for _, d := range []DriftConfig{
+		{IntervalS: -5, Rel: 0.1, Seed: 1}, // an error, not "no drift"
+		{IntervalS: 3600, Rel: -1, Seed: 1},
+	} {
+		cfg := DefaultConfig()
+		cfg.Drift = d
+		if _, err := NewQCloudSimEnv(env, fleet, policy.Speed{}, cfg); err == nil {
+			t.Errorf("drift %+v accepted", d)
+		}
+	}
+	// A zero interval disables drift; the magnitude is then ignored.
+	cfg := DefaultConfig()
+	cfg.Drift = DriftConfig{Rel: -1}
+	if _, err := NewQCloudSimEnv(env, fleet, policy.Speed{}, cfg); err != nil {
+		t.Errorf("disabled drift rejected: %v", err)
 	}
 }
 
 func TestCalibrationDriftChangesScoresAndTerminates(t *testing.T) {
-	e := buildEnv(t, policy.Speed{})
+	e := driftEnv(t, policy.Speed{}, DriftConfig{IntervalS: 1800, Rel: 0.2, Seed: 7})
 	before := make(map[string]float64)
 	for _, d := range e.Cloud.Devices() {
 		before[d.Name()] = d.ErrorScore()
 	}
 	e.SubmitWorkload(smallWorkload(t, 30))
-	if err := e.EnableCalibrationDrift(1800, 0.2, 7); err != nil {
-		t.Fatal(err)
-	}
 	res, err := e.Run() // must terminate despite the background process
 	if err != nil {
 		t.Fatal(err)
@@ -67,15 +103,12 @@ func TestCalibrationDriftReroutesFidelityPolicy(t *testing.T) {
 	}
 	staticDevices := len(staticEnv.Records.DeviceLoadShare())
 
-	driftEnv := buildEnv(t, policy.Fidelity{})
-	driftEnv.SubmitWorkload(smallWorkload(t, 40))
-	if err := driftEnv.EnableCalibrationDrift(2000, 0.5, 11); err != nil {
+	drifting := driftEnv(t, policy.Fidelity{}, DriftConfig{IntervalS: 2000, Rel: 0.5, Seed: 11})
+	drifting.SubmitWorkload(smallWorkload(t, 40))
+	if _, err := drifting.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := driftEnv.Run(); err != nil {
-		t.Fatal(err)
-	}
-	driftDevices := len(driftEnv.Records.DeviceLoadShare())
+	driftDevices := len(drifting.Records.DeviceLoadShare())
 
 	if staticDevices > 3 {
 		t.Fatalf("static fidelity policy used %d devices, expected a small designated set", staticDevices)
@@ -83,18 +116,15 @@ func TestCalibrationDriftReroutesFidelityPolicy(t *testing.T) {
 	if driftDevices <= staticDevices {
 		t.Fatalf("drift should spread load: static %d devices, drift %d", staticDevices, driftDevices)
 	}
-	if free := device.TotalFree(driftEnv.Cloud.Devices()); free != 635 {
+	if free := device.TotalFree(drifting.Cloud.Devices()); free != 635 {
 		t.Fatalf("leaked qubits under drift: %d", free)
 	}
 }
 
 func TestCalibrationDriftDeterministic(t *testing.T) {
 	run := func() Results {
-		e := buildEnv(t, policy.Fidelity{})
+		e := driftEnv(t, policy.Fidelity{}, DriftConfig{IntervalS: 2500, Rel: 0.3, Seed: 5})
 		e.SubmitWorkload(smallWorkload(t, 20))
-		if err := e.EnableCalibrationDrift(2500, 0.3, 5); err != nil {
-			t.Fatal(err)
-		}
 		r, err := e.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -110,12 +140,9 @@ func TestCalibrationDriftDeterministic(t *testing.T) {
 // simulation alive long after the last job: the final event time should
 // be within one interval of the last finish.
 func TestDriftStopsPromptly(t *testing.T) {
-	e := buildEnv(t, policy.Speed{})
-	e.SubmitWorkload(smallWorkload(t, 10))
 	const interval = 1000.0
-	if err := e.EnableCalibrationDrift(interval, 0.1, 3); err != nil {
-		t.Fatal(err)
-	}
+	e := driftEnv(t, policy.Speed{}, DriftConfig{IntervalS: interval, Rel: 0.1, Seed: 3})
+	e.SubmitWorkload(smallWorkload(t, 10))
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -17,8 +17,8 @@ import (
 )
 
 // pinnedDigest runs one batch simulation and returns the SHA-256 of its
-// per-job records export. drift, when enabled, starts calibration drift
-// right after workload submission, as experiments.RunMode does.
+// per-job records export. drift, when enabled, is set on cfg, so
+// SubmitWorkload starts calibration drift.
 func pinnedDigest(t *testing.T, jobs []*job.QJob, pol policy.Policy, cfg Config, drift DriftConfig) string {
 	t.Helper()
 	env := sim.NewEnvironment()
@@ -26,16 +26,12 @@ func pinnedDigest(t *testing.T, jobs []*job.QJob, pol policy.Policy, cfg Config,
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Drift = drift
 	e, err := NewQCloudSimEnv(env, fleet, pol, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.SubmitWorkload(jobs)
-	if drift.Enabled() {
-		if err := e.EnableCalibrationDrift(drift.IntervalS, drift.Rel, drift.Seed); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -268,7 +268,7 @@ type jobRun struct {
 // NewBroker assembles a streaming broker over the given fleet. The
 // recorder receives every lifecycle event; windowCap sizes the rolling
 // metrics windows (per tenant and global). Calibration drift is a
-// batch-run feature (QCloudSimEnv.EnableCalibrationDrift) and is
+// batch-run feature (QCloudSimEnv.SubmitWorkload starts it) and is
 // rejected here.
 func NewBroker(env *sim.Environment, fleet []*device.Device, pol policy.Policy, cfg Config, rec StreamRecorder, windowCap int) (*Broker, error) {
 	if cfg.Drift.Enabled() {

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/calib"
-	"repro/internal/graph"
 	"repro/internal/sim"
 )
 
@@ -111,13 +110,13 @@ var heteroCLOPS = map[string]float64{
 // HeterogeneousFleet builds the mixed-capacity preset: 127+127+80+65+27
 // qubits (426 total, largest device 127 — the paper's q ∈ [130,250]
 // workload still satisfies Eq. 1 on it). Sub-Eagle devices use a
-// heavy-hex lattice trimmed to their qubit count, like config-driven
-// custom devices.
+// heavy-hex lattice trimmed to their qubit count (see Topology), like
+// devices described by a Spec.
 func HeterogeneousFleet(env *sim.Environment, seed int64, opts ...Option) ([]*Device, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var fleet []*Device
 	for _, p := range heteroProfiles() {
-		topo, err := heavyHexSized(p.NumQubits)
+		topo, err := Topology("heavy-hex", p.NumQubits)
 		if err != nil {
 			return nil, err
 		}
@@ -133,19 +132,4 @@ func HeterogeneousFleet(env *sim.Environment, seed int64, opts ...Option) ([]*De
 		fleet = append(fleet, d)
 	}
 	return fleet, nil
-}
-
-// heavyHexSized builds an n-qubit heavy-hex coupling map: the exact
-// Eagle lattice at 127 qubits, a connected trim of a large-enough
-// lattice otherwise.
-func heavyHexSized(n int) (*graph.Graph, error) {
-	if n == 127 {
-		return graph.Eagle127(), nil
-	}
-	for rows := 3; rows <= 64; rows++ {
-		if g := graph.HeavyHex(rows, 15, 4); g.NumVertices() >= n {
-			return g.ConnectedTrim(n), nil
-		}
-	}
-	return nil, fmt.Errorf("device: heavy-hex cannot reach %d qubits", n)
 }

@@ -24,11 +24,6 @@
 package experiments
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/job"
@@ -111,7 +106,15 @@ func (cs *CaseStudy) Fleet(env *sim.Environment) ([]*device.Device, error) {
 // TracePath replay — and checks the Eq. 1 constraint against the
 // configured fleet preset's capacities.
 func (cs *CaseStudy) Jobs() ([]*job.QJob, error) {
-	jobs, err := cs.loadWorkload()
+	var (
+		jobs []*job.QJob
+		err  error
+	)
+	if cs.TracePath == "" {
+		jobs, err = job.Synthetic(cs.Workload)
+	} else {
+		jobs, err = job.LoadFile(cs.TracePath)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -123,23 +126,6 @@ func (cs *CaseStudy) Jobs() ([]*job.QJob, error) {
 		return nil, err
 	}
 	return jobs, nil
-}
-
-// loadWorkload reads the TracePath trace, or generates the synthetic
-// workload when no trace is configured.
-func (cs *CaseStudy) loadWorkload() ([]*job.QJob, error) {
-	if cs.TracePath == "" {
-		return job.Synthetic(cs.Workload)
-	}
-	f, err := os.Open(cs.TracePath)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: workload trace: %w", err)
-	}
-	defer f.Close() //lint:allow errlint close of a read-only trace file cannot lose data
-	if strings.EqualFold(filepath.Ext(cs.TracePath), ".json") {
-		return job.LoadJSON(f)
-	}
-	return job.LoadCSV(f)
 }
 
 // TrainRL trains (and caches) the PPO policy on the QCloudGymEnv,
@@ -231,13 +217,6 @@ func (cs *CaseStudy) RunMode(mode string) (*ModeRun, error) {
 		return nil, err
 	}
 	simEnv.SubmitWorkload(jobs)
-	if d := cs.Core.Drift; d.Enabled() {
-		// Drift is part of the case-study config, so it reproduces
-		// identically on every executor (the ShardSpec carries Core).
-		if err := simEnv.EnableCalibrationDrift(d.IntervalS, d.Rel, d.Seed); err != nil {
-			return nil, err
-		}
-	}
 	res, err := simEnv.Run()
 	if err != nil {
 		return nil, err

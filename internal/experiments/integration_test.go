@@ -42,16 +42,14 @@ func TestFeatureMatrix(t *testing.T) {
 					}
 					cfg := core.DefaultConfig()
 					cfg.Backfill = backfill
+					if drift {
+						cfg.Drift = core.DriftConfig{IntervalS: 3600, Rel: 0.25, Seed: 3}
+					}
 					simEnv, err := core.NewQCloudSimEnv(env, fleet, pol, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					simEnv.SubmitWorkload(jobs)
-					if drift {
-						if err := simEnv.EnableCalibrationDrift(3600, 0.25, 3); err != nil {
-							t.Fatal(err)
-						}
-					}
 					res, err := simEnv.Run()
 					if err != nil {
 						t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // a silent skew would surface as confusing task failures instead of
 // one clear error. Bump it on any incompatible framing or message
 // change.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // Defaults for the TCP transport's two liveness knobs.
 const (

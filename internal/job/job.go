@@ -88,24 +88,27 @@ func (j *QJob) String() string {
 // qubit, depth, and shot ranges and Poisson arrivals.
 type SyntheticConfig struct {
 	// N is the number of jobs to generate.
-	N int
+	N int `json:"n"`
 	// MinQubits and MaxQubits bound the uniform qubit requirement
 	// (the paper uses 130 and 250).
-	MinQubits, MaxQubits int
+	MinQubits int `json:"min_qubits"`
+	MaxQubits int `json:"max_qubits"`
 	// MinDepth and MaxDepth bound the uniform circuit depth (5, 20).
-	MinDepth, MaxDepth int
+	MinDepth int `json:"min_depth"`
+	MaxDepth int `json:"max_depth"`
 	// MinShots and MaxShots bound the uniform shot count (10k, 100k).
-	MinShots, MaxShots int
+	MinShots int `json:"min_shots"`
+	MaxShots int `json:"max_shots"`
 	// T2Factor sets the two-qubit gate count as a fraction of
 	// qubits·depth. Real transpiled circuits place a two-qubit gate on
 	// roughly a quarter of the qubit-layer slots; 0.25 is the default.
-	T2Factor float64
+	T2Factor float64 `json:"t2_factor,omitempty"`
 	// MeanInterarrival is the mean of the exponential inter-arrival
 	// time in seconds (Poisson arrivals). Zero means all jobs arrive
 	// at time 0.
-	MeanInterarrival float64
+	MeanInterarrival float64 `json:"mean_interarrival,omitempty"`
 	// Seed drives the generator.
-	Seed int64
+	Seed int64 `json:"seed"`
 }
 
 // DefaultSyntheticConfig returns the case-study workload: 1,000 jobs,
