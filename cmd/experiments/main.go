@@ -14,11 +14,13 @@
 //
 // The executor is chosen by flags: the in-process worker pool by
 // default (-workers caps it), or worker OS processes with -shards N —
-// a coordinator re-invokes this binary with the hidden -shard-worker
-// flag once per shard, streams back one manifest row per finished
-// task, requeues crashed workers' unfinished tasks, and merges the
-// shard manifests in global task order, bit-identical to the
-// in-process run (wall times aside).
+// a coordinator re-invokes this binary as `-serve 127.0.0.1:0` once
+// per shard attempt, dials the loopback daemon it announces, streams
+// back one manifest row per finished task, requeues crashed workers'
+// unfinished tasks, and merges the shard manifests in global task
+// order, bit-identical to the in-process run (wall times aside). Each
+// spawned daemon is killed when its shard ends, and exits by itself
+// when its coordinator dies (its stdin pipe closes).
 //
 // The same binary also runs as a fleet. On each worker machine, -serve
 // starts a long-lived daemon speaking the shard protocol over TCP:
@@ -130,7 +132,6 @@ func run() (err error) {
 		rtol      = flag.Float64("rtol", 0, "with -diff: relative tolerance on metric deltas (0 = exact)")
 		trendDir  = flag.String("trend", "", "report per-metric trajectories over a directory of BENCH_*.json / manifest artifacts and exit 1 on a significant shift in the newest one")
 		trendTol  = flag.Float64("trend-tol", 0.05, "with -trend: relative shift threshold for metrics without a stored stderr (e.g. bench ns/op)")
-		shardWork = flag.Bool("shard-worker", false, "internal: serve the shard worker protocol on stdin/stdout and exit (spawned by -shards coordinators)")
 		serveAddr = flag.String("serve", "", "run as a worker daemon on this TCP address (host:port; port 0 picks one) until interrupted, executing shard orders for -hosts coordinators; -workers sizes the advertised capacity")
 		hostsFlag = flag.String("hosts", "", "comma-separated worker daemon addresses (host:port,…) to fan tasks out across via TCP; overrides a spec's hosts list and conflicts with -shards")
 		doctor    = flag.Bool("doctor", false, "probe each -hosts daemon and report reachability, protocol version and capacity; exit 1 when any host is unhealthy")
@@ -142,7 +143,7 @@ func run() (err error) {
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateFlags(set, flag.Args(), *artifact, *specPath, *n, *train, *workers, *reps, *shards, *diff, *shardWork,
+	if err := validateFlags(set, flag.Args(), *artifact, *specPath, *n, *train, *workers, *reps, *shards, *diff,
 		*sig, *tol, *rtol, *trendDir, *trendTol, *serveAddr, *hostsFlag, *doctor, *cpuProf, *memProf); err != nil {
 		return err
 	}
@@ -152,12 +153,6 @@ func run() (err error) {
 	}
 	defer func() { err = errors.Join(err, stopProfiles()) }()
 
-	// Worker mode: the coordinator process ships the full experiment
-	// spec over stdin, so no other flag matters here (and validateFlags
-	// rejects any that were passed).
-	if *shardWork {
-		return experiments.ServeShardWorker(context.Background(), os.Stdin, os.Stdout)
-	}
 	// Daemon mode: serve shard orders over TCP until interrupted.
 	if *serveAddr != "" {
 		return runServe(*serveAddr, *workers)
@@ -237,7 +232,7 @@ func run() (err error) {
 // validateFlags rejects inconsistent flag combinations up front, with
 // actionable messages, instead of failing late inside a run (or worse,
 // silently ignoring a flag the user set).
-func validateFlags(set map[string]bool, args []string, artifact, specPath string, n, train, workers, reps, shards int, diff, shardWork bool,
+func validateFlags(set map[string]bool, args []string, artifact, specPath string, n, train, workers, reps, shards int, diff bool,
 	sig bool, tol, rtol float64, trendDir string, trendTol float64, serveAddr, hostsFlag string, doctor bool,
 	cpuProfile, memProfile string) error {
 	if err := profiling.CheckPath("cpuprofile", cpuProfile); err != nil {
@@ -250,11 +245,6 @@ func validateFlags(set map[string]bool, args []string, artifact, specPath string
 		return fmt.Errorf("-wait paces -doctor readiness probes; pass -doctor with it")
 	}
 	switch {
-	case shardWork:
-		if len(set) > 1 || len(args) > 0 {
-			return fmt.Errorf("-shard-worker is internal (spawned by -shards coordinators) and takes no other flags or arguments")
-		}
-		return nil
 	case set["serve"]:
 		if serveAddr == "" {
 			return fmt.Errorf("-serve needs the listen address (host:port) as its value")
@@ -437,26 +427,23 @@ func buildExecutor(shards, workers int, progress bool, hosts []string) experimen
 	return experiments.Parallel{Options: opt}
 }
 
-// runServe is -serve: the long-lived worker daemon. It prints the
+// runServe is -serve: the worker daemon, long-lived on a fleet host or
+// spawned per shard attempt by a -shards coordinator. It prints the
 // resolved listen address on stdout (so `-serve 127.0.0.1:0` callers
 // learn the picked port), logs connection events on stderr, and serves
-// until SIGINT/SIGTERM.
+// until SIGINT/SIGTERM — or until its stdin pipe closes, when stdin is
+// one (see shard.Server.ListenAndServe).
 func runServe(addr string, workers int) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
 	capacity := workers
 	if capacity <= 0 {
 		capacity = runtime.GOMAXPROCS(0)
 	}
-	fmt.Printf("listening on %s (protocol v%d, capacity %d)\n", ln.Addr(), shard.ProtocolVersion, capacity)
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "serve: "+format+"\n", args...)
 	}
-	return experiments.ServeShardDaemon(ctx, ln, capacity, logf)
+	return experiments.ShardServer(capacity, logf).ListenAndServe(ctx, addr)
 }
 
 // runDoctor is -doctor: probe every daemon concurrently (one dead

@@ -162,27 +162,26 @@ func normalizedRows(t *testing.T, m *records.RunManifest) []byte {
 // with a message naming the offending flag.
 func TestValidateFlags(t *testing.T) {
 	type args struct {
-		set       map[string]bool
-		args      []string
-		artifact  string
-		spec      string
-		n         int
-		train     int
-		workers   int
-		reps      int
-		shards    int
-		diff      bool
-		shardWork bool
-		sig       bool
-		tol       float64
-		rtol      float64
-		trend     string
-		trendTol  float64
-		serve     string
-		hosts     string
-		doctor    bool
-		cpuProf   string
-		memProf   string
+		set      map[string]bool
+		args     []string
+		artifact string
+		spec     string
+		n        int
+		train    int
+		workers  int
+		reps     int
+		shards   int
+		diff     bool
+		sig      bool
+		tol      float64
+		rtol     float64
+		trend    string
+		trendTol float64
+		serve    string
+		hosts    string
+		doctor   bool
+		cpuProf  string
+		memProf  string
 	}
 	ok := func(a args) args { // fill valid defaults
 		if a.artifact == "" {
@@ -211,8 +210,6 @@ func TestValidateFlags(t *testing.T) {
 		want string // "" means accepted
 	}{
 		{"defaults", ok(args{}), ""},
-		{"shard worker alone", ok(args{set: map[string]bool{"shard-worker": true}, shardWork: true}), ""},
-		{"shard worker with flags", ok(args{set: map[string]bool{"shard-worker": true, "n": true}, shardWork: true}), "internal"},
 		{"diff two paths", ok(args{set: map[string]bool{"diff": true}, args: []string{"a.json", "b.json"}, diff: true}), ""},
 		{"diff one path", ok(args{set: map[string]bool{"diff": true}, args: []string{"a.json"}, diff: true}), "exactly two"},
 		{"diff with flags", ok(args{set: map[string]bool{"diff": true, "n": true}, args: []string{"a.json", "b.json"}, diff: true}), "no other flags"},
@@ -271,7 +268,7 @@ func TestValidateFlags(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			err := validateFlags(c.a.set, c.a.args, c.a.artifact, c.a.spec,
-				c.a.n, c.a.train, c.a.workers, c.a.reps, c.a.shards, c.a.diff, c.a.shardWork,
+				c.a.n, c.a.train, c.a.workers, c.a.reps, c.a.shards, c.a.diff,
 				c.a.sig, c.a.tol, c.a.rtol, c.a.trend, c.a.trendTol, c.a.serve, c.a.hosts, c.a.doctor,
 				c.a.cpuProf, c.a.memProf)
 			if c.want == "" {

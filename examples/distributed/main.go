@@ -5,8 +5,8 @@
 // manifest matches an in-process Parallel run row for row.
 //
 // The daemons here are goroutines serving real TCP listeners on
-// 127.0.0.1 — experiments.ServeShardDaemon is exactly the code path
-// behind `go run ./cmd/experiments -serve <addr>`, so everything below
+// 127.0.0.1 — experiments.ShardServer is exactly the daemon behind
+// `go run ./cmd/experiments -serve <addr>`, so everything below
 // transfers verbatim to a real fleet: start one daemon per machine,
 // point -hosts (or the spec's "hosts" block) at them, and the
 // coordinator does the rest. A daemon that dies mid-order has its
@@ -37,7 +37,7 @@ func main() {
 
 	// 1. The fleet: two worker daemons on ephemeral localhost ports. On
 	// real machines this is `experiments -serve 0.0.0.0:7070` per host;
-	// ServeShardDaemon is that flag's engine.
+	// ShardServer is that flag's engine.
 	hosts := make([]string, 2)
 	for i := range hosts {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -46,7 +46,7 @@ func main() {
 		}
 		hosts[i] = ln.Addr().String()
 		go func() {
-			if err := experiments.ServeShardDaemon(ctx, ln, 2, nil); err != nil {
+			if err := experiments.ShardServer(2, nil).Serve(ctx, ln); err != nil {
 				log.Fatal(err)
 			}
 		}()

@@ -7,19 +7,18 @@
 // The protocol in one paragraph: Run expands the spec's task matrix
 // (here: one replicated Table 2 run per workload seed), the shard
 // coordinator partitions the task indices into contiguous shards and
-// re-invokes THIS binary with -shard-worker once per shard. Each
-// worker receives one length-prefixed JSON frame on stdin — the full
-// experiment spec plus its assigned indices — re-enumerates the
-// identical task list, verifies the labels match, and streams one
-// manifest row per finished simulation back over stdout. Because
-// results stream as they finish, a worker that dies mid-shard only
-// forfeits its unfinished tasks: the coordinator respawns a fresh
-// process on the remainder (bounded retries), and the final
+// re-invokes THIS binary as `-serve 127.0.0.1:0` once per shard: a
+// loopback worker daemon that announces its address on stdout and is
+// dialed like any `experiments -hosts` fleet daemon. It re-enumerates
+// the identical task list, verifies the labels match, and streams one
+// manifest row per finished simulation. A worker that dies mid-shard
+// only forfeits its unfinished tasks: the coordinator spawns a fresh
+// daemon on the remainder (bounded retries), and the final
 // records.MergeManifests pass fails loudly if any task ever went
-// missing or ran twice. For fixed seeds the merged manifest is
-// bit-identical to the same spec run on the Sequential or Parallel
-// executor — swapping executors changes how tasks run, never what
-// they produce.
+// missing or ran twice. Daemons die with their shard — or with the
+// coordinator, whose exit closes their stdin pipe. For fixed seeds the
+// merged manifest is bit-identical to the same spec run on the
+// Sequential or Parallel executor.
 //
 // Run it:
 //
@@ -40,15 +39,14 @@ import (
 
 func main() {
 	shards := flag.Int("shards", 2, "worker process count")
-	worker := flag.Bool("shard-worker", false, "internal: serve the shard worker protocol on stdin/stdout")
+	serve := flag.String("serve", "", "internal: run as a worker daemon on this address (spawned by the coordinator)")
 	flag.Parse()
 
-	// Worker half: when the coordinator re-invokes this binary, hand
-	// stdin/stdout to the protocol server and exit. This one branch is
-	// all a binary needs to be shardable — the default ShardOptions
-	// Command re-invokes the current executable with exactly this flag.
-	if *worker {
-		if err := experiments.ServeShardWorker(context.Background(), os.Stdin, os.Stdout); err != nil {
+	// Worker half: this one branch is all a binary needs to be
+	// shardable — the default ShardOptions Command re-invokes the
+	// current executable with exactly this flag.
+	if *serve != "" {
+		if err := experiments.ShardServer(1, nil).ListenAndServe(context.Background(), *serve); err != nil {
 			fmt.Fprintln(os.Stderr, "shard worker:", err)
 			os.Exit(1)
 		}

@@ -18,7 +18,7 @@ import (
 // every task runs on a private snapshot seeded only from the case
 // study's configuration. The out-of-process backends differ only in
 // the transport they hand the shard coordinator: Sharded spawns local
-// subprocesses, Remote dials worker daemons across a host fleet.
+// worker daemons, Remote dials worker daemons across a host fleet.
 type Executor interface {
 	// Name identifies the backend in logs and errors.
 	Name() string

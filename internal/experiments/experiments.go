@@ -8,8 +8,9 @@
 // scenario ("paper", "hetero-fleet", "stress-arrivals", or your own
 // via RegisterScenario) plus task matrices and overrides — and hand it
 // to Run with any Executor (Sequential, Parallel across a goroutine
-// pool, Sharded across worker OS processes, or Remote across a fleet
-// of TCP worker daemons — see ServeShardDaemon and docs/operations.md).
+// pool, Sharded across worker daemons it spawns on loopback, or Remote
+// across a fleet of worker daemons — see ShardServer and
+// docs/operations.md).
 // Executor.Execute runs one TaskMatrix on a configured CaseStudy and is
 // the only way to run a task matrix; Run is Execute over every matrix
 // of a Spec. All executors produce identical manifests for fixed seeds,

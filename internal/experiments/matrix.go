@@ -82,9 +82,35 @@ func checkMode(mode string) error {
 	return nil
 }
 
+// MaxTasks bounds the task count of one matrix and of one spec. Every
+// task is a full simulation, so a larger run is a typo; counting
+// before expanding keeps a decoded spec or shard order — whose value
+// and seed lists multiply — from allocating a task list that could
+// exhaust memory.
+const MaxTasks = 100000
+
+// taskCount is the matrix's task count, computed without expanding it.
+// Each factor saturates just past MaxTasks, so the product cannot
+// overflow.
+func (m TaskMatrix) taskCount() int {
+	base := len(m.modes())
+	switch m.Kind {
+	case "phi-sweep", "lambda-sweep":
+		base = len(m.Values)
+	case "replicate":
+		base = len(m.Seeds)
+	case "rl-deploy":
+		base = 2
+	}
+	return min(base, MaxTasks+1) * min(max(1, len(m.ReplicationSeeds)), MaxTasks+1)
+}
+
 // specs expands the matrix into the ordered task list — the base
 // enumeration fanned out across ReplicationSeeds when set.
 func (m TaskMatrix) specs() ([]runSpec, error) {
+	if m.taskCount() > MaxTasks {
+		return nil, fmt.Errorf("experiments: %s matrix expands to more than MaxTasks (%d) tasks", m.Label(), MaxTasks)
+	}
 	base, err := m.baseSpecs()
 	if err != nil {
 		return nil, err

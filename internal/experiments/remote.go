@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"net"
 	"time"
 
 	"repro/internal/experiments/shard"
@@ -15,7 +14,8 @@ import (
 // backend that fans a run out across long-lived worker daemons over
 // TCP. The knobs shared with every executor (Workers, Retries,
 // OnProgress) live in the embedded ExecOptions; Workers sizes each
-// daemon's per-order pool exactly as it sizes a subprocess worker's.
+// daemon's per-order pool exactly as it does for Sharded's spawned
+// daemons.
 type RemoteOptions struct {
 	ExecOptions
 	// Hosts lists worker daemon addresses as host:port (usually
@@ -28,9 +28,6 @@ type RemoteOptions struct {
 	// DialTimeout bounds connect+handshake per host; 0 means
 	// shard.DefaultDialTimeout.
 	DialTimeout time.Duration
-	// HeartbeatTimeout is the per-receive silence budget before a
-	// daemon counts as wedged; 0 means shard.DefaultHeartbeatTimeout.
-	HeartbeatTimeout time.Duration
 	// DialAttempts is the total session-establishment tries per shard
 	// attempt under the shared retry policy (each try already sweeps
 	// every host). Values <= 1 keep the legacy fail-fast behavior in
@@ -52,7 +49,7 @@ type RemoteOptions struct {
 // For fixed seeds the manifest is bit-identical to every other
 // executor's (wall time, worker accounting and provenance aside):
 // daemons rebuild tasks from the same serialized ShardSpec seeds as
-// subprocess workers.
+// the daemons Sharded spawns.
 type Remote struct {
 	Options RemoteOptions
 }
@@ -66,18 +63,13 @@ func (e Remote) Execute(ctx context.Context, cs *CaseStudy, m TaskMatrix) (*reco
 	if len(opt.Hosts) == 0 {
 		return nil, errors.New("experiments: remote execution needs at least one worker daemon host")
 	}
-	spec, labels, err := cs.shardPayload(m, opt.Workers)
-	if err != nil {
-		return nil, err
-	}
 	shards := opt.Shards
 	if shards <= 0 {
 		shards = len(opt.Hosts)
 	}
 	var transport shard.Transport = &shard.TCPTransport{
-		Hosts:            opt.Hosts,
-		DialTimeout:      opt.DialTimeout,
-		HeartbeatTimeout: opt.HeartbeatTimeout,
+		Hosts:       opt.Hosts,
+		DialTimeout: opt.DialTimeout,
 	}
 	if opt.DialAttempts > 1 {
 		transport = &shard.RetryTransport{
@@ -90,24 +82,5 @@ func (e Remote) Execute(ctx context.Context, cs *CaseStudy, m TaskMatrix) (*reco
 			},
 		}
 	}
-	coord := shard.Coordinator{
-		Shards:          shards,
-		Retries:         opt.Retries,
-		Transport:       transport,
-		PerShardWorkers: opt.Workers,
-		OnProgress:      coordinatorProgress(opt.ExecOptions, opt.OnEvent),
-	}
-	return coord.Run(ctx, m.Label(), spec, labels)
-}
-
-// ServeShardDaemon runs the experiments worker daemon on ln until ctx
-// is canceled — the engine behind `experiments -serve <addr>`. It
-// serves the same task engine as the -shard-worker subprocess mode
-// (shardRunFunc), so a Remote run against daemons and a Sharded run
-// against subprocesses produce identical manifest rows. capacity is
-// the advertised per-order pool size reported to -doctor probes; logf
-// (nil for silent) receives one line per connection event.
-func ServeShardDaemon(ctx context.Context, ln net.Listener, capacity int, logf func(format string, args ...any)) error {
-	srv := &shard.Server{Run: shardRunFunc, Capacity: capacity, Logf: logf}
-	return srv.Serve(ctx, ln)
+	return cs.runOnDaemons(ctx, m, opt.ExecOptions, shards, transport, opt.OnEvent)
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -25,12 +24,7 @@ import (
 // would lose one. The daemon is killed at cleanup.
 func startDaemon(t *testing.T, extraEnv ...string) (addr string, proc *os.Process) {
 	t.Helper()
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), append([]string{"REPRO_SHARD_DAEMON=1"}, extraEnv...)...)
+	cmd := daemonCmd(context.Background(), extraEnv...)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -47,7 +41,11 @@ func startDaemon(t *testing.T, extraEnv ...string) (addr string, proc *os.Proces
 	if err != nil {
 		t.Fatalf("daemon never announced its address: %v", err)
 	}
-	return strings.TrimSpace(line), cmd.Process
+	addr, err = shard.ParseAnnounce(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return addr, cmd.Process
 }
 
 // stripProvenance asserts every row of a remote manifest names one of

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os/exec"
 	"sync"
 
 	"repro/internal/records"
@@ -34,9 +32,10 @@ type Progress struct {
 	Done, Total int
 }
 
-// Coordinator fans an enumerated task list out across workers — OS
-// subprocesses or remote TCP daemons, depending on the Transport — and
-// reassembles their streamed results into one manifest.
+// Coordinator fans an enumerated task list out across worker daemons —
+// spawned loopback daemons or a remote fleet, depending on the
+// Transport — and reassembles their streamed results into one
+// manifest.
 type Coordinator struct {
 	// Shards is the concurrent worker session count; <= 0 means 1.
 	// Shards larger than the task count are clamped (see Plan).
@@ -46,16 +45,9 @@ type Coordinator struct {
 	// worker receives only the shard's unfinished indices — results the
 	// dead worker streamed before crashing are kept.
 	Retries int
-	// Transport opens worker sessions. Nil falls back to a
-	// ProcessTransport built from Command and Stderr.
+	// Transport opens worker sessions. Required.
 	Transport Transport
-	// Command returns a fresh, unstarted worker process wired to speak
-	// the shard protocol on its stdin/stdout (e.g. the experiments
-	// binary with -shard-worker). Used only when Transport is nil; one
-	// of the two is required. The coordinator sets Stdin, Stdout and
-	// Stderr itself and kills the process when ctx ends.
-	Command func(ctx context.Context) *exec.Cmd
-	// PerShardWorkers records each worker process's internal pool size
+	// PerShardWorkers records each worker daemon's per-order pool size
 	// in its shard manifest's Workers field (<= 1 means 1), so the
 	// merged manifest's Workers sum reflects the run's true concurrent
 	// simulation capacity. Pure provenance — the coordinator itself
@@ -64,12 +56,9 @@ type Coordinator struct {
 	// OnProgress, if set, receives coordinator events. Calls are
 	// serialized; the callback must not block for long.
 	OnProgress func(Progress)
-	// Stderr receives every worker's stderr (process transport only);
-	// nil means os.Stderr.
-	Stderr io.Writer
 }
 
-// crashError marks a worker process that died before finishing its
+// crashError marks a worker session that died before finishing its
 // shard — the retryable failure class, unlike a task error the worker
 // reported deliberately.
 type crashError struct{ err error }
@@ -78,20 +67,16 @@ func (e *crashError) Error() string { return e.err.Error() }
 func (e *crashError) Unwrap() error { return e.err }
 
 // Run partitions the labeled task list with Plan, executes every shard
-// on worker subprocesses, and merges the per-shard manifests back into
-// global task order via records.MergeManifests — which doubles as the
-// integrity check that no task was lost or duplicated across crashes
-// and retries. spec is the opaque experiment description every worker
+// on worker sessions from the Transport, and merges the per-shard
+// manifests back into global task order via records.MergeManifests —
+// which doubles as the integrity check that no task was lost or
+// duplicated across crashes and retries. spec is the opaque experiment description every worker
 // receives verbatim. The first shard failure cancels the others; as in
 // runner.Pool, a real failure is never masked by the cancellation
 // fallout it causes in sibling shards.
 func (c *Coordinator) Run(ctx context.Context, label string, spec json.RawMessage, labels []string) (*records.RunManifest, error) {
-	transport := c.Transport
-	if transport == nil {
-		if c.Command == nil {
-			return nil, errors.New("shard: Coordinator needs a Transport or a Command")
-		}
-		transport = &ProcessTransport{Command: c.Command, Stderr: c.Stderr}
+	if c.Transport == nil {
+		return nil, errors.New("shard: Coordinator.Transport is required")
 	}
 	if len(labels) == 0 {
 		return &records.RunManifest{Label: label}, nil
@@ -109,7 +94,7 @@ func (c *Coordinator) Run(ctx context.Context, label string, spec json.RawMessag
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			m, err := c.runShard(ctx, transport, si, spec, labels, plan[si], sink)
+			m, err := c.runShard(ctx, c.Transport, si, spec, labels, plan[si], sink)
 			manifests[si], errs[si] = m, err
 			if err != nil {
 				cancel()
@@ -193,6 +178,9 @@ func (c *Coordinator) runWorker(ctx context.Context, transport Transport, si, at
 	}
 	sess, err := transport.connect(ctx, si, attempt)
 	if err != nil {
+		if ctx.Err() != nil {
+			return indices, ctx.Err() // a sibling shard failed first
+		}
 		return indices, err
 	}
 	// The reaper guarantees the worker never outlives ctx even when the
@@ -245,8 +233,9 @@ func (c *Coordinator) runWorker(ctx context.Context, transport Transport, si, at
 				// Provenance, recorded only for transports with a real
 				// host identity: which host delivered the row and on
 				// which spawn attempt (>0 means the task was requeued
-				// after a crash). Subprocess and in-process manifests
-				// stay byte-identical by carrying neither field.
+				// after a crash). Manifests from spawned loopback daemons
+				// stay byte-identical to in-process ones by carrying
+				// neither field.
 				if host := sess.peer(); host != "" {
 					sum.Host = host
 					sum.Attempt = attempt
@@ -291,8 +280,7 @@ func (c *Coordinator) runWorker(ctx context.Context, transport Transport, si, at
 }
 
 // peerPrefix renders a session's host identity for error messages —
-// "10.0.0.2:7070 " or "" for anonymous subprocess workers, keeping the
-// legacy message text unchanged for them.
+// "10.0.0.2:7070 " or "" for anonymous spawned daemons.
 func peerPrefix(sess session) string {
 	if p := sess.peer(); p != "" {
 		return p + " "

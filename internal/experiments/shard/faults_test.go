@@ -26,7 +26,7 @@ func TestFaultTransportResetRequeuesRemainder(t *testing.T) {
 	spec := specJSON(t, testSpec{FailAt: -1, CrashAt: -1, Scale: 2})
 	labels := taskLabels(6)
 
-	clean, err := (&Coordinator{Shards: 1, Command: workerCmd(t)}).Run(context.Background(), "x", spec, labels)
+	clean, err := (&Coordinator{Shards: 1, Transport: procTransport(t)}).Run(context.Background(), "x", spec, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestFaultTransportResetRequeuesRemainder(t *testing.T) {
 	retries := 0
 	c := Coordinator{
 		Shards:    1,
-		Transport: &FaultTransport{Inner: &ProcessTransport{Command: workerCmd(t)}, Inj: inj},
+		Transport: &FaultTransport{Inner: procTransport(t), Inj: inj},
 		OnProgress: func(p Progress) {
 			if p.Event == "retry" {
 				retries++
@@ -77,7 +77,7 @@ func TestRetryTransportHealsTransientPartition(t *testing.T) {
 	})
 	c := Coordinator{
 		Shards:    1,
-		Transport: &FaultTransport{Inner: &ProcessTransport{Command: workerCmd(t)}, Inj: inj},
+		Transport: &FaultTransport{Inner: procTransport(t), Inj: inj},
 	}
 	if _, err := c.Run(context.Background(), "x", spec, labels); err == nil || !strings.Contains(err.Error(), "partitioned") {
 		t.Fatalf("unretried partition = %v, want terminal partition error", err)
@@ -91,7 +91,7 @@ func TestRetryTransportHealsTransientPartition(t *testing.T) {
 	c = Coordinator{
 		Shards: 1,
 		Transport: &RetryTransport{
-			Inner: &FaultTransport{Inner: &ProcessTransport{Command: workerCmd(t)}, Inj: inj},
+			Inner: &FaultTransport{Inner: procTransport(t), Inj: inj},
 			Policy: retry.Policy{
 				MaxAttempts: 3,
 				BaseDelay:   time.Millisecond,
@@ -123,7 +123,7 @@ func TestFaultTransportDupTripsIntegrityCheck(t *testing.T) {
 	c := Coordinator{
 		Shards:    1,
 		Retries:   0,
-		Transport: &FaultTransport{Inner: &ProcessTransport{Command: workerCmd(t)}, Inj: inj},
+		Transport: &FaultTransport{Inner: procTransport(t), Inj: inj},
 	}
 	spec := specJSON(t, testSpec{FailAt: -1, CrashAt: -1, Scale: 1})
 	_, err := c.Run(context.Background(), "x", spec, taskLabels(4))

@@ -6,11 +6,23 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 
 	"repro/internal/records"
 )
+
+// RunFunc is the worker-side task executor. It receives the opaque
+// experiment spec from the order frame, the worker's assigned global
+// task indices with their matching labels, and an emit function that
+// streams one finished task's manifest row back to the coordinator.
+// emit must be called exactly once per completed index; calls may come
+// from any goroutine (the Server serializes the writes). Returning an
+// error reports a deliberate task failure — the coordinator fails the
+// whole run rather than retrying, because the simulations are
+// deterministic.
+type RunFunc func(ctx context.Context, spec []byte, indices []int, labels []string, emit func(index int, s records.RunSummary) error) error
 
 // DefaultHeartbeatInterval is how often a Server emits heartbeat frames
 // while an order runs. Coordinators budget DefaultHeartbeatTimeout of
@@ -20,10 +32,11 @@ const DefaultHeartbeatInterval = 2 * time.Second
 
 // Server is the long-lived worker daemon behind `experiments -serve`:
 // it accepts coordinator connections over TCP, answers health pings,
-// and executes shard orders with the same RunFunc contract as
-// ServeWorker — streaming result frames as tasks finish, interleaved
-// with heartbeats so a coordinator can tell a long simulation from a
-// wedged host.
+// and executes shard orders through its RunFunc — streaming result
+// frames as tasks finish, interleaved with heartbeats so a coordinator
+// can tell a long simulation from a wedged host. It is the only
+// worker-side implementation of the protocol: fleet hosts and the
+// loopback daemons ProcessTransport spawns both run it.
 //
 // The daemon outlives its coordinators: a dropped connection cancels
 // only that connection's in-flight order (there is no point simulating
@@ -46,6 +59,38 @@ type Server struct {
 	start  time.Time
 	active int
 	served int64
+}
+
+// ListenAndServe is a worker daemon process's main loop: it listens on
+// addr, announces the bound address on stdout in the one line
+// ProcessTransport parses (ParseAnnounce), and serves until ctx is
+// canceled. When stdin is a pipe, it is the daemon's lifeline: EOF on
+// it — the spawning coordinator exited, however it died — shuts the
+// daemon down too. Stdin from a terminal, /dev/null or a file leaves a
+// standalone daemon serving until ctx ends.
+func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	if fi, err := os.Stdin.Stat(); err == nil && fi.Mode()&os.ModeNamedPipe != 0 {
+		// The reader blocks until the pipe closes or the process exits;
+		// a ctx shutdown leaves it parked, which costs nothing in a
+		// daemon process about to exit.
+		go func() {
+			//lint:allow errlint a read error ends the lifeline exactly like EOF; both mean the parent let go of the pipe
+			_, _ = io.Copy(io.Discard, os.Stdin)
+			s.logf("stdin closed: shutting down")
+			cancel()
+		}()
+	}
+	if _, err := fmt.Fprintf(os.Stdout, announceFormat, ln.Addr(), ProtocolVersion, max(1, s.Capacity)); err != nil {
+		ln.Close() //lint:allow errlint the announce failure is the error to report; close is failure-path cleanup
+		return err
+	}
+	return s.Serve(ctx, ln)
 }
 
 // Serve accepts and handles coordinator connections on ln until ctx is
@@ -164,7 +209,7 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 				return
 			}
 		case reqOrder:
-			if err := s.runOrder(ctx, conn, peer, order{Spec: req.Spec, Indices: req.Indices, Labels: req.Labels}); err != nil {
+			if err := s.runOrder(ctx, conn, peer, req.order); err != nil {
 				s.logf("%s: order failed: %v", peer, err)
 				return
 			}
@@ -256,8 +301,8 @@ func (s *Server) runOrder(ctx context.Context, conn net.Conn, peer string, o ord
 		return nil
 	}
 	if err := s.Run(octx, o.Spec, o.Indices, o.Labels, emit); err != nil {
-		// Best-effort: like ServeWorker, the coordinator learns the root
-		// cause from this frame if the connection still works.
+		// Best-effort: the coordinator learns the root cause from this
+		// frame if the connection still works.
 		//lint:allow errlint best-effort root-cause frame; a dead connection already surfaces as a coordinator-side failure
 		_ = write(reply{Type: msgError, Error: err.Error()})
 		return err

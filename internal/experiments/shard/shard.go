@@ -1,35 +1,36 @@
 // Package shard executes an experiment task matrix across worker
-// processes — local subprocesses or worker daemons on remote hosts. A
-// Coordinator partitions the globally enumerated task list into
-// deterministic contiguous shards, obtains one worker session per
-// shard from a pluggable Transport, and speaks a length-prefixed JSON
-// protocol with each worker:
+// daemons — loopback daemons spawned on this machine, or long-lived
+// daemons on remote hosts. A Coordinator partitions the globally
+// enumerated task list into deterministic contiguous shards, obtains
+// one worker session per shard from a pluggable Transport, and speaks
+// one length-prefixed JSON protocol with each worker daemon (Server):
 //
-//	coordinator → worker  one order{spec, indices, labels} frame
-//	worker → coordinator  a stream of result frames (one per finished
-//	                      task, in completion order), terminated by a
+//	coordinator → daemon  hello{version}, then an order{spec, indices,
+//	                      labels} request
+//	daemon → coordinator  hello{health}, then a stream of result frames
+//	                      (one per finished task, in completion order)
+//	                      interleaved with heartbeats, terminated by a
 //	                      done frame — or an error frame if a task
 //	                      fails deliberately
 //
-// Two transports ship. ProcessTransport (the default when Command is
-// set) spawns one worker subprocess per shard — typically the
-// experiments binary re-invoked in its hidden -shard-worker mode — and
-// frames over stdin/stdout. TCPTransport dials long-lived worker
-// daemons (Server, usually `experiments -serve`) across a host list,
-// prefixing the order with a hello/version handshake and interleaving
-// server heartbeats into the result stream so a wedged daemon is
-// detected within HeartbeatTimeout; Probe exposes the same handshake
-// as a health check for `-doctor`. The wire protocol is specified in
-// docs/operations.md.
+// Two transports ship. ProcessTransport spawns one daemon subprocess
+// per shard attempt — typically the experiments binary re-invoked as
+// `-serve 127.0.0.1:0` — reads its announce line, and dials it; the
+// daemon dies with its session, and with its coordinator through the
+// stdin lifeline. TCPTransport dials long-lived daemons (usually
+// `experiments -serve` on each host) across a host list. Heartbeats
+// make a wedged daemon detectable within HeartbeatTimeout on either
+// transport; Probe exposes the handshake as a health check for
+// `-doctor`. The wire protocol is specified in docs/operations.md.
 //
 // Workers stream results as they finish, so when a worker dies
 // mid-shard the coordinator keeps the delivered rows and retries just
-// the unfinished indices (bounded by Retries) — on a fresh subprocess,
-// or failing over to the next host in the fleet. Rows produced over
-// TCP record their origin (records.RunSummary.Host/Attempt);
-// subprocess rows stay provenance-free. Deliberately reported task
-// errors are not retried: the simulations are deterministic, so a
-// failing task would fail again.
+// the unfinished indices (bounded by Retries) — on a freshly spawned
+// daemon, or failing over to the next host in the fleet. Rows from
+// fleet hosts record their origin (records.RunSummary.Host/Attempt);
+// rows from spawned daemons stay provenance-free. Deliberately
+// reported task errors are not retried: the simulations are
+// deterministic, so a failing task would fail again.
 //
 // The package is deliberately ignorant of simulations — the spec is an
 // opaque JSON document the worker-side RunFunc interprets — mirroring
@@ -51,21 +52,22 @@ import (
 // it means a corrupt or misframed stream, not a plausible message.
 const maxFrame = 64 << 20
 
-// order is the single coordinator→worker message: the opaque experiment
-// spec plus the worker's assigned slice of the global task list.
+// order is one shard assignment, shipped inside a reqOrder request: the
+// opaque experiment spec plus the worker's assigned slice of the
+// global task list.
 // Indices are global positions in the coordinator's enumeration; Labels
 // carries the matching task IDs so the worker can verify it enumerated
 // the same task list before running anything.
 type order struct {
-	Spec    json.RawMessage `json:"spec"`
-	Indices []int           `json:"indices"`
-	Labels  []string        `json:"labels"`
+	Spec    json.RawMessage `json:"spec,omitempty"`
+	Indices []int           `json:"indices,omitempty"`
+	Labels  []string        `json:"labels,omitempty"`
 }
 
 // reply is one worker→coordinator message.
 type reply struct {
-	// Type is msgResult, msgError or msgDone — or, on TCP sessions only,
-	// msgHello, msgPong or msgHeartbeat.
+	// Type is msgResult, msgError or msgDone — or msgHello, msgPong or
+	// msgHeartbeat.
 	Type string `json:"type"`
 	// Index is the global task index (msgResult only).
 	Index int `json:"index"`
@@ -73,8 +75,7 @@ type reply struct {
 	Summary *records.RunSummary `json:"summary,omitempty"`
 	// Error is the worker's deliberate failure report (msgError only).
 	Error string `json:"error,omitempty"`
-	// Health is the daemon's self-description (msgHello and msgPong,
-	// TCP sessions only).
+	// Health is the daemon's self-description (msgHello and msgPong).
 	Health *Health `json:"health,omitempty"`
 }
 

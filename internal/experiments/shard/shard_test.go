@@ -18,14 +18,14 @@ import (
 	"repro/internal/records"
 )
 
-// The coordinator needs real worker subprocesses. Re-exec the test
-// binary: when SHARD_TEST_WORKER=1, TestMain serves the worker protocol
-// on stdin/stdout instead of running tests — the same trick the
-// experiments binary plays with its -shard-worker flag.
+// ProcessTransport needs real worker daemon subprocesses. Re-exec the
+// test binary: when SHARD_TEST_DAEMON=1, TestMain serves scriptedRun as
+// a loopback daemon instead of running tests — the same main loop the
+// experiments binary runs for `-serve 127.0.0.1:0`.
 func TestMain(m *testing.M) {
-	if os.Getenv("SHARD_TEST_WORKER") == "1" {
-		if err := ServeWorker(context.Background(), os.Stdin, os.Stdout, scriptedRun); err != nil {
-			fmt.Fprintln(os.Stderr, "shard test worker:", err)
+	if os.Getenv("SHARD_TEST_DAEMON") == "1" {
+		if err := (&Server{Run: scriptedRun}).ListenAndServe(context.Background(), "127.0.0.1:0"); err != nil {
+			fmt.Fprintln(os.Stderr, "shard test daemon:", err)
 			os.Exit(1)
 		}
 		os.Exit(0)
@@ -99,17 +99,18 @@ func specJSON(t *testing.T, s testSpec) json.RawMessage {
 	return raw
 }
 
-func workerCmd(t *testing.T) func(context.Context) *exec.Cmd {
+// procTransport spawns one re-exec'd test daemon per shard attempt.
+func procTransport(t *testing.T) *ProcessTransport {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return func(ctx context.Context) *exec.Cmd {
+	return &ProcessTransport{Command: func(ctx context.Context) *exec.Cmd {
 		cmd := exec.CommandContext(ctx, exe)
-		cmd.Env = append(os.Environ(), "SHARD_TEST_WORKER=1")
+		cmd.Env = append(os.Environ(), "SHARD_TEST_DAEMON=1")
 		return cmd
-	}
+	}}
 }
 
 func taskLabels(n int) []string {
@@ -124,8 +125,8 @@ func TestCoordinatorHappyPath(t *testing.T) {
 	var mu sync.Mutex
 	events := map[string]int{}
 	c := Coordinator{
-		Shards:  3,
-		Command: workerCmd(t),
+		Shards:    3,
+		Transport: procTransport(t),
 		OnProgress: func(p Progress) {
 			mu.Lock()
 			events[p.Event]++
@@ -156,11 +157,11 @@ func TestCoordinatorHappyPath(t *testing.T) {
 func TestCoordinatorSingleShardMatchesMany(t *testing.T) {
 	spec := specJSON(t, testSpec{FailAt: -1, CrashAt: -1, Scale: 3})
 	labels := taskLabels(7)
-	one, err := (&Coordinator{Shards: 1, Command: workerCmd(t)}).Run(context.Background(), "x", spec, labels)
+	one, err := (&Coordinator{Shards: 1, Transport: procTransport(t)}).Run(context.Background(), "x", spec, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := (&Coordinator{Shards: 4, Command: workerCmd(t)}).Run(context.Background(), "x", spec, labels)
+	many, err := (&Coordinator{Shards: 4, Transport: procTransport(t)}).Run(context.Background(), "x", spec, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +181,11 @@ func TestCoordinatorSingleShardMatchesMany(t *testing.T) {
 func TestCoordinatorTaskErrorFailsWithoutRetry(t *testing.T) {
 	var mu sync.Mutex
 	retries := 0
+	quiet := procTransport(t)
+	quiet.Stderr = io.Discard // the worker's own error report is expected noise
 	c := Coordinator{
-		Shards:  2,
-		Command: workerCmd(t),
-		Stderr:  io.Discard, // the worker's own error report is expected noise
+		Shards:    2,
+		Transport: quiet,
 		OnProgress: func(p Progress) {
 			mu.Lock()
 			if p.Event == "retry" {
@@ -206,8 +208,8 @@ func TestCoordinatorCrashIsRetriedOnRemainder(t *testing.T) {
 	var mu sync.Mutex
 	var retries int
 	c := Coordinator{
-		Shards:  2,
-		Command: workerCmd(t),
+		Shards:    2,
+		Transport: procTransport(t),
 		OnProgress: func(p Progress) {
 			mu.Lock()
 			if p.Event == "retry" {
@@ -242,9 +244,9 @@ func TestCoordinatorCrashIsRetriedOnRemainder(t *testing.T) {
 
 func TestCoordinatorCrashExhaustsRetries(t *testing.T) {
 	c := Coordinator{
-		Shards:  2,
-		Retries: 1,
-		Command: workerCmd(t),
+		Shards:    2,
+		Retries:   1,
+		Transport: procTransport(t),
 	}
 	// Every attempt dies before emitting anything: retries cannot help.
 	spec := specJSON(t, testSpec{FailAt: -1, CrashAt: 0})
@@ -260,7 +262,7 @@ func TestCoordinatorCrashExhaustsRetries(t *testing.T) {
 
 func TestCoordinatorCancellationKillsWorkers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	c := Coordinator{Shards: 2, Command: workerCmd(t)}
+	c := Coordinator{Shards: 2, Transport: procTransport(t)}
 	spec := specJSON(t, testSpec{FailAt: -1, CrashAt: -1, SleepMS: 5000})
 	done := make(chan error, 1)
 	go func() {
@@ -279,14 +281,14 @@ func TestCoordinatorCancellationKillsWorkers(t *testing.T) {
 	}
 }
 
-func TestCoordinatorRequiresCommand(t *testing.T) {
-	if _, err := (&Coordinator{}).Run(context.Background(), "x", nil, taskLabels(1)); err == nil {
-		t.Fatal("missing Command accepted")
+func TestCoordinatorRequiresTransport(t *testing.T) {
+	if _, err := (&Coordinator{}).Run(context.Background(), "x", nil, taskLabels(1)); err == nil || !strings.Contains(err.Error(), "Transport") {
+		t.Fatalf("missing Transport: err = %v, want rejection naming Transport", err)
 	}
 }
 
 func TestCoordinatorEmptyTaskList(t *testing.T) {
-	m, err := (&Coordinator{Command: workerCmd(t)}).Run(context.Background(), "empty", nil, nil)
+	m, err := (&Coordinator{Transport: procTransport(t)}).Run(context.Background(), "empty", nil, nil)
 	if err != nil || len(m.Runs) != 0 {
 		t.Fatalf("empty run = %v, %v", m, err)
 	}
@@ -368,16 +370,5 @@ func TestFrameLengthLimit(t *testing.T) {
 	var rep reply
 	if err := readFrame(bytes.NewReader(raw), &rep); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized frame read = %v, want limit error", err)
-	}
-}
-
-func TestServeWorkerRejectsMalformedOrder(t *testing.T) {
-	var in, out bytes.Buffer
-	if err := writeFrame(&in, order{Indices: []int{0, 1}, Labels: []string{"only-one"}}); err != nil {
-		t.Fatal(err)
-	}
-	err := ServeWorker(context.Background(), &in, &out, scriptedRun)
-	if err == nil || !strings.Contains(err.Error(), "labels") {
-		t.Fatalf("err = %v, want label/index mismatch", err)
 	}
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -30,19 +29,16 @@ const (
 	DefaultHeartbeatTimeout = 10 * time.Second
 )
 
-// request is one coordinator→daemon message on a TCP session. The
-// subprocess transport predates it and still ships a bare order frame;
-// over TCP every client frame is typed so the daemon can multiplex
-// handshakes, health probes and work on one protocol.
+// request is one coordinator→daemon message. Every client frame is
+// typed so the daemon can multiplex handshakes, health probes and work
+// on one protocol.
 type request struct {
 	// Type is reqHello, reqPing or reqOrder.
 	Type string `json:"type"`
 	// Version is the client's ProtocolVersion (hello only).
 	Version int `json:"version,omitempty"`
-	// Spec, Indices and Labels mirror order (order only).
-	Spec    json.RawMessage `json:"spec,omitempty"`
-	Indices []int           `json:"indices,omitempty"`
-	Labels  []string        `json:"labels,omitempty"`
+	// order is the assignment (order only), its fields inlined.
+	order
 }
 
 const (
@@ -51,8 +47,8 @@ const (
 	reqOrder = "order"
 )
 
-// Daemon→coordinator frame types beyond the worker set
-// (result/error/done), TCP sessions only.
+// Daemon→coordinator frame types beyond the order replies
+// (result/error/done).
 const (
 	// msgHello acknowledges the handshake and carries a Health snapshot.
 	msgHello = "hello"
@@ -185,7 +181,7 @@ func (s *tcpSession) sendOrder(o order) error {
 	if err := s.conn.SetWriteDeadline(time.Now().Add(s.hbTimeout)); err != nil {
 		return err
 	}
-	err := writeFrame(s.conn, request{Type: reqOrder, Spec: o.Spec, Indices: o.Indices, Labels: o.Labels})
+	err := writeFrame(s.conn, request{Type: reqOrder, order: o})
 	if err != nil {
 		return err
 	}

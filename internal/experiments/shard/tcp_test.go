@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,9 +55,9 @@ func deadAddr(t *testing.T) string {
 }
 
 // TestTCPMatchesProcessTransport is the transport-equivalence gate at
-// the shard layer: the same spec over two TCP daemons produces exactly
-// the rows a subprocess run produces, plus provenance — and nothing
-// else may differ.
+// the shard layer: the same spec over two fleet daemons produces
+// exactly the rows a run on spawned loopback daemons produces, plus
+// provenance — and nothing else may differ.
 func TestTCPMatchesProcessTransport(t *testing.T) {
 	addr1, _ := startTestServer(t, &Server{Run: scriptedRun})
 	addr2, _ := startTestServer(t, &Server{Run: scriptedRun})
@@ -70,7 +71,7 @@ func TestTCPMatchesProcessTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := (&Coordinator{Shards: 2, Command: workerCmd(t)}).Run(context.Background(), "eq", spec, labels)
+	local, err := (&Coordinator{Shards: 2, Transport: procTransport(t)}).Run(context.Background(), "eq", spec, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,5 +502,38 @@ func TestCoordinatorCancellationReachesTCP(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancellation did not reach the TCP session")
+	}
+}
+
+// TestServerRejectsMalformedOrder: an order whose labels and indices
+// disagree in length is refused with an error frame before anything
+// runs, and the daemon keeps serving.
+func TestServerRejectsMalformedOrder(t *testing.T) {
+	var ran atomic.Bool
+	srv := &Server{Run: func(ctx context.Context, raw []byte, indices []int, labels []string, emit func(int, records.RunSummary) error) error {
+		ran.Store(true)
+		return nil
+	}}
+	addr, _ := startTestServer(t, srv)
+	sess, _, err := dialWorker(context.Background(), addr, time.Second, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.close()
+	if err := sess.sendOrder(order{Indices: []int{0, 1}, Labels: []string{"only-one"}}); err != nil {
+		t.Fatal(err)
+	}
+	var rep reply
+	if err := sess.recv(&rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Type != msgError || !strings.Contains(rep.Error, "2 indices") {
+		t.Fatalf("reply = %+v, want an error frame naming the label/index mismatch", rep)
+	}
+	if ran.Load() {
+		t.Fatal("malformed order reached the RunFunc")
+	}
+	if _, err := Probe(context.Background(), addr, time.Second); err != nil {
+		t.Fatalf("daemon stopped serving after a malformed order: %v", err)
 	}
 }

@@ -79,25 +79,24 @@ func (s ShardSpec) caseStudy() *CaseStudy {
 	}
 }
 
-// Fault-injection hooks for the shard worker, used by the fault
+// Fault-injection hooks for the worker daemon, used by the fault
 // tolerance tests (and usable against a real run to rehearse failure
-// semantics). Both make the worker process kill itself after streaming
-// its first result — mid-shard, so the coordinator sees a crashed
+// semantics). Both make the daemon kill itself after streaming an
+// order's first result — mid-shard, so the coordinator sees a crashed
 // worker with the shard only partially delivered:
 //
-//	EXPERIMENTS_SHARD_CRASH_ONCE=<path>  only the first worker process
-//	                                     to create <path> crashes;
-//	                                     respawned workers find the
-//	                                     file and run clean.
-//	EXPERIMENTS_SHARD_CRASH_ALWAYS=1     every worker crashes, so
+//	EXPERIMENTS_SHARD_CRASH_ONCE=<path>  only the first order to create
+//	                                     <path> crashes; later orders
+//	                                     find the file and run clean.
+//	EXPERIMENTS_SHARD_CRASH_ALWAYS=1     every order crashes, so
 //	                                     retries are exhausted.
 const (
 	crashOnceEnv   = "EXPERIMENTS_SHARD_CRASH_ONCE"
 	crashAlwaysEnv = "EXPERIMENTS_SHARD_CRASH_ALWAYS"
 )
 
-// crashArmed reports whether this worker process should self-kill
-// after its first emitted result.
+// crashArmed reports whether this daemon should self-kill after the
+// current order's first emitted result.
 func crashArmed() bool {
 	if os.Getenv(crashAlwaysEnv) == "1" {
 		return true
@@ -113,23 +112,21 @@ func crashArmed() bool {
 	return false
 }
 
-// ServeShardWorker runs the worker half of the shard protocol on r/w —
-// stdin/stdout when the experiments binary is re-invoked with
-// -shard-worker. It decodes the ShardSpec, re-enumerates the task
-// matrix, verifies the coordinator's labels against its own enumeration
-// (a mismatch means the two processes disagree about the experiment and
-// nothing may run), trains the rlbase policy once iff its assigned
-// subset contains an rlbase task, and streams one manifest row per
-// finished task.
-func ServeShardWorker(ctx context.Context, r io.Reader, w io.Writer) error {
-	return shard.ServeWorker(ctx, r, w, shardRunFunc)
+// ShardServer returns the experiments worker daemon behind
+// `experiments -serve`, which every Sharded and Remote run talks to.
+// capacity is the advertised per-order pool size reported to -doctor
+// probes; logf (nil for silent) receives one line per connection
+// event.
+func ShardServer(capacity int, logf func(format string, args ...any)) *shard.Server {
+	return &shard.Server{Run: shardRunFunc, Capacity: capacity, Logf: logf}
 }
 
-// shardRunFunc is the worker-side task engine shared by every
-// transport: the subprocess worker (ServeShardWorker) and the TCP
-// daemon (ServeShardDaemon) both hand orders to this one function, so
-// a task produces the same manifest row no matter which wire carried
-// its order.
+// shardRunFunc is the worker-side task engine: it decodes the
+// ShardSpec, re-enumerates the task matrix, verifies the coordinator's
+// labels against its own enumeration (a mismatch means the two
+// processes disagree about the experiment and nothing may run), trains
+// the rlbase policy once iff its assigned subset contains an rlbase
+// task, and streams one manifest row per finished task.
 func shardRunFunc(ctx context.Context, raw []byte, indices []int, labels []string, emit func(int, records.RunSummary) error) error {
 	var spec ShardSpec
 	if err := json.Unmarshal(raw, &spec); err != nil {
@@ -201,8 +198,8 @@ func shardRunFunc(ctx context.Context, raw []byte, indices []int, labels []strin
 
 // ShardOptions configures the Sharded executor. The knobs shared with
 // in-process execution (Workers, Retries, OnProgress) live in the
-// embedded ExecOptions; here Workers sizes each worker process's
-// internal pool (<= 1 runs a worker's tasks sequentially — the usual
+// embedded ExecOptions; here Workers sizes each worker daemon's
+// per-order pool (<= 1 runs a worker's tasks sequentially — the usual
 // choice, since parallelism comes from the process fan-out) and
 // OnProgress receives one callback per finished task, translated from
 // coordinator result events.
@@ -210,10 +207,11 @@ type ShardOptions struct {
 	ExecOptions
 	// Shards is the worker process count; <= 0 means 1.
 	Shards int
-	// Command returns a fresh worker process command. Nil re-invokes
-	// the current executable with -shard-worker, which is correct for
-	// the experiments binary and any binary that wires that flag to
-	// ServeShardWorker.
+	// Command returns a fresh worker daemon command, one per shard
+	// attempt. Nil re-invokes the current executable with
+	// `-serve 127.0.0.1:0`, which is correct for the experiments binary
+	// and any binary that wires that flag to ShardServer's
+	// ListenAndServe.
 	Command func(ctx context.Context) *exec.Cmd
 	// OnEvent, if set, receives raw coordinator lifecycle events
 	// (spawn/result/retry/done) beyond the per-task OnProgress stream.
@@ -231,19 +229,20 @@ func (o ShardOptions) command() func(ctx context.Context) *exec.Cmd {
 		if err != nil {
 			exe = os.Args[0]
 		}
-		return exec.CommandContext(ctx, exe, "-shard-worker")
+		return exec.CommandContext(ctx, exe, "-serve", "127.0.0.1:0")
 	}
 }
 
-// Sharded executes a task matrix across worker OS processes through
-// the shard coordinator and returns the merged manifest in global task
-// order. The zero value re-invokes the current executable with
-// -shard-worker on a single shard; set Options.Shards to fan out. The
-// merge fails loudly if crash retries ever produced a duplicate or
-// dropped a task, so a returned manifest is complete by construction.
-// Results are bit-identical to the in-process executors (wall times
-// aside): workers rebuild the exact per-task snapshots from the
-// ShardSpec's seeds through the same TaskMatrix enumeration.
+// Sharded executes a task matrix through the shard coordinator on
+// worker daemons it spawns on loopback, one per shard attempt, and
+// returns the merged manifest in global task order. The zero value
+// re-invokes the current executable with `-serve 127.0.0.1:0` on a
+// single shard; set Options.Shards to fan out. The merge fails loudly
+// if crash retries ever produced a duplicate or dropped a task, so a
+// returned manifest is complete by construction. Results are
+// bit-identical to the in-process executors (wall times aside):
+// workers rebuild the exact per-task snapshots from the ShardSpec's
+// seeds through the same TaskMatrix enumeration.
 type Sharded struct {
 	Options ShardOptions
 }
@@ -254,28 +253,20 @@ func (Sharded) Name() string { return "sharded" }
 // Execute implements Executor.
 func (e Sharded) Execute(ctx context.Context, cs *CaseStudy, m TaskMatrix) (*records.RunManifest, error) {
 	opt := e.Options
-	spec, labels, err := cs.shardPayload(m, opt.Workers)
-	if err != nil {
-		return nil, err
-	}
-	coord := shard.Coordinator{
-		Shards:          opt.Shards,
-		Retries:         opt.Retries,
-		Command:         opt.command(),
-		PerShardWorkers: opt.Workers,
-		OnProgress:      coordinatorProgress(opt.ExecOptions, opt.OnEvent),
-		Stderr:          opt.Stderr,
-	}
-	return coord.Run(ctx, m.Label(), spec, labels)
+	t := &shard.ProcessTransport{Command: opt.command(), Stderr: opt.Stderr}
+	return cs.runOnDaemons(ctx, m, opt.ExecOptions, opt.Shards, t, opt.OnEvent)
 }
 
-// shardPayload validates a matrix for out-of-process execution and
-// serializes its portable spec — the checks and encoding shared by the
-// Sharded (subprocess) and Remote (TCP) executors.
-func (cs *CaseStudy) shardPayload(m TaskMatrix, workers int) (json.RawMessage, []string, error) {
+// runOnDaemons is the one execution path behind Sharded and Remote,
+// which differ only in the transport: it validates the matrix for
+// out-of-process execution, serializes its portable spec, and runs it
+// through the shard coordinator. onEvent receives raw coordinator
+// events; opt.OnProgress gets one callback per result event, with wall
+// time left zero because it is spent in the worker, not here.
+func (cs *CaseStudy) runOnDaemons(ctx context.Context, m TaskMatrix, opt ExecOptions, shards int, t shard.Transport, onEvent func(shard.Progress)) (*records.RunManifest, error) {
 	labels, err := m.TaskLabels()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// An injected policy (UseTrainedPolicy) never reaches worker
 	// processes — they retrain from PPO.Seed — so running rlbase tasks
@@ -283,7 +274,7 @@ func (cs *CaseStudy) shardPayload(m TaskMatrix, workers int) (json.RawMessage, [
 	if cs.injected {
 		for _, mode := range m.modes() {
 			if policy.NeedsModel(mode) {
-				return nil, nil, fmt.Errorf("experiments: sharded execution cannot use a policy injected via UseTrainedPolicy; workers retrain from the serialized config (train in-process instead, or drop rlbase from the matrix)")
+				return nil, fmt.Errorf("experiments: sharded execution cannot use a policy injected via UseTrainedPolicy; workers retrain from the serialized config (train in-process instead, or drop rlbase from the matrix)")
 			}
 		}
 	}
@@ -293,31 +284,24 @@ func (cs *CaseStudy) shardPayload(m TaskMatrix, workers int) (json.RawMessage, [
 	seen := make(map[string]bool, len(labels))
 	for _, l := range labels {
 		if seen[l] {
-			return nil, nil, fmt.Errorf("experiments: task matrix enumerates %q twice; sharded runs need unique task IDs", l)
+			return nil, fmt.Errorf("experiments: task matrix enumerates %q twice; sharded runs need unique task IDs", l)
 		}
 		seen[l] = true
 	}
-	spec, err := json.Marshal(cs.shardSpec(m, workers))
+	spec, err := json.Marshal(cs.shardSpec(m, opt.Workers))
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: encoding shard spec: %w", err)
+		return nil, fmt.Errorf("experiments: encoding shard spec: %w", err)
 	}
-	return spec, labels, nil
-}
-
-// coordinatorProgress adapts coordinator lifecycle events to the two
-// callback streams executors expose: the raw OnEvent feed, and the
-// shared per-task OnProgress stream fed from result events. Wall time
-// stays zero in the latter: it is spent in the worker, not here.
-func coordinatorProgress(opt ExecOptions, onEvent func(shard.Progress)) func(shard.Progress) {
-	if onEvent == nil && opt.OnProgress == nil {
-		return nil
-	}
-	return func(p shard.Progress) {
-		if onEvent != nil {
-			onEvent(p)
-		}
-		if opt.OnProgress != nil && p.Event == "result" {
-			opt.OnProgress(runner.Progress{Index: p.Index, Label: p.Label, Done: p.Done, Total: p.Total})
+	coord := shard.Coordinator{Shards: shards, Retries: opt.Retries, Transport: t, PerShardWorkers: opt.Workers}
+	if onEvent != nil || opt.OnProgress != nil {
+		coord.OnProgress = func(p shard.Progress) {
+			if onEvent != nil {
+				onEvent(p)
+			}
+			if opt.OnProgress != nil && p.Event == "result" {
+				opt.OnProgress(runner.Progress{Index: p.Index, Label: p.Label, Done: p.Done, Total: p.Total})
+			}
 		}
 	}
+	return coord.Run(ctx, m.Label(), spec, labels)
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,48 +17,40 @@ import (
 	"repro/internal/rl"
 )
 
-// The Sharded executor spawns worker OS processes. Re-exec this test
-// binary: with REPRO_SHARD_WORKER=1 it serves the worker protocol on
-// stdin/stdout instead of running tests — exactly what the experiments
-// binary does for -shard-worker.
+// Worker daemons are OS processes. Re-exec this test binary: with
+// REPRO_SHARD_DAEMON=1 it becomes a worker daemon on an ephemeral
+// loopback port, announcing its address on stdout — the test-side twin
+// of `experiments -serve 127.0.0.1:0`, and what Sharded spawns here.
+// With REPRO_SHARD_COORDINATOR=1 it runs a slow Sharded order on such
+// daemons instead, for the lifetime tests to kill.
 func TestMain(m *testing.M) {
-	if os.Getenv("REPRO_SHARD_WORKER") == "1" {
-		if err := ServeShardWorker(context.Background(), os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "shard worker:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	// With REPRO_SHARD_DAEMON=1 the binary becomes a TCP worker daemon on
-	// an ephemeral port, announcing its address on stdout — the test-side
-	// twin of `experiments -serve`.
-	if os.Getenv("REPRO_SHARD_DAEMON") == "1" {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "shard daemon:", err)
-			os.Exit(1)
-		}
-		fmt.Println(ln.Addr())
-		if err := ServeShardDaemon(context.Background(), ln, 0, nil); err != nil {
+	switch {
+	case os.Getenv("REPRO_SHARD_DAEMON") == "1":
+		if err := ShardServer(0, nil).ListenAndServe(context.Background(), "127.0.0.1:0"); err != nil {
 			fmt.Fprintln(os.Stderr, "shard daemon:", err)
 			os.Exit(1)
 		}
 		os.Exit(0)
+	case os.Getenv("REPRO_SHARD_COORDINATOR") == "1":
+		runSlowCoordinator()
 	}
 	os.Exit(m.Run())
 }
 
-func selfWorker(t *testing.T, extraEnv ...string) func(context.Context) *exec.Cmd {
-	t.Helper()
+// daemonCmd re-execs the test binary as a worker daemon (see TestMain).
+func daemonCmd(ctx context.Context, extraEnv ...string) *exec.Cmd {
 	exe, err := os.Executable()
 	if err != nil {
-		t.Fatal(err)
+		exe = os.Args[0]
 	}
-	return func(ctx context.Context) *exec.Cmd {
-		cmd := exec.CommandContext(ctx, exe)
-		cmd.Env = append(os.Environ(), append([]string{"REPRO_SHARD_WORKER=1"}, extraEnv...)...)
-		return cmd
-	}
+	cmd := exec.CommandContext(ctx, exe)
+	cmd.Env = append(os.Environ(), append([]string{"REPRO_SHARD_DAEMON=1"}, extraEnv...)...)
+	return cmd
+}
+
+func selfWorker(t *testing.T, extraEnv ...string) func(context.Context) *exec.Cmd {
+	t.Helper()
+	return func(ctx context.Context) *exec.Cmd { return daemonCmd(ctx, extraEnv...) }
 }
 
 // inProcess runs a matrix on a fresh 30-job small case through the

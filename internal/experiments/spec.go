@@ -65,7 +65,7 @@ type Spec struct {
 	// execution: the CLI's -hosts flag overrides it, otherwise a
 	// non-empty list makes the CLI run the spec on the Remote executor
 	// against these daemons. Library callers configure RemoteOptions
-	// directly; in-process and subprocess executors ignore it. Results
+	// directly; the in-process and Sharded executors ignore it. Results
 	// are unaffected either way — hosts say where tasks run, never what
 	// they compute.
 	Hosts []string `json:"hosts,omitempty"`
@@ -115,7 +115,8 @@ func (s *Spec) WriteJSON(w io.Writer) error {
 
 // Validate checks the spec without running anything: the scenario must
 // be registered, every matrix must expand, every override must be
-// sane, and task IDs must be unique across the whole spec. A valid
+// sane, the total task count must stay within MaxTasks, and task IDs
+// must be unique across the whole spec. A valid
 // spec is executable by construction — executors re-derive the same
 // expansions.
 func (s *Spec) Validate() error {
@@ -148,8 +149,16 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("experiments: spec host %q is not host:port: %w", h, err)
 		}
 	}
-	seen := make(map[string]bool)
-	for i, m := range s.runMatrices() {
+	matrices := s.runMatrices()
+	total := 0
+	for _, m := range matrices {
+		total += m.taskCount()
+	}
+	if total > MaxTasks {
+		return fmt.Errorf("experiments: spec expands to more than MaxTasks (%d) tasks", MaxTasks)
+	}
+	seen := make(map[string]bool, total)
+	for i, m := range matrices {
 		specs, err := m.specs()
 		if err != nil {
 			return fmt.Errorf("experiments: spec matrix %d: %w", i, err)

@@ -139,6 +139,12 @@ func TestSpecValidate(t *testing.T) {
 			{Kind: "modes", Modes: []string{"speed"}},
 			{Kind: "modes", Modes: []string{"speed"}},
 		}}, "twice"},
+		{"matrix above max tasks", Spec{ReplicationSeeds: make([]int64, 400), Matrices: []TaskMatrix{
+			{Kind: "phi-sweep", Mode: "speed", Values: make([]float64, 300)},
+		}}, "MaxTasks"},
+		{"spec above max tasks", Spec{Replications: MaxReplications, Matrices: []TaskMatrix{
+			{Kind: "modes"}, {Kind: "modes"}, {Kind: "modes"},
+		}}, "spec expands to more than MaxTasks"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
