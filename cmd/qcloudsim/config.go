@@ -15,19 +15,20 @@ import (
 
 // configFile is the schema of a -config file: the paper's
 // Configurations Layer (§3), which describes the devices, workload,
-// policy and model constants of one batch run as data. Devices decode
-// into device.Spec, the synthetic workload into job.SyntheticConfig and
-// the model block into core.Config. docs/operations.md documents the
-// schema.
+// policy and model constants of one run as data. Devices decode into
+// device.Spec, the synthetic workload into job.SyntheticConfig and the
+// model block into core.Config. A batch run needs the workload block; a
+// -serve broker ingests its jobs from the stream and refuses one.
+// docs/operations.md documents the schema.
 type configFile struct {
 	Devices  []device.Spec `json:"devices"`
-	Workload struct {
+	Workload *struct {
 		// Source is "synthetic", "csv", or "json".
 		Source string `json:"source"`
 		// Path locates the workload file for csv/json sources.
 		Path      string               `json:"path,omitempty"`
 		Synthetic *job.SyntheticConfig `json:"synthetic,omitempty"`
-	} `json:"workload"`
+	} `json:"workload,omitempty"`
 	// Policy names any registered allocation policy (policy.Names()).
 	Policy string `json:"policy"`
 	// RLModelPath locates the trained model of a model-requiring policy
@@ -37,11 +38,12 @@ type configFile struct {
 	Model       core.Config `json:"model"`
 }
 
-// loadConfig decodes and checks a -config file. Unknown fields and
-// trailing content are errors. It reads no other file and builds no
-// device: the fleet's coupling maps are built once, by BuildFleet, and
-// the model constants are checked where the simulation is assembled.
-func loadConfig(r io.Reader) (*configFile, error) {
+// loadConfig decodes and checks a -config file for a batch run, or for
+// a -serve broker when serve is set. Unknown fields and trailing
+// content are errors. It reads no other file and builds no device: the
+// fleet's coupling maps are built once, by BuildFleet, and the model
+// constants are checked where the simulation is assembled.
+func loadConfig(r io.Reader, serve bool) (*configFile, error) {
 	var c configFile
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -54,17 +56,33 @@ func loadConfig(r io.Reader) (*configFile, error) {
 	if err := device.ValidateFleet(c.Devices); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
 	}
-	switch w := c.Workload; w.Source {
-	case "synthetic":
-		if w.Synthetic == nil {
-			return nil, fmt.Errorf("config: synthetic workload needs a synthetic block")
+	if serve {
+		if c.Workload != nil {
+			return nil, fmt.Errorf("config: -serve ingests jobs from the stream; drop the workload block")
 		}
-	case "csv", "json":
-		if w.Path == "" {
-			return nil, fmt.Errorf("config: %s workload needs a path", w.Source)
+		for _, d := range c.Devices {
+			// A strict device on a sparse topology can fail a reservation
+			// its policy thought feasible, which panics the broker.
+			if d.StrictTopology && d.Topology != "complete" {
+				return nil, fmt.Errorf("config: device %q: -serve refuses strict_topology on a %q topology until the ROADMAP item %q lands",
+					d.Name, d.Topology, "A broker that no policy or topology can panic")
+			}
 		}
-	default:
-		return nil, fmt.Errorf("config: unknown workload source %q", w.Source)
+	} else if w := c.Workload; w == nil {
+		return nil, fmt.Errorf("config: a batch run needs a workload block")
+	} else {
+		switch w.Source {
+		case "synthetic":
+			if w.Synthetic == nil {
+				return nil, fmt.Errorf("config: synthetic workload needs a synthetic block")
+			}
+		case "csv", "json":
+			if w.Path == "" {
+				return nil, fmt.Errorf("config: %s workload needs a path", w.Source)
+			}
+		default:
+			return nil, fmt.Errorf("config: unknown workload source %q", w.Source)
+		}
 	}
 	if !policy.Registered(c.Policy) {
 		return nil, fmt.Errorf("config: unknown policy %q (registered: %v)", c.Policy, policy.Names())
@@ -75,28 +93,26 @@ func loadConfig(r io.Reader) (*configFile, error) {
 	return &c, nil
 }
 
-// loadConfigFile loads the -config file at path into a batch run.
-// Relative workload and model paths resolve against the file's
-// directory.
-func loadConfigFile(path string) (batch, error) {
+// loadConfigFile loads the -config file at path into a run, without a
+// workload under -serve. Relative workload and model paths resolve
+// against the file's directory.
+func loadConfigFile(path string, serve bool) (batch, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return batch{}, fmt.Errorf("config: %w", err)
 	}
 	defer f.Close() //lint:allow errlint close of a read-only config file cannot lose data
-	c, err := loadConfig(f)
+	c, err := loadConfig(f, serve)
 	if err != nil {
 		return batch{}, err
 	}
 	dir := filepath.Dir(path)
-	b := batch{
-		devices: c.Devices,
-		policy:  c.Policy,
-		rlSeed:  c.RLSeed,
-		cfg:     c.Model,
-	}
+	b := batch{cloud: cloud{devices: c.Devices, policy: c.Policy, rlSeed: c.RLSeed, cfg: c.Model}}
 	if c.RLModelPath != "" {
 		b.rlModel = resolve(dir, c.RLModelPath)
+	}
+	if c.Workload == nil {
+		return b, nil
 	}
 	switch c.Workload.Source {
 	case "synthetic":

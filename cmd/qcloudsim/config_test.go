@@ -5,6 +5,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/policy"
+	"repro/internal/sim"
 )
 
 // exampleSpec returns the config-driven example's -config file.
@@ -83,7 +87,7 @@ func TestConfigRejected(t *testing.T) {
 }
 
 func TestLoadValidSpec(t *testing.T) {
-	c, err := loadConfig(strings.NewReader(exampleSpec(t)))
+	c, err := loadConfig(strings.NewReader(exampleSpec(t)), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +106,7 @@ func TestLoadValidSpec(t *testing.T) {
 func TestLoadConfigModelDrift(t *testing.T) {
 	spec := strings.Replace(exampleSpec(t), `"lambda": 0.02}`,
 		`"lambda": 0.02, "backfill": true, "drift": {"interval_s": 900, "rel": 0.2, "seed": 5}}`, 1)
-	c, err := loadConfig(strings.NewReader(spec))
+	c, err := loadConfig(strings.NewReader(spec), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +129,11 @@ func TestLoadConfigModelDrift(t *testing.T) {
 func TestLoadConfigRejectsTrailingContent(t *testing.T) {
 	valid := exampleSpec(t)
 	for _, tail := range []string{"{}", `{"policy": "speed"}`, "x", "]"} {
-		if _, err := loadConfig(strings.NewReader(valid + tail)); err == nil || !strings.Contains(err.Error(), "trailing content") {
+		if _, err := loadConfig(strings.NewReader(valid+tail), false); err == nil || !strings.Contains(err.Error(), "trailing content") {
 			t.Errorf("trailing %q: error %v", tail, err)
 		}
 	}
-	if _, err := loadConfig(strings.NewReader(valid + "\n\t \n")); err != nil {
+	if _, err := loadConfig(strings.NewReader(valid+"\n\t \n"), false); err != nil {
 		t.Errorf("trailing whitespace refused: %v", err)
 	}
 }
@@ -144,7 +148,7 @@ func TestCSVWorkloadSourceWithRelativePath(t *testing.T) {
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	b, err := loadConfigFile(path)
+	b, err := loadConfigFile(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +164,7 @@ func TestCSVWorkloadSourceWithRelativePath(t *testing.T) {
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if b, err = loadConfigFile(path); err != nil {
+	if b, err = loadConfigFile(path, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.workload(); err == nil {
@@ -176,10 +180,10 @@ func TestCSVWorkloadSourceWithRelativePath(t *testing.T) {
 }
 
 func TestLoadConfigFile(t *testing.T) {
-	if _, err := loadConfigFile("../../examples/configdriven/spec.json"); err != nil {
+	if _, err := loadConfigFile("../../examples/configdriven/spec.json", false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadConfigFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := loadConfigFile(filepath.Join(t.TempDir(), "missing.json"), false); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -187,6 +191,10 @@ func TestLoadConfigFile(t *testing.T) {
 // Every registered policy builds by name, on the flag path and the
 // -config path alike; rlbase loads its model.
 func TestBuildPolicyVariants(t *testing.T) {
+	newPolicy := func(name, rlModel string, rlSeed int64, phi float64) (policy.Policy, error) {
+		_, pol, err := cloud{policy: name, rlModel: rlModel, rlSeed: rlSeed, cfg: core.Config{Phi: phi}}.build(sim.NewEnvironment())
+		return pol, err
+	}
 	for _, name := range []string{"speed", "fair", "fidelity", "speed-proportional", "fair-proportional", "oracle"} {
 		p, err := newPolicy(name, "", 0, 0.9)
 		if err != nil {

@@ -9,10 +9,10 @@ import (
 	"testing"
 )
 
-// FuzzLoadConfig feeds arbitrary bytes to the -config loader. Loading
-// and validation must never panic, and, since they build no device,
-// must stay cheap whatever sizes a file claims. Every accepted file is
-// a fixed point of encode → load.
+// FuzzLoadConfig feeds arbitrary bytes to the -config loader, for a
+// batch run and for -serve. Loading and validation must never panic,
+// and, since they build no device, must stay cheap whatever sizes a
+// file claims. Every accepted file is a fixed point of encode → load.
 func FuzzLoadConfig(f *testing.F) {
 	seeds, err := filepath.Glob("testdata/*.json")
 	if err != nil {
@@ -30,20 +30,22 @@ func FuzzLoadConfig(f *testing.F) {
 	  "workload": {"source": "synthetic", "synthetic": {"n": 1000000000}},
 	  "policy": "speed", "model": {"m": 1, "k": 1, "phi": 1, "lambda": 0}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := loadConfig(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		again, err := json.Marshal(c)
-		if err != nil {
-			t.Fatalf("encoding an accepted config: %v", err)
-		}
-		c2, err := loadConfig(bytes.NewReader(again))
-		if err != nil {
-			t.Fatalf("re-encoded config refused: %v\n%s", err, again)
-		}
-		if !reflect.DeepEqual(c, c2) {
-			t.Fatalf("config changed across encode → load:\n%+v\n%+v", c, c2)
+		for _, serve := range []bool{false, true} {
+			c, err := loadConfig(bytes.NewReader(data), serve)
+			if err != nil {
+				continue
+			}
+			again, err := json.Marshal(c)
+			if err != nil {
+				t.Fatalf("encoding an accepted config: %v", err)
+			}
+			c2, err := loadConfig(bytes.NewReader(again), serve)
+			if err != nil {
+				t.Fatalf("re-encoded config refused (serve %v): %v\n%s", serve, err, again)
+			}
+			if !reflect.DeepEqual(c, c2) {
+				t.Fatalf("config changed across encode → load (serve %v):\n%+v\n%+v", serve, c, c2)
+			}
 		}
 	})
 }

@@ -3,14 +3,15 @@
 // applies the chosen allocation policy, and prints the Table 2 metrics
 // plus per-device load shares. A -config JSON file (the paper's
 // Configurations Layer; see docs/operations.md) describes the fleet,
-// workload, policy and model constants instead of the flags; both run
-// the same batch path.
+// workload, policy and model constants instead of the flags; both are
+// assembled by the same code.
 //
-// With -serve it instead runs as a long-lived broker service: jobs
-// arrive as line-delimited JSON (stdin, or TCP with -listen), enter the
-// live discrete-event core as they arrive, and lifecycle records stream
-// to stdout while rolling-window metrics stream to stderr. See
-// docs/operations.md, "Broker mode".
+// With -serve it instead runs as a long-lived broker service over the
+// same fleet, policy and model (flags, or a -config file without its
+// workload block): jobs arrive as line-delimited JSON (stdin, or TCP
+// with -listen), enter the live discrete-event core as they arrive, and
+// lifecycle records stream to stdout while rolling-window metrics
+// stream to stderr. See docs/operations.md, "Broker mode".
 //
 // Examples:
 //
@@ -32,6 +33,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -54,11 +56,11 @@ func main() {
 
 func run() (err error) {
 	var (
-		configPath   = flag.String("config", "", "JSON batch simulation spec: fleet, workload, policy and model (Configurations Layer; replaces their flags)")
+		configPath   = flag.String("config", "", "JSON run spec: fleet, policy, model and (batch only) workload (Configurations Layer; replaces their flags)")
 		polName      = flag.String("policy", "speed", "allocation policy: "+strings.Join(policy.Names(), "|"))
 		jobsPath     = flag.String("jobs", "", "CSV or JSON workload file (default: synthetic)")
 		n            = flag.Int("n", 1000, "synthetic workload size")
-		seed         = flag.Int64("seed", 1, "synthetic workload seed")
+		seed         = flag.Int64("seed", 1, "synthetic workload and drift-walk seed")
 		fleetSeed    = flag.Int64("fleet-seed", 2025, "calibration snapshot seed")
 		interarrival = flag.Float64("interarrival", 60, "mean inter-arrival time (s)")
 		mConst       = flag.Int("m", 10, "Eq.3 circuit-template constant M")
@@ -110,49 +112,15 @@ func run() (err error) {
 	}
 	defer func() { err = errors.Join(err, stopProfiles()) }()
 
-	cfg := core.Config{M: *mConst, K: *kConst, Phi: *phi, Lambda: *lambda, Backfill: *backfill}
-
-	if *serve {
-		pol, err := newPolicy(*polName, *rlModel, *rlSeed, cfg.Phi)
-		if err != nil {
-			return err
-		}
-		inj, err := buildInjector(*faultPlan, *supervise, os.Stderr)
-		if err != nil {
-			return err
-		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		opts := serveOptions{
-			pol:             pol,
-			cfg:             cfg,
-			fleetSeed:       *fleetSeed,
-			listen:          *listen,
-			httpAddr:        *httpAddr,
-			admit:           admissionConfig(*admitPolicy, *admitMaxQueue, *admitTenantQuota, *admitRetryAfter, *admitRate, *admitBurst),
-			timeScale:       *timeScale,
-			window:          *window,
-			metricsEvery:    *metricsEvery,
-			checkpointPath:  *checkpointPath,
-			checkpointEvery: *checkpointEvery,
-			resume:          *resume,
-			export:          *export,
-			inj:             inj,
-		}
-		if *supervise {
-			return runSupervised(ctx, opts, inj, os.Stdin, os.Stdout, os.Stderr)
-		}
-		return runServe(ctx, opts, os.Stdin, os.Stdout, os.Stderr)
-	}
-
 	var b batch
 	if *configPath != "" {
-		if b, err = loadConfigFile(*configPath); err != nil {
+		if b, err = loadConfigFile(*configPath, *serve); err != nil {
 			return err
 		}
 	} else {
-		cfg.Drift = core.DriftConfig{IntervalS: *driftEvery, Rel: *driftMag, Seed: *seed}
-		b = batch{fleetSeed: *fleetSeed, policy: *polName, rlModel: *rlModel, rlSeed: *rlSeed, cfg: cfg}
+		b.cloud = cloud{fleetSeed: *fleetSeed, policy: *polName, rlModel: *rlModel, rlSeed: *rlSeed,
+			cfg: core.Config{M: *mConst, K: *kConst, Phi: *phi, Lambda: *lambda, Backfill: *backfill,
+				Drift: core.DriftConfig{IntervalS: *driftEvery, Rel: *driftMag, Seed: *seed}}}
 		if path := *jobsPath; path != "" {
 			b.workload = func() ([]*job.QJob, error) { return job.LoadFile(path) }
 		} else {
@@ -161,17 +129,42 @@ func run() (err error) {
 			b.workload = func() ([]*job.QJob, error) { return job.Synthetic(sc) }
 		}
 	}
-	return b.run(*export, *verbose)
+	if !*serve {
+		return b.run(*export, *verbose)
+	}
+	inj, err := buildInjector(*faultPlan, *supervise, os.Stderr)
+	if err != nil {
+		return err
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	opts := serveOptions{
+		cloud:           b.cloud,
+		listen:          *listen,
+		httpAddr:        *httpAddr,
+		admit:           admissionConfig(*admitPolicy, *admitMaxQueue, *admitTenantQuota, *admitRetryAfter, *admitRate, *admitBurst),
+		timeScale:       *timeScale,
+		window:          *window,
+		metricsEvery:    *metricsEvery,
+		checkpointPath:  *checkpointPath,
+		checkpointEvery: *checkpointEvery,
+		resume:          *resume,
+		export:          *export,
+		inj:             inj,
+	}
+	if *supervise {
+		return runSupervised(ctx, opts, inj, os.Stdin, os.Stdout, os.Stderr)
+	}
+	return runServe(ctx, opts, os.Stdin, os.Stdout, os.Stderr)
 }
 
-// batch is one batch simulation. The flags and a -config file both
-// describe one, and it runs the same way whichever did.
-type batch struct {
+// cloud is a run minus its workload: fleet, policy and model. The flags
+// or a -config file describe it; batch and -serve build it alike.
+type cloud struct {
 	// devices describes the fleet; nil means the standard five-device
 	// cloud with calibration drawn from fleetSeed.
 	devices   []device.Spec
 	fleetSeed int64
-	workload  func() ([]*job.QJob, error)
 	// policy names a registered allocation policy; rlModel and rlSeed
 	// feed a model-requiring one (rlbase).
 	policy  string
@@ -180,21 +173,41 @@ type batch struct {
 	cfg     core.Config
 }
 
+// build constructs the fleet on env and, through the registry, the
+// allocation policy, which gets the model's Eq. 8 penalty for fidelity
+// predictions.
+func (c cloud) build(env *sim.Environment) ([]*device.Device, policy.Policy, error) {
+	var fleet []*device.Device
+	var err error
+	if c.devices != nil {
+		fleet, err = device.BuildFleet(env, c.devices)
+	} else {
+		fleet, err = device.StandardFleet(env, c.fleetSeed)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	p := policy.Params{Seed: c.rlSeed, Phi: c.cfg.Phi}
+	if policy.NeedsModel(c.policy) {
+		if p.Model, err = rlsched.LoadPolicy(c.rlModel); err != nil {
+			return nil, nil, err
+		}
+	}
+	pol, err := policy.New(c.policy, p)
+	return fleet, pol, err
+}
+
+// batch is one batch simulation: a cloud and the workload it runs.
+type batch struct {
+	cloud
+	workload func() ([]*job.QJob, error)
+}
+
 // run assembles the simulation, runs the workload to completion and
 // reports it.
 func (b batch) run(export string, verbose bool) error {
 	env := sim.NewEnvironment()
-	var fleet []*device.Device
-	var err error
-	if b.devices != nil {
-		fleet, err = device.BuildFleet(env, b.devices)
-	} else {
-		fleet, err = device.StandardFleet(env, b.fleetSeed)
-	}
-	if err != nil {
-		return err
-	}
-	pol, err := newPolicy(b.policy, b.rlModel, b.rlSeed, b.cfg.Phi)
+	fleet, pol, err := b.build(env)
 	if err != nil {
 		return err
 	}
@@ -202,31 +215,11 @@ func (b batch) run(export string, verbose bool) error {
 	if err != nil {
 		return err
 	}
-	simEnv, err := core.NewQCloudSimEnv(env, fleet, pol, b.cfg)
-	if err != nil {
-		return err
-	}
-	simEnv.SubmitWorkload(jobs)
-	res, err := simEnv.Run()
+	simEnv, res, err := core.RunBatch(env, fleet, pol, b.cfg, jobs)
 	if err != nil {
 		return err
 	}
 	return report(simEnv, res, export, verbose)
-}
-
-// newPolicy builds the named policy through the registry, loading the
-// trained model from rlModel when the policy needs one. phi is the
-// simulation's Eq. 8 penalty, for policies that predict fidelity.
-func newPolicy(name, rlModel string, rlSeed int64, phi float64) (policy.Policy, error) {
-	p := policy.Params{Seed: rlSeed, Phi: phi}
-	if policy.NeedsModel(name) {
-		trained, err := rlsched.LoadPolicy(rlModel)
-		if err != nil {
-			return nil, err
-		}
-		p.Model = trained
-	}
-	return policy.New(name, p)
 }
 
 // serveFlags are meaningful only with -serve.
@@ -307,15 +300,24 @@ func validateFlags(set map[string]bool, args []string, serve bool, polName, rlMo
 	if err := profiling.CheckPath("memprofile", memProfile); err != nil {
 		return err
 	}
+	if set["config"] {
+		for f := range set {
+			switch {
+			case f == "config", f == "serve", f == "export", f == "v", f == "cpuprofile", f == "memprofile", slices.Contains(serveFlags, f):
+			default:
+				return fmt.Errorf("-config specifies the whole simulation; -%s conflicts with it", f)
+			}
+		}
+	}
 	if serve {
 		for f := range set {
 			switch f {
-			case "config":
-				return fmt.Errorf("-config drives a batch run and conflicts with -serve")
-			case "jobs", "n", "seed", "interarrival":
+			case "jobs", "n", "interarrival":
 				return fmt.Errorf("-serve ingests jobs from the stream; -%s configures a batch workload and conflicts with it", f)
-			case "drift-interval", "drift-magnitude":
-				return fmt.Errorf("-serve does not support calibration drift; drop -%s", f)
+			case "seed":
+				if !set["drift-interval"] {
+					return fmt.Errorf("-serve ingests jobs from the stream; -seed only seeds the drift walk there, so pass it with -drift-interval")
+				}
 			case "v":
 				return fmt.Errorf("-v prints batch per-job records; the broker already streams records to stdout")
 			}
@@ -411,23 +413,16 @@ func validateFlags(set map[string]bool, args []string, serve bool, polName, rlMo
 				return fmt.Errorf("-%s is a broker service flag; pass -serve with it", f)
 			}
 		}
-		if set["config"] {
-			for f := range set {
-				switch f {
-				case "config", "export", "v", "cpuprofile", "memprofile":
-				default:
-					return fmt.Errorf("-config specifies the whole simulation; -%s conflicts with it", f)
-				}
-			}
-			return nil
-		}
 		if set["jobs"] {
 			for _, f := range []string{"n", "seed", "interarrival"} {
-				if set[f] {
+				if set[f] && !(f == "seed" && set["drift-interval"]) {
 					return fmt.Errorf("-jobs replays a workload file; -%s configures the synthetic generator and conflicts with it", f)
 				}
 			}
 		}
+	}
+	if set["config"] {
+		return nil
 	}
 	if !policy.Registered(polName) {
 		return fmt.Errorf("unknown -policy %q (registered: %s)", polName, strings.Join(policy.Names(), ", "))
@@ -465,15 +460,7 @@ func report(simEnv *core.QCloudSimEnv, res core.Results, export string, verbose 
 			share.Name, share.SubJobs, 100*share.Share, 100*util[share.Name])
 	}
 	if export != "" {
-		f, err := os.Create(export)
-		if err != nil {
-			return err
-		}
-		if err := simEnv.Records.WriteCSV(f); err != nil {
-			f.Close() //lint:allow errlint the write error is the one to report; close is failure-path cleanup
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(export, simEnv.Records.WriteCSV); err != nil {
 			return err
 		}
 		fmt.Println("records written to", export)
@@ -487,4 +474,18 @@ func report(simEnv *core.QCloudSimEnv, res core.Results, export string, verbose 
 		}
 	}
 	return nil
+}
+
+// writeFile creates path and fills it with write. A write error is
+// reported ahead of the close error.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

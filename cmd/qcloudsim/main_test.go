@@ -73,6 +73,7 @@ func TestValidateFlagsCombinations(t *testing.T) {
 		{"jobs alone", ok(args{set: mkSet("jobs")}), ""},
 		{"jobs with n", ok(args{set: mkSet("jobs", "n")}), "-jobs replays a workload file"},
 		{"jobs with seed", ok(args{set: mkSet("jobs", "seed")}), "-jobs replays a workload file"},
+		{"jobs with seed and drift", ok(args{set: mkSet("jobs", "seed", "drift-interval")}), ""},
 		{"jobs with interarrival", ok(args{set: mkSet("jobs", "interarrival")}), "-jobs replays a workload file"},
 		{"jobs with policy", ok(args{set: mkSet("jobs", "policy")}), ""},
 		{"rlmodel without rlbase", ok(args{set: mkSet("rlmodel"), polName: "speed"}), "only applies to -policy rlbase"},
@@ -92,8 +93,14 @@ func TestValidateFlagsCombinations(t *testing.T) {
 		{"serve defaults", ok(args{set: mkSet("serve"), serve: true}), ""},
 		{"serve with jobs", ok(args{set: mkSet("serve", "jobs"), serve: true}), "configures a batch workload"},
 		{"serve with n", ok(args{set: mkSet("serve", "n"), serve: true}), "configures a batch workload"},
-		{"serve with config", ok(args{set: mkSet("serve", "config"), serve: true}), "conflicts with -serve"},
-		{"serve with drift", ok(args{set: mkSet("serve", "drift-interval"), serve: true}), "calibration drift"},
+		{"serve with config", ok(args{set: mkSet("serve", "config"), serve: true}), ""},
+		{"serve config with checkpointing", ok(args{set: mkSet("serve", "config", "checkpoint", "checkpoint-every"), serve: true, checkpointPath: "cp.json", checkpointEvery: 50}), ""},
+		{"serve config with policy", ok(args{set: mkSet("serve", "config", "policy"), serve: true}), "-config specifies the whole simulation"},
+		{"serve config with drift", ok(args{set: mkSet("serve", "config", "drift-interval"), serve: true}), "-config specifies the whole simulation"},
+		{"serve with drift", ok(args{set: mkSet("serve", "drift-interval"), serve: true}), ""},
+		{"serve with drift magnitude", ok(args{set: mkSet("serve", "drift-interval", "drift-magnitude"), serve: true}), ""},
+		{"serve with seed", ok(args{set: mkSet("serve", "seed"), serve: true}), "pass it with -drift-interval"},
+		{"serve with seed and drift", ok(args{set: mkSet("serve", "seed", "drift-interval"), serve: true}), ""},
 		{"serve with v", ok(args{set: mkSet("serve", "v"), serve: true}), "streams records"},
 		{"serve bad listen", ok(args{set: mkSet("serve", "listen"), serve: true, listen: "9066"}), "not host:port"},
 		{"serve listen without scale", ok(args{set: mkSet("serve", "listen"), serve: true, listen: "127.0.0.1:9066"}), "-time-scale > 0"},
@@ -160,6 +167,12 @@ func TestValidateFlagsCombinations(t *testing.T) {
 	}
 }
 
+// speedCloud is the standard fleet under the speed policy with the
+// default model: the cloud most serve tests run.
+func speedCloud() cloud {
+	return cloud{policy: "speed", fleetSeed: 2025, cfg: core.DefaultConfig()}
+}
+
 func testJobs(t *testing.T, n int) []*job.QJob {
 	t.Helper()
 	cfg := job.DefaultSyntheticConfig()
@@ -204,9 +217,7 @@ func TestServeLogicalMatchesBatch(t *testing.T) {
 	export := filepath.Join(t.TempDir(), "serve.csv")
 	var recordsOut, metricsOut bytes.Buffer
 	err = runServe(context.Background(), serveOptions{
-		pol:          policy.Speed{},
-		cfg:          core.DefaultConfig(),
-		fleetSeed:    2025,
+		cloud:        speedCloud(),
 		window:       64,
 		metricsEvery: 10000,
 		export:       export,
@@ -271,9 +282,7 @@ func TestServeCheckpointResume(t *testing.T) {
 	}
 	var out1, errOut1 bytes.Buffer
 	opts := serveOptions{
-		pol:            policy.Speed{},
-		cfg:            core.DefaultConfig(),
-		fleetSeed:      2025,
+		cloud:          speedCloud(),
 		window:         64,
 		checkpointPath: cpPath,
 	}
@@ -328,9 +337,7 @@ func TestServeTCP(t *testing.T) {
 	go func() {
 		var out, errOut bytes.Buffer
 		done <- runServe(ctx, serveOptions{
-			pol:       policy.Speed{},
-			cfg:       core.DefaultConfig(),
-			fleetSeed: 2025,
+			cloud:     speedCloud(),
 			listen:    "127.0.0.1:0",
 			timeScale: 1000,
 			window:    16,
@@ -422,13 +429,11 @@ func TestServeHTTPLogicalMatchesBatch(t *testing.T) {
 	go func() {
 		var out, errOut bytes.Buffer
 		done <- runServe(ctx, serveOptions{
-			pol:       policy.Speed{},
-			cfg:       core.DefaultConfig(),
-			fleetSeed: 2025,
-			httpAddr:  "127.0.0.1:0",
-			window:    64,
-			export:    export,
-			onHTTP:    func(a net.Addr) { addrCh <- a },
+			cloud:    speedCloud(),
+			httpAddr: "127.0.0.1:0",
+			window:   64,
+			export:   export,
+			onHTTP:   func(a net.Addr) { addrCh <- a },
 		}, strings.NewReader(""), &out, &errOut)
 	}()
 	base := "http://" + (<-addrCh).String()

@@ -15,11 +15,9 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/faults"
 	"repro/internal/job"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/records"
 	"repro/internal/retry"
 	"repro/internal/sim"
@@ -32,9 +30,8 @@ const serveJobRetention = 65536
 
 // serveOptions carries the broker service-mode configuration.
 type serveOptions struct {
-	pol       policy.Policy
-	cfg       core.Config
-	fleetSeed int64
+	// cloud is the fleet, policy and model served, built as in batch.
+	cloud
 
 	// listen is a TCP host:port; empty means read the job stream from
 	// stdin (the reader passed to runServe).
@@ -233,15 +230,7 @@ func (s *server) writeCheckpoint() error {
 	cp.Ingested = s.ingested
 	err = checkpointWriteRetry.Do(context.Background(), func(context.Context) error {
 		tmp := s.opts.checkpointPath + ".tmp"
-		f, err := os.Create(tmp)
-		if err != nil {
-			return err
-		}
-		if err := cp.Encode(f); err != nil {
-			f.Close() //lint:allow errlint the encode error is the one to report; close is failure-path cleanup
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(tmp, cp.Encode); err != nil {
 			return err
 		}
 		return os.Rename(tmp, s.opts.checkpointPath)
@@ -306,15 +295,7 @@ func (s *server) shutdown(errOut io.Writer) error {
 		return err
 	}
 	if s.opts.export != "" {
-		f, err := os.Create(s.opts.export)
-		if err != nil {
-			return err
-		}
-		if err := s.rec.WriteCSV(f); err != nil {
-			f.Close() //lint:allow errlint the write error is the one to report; close is failure-path cleanup
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(s.opts.export, s.rec.WriteCSV); err != nil {
 			return err
 		}
 	}
@@ -384,7 +365,7 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, out, errOut io.Writer, 
 	} else {
 		env = sim.NewEnvironment()
 	}
-	fleet, err := device.StandardFleet(env, opts.fleetSeed)
+	fleet, pol, err := opts.build(env)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +383,7 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, out, errOut io.Writer, 
 		recorder = append(recorder, core.ManagerRecorder{M: rec})
 	}
 	recorder = append(recorder, idx, newFinishEmitter(out))
-	b, err := core.NewBroker(env, fleet, opts.pol, opts.cfg, recorder, opts.window)
+	b, err := core.NewBroker(env, fleet, pol, opts.cfg, recorder, opts.window)
 	if err != nil {
 		return nil, err
 	}

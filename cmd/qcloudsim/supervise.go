@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/core"
@@ -261,13 +260,5 @@ func (sup *supervisor) writeExport() error {
 	if sup.opts.export == "" {
 		return nil
 	}
-	f, err := os.Create(sup.opts.export)
-	if err != nil {
-		return err
-	}
-	if err := records.WriteStatsCSV(f, sup.finalRows); err != nil {
-		f.Close() //lint:allow errlint the write error is the one to report; close is failure-path cleanup
-		return err
-	}
-	return f.Close()
+	return writeFile(sup.opts.export, func(w io.Writer) error { return records.WriteStatsCSV(w, sup.finalRows) })
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/job"
-	"repro/internal/policy"
 )
 
 // quietBackoff neuters the supervisor's real restart sleeps for the
@@ -45,9 +44,7 @@ func spacedJobs(t *testing.T, n int) []*job.QJob {
 
 func superviseOpts(dir, name string) serveOptions {
 	return serveOptions{
-		pol:            policy.Speed{},
-		cfg:            core.DefaultConfig(),
-		fleetSeed:      2025,
+		cloud:          speedCloud(),
 		window:         64,
 		checkpointPath: filepath.Join(dir, name+".ckpt"),
 		// Half the spaced workload's mean gap: every arrival is preceded
@@ -102,6 +99,19 @@ func countEvents(t *testing.T, errOut string) map[string]int {
 // checkpoint, must export completed-job records byte-identical to an
 // uninterrupted run over the same stream.
 func TestSupervisedRecoveryEquivalence(t *testing.T) {
+	checkRecoveryEquivalence(t, speedCloud())
+}
+
+// Under calibration drift the restarted broker replays the
+// checkpoint's drift steps, so its records still match.
+func TestSupervisedDriftRecoveryEquivalence(t *testing.T) {
+	drifting := speedCloud()
+	drifting.policy = "fidelity"
+	drifting.cfg.Drift = core.DriftConfig{IntervalS: 300, Rel: 0.3, Seed: 5}
+	checkRecoveryEquivalence(t, drifting)
+}
+
+func checkRecoveryEquivalence(t *testing.T, c cloud) {
 	quietBackoff(t)
 	jobs := spacedJobs(t, 40)
 	var stream bytes.Buffer
@@ -111,12 +121,14 @@ func TestSupervisedRecoveryEquivalence(t *testing.T) {
 	dir := t.TempDir()
 
 	clean := superviseOpts(dir, "clean")
+	clean.cloud = c
 	var cleanOut, cleanErr bytes.Buffer
 	if err := runServe(context.Background(), clean, bytes.NewReader(stream.Bytes()), &cleanOut, &cleanErr); err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
 
 	faulted := superviseOpts(dir, "faulted")
+	faulted.cloud = c
 	var out, errOut bytes.Buffer
 	err := runSupervised(context.Background(), faulted, crashInjector(t, 12, 1),
 		bytes.NewReader(stream.Bytes()), &out, &errOut)

@@ -75,12 +75,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	simEnv, err := core.NewQCloudSimEnv(env, fleet, policy.Fidelity{}, core.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	simEnv.SubmitWorkload([]*job.QJob{j})
-	res, err := simEnv.Run()
+	simEnv, res, err := core.RunBatch(env, fleet, policy.Fidelity{}, core.DefaultConfig(), []*job.QJob{j})
 	if err != nil {
 		log.Fatal(err)
 	}

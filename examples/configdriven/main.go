@@ -55,18 +55,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	simEnv, err := core.NewQCloudSimEnv(env, fleet, pol, s.Model)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("cloud from spec:")
-	for _, d := range simEnv.Cloud.Devices() {
+	for _, d := range fleet {
 		fmt.Printf("  %-14s %3d qubits  CLOPS %6.0f  error score %.5f  topology edges %d\n",
 			d.Name(), d.NumQubits(), d.CLOPS(), d.ErrorScore(), d.Topology().NumEdges())
 	}
 
-	simEnv.SubmitWorkload(jobs)
-	res, err := simEnv.Run()
+	simEnv, res, err := core.RunBatch(env, fleet, pol, s.Model, jobs)
 	if err != nil {
 		log.Fatal(err)
 	}

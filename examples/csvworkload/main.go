@@ -43,12 +43,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		simEnv, err := core.NewQCloudSimEnv(env, fleet, pol, core.DefaultConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
-		simEnv.SubmitWorkload(jobs)
-		res, err := simEnv.Run()
+		simEnv, res, err := core.RunBatch(env, fleet, pol, core.DefaultConfig(), jobs)
 		if err != nil {
 			log.Fatal(err)
 		}

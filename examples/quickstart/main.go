@@ -41,12 +41,7 @@ func main() {
 
 	// 4. The simulation: error-aware scheduling with default model
 	// constants (phi=0.95, lambda=0.02 s/qubit).
-	simEnv, err := core.NewQCloudSimEnv(env, fleet, policy.Fidelity{}, core.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	simEnv.SubmitWorkload(jobs)
-	results, err := simEnv.Run()
+	simEnv, results, err := core.RunBatch(env, fleet, policy.Fidelity{}, core.DefaultConfig(), jobs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -62,6 +62,11 @@ type Checkpoint struct {
 	// RateBuckets carries per-tenant token-bucket state, sorted by
 	// tenant so the encoding is deterministic.
 	RateBuckets []RateBucketCheckpoint `json:"rate_buckets,omitempty"`
+	// DriftSteps and DriftNext are the calibration-drift position: the
+	// steps taken so far and the due time of the next one. Restore
+	// replays the steps on the fresh fleet. Both stay zero without drift.
+	DriftSteps int     `json:"drift_steps,omitempty"`
+	DriftNext  float64 `json:"drift_next,omitempty"`
 	// Ingested is the serving layer's durable stream position: how many
 	// stream lines are fully covered by this checkpoint. The broker
 	// leaves it zero; the serve loop stamps it, and the supervisor
@@ -87,6 +92,9 @@ func (b *Broker) Checkpoint() (*Checkpoint, error) {
 		Admitted:  b.admitted,
 		Finished:  b.finished,
 		Admission: b.admStats,
+	}
+	if b.driftRNG != nil {
+		cp.DriftSteps, cp.DriftNext = b.driftSteps, b.driftNext
 	}
 	for _, pj := range b.pending {
 		cp.Pending = append(cp.Pending, CheckpointPending{Arrival: pj.arrival, Job: *pj.j})
@@ -121,9 +129,9 @@ func (b *Broker) Checkpoint() (*Checkpoint, error) {
 // Restore reinstates a checkpoint into a freshly constructed broker. The
 // broker's environment must have been created with
 // NewEnvironmentAt(cp.SimNow) and its fleet must be idle and match the
-// checkpointed device names. Pending jobs are re-admitted (re-logging
-// their original arrival times with the new recorder) and dispatch
-// resumes immediately.
+// checkpointed device names. Drift steps are replayed on the fleet, and
+// pending jobs are re-admitted like arrivals (re-logging their original
+// arrival times with the new recorder); dispatch resumes immediately.
 func (b *Broker) Restore(cp *Checkpoint) error {
 	if cp.Version != CheckpointVersion {
 		return fmt.Errorf("core: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
@@ -136,6 +144,25 @@ func (b *Broker) Restore(cp *Checkpoint) error {
 	}
 	if got := b.pol.Name(); got != cp.Policy {
 		return fmt.Errorf("core: checkpoint for policy %q, broker runs %q", cp.Policy, got)
+	}
+	if err := b.checkDriftPosition(cp); err != nil {
+		return err
+	}
+	ids := make(map[string]bool, len(cp.Pending))
+	for i := range cp.Pending {
+		j := &cp.Pending[i].Job
+		if err := j.Validate(); err != nil {
+			return fmt.Errorf("core: pending %w", err)
+		}
+		if ids[j.ID] {
+			return fmt.Errorf("core: pending job %q listed twice", j.ID)
+		}
+		ids[j.ID] = true
+	}
+	for i := 1; i < len(cp.RateBuckets); i++ {
+		if cp.RateBuckets[i-1].Tenant >= cp.RateBuckets[i].Tenant {
+			return fmt.Errorf("core: rate buckets not sorted by tenant at %q", cp.RateBuckets[i].Tenant)
+		}
 	}
 	if len(cp.Devices) != len(b.devices) {
 		return fmt.Errorf("core: checkpoint has %d devices, fleet has %d", len(cp.Devices), len(b.devices))
@@ -161,6 +188,15 @@ func (b *Broker) Restore(cp *Checkpoint) error {
 	for i, dc := range cp.Devices {
 		b.devices[i].RestoreUtilizationState(dc.BusyTime, dc.LastT, dc.JobsRun)
 	}
+	if b.driftRNG != nil {
+		for b.driftSteps < cp.DriftSteps {
+			b.stepDrift()
+		}
+		b.driftNext = cp.DriftNext
+		if len(cp.Pending) > 0 {
+			b.wakeDrift()
+		}
+	}
 	b.admitted = cp.Admitted
 	b.finished = cp.Finished
 	b.admStats = cp.Admission
@@ -178,6 +214,26 @@ func (b *Broker) Restore(cp *Checkpoint) error {
 		b.pending = append(b.pending, pendingJob{j: &j, arrival: p.Arrival})
 	}
 	b.dispatch()
+	return nil
+}
+
+// checkDriftPosition refuses drift state where drift is off, and a
+// position no run from time zero on can reach: at most one step per
+// interval, the next due within one interval of the checkpoint.
+func (b *Broker) checkDriftPosition(cp *Checkpoint) error {
+	d := b.cfg.Drift
+	switch {
+	case b.driftRNG == nil && (cp.DriftSteps != 0 || cp.DriftNext != 0):
+		return fmt.Errorf("core: checkpoint carries %d calibration drift steps, but the broker's drift is off", cp.DriftSteps)
+	case b.driftRNG == nil:
+		return nil
+	case cp.DriftNext == 0:
+		return fmt.Errorf("core: checkpoint has no calibration drift position, but the broker drifts")
+	case cp.DriftSteps < 0 || cp.DriftNext < 0 || cp.DriftNext > cp.SimNow+d.IntervalS ||
+		float64(cp.DriftSteps) > cp.DriftNext/d.IntervalS:
+		return fmt.Errorf("core: checkpoint drift position (%d steps, next at %g) impossible at %g with interval %g",
+			cp.DriftSteps, cp.DriftNext, cp.SimNow, d.IntervalS)
+	}
 	return nil
 }
 

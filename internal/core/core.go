@@ -16,7 +16,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/calib"
 	"repro/internal/device"
@@ -44,9 +43,9 @@ type Config struct {
 	// placed, later queued jobs that fit may start ahead of it (EASY-style
 	// skip-ahead). Off by default, matching the paper's FIFO queues.
 	Backfill bool `json:"backfill,omitempty"`
-	// Drift, when enabled, runs a batch workload on time-varying
-	// hardware: SubmitWorkload starts the recalibration ticker. The zero
-	// value keeps the paper's static calibration.
+	// Drift, when enabled, runs the broker on time-varying hardware, in
+	// batch and serve mode alike. The zero value keeps the paper's
+	// static calibration.
 	Drift DriftConfig `json:"drift,omitzero"`
 }
 
@@ -58,6 +57,17 @@ type Config struct {
 // from its model (§7.2). Carried inside Config, it travels wherever the
 // config does — including into shard worker processes — so a drifting
 // scenario reproduces identically on every executor.
+//
+// The Broker steps drift only while a job executes, so an idle broker
+// keeps no timer and Drain terminates. When a job reaches a broker whose
+// ticker has stopped, the steps that fell due strictly before that
+// instant are taken first, in order; then the job is recorded and
+// dispatched. Same-instant order: a step due at the instant a job
+// reaches an idle broker runs after that job. On a busy broker a step
+// and an arrival due at the same instant run in the kernel's
+// (time, seq) order; in serve mode the arrival is not a kernel event, so
+// the step runs first. A checkpoint carries the steps taken and the
+// next due time, and Restore replays the steps on the fresh fleet.
 type DriftConfig struct {
 	// IntervalS is the simulated seconds between recalibration steps;
 	// 0 disables drift.
@@ -104,10 +114,10 @@ type QCloud struct{ *Broker }
 func (c *QCloud) PendingJobs() int { return c.QueueDepth() }
 
 // QCloudSimEnv is the batch front end over a Broker: it releases a
-// finite workload at its arrival times, drifts calibration when the
-// Config enables it, runs the event core to exhaustion and summarizes
-// the records. It bundles the simulation environment, cloud, and
-// records — the top-level object users interact with.
+// finite workload at its arrival times, runs the event core to
+// exhaustion and summarizes the records. It bundles the simulation
+// environment, cloud, and records — the top-level object users interact
+// with.
 type QCloudSimEnv struct {
 	// Env is the discrete-event kernel.
 	Env *sim.Environment
@@ -116,13 +126,9 @@ type QCloudSimEnv struct {
 	// Records collects lifecycle events and metrics.
 	Records *records.Manager
 
-	jobs          []*job.QJob // submitted workload, sorted by arrival
-	next          int         // index of the next job to release
-	generatorDone bool
-	arriveFn      func()
-
-	driftRNG *rand.Rand
-	tickFn   func()
+	jobs     []*job.QJob // submitted workload, sorted by arrival
+	next     int         // index of the next job to release
+	arriveFn func()
 }
 
 // batchWindowCap sizes the broker's rolling metrics windows in batch
@@ -133,18 +139,28 @@ const batchWindowCap = 1
 // given allocation policy.
 func NewQCloudSimEnv(env *sim.Environment, fleet []*device.Device, pol policy.Policy, cfg Config) (*QCloudSimEnv, error) {
 	rec := records.NewManager()
-	b, err := newBroker(env, fleet, pol, cfg, ManagerRecorder{M: rec}, batchWindowCap)
+	b, err := NewBroker(env, fleet, pol, cfg, ManagerRecorder{M: rec}, batchWindowCap)
 	if err != nil {
 		return nil, err
 	}
 	e := &QCloudSimEnv{Env: env, Cloud: &QCloud{b}, Records: rec}
 	e.arriveFn = e.arrive
-	e.tickFn = e.tick
 	return e, nil
 }
 
-// SubmitWorkload schedules the release of each job at its arrival time
-// and, when the Config enables drift, starts the recalibration ticker.
+// RunBatch is a whole batch run: it assembles the simulation, releases
+// jobs at their arrival times and runs them to completion.
+func RunBatch(env *sim.Environment, fleet []*device.Device, pol policy.Policy, cfg Config, jobs []*job.QJob) (*QCloudSimEnv, Results, error) {
+	e, err := NewQCloudSimEnv(env, fleet, pol, cfg)
+	if err != nil {
+		return nil, Results{}, err
+	}
+	e.SubmitWorkload(jobs)
+	res, err := e.Run()
+	return e, res, err
+}
+
+// SubmitWorkload schedules the release of each job at its arrival time.
 // Jobs must be sorted by arrival time. Arrivals form a callback chain —
 // each release schedules the next — and jobs sharing an arrival time
 // are admitted together, in workload order.
@@ -152,15 +168,6 @@ func (e *QCloudSimEnv) SubmitWorkload(jobs []*job.QJob) {
 	e.jobs = jobs
 	e.next = 0
 	e.Env.AfterFunc(0, e.arriveFn)
-	if d := e.Cloud.cfg.Drift; d.Enabled() {
-		e.driftRNG = rand.New(rand.NewSource(d.Seed))
-		// Start on a zero-delay hop, like the arrival chain, so the
-		// first tick is scheduled after the release that follows any
-		// arrival at the start time: an arrival and a tick due at the
-		// same instant then run arrival first, as they do for every
-		// later tick.
-		e.Env.AfterFunc(0, func() { e.Env.AfterFunc(d.IntervalS, e.tickFn) })
-	}
 }
 
 // arrive admits every job due now. The next release is scheduled first,
@@ -174,27 +181,43 @@ func (e *QCloudSimEnv) arrive() {
 	}
 	if e.next < len(e.jobs) {
 		e.Env.AfterFunc(e.jobs[e.next].ArrivalTime-now, e.arriveFn)
-	} else {
-		e.generatorDone = true
 	}
 	for _, j := range e.jobs[first:e.next] {
 		e.Cloud.Admit(j)
 	}
 }
 
-// tick takes one drift step (see DriftConfig), or stops the ticker once
-// every job has been released and the broker is idle.
-func (e *QCloudSimEnv) tick() {
-	if e.generatorDone && e.Cloud.Quiescent() {
-		return
-	}
-	d := e.Cloud.cfg.Drift
-	for _, dev := range e.Cloud.Devices() {
-		if err := dev.Recalibrate(calib.Drift(e.driftRNG, dev.Calibration(), d.Rel)); err != nil {
+// stepDrift takes the drift step due at driftNext on every device.
+func (b *Broker) stepDrift() {
+	for _, dev := range b.devices {
+		if err := dev.Recalibrate(calib.Drift(b.driftRNG, dev.Calibration(), b.cfg.Drift.Rel)); err != nil {
 			panic(fmt.Sprintf("core: drift recalibration failed: %v", err))
 		}
 	}
-	e.Env.AfterFunc(d.IntervalS, e.tickFn)
+	b.driftSteps++
+	b.driftNext += b.cfg.Drift.IntervalS
+}
+
+// driftTick takes a due drift step and re-arms while a job executes; on
+// an idle broker it stops, and wakeDrift catches the step up later.
+func (b *Broker) driftTick() {
+	if b.active == 0 {
+		b.driftArmed = false
+		return
+	}
+	b.stepDrift()
+	b.env.AfterFunc(b.driftNext-b.env.Now(), b.driftTickFn)
+}
+
+// wakeDrift runs before a job reaches a stopped drift ticker: it takes
+// the steps due strictly before now, in order, and re-arms the ticker.
+func (b *Broker) wakeDrift() {
+	now := b.env.Now()
+	for b.driftNext < now {
+		b.stepDrift()
+	}
+	b.driftArmed = true
+	b.env.AfterFunc(b.driftNext-now, b.driftTickFn)
 }
 
 // Results summarizes a completed simulation in the paper's Table 2
@@ -216,14 +239,12 @@ type Results struct {
 	MeanWaitTime, MeanTurnaround, MeanDevicesPerJob float64
 }
 
-// Run drives the simulation to completion and summarizes the results. It
-// returns an error if any submitted job could never be placed (e.g. a
-// job exceeding cloud capacity under the active policy).
+// Run drives the simulation to completion (Broker.Drain) and summarizes
+// the results. It returns an error if any submitted job could never be
+// placed (e.g. a job exceeding cloud capacity under the active policy).
 func (e *QCloudSimEnv) Run() (Results, error) {
-	e.Env.Run()
-	if n := e.Records.NumPending(); n > 0 || e.Cloud.PendingJobs() > 0 {
-		return Results{}, fmt.Errorf("core: %d jobs unfinished (policy %q cannot place them)",
-			n, e.Cloud.Policy().Name())
+	if _, err := e.Cloud.Drain(); err != nil {
+		return Results{}, err
 	}
 	mean, std := e.Records.FidelityMeanStd()
 	return Results{

@@ -17,8 +17,8 @@ import (
 )
 
 // pinnedDigest runs one batch simulation and returns the SHA-256 of its
-// per-job records export. drift, when enabled, is set on cfg, so
-// SubmitWorkload starts calibration drift.
+// per-job records export. drift, when enabled, is set on cfg, so the
+// broker drifts the fleet's calibration.
 func pinnedDigest(t *testing.T, jobs []*job.QJob, pol policy.Policy, cfg Config, drift DriftConfig) string {
 	t.Helper()
 	env := sim.NewEnvironment()
@@ -64,6 +64,21 @@ func busyWorkload(t *testing.T, n int) []*job.QJob {
 	cfg.Seed = 7
 	cfg.MeanInterarrival = 2
 	cfg.MinQubits = 20
+	jobs, err := job.Synthetic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
+
+// idleWorkload spaces arrivals so far apart that the fleet drains and
+// the broker idles before most of them.
+func idleWorkload(t *testing.T, n int) []*job.QJob {
+	t.Helper()
+	cfg := job.DefaultSyntheticConfig()
+	cfg.N = n
+	cfg.Seed = 7
+	cfg.MeanInterarrival = 3000
 	jobs, err := job.Synthetic(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -117,6 +132,12 @@ func TestBatchRecordsPinned(t *testing.T) {
 		{"speed-drift-ties-busy", func(t *testing.T) []*job.QJob { return tiedArrivals(busyWorkload(t, 60), 10) },
 			func() policy.Policy { return policy.Speed{} }, DefaultConfig(), DriftConfig{IntervalS: 10, Rel: 0.3, Seed: 5},
 			"32170f1aa87d2c54dcfabdd5d5a99dc26d447c97530a7364e717710ca165e3a9"},
+		// Arrivals on the drift grid reach an idle broker: the steps it
+		// missed are caught up before the job, the one due at the arrival
+		// instant after it.
+		{"fidelity-drift-ties-idle", func(t *testing.T) []*job.QJob { return tiedArrivals(idleWorkload(t, 40), 500) },
+			func() policy.Policy { return policy.Fidelity{} }, DefaultConfig(), DriftConfig{IntervalS: 500, Rel: 0.4, Seed: 9},
+			"470ae98d8870885d2190b3bc193c55947c39436769fab92761dc9a7cdd1a0e05"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"repro/internal/device"
 	"repro/internal/job"
@@ -245,6 +246,14 @@ type Broker struct {
 
 	admitted, finished int
 	active             int
+
+	// Calibration drift (see DriftConfig); driftRNG is nil when it is
+	// off. driftArmed reports a driftTick timer in the event heap.
+	driftRNG    *rand.Rand
+	driftSteps  int
+	driftNext   float64
+	driftArmed  bool
+	driftTickFn func()
 }
 
 // jobRun is the recycled per-job working set: allocation copies, device
@@ -267,19 +276,9 @@ type jobRun struct {
 
 // NewBroker assembles a streaming broker over the given fleet. The
 // recorder receives every lifecycle event; windowCap sizes the rolling
-// metrics windows (per tenant and global). Calibration drift is a
-// batch-run feature (QCloudSimEnv.SubmitWorkload starts it) and is
-// rejected here.
+// metrics windows (per tenant and global). Drift, when cfg enables it,
+// follows DriftConfig, its first step due one interval from now.
 func NewBroker(env *sim.Environment, fleet []*device.Device, pol policy.Policy, cfg Config, rec StreamRecorder, windowCap int) (*Broker, error) {
-	if cfg.Drift.Enabled() {
-		return nil, fmt.Errorf("core: broker mode does not support calibration drift")
-	}
-	return newBroker(env, fleet, pol, cfg, rec, windowCap)
-}
-
-// newBroker is NewBroker without the drift check: the batch front end
-// carries drift in its Config and runs the ticker itself.
-func newBroker(env *sim.Environment, fleet []*device.Device, pol policy.Policy, cfg Config, rec StreamRecorder, windowCap int) (*Broker, error) {
 	if len(fleet) == 0 {
 		return nil, fmt.Errorf("core: empty device fleet")
 	}
@@ -295,7 +294,7 @@ func newBroker(env *sim.Environment, fleet []*device.Device, pol policy.Policy, 
 	if windowCap <= 0 {
 		return nil, fmt.Errorf("core: window capacity %d", windowCap)
 	}
-	return &Broker{
+	b := &Broker{
 		env:      env,
 		devices:  fleet,
 		pol:      pol,
@@ -304,7 +303,13 @@ func newBroker(env *sim.Environment, fleet []*device.Device, pol policy.Policy, 
 		windows:  metrics.NewTenantWindows(windowCap),
 		states:   make([]policy.DeviceState, len(fleet)),
 		inflight: make(map[string]int),
-	}, nil
+	}
+	if d := cfg.Drift; d.Enabled() {
+		b.driftRNG = rand.New(rand.NewSource(d.Seed))
+		b.driftNext = env.Now() + d.IntervalS
+		b.driftTickFn = b.driftTick
+	}
+	return b, nil
 }
 
 // SetAdmission installs an admission-control policy. Call it before the
@@ -398,6 +403,9 @@ func (b *Broker) Quiescent() bool { return b.active == 0 && len(b.pending) == 0 
 //
 //repro:noalloc
 func (b *Broker) Admit(j *job.QJob) {
+	if b.driftRNG != nil && !b.driftArmed {
+		b.wakeDrift()
+	}
 	now := b.env.Now()
 	b.admitted++
 	b.inflight[tenantKey(j.Tenant)]++
@@ -645,8 +653,8 @@ func (jr *jobRun) fidelity() float64 {
 }
 
 // Drain runs the event core to exhaustion and returns the final
-// simulation time. It errors if admitted jobs remain unplaceable — the
-// service-mode analogue of QCloudSimEnv.Run's completeness check.
+// simulation time. It errors if admitted jobs remain unplaceable; batch
+// runs (QCloudSimEnv.Run) check completeness through it too.
 func (b *Broker) Drain() (float64, error) {
 	end := b.env.Run()
 	if n := len(b.pending); n > 0 {

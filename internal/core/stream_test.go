@@ -90,16 +90,20 @@ func TestBrokerMatchesBatchRecords(t *testing.T) {
 		name     string
 		mkPol    func() policy.Policy
 		backfill bool
+		drift    DriftConfig
 	}{
-		{"speed", func() policy.Policy { return policy.Speed{} }, false},
-		{"fair", func() policy.Policy { return policy.Fair{} }, false},
-		{"fidelity", func() policy.Policy { return policy.Fidelity{} }, false},
-		{"fidelity-backfill", func() policy.Policy { return policy.Fidelity{} }, true},
+		{"speed", func() policy.Policy { return policy.Speed{} }, false, DriftConfig{}},
+		{"fair", func() policy.Policy { return policy.Fair{} }, false, DriftConfig{}},
+		{"fidelity", func() policy.Policy { return policy.Fidelity{} }, false, DriftConfig{}},
+		{"fidelity-backfill", func() policy.Policy { return policy.Fidelity{} }, true, DriftConfig{}},
+		{"speed-drift", func() policy.Policy { return policy.Speed{} }, false, DriftConfig{IntervalS: 1800, Rel: 0.2, Seed: 7}},
+		{"fidelity-drift", func() policy.Policy { return policy.Fidelity{} }, false, DriftConfig{IntervalS: 200, Rel: 0.5, Seed: 11}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Backfill = c.backfill
+			cfg.Drift = c.drift
 			batch := batchCSV(t, jobs, c.mkPol, cfg)
 			serve := brokerCSV(t, jobs, c.mkPol, cfg)
 			if !bytes.Equal(batch, serve) {
@@ -204,8 +208,8 @@ func TestNewBrokerValidation(t *testing.T) {
 	}
 	drifting := DefaultConfig()
 	drifting.Drift = DriftConfig{IntervalS: 100, Rel: 0.01}
-	if _, err := NewBroker(env, fleet, policy.Speed{}, drifting, rec, 16); err == nil {
-		t.Error("calibration drift accepted in broker mode")
+	if _, err := NewBroker(env, fleet, policy.Speed{}, drifting, rec, 16); err != nil {
+		t.Errorf("calibration drift refused: %v", err)
 	}
 }
 
@@ -223,8 +227,18 @@ func (r *captureRecorder) Finish(jobID string, finish, fidelity, commTime float6
 
 // A checkpointed broker restored into a fresh process must continue the
 // stream exactly: the concatenated finish records of the two segments
-// equal the uninterrupted run's, including the RL policy's RNG position.
+// equal the uninterrupted run's, including the RL policy's RNG position
+// and, under drift, the calibration the replayed drift steps rebuild.
 func TestBrokerCheckpointResume(t *testing.T) {
+	t.Run("static", func(t *testing.T) { checkCheckpointResume(t, DefaultConfig()) })
+	t.Run("drift", func(t *testing.T) {
+		coreCfg := DefaultConfig()
+		coreCfg.Drift = DriftConfig{IntervalS: 700, Rel: 0.3, Seed: 4}
+		checkCheckpointResume(t, coreCfg)
+	})
+}
+
+func checkCheckpointResume(t *testing.T, coreCfg Config) {
 	cfg := job.DefaultSyntheticConfig()
 	cfg.N = 24
 	cfg.Seed = 9
@@ -237,7 +251,6 @@ func TestBrokerCheckpointResume(t *testing.T) {
 	}
 	trained := rl.NewGaussianPolicy(rand.New(rand.NewSource(5)), rlsched.StateDim, rlsched.NumDevices, 16, 16)
 	const seed = 42
-	coreCfg := DefaultConfig()
 
 	// Uninterrupted reference run.
 	full := &captureRecorder{}
@@ -291,6 +304,9 @@ func TestBrokerCheckpointResume(t *testing.T) {
 		}
 		if cp.Admitted != split || cp.Finished != split {
 			t.Fatalf("checkpoint counters: %+v", cp)
+		}
+		if coreCfg.Drift.Enabled() != (cp.DriftSteps > 0) {
+			t.Fatalf("checkpoint drift steps %d with drift %+v", cp.DriftSteps, coreCfg.Drift)
 		}
 		env := sim.NewEnvironmentAt(cp.SimNow)
 		fleet, err := device.StandardFleet(env, 2025)

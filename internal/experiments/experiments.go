@@ -213,12 +213,7 @@ func (cs *CaseStudy) RunMode(mode string) (*ModeRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	simEnv, err := core.NewQCloudSimEnv(env, fleet, pol, cs.Core)
-	if err != nil {
-		return nil, err
-	}
-	simEnv.SubmitWorkload(jobs)
-	res, err := simEnv.Run()
+	simEnv, res, err := core.RunBatch(env, fleet, pol, cs.Core, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -139,17 +139,17 @@ func greedyFill(j *job.QJob, devices []DeviceState, compare func(a, b *DeviceSta
 	slices.SortStableFunc(order, func(x, y int) int {
 		return compare(&devices[x], &devices[y])
 	})
-	need := j.NumQubits
+	return fill(devices, order, j.NumQubits)
+}
+
+// fill takes free qubits from devices in order until need is met.
+func fill(devices []DeviceState, order []int, need int) []Allocation {
 	var allocs []Allocation
 	for _, i := range order {
 		if need == 0 {
 			break
 		}
-		take := devices[i].Free
-		if take > need {
-			take = need
-		}
-		if take > 0 {
+		if take := min(devices[i].Free, need); take > 0 {
 			allocs = append(allocs, Allocation{DeviceIndex: i, Qubits: take})
 			need -= take
 		}
@@ -293,21 +293,7 @@ func (Fidelity) Allocate(j *job.QJob, devices []DeviceState) []Allocation {
 	if freeSum < need {
 		return nil
 	}
-	var allocs []Allocation
-	for _, i := range order[:prefix] {
-		if need == 0 {
-			break
-		}
-		take := devices[i].Free
-		if take > need {
-			take = need
-		}
-		if take > 0 {
-			allocs = append(allocs, Allocation{DeviceIndex: i, Qubits: take})
-			need -= take
-		}
-	}
-	return allocs
+	return fill(devices, order[:prefix], need)
 }
 
 // toAllocations converts apportioned shares to the Allocation form,

@@ -1,6 +1,7 @@
 package records
 
 import (
+	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -472,42 +473,23 @@ func presence(ok bool) string {
 
 // Write renders the significance diff as a human-readable report.
 func (d *AggregatedDiff) Write(w io.Writer) error {
+	bw := bufio.NewWriter(w)
 	if d.Empty() {
-		_, err := fmt.Fprintf(w, "aggregated manifests agree at alpha=%g on all %d base task(s)\n", d.Alpha, d.Compared)
-		return err
+		fmt.Fprintf(bw, "aggregated manifests agree at alpha=%g on all %d base task(s)\n", d.Alpha, d.Compared)
+		return bw.Flush()
 	}
-	if _, err := fmt.Fprintf(w, "aggregated manifests differ at alpha=%g (%q vs %q):\n", d.Alpha, d.LabelA, d.LabelB); err != nil {
-		return err
-	}
+	fmt.Fprintf(bw, "aggregated manifests differ at alpha=%g (%q vs %q):\n", d.Alpha, d.LabelA, d.LabelB)
 	for _, row := range d.Rows {
-		if _, err := fmt.Fprintf(w, "  %s:\n", row.ID); err != nil {
-			return err
-		}
-		for _, c := range row.Config {
-			if _, err := fmt.Fprintf(w, "    config %-20s %s -> %s\n", c.Name, c.A, c.B); err != nil {
-				return err
-			}
-		}
+		writeRowConfig(bw, row.ID, row.Config)
 		for _, m := range row.Metrics {
 			detail := m.Method
 			if m.Method == "welch" {
 				detail = fmt.Sprintf("welch t=%.3f df=%.1f", m.T, m.DF)
 			}
-			if _, err := fmt.Fprintf(w, "    %-27s mean %g -> %g (delta %+g, n %d vs %d, %s)\n",
-				m.Name, m.A.Mean, m.B.Mean, m.Delta, m.NA, m.NB, detail); err != nil {
-				return err
-			}
+			fmt.Fprintf(bw, "    %-27s mean %g -> %g (delta %+g, n %d vs %d, %s)\n",
+				m.Name, m.A.Mean, m.B.Mean, m.Delta, m.NA, m.NB, detail)
 		}
 	}
-	for _, id := range d.OnlyInA {
-		if _, err := fmt.Fprintf(w, "  only in %q: %s\n", d.LabelA, id); err != nil {
-			return err
-		}
-	}
-	for _, id := range d.OnlyInB {
-		if _, err := fmt.Fprintf(w, "  only in %q: %s\n", d.LabelB, id); err != nil {
-			return err
-		}
-	}
-	return nil
+	writeOnlyIn(bw, d.LabelA, d.OnlyInA, d.LabelB, d.OnlyInB)
+	return bw.Flush()
 }

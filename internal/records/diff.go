@@ -1,6 +1,7 @@
 package records
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -186,37 +187,37 @@ func DiffManifestsOpt(a, b *RunManifest, opt DiffOptions) *ManifestDiff {
 
 // Write renders the diff as a human-readable report.
 func (d *ManifestDiff) Write(w io.Writer) error {
+	bw := bufio.NewWriter(w)
 	if d.Empty() {
-		_, err := fmt.Fprintf(w, "manifests agree on all %d task(s)\n", d.Compared)
-		return err
+		fmt.Fprintf(bw, "manifests agree on all %d task(s)\n", d.Compared)
+		return bw.Flush()
 	}
-	if _, err := fmt.Fprintf(w, "manifests differ (%q vs %q):\n", d.LabelA, d.LabelB); err != nil {
-		return err
-	}
+	fmt.Fprintf(bw, "manifests differ (%q vs %q):\n", d.LabelA, d.LabelB)
 	for _, row := range d.Rows {
-		if _, err := fmt.Fprintf(w, "  %s:\n", row.ID); err != nil {
-			return err
-		}
-		for _, c := range row.Config {
-			if _, err := fmt.Fprintf(w, "    config %-20s %s -> %s\n", c.Name, c.A, c.B); err != nil {
-				return err
-			}
-		}
+		writeRowConfig(bw, row.ID, row.Config)
 		for _, m := range row.Metrics {
-			if _, err := fmt.Fprintf(w, "    %-27s %g -> %g (delta %+g)\n", m.Name, m.A, m.B, m.Delta); err != nil {
-				return err
-			}
+			fmt.Fprintf(bw, "    %-27s %g -> %g (delta %+g)\n", m.Name, m.A, m.B, m.Delta)
 		}
 	}
-	for _, id := range d.OnlyInA {
-		if _, err := fmt.Fprintf(w, "  only in %q: %s\n", d.LabelA, id); err != nil {
-			return err
-		}
+	writeOnlyIn(bw, d.LabelA, d.OnlyInA, d.LabelB, d.OnlyInB)
+	return bw.Flush()
+}
+
+// writeRowConfig writes a diff row's header and its configuration
+// deltas, the part both diff reports share.
+func writeRowConfig(bw *bufio.Writer, id string, config []ConfigDelta) {
+	fmt.Fprintf(bw, "  %s:\n", id)
+	for _, c := range config {
+		fmt.Fprintf(bw, "    config %-20s %s -> %s\n", c.Name, c.A, c.B)
 	}
-	for _, id := range d.OnlyInB {
-		if _, err := fmt.Fprintf(w, "  only in %q: %s\n", d.LabelB, id); err != nil {
-			return err
-		}
+}
+
+// writeOnlyIn lists the task IDs present in only one of two manifests.
+func writeOnlyIn(bw *bufio.Writer, labelA string, onlyA []string, labelB string, onlyB []string) {
+	for _, id := range onlyA {
+		fmt.Fprintf(bw, "  only in %q: %s\n", labelA, id)
 	}
-	return nil
+	for _, id := range onlyB {
+		fmt.Fprintf(bw, "  only in %q: %s\n", labelB, id)
+	}
 }

@@ -287,27 +287,20 @@ func (m *Manager) Makespan() float64 {
 }
 
 // MeanWaitTime averages arrival→start delay over finished jobs.
-func (m *Manager) MeanWaitTime() float64 {
-	fin := m.Finished()
-	if len(fin) == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, s := range fin {
-		total += s.WaitTime()
-	}
-	return total / float64(len(fin))
-}
+func (m *Manager) MeanWaitTime() float64 { return m.meanFinished((*JobStats).WaitTime) }
 
 // MeanTurnaround averages arrival→finish over finished jobs.
-func (m *Manager) MeanTurnaround() float64 {
+func (m *Manager) MeanTurnaround() float64 { return m.meanFinished((*JobStats).Turnaround) }
+
+// meanFinished averages f over finished jobs, 0 when none finished.
+func (m *Manager) meanFinished(f func(*JobStats) float64) float64 {
 	fin := m.Finished()
 	if len(fin) == 0 {
 		return 0
 	}
 	total := 0.0
 	for _, s := range fin {
-		total += s.Turnaround()
+		total += f(s)
 	}
 	return total / float64(len(fin))
 }
@@ -324,15 +317,7 @@ func (m *Manager) Throughput() float64 {
 // MeanDevicesPerJob returns the average partition count k across
 // finished jobs.
 func (m *Manager) MeanDevicesPerJob() float64 {
-	fin := m.Finished()
-	if len(fin) == 0 {
-		return 0
-	}
-	total := 0
-	for _, s := range fin {
-		total += s.Devices
-	}
-	return float64(total) / float64(len(fin))
+	return m.meanFinished(func(s *JobStats) float64 { return float64(s.Devices) })
 }
 
 // DeviceLoadShare returns, per device name, the fraction of finished

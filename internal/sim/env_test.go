@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"runtime"
@@ -157,6 +158,15 @@ func TestNegativeDelayPanics(t *testing.T) {
 	}
 }
 
+// simGoroutines counts the live goroutines that code in this package
+// started. The full stack dump names each goroutine's creator, so
+// goroutines of other packages coming and going cannot skew the count.
+func simGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("created by repro/internal/sim."))
+}
+
 // Property: for any set of non-negative delays, Run processes all events in
 // nondecreasing time order, starts no goroutine, and finishes at the max
 // delay.
@@ -165,7 +175,6 @@ func TestPropertyTimeOrdering(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		goroutines := runtime.NumGoroutine()
 		env := NewEnvironment()
 		var seen []float64
 		maxDelay := 0.0
@@ -179,7 +188,7 @@ func TestPropertyTimeOrdering(t *testing.T) {
 			})
 		}
 		end := env.Run()
-		if end != maxDelay || runtime.NumGoroutine() != goroutines {
+		if end != maxDelay || simGoroutines() != 0 {
 			return false
 		}
 		if len(seen) != len(raw) {
