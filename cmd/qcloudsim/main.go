@@ -132,7 +132,7 @@ func run() (err error) {
 	if !*serve {
 		return b.run(*export, *verbose)
 	}
-	inj, err := buildInjector(*faultPlan, *supervise, os.Stderr)
+	inj, err := buildInjector(*faultPlan, *supervise, *timeScale > 0, os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -149,11 +149,9 @@ func run() (err error) {
 		checkpointPath:  *checkpointPath,
 		checkpointEvery: *checkpointEvery,
 		resume:          *resume,
+		supervise:       *supervise,
 		export:          *export,
 		inj:             inj,
-	}
-	if *supervise {
-		return runSupervised(ctx, opts, inj, os.Stdin, os.Stdout, os.Stderr)
 	}
 	return runServe(ctx, opts, os.Stdin, os.Stdout, os.Stderr)
 }
@@ -256,15 +254,24 @@ type faultEventLine struct {
 }
 
 // buildInjector loads and compiles the -fault-plan, wiring fired-fault
-// telemetry to errOut. Plans that arm an induced broker crash are
-// refused without -supervise: nothing would recover the process.
-func buildInjector(planPath string, supervise bool, errOut io.Writer) (*faults.Injector, error) {
+// telemetry to errOut. No rule may be silently ignored: ingest line
+// rules are refused in real time (-time-scale > 0, which -listen
+// needs), where streams are decoded without the logical-time line loop,
+// and plans that arm an induced broker crash are refused without
+// -supervise, since nothing would recover the process.
+func buildInjector(planPath string, supervise, realTime bool, errOut io.Writer) (*faults.Injector, error) {
 	if planPath == "" {
 		return nil, nil
 	}
 	plan, err := faults.LoadPlan(planPath)
 	if err != nil {
 		return nil, err
+	}
+	for i, r := range plan.Rules {
+		if realTime && r.Layer == faults.LayerIngest && r.Op == faults.OpLine {
+			return nil, fmt.Errorf("fault plan %s: rule %d (%s/%s/%s) applies only to logical-time stdin; a real-time broker honours ingest/read rules",
+				planPath, i, r.Layer, r.Op, r.Kind)
+		}
 	}
 	if !supervise && plan.Has(faults.LayerIngest, faults.OpLine, faults.KindCrash) {
 		return nil, fmt.Errorf("fault plan %s arms an ingest crash; pass -supervise so the broker can recover", planPath)

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -55,6 +54,10 @@ type serveOptions struct {
 	checkpointPath  string
 	checkpointEvery float64
 	resume          bool
+	// supervise restarts a crashed logical-time broker from its latest
+	// checkpoint, keeping the stream lines after that checkpoint for the
+	// replay. Without it a crash ends the run and no line is kept.
+	supervise bool
 
 	// export writes the full per-job records CSV at shutdown. Only when
 	// set does the broker keep unbounded per-job history; without it
@@ -62,7 +65,8 @@ type serveOptions struct {
 	export string
 
 	// inj, if set, injects faults into the ingest and HTTP layers:
-	// stream readers are wrapped (cut/stall), and the HTTP control
+	// stream readers are wrapped (cut/stall), logical-time stdin lines
+	// pass its line rules (crash/garble/cut/stall), and the HTTP control
 	// plane's handler chain gains the fault middleware (error/delay/
 	// reset/sever). nil serves undisturbed.
 	inj *faults.Injector
@@ -163,7 +167,7 @@ type server struct {
 	stopHTTP func()
 
 	// ingested counts stream records fully applied to the broker; the
-	// supervisor's ingest loop keeps it current so checkpoints record how
+	// logical-time ingest loop keeps it current so checkpoints record how
 	// far the input stream is durably covered (core.Checkpoint.Ingested).
 	ingested int64
 	// onCheckpointed, if set, observes every durable checkpoint with the
@@ -279,7 +283,8 @@ func (s *server) scheduleTicks() {
 }
 
 // shutdown stops the HTTP control plane, drains admitted jobs, emits the
-// final metrics sample, and writes the export CSV and final checkpoint.
+// final metrics sample, and writes the final checkpoint. The caller
+// writes the export from the finished rows.
 func (s *server) shutdown(errOut io.Writer) error {
 	if s.stopHTTP != nil {
 		s.stopHTTP()
@@ -293,11 +298,6 @@ func (s *server) shutdown(errOut io.Writer) error {
 	s.emitMetrics()
 	if err := s.writeCheckpoint(); err != nil {
 		return err
-	}
-	if s.opts.export != "" {
-		if err := writeFile(s.opts.export, s.rec.WriteCSV); err != nil {
-			return err
-		}
 	}
 	warnf(errOut, "qcloudsim: broker drained: %d jobs finished, sim time %.2f s\n",
 		s.b.Finished(), end)
@@ -352,13 +352,11 @@ func loadCheckpoint(path string) (*core.Checkpoint, error) {
 	return cp, nil
 }
 
-// buildServer assembles a broker service instance: environment (at the
+// buildServer assembles a broker service instance — environment (at the
 // checkpoint's simulated time when resuming), fleet, job index, records
-// pipeline, broker, admission, restore, and gateway. withManager keeps
-// unbounded per-job history for CSV export; the supervisor needs that
-// even when the per-incarnation export path is empty, because it
-// stitches rows across incarnations itself.
-func buildServer(opts serveOptions, cp *core.Checkpoint, out, errOut io.Writer, withManager bool) (*server, error) {
+// pipeline, broker, admission, restore, and gateway — and starts its
+// periodic ticks and, with -http, the HTTP control plane.
+func buildServer(opts serveOptions, cp *core.Checkpoint, out, errOut io.Writer) (*server, error) {
 	var env *sim.Environment
 	if cp != nil {
 		env = sim.NewEnvironmentAt(cp.SimNow)
@@ -378,7 +376,7 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, out, errOut io.Writer, 
 	// under sustained load.
 	var rec *records.Manager
 	recorder := core.MultiRecorder{}
-	if withManager {
+	if opts.export != "" {
 		rec = records.NewManager()
 		recorder = append(recorder, core.ManagerRecorder{M: rec})
 	}
@@ -404,94 +402,81 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, out, errOut io.Writer, 
 	if err != nil {
 		return nil, err
 	}
-	return &server{opts: opts, b: b, env: env, rec: rec, gw: gw, idx: idx, metricsOut: bufio.NewWriter(errOut), warnOut: errOut}, nil
+	s := &server{opts: opts, b: b, env: env, rec: rec, gw: gw, idx: idx, metricsOut: bufio.NewWriter(errOut), warnOut: errOut}
+	s.scheduleTicks()
+	if opts.httpAddr != "" {
+		if err := s.startHTTP(errOut); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
 // runServe runs the broker service: jobs arrive as line-delimited JSON
 // (stdin or TCP) and/or over the HTTP API, are injected into the live
 // event core, and lifecycle records stream to out while rolling metrics
-// stream to errOut.
+// stream to errOut. In logical time stdin goes through serveLogical's
+// line loop; in real time stdin or TCP feeds runRealTime.
 func runServe(ctx context.Context, opts serveOptions, in io.Reader, out, errOut io.Writer) error {
 	var cp *core.Checkpoint
 	if opts.resume {
 		var err error
-		cp, err = loadCheckpoint(opts.checkpointPath)
-		if err != nil {
+		if cp, err = loadCheckpoint(opts.checkpointPath); err != nil {
 			return err
 		}
+		// The checkpoint's stream position described the run that wrote
+		// it; this invocation reads a new stream from its beginning.
+		cp.Ingested = 0
 	}
-	s, err := buildServer(opts, cp, out, errOut, opts.export != "")
+	if opts.timeScale == 0 {
+		return serveLogical(ctx, opts, cp, in, out, errOut)
+	}
+	s, err := buildServer(opts, cp, out, errOut)
 	if err != nil {
 		return err
 	}
-	if opts.inj != nil {
-		in = opts.inj.Reader(in)
-	}
-	s.scheduleTicks()
-	if opts.httpAddr != "" {
-		if err := s.startHTTP(errOut); err != nil {
+	// Slack so the decoders run a little ahead of admission.
+	jobs := make(chan *job.QJob, 64)
+	stdinErr := make(chan error, 1)
+	if opts.listen != "" {
+		if err := s.listenTCP(ctx, jobs, errOut); err != nil {
 			return err
 		}
-	}
-
-	if opts.listen != "" {
-		return s.serveTCP(ctx, errOut)
-	}
-	if opts.timeScale > 0 {
-		s.wallStart = time.Now()
-		jobs := make(chan *job.QJob, 64)
-		decodeErr := make(chan error, 1)
+	} else {
 		go func() {
 			defer close(jobs)
-			decodeErr <- decodeInto(ctx, job.NewStreamDecoder(in), jobs)
+			stdinErr <- s.feed(ctx, in, "", 0, jobs)
 		}()
-		if err := s.runRealTime(ctx, jobs); err != nil {
-			return err
-		}
-		select {
-		case err := <-decodeErr:
-			if err != nil {
-				return err
-			}
-		case <-ctx.Done():
-			// The decoder may be blocked on a stdin read; abandon it and
-			// drain what was admitted.
-		}
-		return s.shutdown(errOut)
 	}
-	return s.runLogical(ctx, in, errOut)
-}
-
-// runLogical is the deterministic scaled-time loop: the clock jumps to
-// each job's nominal arrival_time, so a fixed stream yields a
-// bit-reproducible transcript — and per-job records byte-identical to a
-// batch run over the same workload. HTTP submissions share the same
-// gateway, so an HTTP-delivered workload replays identically too; with
-// -http the service keeps serving after stdin EOF until interrupted.
-func (s *server) runLogical(ctx context.Context, in io.Reader, errOut io.Writer) error {
-	dec := job.NewStreamDecoder(in)
-	for {
-		if ctx.Err() != nil {
-			break
-		}
-		j, err := dec.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
+	s.wallStart = time.Now()
+	s.runRealTime(ctx, jobs)
+	select {
+	case err := <-stdinErr:
 		if err != nil {
 			return err
 		}
-		s.gw.Submit(j)
+	case <-ctx.Done():
+		// The stdin feed may be blocked on a read; abandon it and drain
+		// what was admitted. TCP connections end with the context.
 	}
-	if s.opts.httpAddr != "" {
-		<-ctx.Done()
+	if err := s.shutdown(errOut); err != nil || s.rec == nil {
+		return err
 	}
-	return s.shutdown(errOut)
+	return writeExport(opts.export, s.rec.Finished())
 }
 
-// decodeInto feeds decoded jobs to ch until EOF, a decode error, or
-// cancellation. The caller configures the decoder's ingest provenance.
-func decodeInto(ctx context.Context, dec *job.StreamDecoder, ch chan<- *job.QJob) error {
+// feed decodes one NDJSON stream into jobs until EOF, a decode error,
+// or cancellation, under the fault plan's ingest/read rules. remote
+// names the TCP peer that delivered it (stamped on every job with
+// connID as ingest provenance); empty means stdin.
+func (s *server) feed(ctx context.Context, r io.Reader, remote string, connID int64, jobs chan<- *job.QJob) error {
+	if s.opts.inj != nil {
+		r = s.opts.inj.Reader(r)
+	}
+	dec := job.NewStreamDecoder(r)
+	if remote != "" {
+		dec.SetSource("tcp", remote, connID)
+	}
 	for {
 		j, err := dec.Next()
 		if errors.Is(err, io.EOF) {
@@ -501,7 +486,7 @@ func decodeInto(ctx context.Context, dec *job.StreamDecoder, ch chan<- *job.QJob
 			return err
 		}
 		select {
-		case ch <- j:
+		case jobs <- j:
 		case <-ctx.Done():
 			return nil
 		}
@@ -509,13 +494,13 @@ func decodeInto(ctx context.Context, dec *job.StreamDecoder, ch chan<- *job.QJob
 }
 
 // runRealTime advances the simulation clock in proportion to wall time
-// (timeScale sim seconds per wall second), admitting jobs as the stream
-// delivers them. Nominal arrival_time fields are ignored: arrival is
+// (timeScale sim seconds per wall second), admitting jobs as the streams
+// deliver them. Nominal arrival_time fields are ignored: arrival is
 // when the job reaches the broker. Returns once the stream closes or the
 // context is cancelled; the caller drains. With -http active, a closed
 // stream does not end the service — the clock keeps ticking for HTTP
 // traffic until cancellation.
-func (s *server) runRealTime(ctx context.Context, jobs <-chan *job.QJob) error {
+func (s *server) runRealTime(ctx context.Context, jobs <-chan *job.QJob) {
 	ticker := time.NewTicker(20 * time.Millisecond)
 	defer ticker.Stop()
 	advance := func() {
@@ -524,12 +509,12 @@ func (s *server) runRealTime(ctx context.Context, jobs <-chan *job.QJob) error {
 	for {
 		select {
 		case <-ctx.Done():
-			return nil
+			return
 		case j, ok := <-jobs:
 			if !ok {
 				advance()
 				if s.opts.httpAddr == "" {
-					return nil
+					return
 				}
 				jobs = nil // keep ticking for HTTP submitters
 				continue
@@ -542,13 +527,13 @@ func (s *server) runRealTime(ctx context.Context, jobs <-chan *job.QJob) error {
 	}
 }
 
-// serveTCP accepts line-delimited JSON job streams over TCP, any number
-// of connections, all feeding the same live broker. Each connection's
-// jobs are stamped with tcp ingest provenance (remote address and a
-// server-side connection ID), so exports attribute every job to the
-// connection that delivered it. Runs until the context is cancelled
-// (SIGINT/SIGTERM), then drains admitted jobs.
-func (s *server) serveTCP(ctx context.Context, errOut io.Writer) error {
+// listenTCP accepts line-delimited JSON job streams over TCP, any
+// number of connections, all feeding jobs until the context is
+// cancelled (SIGINT/SIGTERM). Each connection's jobs carry tcp ingest
+// provenance (remote address and a server-side connection ID), so
+// exports attribute every job to the connection that delivered it. A
+// connection's stream error is logged and ends only that connection.
+func (s *server) listenTCP(ctx context.Context, jobs chan<- *job.QJob, errOut io.Writer) error {
 	ln, err := net.Listen("tcp", s.opts.listen)
 	if err != nil {
 		return err
@@ -557,36 +542,24 @@ func (s *server) serveTCP(ctx context.Context, errOut io.Writer) error {
 		s.opts.onListen(ln.Addr())
 	}
 	warnf(errOut, "qcloudsim: broker listening on %s\n", ln.Addr())
-	s.wallStart = time.Now()
-	jobs := make(chan *job.QJob, 64)
-	var connSeq atomic.Int64
 	go func() {
 		<-ctx.Done()
 		ln.Close() //lint:allow errlint closing the listener is how cancellation unblocks Accept; the error has no consumer
 	}()
 	go func() {
-		for {
+		for connID := int64(1); ; connID++ {
 			conn, err := ln.Accept()
 			if err != nil {
 				return // listener closed on cancellation
 			}
-			go func(c net.Conn) {
+			go func(c net.Conn, connID int64) {
 				defer c.Close() //lint:allow errlint ingest connections are read-only; close errors carry no data loss
 
-				var r io.Reader = c
-				if s.opts.inj != nil {
-					r = s.opts.inj.Reader(r)
-				}
-				dec := job.NewStreamDecoder(r)
-				dec.SetSource("tcp", c.RemoteAddr().String(), connSeq.Add(1))
-				if err := decodeInto(ctx, dec, jobs); err != nil {
+				if err := s.feed(ctx, c, c.RemoteAddr().String(), connID, jobs); err != nil {
 					warnf(errOut, "qcloudsim: %s: %v\n", c.RemoteAddr(), err)
 				}
-			}(conn)
+			}(conn, connID)
 		}
 	}()
-	if err := s.runRealTime(ctx, jobs); err != nil {
-		return err
-	}
-	return s.shutdown(errOut)
+	return nil
 }

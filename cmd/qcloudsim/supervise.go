@@ -1,17 +1,15 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/job"
 	"repro/internal/records"
 	"repro/internal/retry"
@@ -44,55 +42,57 @@ var superviseBackoff = retry.Policy{
 	},
 }
 
-// lineFeed owns the input stream's line splitting for the supervisor.
-// Lines are buffered from the last durable checkpoint onward, so a
-// restarted incarnation replays exactly the records the dead broker had
-// admitted but not yet made durable — the stream itself (stdin, a pipe)
-// cannot be rewound.
+// lineFeed owns the logical-time input stream's line splitting. With
+// keep set (-supervise), lines are buffered from the last durable
+// checkpoint onward, so a restarted incarnation replays exactly the
+// records the dead broker had admitted but not yet made durable — the
+// stream itself (stdin, a pipe) cannot be rewound. Without keep, each
+// line is dropped once the next is read, so memory stays flat.
 type lineFeed struct {
-	br *bufio.Reader
+	lr   *job.LineReader
+	keep bool
 	// base is the absolute 0-based position of buf[0].
 	base int64
 	buf  [][]byte
-	eof  bool
+	// cut is the position of a final line that lost its newline, or -1.
+	cut int64
 }
 
-func newLineFeed(r io.Reader) *lineFeed {
-	return &lineFeed{br: bufio.NewReaderSize(r, 64<<10)}
+func newLineFeed(r io.Reader, keep bool) *lineFeed {
+	return &lineFeed{lr: job.NewLineReader(r), keep: keep, cut: -1}
 }
 
-// line returns the raw record at absolute position pos, newline
-// stripped, reading ahead as needed. io.EOF once the stream is
-// exhausted.
-func (lf *lineFeed) line(pos int64) ([]byte, error) {
+// line returns the record at absolute position pos, line ending
+// stripped, reading ahead as needed; terminated is false for a final
+// line cut before its newline. io.EOF once the stream is exhausted.
+func (lf *lineFeed) line(pos int64) (raw []byte, terminated bool, err error) {
+	if !lf.keep {
+		lf.trim(pos)
+	}
 	if pos < lf.base {
-		return nil, fmt.Errorf("supervise: stream position %d already trimmed (durable through %d)", pos, lf.base)
+		return nil, false, fmt.Errorf("stream position %d already trimmed (durable through %d)", pos, lf.base)
 	}
 	for pos >= lf.base+int64(len(lf.buf)) {
-		if lf.eof {
-			return nil, io.EOF
-		}
-		raw, err := lf.br.ReadBytes('\n')
-		if len(raw) > 0 {
-			lf.buf = append(lf.buf, bytes.TrimRight(raw, "\r\n"))
-		}
+		raw, terminated, err := lf.lr.Next()
 		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				return nil, err
-			}
-			lf.eof = true
+			return nil, false, err
 		}
+		if !terminated {
+			lf.cut = lf.base + int64(len(lf.buf))
+		}
+		lf.buf = append(lf.buf, raw)
 	}
-	return lf.buf[pos-lf.base], nil
+	return lf.buf[pos-lf.base], pos != lf.cut, nil
 }
 
-// trim drops lines durably covered by a checkpoint.
+// trim drops lines before pos: durably covered by a checkpoint, or,
+// without keep, already submitted.
 func (lf *lineFeed) trim(pos int64) {
-	if pos <= lf.base {
+	n := min(pos-lf.base, int64(len(lf.buf)))
+	if n <= 0 {
 		return
 	}
-	n := min(pos-lf.base, int64(len(lf.buf)))
-	lf.buf = lf.buf[n:]
+	lf.buf = slices.Delete(lf.buf, 0, int(n))
 	lf.base += n
 }
 
@@ -105,18 +105,18 @@ type recoveryEvent struct {
 	Cause       string  `json:"cause,omitempty"`
 }
 
-// supervisor runs broker incarnations under crash recovery. It holds
-// the authoritative recovery state between incarnations: the latest
-// durable checkpoint, the stream position it covers, and the finished
-// per-job rows it archives (a fresh records.Manager per incarnation
-// sidesteps duplicate-lifecycle panics; the supervisor stitches rows
-// across incarnations at export time).
+// supervisor runs the logical-time ingest loop in broker incarnations.
+// It holds the recovery state between incarnations: the latest durable
+// checkpoint, the stream position it covers, and the finished per-job
+// rows it archives (a fresh records.Manager per incarnation sidesteps
+// duplicate-lifecycle panics; the supervisor stitches rows across
+// incarnations at export time). Without -supervise there is exactly one
+// incarnation, and a crash ends the run.
 type supervisor struct {
 	opts   serveOptions
 	out    io.Writer
 	errOut io.Writer
 	feed   *lineFeed
-	inj    *faults.Injector
 
 	// cp is the latest durable checkpoint; nil before the first one.
 	cp *core.Checkpoint
@@ -129,33 +129,30 @@ type supervisor struct {
 	base, archive []*records.JobStats
 
 	incarnation int
-	finalRows   []*records.JobStats
 }
 
-// runSupervised is the -serve -supervise entry point: it runs broker
-// incarnations over the input stream, restarting from the latest
-// atomic checkpoint when one crashes, until the stream drains or the
-// crash-loop breaker trips.
-func runSupervised(ctx context.Context, opts serveOptions, inj *faults.Injector, in io.Reader, out, errOut io.Writer) error {
-	sup := &supervisor{opts: opts, out: out, errOut: errOut, feed: newLineFeed(in), inj: inj}
-	if opts.resume {
-		cp, err := loadCheckpoint(opts.checkpointPath)
-		if err != nil {
-			return err
-		}
-		// The checkpoint's stream position described the run that wrote
-		// it; this invocation reads a new stream from its beginning.
-		cp.Ingested = 0
-		sup.cp = cp
+// serveLogical runs broker incarnations over the stdin stream in
+// logical time until it drains. With -supervise a crashed incarnation
+// restarts from the latest atomic checkpoint until the crash-loop
+// breaker trips; without it the crash ends the run with no export.
+func serveLogical(ctx context.Context, opts serveOptions, cp *core.Checkpoint, in io.Reader, out, errOut io.Writer) error {
+	if opts.inj != nil {
+		in = opts.inj.Reader(in)
 	}
+	sup := &supervisor{opts: opts, out: out, errOut: errOut, feed: newLineFeed(in, opts.supervise), cp: cp}
 	for {
 		before := sup.durable
-		err := superviseBackoff.Do(ctx, sup.runIncarnation)
+		var err error
+		if opts.supervise {
+			err = superviseBackoff.Do(ctx, sup.runIncarnation)
+		} else {
+			err = sup.runIncarnation(ctx)
+		}
 		if err == nil {
-			return sup.writeExport()
+			return nil
 		}
 		var ce *brokerCrashError
-		if !errors.As(err, &ce) {
+		if !opts.supervise || !errors.As(err, &ce) {
 			return err
 		}
 		if sup.durable == before {
@@ -180,29 +177,34 @@ func (sup *supervisor) event(kind string, pos int64, simNow float64, cause strin
 
 // runIncarnation runs one broker life: build (restoring the latest
 // checkpoint), ingest from the durable stream position, drain, final
-// checkpoint. A panic anywhere in the broker loop — including induced
-// ingest crashes — converts to a *brokerCrashError for the restart
-// policy.
+// checkpoint and, once the stream is done, the export. The clock jumps to each job's nominal arrival_time, so a
+// fixed stream yields a bit-reproducible transcript — and per-job
+// records byte-identical to a batch run over the same workload. With
+// -http the service keeps serving after stdin EOF until interrupted. A
+// panic anywhere in the broker loop — including induced ingest crashes
+// — converts to a *brokerCrashError.
 func (sup *supervisor) runIncarnation(ctx context.Context) (err error) {
 	sup.incarnation++
 	sup.base = sup.archive
 
-	opts := sup.opts
-	// The supervisor stitches the export across incarnations itself;
-	// the per-incarnation server must not write a partial file.
-	opts.export = ""
-	s, err := buildServer(opts, sup.cp, sup.out, sup.errOut, sup.opts.export != "")
+	s, err := buildServer(sup.opts, sup.cp, sup.out, sup.errOut)
 	if err != nil {
 		return err
 	}
 	s.ingested = sup.durable
-	s.onCheckpointed = func(cp *core.Checkpoint, rows []*records.JobStats) {
-		sup.cp = cp
-		sup.durable = cp.Ingested
-		sup.archive = append(append([]*records.JobStats{}, sup.base...), rows...)
-		sup.feed.trim(cp.Ingested)
+	if sup.opts.supervise {
+		s.onCheckpointed = func(cp *core.Checkpoint, rows []*records.JobStats) {
+			sup.cp = cp
+			sup.durable = cp.Ingested
+			sup.archive = append(append([]*records.JobStats{}, sup.base...), rows...)
+			sup.feed.trim(cp.Ingested)
+		}
 	}
-	s.scheduleTicks()
+	defer func() {
+		if s.stopHTTP != nil {
+			s.stopHTTP()
+		}
+	}()
 
 	pos := sup.durable
 	if sup.incarnation > 1 {
@@ -216,49 +218,46 @@ func (sup *supervisor) runIncarnation(ctx context.Context) (err error) {
 		}
 	}()
 
-	for ; ; pos++ {
-		if ctx.Err() != nil {
-			break
-		}
-		raw, ferr := sup.feed.line(pos)
+	for ; ctx.Err() == nil; pos++ {
+		raw, terminated, ferr := sup.feed.line(pos)
 		if errors.Is(ferr, io.EOF) {
 			break
 		}
 		if ferr != nil {
-			return ferr
+			return fmt.Errorf("job: reading stream: %w", ferr)
 		}
-		line := raw
-		if sup.inj != nil {
-			line = sup.inj.Line(pos, raw) // may panic with an induced *faults.Crash
+		if sup.opts.inj != nil {
+			raw = sup.opts.inj.Line(pos, raw) // may panic with an induced *faults.Crash
 		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			s.ingested = pos + 1
-			continue
-		}
-		j, derr := job.DecodeLine(line)
+		j, derr := job.DecodeRecord(raw, terminated)
 		if derr != nil {
-			return fmt.Errorf("supervise: stream line %d: %w", pos+1, derr)
+			return fmt.Errorf("job: stream line %d: %w", pos+1, derr)
 		}
-		s.gw.Submit(j)
+		if j != nil {
+			s.gw.Submit(j)
+		}
 		// Only after Submit returns is the record fully applied; a
 		// checkpoint tick firing inside Submit's event advance must not
 		// claim this line as durable.
 		s.ingested = pos + 1
 	}
-	if err := s.shutdown(sup.errOut); err != nil {
+	if sup.opts.httpAddr != "" {
+		<-ctx.Done()
+	}
+	if err := s.shutdown(sup.errOut); err != nil || s.rec == nil {
 		return err
 	}
-	// The drain checkpoint fired onCheckpointed, so archive now covers
-	// every finished job across all incarnations.
-	sup.finalRows = sup.archive
-	return nil
+	// The run's only export: the rows archived through prior
+	// incarnations plus this one's.
+	return writeExport(sup.opts.export, slices.Concat(sup.base, s.rec.Finished()))
 }
 
-// writeExport writes the stitched per-job records CSV — byte-identical
-// to the CSV an uninterrupted run would have exported.
-func (sup *supervisor) writeExport() error {
-	if sup.opts.export == "" {
+// writeExport writes the per-job records CSV from the finished rows;
+// rows stitched across incarnations come out byte-identical to the CSV
+// an uninterrupted run would have exported.
+func writeExport(path string, rows []*records.JobStats) error {
+	if path == "" {
 		return nil
 	}
-	return writeFile(sup.opts.export, func(w io.Writer) error { return records.WriteStatsCSV(w, sup.finalRows) })
+	return writeFile(path, func(w io.Writer) error { return records.WriteStatsCSV(w, rows) })
 }

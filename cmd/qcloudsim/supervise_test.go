@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -42,7 +46,8 @@ func spacedJobs(t *testing.T, n int) []*job.QJob {
 	return jobs
 }
 
-func superviseOpts(dir, name string) serveOptions {
+// superviseOpts is a -supervise run; inj arms its fault plan.
+func superviseOpts(dir, name string, inj *faults.Injector) serveOptions {
 	return serveOptions{
 		cloud:          speedCloud(),
 		window:         64,
@@ -50,7 +55,9 @@ func superviseOpts(dir, name string) serveOptions {
 		// Half the spaced workload's mean gap: every arrival is preceded
 		// by a quiescent tick, without drowning the run in file writes.
 		checkpointEvery: 25000,
+		supervise:       true,
 		export:          filepath.Join(dir, name+".csv"),
+		inj:             inj,
 	}
 }
 
@@ -120,18 +127,18 @@ func checkRecoveryEquivalence(t *testing.T, c cloud) {
 	}
 	dir := t.TempDir()
 
-	clean := superviseOpts(dir, "clean")
+	clean := superviseOpts(dir, "clean", nil)
 	clean.cloud = c
+	clean.supervise = false
 	var cleanOut, cleanErr bytes.Buffer
 	if err := runServe(context.Background(), clean, bytes.NewReader(stream.Bytes()), &cleanOut, &cleanErr); err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
 
-	faulted := superviseOpts(dir, "faulted")
+	faulted := superviseOpts(dir, "faulted", crashInjector(t, 12, 1))
 	faulted.cloud = c
 	var out, errOut bytes.Buffer
-	err := runSupervised(context.Background(), faulted, crashInjector(t, 12, 1),
-		bytes.NewReader(stream.Bytes()), &out, &errOut)
+	err := runServe(context.Background(), faulted, bytes.NewReader(stream.Bytes()), &out, &errOut)
 	if err != nil {
 		t.Fatalf("supervised run: %v\nstderr:\n%s", err, errOut.String())
 	}
@@ -171,8 +178,8 @@ func TestSupervisedCrashLoopBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errOut bytes.Buffer
-	err := runSupervised(context.Background(), superviseOpts(t.TempDir(), "loop"),
-		crashInjector(t, 0, 0), bytes.NewReader(stream.Bytes()), &out, &errOut)
+	err := runServe(context.Background(), superviseOpts(t.TempDir(), "loop", crashInjector(t, 0, 0)),
+		bytes.NewReader(stream.Bytes()), &out, &errOut)
 	if err == nil || !strings.Contains(err.Error(), "crash-loop breaker") {
 		t.Fatalf("crash loop = %v, want breaker error", err)
 	}
@@ -196,7 +203,7 @@ func TestSupervisedFaultSequenceDeterminism(t *testing.T) {
 	run := func(name string) ([]faults.Event, []byte) {
 		inj := crashInjector(t, 9, 1)
 		var out, errOut bytes.Buffer
-		err := runSupervised(context.Background(), superviseOpts(dir, name), inj,
+		err := runServe(context.Background(), superviseOpts(dir, name, inj),
 			bytes.NewReader(stream.Bytes()), &out, &errOut)
 		if err != nil {
 			t.Fatalf("%s: %v\nstderr:\n%s", name, err, errOut.String())
@@ -217,5 +224,180 @@ func TestSupervisedFaultSequenceDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(csv1, csv2) {
 		t.Fatalf("exports diverge across identical supervised runs")
+	}
+}
+
+// faultInjector compiles a one-rule fault plan.
+func faultInjector(t *testing.T, r faults.Rule) *faults.Injector {
+	t.Helper()
+	inj, err := faults.NewInjector(&faults.Plan{Seed: 1, Rules: []faults.Rule{r}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
+}
+
+// Both ingest rule ops apply to logical-time stdin whether or not the
+// run is supervised: a garbled line fails an unsupervised run at its
+// line number, and a byte stream cut mid-record fails a supervised run
+// as a truncation.
+func TestLogicalIngestAppliesEveryRule(t *testing.T) {
+	quietBackoff(t)
+	stream := ndjson(t, testJobs(t, 8))
+	dir := t.TempDir()
+
+	garbled := superviseOpts(dir, "garble", faultInjector(t, faults.Rule{
+		Layer: faults.LayerIngest, Op: faults.OpLine, Kind: faults.KindGarble, After: 3, Max: 1}))
+	garbled.supervise = false
+	var out, errOut bytes.Buffer
+	err := runServe(context.Background(), garbled, bytes.NewReader(stream), &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), "stream line 4:") {
+		t.Errorf("unsupervised garble = %v, want a decode error naming stream line 4", err)
+	}
+
+	// Keep the first line and half of the second.
+	cutAt := bytes.IndexByte(stream, '\n') + 40
+	cut := superviseOpts(dir, "cut", faultInjector(t, faults.Rule{
+		Layer: faults.LayerIngest, Op: faults.OpRead, Kind: faults.KindCut, Max: 1, Bytes: int64(cutAt)}))
+	err = runServe(context.Background(), cut, bytes.NewReader(stream), &out, &errOut)
+	if !errors.Is(err, job.ErrTruncated) || !strings.Contains(err.Error(), "stream line 2:") {
+		t.Fatalf("supervised read cut = %v, want job.ErrTruncated at stream line 2", err)
+	}
+}
+
+// countingReader counts the bytes its reader hands out.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// Logical-time stdin is bounded and truncation-aware with -supervise on
+// and off: an overlong line errors before the stream is read to its
+// end, and a final record cut before its newline is a truncation, not a
+// clean end.
+func TestLogicalIngestBoundedAndTruncationAware(t *testing.T) {
+	stream := ndjson(t, testJobs(t, 3))
+	last := bytes.LastIndexByte(stream[:len(stream)-1], '\n') + 1
+	const huge = 2 << 20
+	rows := []struct {
+		name  string
+		input func() *countingReader
+		check func(err error) bool
+	}{
+		{"2MiB line without newline",
+			func() *countingReader { return &countingReader{r: io.LimitReader(repeatByte('a'), huge)} },
+			func(err error) bool { return err != nil && strings.Contains(err.Error(), "exceeds") }},
+		{"final record cut",
+			func() *countingReader {
+				return &countingReader{r: bytes.NewReader(stream[:last+(len(stream)-last)/2])}
+			},
+			func(err error) bool {
+				return errors.Is(err, job.ErrTruncated) && strings.Contains(err.Error(), "stream line 3:")
+			}},
+	}
+	for _, row := range rows {
+		for _, supervise := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/supervise=%t", row.name, supervise), func(t *testing.T) {
+				opts := superviseOpts(t.TempDir(), "run", nil)
+				opts.supervise = supervise
+				in := row.input()
+				var out, errOut bytes.Buffer
+				err := runServe(context.Background(), opts, in, &out, &errOut)
+				if !row.check(err) {
+					t.Fatalf("error = %v", err)
+				}
+				if in.n >= huge {
+					t.Fatalf("read %d bytes before failing", in.n)
+				}
+			})
+		}
+	}
+}
+
+// repeatByte is an endless stream of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// An unsupervised run with periodic checkpoints stamps the stream
+// position on them like a supervised one: the final checkpoint covers
+// every line.
+func TestUnsupervisedCheckpointStampsIngested(t *testing.T) {
+	opts := superviseOpts(t.TempDir(), "plain", nil)
+	opts.supervise = false
+	opts.checkpointEvery = 200000
+	var out, errOut bytes.Buffer
+	if err := runServe(context.Background(), opts, bytes.NewReader(ndjson(t, spacedJobs(t, 40))), &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := loadCheckpoint(opts.checkpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Ingested != 40 {
+		t.Fatalf("final checkpoint ingested = %d, want 40 (every stream line)", cp.Ingested)
+	}
+}
+
+// Without -supervise a broker crash is not retried: the run reports the
+// crash event once, fails with the crash, and writes no export.
+func TestUnsupervisedCrashWritesNoExport(t *testing.T) {
+	opts := superviseOpts(t.TempDir(), "crash", crashInjector(t, 5, 1))
+	opts.supervise = false
+	var out, errOut bytes.Buffer
+	err := runServe(context.Background(), opts, bytes.NewReader(ndjson(t, spacedJobs(t, 20))), &out, &errOut)
+	var ce *brokerCrashError
+	if !errors.As(err, &ce) || ce.pos != 5 {
+		t.Fatalf("unsupervised crash = %v, want a broker crash at stream position 5", err)
+	}
+	if counts := countEvents(t, errOut.String()); counts["crash"] != 1 || counts["recover"] != 0 {
+		t.Fatalf("recovery events = %v, want one crash and no recover", counts)
+	}
+	if _, err := os.Stat(opts.export); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("crashed run left an export: %v", err)
+	}
+}
+
+// A real-time broker decodes streams without the line loop, so a plan
+// with an ingest line rule is refused at startup, naming the rule,
+// before stdin is read: stdin here stays open and never delivers a byte.
+func TestRealTimeRefusesLineRules(t *testing.T) {
+	dir := t.TempDir()
+	plan := filepath.Join(dir, "plan.json")
+	if err := os.WriteFile(plan, []byte(`{"seed":1,"rules":[{"layer":"ingest","op":"read","kind":"stall"},{"layer":"ingest","op":"line","kind":"garble","after":3,"max":1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdin, hold, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hold.Close()
+	defer stdin.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, exe, "-serve", "-time-scale", "10", "-fault-plan", plan)
+	cmd.Env = append(os.Environ(), "QCLOUDSIM_TEST_MAIN=1")
+	cmd.Stdin = stdin
+	got, err := cmd.CombinedOutput()
+	if err == nil || ctx.Err() != nil {
+		t.Fatalf("real-time run with a line rule = %v (context %v), want a startup refusal\n%s", err, ctx.Err(), got)
+	}
+	if !strings.Contains(string(got), "rule 1 (ingest/line/garble)") {
+		t.Fatalf("refusal does not name the line rule:\n%s", got)
 	}
 }

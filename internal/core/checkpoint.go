@@ -69,8 +69,9 @@ type Checkpoint struct {
 	DriftNext  float64 `json:"drift_next,omitempty"`
 	// Ingested is the serving layer's durable stream position: how many
 	// stream lines are fully covered by this checkpoint. The broker
-	// leaves it zero; the serve loop stamps it, and the supervisor
-	// resumes the feed there after a crash.
+	// leaves it zero; every logical-time serve run stamps it, supervised
+	// or not, and the supervisor resumes the feed there after a crash.
+	// -resume starts a new stream, so it reads the next one from line 0.
 	Ingested int64 `json:"ingested,omitempty"`
 	// Jobs carries the serving layer's JobIndex snapshot when one is
 	// attached. The broker itself does not own a JobIndex, so

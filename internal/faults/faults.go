@@ -35,9 +35,11 @@ const (
 	OpConnect = "connect"
 	// OpFrame is one transport reply frame.
 	OpFrame = "frame"
-	// OpLine is one ingest stream line (supervised path).
+	// OpLine is one line of the broker's logical-time stdin stream,
+	// supervised or not; real-time brokers refuse line rules.
 	OpLine = "line"
-	// OpRead is one ingest byte-stream read (unsupervised path).
+	// OpRead is one ingest byte-stream read: logical-time stdin, and
+	// real-time stdin and TCP connections.
 	OpRead = "read"
 	// OpRequest is one HTTP request.
 	OpRequest = "request"

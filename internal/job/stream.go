@@ -19,6 +19,66 @@ var ErrTruncated = errors.New("stream truncated mid-record")
 // leave generous headroom for pathological inputs.
 const maxLineBytes = 1 << 20
 
+// LineReader splits a byte stream into NDJSON records, one physical
+// line each, bounded by maxLineBytes so that a stream without newlines
+// errors instead of filling memory. StreamDecoder reads through it, and
+// so does the broker's logical-time ingest loop, which applies its
+// fault rules to each raw line before DecodeRecord.
+type LineReader struct {
+	br   *bufio.Reader
+	done bool
+}
+
+// NewLineReader wraps r in a bounded line reader.
+func NewLineReader(r io.Reader) *LineReader {
+	return &LineReader{br: bufio.NewReaderSize(r, 64<<10)}
+}
+
+// Next returns the next line with its line ending stripped. terminated
+// reports whether the line ended in a newline; only the last line of a
+// stream may not. Next returns io.EOF once the stream is exhausted.
+func (lr *LineReader) Next() (line []byte, terminated bool, err error) {
+	if lr.done {
+		return nil, false, io.EOF
+	}
+	var buf []byte
+	for {
+		frag, err := lr.br.ReadSlice('\n')
+		buf = append(buf, frag...)
+		switch {
+		case err == nil:
+			return bytes.TrimRight(buf, "\r\n"), true, nil
+		case errors.Is(err, io.EOF):
+			lr.done = true
+			if len(buf) == 0 {
+				return nil, false, io.EOF
+			}
+			return buf, false, nil
+		case !errors.Is(err, bufio.ErrBufferFull):
+			return nil, false, err
+		case len(buf) > maxLineBytes:
+			return nil, false, fmt.Errorf("line exceeds %d bytes", maxLineBytes)
+		}
+	}
+}
+
+// DecodeRecord decodes one LineReader line with DecodeLine. A blank line
+// yields a nil job and no error. A line that lost its newline and does
+// not decode is a stream cut mid-record: the error wraps ErrTruncated,
+// so the dropped tail is never mistaken for a clean end. A final
+// complete record without a newline decodes normally.
+func DecodeRecord(line []byte, terminated bool) (*QJob, error) {
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 {
+		return nil, nil
+	}
+	j, err := DecodeLine(line)
+	if err != nil && !terminated {
+		return nil, fmt.Errorf("%w: %w", ErrTruncated, err)
+	}
+	return j, err
+}
+
 // StreamDecoder reads an open-ended workload as line-delimited JSON: one
 // jobJSON object per line, the broker ingest format. It reuses the batch
 // loader's schema and defaults, so a JSON-array workload converted to
@@ -28,20 +88,15 @@ const maxLineBytes = 1 << 20
 // ingest provenance, so an operator can attribute a poisoned line to
 // the connection that delivered it.
 type StreamDecoder struct {
-	br     *bufio.Reader
+	lr     *LineReader
 	line   int
 	ingest Ingest
-	done   bool
 }
 
 // NewStreamDecoder wraps r in a line-delimited JSON job decoder.
 func NewStreamDecoder(r io.Reader) *StreamDecoder {
-	return &StreamDecoder{br: bufio.NewReaderSize(r, 64<<10)}
+	return &StreamDecoder{lr: NewLineReader(r)}
 }
-
-// Line returns the 1-based line number of the last decoded job, for
-// error reporting by callers.
-func (d *StreamDecoder) Line() int { return d.line }
 
 // SetSource stamps every subsequently decoded job with ingest
 // provenance: the ingest path name, the peer address, and a
@@ -52,41 +107,17 @@ func (d *StreamDecoder) SetSource(source, remote string, connID int64) {
 	d.ingest = Ingest{Source: source, Remote: remote, ConnID: connID}
 }
 
-// where locates an error: line number plus ingest provenance when set.
-func (d *StreamDecoder) where() string {
+// where locates an error: the stream, with the line number for a
+// decode (not read) error, plus the ingest provenance when set.
+func (d *StreamDecoder) where(decode bool) string {
+	w := "stream"
+	if decode {
+		w = fmt.Sprintf("stream line %d", d.line)
+	}
 	if d.ingest.Source == "" {
-		return fmt.Sprintf("stream line %d", d.line)
+		return w
 	}
-	return fmt.Sprintf("%s stream line %d (remote %s, conn %d)",
-		d.ingest.Source, d.line, d.ingest.Remote, d.ingest.ConnID)
-}
-
-// streamName names the stream for read (not decode) errors.
-func (d *StreamDecoder) streamName() string {
-	if d.ingest.Source == "" {
-		return "stream"
-	}
-	return fmt.Sprintf("%s stream (remote %s, conn %d)", d.ingest.Source, d.ingest.Remote, d.ingest.ConnID)
-}
-
-// readLine reads one physical line including its newline. At end of
-// stream it returns the unterminated tail (possibly empty) with io.EOF.
-func (d *StreamDecoder) readLine() ([]byte, error) {
-	var buf []byte
-	for {
-		frag, err := d.br.ReadSlice('\n')
-		buf = append(buf, frag...)
-		if err == nil || errors.Is(err, io.EOF) {
-			return buf, err
-		}
-		if errors.Is(err, bufio.ErrBufferFull) {
-			if len(buf) > maxLineBytes {
-				return nil, fmt.Errorf("line exceeds %d bytes", maxLineBytes)
-			}
-			continue
-		}
-		return buf, err
-	}
+	return fmt.Sprintf("%s %s (remote %s, conn %d)", d.ingest.Source, w, d.ingest.Remote, d.ingest.ConnID)
 }
 
 // Next decodes the next job. It returns io.EOF once the stream ends
@@ -94,40 +125,23 @@ func (d *StreamDecoder) readLine() ([]byte, error) {
 // trailing newline). A stream that ends mid-record instead yields an
 // error wrapping ErrTruncated.
 func (d *StreamDecoder) Next() (*QJob, error) {
-	if d.done {
-		return nil, io.EOF
-	}
 	for {
-		raw, readErr := d.readLine()
-		if readErr != nil && !errors.Is(readErr, io.EOF) {
-			return nil, fmt.Errorf("job: reading %s: %w", d.streamName(), readErr)
-		}
-		atEOF := readErr != nil
-		if atEOF {
-			d.done = true
-		}
-		if len(raw) == 0 {
+		line, terminated, err := d.lr.Next()
+		if errors.Is(err, io.EOF) {
 			return nil, io.EOF
 		}
-		d.line++
-		trimmed := bytes.TrimSpace(raw)
-		if len(trimmed) == 0 {
-			if atEOF {
-				return nil, io.EOF
-			}
-			continue
-		}
-		j, err := DecodeLine(trimmed)
 		if err != nil {
-			if atEOF && !bytes.HasSuffix(raw, []byte("\n")) {
-				// The stream died without a newline and the tail does
-				// not decode: a cut mid-record, not a clean end.
-				return nil, fmt.Errorf("job: %s: %w: %w", d.where(), ErrTruncated, err)
-			}
-			return nil, fmt.Errorf("job: %s: %w", d.where(), err)
+			return nil, fmt.Errorf("job: reading %s: %w", d.where(false), err)
 		}
-		j.Ingest = d.ingest
-		return j, nil
+		d.line++
+		j, err := DecodeRecord(line, terminated)
+		if err != nil {
+			return nil, fmt.Errorf("job: %s: %w", d.where(true), err)
+		}
+		if j != nil {
+			j.Ingest = d.ingest
+			return j, nil
+		}
 	}
 }
 
