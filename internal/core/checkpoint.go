@@ -97,7 +97,7 @@ func (b *Broker) Checkpoint() (*Checkpoint, error) {
 	if b.driftRNG != nil {
 		cp.DriftSteps, cp.DriftNext = b.driftSteps, b.driftNext
 	}
-	for _, pj := range b.pending {
+	for _, pj := range b.pending[b.head:] {
 		cp.Pending = append(cp.Pending, CheckpointPending{Arrival: pj.arrival, Job: *pj.j})
 	}
 	if len(b.buckets) > 0 {
@@ -137,7 +137,7 @@ func (b *Broker) Restore(cp *Checkpoint) error {
 	if cp.Version != CheckpointVersion {
 		return fmt.Errorf("core: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
 	}
-	if b.admitted != 0 || b.finished != 0 || b.active != 0 || len(b.pending) != 0 {
+	if b.admitted != 0 || b.finished != 0 || b.active != 0 || b.QueueDepth() != 0 {
 		return fmt.Errorf("core: restore requires a fresh broker")
 	}
 	if now := b.env.Now(); now != cp.SimNow {

@@ -235,7 +235,11 @@ type Broker struct {
 	rec     StreamRecorder
 	windows *metrics.TenantWindows
 
+	// pending[head:] is the queue of admitted-but-unplaced jobs, oldest
+	// first. Every other slot up to cap(pending) is the zero value, so
+	// the backing array keeps no placed or shed job reachable.
 	pending []pendingJob
+	head    int
 	runPool []*jobRun
 	states  []policy.DeviceState
 
@@ -379,7 +383,7 @@ func (b *Broker) Windows() *metrics.TenantWindows { return b.windows }
 func (b *Broker) Policy() policy.Policy { return b.pol }
 
 // QueueDepth returns the number of admitted jobs waiting for placement.
-func (b *Broker) QueueDepth() int { return len(b.pending) }
+func (b *Broker) QueueDepth() int { return len(b.pending) - b.head }
 
 // Active returns the number of jobs currently executing.
 func (b *Broker) Active() int { return b.active }
@@ -393,7 +397,7 @@ func (b *Broker) Finished() int { return b.finished }
 
 // Quiescent reports whether no job is executing or awaiting placement —
 // the state in which a checkpoint can be taken.
-func (b *Broker) Quiescent() bool { return b.active == 0 && len(b.pending) == 0 }
+func (b *Broker) Quiescent() bool { return b.active == 0 && b.QueueDepth() == 0 }
 
 // Admit injects one job into the broker at the current simulation time,
 // bypassing admission control. The caller (the serve loop) is
@@ -441,15 +445,15 @@ func (b *Broker) Offer(j *job.QJob) Decision {
 	}
 	switch b.admission.Policy {
 	case AdmitReject:
-		if len(b.pending) >= b.admission.MaxQueue {
+		if b.QueueDepth() >= b.admission.MaxQueue {
 			b.admStats.RejectedQueueFull++
 			b.rec.Drop(j, now, DropQueueFull)
 			return Decision{Reason: DropQueueFull, RetryAfterS: b.admission.RetryAfterS}
 		}
 	case AdmitShed:
-		if len(b.pending) >= b.admission.MaxQueue {
-			shed := b.pending[0]
-			b.pending = append(b.pending[:0], b.pending[1:]...)
+		if b.QueueDepth() >= b.admission.MaxQueue {
+			shed := b.pending[b.head]
+			b.removePending(0)
 			b.inflight[tenantKey(shed.j.Tenant)]--
 			b.admStats.Shed++
 			b.rec.Drop(shed.j, now, DropShed)
@@ -504,12 +508,11 @@ func (b *Broker) statesInto() []policy.DeviceState {
 //
 //repro:noalloc
 func (b *Broker) dispatch() {
-	for len(b.pending) > 0 {
+	for b.QueueDepth() > 0 {
 		placedAny := false
 		states := b.statesInto()
 		free := device.TotalFree(b.devices)
-		for idx := 0; idx < len(b.pending); idx++ {
-			pj := b.pending[idx]
+		for idx, pj := range b.pending[b.head:] {
 			var allocs []policy.Allocation
 			if pj.j.NumQubits <= free {
 				allocs = b.pol.Allocate(pj.j, states)
@@ -518,7 +521,7 @@ func (b *Broker) dispatch() {
 				if err := policy.Validate(pj.j, states, allocs); err != nil {
 					panic(fmt.Sprintf("core: policy %q produced invalid allocation: %v", b.pol.Name(), err))
 				}
-				b.pending = append(b.pending[:idx], b.pending[idx+1:]...)
+				b.removePending(idx)
 				b.start(pj, allocs)
 				placedAny = true
 				break
@@ -530,6 +533,32 @@ func (b *Broker) dispatch() {
 		if !placedAny {
 			return
 		}
+	}
+}
+
+// removePending takes the idx-th queued job (0 is the head) out of the
+// queue and zeroes every slot it vacates. A head pop only advances head,
+// and once the dead prefix passes half the slice the live window moves
+// to the front: each compaction copies fewer jobs than were popped since
+// the last, so a FIFO pop costs amortised O(1). A removal behind the
+// head (backfill) shifts the tail, O(n) like the scan that found it.
+//
+//repro:noalloc
+func (b *Broker) removePending(idx int) {
+	if idx == 0 {
+		b.pending[b.head] = pendingJob{}
+		b.head++
+	} else {
+		i, last := b.head+idx, len(b.pending)-1
+		copy(b.pending[i:], b.pending[i+1:])
+		b.pending[last] = pendingJob{}
+		b.pending = b.pending[:last]
+	}
+	if 2*b.head > len(b.pending) {
+		n := copy(b.pending, b.pending[b.head:])
+		clear(b.pending[n:])
+		b.pending = b.pending[:n]
+		b.head = 0
 	}
 }
 
@@ -657,7 +686,7 @@ func (jr *jobRun) fidelity() float64 {
 // runs (QCloudSimEnv.Run) check completeness through it too.
 func (b *Broker) Drain() (float64, error) {
 	end := b.env.Run()
-	if n := len(b.pending); n > 0 {
+	if n := b.QueueDepth(); n > 0 {
 		return end, fmt.Errorf("core: %d admitted jobs unplaceable under policy %q", n, b.pol.Name())
 	}
 	return end, nil
