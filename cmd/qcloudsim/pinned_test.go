@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/job"
 	"repro/internal/rl"
 	"repro/internal/rlsched"
 )
@@ -144,5 +146,72 @@ func TestBatchExportPinned(t *testing.T) {
 				t.Fatalf("export digest %s, pinned %s", got, c.want)
 			}
 		})
+	}
+}
+
+// servedStream runs qcloudsim -serve with args over the NDJSON stream
+// in and returns its stdout: the lifecycle stream.
+func servedStream(t *testing.T, in []byte, args ...string) []byte {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, append([]string{"-serve"}, args...)...)
+	cmd.Dir = t.TempDir()
+	cmd.Env = append(os.Environ(), "QCLOUDSIM_TEST_MAIN=1")
+	cmd.Stdin = bytes.NewReader(in)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("qcloudsim -serve %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+	}
+	return stdout.Bytes()
+}
+
+// lifecycleWorkload is a two-tenant NDJSON stream whose job IDs need
+// every kind of JSON escaping the lifecycle encoder meets: quotes,
+// HTML-sensitive bytes, non-ASCII, and U+2028.
+func lifecycleWorkload(t *testing.T) []byte {
+	t.Helper()
+	cfg := job.DefaultSyntheticConfig()
+	cfg.N = 80
+	cfg.Seed = 13
+	cfg.MeanInterarrival = 150
+	jobs, err := job.Synthetic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := []string{`q"uote`, "a<b>", "r&d", "caf\u00e9", "line\u2028sep", `back\slash`, "tab\there"}
+	for i, j := range jobs {
+		if i%5 == 0 {
+			j.ID = fmt.Sprintf("%s-%d", odd[(i/5)%len(odd)], i)
+		}
+		j.Tenant = []string{"alpha", "beta"}[i%2]
+	}
+	var buf bytes.Buffer
+	if err := job.WriteNDJSON(&buf, jobs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// The -serve lifecycle stream is pinned by digest: shed admission with
+// a short queue (so drop lines appear), two tenants, calibration drift,
+// and job IDs that need escaping. Update the digest only for an
+// intended change of the stream's bytes.
+func TestServeLifecyclePinned(t *testing.T) {
+	out := servedStream(t, lifecycleWorkload(t), "-policy", "fair",
+		"-admit-policy", "shed", "-admit-max-queue", "3",
+		"-drift-interval", "600", "-drift-magnitude", "0.3", "-seed", "5")
+	for _, ev := range []string{"arrival", "start", "finish", "drop"} {
+		if !bytes.Contains(out, []byte(`"event":"`+ev+`"`)) {
+			t.Fatalf("no %s line in the lifecycle stream:\n%s", ev, out)
+		}
+	}
+	sum := sha256.Sum256(out)
+	const want = "4462732a62dab229d9a1b41c36f83011d7a9ef7001f9432ddd2b3306982f6987"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("lifecycle digest %s, pinned %s (%d bytes)", got, want, len(out))
 	}
 }

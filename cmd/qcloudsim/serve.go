@@ -77,57 +77,6 @@ type serveOptions struct {
 	onHTTP func(net.Addr)
 }
 
-// finishEmitter streams job lifecycle events as JSON lines.
-type finishEmitter struct {
-	w   *bufio.Writer
-	enc *json.Encoder
-}
-
-func newFinishEmitter(w io.Writer) *finishEmitter {
-	bw := bufio.NewWriter(w)
-	return &finishEmitter{w: bw, enc: json.NewEncoder(bw)}
-}
-
-type lifecycleLine struct {
-	Event    string   `json:"event"`
-	JobID    string   `json:"job_id"`
-	T        float64  `json:"t"`
-	Reason   string   `json:"reason,omitempty"`
-	Fidelity *float64 `json:"fidelity,omitempty"`
-	CommTime *float64 `json:"comm_time,omitempty"`
-	Devices  []string `json:"devices,omitempty"`
-}
-
-func (e *finishEmitter) emit(l lifecycleLine) {
-	if err := e.enc.Encode(l); err == nil {
-		e.w.Flush() //lint:allow errlint lifecycle emission is best-effort; a broken out pipe must not crash the broker
-	}
-}
-
-// Arrival implements core.StreamRecorder.
-func (e *finishEmitter) Arrival(j *job.QJob, t float64) {
-	e.emit(lifecycleLine{Event: "arrival", JobID: j.ID, T: t})
-}
-
-// Start implements core.StreamRecorder.
-func (e *finishEmitter) Start(jobID string, t float64) {
-	e.emit(lifecycleLine{Event: "start", JobID: jobID, T: t})
-}
-
-// Finish implements core.StreamRecorder.
-func (e *finishEmitter) Finish(jobID string, finish, fidelity, commTime float64, deviceNames []string) {
-	e.emit(lifecycleLine{
-		Event: "finish", JobID: jobID, T: finish,
-		Fidelity: &fidelity, CommTime: &commTime, Devices: deviceNames,
-	})
-}
-
-// Drop implements core.StreamRecorder: an admission-control refusal or
-// shed, with the reason on the line.
-func (e *finishEmitter) Drop(j *job.QJob, t float64, reason string) {
-	e.emit(lifecycleLine{Event: "drop", JobID: j.ID, T: t, Reason: reason})
-}
-
 // metricsLine is one rolling-metrics JSONL sample on the metrics stream.
 type metricsLine struct {
 	SimNow     float64                          `json:"sim_now"`
@@ -291,7 +240,7 @@ func (s *server) shutdown(errOut io.Writer) error {
 		s.stopHTTP = nil
 	}
 	s.draining = true
-	end, err := s.b.Drain()
+	end, err := s.gw.Drain()
 	if err != nil {
 		return err
 	}
@@ -380,7 +329,8 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, out, errOut io.Writer) 
 		rec = records.NewManager()
 		recorder = append(recorder, core.ManagerRecorder{M: rec})
 	}
-	recorder = append(recorder, idx, newFinishEmitter(out))
+	em := newFinishEmitter(out)
+	recorder = append(recorder, idx, em)
 	b, err := core.NewBroker(env, fleet, pol, opts.cfg, recorder, opts.window)
 	if err != nil {
 		return nil, err
@@ -398,10 +348,14 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, out, errOut io.Writer) 
 			}
 		}
 	}
+	// Lines a restore produced (re-admitted and restarted jobs) go out
+	// now; from here on every gateway call writes its own.
+	em.flush()
 	gw, err := api.NewGateway(b, idx, opts.timeScale == 0)
 	if err != nil {
 		return nil, err
 	}
+	gw.SetFlush(em.flush)
 	s := &server{opts: opts, b: b, env: env, rec: rec, gw: gw, idx: idx, metricsOut: bufio.NewWriter(errOut), warnOut: errOut}
 	s.scheduleTicks()
 	if opts.httpAddr != "" {

@@ -373,6 +373,7 @@ func TestHTTPSubmitBadRequest(t *testing.T) {
 		"empty":       "",
 		"malformed":   `{"job_id":"x","num_qubits":200,"depth":5,"num_shots":100}` + "\n" + "{not json}\n",
 		"unknown-key": `{"job_id":"x","num_qubits":200,"depth":5,"num_shots":100,"ingest":{"source":"spoof"}}` + "\n",
+		"trailing":    `{"job_id":"x","num_qubits":200,"depth":5,"num_shots":100} {"job_id":"ghost"}` + "\n",
 	} {
 		t.Run(name, func(t *testing.T) {
 			resp, err := http.Post(s.ts.URL+"/v1/jobs", "application/x-ndjson", strings.NewReader(body))
@@ -423,5 +424,77 @@ func TestNewGatewayValidation(t *testing.T) {
 	}
 	if _, err := NewGateway(b, nil, true); err == nil {
 		t.Error("nil index accepted")
+	}
+}
+
+// boomRecorder panics on the arrival of the job named boom, standing in
+// for a broker crash in the middle of a gateway call.
+type boomRecorder struct{ core.MultiRecorder }
+
+func (r boomRecorder) Arrival(j *job.QJob, t float64) {
+	if j.ID == "boom" {
+		panic("boom")
+	}
+	r.MultiRecorder.Arrival(j, t)
+}
+
+// The flush hook runs once at the end of every call that drives the
+// broker, under the gateway lock, also when the call panics; read-only
+// calls do not flush.
+func TestGatewayFlushHook(t *testing.T) {
+	env := sim.NewEnvironment()
+	fleet, err := device.StandardFleet(env, 2025)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := core.NewJobIndex(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.NewBroker(env, fleet, policy.Speed{}, core.DefaultConfig(), boomRecorder{core.MultiRecorder{idx}}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := NewGateway(b, idx, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushes := 0
+	gw.SetFlush(func() {
+		if gw.mu.TryLock() {
+			gw.mu.Unlock()
+			t.Error("flush ran without the gateway lock")
+		}
+		flushes++
+	})
+	jobs := testWorkload(t, 3)
+	steps := []struct {
+		name string
+		call func()
+		want int
+	}{
+		{"Submit", func() { gw.Submit(jobs[0]) }, 1},
+		{"SubmitAll", func() { gw.SubmitAll(jobs[1:]) }, 2},
+		{"AdvanceTo", func() { gw.AdvanceTo(env.Now() + 1) }, 3},
+		{"reads", func() { gw.Status(); gw.Metrics(); gw.Job(jobs[0].ID) }, 3},
+		{"panicking Submit", func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Submit of boom did not panic")
+				}
+			}()
+			gw.Submit(&job.QJob{ID: "boom", NumQubits: 1, Depth: 1, Shots: 1, ArrivalTime: env.Now()})
+		}, 4},
+		{"Drain", func() {
+			if _, err := gw.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		}, 5},
+	}
+	for _, s := range steps {
+		s.call()
+		if flushes != s.want {
+			t.Fatalf("after %s: %d flushes, want %d", s.name, flushes, s.want)
+		}
 	}
 }

@@ -31,6 +31,9 @@ type Gateway struct {
 	// (real-time modes), arrival_time is ignored and jobs are admitted
 	// at the current simulation time.
 	logical bool
+	// flush, if set, runs at the end of every call that drives the
+	// broker; see SetFlush.
+	flush func()
 }
 
 // NewGateway wraps a broker and its job index. The index must be one of
@@ -45,6 +48,27 @@ func NewGateway(b *core.Broker, idx *core.JobIndex, logical bool) (*Gateway, err
 	return &Gateway{b: b, idx: idx, logical: logical}, nil
 }
 
+// SetFlush installs f to run at the end of every call that drives the
+// broker — Submit, SubmitAll, AdvanceTo and Drain — under the lock,
+// even when the call panics. A recorder that buffers its output flushes
+// there, so the output a call produces is written once, before the
+// call returns, and never interleaves with another call's.
+func (g *Gateway) SetFlush(f func()) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.flush = f
+}
+
+// flushLocked runs the flush hook. Callers defer it after deferring the
+// unlock, so it runs first, still under the lock.
+//
+//repro:noalloc
+func (g *Gateway) flushLocked() {
+	if g.flush != nil {
+		g.flush()
+	}
+}
+
 // Submit offers one job to the broker through admission control. In
 // logical mode the simulation clock first advances to the job's
 // arrival_time (never backwards), running any due completions — exactly
@@ -54,6 +78,7 @@ func NewGateway(b *core.Broker, idx *core.JobIndex, logical bool) (*Gateway, err
 func (g *Gateway) Submit(j *job.QJob) core.Decision {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	defer g.flushLocked()
 	return g.submitLocked(j)
 }
 
@@ -72,6 +97,7 @@ func (g *Gateway) submitLocked(j *job.QJob) core.Decision {
 func (g *Gateway) SubmitAll(jobs []*job.QJob) []core.Decision {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	defer g.flushLocked()
 	out := make([]core.Decision, len(jobs))
 	for i, j := range jobs {
 		out[i] = g.submitLocked(j)
@@ -85,6 +111,7 @@ func (g *Gateway) SubmitAll(jobs []*job.QJob) []core.Decision {
 func (g *Gateway) AdvanceTo(t float64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	defer g.flushLocked()
 	if t > g.b.Env().Now() {
 		g.b.Env().AdvanceTo(t)
 	}
@@ -95,6 +122,7 @@ func (g *Gateway) AdvanceTo(t float64) {
 func (g *Gateway) Drain() (float64, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	defer g.flushLocked()
 	return g.b.Drain()
 }
 

@@ -76,6 +76,9 @@ func soakGateway(tb testing.TB, windowCap, retain int) *Gateway {
 // allocation-free at steady state, like the broker cycle beneath it.
 func TestGatewaySubmitSteadyStateAllocFree(t *testing.T) {
 	gw := soakGateway(t, 128, 64)
+	// The flush hook qcloudsim installs rides every submit.
+	flushes := 0
+	gw.SetFlush(func() { flushes++ })
 	const pool = 256
 	jobs := make([]*job.QJob, pool)
 	for i := range jobs {
@@ -102,6 +105,9 @@ func TestGatewaySubmitSteadyStateAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(300, submit); n != 0 {
 		t.Errorf("gateway submit allocates %g/op at steady state, want 0", n)
+	}
+	if flushes != next {
+		t.Errorf("%d flushes for %d submits", flushes, next)
 	}
 }
 

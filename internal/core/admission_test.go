@@ -211,8 +211,8 @@ func TestOfferSteadyStateAllocFree(t *testing.T) {
 }
 
 // Dropped jobs must not poison the records layer: refused jobs never
-// count as pending, shed jobs stop counting, and drops appear in the
-// event log.
+// count as pending, shed jobs stop counting, and the shed job alone
+// carries the drop and its reason.
 func TestAdmissionRecordsIntegration(t *testing.T) {
 	m := records.NewManager()
 	b := admissionBroker(t, AdmissionConfig{Policy: AdmitShed, MaxQueue: 1}, ManagerRecorder{M: m})
@@ -232,18 +232,15 @@ func TestAdmissionRecordsIntegration(t *testing.T) {
 	if got := m.NumFinished(); got != 3 {
 		t.Fatalf("finished = %d, want 3", got)
 	}
-	s := m.Get("j2")
-	if s == nil || !s.Dropped() || s.DropReason != DropShed {
-		t.Fatalf("j2 stats = %+v", s)
-	}
-	var dropEvents int
-	for _, e := range m.Events() {
-		if e.Type == records.EventDrop {
-			dropEvents++
+	for i := 0; i < 4; i++ {
+		id := fmt.Sprintf("j%d", i)
+		s := m.Get(id)
+		if s == nil {
+			t.Fatalf("%s has no record", id)
 		}
-	}
-	if dropEvents != 1 {
-		t.Fatalf("drop events = %d, want 1", dropEvents)
+		if shed := id == "j2"; s.Dropped() != shed || (s.DropReason == DropShed) != shed {
+			t.Fatalf("%s stats = %+v, want dropped %v", id, s, shed)
+		}
 	}
 }
 

@@ -146,14 +146,19 @@ func (d *StreamDecoder) Next() (*QJob, error) {
 }
 
 // DecodeLine decodes one NDJSON job line (the broker wire schema),
-// applying the batch loader's defaults and validation. Ingest
-// provenance is left zero; callers stamp it.
+// applying the batch loader's defaults and validation. A line holds
+// exactly one job object: anything but white space after it is an
+// error, never a second job silently dropped. Ingest provenance is left
+// zero; callers stamp it.
 func DecodeLine(line []byte) (*QJob, error) {
 	var rj jobJSON
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rj); err != nil {
 		return nil, err
+	}
+	if len(bytes.TrimSpace(line[dec.InputOffset():])) > 0 {
+		return nil, fmt.Errorf("trailing content after the job object at byte %d", dec.InputOffset())
 	}
 	return rj.toJob()
 }

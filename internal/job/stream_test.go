@@ -160,6 +160,27 @@ func TestDecodeLine(t *testing.T) {
 	}
 }
 
+// A second JSON value, or any other content, after the job object on
+// one line is refused on every ingest path rather than silently
+// dropped; trailing white space is not content.
+func TestDecodeLineRejectsTrailingContent(t *testing.T) {
+	const valid = `{"job_id":"job-0000000","num_qubits":140,"depth":10,"num_shots":20000}`
+	for _, tail := range []string{` {"job_id":"ghost"}`, `{"job_id":"ghost","num_qubits":140,"depth":10,"num_shots":20000}`, `,`, ` x`, `]`, "\t1"} {
+		if _, err := DecodeLine([]byte(valid + tail)); err == nil || !strings.Contains(err.Error(), "trailing content") {
+			t.Errorf("DecodeLine with trailing %q: error %v", tail, err)
+		}
+		d := NewStreamDecoder(strings.NewReader(valid + tail + "\n" + valid + "\n"))
+		if j, err := d.Next(); err == nil || !strings.Contains(err.Error(), "stream line 1") {
+			t.Errorf("stream with trailing %q on line 1: job %v, error %v", tail, j, err)
+		}
+	}
+	for _, ws := range []string{" ", "\t", " \r"} {
+		if _, err := DecodeLine([]byte(valid + ws)); err != nil {
+			t.Errorf("trailing white space %q refused: %v", ws, err)
+		}
+	}
+}
+
 // The NDJSON round trip must reproduce the batch loader's jobs exactly:
 // the serve-smoke gate feeds the same workload to the batch runner (JSON
 // array) and the broker (NDJSON) and expects identical records.

@@ -224,17 +224,3 @@ func ReadManifestJSON(r io.Reader) (*RunManifest, error) {
 	}
 	return &m, nil
 }
-
-// WriteEventLog emits the raw event stream (job_id, event, time) in
-// insertion order.
-func (m *Manager) WriteEventLog(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "job_id,event,time"); err != nil {
-		return err
-	}
-	for _, e := range m.events {
-		if _, err := fmt.Fprintf(w, "%s,%s,%g\n", e.JobID, e.Type, e.Time); err != nil {
-			return err
-		}
-	}
-	return nil
-}

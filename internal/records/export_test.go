@@ -45,18 +45,3 @@ func TestWriteCSVEmptyManager(t *testing.T) {
 		t.Fatalf("expected header only, got %q", buf.String())
 	}
 }
-
-func TestWriteEventLog(t *testing.T) {
-	m := NewManager()
-	m.LogArrival("a", 1)
-	m.LogStart("a", 2)
-	m.LogFinish("a", 3, 0.5, 0, []string{"d"})
-	var buf bytes.Buffer
-	if err := m.WriteEventLog(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "job_id,event,time\na,arrival,1\na,start,2\na,finish,3\n"
-	if buf.String() != want {
-		t.Fatalf("event log = %q", buf.String())
-	}
-}

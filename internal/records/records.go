@@ -32,25 +32,6 @@ import (
 	"sort"
 )
 
-// EventType labels a lifecycle event.
-type EventType string
-
-// Lifecycle event types, matching the paper's §3 list plus the broker's
-// admission-control outcome.
-const (
-	EventArrival EventType = "arrival"
-	EventStart   EventType = "start"
-	EventFinish  EventType = "finish"
-	EventDrop    EventType = "drop"
-)
-
-// Event is one logged occurrence.
-type Event struct {
-	JobID string
-	Type  EventType
-	Time  float64
-}
-
 // JobStats aggregates one job's lifecycle.
 type JobStats struct {
 	JobID    string
@@ -88,11 +69,10 @@ func (s *JobStats) Turnaround() float64 { return s.Finish - s.Arrival }
 // ExecTime returns time from start to completion (processing + comm).
 func (s *JobStats) ExecTime() float64 { return s.Finish - s.Start }
 
-// Manager collects events and per-job statistics.
+// Manager collects per-job statistics.
 type Manager struct {
-	events []Event
-	jobs   map[string]*JobStats
-	order  []string
+	jobs  map[string]*JobStats
+	order []string
 }
 
 // NewManager creates an empty records manager.
@@ -118,7 +98,6 @@ func (m *Manager) LogArrival(jobID string, t float64) {
 	}
 	s.arrived = true
 	s.Arrival = t
-	m.events = append(m.events, Event{jobID, EventArrival, t})
 }
 
 // LogStart records allocation + execution start.
@@ -132,7 +111,6 @@ func (m *Manager) LogStart(jobID string, t float64) {
 	}
 	s.started = true
 	s.Start = t
-	m.events = append(m.events, Event{jobID, EventStart, t})
 }
 
 // LogFinish records completion along with the job's final fidelity,
@@ -154,7 +132,6 @@ func (m *Manager) LogFinish(jobID string, t, fidelity, commTime float64, deviceN
 	s.CommTime = commTime
 	s.Devices = len(deviceNames)
 	s.DeviceNames = append([]string(nil), deviceNames...)
-	m.events = append(m.events, Event{jobID, EventFinish, t})
 }
 
 // SetIngest attaches ingest provenance to a job's record. The broker
@@ -181,11 +158,7 @@ func (m *Manager) LogDrop(jobID string, t float64, reason string) {
 	s.dropped = true
 	s.Finish = t
 	s.DropReason = reason
-	m.events = append(m.events, Event{jobID, EventDrop, t})
 }
-
-// Events returns the raw event log in insertion order.
-func (m *Manager) Events() []Event { return m.events }
 
 // NumFinished returns the count of completed jobs.
 func (m *Manager) NumFinished() int {

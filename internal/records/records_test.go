@@ -22,11 +22,17 @@ func TestLifecycleHappyPath(t *testing.T) {
 	if s.Devices != 2 || s.Fidelity != 0.7 || s.CommTime != 3.8 {
 		t.Fatalf("stats wrong: %+v", s)
 	}
-	if m.NumFinished() != 1 || m.NumPending() != 0 {
+	if s.Arrival != 0 || s.Start != 5 || s.Finish != 25 || s.Dropped() || s.DropReason != "" {
+		t.Fatalf("lifecycle times wrong: %+v", s)
+	}
+	if got := s.DeviceNames; len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("device names = %q", got)
+	}
+	if m.NumFinished() != 1 || m.NumPending() != 0 || m.NumDropped() != 0 {
 		t.Fatal("counts wrong")
 	}
-	if len(m.Events()) != 3 {
-		t.Fatalf("events = %d", len(m.Events()))
+	if fin := m.Finished(); len(fin) != 1 || fin[0] != s {
+		t.Fatalf("finished = %v", fin)
 	}
 }
 
