@@ -535,6 +535,40 @@ func BenchmarkDESEventThroughput(b *testing.B) {
 	env.Run()
 }
 
+// BenchmarkDecodeRecord is the ingest rung: one NDJSON job line through
+// job.DecodeRecord, the decode every ingest path (stdin, TCP, HTTP)
+// runs. canonical is the key order WriteNDJSON emits, read without
+// reflection; fallback holds the same job with its keys reordered, so
+// it goes through encoding/json. One op is one job.
+func BenchmarkDecodeRecord(b *testing.B) {
+	for _, bc := range []struct{ name, line string }{
+		{"canonical", `{"job_id":"job-0000000","num_qubits":167,"depth":20,"num_shots":22302,"arrival_time":12.466542457635619,"two_qubit_gates":835,"tenant":"alpha"}`},
+		{"fallback", `{"tenant":"alpha","two_qubit_gates":835,"arrival_time":12.466542457635619,"num_shots":22302,"depth":20,"num_qubits":167,"job_id":"job-0000000"}`},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			line := []byte(bc.line)
+			// One decode before the timer fills encoding/json's type
+			// cache, so a -benchtime=1x run reads the steady state.
+			if _, err := job.DecodeRecord(line, true); err != nil {
+				b.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if j, err := job.DecodeRecord(line, true); err != nil || j == nil {
+					b.Fatalf("job %v, error %v", j, err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/job")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/job")
+		})
+	}
+}
+
 // discardRecorder drops every lifecycle event, so broker benches time
 // the scheduler alone.
 type discardRecorder struct{}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -79,6 +80,9 @@ func (lf *lineFeed) line(pos int64) (raw []byte, terminated bool, err error) {
 		}
 		if !terminated {
 			lf.cut = lf.base + int64(len(lf.buf))
+		}
+		if lf.keep {
+			raw = bytes.Clone(raw) // the reader reuses its buffer on the next read
 		}
 		lf.buf = append(lf.buf, raw)
 	}

@@ -101,6 +101,27 @@ func countEvents(t *testing.T, errOut string) map[string]int {
 	return counts
 }
 
+// With keep set (-supervise), a buffered line stays intact after the
+// line reader refills its buffer past it, so a restarted incarnation
+// replays exactly the bytes the stream delivered.
+func TestLineFeedKeepsLinesAcrossRefills(t *testing.T) {
+	var in bytes.Buffer
+	var want []string
+	for i := range 3000 { // about 3x the line reader's 64 KiB buffer
+		want = append(want, fmt.Sprintf(`{"job_id":"job-%07d","num_qubits":140,"depth":10,"num_shots":20000}`, i))
+		in.WriteString(want[i] + "\n")
+	}
+	lf := newLineFeed(&in, true)
+	for pass := range 2 { // read ahead, then replay from the start
+		for pos, w := range want {
+			raw, terminated, err := lf.line(int64(pos))
+			if err != nil || !terminated || string(raw) != w {
+				t.Fatalf("pass %d, line %d: %q (terminated %v, error %v), want %q", pass, pos, raw, terminated, err, w)
+			}
+		}
+	}
+}
+
 // The headline robustness gate: a broker killed mid-stream by an
 // induced crash, restarted by the supervisor from its latest atomic
 // checkpoint, must export completed-job records byte-identical to an

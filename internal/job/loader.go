@@ -132,7 +132,7 @@ type jobJSON struct {
 // toJob converts a decoded jobJSON to a validated QJob, applying the
 // loader defaults (arrival 0, t2 = round(0.25·q·d)).
 func (rj jobJSON) toJob() (*QJob, error) {
-	j := &QJob{
+	f := jobFields{
 		ID:        rj.ID,
 		NumQubits: rj.NumQubits,
 		Depth:     rj.Depth,
@@ -140,11 +140,42 @@ func (rj jobJSON) toJob() (*QJob, error) {
 		Tenant:    rj.Tenant,
 	}
 	if rj.ArrivalTime != nil {
-		j.ArrivalTime = *rj.ArrivalTime
+		f.ArrivalTime = *rj.ArrivalTime
 	}
 	if rj.TwoQubitGates != nil {
-		j.TwoQubitGates = *rj.TwoQubitGates
-	} else {
+		f.TwoQubitGates, f.HasTwoQubitGates = *rj.TwoQubitGates, true
+	}
+	return f.toJob()
+}
+
+// jobFields is one decoded jobJSON in value form: an absent (or null)
+// arrival_time reads as 0, and a presence flag stands in for the
+// two_qubit_gates pointer, so the canonical-line decoder (canonical.go)
+// fills one without boxing a number.
+type jobFields struct {
+	ID               string
+	NumQubits        int
+	Depth            int
+	Shots            int
+	ArrivalTime      float64
+	TwoQubitGates    int
+	HasTwoQubitGates bool
+	Tenant           string
+}
+
+// toJob converts the record to a validated QJob, applying the loader
+// defaults (arrival 0, t2 = round(0.25·q·d)).
+func (f *jobFields) toJob() (*QJob, error) {
+	j := &QJob{
+		ID:            f.ID,
+		NumQubits:     f.NumQubits,
+		Depth:         f.Depth,
+		Shots:         f.Shots,
+		TwoQubitGates: f.TwoQubitGates,
+		ArrivalTime:   f.ArrivalTime,
+		Tenant:        f.Tenant,
+	}
+	if !f.HasTwoQubitGates {
 		j.TwoQubitGates = int(0.25*float64(j.NumQubits*j.Depth) + 0.5)
 	}
 	if err := j.Validate(); err != nil {

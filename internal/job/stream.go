@@ -37,26 +37,34 @@ func NewLineReader(r io.Reader) *LineReader {
 // Next returns the next line with its line ending stripped. terminated
 // reports whether the line ended in a newline; only the last line of a
 // stream may not. Next returns io.EOF once the stream is exhausted.
+//
+// The line is a view into the reader's buffer and is valid only until
+// the next call: a caller that keeps a line past that must copy it.
+// Only a line that spans buffer refills is copied here.
 func (lr *LineReader) Next() (line []byte, terminated bool, err error) {
 	if lr.done {
 		return nil, false, io.EOF
 	}
-	var buf []byte
+	var long []byte
 	for {
 		frag, err := lr.br.ReadSlice('\n')
-		buf = append(buf, frag...)
+		line := frag
+		if long != nil || errors.Is(err, bufio.ErrBufferFull) {
+			long = append(long, frag...)
+			line = long
+		}
 		switch {
 		case err == nil:
-			return bytes.TrimRight(buf, "\r\n"), true, nil
+			return bytes.TrimRight(line, "\r\n"), true, nil
 		case errors.Is(err, io.EOF):
 			lr.done = true
-			if len(buf) == 0 {
+			if len(line) == 0 {
 				return nil, false, io.EOF
 			}
-			return buf, false, nil
+			return line, false, nil
 		case !errors.Is(err, bufio.ErrBufferFull):
 			return nil, false, err
-		case len(buf) > maxLineBytes:
+		case len(line) > maxLineBytes:
 			return nil, false, fmt.Errorf("line exceeds %d bytes", maxLineBytes)
 		}
 	}
@@ -150,7 +158,21 @@ func (d *StreamDecoder) Next() (*QJob, error) {
 // exactly one job object: anything but white space after it is an
 // error, never a second job silently dropped. Ingest provenance is left
 // zero; callers stamp it.
+//
+// The canonical line WriteNDJSON emits is read without reflection
+// (decodeCanonical); any other line goes through encoding/json, with
+// the same result and the same errors.
 func DecodeLine(line []byte) (*QJob, error) {
+	if f, ok := decodeCanonical(line); ok {
+		return f.toJob()
+	}
+	return decodeJSON(line)
+}
+
+// decodeJSON is DecodeLine through encoding/json: the path for every
+// line that is not canonical, and the reference the canonical decoder
+// is fuzzed against.
+func decodeJSON(line []byte) (*QJob, error) {
 	var rj jobJSON
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()

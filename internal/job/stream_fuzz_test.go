@@ -12,7 +12,10 @@ import (
 // splits the stream and DecodeRecord decodes each line. No input may
 // panic; a line never holds a newline; a decode error on an
 // unterminated final line wraps ErrTruncated; every accepted job is
-// valid and a fixed point of WriteNDJSON → DecodeRecord.
+// valid and a fixed point of WriteNDJSON → DecodeRecord. The check is
+// differential: wherever the canonical decoder accepts a line, the
+// encoding/json reference must give a reflect.DeepEqual job or the same
+// error text.
 func FuzzDecodeRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lr := NewLineReader(bytes.NewReader(data))
@@ -24,6 +27,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			if bytes.IndexByte(line, '\n') >= 0 {
 				t.Fatalf("line holds a newline: %q", line)
 			}
+			checkCanonical(t, bytes.TrimSpace(line))
 			j, err := DecodeRecord(line, terminated)
 			if err != nil {
 				if !terminated && !errors.Is(err, ErrTruncated) {
@@ -53,4 +57,25 @@ func FuzzDecodeRecord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkCanonical fails t unless decodeCanonical, where it accepts line,
+// agrees with the encoding/json reference: the same job, or the same
+// error.
+func checkCanonical(t *testing.T, line []byte) {
+	t.Helper()
+	f, ok := decodeCanonical(line)
+	if !ok {
+		return
+	}
+	fast, ferr := f.toJob()
+	ref, rerr := decodeJSON(line)
+	switch {
+	case ferr != nil || rerr != nil:
+		if ferr == nil || rerr == nil || ferr.Error() != rerr.Error() {
+			t.Fatalf("line %q: canonical error %v, reference error %v", line, ferr, rerr)
+		}
+	case !reflect.DeepEqual(fast, ref):
+		t.Fatalf("line %q: canonical job %+v, reference job %+v", line, fast, ref)
+	}
 }

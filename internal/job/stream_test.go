@@ -225,3 +225,54 @@ func TestNDJSONRoundTripMatchesLoadJSON(t *testing.T) {
 		}
 	}
 }
+
+// A canonical line (WriteNDJSON's bytes) decodes without a decoder, a
+// reader or a boxed number: the only allocations are the QJob, its ID
+// and, when the line names one, its tenant.
+func TestDecodeRecordAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteNDJSON(&buf, []*QJob{
+		{ID: "job-0000000", NumQubits: 167, Depth: 20, Shots: 22302, TwoQubitGates: 835, ArrivalTime: 12.466542457635619},
+		{ID: "job-0000001", NumQubits: 140, Depth: 10, Shots: 20000, TwoQubitGates: 350, ArrivalTime: 1e-7, Tenant: "alpha"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	written := bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n"))
+	for _, tc := range []struct {
+		line   []byte
+		allocs float64
+	}{
+		{[]byte(`{"job_id":"job-0000002","num_qubits":167,"depth":20,"num_shots":22302}`), 2},
+		{written[0], 2},
+		{written[1], 3},
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			if j, err := DecodeRecord(tc.line, true); err != nil || j == nil {
+				t.Fatalf("line %s: job %v, error %v", tc.line, j, err)
+			}
+		})
+		if got != tc.allocs {
+			t.Errorf("line %s: %v allocs, want %v", tc.line, got, tc.allocs)
+		}
+	}
+}
+
+// Lines that span the reader's buffer refills come back whole, between
+// and after short lines, with or without a final newline.
+func TestLineReaderSpansRefills(t *testing.T) {
+	want := []string{"a", strings.Repeat("b", 70000), "c\r", strings.Repeat("d", 200000), "", strings.Repeat("e", 65536)}
+	lr := NewLineReader(strings.NewReader(strings.Join(want, "\n")))
+	for i, w := range want {
+		line, terminated, err := lr.Next()
+		if err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		w = strings.TrimSuffix(w, "\r")
+		if string(line) != w || terminated != (i < len(want)-1) {
+			t.Fatalf("line %d: %d bytes (terminated %v), want %d", i, len(line), terminated, len(w))
+		}
+	}
+	if _, _, err := lr.Next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the last line: %v, want io.EOF", err)
+	}
+}
