@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/experiments"
@@ -394,36 +393,6 @@ func BenchmarkAblationRewardShaping(b *testing.B) {
 			b.Logf("mean partitions per job: plain reward %.2f, comm-aware reward %.2f", plainK, shapedK)
 			b.ReportMetric(plainK, "plain_mean_k")
 			b.ReportMetric(shapedK, "shaped_mean_k")
-		}
-	}
-}
-
-// BenchmarkAblationPartitioner compares circuit-decomposition strategies
-// by the two-qubit gates they cut (each cut gate is one inter-device
-// classical exchange).
-func BenchmarkAblationPartitioner(b *testing.B) {
-	circ, err := circuit.Random(circuit.RandomConfig{
-		NumQubits: 200, Depth: 16, TwoQubitDensity: 0.5, Locality: 6, Seed: 7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sizes := []int{127, 63, 10}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		random, err := circuit.RandomPartition(circ, sizes, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		minCut, err := circuit.MinCutPartition(circ, sizes, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("cut 2q gates: random %d, min-cut %d (of %d total)",
-				random.CutGates(circ), minCut.CutGates(circ), circ.TwoQubitGateCount())
-			b.ReportMetric(float64(random.CutGates(circ)), "random_cut")
-			b.ReportMetric(float64(minCut.CutGates(circ)), "mincut_cut")
 		}
 	}
 }

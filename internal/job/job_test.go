@@ -2,6 +2,7 @@ package job
 
 import (
 	"bytes"
+	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -238,6 +239,32 @@ func TestLoadJSONErrors(t *testing.T) {
 		if _, err := LoadJSON(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d: bad JSON accepted", i)
 		}
+	}
+}
+
+func TestLoadRejectsRepeatedJobID(t *testing.T) {
+	cases := []struct {
+		name string
+		load func(io.Reader) ([]*QJob, error)
+		src  string
+		want string
+	}{
+		{"csv", LoadCSV,
+			"job_id,num_qubits,depth,num_shots,arrival_time\na,5,10,100,0\nb,5,10,100,1\na,6,10,100,2\n",
+			`job: CSV rows 2 and 4 both have job_id "a"`},
+		{"json", LoadJSON, `[
+		  {"job_id":"x","num_qubits":5,"depth":10,"num_shots":100},
+		  {"job_id":"a","num_qubits":5,"depth":10,"num_shots":100,"arrival_time":3},
+		  {"job_id":"a","num_qubits":6,"depth":10,"num_shots":100,"arrival_time":1}
+		]`, `job: JSON entries 2 and 3 both have job_id "a"`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			jobs, err := c.load(strings.NewReader(c.src))
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("got %d jobs, error %v; want error %q", len(jobs), err, c.want)
+			}
+		})
 	}
 }
 

@@ -44,6 +44,7 @@ func LoadCSV(r io.Reader) ([]*QJob, error) {
 		return nil, fmt.Errorf("job: reading CSV: %w", err)
 	}
 	var jobs []*QJob
+	var lines []int
 	for i, row := range rows {
 		if i == 0 && looksLikeHeader(row) {
 			continue
@@ -53,9 +54,26 @@ func LoadCSV(r io.Reader) ([]*QJob, error) {
 			return nil, fmt.Errorf("job: CSV row %d: %w", i+1, err)
 		}
 		jobs = append(jobs, j)
+		lines = append(lines, i+1)
 	}
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("job: CSV contains no jobs")
+	}
+	return inArrivalOrder(jobs, lines, "CSV rows")
+}
+
+// inArrivalOrder is the step LoadCSV and LoadJSON share: it refuses a
+// job_id that two records carry, naming both records by their 1-based
+// numbers (lines[k] for jobs[k]), then sorts the jobs by arrival. A run
+// keys every lifecycle record by job ID, so a repeated ID would
+// otherwise reach records.Manager's duplicate-arrival panic.
+func inArrivalOrder(jobs []*QJob, lines []int, what string) ([]*QJob, error) {
+	first := make(map[string]int, len(jobs))
+	for k, j := range jobs {
+		if line, dup := first[j.ID]; dup {
+			return nil, fmt.Errorf("job: %s %d and %d both have job_id %q", what, line, lines[k], j.ID)
+		}
+		first[j.ID] = lines[k]
 	}
 	SortByArrival(jobs)
 	return jobs, nil
@@ -196,16 +214,16 @@ func LoadJSON(r io.Reader) ([]*QJob, error) {
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("job: JSON contains no jobs")
 	}
-	var jobs []*QJob
+	jobs := make([]*QJob, len(raw))
+	entries := make([]int, len(raw))
 	for i, rj := range raw {
 		j, err := rj.toJob()
 		if err != nil {
-			return nil, fmt.Errorf("job: JSON entry %d: %w", i, err)
+			return nil, fmt.Errorf("job: JSON entry %d: %w", i+1, err)
 		}
-		jobs = append(jobs, j)
+		jobs[i], entries[i] = j, i+1
 	}
-	SortByArrival(jobs)
-	return jobs, nil
+	return inArrivalOrder(jobs, entries, "JSON entries")
 }
 
 // WriteCSV emits jobs in the loader's CSV schema, including a header.
