@@ -726,9 +726,10 @@ func BenchmarkPPOMinibatch(b *testing.B) {
 	b.ReportMetric(float64(cfg.NSteps/cfg.BatchSize), "minibatches/op")
 }
 
-// BenchmarkPolicyInference measures deployed single-sample action
-// selection (the rlsched fast path): one SampleInto per op, zero
-// allocations in steady state.
+// BenchmarkPolicyInference measures single-sample action selection on
+// the policy-network shape: /act is the deployment path (ActInto, the
+// actor alone) and /sample the training path (SampleInto, which adds
+// the log probability and the critic). Both allocate nothing.
 func BenchmarkPolicyInference(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pol := rl.NewGaussianPolicy(rng, rlsched.StateDim, rlsched.NumDevices, 64, 64)
@@ -737,10 +738,65 @@ func BenchmarkPolicyInference(b *testing.B) {
 		obs[i] = rng.Float64()
 	}
 	action := make([]float64, rlsched.NumDevices)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pol.SampleInto(rng, obs, action)
+	b.Run("act", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pol.ActInto(rng, obs, action)
+		}
+	})
+	b.Run("sample", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pol.SampleInto(rng, obs, action)
+		}
+	})
+}
+
+// BenchmarkPolicyAllocate is the policy rung of the benchmark ladder:
+// one Allocate per op for each Table 2 mode, on an idle five-Eagle
+// snapshot, over table2-shaped jobs (130–250 qubits, depth 5–20,
+// t2 = q·d/4). rlbase runs an untrained 64-64 actor: inference costs
+// the same whatever the weights. allocs/op counts the returned
+// allocation (and, for rlbase, Apportion's shares).
+func BenchmarkPolicyAllocate(b *testing.B) {
+	env := sim.NewEnvironment()
+	fleet, err := deviceFleet(env)
+	if err != nil {
+		b.Fatal(err)
+	}
+	states := make([]policy.DeviceState, len(fleet))
+	for i, d := range fleet {
+		eps1Q, eps2Q, epsRO := d.MeanErrors()
+		states[i] = policy.DeviceState{
+			Index: i, Name: d.Name(),
+			Free: d.FreeQubits(), Capacity: d.NumQubits(),
+			ErrorScore: d.ErrorScore(), CLOPS: d.CLOPS(),
+			Eps1Q: eps1Q, Eps2Q: eps2Q, EpsRO: epsRO,
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	jobs := make([]*job.QJob, 1024)
+	for i := range jobs {
+		q, d := 130+rng.Intn(121), 5+rng.Intn(16)
+		jobs[i] = &job.QJob{ID: fmt.Sprintf("j%d", i), NumQubits: q, Depth: d,
+			Shots: 10000 + rng.Intn(90001), TwoQubitGates: (q*d + 2) / 4}
+	}
+	model := rl.NewGaussianPolicy(rng, rlsched.StateDim, rlsched.NumDevices, 64, 64)
+	for _, name := range []string{"speed", "fidelity", "fair", "rlbase"} {
+		b.Run(name, func(b *testing.B) {
+			pol, err := policy.New(name, policy.Params{Model: model, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if pol.Allocate(jobs[i%len(jobs)], states) == nil {
+					b.Fatal("an idle fleet refused a table2 job")
+				}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+		})
 	}
 }
 

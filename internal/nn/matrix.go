@@ -70,6 +70,10 @@ func (m *Mat) MulVec(x []float64) []float64 {
 // over columns in ascending order — the accumulation order every batched
 // kernel below preserves, which is what keeps batched and per-sample
 // results bit-identical.
+//
+// Rows are computed four per pass, so each load of x[c] feeds four
+// independent accumulators; every row still sums its own products in
+// column order, so the blocking changes no bit of the result.
 func (m *Mat) MulVecInto(x, out []float64) {
 	if len(x) != m.Cols {
 		panic(fmt.Sprintf("nn: MulVec dim mismatch: %d cols vs %d", m.Cols, len(x)))
@@ -77,11 +81,26 @@ func (m *Mat) MulVecInto(x, out []float64) {
 	if len(out) != m.Rows {
 		panic(fmt.Sprintf("nn: MulVecInto out dim mismatch: %d rows vs %d", m.Rows, len(out)))
 	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
+	n := len(x)
+	r := 0
+	for ; r+4 <= m.Rows; r += 4 {
+		block := m.Data[r*n : (r+4)*n]
+		r0, r1, r2, r3 := block[:n], block[n:][:n], block[2*n:][:n], block[3*n:][:n]
+		var s0, s1, s2, s3 float64
+		for c, xc := range x {
+			s0 += r0[c] * xc
+			s1 += r1[c] * xc
+			s2 += r2[c] * xc
+			s3 += r3[c] * xc
+		}
+		o := out[r : r+4]
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
+	for ; r < m.Rows; r++ {
+		row := m.Data[r*n : (r+1)*n]
 		s := 0.0
-		for c, w := range row {
-			s += w * x[c]
+		for c, xc := range x {
+			s += row[c] * xc
 		}
 		out[r] = s
 	}

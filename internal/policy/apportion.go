@@ -1,9 +1,6 @@
 package policy
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Apportion divides q units across devices proportionally to weights,
 // respecting per-device caps. It implements the largest-remainder
@@ -40,16 +37,15 @@ func Apportion(q int, weights []float64, caps []int) []int {
 	}
 	shares := make([]int, len(caps))
 	remaining := q
+	// The candidates of one round live on the stack for fleets up to
+	// maxStackDevices; a larger fleet spills them to the heap.
+	var buf [maxStackDevices]apportionCand
+	active := buf[:0]
 	// Pass 1: positive-weight devices. Pass 2 (if needed): all devices
 	// weighted by remaining cap.
 	for pass := 0; pass < 2 && remaining > 0; pass++ {
 		for remaining > 0 {
-			type cand struct {
-				idx  int
-				w    float64
-				room int
-			}
-			var active []cand
+			active = active[:0]
 			var wSum float64
 			for i := range caps {
 				room := caps[i] - shares[i]
@@ -63,51 +59,34 @@ func Apportion(q int, weights []float64, caps []int) []int {
 				if w <= 0 {
 					continue
 				}
-				active = append(active, cand{i, w, room})
+				active = append(active, apportionCand{idx: i, w: w, room: room})
 				wSum += w
 			}
 			if len(active) == 0 {
 				break // fall through to next pass
 			}
 			// Largest-remainder apportionment of `remaining` over active.
-			type frac struct {
-				idx  int
-				base int
-				rem  float64
-			}
-			fr := make([]frac, len(active))
 			baseSum := 0
-			for k, c := range active {
+			for k := range active {
+				c := &active[k]
 				ideal := c.w / wSum * float64(remaining)
-				base := int(ideal)
-				fr[k] = frac{idx: k, base: base, rem: ideal - float64(base)}
-				baseSum += base
+				c.base = int(ideal)
+				c.rem = ideal - float64(c.base)
+				baseSum += c.base
 			}
 			leftover := remaining - baseSum
-			order := make([]int, len(fr))
-			for k := range order {
-				order[k] = k
-			}
-			sort.SliceStable(order, func(a, b int) bool {
-				if fr[order[a]].rem != fr[order[b]].rem {
-					return fr[order[a]].rem > fr[order[b]].rem
-				}
-				return active[order[a]].idx < active[order[b]].idx
-			})
-			for _, k := range order {
+			sortByRemainder(active)
+			for k := range active {
 				if leftover == 0 {
 					break
 				}
-				fr[k].base++
+				active[k].base++
 				leftover--
 			}
 			// Grant clamped to room.
 			granted := 0
-			for k, c := range active {
-				g := fr[k].base
-				if g > c.room {
-					g = c.room
-				}
+			for _, c := range active {
+				g := min(c.base, c.room)
 				shares[c.idx] += g
 				granted += g
 			}
@@ -122,4 +101,35 @@ func Apportion(q int, weights []float64, caps []int) []int {
 		panic(fmt.Sprintf("policy: apportion left %d units unassigned", remaining))
 	}
 	return shares
+}
+
+// apportionCand is one device taking part in an Apportion round: its
+// fleet index, weight and remaining room, then its floor share and the
+// fractional remainder that ranks it for the leftover units.
+type apportionCand struct {
+	idx  int
+	w    float64
+	room int
+	base int
+	rem  float64
+}
+
+// sortByRemainder orders candidates by descending remainder, ties toward
+// the lower fleet index. It is a stable insertion sort: fleets are a
+// handful of devices, and it needs no closure or index slice.
+func sortByRemainder(cs []apportionCand) {
+	for i := 1; i < len(cs); i++ {
+		for j := i; j > 0 && remainderBefore(&cs[j], &cs[j-1]); j-- {
+			cs[j], cs[j-1] = cs[j-1], cs[j]
+		}
+	}
+}
+
+// remainderBefore is the leftover-unit ranking: larger remainder first,
+// then lower fleet index.
+func remainderBefore(a, b *apportionCand) bool {
+	if a.rem != b.rem {
+		return a.rem > b.rem
+	}
+	return a.idx < b.idx
 }

@@ -224,7 +224,7 @@ func (ProportionalSpeed) Allocate(j *job.QJob, devices []DeviceState) []Allocati
 		weights[i] = d.CLOPS
 		caps[i] = d.Free
 	}
-	return toAllocations(Apportion(j.NumQubits, weights, caps))
+	return FromShares(Apportion(j.NumQubits, weights, caps))
 }
 
 // ProportionalFair is an ablation variant of the fair mode that splits
@@ -246,7 +246,7 @@ func (ProportionalFair) Allocate(j *job.QJob, devices []DeviceState) []Allocatio
 		weights[i] = float64(d.Free)
 		caps[i] = d.Free
 	}
-	return toAllocations(Apportion(j.NumQubits, weights, caps))
+	return FromShares(Apportion(j.NumQubits, weights, caps))
 }
 
 // Fidelity is the error-aware mode (§5): it ranks devices by calibration
@@ -296,10 +296,20 @@ func (Fidelity) Allocate(j *job.QJob, devices []DeviceState) []Allocation {
 	return fill(devices, order[:prefix], need)
 }
 
-// toAllocations converts apportioned shares to the Allocation form,
-// dropping zero shares.
-func toAllocations(shares []int) []Allocation {
-	var out []Allocation
+// FromShares converts per-device shares, as Apportion returns them, to
+// the Allocation form, dropping zero shares. It allocates the result
+// once, and returns nil when no share is positive.
+func FromShares(shares []int) []Allocation {
+	n := 0
+	for _, s := range shares {
+		if s > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Allocation, 0, n)
 	for i, s := range shares {
 		if s > 0 {
 			out = append(out, Allocation{DeviceIndex: i, Qubits: s})

@@ -7,6 +7,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // WriteCSV emits one row per finished job with the full lifecycle and
@@ -22,43 +24,124 @@ func (m *Manager) WriteCSV(w io.Writer) error {
 // jobs. The supervisor uses it to export rows stitched together across
 // broker incarnations (checkpoint-archived rows plus the final
 // incarnation's) as one seamless file.
+//
+// The bytes are exactly what encoding/csv's Writer writes for the same
+// fields: rows are appended to one reused buffer (appendStatsRow), which
+// goes to w whenever it reaches statsFlushAt bytes.
 func WriteStatsCSV(w io.Writer, rows []*JobStats) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"job_id", "arrival", "start", "finish",
-		"wait", "exec", "turnaround",
-		"fidelity", "comm_time", "devices", "device_names",
-		"source", "remote", "conn_id",
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	buf := make([]byte, 0, statsFlushAt+1024)
+	buf = append(buf, statsHeader...)
 	for _, s := range rows {
-		row := []string{
-			s.JobID,
-			f(s.Arrival), f(s.Start), f(s.Finish),
-			f(s.WaitTime()), f(s.ExecTime()), f(s.Turnaround()),
-			f(s.Fidelity), f(s.CommTime),
-			strconv.Itoa(s.Devices),
-			strings.Join(s.DeviceNames, "+"),
-			s.Source, s.Remote, fmtConnID(s.ConnID, s.Source),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
+		buf = appendStatsRow(buf, s)
+		if len(buf) >= statsFlushAt {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := w.Write(buf)
+	return err
 }
 
-// fmtConnID renders the ingest connection column: blank when no source
-// was recorded (batch rows — conn 0 there means "unset").
-func fmtConnID(connID int64, source string) string {
-	if source == "" {
-		return ""
+// statsHeader is the first line of the per-job records CSV.
+const statsHeader = "job_id,arrival,start,finish,wait,exec,turnaround," +
+	"fidelity,comm_time,devices,device_names,source,remote,conn_id\n"
+
+// statsFlushAt is the buffered size at which WriteStatsCSV writes.
+const statsFlushAt = 64 << 10
+
+// appendStatsRow appends s's records CSV line to dst. Floats take
+// strconv's shortest 'g' form; the string fields are quoted only where
+// encoding/csv would quote them. The conn_id column is blank when no
+// source was recorded (batch rows, where conn 0 means "unset").
+func appendStatsRow(dst []byte, s *JobStats) []byte {
+	dst = appendCSVField(dst, s.JobID)
+	for _, v := range [...]float64{
+		s.Arrival, s.Start, s.Finish,
+		s.WaitTime(), s.ExecTime(), s.Turnaround(),
+		s.Fidelity, s.CommTime,
+	} {
+		dst = append(dst, ',')
+		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
 	}
-	return strconv.FormatInt(connID, 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(s.Devices), 10)
+	dst = append(dst, ',')
+	// Join the device names in place; the joined field is quoted only in
+	// the rare case that it needs it.
+	start := len(dst)
+	for i, name := range s.DeviceNames {
+		if i > 0 {
+			dst = append(dst, '+')
+		}
+		dst = append(dst, name...)
+	}
+	if csvNeedsQuotes(dst[start:]) {
+		joined := string(dst[start:])
+		dst = appendCSVQuoted(dst[:start], joined)
+	}
+	dst = append(dst, ',')
+	dst = appendCSVField(dst, s.Source)
+	dst = append(dst, ',')
+	dst = appendCSVField(dst, s.Remote)
+	dst = append(dst, ',')
+	if s.Source != "" {
+		dst = strconv.AppendInt(dst, s.ConnID, 10)
+	}
+	return append(dst, '\n')
+}
+
+// appendCSVField appends one CSV field as encoding/csv's Writer (comma
+// separator, LF line ends) writes it.
+func appendCSVField(dst []byte, field string) []byte {
+	if csvNeedsQuotes(field) {
+		return appendCSVQuoted(dst, field)
+	}
+	return append(dst, field...)
+}
+
+// csvNeedsQuotes mirrors encoding/csv's fieldNeedsQuotes for the comma
+// separator: a field is quoted when it holds a comma, quote, CR or LF,
+// starts with a Unicode space, or is Postgres's end-of-data marker `\.`.
+func csvNeedsQuotes[T string | []byte](field T) bool {
+	if len(field) == 0 {
+		return false
+	}
+	if string(field) == `\.` {
+		return true
+	}
+	for i := 0; i < len(field); i++ {
+		switch field[i] {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	if c := field[0]; c < utf8.RuneSelf {
+		return unicode.IsSpace(rune(c))
+	}
+	r, _ := utf8.DecodeRuneInString(string(field[:min(len(field), utf8.UTFMax)]))
+	return unicode.IsSpace(r)
+}
+
+// appendCSVQuoted appends field in quotes, doubling each quote inside it
+// and copying CR and LF verbatim, as encoding/csv's Writer does.
+func appendCSVQuoted(dst []byte, field string) []byte {
+	dst = append(dst, '"')
+	for {
+		i := strings.IndexByte(field, '"')
+		if i < 0 {
+			break
+		}
+		dst = append(dst, field[:i+1]...)
+		dst = append(dst, '"')
+		field = field[i+1:]
+	}
+	dst = append(dst, field...)
+	return append(dst, '"')
 }
 
 // RunSummary is one completed simulation task in a run manifest: the

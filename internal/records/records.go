@@ -71,8 +71,10 @@ func (s *JobStats) ExecTime() float64 { return s.Finish - s.Start }
 
 // Manager collects per-job statistics.
 type Manager struct {
-	jobs  map[string]*JobStats
-	order []string
+	jobs map[string]*JobStats
+	// order holds every job in first-seen order, so Finished walks it
+	// without map lookups.
+	order []*JobStats
 }
 
 // NewManager creates an empty records manager.
@@ -85,7 +87,7 @@ func (m *Manager) job(id string) *JobStats {
 	if !ok {
 		s = &JobStats{JobID: id}
 		m.jobs[id] = s
-		m.order = append(m.order, id)
+		m.order = append(m.order, s)
 	}
 	return s
 }
@@ -197,8 +199,8 @@ func (m *Manager) NumDropped() int {
 // Finished returns completed jobs in first-arrival order.
 func (m *Manager) Finished() []*JobStats {
 	var out []*JobStats
-	for _, id := range m.order {
-		if s := m.jobs[id]; s.finished {
+	for _, s := range m.order {
+		if s.finished {
 			out = append(out, s)
 		}
 	}

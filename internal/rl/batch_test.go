@@ -154,6 +154,9 @@ func TestPolicyInferenceZeroAllocs(t *testing.T) {
 		obs[i] = rng.NormFloat64()
 	}
 	action := make([]float64, 5)
+	if n := testing.AllocsPerRun(100, func() { p.ActInto(rng, obs, action) }); n != 0 {
+		t.Errorf("ActInto allocates %g/op, want 0", n)
+	}
 	if n := testing.AllocsPerRun(100, func() { p.SampleInto(rng, obs, action) }); n != 0 {
 		t.Errorf("SampleInto allocates %g/op, want 0", n)
 	}

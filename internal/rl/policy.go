@@ -73,21 +73,43 @@ func (p *GaussianPolicy) Sample(rng *rand.Rand, obs []float64) (action []float64
 // SampleInto is the allocation-free Sample: it draws an action from
 // π(·|obs) into action (length ActDim) and returns the log probability
 // and value estimate. It consumes the same RNG stream as Sample, so the
-// two are interchangeable bit-for-bit.
+// two are interchangeable bit-for-bit. It is ActInto plus the log
+// probability and the critic, which training needs and deployment does
+// not.
 //
 //repro:noalloc
 func (p *GaussianPolicy) SampleInto(rng *rand.Rand, obs, action []float64) (logProb, value float64) {
+	mean := p.act(rng, obs, action)
+	logProb = p.logProbGiven(mean, action)
+	value = p.Critic.Forward(obs)[0]
+	return logProb, value
+}
+
+// ActInto draws an action from π(·|obs) into action (length ActDim),
+// running the actor alone: the deployment path. It draws exactly the
+// normal variates SampleInto draws, in the same order, so a deployment
+// that calls ActInto takes the same actions and leaves its RNG where a
+// SampleInto caller would.
+//
+//repro:noalloc
+func (p *GaussianPolicy) ActInto(rng *rand.Rand, obs, action []float64) {
+	p.act(rng, obs, action)
+}
+
+// act is ActInto returning the actor's mean, which aliases the actor's
+// output scratch until its next Forward.
+//
+//repro:noalloc
+func (p *GaussianPolicy) act(rng *rand.Rand, obs, action []float64) []float64 {
 	mean := p.Actor.Forward(obs)
 	if len(action) != len(mean) {
-		panic(fmt.Sprintf("rl: SampleInto action dim %d, want %d", len(action), len(mean)))
+		panic(fmt.Sprintf("rl: ActInto action dim %d, want %d", len(action), len(mean)))
 	}
 	for i := range mean {
 		std := math.Exp(p.LogStd[i])
 		action[i] = mean[i] + std*rng.NormFloat64()
 	}
-	logProb = p.logProbGiven(mean, action)
-	value = p.Critic.Forward(obs)[0]
-	return logProb, value
+	return mean
 }
 
 // MeanAction returns the deterministic (mean) action for deployment.

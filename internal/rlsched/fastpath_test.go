@@ -78,3 +78,30 @@ func TestRLPolicyAllocateDeterministicReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestRLPolicyAllocateAllocs pins a placed rlbase decision at two
+// allocations, sampled and deterministic alike: Apportion's shares and
+// the returned allocation slice, sized once.
+func TestRLPolicyAllocateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	trained := rl.NewGaussianPolicy(rng, StateDim, NumDevices, 64, 64)
+	states := []policy.DeviceState{
+		{Index: 0, Free: 127, Capacity: 127, ErrorScore: 0.008, CLOPS: 220000},
+		{Index: 1, Free: 127, Capacity: 127, ErrorScore: 0.010, CLOPS: 180000},
+		{Index: 2, Free: 80, Capacity: 127, ErrorScore: 0.012, CLOPS: 30000},
+		{Index: 3, Free: 127, Capacity: 127, ErrorScore: 0.009, CLOPS: 32000},
+		{Index: 4, Free: 127, Capacity: 127, ErrorScore: 0.011, CLOPS: 29000},
+	}
+	j := testJob(220)
+	for _, det := range []bool{false, true} {
+		p := NewRLPolicy(trained, 7)
+		p.Deterministic = det
+		if n := testing.AllocsPerRun(100, func() {
+			if p.Allocate(j, states) == nil {
+				t.Fatal("an idle fleet refused the job")
+			}
+		}); n > 2 {
+			t.Errorf("deterministic=%v: Allocate allocates %g/op, want at most 2", det, n)
+		}
+	}
+}

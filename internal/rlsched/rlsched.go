@@ -338,15 +338,15 @@ type RLPolicy struct {
 
 	rng *rand.Rand
 	// seed and sampled reconstruct the RNG position for broker
-	// checkpoints: SampleInto consumes exactly ActDim NormFloat64 draws
+	// checkpoints: ActInto consumes exactly ActDim NormFloat64 draws
 	// per sampled decision regardless of the observation, so {seed,
 	// sampled} fully determines the stream position.
 	seed    int64
 	sampled int
 	// Per-decision scratch: the observation, action, clipped-weight and
 	// free-capacity buffers are preallocated so Allocate's inference
-	// and apportionment-input path never allocates (Apportion's own
-	// working sets are the remaining per-decision allocations). A
+	// and apportionment-input path never allocates; a placed decision
+	// allocates only Apportion's shares and the returned allocations. A
 	// policy drives one simulation on one goroutine; the broker never
 	// shares it.
 	obsBuf, actBuf, wBuf []float64
@@ -401,9 +401,10 @@ func (p *RLPolicy) Allocate(j *job.QJob, devices []policy.DeviceState) []policy.
 	if p.Deterministic {
 		p.Trained.MeanActionInto(obs, action)
 	} else {
-		// SampleInto consumes the identical RNG stream as Sample, so
-		// sampled deployments stay bit-identical to the allocating path.
-		p.Trained.SampleInto(p.rng, obs, action)
+		// ActInto runs the actor alone and draws the identical RNG
+		// stream as Sample, so sampled deployments stay bit-identical
+		// to the training-time sampler.
+		p.Trained.ActInto(p.rng, obs, action)
 		p.sampled++
 	}
 	if cap(p.freeBuf) < len(devices) {
@@ -414,17 +415,7 @@ func (p *RLPolicy) Allocate(j *job.QJob, devices []policy.DeviceState) []policy.
 	for i, d := range devices {
 		free[i] = d.Free
 	}
-	shares := SharesFromWeightsInto(j.NumQubits, action, free, p.wBuf[:len(devices)])
-	if shares == nil {
-		return nil
-	}
-	var allocs []policy.Allocation
-	for i, s := range shares {
-		if s > 0 {
-			allocs = append(allocs, policy.Allocation{DeviceIndex: i, Qubits: s})
-		}
-	}
-	return allocs
+	return policy.FromShares(SharesFromWeightsInto(j.NumQubits, action, free, p.wBuf[:len(devices)]))
 }
 
 // rlCheckpoint is the serialized RNG position of a sampling deployment.
@@ -441,7 +432,7 @@ func (p *RLPolicy) CheckpointState() ([]byte, error) {
 }
 
 // RestoreState reinstates a checkpointed RNG position by replaying the
-// recorded number of sampled decisions — valid because each sample
+// recorded number of sampled decisions — valid because each ActInto
 // consumes exactly ActDim normal draws, independent of the observation.
 func (p *RLPolicy) RestoreState(data []byte) error {
 	var c rlCheckpoint
