@@ -160,7 +160,7 @@ func TestServeOneWritePerGatewayCall(t *testing.T) {
 func TestConcurrentGatewayCallsWriteWholeLines(t *testing.T) {
 	var out countingWriter
 	var errOut bytes.Buffer
-	s, err := buildServer(serveOptions{cloud: speedCloud(), window: 64, timeScale: 1000}, nil, &out, &errOut)
+	s, err := buildServer(serveOptions{cloud: speedCloud(), window: 64, timeScale: 1000}, nil, nil, &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
 	}

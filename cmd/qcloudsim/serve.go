@@ -101,7 +101,6 @@ type server struct {
 	opts serveOptions
 	b    *core.Broker
 	env  *sim.Environment
-	rec  *records.Manager // nil unless -export
 	gw   *api.Gateway
 
 	idx        *core.JobIndex
@@ -119,10 +118,10 @@ type server struct {
 	// logical-time ingest loop keeps it current so checkpoints record how
 	// far the input stream is durably covered (core.Checkpoint.Ingested).
 	ingested int64
-	// onCheckpointed, if set, observes every durable checkpoint with the
-	// finished-job rows it covers; the supervisor uses it to archive
-	// records across broker incarnations.
-	onCheckpointed func(cp *core.Checkpoint, rows []*records.JobStats)
+	// onCheckpointed, if set, observes every durable checkpoint; the
+	// supervisor notes it, and the records it covers, as the state a
+	// restarted incarnation rolls back to.
+	onCheckpointed func(cp *core.Checkpoint)
 }
 
 // emitMetrics writes one metrics sample at the current simulated time.
@@ -192,11 +191,7 @@ func (s *server) writeCheckpoint() error {
 		return err
 	}
 	if s.onCheckpointed != nil {
-		var rows []*records.JobStats
-		if s.rec != nil {
-			rows = s.rec.Finished()
-		}
-		s.onCheckpointed(cp, rows)
+		s.onCheckpointed(cp)
 	}
 	return nil
 }
@@ -233,7 +228,7 @@ func (s *server) scheduleTicks() {
 
 // shutdown stops the HTTP control plane, drains admitted jobs, emits the
 // final metrics sample, and writes the final checkpoint. The caller
-// writes the export from the finished rows.
+// writes the export.
 func (s *server) shutdown(errOut io.Writer) error {
 	if s.stopHTTP != nil {
 		s.stopHTTP()
@@ -304,8 +299,9 @@ func loadCheckpoint(path string) (*core.Checkpoint, error) {
 // buildServer assembles a broker service instance — environment (at the
 // checkpoint's simulated time when resuming), fleet, job index, records
 // pipeline, broker, admission, restore, and gateway — and starts its
-// periodic ticks and, with -http, the HTTP control plane.
-func buildServer(opts serveOptions, cp *core.Checkpoint, out, errOut io.Writer) (*server, error) {
+// periodic ticks and, with -http, the HTTP control plane. The broker
+// records into rec unless it is nil.
+func buildServer(opts serveOptions, cp *core.Checkpoint, rec *records.Manager, out, errOut io.Writer) (*server, error) {
 	var env *sim.Environment
 	if cp != nil {
 		env = sim.NewEnvironmentAt(cp.SimNow)
@@ -320,13 +316,8 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, out, errOut io.Writer) 
 	if err != nil {
 		return nil, err
 	}
-	// The Manager keeps every job's record for the -export CSV; without
-	// it the bounded index is the only per-job state, keeping RSS flat
-	// under sustained load.
-	var rec *records.Manager
 	recorder := core.MultiRecorder{}
-	if opts.export != "" {
-		rec = records.NewManager()
+	if rec != nil {
 		recorder = append(recorder, core.ManagerRecorder{M: rec})
 	}
 	em := newFinishEmitter(out)
@@ -356,7 +347,7 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, out, errOut io.Writer) 
 		return nil, err
 	}
 	gw.SetFlush(em.flush)
-	s := &server{opts: opts, b: b, env: env, rec: rec, gw: gw, idx: idx, metricsOut: bufio.NewWriter(errOut), warnOut: errOut}
+	s := &server{opts: opts, b: b, env: env, gw: gw, idx: idx, metricsOut: bufio.NewWriter(errOut), warnOut: errOut}
 	s.scheduleTicks()
 	if opts.httpAddr != "" {
 		if err := s.startHTTP(errOut); err != nil {
@@ -382,10 +373,17 @@ func runServe(ctx context.Context, opts serveOptions, in io.Reader, out, errOut 
 		// it; this invocation reads a new stream from its beginning.
 		cp.Ingested = 0
 	}
-	if opts.timeScale == 0 {
-		return serveLogical(ctx, opts, cp, in, out, errOut)
+	// The Manager keeps every job's record for the -export CSV; without
+	// it the bounded index is the only per-job state, keeping RSS flat
+	// under sustained load.
+	var rec *records.Manager
+	if opts.export != "" {
+		rec = records.NewManager()
 	}
-	s, err := buildServer(opts, cp, out, errOut)
+	if opts.timeScale == 0 {
+		return serveLogical(ctx, opts, cp, rec, in, out, errOut)
+	}
+	s, err := buildServer(opts, cp, rec, out, errOut)
 	if err != nil {
 		return err
 	}
@@ -413,10 +411,10 @@ func runServe(ctx context.Context, opts serveOptions, in io.Reader, out, errOut 
 		// The stdin feed may be blocked on a read; abandon it and drain
 		// what was admitted. TCP connections end with the context.
 	}
-	if err := s.shutdown(errOut); err != nil || s.rec == nil {
+	if err := s.shutdown(errOut); err != nil {
 		return err
 	}
-	return writeExport(opts.export, s.rec.Finished())
+	return writeExport(opts.export, rec)
 }
 
 // feed decodes one NDJSON stream into jobs until EOF, a decode error,

@@ -111,26 +111,27 @@ type recoveryEvent struct {
 
 // supervisor runs the logical-time ingest loop in broker incarnations.
 // It holds the recovery state between incarnations: the latest durable
-// checkpoint, the stream position it covers, and the finished per-job
-// rows it archives (a fresh records.Manager per incarnation sidesteps
-// duplicate-lifecycle panics; the supervisor stitches rows across
-// incarnations at export time). Without -supervise there is exactly one
-// incarnation, and a crash ends the run.
+// checkpoint, the stream position it covers, and the run's one
+// records.Manager, which a restarted incarnation truncates to the jobs
+// recorded at that checkpoint. Checkpoints are quiescent, so those jobs
+// are all terminal and the replay records exactly the rest again.
+// Without -supervise there is exactly one incarnation, and a crash ends
+// the run.
 type supervisor struct {
 	opts   serveOptions
 	out    io.Writer
 	errOut io.Writer
 	feed   *lineFeed
+	// rec is the run's records.Manager; nil without -export.
+	rec *records.Manager
 
 	// cp is the latest durable checkpoint; nil before the first one.
 	cp *core.Checkpoint
 	// durable is the stream position cp covers: lines < durable are
 	// fully reflected in cp and never replayed.
 	durable int64
-	// base holds rows archived by checkpoints of completed prior
-	// incarnations; archive additionally covers the current
-	// incarnation's latest checkpoint.
-	base, archive []*records.JobStats
+	// mark is rec.Len() when cp was written.
+	mark int
 
 	incarnation int
 }
@@ -139,11 +140,11 @@ type supervisor struct {
 // logical time until it drains. With -supervise a crashed incarnation
 // restarts from the latest atomic checkpoint until the crash-loop
 // breaker trips; without it the crash ends the run with no export.
-func serveLogical(ctx context.Context, opts serveOptions, cp *core.Checkpoint, in io.Reader, out, errOut io.Writer) error {
+func serveLogical(ctx context.Context, opts serveOptions, cp *core.Checkpoint, rec *records.Manager, in io.Reader, out, errOut io.Writer) error {
 	if opts.inj != nil {
 		in = opts.inj.Reader(in)
 	}
-	sup := &supervisor{opts: opts, out: out, errOut: errOut, feed: newLineFeed(in, opts.supervise), cp: cp}
+	sup := &supervisor{opts: opts, out: out, errOut: errOut, feed: newLineFeed(in, opts.supervise), rec: rec, cp: cp}
 	for {
 		before := sup.durable
 		var err error
@@ -189,18 +190,22 @@ func (sup *supervisor) event(kind string, pos int64, simNow float64, cause strin
 // — converts to a *brokerCrashError.
 func (sup *supervisor) runIncarnation(ctx context.Context) (err error) {
 	sup.incarnation++
-	sup.base = sup.archive
+	if sup.rec != nil {
+		sup.rec.Truncate(sup.mark)
+	}
 
-	s, err := buildServer(sup.opts, sup.cp, sup.out, sup.errOut)
+	s, err := buildServer(sup.opts, sup.cp, sup.rec, sup.out, sup.errOut)
 	if err != nil {
 		return err
 	}
 	s.ingested = sup.durable
 	if sup.opts.supervise {
-		s.onCheckpointed = func(cp *core.Checkpoint, rows []*records.JobStats) {
+		s.onCheckpointed = func(cp *core.Checkpoint) {
 			sup.cp = cp
 			sup.durable = cp.Ingested
-			sup.archive = append(append([]*records.JobStats{}, sup.base...), rows...)
+			if sup.rec != nil {
+				sup.mark = sup.rec.Len()
+			}
 			sup.feed.trim(cp.Ingested)
 		}
 	}
@@ -248,20 +253,17 @@ func (sup *supervisor) runIncarnation(ctx context.Context) (err error) {
 	if sup.opts.httpAddr != "" {
 		<-ctx.Done()
 	}
-	if err := s.shutdown(sup.errOut); err != nil || s.rec == nil {
+	if err := s.shutdown(sup.errOut); err != nil {
 		return err
 	}
-	// The run's only export: the rows archived through prior
-	// incarnations plus this one's.
-	return writeExport(sup.opts.export, slices.Concat(sup.base, s.rec.Finished()))
+	return writeExport(sup.opts.export, sup.rec)
 }
 
-// writeExport writes the per-job records CSV from the finished rows;
-// rows stitched across incarnations come out byte-identical to the CSV
-// an uninterrupted run would have exported.
-func writeExport(path string, rows []*records.JobStats) error {
-	if path == "" {
+// writeExport writes rec's per-job records CSV to path; a nil rec
+// (no -export) writes nothing.
+func writeExport(path string, rec *records.Manager) error {
+	if rec == nil {
 		return nil
 	}
-	return writeFile(path, func(w io.Writer) error { return records.WriteStatsCSV(w, rows) })
+	return writeFile(path, rec.WriteCSV)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -127,7 +129,7 @@ func TestLineFeedKeepsLinesAcrossRefills(t *testing.T) {
 // checkpoint, must export completed-job records byte-identical to an
 // uninterrupted run over the same stream.
 func TestSupervisedRecoveryEquivalence(t *testing.T) {
-	checkRecoveryEquivalence(t, speedCloud())
+	checkRecoveryEquivalence(t, speedCloud(), spacedJobs(t, 40), 12, 25000)
 }
 
 // Under calibration drift the restarted broker replays the
@@ -136,12 +138,58 @@ func TestSupervisedDriftRecoveryEquivalence(t *testing.T) {
 	drifting := speedCloud()
 	drifting.policy = "fidelity"
 	drifting.cfg.Drift = core.DriftConfig{IntervalS: 300, Rel: 0.3, Seed: 5}
-	checkRecoveryEquivalence(t, drifting)
+	checkRecoveryEquivalence(t, drifting, spacedJobs(t, 40), 12, 25000)
 }
 
-func checkRecoveryEquivalence(t *testing.T, c cloud) {
+// On a dense stream the broker is rarely quiescent, so the crash lands
+// many lines after the last durable checkpoint, and some jobs between
+// the two have already finished: the restart must roll the records back
+// to the checkpoint before the replay records those jobs again.
+func TestSupervisedDenseRecoveryEquivalence(t *testing.T) {
+	cfg := job.DefaultSyntheticConfig()
+	cfg.N = 60
+	cfg.Seed = 1
+	cfg.MeanInterarrival = 400
+	jobs, err := job.Synthetic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, clean := checkRecoveryEquivalence(t, speedCloud(), jobs, 30, 400)
+	crash, recovered := evs[0], evs[1]
+	if crash.Pos-recovered.Pos < 2 {
+		t.Fatalf("crash at line %d is not two lines past the checkpoint at %d", crash.Pos, recovered.Pos)
+	}
+	rows, err := csv.NewReader(bytes.NewReader(clean)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	finish := map[string]float64{}
+	for _, r := range rows[1:] {
+		if finish[r[0]], err = strconv.ParseFloat(r[3], 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := 0
+	for _, j := range jobs[recovered.Pos:crash.Pos] {
+		if finish[j.ID] < crash.SimNow {
+			done++
+		}
+	}
+	if done == 0 {
+		t.Fatalf("no job between the checkpoint (line %d) and the crash (line %d, t=%g) had finished",
+			recovered.Pos, crash.Pos, crash.SimNow)
+	}
+}
+
+// checkRecoveryEquivalence runs jobs as one stream twice, uninterrupted
+// and supervised with a crash at stream position crashAt and a
+// checkpoint tick every checkpointEvery simulated seconds. It fails t
+// unless the supervised run crashed once, recovered once past line 0,
+// and exported the uninterrupted run's bytes. It returns the crash and
+// recover events, in that order, and the export.
+func checkRecoveryEquivalence(t *testing.T, c cloud, jobs []*job.QJob, crashAt int, checkpointEvery float64) ([]recoveryEvent, []byte) {
+	t.Helper()
 	quietBackoff(t)
-	jobs := spacedJobs(t, 40)
 	var stream bytes.Buffer
 	if err := job.WriteNDJSON(&stream, jobs); err != nil {
 		t.Fatal(err)
@@ -156,8 +204,9 @@ func checkRecoveryEquivalence(t *testing.T, c cloud) {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
 
-	faulted := superviseOpts(dir, "faulted", crashInjector(t, 12, 1))
+	faulted := superviseOpts(dir, "faulted", crashInjector(t, crashAt, 1))
 	faulted.cloud = c
+	faulted.checkpointEvery = checkpointEvery
 	var out, errOut bytes.Buffer
 	err := runServe(context.Background(), faulted, bytes.NewReader(stream.Bytes()), &out, &errOut)
 	if err != nil {
@@ -186,6 +235,7 @@ func checkRecoveryEquivalence(t *testing.T, c cloud) {
 	if !bytes.Equal(want, got) {
 		t.Fatalf("recovered export diverges from uninterrupted run:\nclean:\n%s\nrecovered:\n%s", want, got)
 	}
+	return evs, want
 }
 
 // A broker that crashes at the same stream position on every restart

@@ -238,14 +238,13 @@ func (b *Broker) checkDriftPosition(cp *Checkpoint) error {
 	return nil
 }
 
-// Encode writes the checkpoint as indented JSON.
+// Encode writes the checkpoint as one line of compact JSON.
 func (cp *Checkpoint) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(cp)
+	return json.NewEncoder(w).Encode(cp)
 }
 
-// DecodeCheckpoint reads a checkpoint written by Encode.
+// DecodeCheckpoint reads a checkpoint written by Encode, or the indented
+// form earlier versions wrote: the schema is the same.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	var cp Checkpoint
 	dec := json.NewDecoder(r)

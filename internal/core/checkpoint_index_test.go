@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/device"
@@ -69,29 +72,7 @@ func TestCheckpointAdmissionAndIndexRoundTrip(t *testing.T) {
 		t.Fatalf("job index snapshot did not survive decode: %+v", decoded.Jobs)
 	}
 
-	env2 := sim.NewEnvironmentAt(decoded.SimNow)
-	fleet2, err := device.StandardFleet(env2, 2025)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx2, err := NewJobIndex(retain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol2 := &fillPolicy{allocs: make([]policy.Allocation, 0, len(fleet2))}
-	b2, err := NewBroker(env2, fleet2, pol2, DefaultConfig(), idx2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b2.SetAdmission(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := b2.Restore(decoded); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx2.Restore(decoded.Jobs); err != nil {
-		t.Fatal(err)
-	}
+	b2, idx2 := restoreIndexed(t, cfg, retain, decoded)
 
 	if got := b2.AdmissionCounters(); got != stats {
 		t.Fatalf("restored admission stats %+v, want %+v", got, stats)
@@ -122,6 +103,96 @@ func TestCheckpointAdmissionAndIndexRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Fatalf("checkpoint not byte-identical after restore:\nfirst:\n%s\nsecond:\n%s", first.String(), second.String())
+	}
+}
+
+// restoreIndexed restores cp, job index included, into a fresh
+// fill-policy broker with a retain-entry index under admission cfg.
+func restoreIndexed(t *testing.T, cfg AdmissionConfig, retain int, cp *Checkpoint) (*Broker, *JobIndex) {
+	t.Helper()
+	env := sim.NewEnvironmentAt(cp.SimNow)
+	fleet, err := device.StandardFleet(env, 2025)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := NewJobIndex(retain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := &fillPolicy{allocs: make([]policy.Allocation, 0, len(fleet))}
+	b, err := NewBroker(env, fleet, pol, DefaultConfig(), idx, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SetAdmission(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Restore(cp.Jobs); err != nil {
+		t.Fatal(err)
+	}
+	return b, idx
+}
+
+// A checkpoint in the indented encoding earlier versions wrote still
+// restores, and the restored broker's checkpoint encodes the same
+// content as one compact line.
+func TestIndentedCheckpointStillRestores(t *testing.T) {
+	const retain = 4
+	idx, err := NewJobIndex(retain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := AdmissionConfig{Policy: AdmitShed, MaxQueue: 1, RetryAfterS: 30}
+	b := admissionBroker(t, cfg, idx)
+	for i := range 8 {
+		b.Offer(mkJob(fmt.Sprintf("j%d", i), "acme"))
+	}
+	b.Env().Run()
+	snapshot := func(b *Broker, idx *JobIndex) *Checkpoint {
+		cp, err := b.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp.Jobs, err = idx.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		cp.Ingested = 8
+		return cp
+	}
+	indented, err := json.MarshalIndent(snapshot(b, idx), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented = append(indented, '\n')
+	if bytes.Count(indented, []byte("\n")) < 50 {
+		t.Fatalf("fixture is not in the indented form:\n%s", indented)
+	}
+
+	old, err := DecodeCheckpoint(bytes.NewReader(indented))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := snapshot(restoreIndexed(t, cfg, retain, old)).Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.Compact(&want, indented); err != nil {
+		t.Fatal(err)
+	}
+	want.WriteByte('\n')
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("Encode after restoring the indented checkpoint:\n%s\nwant its one-line form:\n%s", got.Bytes(), want.Bytes())
+	}
+	again, err := DecodeCheckpoint(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, old) {
+		t.Fatalf("compact checkpoint decodes to %+v, want %+v", again, old)
 	}
 }
 

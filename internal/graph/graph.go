@@ -69,10 +69,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return g.edgeSet[edgeKey(u, v)]
 }
 
-// Neighbors returns the adjacency list of v. The returned slice must not
-// be modified.
-func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
-
 // Degree returns the number of edges incident to v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 

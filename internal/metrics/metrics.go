@@ -17,13 +17,6 @@ const (
 	// DefaultLambda is the per-qubit classical communication latency
 	// λ=0.02 s/qubit (§6.5).
 	DefaultLambda = 0.02
-	// DefaultM is the number of circuit templates (M in Eq. 3). The §6.1
-	// worked example uses M=100 from the CLOPS benchmark definition; the
-	// case-study simulation uses a smaller workload multiplier, see
-	// internal/core.
-	DefaultM = 100
-	// DefaultK is the number of parameter updates (K in Eq. 3).
-	DefaultK = 10
 )
 
 // ExecutionTime computes Eq. 3:

@@ -51,14 +51,12 @@ func NewWorkspace(m *MLP, batch int) *Workspace {
 	return w
 }
 
-// Batch returns the row capacity the workspace was allocated for.
-func (w *Workspace) Batch() int { return w.batch }
-
 // Rows returns the current batch size set by the last Input call.
 func (w *Workspace) Rows() int { return w.acts[0].Rows }
 
-// Input resizes every view to rows samples (1 ≤ rows ≤ Batch) and
-// returns the input matrix for the caller to fill before ForwardBatch.
+// Input resizes every view to rows samples (1 ≤ rows ≤ the batch given
+// to NewWorkspace) and returns the input matrix for the caller to fill
+// before ForwardBatch.
 // Resizing only adjusts slice headers; nothing is allocated.
 func (w *Workspace) Input(rows int) *Mat {
 	if rows <= 0 || rows > w.batch {
@@ -80,9 +78,6 @@ func (w *Workspace) Output() *Mat { return w.acts[len(w.acts)-1] }
 // ForwardBatch and BackwardBatch. Every entry is caller-owned: fill all
 // rows × OutputSize values.
 func (w *Workspace) OutputGrad() *Mat { return w.grads[len(w.grads)-1] }
-
-// InputGrad returns dL/dinput as written by the last BackwardBatch.
-func (w *Workspace) InputGrad() *Mat { return w.grads[0] }
 
 // mustMatch panics when the workspace was built for a different layer
 // layout than m.

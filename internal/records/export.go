@@ -15,20 +15,16 @@ import (
 // outcome metrics, for post-simulation analysis outside the framework
 // (the paper's "centralized data management ... supporting
 // post-simulation workload analysis", §3).
-func (m *Manager) WriteCSV(w io.Writer) error {
-	return WriteStatsCSV(w, m.Finished())
-}
-
-// WriteStatsCSV writes the per-job records CSV over an explicit row
-// slice — the same bytes WriteCSV produces for a Manager's finished
-// jobs. The supervisor uses it to export rows stitched together across
-// broker incarnations (checkpoint-archived rows plus the final
-// incarnation's) as one seamless file.
 //
 // The bytes are exactly what encoding/csv's Writer writes for the same
 // fields: rows are appended to one reused buffer (appendStatsRow), which
 // goes to w whenever it reaches statsFlushAt bytes.
-func WriteStatsCSV(w io.Writer, rows []*JobStats) error {
+func (m *Manager) WriteCSV(w io.Writer) error {
+	return writeStatsCSV(w, m.Finished())
+}
+
+// writeStatsCSV writes the per-job records CSV over rows.
+func writeStatsCSV(w io.Writer, rows []*JobStats) error {
 	buf := make([]byte, 0, statsFlushAt+1024)
 	buf = append(buf, statsHeader...)
 	for _, s := range rows {
@@ -51,7 +47,7 @@ func WriteStatsCSV(w io.Writer, rows []*JobStats) error {
 const statsHeader = "job_id,arrival,start,finish,wait,exec,turnaround," +
 	"fidelity,comm_time,devices,device_names,source,remote,conn_id\n"
 
-// statsFlushAt is the buffered size at which WriteStatsCSV writes.
+// statsFlushAt is the buffered size at which writeStatsCSV writes.
 const statsFlushAt = 64 << 10
 
 // appendStatsRow appends s's records CSV line to dst. Floats take

@@ -162,6 +162,24 @@ func (m *Manager) LogDrop(jobID string, t float64, reason string) {
 	s.DropReason = reason
 }
 
+// Len returns how many jobs the manager has recorded, in any state: the
+// mark Truncate rolls back to.
+func (m *Manager) Len() int { return len(m.order) }
+
+// Truncate forgets every job recorded after the first n, so the manager
+// holds what it held when Len returned n, provided no event since then
+// touched one of those n jobs. The serve supervisor marks Len at each
+// quiescent checkpoint, where every recorded job is terminal, and
+// truncates to that mark before a restarted broker replays the stream
+// after it.
+func (m *Manager) Truncate(n int) {
+	for _, s := range m.order[n:] {
+		delete(m.jobs, s.JobID)
+	}
+	clear(m.order[n:])
+	m.order = m.order[:n]
+}
+
 // NumFinished returns the count of completed jobs.
 func (m *Manager) NumFinished() int {
 	n := 0

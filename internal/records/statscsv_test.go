@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// referenceWriteStatsCSV is WriteStatsCSV as it stood before rows were
+// referenceWriteStatsCSV is writeStatsCSV as it stood before rows were
 // append-encoded: encoding/csv's Writer over one []string per row. It is
 // the specification the hand-written encoder must match byte for byte.
 func referenceWriteStatsCSV(w io.Writer, rows []*JobStats) error {
@@ -48,12 +48,12 @@ func referenceWriteStatsCSV(w io.Writer, rows []*JobStats) error {
 	return cw.Error()
 }
 
-// checkStatsCSV fails t unless WriteStatsCSV and the reference write the
+// checkStatsCSV fails t unless writeStatsCSV and the reference write the
 // same bytes for rows.
 func checkStatsCSV(t *testing.T, rows []*JobStats) {
 	t.Helper()
 	var got, want bytes.Buffer
-	if err := WriteStatsCSV(&got, rows); err != nil {
+	if err := writeStatsCSV(&got, rows); err != nil {
 		t.Fatal(err)
 	}
 	if err := referenceWriteStatsCSV(&want, rows); err != nil {
@@ -110,7 +110,7 @@ func TestStatsCSVMatchesReferenceAcrossFlushes(t *testing.T) {
 	}
 	checkStatsCSV(t, rows)
 	var cw countingWriter
-	if err := WriteStatsCSV(&cw, rows); err != nil {
+	if err := writeStatsCSV(&cw, rows); err != nil {
 		t.Fatal(err)
 	}
 	if cw.writes < 3 {
