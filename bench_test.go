@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -757,7 +758,9 @@ func BenchmarkPolicyInference(b *testing.B) {
 // snapshot, over table2-shaped jobs (130–250 qubits, depth 5–20,
 // t2 = q·d/4). rlbase runs an untrained 64-64 actor: inference costs
 // the same whatever the weights. allocs/op counts the returned
-// allocation (and, for rlbase, Apportion's shares).
+// allocation (and, for rlbase, Apportion's shares). fidelity-reject is
+// the backfill pass's common call: the two lowest-error devices are
+// full, so fidelity waits on every job although the fleet has room.
 func BenchmarkPolicyAllocate(b *testing.B) {
 	env := sim.NewEnvironment()
 	fleet, err := deviceFleet(env)
@@ -774,6 +777,7 @@ func BenchmarkPolicyAllocate(b *testing.B) {
 			Eps1Q: eps1Q, Eps2Q: eps2Q, EpsRO: epsRO,
 		}
 	}
+	policy.RankByError(states)
 	rng := rand.New(rand.NewSource(1))
 	jobs := make([]*job.QJob, 1024)
 	for i := range jobs {
@@ -798,6 +802,21 @@ func BenchmarkPolicyAllocate(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 		})
 	}
+	busy := slices.Clone(states)
+	for i := range busy {
+		if busy[i].ErrorRank < 2 {
+			busy[i].Free = 0
+		}
+	}
+	b.Run("fidelity-reject", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if (policy.Fidelity{}).Allocate(jobs[i%len(jobs)], busy) != nil {
+				b.Fatal("fidelity placed a job with its designated devices full")
+			}
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+	})
 }
 
 // BenchmarkFidelityModel measures the Eq. 4–8 fidelity computation.

@@ -151,6 +151,7 @@ func TestServeConfigRefusals(t *testing.T) {
 		  "policy": "fair", "model": {"m": 10, "k": 10, "phi": 0.95, "lambda": 0.02}}`,
 			`"A broker that no policy or topology can panic"`},
 		{"workload block", exampleSpec(t), "drop the workload block"},
+		{"oracle over 17 devices", manyDeviceSpec(17, false), "at most 16 devices"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

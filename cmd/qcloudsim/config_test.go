@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,6 +61,7 @@ func TestConfigRejected(t *testing.T) {
 		{"unknown model field", mutate(`"lambda": 0.02`, `"lambda": 0.02, "mu": 3`), "unknown field"},
 		{"missing workload file", mutate(`{"source": "synthetic",`, `{"source": "csv", "path": "absent.csv",`), "absent.csv"},
 		{"missing rl model", mutate(`"policy": "fidelity"`, `"policy": "rlbase", "rl_model_path": "absent.json"`), "absent.json"},
+		{"oracle over 17 devices", manyDeviceSpec(17, true), "at most 16 devices"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -222,5 +224,36 @@ func TestPolicyFlagResolvesRegistry(t *testing.T) {
 	out, err := runQCloudSim(t, t.TempDir(), "-policy", "oracle", "-n", "20")
 	if err != nil || !strings.Contains(out, "policy      oracle") || !strings.Contains(out, "jobs        20") {
 		t.Fatalf("-policy oracle: %v\n%s", err, out)
+	}
+}
+
+// manyDeviceSpec is a -config document for a fleet of n small devices
+// under the oracle policy, with a workload block for batch runs.
+func manyDeviceSpec(n int, withWorkload bool) string {
+	devices := make([]string, n)
+	for i := range devices {
+		devices[i] = fmt.Sprintf(`{"name": "qpu_%02d", "num_qubits": 27, "clops": 30000,
+		  "calibration": {"median_readout": 0.011, "median_1q": 2.3e-4, "median_2q": 7.5e-3, "seed": %d}}`, i, i+1)
+	}
+	s := `{"devices": [` + strings.Join(devices, ", ") + `], "policy": "oracle",
+	  "model": {"m": 10, "k": 10, "phi": 0.95, "lambda": 0.02}`
+	if withWorkload {
+		s += `, "workload": {"source": "synthetic", "synthetic": {"n": 5, "min_qubits": 10, "max_qubits": 40,
+		  "min_depth": 5, "max_depth": 20, "min_shots": 1000, "max_shots": 2000,
+		  "t2_factor": 0.25, "mean_interarrival": 60, "seed": 4}}`
+	}
+	return s + "}"
+}
+
+// Oracle's fleet limit is inclusive: the batch and serve refusals of
+// one device more are cases of TestConfigRejected and
+// TestServeConfigRefusals.
+func TestOracleFleetAtLimitBuilds(t *testing.T) {
+	c, err := loadConfig(strings.NewReader(manyDeviceSpec(policy.OracleMaxDevices, true)), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := (cloud{devices: c.Devices, policy: c.Policy, cfg: c.Model}).build(sim.NewEnvironment()); err != nil {
+		t.Fatalf("oracle over %d devices refused: %v", policy.OracleMaxDevices, err)
 	}
 }

@@ -173,7 +173,8 @@ type cloud struct {
 
 // build constructs the fleet on env and, through the registry, the
 // allocation policy, which gets the model's Eq. 8 penalty for fidelity
-// predictions.
+// predictions. It refuses a fleet the policy cannot schedule before
+// any job runs.
 func (c cloud) build(env *sim.Environment) ([]*device.Device, policy.Policy, error) {
 	var fleet []*device.Device
 	var err error
@@ -192,7 +193,14 @@ func (c cloud) build(env *sim.Environment) ([]*device.Device, policy.Policy, err
 		}
 	}
 	pol, err := policy.New(c.policy, p)
-	return fleet, pol, err
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, ok := pol.(policy.Oracle); ok && len(fleet) > policy.OracleMaxDevices {
+		return nil, nil, fmt.Errorf("policy oracle enumerates device subsets and supports at most %d devices; the fleet has %d",
+			policy.OracleMaxDevices, len(fleet))
+	}
+	return fleet, pol, nil
 }
 
 // batch is one batch simulation: a cloud and the workload it runs.

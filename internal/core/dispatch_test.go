@@ -71,8 +71,9 @@ func TestDispatchSkipsOversizedJobs(t *testing.T) {
 	}
 }
 
-// randomStates draws a fleet snapshot of 1..5 devices (rlbase encodes at
-// most five) with arbitrary occupancy, scores and utilization.
+// randomStates draws a ranked fleet snapshot of 1..5 devices (rlbase
+// encodes at most five) with arbitrary occupancy, scores and
+// utilization.
 func randomStates(rng *rand.Rand) []policy.DeviceState {
 	names := []string{"ibm_strasbourg", "ibm_brussels", "ibm_kyiv", "ibm_quebec", "ibm_kawasaki"}
 	out := make([]policy.DeviceState, 1+rng.Intn(len(names)))
@@ -91,6 +92,7 @@ func randomStates(rng *rand.Rand) []policy.DeviceState {
 			EpsRO:       2e-2 * rng.Float64(),
 		}
 	}
+	policy.RankByError(out)
 	return out
 }
 

@@ -120,6 +120,11 @@ func TestBatchRecordsPinned(t *testing.T) {
 		{"fidelity-backfill", func(t *testing.T) []*job.QJob { return busyWorkload(t, 60) },
 			func() policy.Policy { return policy.Fidelity{} }, backfill, DriftConfig{},
 			"82bfcb3a4527becf92c94e749ab106b4936a9ca2d772325e10f9c9b4dd818870"},
+		// Skip-ahead over a drifting fleet: the error ranking changes
+		// between dispatch passes (22 times over its 411 drift steps).
+		{"fidelity-backfill-drift", func(t *testing.T) []*job.QJob { return busyWorkload(t, 60) },
+			func() policy.Policy { return policy.Fidelity{} }, backfill, DriftConfig{IntervalS: 50, Rel: 0.5, Seed: 13},
+			"c87257cb73f7f23fd7b8997891ad867fc4ab6f8fdeb30f2d779bd3ad75671488"},
 		{"speed-drift", func(t *testing.T) []*job.QJob { return smallWorkload(t, 40) },
 			func() policy.Policy { return policy.Speed{} }, DefaultConfig(), DriftConfig{IntervalS: 1800, Rel: 0.2, Seed: 7},
 			"ddee2dc209df07d72ce0ec7d28eccdc3d8d2ff366885f81a84507d2dbdce8c08"},

@@ -243,6 +243,12 @@ type Broker struct {
 	runPool []*jobRun
 	states  []policy.DeviceState
 
+	// ranks are the fleet's ErrorRanks, computed by policy.RankByError
+	// from the ErrorScores in rankedScores (NaN before the first
+	// snapshot). statesInto re-ranks when any score differs from them.
+	ranks        []int
+	rankedScores []float64
+
 	admission AdmissionConfig
 	admStats  AdmissionStats
 	inflight  map[string]int // per-tenant queued+executing counts
@@ -299,14 +305,19 @@ func NewBroker(env *sim.Environment, fleet []*device.Device, pol policy.Policy, 
 		return nil, fmt.Errorf("core: window capacity %d", windowCap)
 	}
 	b := &Broker{
-		env:      env,
-		devices:  fleet,
-		pol:      pol,
-		cfg:      cfg,
-		rec:      rec,
-		windows:  metrics.NewTenantWindows(windowCap),
-		states:   make([]policy.DeviceState, len(fleet)),
-		inflight: make(map[string]int),
+		env:          env,
+		devices:      fleet,
+		pol:          pol,
+		cfg:          cfg,
+		rec:          rec,
+		windows:      metrics.NewTenantWindows(windowCap),
+		states:       make([]policy.DeviceState, len(fleet)),
+		ranks:        make([]int, len(fleet)),
+		rankedScores: make([]float64, len(fleet)),
+		inflight:     make(map[string]int),
+	}
+	for i := range b.rankedScores {
+		b.rankedScores[i] = math.NaN()
 	}
 	if d := cfg.Drift; d.Enabled() {
 		b.driftRNG = rand.New(rand.NewSource(d.Seed))
@@ -472,24 +483,37 @@ func (b *Broker) Offer(j *job.QJob) Decision {
 
 // statesInto snapshots the fleet for a policy decision into the broker's
 // reusable buffer. Every field is O(1) per device: the mean error rates
-// come from the device's calibration cache.
+// come from the device's calibration cache, and the error ranks from
+// the broker's, which is rebuilt only when a calibration has changed a
+// score (at construction, after a drift step, after a restore).
 //
 //repro:noalloc
 func (b *Broker) statesInto() []policy.DeviceState {
 	out := b.states[:len(b.devices)]
+	stale := false
 	for i, d := range b.devices {
 		eps1Q, eps2Q, epsRO := d.MeanErrors()
+		score := d.ErrorScore()
+		stale = stale || score != b.rankedScores[i]
 		out[i] = policy.DeviceState{
 			Index:       i,
 			Name:        d.Name(),
 			Free:        d.FreeQubits(),
 			Capacity:    d.NumQubits(),
-			ErrorScore:  d.ErrorScore(),
+			ErrorScore:  score,
+			ErrorRank:   b.ranks[i],
 			CLOPS:       d.CLOPS(),
 			Utilization: d.Utilization(),
 			Eps1Q:       eps1Q,
 			Eps2Q:       eps2Q,
 			EpsRO:       epsRO,
+		}
+	}
+	if stale {
+		policy.RankByError(out)
+		for i := range out {
+			b.ranks[i] = out[i].ErrorRank
+			b.rankedScores[i] = out[i].ErrorScore
 		}
 	}
 	return out

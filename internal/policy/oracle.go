@@ -15,7 +15,7 @@ import (
 // what any *work-conserving* (place-immediately) policy — including the
 // trained RL agent — can achieve on the fidelity metric, at the cost of
 // exponential enumeration (fine for the paper's 5-device cloud; capped
-// at 16 devices).
+// at OracleMaxDevices).
 //
 // Two caveats make Oracle an analysis baseline rather than a deployable
 // mode: it evaluates the simulator's own fidelity model exactly, and it
@@ -28,12 +28,16 @@ type Oracle struct {
 	Phi float64
 }
 
+// OracleMaxDevices is the largest fleet Oracle enumerates: 2^16-1
+// device subsets per decision.
+const OracleMaxDevices = 16
+
 // Name implements Policy.
 func (Oracle) Name() string { return "oracle" }
 
 // Allocate implements Policy.
 func (o Oracle) Allocate(j *job.QJob, devices []DeviceState) []Allocation {
-	if len(devices) > 16 {
+	if len(devices) > OracleMaxDevices {
 		panic(fmt.Sprintf("policy: Oracle over %d devices is intractable", len(devices)))
 	}
 	if totalFree(devices) < j.NumQubits {
@@ -43,10 +47,12 @@ func (o Oracle) Allocate(j *job.QJob, devices []DeviceState) []Allocation {
 	if phi == 0 {
 		phi = metrics.DefaultPhi
 	}
+	var buf [OracleMaxDevices]int
+	order := byErrorRank(devices, buf[:])
 	bestFid := math.Inf(-1)
 	var best []Allocation
 	for mask := 1; mask < 1<<len(devices); mask++ {
-		allocs, ok := o.fillSubset(j, devices, mask)
+		allocs, ok := o.fillSubset(j, devices, order, mask)
 		if !ok {
 			continue
 		}
@@ -59,33 +65,24 @@ func (o Oracle) Allocate(j *job.QJob, devices []DeviceState) []Allocation {
 	return best
 }
 
-// fillSubset greedily fills the masked devices lowest-error-first,
-// returning false if their free capacity cannot hold the job.
-func (Oracle) fillSubset(j *job.QJob, devices []DeviceState, mask int) ([]Allocation, bool) {
-	var members []int
+// fillSubset greedily fills the masked devices in order (lowest error
+// first), returning false if their free capacity cannot hold the job.
+func (Oracle) fillSubset(j *job.QJob, devices []DeviceState, order []int, mask int) ([]Allocation, bool) {
 	free := 0
 	for i := range devices {
 		if mask&(1<<i) != 0 {
-			members = append(members, i)
 			free += devices[i].Free
 		}
 	}
 	if free < j.NumQubits {
 		return nil, false
 	}
-	// Lowest error score first; name tie-break for determinism.
-	for a := 1; a < len(members); a++ {
-		for b := a; b > 0; b-- {
-			da, db := devices[members[b-1]], devices[members[b]]
-			if da.ErrorScore > db.ErrorScore ||
-				(da.ErrorScore == db.ErrorScore && da.Name > db.Name) {
-				members[b-1], members[b] = members[b], members[b-1]
-			}
-		}
-	}
 	need := j.NumQubits
 	var allocs []Allocation
-	for _, i := range members {
+	for _, i := range order {
+		if mask&(1<<i) == 0 {
+			continue
+		}
 		if need == 0 {
 			// Subset member unused: this subset duplicates a smaller
 			// one; skip so each effective partition set is evaluated

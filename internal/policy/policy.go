@@ -38,6 +38,10 @@ type DeviceState struct {
 	Capacity int
 	// ErrorScore is the Eq. 2 calibration-derived score (lower=better).
 	ErrorScore float64
+	// ErrorRank is the device's position, from 0, in the snapshot's
+	// lowest-ErrorScore-first order as RankByError sets it. Fidelity
+	// and Oracle read the order from it instead of sorting per call.
+	ErrorRank int
 	// CLOPS is the device's throughput rating.
 	CLOPS float64
 	// Utilization is the device's time-averaged busy fraction.
@@ -65,14 +69,61 @@ type Policy interface {
 	//
 	// Allocate must not modify devices: the broker takes one snapshot
 	// per dispatch pass and shows it to every queued job in turn. The
-	// broker does not call Allocate for a job larger than the fleet's
-	// free qubits, where the contract above forces nil anyway.
+	// snapshot's ErrorRank fields are set (RankByError). The broker
+	// does not call Allocate for a job larger than the fleet's free
+	// qubits, where the contract above forces nil anyway.
 	Allocate(j *job.QJob, devices []DeviceState) []Allocation
 }
 
 // maxStackDevices sizes the on-stack device ranking buffers: fleets up
 // to this size rank without allocating.
 const maxStackDevices = 16
+
+// RankByError sets every device's ErrorRank: its position in the
+// lowest-ErrorScore-first order, ties broken by Name and then by fleet
+// position. It is the one definition of that order. A snapshot builder
+// calls it whenever an ErrorScore may have changed; fleets up to
+// maxStackDevices rank without allocating.
+func RankByError(states []DeviceState) {
+	var buf [maxStackDevices]int
+	order := indices(buf[:], len(states))
+	slices.SortStableFunc(order, func(a, b int) int {
+		da, db := &states[a], &states[b]
+		if c := cmp.Compare(da.ErrorScore, db.ErrorScore); c != 0 {
+			return c
+		}
+		return strings.Compare(da.Name, db.Name)
+	})
+	for r, i := range order {
+		states[i].ErrorRank = r
+	}
+}
+
+// byErrorRank returns the devices' indices lowest ErrorRank first, in
+// buf when it is long enough. It costs one pass and no comparisons. It
+// panics unless the ranks are a permutation of 0..n-1, which only a
+// snapshot built without RankByError can break.
+func byErrorRank(devices []DeviceState, buf []int) []int {
+	n := len(devices)
+	var order []int
+	if n <= len(buf) {
+		order = buf[:n]
+	} else {
+		order = make([]int, n)
+	}
+	for r := range order {
+		order[r] = -1
+	}
+	for i := range devices {
+		r := devices[i].ErrorRank
+		if r < 0 || r >= n || order[r] >= 0 {
+			panic(fmt.Sprintf("policy: ErrorRank %d on device %d is not a permutation of 0..%d: build the snapshot with RankByError",
+				r, i, n-1))
+		}
+		order[r] = i
+	}
+	return order
+}
 
 // indices appends 0..n-1 to buf[:0].
 func indices(buf []int, n int) []int {
@@ -250,11 +301,12 @@ func (ProportionalFair) Allocate(j *job.QJob, devices []DeviceState) []Allocatio
 }
 
 // Fidelity is the error-aware mode (§5): it ranks devices by calibration
-// error score and commits each job to the minimal set of lowest-error
-// devices that can hold it, waiting for those devices when they are
-// busy. This concentrates work on the best-calibrated hardware (highest
-// fidelity, fewest partitions) at the cost of queueing delay — the
-// paper's central speed/fidelity trade-off.
+// error score (the snapshot's ErrorRank) and commits each job to the
+// minimal set of lowest-error devices that can hold it, waiting for
+// those devices when they are busy. This concentrates work on the
+// best-calibrated hardware (highest fidelity, fewest partitions) at the
+// cost of queueing delay — the paper's central speed/fidelity
+// trade-off.
 type Fidelity struct{}
 
 // Name implements Policy.
@@ -262,17 +314,10 @@ func (Fidelity) Name() string { return "fidelity" }
 
 // Allocate implements Policy.
 func (Fidelity) Allocate(j *job.QJob, devices []DeviceState) []Allocation {
-	// Rank by error score (ties by name for determinism). Rejections
-	// allocate nothing: the ranking lives on the stack.
+	// Lowest error first, from the snapshot's ranks. Rejections
+	// allocate nothing: the order lives on the stack.
 	var buf [maxStackDevices]int
-	order := indices(buf[:], len(devices))
-	slices.SortFunc(order, func(a, b int) int {
-		da, db := &devices[a], &devices[b]
-		if c := cmp.Compare(da.ErrorScore, db.ErrorScore); c != 0 {
-			return c
-		}
-		return strings.Compare(da.Name, db.Name)
-	})
+	order := byErrorRank(devices, buf[:])
 	// Minimal prefix by total capacity: the designated low-error set.
 	need := j.NumQubits
 	capSum := 0

@@ -8,8 +8,9 @@ import (
 	"repro/internal/job"
 )
 
-// fleet builds a snapshot mirroring the case study: two fast mid-error
-// devices, two slow low-error devices, one slow high-error device.
+// fleet builds a ranked snapshot mirroring the case study: two fast
+// mid-error devices, two slow low-error devices, one slow high-error
+// device.
 func fleet(free ...int) []DeviceState {
 	base := []DeviceState{
 		{Index: 0, Name: "ibm_strasbourg", Capacity: 127, CLOPS: 220000, ErrorScore: 0.0090},
@@ -25,6 +26,7 @@ func fleet(free ...int) []DeviceState {
 			base[i].Free = base[i].Capacity
 		}
 	}
+	RankByError(base)
 	return base
 }
 
@@ -303,6 +305,7 @@ func TestFidelityRejectionAllocFree(t *testing.T) {
 func TestFidelityBreaksScoreTiesByName(t *testing.T) {
 	devs := fleet()
 	devs[4].ErrorScore = devs[3].ErrorScore // kawasaki ties quebec
+	RankByError(devs)
 	for _, c := range []struct {
 		q    int
 		want []Allocation
