@@ -12,6 +12,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -537,6 +538,90 @@ func BenchmarkDecodeRecord(b *testing.B) {
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/job")
 		})
 	}
+}
+
+// table2Jobs is a table2-shaped workload of n jobs: the paper's
+// synthetic distribution with Poisson arrivals.
+func table2Jobs(b *testing.B, n int) []*job.QJob {
+	cfg := job.DefaultSyntheticConfig()
+	cfg.N, cfg.MeanInterarrival, cfg.Seed = n, 4, 1
+	jobs, err := job.Synthetic(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return jobs
+}
+
+// reportPerJob reports jobs/s and allocs/job for b.N ops of n jobs each,
+// given the MemStats read before the timed loop.
+func reportPerJob(b *testing.B, n int, before *runtime.MemStats) {
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	jobs := float64(b.N) * float64(n)
+	b.ReportMetric(jobs/b.Elapsed().Seconds(), "jobs/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/jobs, "allocs/job")
+}
+
+// BenchmarkLoadCSV is the batch ingest rung: job.LoadCSV over a
+// 20k-job table2-shaped workload file, as qcloudsim -jobs reads it.
+// One op is one whole load; allocs/job falls as the workload grows,
+// because a plain file loads in a fixed number of allocations.
+func BenchmarkLoadCSV(b *testing.B) {
+	const n = 20000
+	var buf strings.Builder
+	if err := job.WriteCSV(&buf, table2Jobs(b, n)); err != nil {
+		b.Fatal(err)
+	}
+	src := buf.String()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if jobs, err := job.LoadCSV(strings.NewReader(src)); err != nil || len(jobs) != n {
+			b.Fatalf("%d jobs, error %v", len(jobs), err)
+		}
+	}
+	b.StopTimer()
+	reportPerJob(b, n, &before)
+}
+
+// BenchmarkRecordsManager is the records rung: a batch run's
+// bookkeeping for 20k jobs. Each job's arrival, start and finish go
+// through core.ManagerRecorder (the finish with a reused device-name
+// buffer, as the broker passes it); then the Table 2 figures
+// QCloudSimEnv.Run reports, and the per-job export. One op is the whole
+// run's records.
+func BenchmarkRecordsManager(b *testing.B) {
+	const n = 20000
+	jobs := table2Jobs(b, n)
+	fleet := []string{"eagle-0", "eagle-1", "eagle-2", "eagle-3", "eagle-4"}
+	names := make([]string, 0, len(fleet))
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := records.NewManager()
+		rec := core.ManagerRecorder{M: m}
+		for k, j := range jobs {
+			rec.Arrival(j, j.ArrivalTime)
+			rec.Start(j.ID, j.ArrivalTime+1)
+			names = append(names[:0], fleet[:1+k%3]...)
+			rec.Finish(j.ID, j.ArrivalTime+30, 0.9, float64(len(names)-1), names)
+		}
+		m.FidelityMeanStd()
+		m.Makespan()
+		m.TotalCommTime()
+		m.MeanWaitTime()
+		m.MeanTurnaround()
+		m.MeanDevicesPerJob()
+		if err := m.WriteCSV(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportPerJob(b, n, &before)
 }
 
 // discardRecorder drops every lifecycle event, so broker benches time

@@ -206,6 +206,21 @@ func TestLoadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestLoadCSVErrorNamesLine: a bad record is named by the file line it
+// starts on, on both the hand-split and the encoding/csv path.
+func TestLoadCSVErrorNamesLine(t *testing.T) {
+	for _, src := range []string{
+		"a,140,5,1000,0\n\n\nb,140,5,1000,1\n\nc,0,5,1000,2\n",
+		"a,140,5,1000,0\r\n\r\n\r\nb,140,5,1000,1\r\n\r\nc,0,5,1000,2\r\n",
+		"\"a\nstill a\",140,5,1000,0\n\nb,140,5,1000,1\n\nc,0,5,1000,2",
+	} {
+		_, err := LoadCSV(strings.NewReader(src))
+		if want := "job: CSV line 6: job c: 0 qubits"; err == nil || err.Error() != want {
+			t.Errorf("%q: error %v, want %q", src, err, want)
+		}
+	}
+}
+
 func TestLoadJSON(t *testing.T) {
 	src := `[
 	  {"job_id":"a","num_qubits":150,"depth":10,"num_shots":1000,"arrival_time":5.5},
@@ -251,7 +266,15 @@ func TestLoadRejectsRepeatedJobID(t *testing.T) {
 	}{
 		{"csv", LoadCSV,
 			"job_id,num_qubits,depth,num_shots,arrival_time\na,5,10,100,0\nb,5,10,100,1\na,6,10,100,2\n",
-			`job: CSV rows 2 and 4 both have job_id "a"`},
+			`job: CSV lines 2 and 4 both have job_id "a"`},
+		// Blank lines count: the numbers are file lines, not records.
+		{"csv-blank-lines", LoadCSV,
+			"a,140,5,1000,0\n\n\nb,140,5,1000,1\na,150,5,1000,2\n",
+			`job: CSV lines 1 and 5 both have job_id "a"`},
+		// A quoted field sends the input through encoding/csv.
+		{"csv-quoted-blank-lines", LoadCSV,
+			"\"a\",140,5,1000,0\n\n\nb,140,5,1000,1\na,150,5,1000,2\n",
+			`job: CSV lines 1 and 5 both have job_id "a"`},
 		{"json", LoadJSON, `[
 		  {"job_id":"x","num_qubits":5,"depth":10,"num_shots":100},
 		  {"job_id":"a","num_qubits":5,"depth":10,"num_shots":100,"arrival_time":3},

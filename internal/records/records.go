@@ -72,10 +72,25 @@ func (s *JobStats) ExecTime() float64 { return s.Finish - s.Start }
 // Manager collects per-job statistics.
 type Manager struct {
 	jobs map[string]*JobStats
-	// order holds every job in first-seen order, so Finished walks it
-	// without map lookups.
+	// order holds every job in first-seen order: Finished and the
+	// aggregates walk it without map lookups, in arrival order.
 	order []*JobStats
+	// finished counts the jobs in order that have finished.
+	finished int
+	// slab holds the JobStats not handed out yet, and names the unused
+	// tail of the arena LogFinish copies device names into: a record
+	// costs no allocation of its own.
+	slab  []JobStats
+	names []string
 }
+
+// Slab and arena chunks grow with the manager, from 16 up to 1024
+// records and from 64 up to 4096 device names, so a small run stays
+// small and a large one allocates once per chunk.
+const (
+	minStatsChunk, maxStatsChunk = 16, 1024
+	minNamesChunk, maxNamesChunk = 64, 4096
+)
 
 // NewManager creates an empty records manager.
 func NewManager() *Manager {
@@ -85,11 +100,30 @@ func NewManager() *Manager {
 func (m *Manager) job(id string) *JobStats {
 	s, ok := m.jobs[id]
 	if !ok {
-		s = &JobStats{JobID: id}
+		if len(m.slab) == 0 {
+			m.slab = make([]JobStats, min(max(len(m.order), minStatsChunk), maxStatsChunk))
+		}
+		s, m.slab = &m.slab[0], m.slab[1:]
+		s.JobID = id
 		m.jobs[id] = s
 		m.order = append(m.order, s)
 	}
 	return s
+}
+
+// copyNames copies the broker-owned names into the arena. The copy's
+// capacity ends at its length, so appending to one record's
+// DeviceNames reallocates instead of writing over the next record's.
+func (m *Manager) copyNames(names []string) []string {
+	if len(names) == 0 {
+		return nil
+	}
+	if cap(m.names)-len(m.names) < len(names) {
+		m.names = make([]string, 0, max(min(max(len(m.order), minNamesChunk), maxNamesChunk), len(names)))
+	}
+	i := len(m.names)
+	m.names = append(m.names, names...)
+	return m.names[i:len(m.names):len(m.names)]
 }
 
 // LogArrival records a job entering the cloud.
@@ -116,7 +150,8 @@ func (m *Manager) LogStart(jobID string, t float64) {
 }
 
 // LogFinish records completion along with the job's final fidelity,
-// communication time, and the devices used.
+// communication time, and the devices used. deviceNames is copied,
+// because the broker reuses the buffer it passes (core.StreamRecorder).
 func (m *Manager) LogFinish(jobID string, t, fidelity, commTime float64, deviceNames []string) {
 	s := m.job(jobID)
 	if !s.started {
@@ -129,11 +164,12 @@ func (m *Manager) LogFinish(jobID string, t, fidelity, commTime float64, deviceN
 		panic(fmt.Sprintf("records: fidelity %g outside [0,1] for %s", fidelity, jobID))
 	}
 	s.finished = true
+	m.finished++
 	s.Finish = t
 	s.Fidelity = fidelity
 	s.CommTime = commTime
 	s.Devices = len(deviceNames)
-	s.DeviceNames = append([]string(nil), deviceNames...)
+	s.DeviceNames = m.copyNames(deviceNames)
 }
 
 // SetIngest attaches ingest provenance to a job's record. The broker
@@ -175,27 +211,22 @@ func (m *Manager) Len() int { return len(m.order) }
 func (m *Manager) Truncate(n int) {
 	for _, s := range m.order[n:] {
 		delete(m.jobs, s.JobID)
+		if s.finished {
+			m.finished--
+		}
 	}
 	clear(m.order[n:])
 	m.order = m.order[:n]
 }
 
 // NumFinished returns the count of completed jobs.
-func (m *Manager) NumFinished() int {
-	n := 0
-	for _, s := range m.jobs {
-		if s.finished {
-			n++
-		}
-	}
-	return n
-}
+func (m *Manager) NumFinished() int { return m.finished }
 
 // NumPending returns jobs that arrived but have not finished. Dropped
 // jobs are excluded: admission control has already resolved them.
 func (m *Manager) NumPending() int {
 	n := 0
-	for _, s := range m.jobs {
+	for _, s := range m.order {
 		if s.arrived && !s.finished && !s.dropped {
 			n++
 		}
@@ -206,7 +237,7 @@ func (m *Manager) NumPending() int {
 // NumDropped returns jobs refused or shed by admission control.
 func (m *Manager) NumDropped() int {
 	n := 0
-	for _, s := range m.jobs {
+	for _, s := range m.order {
 		if s.dropped {
 			n++
 		}
@@ -214,9 +245,13 @@ func (m *Manager) NumDropped() int {
 	return n
 }
 
-// Finished returns completed jobs in first-arrival order.
+// Finished returns completed jobs in first-arrival order, nil when none
+// finished.
 func (m *Manager) Finished() []*JobStats {
-	var out []*JobStats
+	if m.finished == 0 {
+		return nil
+	}
+	out := make([]*JobStats, 0, m.finished)
 	for _, s := range m.order {
 		if s.finished {
 			out = append(out, s)
@@ -229,31 +264,43 @@ func (m *Manager) Finished() []*JobStats {
 func (m *Manager) Get(jobID string) *JobStats { return m.jobs[jobID] }
 
 // Fidelities returns final fidelities of all finished jobs, in arrival
-// order.
+// order, nil when none finished.
 func (m *Manager) Fidelities() []float64 {
-	var out []float64
-	for _, s := range m.Finished() {
-		out = append(out, s.Fidelity)
+	if m.finished == 0 {
+		return nil
+	}
+	out := make([]float64, 0, m.finished)
+	for _, s := range m.order {
+		if s.finished {
+			out = append(out, s.Fidelity)
+		}
 	}
 	return out
 }
 
+// The aggregates below walk order and skip unfinished jobs, so each sum
+// runs over the finished jobs in arrival order without building the
+// Finished list.
+
 // FidelityMeanStd returns the mean and (population) standard deviation of
 // finished-job fidelities — the paper's μF ± σF.
 func (m *Manager) FidelityMeanStd() (mean, std float64) {
-	fs := m.Fidelities()
-	if len(fs) == 0 {
+	if m.finished == 0 {
 		return 0, 0
 	}
-	for _, f := range fs {
-		mean += f
+	for _, s := range m.order {
+		if s.finished {
+			mean += s.Fidelity
+		}
 	}
-	mean /= float64(len(fs))
-	for _, f := range fs {
-		d := f - mean
-		std += d * d
+	mean /= float64(m.finished)
+	for _, s := range m.order {
+		if s.finished {
+			d := s.Fidelity - mean
+			std += d * d
+		}
 	}
-	std = math.Sqrt(std / float64(len(fs)))
+	std = math.Sqrt(std / float64(m.finished))
 	return mean, std
 }
 
@@ -261,8 +308,10 @@ func (m *Manager) FidelityMeanStd() (mean, std float64) {
 // finished jobs — the paper's T_comm.
 func (m *Manager) TotalCommTime() float64 {
 	total := 0.0
-	for _, s := range m.Finished() {
-		total += s.CommTime
+	for _, s := range m.order {
+		if s.finished {
+			total += s.CommTime
+		}
 	}
 	return total
 }
@@ -271,8 +320,8 @@ func (m *Manager) TotalCommTime() float64 {
 // paper's T_sim when all jobs complete.
 func (m *Manager) Makespan() float64 {
 	max := 0.0
-	for _, s := range m.Finished() {
-		if s.Finish > max {
+	for _, s := range m.order {
+		if s.finished && s.Finish > max {
 			max = s.Finish
 		}
 	}
@@ -287,15 +336,16 @@ func (m *Manager) MeanTurnaround() float64 { return m.meanFinished((*JobStats).T
 
 // meanFinished averages f over finished jobs, 0 when none finished.
 func (m *Manager) meanFinished(f func(*JobStats) float64) float64 {
-	fin := m.Finished()
-	if len(fin) == 0 {
+	if m.finished == 0 {
 		return 0
 	}
 	total := 0.0
-	for _, s := range fin {
-		total += f(s)
+	for _, s := range m.order {
+		if s.finished {
+			total += f(s)
+		}
 	}
-	return total / float64(len(fin))
+	return total / float64(m.finished)
 }
 
 // Throughput returns finished jobs per unit time over the makespan.
@@ -304,7 +354,7 @@ func (m *Manager) Throughput() float64 {
 	if ms <= 0 {
 		return 0
 	}
-	return float64(m.NumFinished()) / ms
+	return float64(m.finished) / ms
 }
 
 // MeanDevicesPerJob returns the average partition count k across
@@ -318,7 +368,10 @@ func (m *Manager) MeanDevicesPerJob() float64 {
 func (m *Manager) DeviceLoadShare() []DeviceShare {
 	counts := map[string]int{}
 	total := 0
-	for _, s := range m.Finished() {
+	for _, s := range m.order {
+		if !s.finished {
+			continue
+		}
 		for _, name := range s.DeviceNames {
 			counts[name]++
 			total++

@@ -2,6 +2,8 @@ package records
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -243,5 +245,147 @@ func TestTruncateRollsBackToMark(t *testing.T) {
 	m.LogDrop("after-shed", 16, "shed")
 	if fin := m.Finished(); len(fin) != len(want.rows)+1 || fin[len(fin)-1].JobID != "after-done" {
 		t.Fatalf("replayed rows = %d, want the mark's %d plus after-done", len(fin), len(want.rows))
+	}
+}
+
+// TestFinishCopiesDeviceNames: LogFinish keeps its own copy of the
+// device names, because the broker reuses the buffer it passes, and a
+// row's copy is capped at its length, so appending to it cannot write
+// over the next row's names.
+func TestFinishCopiesDeviceNames(t *testing.T) {
+	m := NewManager()
+	buf := []string{"a", "b"}
+	m.LogArrival("j1", 0)
+	m.LogStart("j1", 1)
+	m.LogFinish("j1", 2, 0.9, 0, buf)
+	buf[0], buf[1] = "x", "y"
+	m.LogArrival("j2", 3)
+	m.LogStart("j2", 4)
+	m.LogFinish("j2", 5, 0.9, 0, buf[:1])
+	first, second := m.Get("j1"), m.Get("j2")
+	if got := first.DeviceNames; !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("j1 device names = %q after the buffer was overwritten, want [a b]", got)
+	}
+	grown := append(first.DeviceNames, "c")
+	grown[0] = "z"
+	if got := second.DeviceNames; !reflect.DeepEqual(got, []string{"x"}) {
+		t.Fatalf("j2 device names = %q after appending to j1's, want [x]", got)
+	}
+	if got := first.DeviceNames; !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("j1 device names = %q after appending to them, want [a b]", got)
+	}
+}
+
+// TestAggregatesMatchFinishedList: the aggregates walk the arrival order
+// and skip unfinished and dropped jobs; every figure must be
+// bit-identical to the same sum over the Finished list.
+func TestAggregatesMatchFinishedList(t *testing.T) {
+	m := NewManager()
+	names := []string{"d0", "d1", "d2", "d3"}
+	for i := 0; i < 3000; i++ {
+		id := fmt.Sprintf("j%d", i)
+		at := float64(i) * 0.37
+		switch i % 7 {
+		case 3:
+			m.LogDrop(id, at, "rate") // refused: never arrived
+			continue
+		case 5:
+			m.LogArrival(id, at)
+			m.LogDrop(id, at+1, "shed")
+			continue
+		}
+		m.LogArrival(id, at)
+		if i%11 == 4 {
+			continue // left queued
+		}
+		m.LogStart(id, at+float64(i%13)/3)
+		if i%17 == 6 {
+			continue // left running
+		}
+		m.LogFinish(id, at+10+float64(i%29)/7, 0.5+float64(i%101)/211, float64(i%19)/3, names[:1+i%4])
+	}
+	fin := m.Finished()
+	if len(fin) != m.NumFinished() || len(fin) == 0 {
+		t.Fatalf("Finished has %d rows, NumFinished %d", len(fin), m.NumFinished())
+	}
+	var mean, std, comm, makespan, wait, turn, k float64
+	fids := make([]float64, len(fin))
+	for i, s := range fin {
+		fids[i] = s.Fidelity
+		mean += s.Fidelity
+		comm += s.CommTime
+		makespan = max(makespan, s.Finish)
+		wait += s.WaitTime()
+		turn += s.Turnaround()
+		k += float64(s.Devices)
+	}
+	n := float64(len(fin))
+	mean /= n
+	for _, s := range fin {
+		d := s.Fidelity - mean
+		std += d * d
+	}
+	std = math.Sqrt(std / n)
+	gotMean, gotStd := m.FidelityMeanStd()
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"FidelityMean", gotMean, mean},
+		{"FidelityStd", gotStd, std},
+		{"TotalCommTime", m.TotalCommTime(), comm},
+		{"Makespan", m.Makespan(), makespan},
+		{"MeanWaitTime", m.MeanWaitTime(), wait / n},
+		{"MeanTurnaround", m.MeanTurnaround(), turn / n},
+		{"MeanDevicesPerJob", m.MeanDevicesPerJob(), k / n},
+		{"Throughput", m.Throughput(), n / makespan},
+	} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Errorf("%s = %v, want %v over the Finished list", c.name, c.got, c.want)
+		}
+	}
+	if got := m.Fidelities(); !reflect.DeepEqual(got, fids) {
+		t.Errorf("Fidelities differ from the Finished list's")
+	}
+	if m.NumPending()+m.NumDropped()+m.NumFinished() != m.Len() {
+		t.Errorf("pending %d + dropped %d + finished %d != %d jobs",
+			m.NumPending(), m.NumDropped(), m.NumFinished(), m.Len())
+	}
+}
+
+// TestManagerAllocsPerJob: a job's arrival, start and finish take no
+// allocation of their own (the records come from slabs, the device names
+// from an arena), and the aggregates and the export allocate a fixed
+// number of times. 20k jobs must cost under 0.05 allocations each.
+func TestManagerAllocsPerJob(t *testing.T) {
+	const n = 20000
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("job-%07d", i)
+	}
+	buf := []string{"d0", "d1"}
+	allocs := testing.AllocsPerRun(1, func() {
+		m := NewManager()
+		for i, id := range ids {
+			at := float64(i)
+			m.LogArrival(id, at)
+			m.LogStart(id, at+1)
+			m.LogFinish(id, at+2, 0.9, 0.1, buf[:1+i%2])
+		}
+		m.FidelityMeanStd()
+		m.Makespan()
+		m.TotalCommTime()
+		m.MeanWaitTime()
+		m.MeanTurnaround()
+		m.MeanDevicesPerJob()
+		m.DeviceLoadShare()
+		if err := m.WriteCSV(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perJob := allocs / n
+	t.Logf("%v allocations for %d jobs: %.4f per job", allocs, n, perJob)
+	if perJob >= 0.05 {
+		t.Errorf("%.4f allocations per job, want under 0.05", perJob)
 	}
 }
