@@ -301,6 +301,11 @@ func TestServeCheckpointResume(t *testing.T) {
 	if cp.Finished != 10 {
 		t.Fatalf("checkpoint finished = %d", cp.Finished)
 	}
+	// -checkpoint alone feeds the job index, so the snapshot carries the
+	// status API's history for a resumed -http process.
+	if cp.Jobs == nil || len(cp.Jobs.Entries) != 10 {
+		t.Fatalf("checkpoint job index = %+v, want the 10 finished jobs", cp.Jobs)
+	}
 
 	var seg2 bytes.Buffer
 	if err := job.WriteNDJSON(&seg2, jobs[10:]); err != nil {

@@ -60,8 +60,8 @@ type serveOptions struct {
 	supervise bool
 
 	// export writes the full per-job records CSV at shutdown. Only when
-	// set does the broker keep unbounded per-job history; without it
-	// service-mode memory stays flat indefinitely.
+	// set does the broker keep per-job history, as encoded CSV rows;
+	// without it service-mode memory stays flat indefinitely.
 	export string
 
 	// inj, if set, injects faults into the ingest and HTTP layers:
@@ -301,7 +301,7 @@ func loadCheckpoint(path string) (*core.Checkpoint, error) {
 // pipeline, broker, admission, restore, and gateway — and starts its
 // periodic ticks and, with -http, the HTTP control plane. The broker
 // records into rec unless it is nil.
-func buildServer(opts serveOptions, cp *core.Checkpoint, rec *records.Manager, out, errOut io.Writer) (*server, error) {
+func buildServer(opts serveOptions, cp *core.Checkpoint, rec *records.ExportRecorder, out, errOut io.Writer) (*server, error) {
 	var env *sim.Environment
 	if cp != nil {
 		env = sim.NewEnvironmentAt(cp.SimNow)
@@ -318,10 +318,17 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, rec *records.Manager, o
 	}
 	recorder := core.MultiRecorder{}
 	if rec != nil {
-		recorder = append(recorder, core.ManagerRecorder{M: rec})
+		recorder = append(recorder, rec)
+	}
+	// Only GET /v1/jobs/{id} and checkpoints (cp.Jobs) read the index.
+	// Without -http or -checkpoint it stays empty: feeding it would cost
+	// map churn and GC scanning of its retained entries on every job,
+	// for no reader. The gateway holds it either way.
+	if opts.httpAddr != "" || opts.checkpointPath != "" {
+		recorder = append(recorder, idx)
 	}
 	em := newFinishEmitter(out)
-	recorder = append(recorder, idx, em)
+	recorder = append(recorder, em)
 	b, err := core.NewBroker(env, fleet, pol, opts.cfg, recorder, opts.window)
 	if err != nil {
 		return nil, err
@@ -373,12 +380,11 @@ func runServe(ctx context.Context, opts serveOptions, in io.Reader, out, errOut 
 		// it; this invocation reads a new stream from its beginning.
 		cp.Ingested = 0
 	}
-	// The Manager keeps every job's record for the -export CSV; without
-	// it the bounded index is the only per-job state, keeping RSS flat
-	// under sustained load.
-	var rec *records.Manager
+	// The recorder keeps the -export CSV: the live jobs, and the rows of
+	// the sealed ones. Without -export no per-job history is kept.
+	var rec *records.ExportRecorder
 	if opts.export != "" {
-		rec = records.NewManager()
+		rec = records.NewExportRecorder()
 	}
 	if opts.timeScale == 0 {
 		return serveLogical(ctx, opts, cp, rec, in, out, errOut)

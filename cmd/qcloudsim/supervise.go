@@ -111,26 +111,26 @@ type recoveryEvent struct {
 
 // supervisor runs the logical-time ingest loop in broker incarnations.
 // It holds the recovery state between incarnations: the latest durable
-// checkpoint, the stream position it covers, and the run's one
-// records.Manager, which a restarted incarnation truncates to the jobs
-// recorded at that checkpoint. Checkpoints are quiescent, so those jobs
-// are all terminal and the replay records exactly the rest again.
-// Without -supervise there is exactly one incarnation, and a crash ends
-// the run.
+// checkpoint, the stream position it covers, and the run's one export
+// recorder, which a restarted incarnation truncates to the CSV bytes
+// sealed at that checkpoint. Checkpoints are quiescent, so every job
+// admitted before one is sealed, and the replay records exactly the
+// rest again. Without -supervise there is exactly one incarnation, and
+// a crash ends the run.
 type supervisor struct {
 	opts   serveOptions
 	out    io.Writer
 	errOut io.Writer
 	feed   *lineFeed
-	// rec is the run's records.Manager; nil without -export.
-	rec *records.Manager
+	// rec is the run's export recorder; nil without -export.
+	rec *records.ExportRecorder
 
 	// cp is the latest durable checkpoint; nil before the first one.
 	cp *core.Checkpoint
 	// durable is the stream position cp covers: lines < durable are
 	// fully reflected in cp and never replayed.
 	durable int64
-	// mark is rec.Len() when cp was written.
+	// mark is rec.Len() when cp was written, or at the start.
 	mark int
 
 	incarnation int
@@ -140,11 +140,14 @@ type supervisor struct {
 // logical time until it drains. With -supervise a crashed incarnation
 // restarts from the latest atomic checkpoint until the crash-loop
 // breaker trips; without it the crash ends the run with no export.
-func serveLogical(ctx context.Context, opts serveOptions, cp *core.Checkpoint, rec *records.Manager, in io.Reader, out, errOut io.Writer) error {
+func serveLogical(ctx context.Context, opts serveOptions, cp *core.Checkpoint, rec *records.ExportRecorder, in io.Reader, out, errOut io.Writer) error {
 	if opts.inj != nil {
 		in = opts.inj.Reader(in)
 	}
 	sup := &supervisor{opts: opts, out: out, errOut: errOut, feed: newLineFeed(in, opts.supervise), rec: rec, cp: cp}
+	if rec != nil {
+		sup.mark = rec.Len()
+	}
 	for {
 		before := sup.durable
 		var err error
@@ -261,7 +264,7 @@ func (sup *supervisor) runIncarnation(ctx context.Context) (err error) {
 
 // writeExport writes rec's per-job records CSV to path; a nil rec
 // (no -export) writes nothing.
-func writeExport(path string, rec *records.Manager) error {
+func writeExport(path string, rec *records.ExportRecorder) error {
 	if rec == nil {
 		return nil
 	}

@@ -15,9 +15,10 @@ import (
 
 // StreamRecorder receives job lifecycle notifications from a Broker.
 // records.Manager satisfies it through ManagerRecorder (full retention,
-// byte-identical CSV export); serve mode layers a streaming emitter on
-// top. Implementations used inside the allocation-gated steady state
-// must themselves be allocation-free.
+// byte-identical CSV export); serve mode records its export through
+// records.ExportRecorder (live jobs only, same CSV) and layers a
+// streaming emitter on top. Implementations used inside the
+// allocation-gated steady state must themselves be allocation-free.
 type StreamRecorder interface {
 	// Arrival is called when a job is admitted into the broker. The job
 	// pointer is owned by the broker for the job's lifetime; recorders

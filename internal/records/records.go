@@ -5,7 +5,9 @@
 // events (arrival, start, finish, fidelity — §3) and derives the
 // evaluation metrics reported in the paper's case study: total
 // simulation time, fidelity mean and standard deviation, total
-// communication time, wait times, and throughput.
+// communication time, wait times, and throughput. A streaming broker
+// writes the same per-job CSV through an ExportRecorder instead, which
+// holds only the jobs still live.
 //
 // Above it live the run artifacts the experiment harness trades in:
 //
@@ -196,27 +198,6 @@ func (m *Manager) LogDrop(jobID string, t float64, reason string) {
 	s.dropped = true
 	s.Finish = t
 	s.DropReason = reason
-}
-
-// Len returns how many jobs the manager has recorded, in any state: the
-// mark Truncate rolls back to.
-func (m *Manager) Len() int { return len(m.order) }
-
-// Truncate forgets every job recorded after the first n, so the manager
-// holds what it held when Len returned n, provided no event since then
-// touched one of those n jobs. The serve supervisor marks Len at each
-// quiescent checkpoint, where every recorded job is terminal, and
-// truncates to that mark before a restarted broker replays the stream
-// after it.
-func (m *Manager) Truncate(n int) {
-	for _, s := range m.order[n:] {
-		delete(m.jobs, s.JobID)
-		if s.finished {
-			m.finished--
-		}
-	}
-	clear(m.order[n:])
-	m.order = m.order[:n]
 }
 
 // NumFinished returns the count of completed jobs.

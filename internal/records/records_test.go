@@ -1,7 +1,6 @@
 package records
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -175,79 +174,6 @@ func TestFinishedPreservesArrivalOrder(t *testing.T) {
 	}
 }
 
-// Truncate rolls a manager back to a Len mark taken when every recorded
-// job was terminal: rows, counts and the CSV export are those at the
-// mark, whatever was recorded after it, refusals included, and the
-// forgotten job IDs can be recorded afresh.
-func TestTruncateRollsBackToMark(t *testing.T) {
-	finish := func(m *Manager, id string, t0 float64) {
-		m.LogArrival(id, t0)
-		m.SetIngest(id, "stdin", "", 1)
-		m.LogStart(id, t0+1)
-		m.LogFinish(id, t0+5, 0.8, 0.5, []string{"a", "b"})
-	}
-	m := NewManager()
-	finish(m, "done-1", 0)
-	m.LogArrival("shed", 1)
-	m.LogDrop("shed", 2, "shed")
-	m.LogDrop("refused", 3, "rate")
-	finish(m, "done-2", 4)
-
-	mark := m.Len()
-	type state struct {
-		rows                       []JobStats
-		pending, dropped, finished int
-		csv                        []byte
-	}
-	snapshot := func() state {
-		st := state{pending: m.NumPending(), dropped: m.NumDropped(), finished: m.NumFinished()}
-		for _, s := range m.Finished() {
-			st.rows = append(st.rows, *s)
-		}
-		var buf bytes.Buffer
-		if err := m.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		st.csv = buf.Bytes()
-		return st
-	}
-	want := snapshot()
-
-	finish(m, "after-done", 10)
-	m.LogArrival("after-queued", 11)
-	m.LogArrival("after-running", 12)
-	m.LogStart("after-running", 13)
-	m.LogDrop("after-refused", 14, "queue_full")
-	m.LogArrival("after-shed", 15)
-	m.LogDrop("after-shed", 16, "shed")
-	if m.Len() != mark+5 {
-		t.Fatalf("Len = %d after five new jobs, want %d", m.Len(), mark+5)
-	}
-
-	m.Truncate(mark)
-	if m.Len() != mark {
-		t.Fatalf("Len = %d after Truncate(%d)", m.Len(), mark)
-	}
-	if got := snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("state after Truncate differs from the mark:\n got %+v\nwant %+v", got, want)
-	}
-	for _, id := range []string{"after-done", "after-queued", "after-running", "after-refused", "after-shed"} {
-		if m.Get(id) != nil {
-			t.Fatalf("%s survived the truncation", id)
-		}
-	}
-
-	// The replay records the forgotten jobs again without tripping the
-	// duplicate-event checks.
-	finish(m, "after-done", 10)
-	m.LogDrop("after-refused", 14, "queue_full")
-	m.LogArrival("after-shed", 15)
-	m.LogDrop("after-shed", 16, "shed")
-	if fin := m.Finished(); len(fin) != len(want.rows)+1 || fin[len(fin)-1].JobID != "after-done" {
-		t.Fatalf("replayed rows = %d, want the mark's %d plus after-done", len(fin), len(want.rows))
-	}
-}
-
 // TestFinishCopiesDeviceNames: LogFinish keeps its own copy of the
 // device names, because the broker reuses the buffer it passes, and a
 // row's copy is capped at its length, so appending to it cannot write
@@ -347,9 +273,9 @@ func TestAggregatesMatchFinishedList(t *testing.T) {
 	if got := m.Fidelities(); !reflect.DeepEqual(got, fids) {
 		t.Errorf("Fidelities differ from the Finished list's")
 	}
-	if m.NumPending()+m.NumDropped()+m.NumFinished() != m.Len() {
+	if m.NumPending()+m.NumDropped()+m.NumFinished() != len(m.order) {
 		t.Errorf("pending %d + dropped %d + finished %d != %d jobs",
-			m.NumPending(), m.NumDropped(), m.NumFinished(), m.Len())
+			m.NumPending(), m.NumDropped(), m.NumFinished(), len(m.order))
 	}
 }
 

@@ -1,0 +1,330 @@
+package records
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/job"
+)
+
+// streamEvent is one broker lifecycle event as a recorder sees it.
+type streamEvent struct {
+	kind      byte // 'a' arrival, 's' start, 'f' finish, 'd' drop
+	j         *job.QJob
+	t         float64
+	fid, comm float64
+	names     []string
+	reason    string
+}
+
+// record feeds e to an export recorder.
+func (e streamEvent) record(r *ExportRecorder) {
+	switch e.kind {
+	case 'a':
+		r.Arrival(e.j, e.t)
+	case 's':
+		r.Start(e.j.ID, e.t)
+	case 'f':
+		r.Finish(e.j.ID, e.t, e.fid, e.comm, e.names)
+	case 'd':
+		r.Drop(e.j, e.t, e.reason)
+	}
+}
+
+// log feeds e to a Manager the way core.ManagerRecorder does.
+func (e streamEvent) log(m *Manager) {
+	switch e.kind {
+	case 'a':
+		m.LogArrival(e.j.ID, e.t)
+		if e.j.Ingest != (job.Ingest{}) {
+			m.SetIngest(e.j.ID, e.j.Ingest.Source, e.j.Ingest.Remote, e.j.Ingest.ConnID)
+		}
+	case 's':
+		m.LogStart(e.j.ID, e.t)
+	case 'f':
+		m.LogFinish(e.j.ID, e.t, e.fid, e.comm, e.names)
+	case 'd':
+		m.LogDrop(e.j.ID, e.t, e.reason)
+	}
+}
+
+// genStreamEvents draws a broker-like event sequence over n unique job
+// IDs: admissions, refusals that are never re-admitted, starts in any
+// order (backfill), finishes in any order, and sheds of the oldest
+// queued job. quiet[i] reports that no job is live after the first i
+// events: the points a quiescent checkpoint may mark.
+func genStreamEvents(rng *rand.Rand, n int) (evs []streamEvent, quiet []bool) {
+	devices := []string{"ibm_quebec", "ibm_kyiv", "a,b", ` lead`}
+	var queued, running []*job.QJob
+	now := 0.0
+	quiet = []bool{true}
+	for k := 0; k < n || len(queued)+len(running) > 0; {
+		now += rng.ExpFloat64()
+		var choices []byte
+		if k < n {
+			choices = append(choices, 'a', 'a', 'a', 'r')
+		}
+		if len(queued) > 0 {
+			choices = append(choices, 's', 's', 'd')
+		}
+		if len(running) > 0 {
+			choices = append(choices, 'f', 'f', 'f')
+		}
+		switch c := choices[rng.Intn(len(choices))]; c {
+		case 'a', 'r':
+			j := &job.QJob{ID: fmt.Sprintf([]string{"job-%d", `q"%d`, "c,%d", " lead%d", "é%d"}[rng.Intn(5)], k)}
+			k++
+			switch rng.Intn(4) {
+			case 0:
+				j.Ingest = job.Ingest{Source: "stdin", ConnID: rng.Int63n(4)}
+			case 1:
+				j.Ingest = job.Ingest{Source: "tcp", Remote: "127.0.0.1:5000", ConnID: rng.Int63n(4)}
+			}
+			if c == 'r' {
+				evs = append(evs, streamEvent{kind: 'd', j: j, t: now, reason: "queue-full"})
+				break
+			}
+			queued = append(queued, j)
+			evs = append(evs, streamEvent{kind: 'a', j: j, t: now})
+		case 's':
+			i := rng.Intn(len(queued))
+			j := queued[i]
+			queued = append(queued[:i], queued[i+1:]...)
+			running = append(running, j)
+			evs = append(evs, streamEvent{kind: 's', j: j, t: now})
+		case 'd':
+			j := queued[0]
+			queued = queued[1:]
+			evs = append(evs, streamEvent{kind: 'd', j: j, t: now, reason: "shed"})
+		case 'f':
+			i := rng.Intn(len(running))
+			j := running[i]
+			running = append(running[:i], running[i+1:]...)
+			evs = append(evs, streamEvent{kind: 'f', j: j, t: now,
+				fid: rng.Float64(), comm: rng.Float64() * 10, names: devices[:rng.Intn(len(devices)+1)]})
+		}
+		quiet = append(quiet, len(queued)+len(running) == 0)
+	}
+	return evs, quiet
+}
+
+func managerCSV(t *testing.T, evs []streamEvent) []byte {
+	t.Helper()
+	m := NewManager()
+	for _, e := range evs {
+		e.log(m)
+	}
+	var buf bytes.Buffer
+	if err := m.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func recorderCSV(t *testing.T, r *ExportRecorder) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != r.Len() {
+		t.Fatalf("WriteCSV wrote %d bytes, Len is %d", buf.Len(), r.Len())
+	}
+	return buf.Bytes()
+}
+
+// FuzzServeExport is differential: over a seeded event sequence with
+// unique IDs (out-of-order starts and finishes, sheds, refusals never
+// re-admitted), the export recorder's CSV equals Manager.WriteCSV over
+// the same events, also when the recorder is rolled back to a byte
+// mark taken at a quiescent point and the events since are replayed,
+// as the serve supervisor does after a crash. jobs bounds the sequence,
+// and crashes bounds the rollbacks.
+func FuzzServeExport(f *testing.F) {
+	f.Add(int64(1), uint16(40), uint8(0))
+	f.Add(int64(2), uint16(300), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, jobs uint16, crashes uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		evs, quiet := genStreamEvents(rng, int(jobs%600))
+		r := NewExportRecorder()
+		mark, markAt := r.Len(), 0
+		left := int(crashes % 8)
+		for i := 0; i < len(evs); {
+			evs[i].record(r)
+			i++
+			if quiet[i] {
+				if len(r.live) != 0 {
+					t.Fatalf("%d jobs live at a quiescent point", len(r.live))
+				}
+				if rng.Intn(3) == 0 {
+					mark, markAt = r.Len(), i
+				}
+			}
+			if left > 0 && rng.Intn(len(evs)) < 2 {
+				left--
+				r.Truncate(mark)
+				i = markAt
+			}
+		}
+		if got, want := recorderCSV(t, r), managerCSV(t, evs); !bytes.Equal(got, want) {
+			t.Fatalf("export recorder CSV differs from the Manager's:\n got %q\nwant %q", got, want)
+		}
+	})
+}
+
+// TestTruncateRollsBackToMark: Truncate rolls an export recorder back to
+// a Len mark taken when no job was live. The CSV is the mark's, whatever
+// was recorded after it (a sealed row, a queued and a running job, a row
+// finished behind them, a refusal and a shed), and the replay records
+// the forgotten IDs afresh, ending with the uninterrupted run's CSV. The
+// mark sits inside the second 64 KiB chunk, so the cut is mid-chunk.
+func TestTruncateRollsBackToMark(t *testing.T) {
+	var before, after []streamEvent
+	finish := func(evs []streamEvent, id string, t0 float64) []streamEvent {
+		j := &job.QJob{ID: id, Ingest: job.Ingest{Source: "stdin", ConnID: 1}}
+		return append(evs,
+			streamEvent{kind: 'a', j: j, t: t0},
+			streamEvent{kind: 's', j: j, t: t0 + 1},
+			streamEvent{kind: 'f', j: j, t: t0 + 5, fid: 0.8, comm: 0.5, names: []string{"a", "b"}})
+	}
+	for i := 0; i < 1500; i++ {
+		before = finish(before, fmt.Sprintf("before-%04d", i), float64(i))
+	}
+	shed := &job.QJob{ID: "shed"}
+	before = append(before,
+		streamEvent{kind: 'a', j: shed, t: 1500},
+		streamEvent{kind: 'd', j: shed, t: 1501, reason: "shed"},
+		streamEvent{kind: 'd', j: &job.QJob{ID: "refused"}, t: 1502, reason: "rate-limit"})
+
+	after = finish(after, "after-done", 2000)
+	queued, running, shedAfter := &job.QJob{ID: "after-queued"}, &job.QJob{ID: "after-running"}, &job.QJob{ID: "after-shed"}
+	after = append(after,
+		streamEvent{kind: 'a', j: queued, t: 2010},
+		streamEvent{kind: 'a', j: running, t: 2011},
+		streamEvent{kind: 's', j: running, t: 2012},
+		streamEvent{kind: 'd', j: &job.QJob{ID: "after-refused"}, t: 2013, reason: "queue-full"},
+		streamEvent{kind: 'a', j: shedAfter, t: 2014},
+		streamEvent{kind: 'd', j: shedAfter, t: 2015, reason: "shed"})
+	after = finish(after, "after-behind", 2020)
+	crashAt := len(after)
+	after = append(after,
+		streamEvent{kind: 's', j: queued, t: 2030},
+		streamEvent{kind: 'f', j: queued, t: 2031, fid: 0.5, names: []string{"c"}},
+		streamEvent{kind: 'f', j: running, t: 2032, fid: 0.6, names: []string{"d"}})
+
+	r := NewExportRecorder()
+	for _, e := range before {
+		e.record(r)
+	}
+	mark := r.Len()
+	if mark <= exportChunk || mark%exportChunk == 0 {
+		t.Fatalf("mark %d is not inside the second %d-byte chunk", mark, exportChunk)
+	}
+	want := recorderCSV(t, r)
+	for _, e := range after[:crashAt] {
+		e.record(r)
+	}
+	if r.Len() <= mark || len(r.live) != 2 {
+		t.Fatalf("after the mark: Len %d (mark %d), %d live, want a sealed row and 2 live", r.Len(), mark, len(r.live))
+	}
+	r.Truncate(mark)
+	if r.Len() != mark || len(r.live) != 0 {
+		t.Fatalf("after Truncate(%d): Len %d, %d live", mark, r.Len(), len(r.live))
+	}
+	if got := recorderCSV(t, r); !bytes.Equal(got, want) {
+		t.Fatalf("CSV after Truncate differs from the mark's")
+	}
+	for _, e := range after {
+		e.record(r)
+	}
+	if got, want := recorderCSV(t, r), managerCSV(t, append(before, after...)); !bytes.Equal(got, want) {
+		t.Fatalf("replayed CSV differs from the uninterrupted run's:\n got %q\nwant %q",
+			got[len(got)-300:], want[len(want)-300:])
+	}
+}
+
+// TestExportRecorderIDRules pins the cases where the recorder differs
+// from a Manager, and the one where it agrees: refusals leave no record
+// (so refusing an ID twice is fine, and a refused ID admitted later gets
+// its row at its admission position), a sealed ID may be admitted again,
+// and a repeat of a live ID panics.
+func TestExportRecorderIDRules(t *testing.T) {
+	r := NewExportRecorder()
+	a, c := &job.QJob{ID: "a"}, &job.QJob{ID: "c"}
+	r.Arrival(a, 0)
+	r.Start("a", 0)
+	r.Drop(&job.QJob{ID: "b"}, 1, "tenant-quota")
+	// A refusal under a live job's ID is not that job's shed.
+	r.Drop(&job.QJob{ID: "a"}, 1.5, "tenant-quota")
+	r.Arrival(c, 2)
+	r.Start("c", 2)
+	r.Drop(&job.QJob{ID: "b"}, 3, "tenant-quota")
+	r.Finish("c", 4, 0.9, 0, []string{"d1"})
+	r.Finish("a", 5, 0.8, 0, []string{"d0"})
+	b := &job.QJob{ID: "b"}
+	r.Arrival(b, 6)
+	r.Start("b", 6)
+	r.Finish("b", 7, 0.7, 0, []string{"d2"})
+	again := &job.QJob{ID: "a"}
+	r.Arrival(again, 8)
+	r.Start("a", 8)
+	r.Finish("a", 9, 0.6, 0, []string{"d3"})
+	var ids []string
+	for _, line := range bytes.Split(bytes.TrimSpace(recorderCSV(t, r)), []byte("\n"))[1:] {
+		ids = append(ids, string(line[:bytes.IndexByte(line, ',')]))
+	}
+	if fmt.Sprint(ids) != "[a c b a]" {
+		t.Fatalf("rows %v, want [a c b a]: admission order, a sealed ID admitted again", ids)
+	}
+
+	r.Arrival(&job.QJob{ID: "live"}, 10)
+	defer func() {
+		if p := recover(); p != "records: duplicate arrival for live" {
+			t.Fatalf("repeat of a live ID: panic %v", p)
+		}
+	}()
+	r.Arrival(&job.QJob{ID: "live"}, 11)
+}
+
+// TestServeExportAllocsPerJob: once warm, a job's arrival, start and
+// finish through the export recorder allocate nothing of their own
+// (entries are recycled, device names reuse their slice, the live map
+// stays at the reorder window's size); only the 64 KiB CSV chunks
+// allocate. 20k jobs finishing out of order within a 32-job window must
+// cost under 0.05 allocations each.
+func TestServeExportAllocsPerJob(t *testing.T) {
+	const n, window = 20000, 32
+	jobs := make([]job.QJob, n)
+	for i := range jobs {
+		jobs[i] = job.QJob{ID: fmt.Sprintf("job-%07d", i), Ingest: job.Ingest{Source: "stdin", ConnID: 1}}
+	}
+	names := []string{"ibm_quebec", "ibm_kyiv"}
+	r := NewExportRecorder()
+	finish := func(i int) {
+		r.Finish(jobs[i].ID, float64(i)+3, 0.9, 0.1, names[:1+i%2])
+	}
+	run := func() {
+		for i := range jobs {
+			r.Arrival(&jobs[i], float64(i))
+			r.Start(jobs[i].ID, float64(i)+1)
+			if i >= window {
+				finish((i - window) ^ 1) // pairs finish out of order
+			}
+		}
+		for i := n - window; i < n; i++ {
+			finish(i ^ 1)
+		}
+	}
+	// AllocsPerRun's own warm-up run grows the ring, the free list and
+	// the live map; the measured run re-admits the sealed IDs.
+	perJob := testing.AllocsPerRun(1, run) / n
+	if perJob >= 0.05 {
+		t.Errorf("export recorder: %.4f allocs per job, want < 0.05", perJob)
+	}
+	if len(r.live) != 0 {
+		t.Fatalf("%d jobs live after the run", len(r.live))
+	}
+	t.Logf("%.4f allocs per job, %d CSV bytes", perJob, r.Len())
+}
