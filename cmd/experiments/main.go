@@ -12,40 +12,14 @@
 //	experiments -artifact table2 -n 30 -train 2048 -out runs/
 //	experiments -spec specs/smoke.json -out runs/
 //
-// The executor is chosen by flags: the in-process worker pool by
-// default (-workers caps it), or worker OS processes with -shards N —
-// a coordinator re-invokes this binary as `-serve 127.0.0.1:0` once
-// per shard attempt, dials the loopback daemon it announces, streams
-// back one manifest row per finished task, requeues crashed workers'
-// unfinished tasks, and merges the shard manifests in global task
-// order, bit-identical to the in-process run (wall times aside). Each
-// spawned daemon is killed when its shard ends, and exits by itself
-// when its coordinator dies (its stdin pipe closes).
+// Every task matrix runs on the in-process worker pool (-workers caps
+// it; -workers 1 runs the tasks one at a time). The pool is
+// deterministic: for fixed seeds a run's manifest is identical whatever
+// the pool size, wall times aside.
 //
-// The same binary also runs as a fleet. On each worker machine, -serve
-// starts a long-lived daemon speaking the shard protocol over TCP:
-//
-//	experiments -serve :7070
-//
-// and a coordinator fans a run out across daemons with -hosts (or a
-// "hosts" list inside the spec file), producing the same manifest as
-// every other executor plus per-row host/attempt provenance:
-//
-//	experiments -spec specs/smoke.json -hosts a:7070,b:7070 -out runs/
-//
-// A daemon that dies mid-run has its unfinished tasks requeued onto a
-// surviving host. -doctor probes each daemon's health — reachability,
-// protocol version, capacity, uptime — and exits non-zero when any
-// host is down:
-//
-//	experiments -doctor -hosts a:7070,b:7070
-//
-// docs/operations.md is the fleet runbook, including the wire-protocol
-// specification.
-//
-// The figure artifacts (fig5, fig6, and the combined "all") need
+// The figure artifacts (fig5, fig6, and the combined "all") also need
 // in-process run state — training history, per-job fidelity records —
-// that never leaves a worker, so they always run in-process.
+// and execute their matrices on one trained case study.
 //
 // -diff compares two saved manifests and exits non-zero when they
 // disagree on any task result — the determinism gate CI uses, and the
@@ -85,22 +59,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"runtime"
-	"strings"
-	"sync"
-	"syscall"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/experiments/runner"
-	"repro/internal/experiments/shard"
 	"repro/internal/profiling"
 	"repro/internal/records"
-	"repro/internal/retry"
 	"repro/internal/stats"
 )
 
@@ -121,30 +86,25 @@ func run() (err error) {
 		seed      = flag.Int64("seed", 1, "workload seed")
 		fleetSeed = flag.Int64("fleet-seed", 2025, "calibration snapshot seed")
 		outdir    = flag.String("outdir", "", "optional directory for CSV artifacts")
-		workers   = flag.Int("workers", 0, "worker pool size for independent simulations, >= 1 (omit for GOMAXPROCS); with -shards, the per-worker-process pool size (omit for sequential workers)")
+		workers   = flag.Int("workers", 0, "worker pool size for independent simulations, >= 1 (omit for GOMAXPROCS)")
 		reps      = flag.Int("replications", 5, "workload seeds for -artifact replicate")
 		out       = flag.String("out", "", "optional directory for the run manifest (manifest.json + manifest.csv)")
 		progress  = flag.Bool("progress", true, "report per-task completion on stderr")
-		shards    = flag.Int("shards", 0, "fan tasks out across this many worker OS processes (>= 1) instead of in-process goroutines; omit for in-process execution")
 		diff      = flag.Bool("diff", false, "compare two run manifests: -diff a.json b.json (exit 1 on any difference)")
 		sig       = flag.Bool("sig", false, "with -diff: significance comparison of replicated runs (Welch's t at alpha=0.05, CI95-overlap below 2 replicas); accepts run or aggregated manifests")
 		tol       = flag.Float64("tol", 0, "with -diff: absolute tolerance on metric deltas, for cross-platform float drift (0 = exact)")
 		rtol      = flag.Float64("rtol", 0, "with -diff: relative tolerance on metric deltas (0 = exact)")
 		trendDir  = flag.String("trend", "", "report per-metric trajectories over a directory of BENCH_*.json / manifest artifacts and exit 1 on a significant shift in the newest one")
 		trendTol  = flag.Float64("trend-tol", 0.05, "with -trend: relative shift threshold for metrics without a stored stderr (e.g. bench ns/op)")
-		serveAddr = flag.String("serve", "", "run as a worker daemon on this TCP address (host:port; port 0 picks one) until interrupted, executing shard orders for -hosts coordinators; -workers sizes the advertised capacity")
-		hostsFlag = flag.String("hosts", "", "comma-separated worker daemon addresses (host:port,…) to fan tasks out across via TCP; overrides a spec's hosts list and conflicts with -shards")
-		doctor    = flag.Bool("doctor", false, "probe each -hosts daemon and report reachability, protocol version and capacity; exit 1 when any host is unhealthy")
-		waitFor   = flag.Duration("wait", 0, "with -doctor: keep re-probing unhealthy hosts with backoff until all are healthy or this budget expires (e.g. 60s); replaces shell sleep-loops around daemon startup")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of this process to this file; -shards worker processes are not profiled")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of this process to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile (runtime/pprof) of this process to this file at exit")
 	)
 	flag.Parse()
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateFlags(set, flag.Args(), *artifact, *specPath, *n, *train, *workers, *reps, *shards, *diff,
-		*sig, *tol, *rtol, *trendDir, *trendTol, *serveAddr, *hostsFlag, *doctor, *cpuProf, *memProf); err != nil {
+	if err := validateFlags(set, flag.Args(), *artifact, *specPath, *n, *train, *workers, *reps, *diff,
+		*sig, *tol, *rtol, *trendDir, *trendTol, *cpuProf, *memProf); err != nil {
 		return err
 	}
 	stopProfiles, err := profiling.Start(*cpuProf, *memProf)
@@ -153,20 +113,17 @@ func run() (err error) {
 	}
 	defer func() { err = errors.Join(err, stopProfiles()) }()
 
-	// Daemon mode: serve shard orders over TCP until interrupted.
-	if *serveAddr != "" {
-		return runServe(*serveAddr, *workers)
-	}
-	if *doctor {
-		return runDoctor(os.Stdout, splitHosts(*hostsFlag), *waitFor)
-	}
 	if *trendDir != "" {
 		return runTrend(os.Stdout, *trendDir, *trendTol)
 	}
 	if *diff {
 		return diffManifests(flag.Arg(0), flag.Arg(1), *sig, *tol, *rtol)
 	}
-	hosts := splitHosts(*hostsFlag)
+	opt := experiments.ExecOptions{Workers: *workers}
+	if *progress {
+		opt.OnProgress = progressPrinter
+	}
+	exec := experiments.Parallel{Options: opt}
 
 	for _, dir := range []string{*outdir, *out} {
 		if dir != "" {
@@ -183,11 +140,6 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		// A spec may carry its own fleet; explicit execution flags win.
-		if len(hosts) == 0 && *shards == 0 {
-			hosts = spec.Hosts
-		}
-		exec := buildExecutor(*shards, *workers, *progress, hosts)
 		m, err := experiments.Run(context.Background(), *spec, exec)
 		if err != nil {
 			return err
@@ -210,12 +162,11 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		exec := buildExecutor(*shards, *workers, *progress, hosts)
 		m, err := experiments.Run(context.Background(), spec, exec)
 		if err != nil {
 			return err
 		}
-		if err := renderArtifact(*artifact, m, *shards, *outdir); err != nil {
+		if err := renderArtifact(*artifact, m, *outdir); err != nil {
 			return err
 		}
 		if *out != "" {
@@ -223,7 +174,7 @@ func run() (err error) {
 		}
 		return nil
 	case "fig5", "fig6", "all":
-		return runFigures(*artifact, *scenario, *n, *seed, *fleetSeed, *train, *workers, *progress, *outdir, *out)
+		return runFigures(*artifact, *scenario, *n, *seed, *fleetSeed, *train, exec, *outdir, *out)
 	default:
 		return fmt.Errorf("unknown artifact %q", *artifact)
 	}
@@ -232,51 +183,15 @@ func run() (err error) {
 // validateFlags rejects inconsistent flag combinations up front, with
 // actionable messages, instead of failing late inside a run (or worse,
 // silently ignoring a flag the user set).
-func validateFlags(set map[string]bool, args []string, artifact, specPath string, n, train, workers, reps, shards int, diff bool,
-	sig bool, tol, rtol float64, trendDir string, trendTol float64, serveAddr, hostsFlag string, doctor bool,
-	cpuProfile, memProfile string) error {
+func validateFlags(set map[string]bool, args []string, artifact, specPath string, n, train, workers, reps int, diff bool,
+	sig bool, tol, rtol float64, trendDir string, trendTol float64, cpuProfile, memProfile string) error {
 	if err := profiling.CheckPath("cpuprofile", cpuProfile); err != nil {
 		return err
 	}
 	if err := profiling.CheckPath("memprofile", memProfile); err != nil {
 		return err
 	}
-	if set["wait"] && !doctor {
-		return fmt.Errorf("-wait paces -doctor readiness probes; pass -doctor with it")
-	}
 	switch {
-	case set["serve"]:
-		if serveAddr == "" {
-			return fmt.Errorf("-serve needs the listen address (host:port) as its value")
-		}
-		if _, _, err := net.SplitHostPort(serveAddr); err != nil {
-			return fmt.Errorf("-serve address %q is not host:port: %v", serveAddr, err)
-		}
-		for f := range set {
-			if f != "serve" && f != "workers" {
-				return fmt.Errorf("-serve runs a worker daemon; beyond -workers (advertised capacity), -%s conflicts with it", f)
-			}
-		}
-		if len(args) > 0 {
-			return fmt.Errorf("-serve takes the listen address as its value and no positional arguments")
-		}
-		if set["workers"] && workers < 1 {
-			return fmt.Errorf("-workers must be >= 1 (omit the flag for the automatic default)")
-		}
-		return nil
-	case doctor:
-		if !set["hosts"] {
-			return fmt.Errorf("-doctor probes the -hosts daemon list; pass -hosts with it")
-		}
-		for f := range set {
-			if f != "doctor" && f != "hosts" && f != "wait" {
-				return fmt.Errorf("-doctor only probes daemons; -%s conflicts with it", f)
-			}
-		}
-		if len(args) > 0 {
-			return fmt.Errorf("-doctor takes no positional arguments")
-		}
-		return validateHosts(hostsFlag)
 	case set["trend"]:
 		if trendDir == "" {
 			return fmt.Errorf("-trend needs the artifact directory as its value (an empty one usually means an unset shell variable)")
@@ -321,17 +236,6 @@ func validateFlags(set map[string]bool, args []string, artifact, specPath string
 	if set["workers"] && workers < 1 {
 		return fmt.Errorf("-workers must be >= 1 (omit the flag for the automatic default)")
 	}
-	if set["shards"] && shards < 1 {
-		return fmt.Errorf("-shards must be >= 1 (omit the flag for in-process execution)")
-	}
-	if set["hosts"] {
-		if set["shards"] {
-			return fmt.Errorf("-hosts (worker daemons over TCP) and -shards (local worker processes) are different fan-outs; pick one")
-		}
-		if err := validateHosts(hostsFlag); err != nil {
-			return err
-		}
-	}
 	if reps < 1 || reps > experiments.MaxReplications {
 		return fmt.Errorf("-replications must be in [1, %d], have %d", experiments.MaxReplications, reps)
 	}
@@ -347,175 +251,18 @@ func validateFlags(set map[string]bool, args []string, artifact, specPath string
 				return fmt.Errorf("-spec is a self-contained experiment description; -%s conflicts with it (set it inside the spec file)", f)
 			}
 		}
-		return nil
-	}
-	if shards > 0 || hostsFlag != "" {
-		switch artifact {
-		case "table2", "replicate", "ablations":
-		default:
-			return fmt.Errorf("artifact %q does not support -shards/-hosts: figure artifacts need in-process run state (table2, replicate and ablations do)", artifact)
-		}
-	}
-	return nil
-}
-
-// splitHosts parses a -hosts value: comma-separated addresses, spaces
-// tolerated, empty entries dropped.
-func splitHosts(s string) []string {
-	var out []string
-	for _, h := range strings.Split(s, ",") {
-		if h = strings.TrimSpace(h); h != "" {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-// validateHosts checks that a -hosts value names at least one
-// well-formed host:port address.
-func validateHosts(s string) error {
-	hosts := splitHosts(s)
-	if len(hosts) == 0 {
-		return fmt.Errorf("-hosts needs at least one daemon address (host:port, comma-separated)")
-	}
-	for _, h := range hosts {
-		if _, _, err := net.SplitHostPort(h); err != nil {
-			return fmt.Errorf("-hosts entry %q is not host:port: %v", h, err)
-		}
 	}
 	return nil
 }
 
 // progressPrinter reports per-task completion on stderr — the one
-// progress format shared by every execution path. Wall time is omitted
-// when unknown (sharded rows spend it inside the worker process).
+// progress format shared by every execution path.
 func progressPrinter(p runner.Progress) {
-	status := ""
-	if p.Wall > 0 {
-		status = fmt.Sprintf(" (%.2fs)", p.Wall.Seconds())
-	}
+	status := fmt.Sprintf(" (%.2fs)", p.Wall.Seconds())
 	if p.Err != nil {
 		status = " (FAILED: " + p.Err.Error() + ")"
 	}
 	fmt.Fprintf(os.Stderr, "[%d/%d] %s%s\n", p.Done, p.Total, p.Label, status)
-}
-
-// buildExecutor maps the execution flags onto an Executor: worker
-// daemons over TCP when hosts are configured (-hosts or the spec's
-// hosts list), worker OS processes when -shards is set, the in-process
-// pool otherwise. All share one progress wiring through ExecOptions.
-func buildExecutor(shards, workers int, progress bool, hosts []string) experiments.Executor {
-	opt := experiments.ExecOptions{Workers: workers}
-	var onEvent func(shard.Progress)
-	if progress {
-		opt.OnProgress = progressPrinter
-		onEvent = func(p shard.Progress) {
-			if p.Event == "retry" {
-				fmt.Fprintf(os.Stderr, "shard %d attempt %d crashed (%v); requeueing the remainder\n", p.Shard, p.Attempt, p.Err)
-			}
-		}
-	}
-	if len(hosts) > 0 {
-		// Three dial tries per shard attempt: enough to ride out a daemon
-		// restart without materially delaying a genuine all-hosts-down
-		// failure (each try already sweeps every host).
-		return experiments.Remote{Options: experiments.RemoteOptions{ExecOptions: opt, Hosts: hosts, OnEvent: onEvent, DialAttempts: 3}}
-	}
-	if shards > 0 {
-		return experiments.Sharded{Options: experiments.ShardOptions{ExecOptions: opt, Shards: shards, OnEvent: onEvent}}
-	}
-	return experiments.Parallel{Options: opt}
-}
-
-// runServe is -serve: the worker daemon, long-lived on a fleet host or
-// spawned per shard attempt by a -shards coordinator. It prints the
-// resolved listen address on stdout (so `-serve 127.0.0.1:0` callers
-// learn the picked port), logs connection events on stderr, and serves
-// until SIGINT/SIGTERM — or until its stdin pipe closes, when stdin is
-// one (see shard.Server.ListenAndServe).
-func runServe(addr string, workers int) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	capacity := workers
-	if capacity <= 0 {
-		capacity = runtime.GOMAXPROCS(0)
-	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "serve: "+format+"\n", args...)
-	}
-	return experiments.ShardServer(capacity, logf).ListenAndServe(ctx, addr)
-}
-
-// runDoctor is -doctor: probe every daemon concurrently (one dead
-// host's dial timeout must not serialize behind another's) and render
-// one row per host in list order. Any unhealthy host fails the command.
-func runDoctor(w io.Writer, hosts []string, wait time.Duration) error {
-	type report struct {
-		info *shard.ProbeInfo
-		err  error
-	}
-	// With -wait, each host is re-probed under the shared retry policy
-	// until healthy or the budget expires — the CLI replacement for
-	// shell sleep-loops around daemon startup.
-	probe := func(h string) (*shard.ProbeInfo, error) {
-		if wait <= 0 {
-			return shard.Probe(context.Background(), h, 0)
-		}
-		pol := retry.Policy{
-			MaxAttempts: 1 << 30, // budget-bounded, not attempt-bounded
-			BaseDelay:   100 * time.Millisecond,
-			MaxDelay:    2 * time.Second,
-			Budget:      wait,
-			Seed:        1,
-		}
-		var info *shard.ProbeInfo
-		err := pol.Do(context.Background(), func(ctx context.Context) error {
-			i, err := shard.Probe(ctx, h, 0)
-			if err == nil {
-				info = i
-			}
-			return err
-		})
-		return info, err
-	}
-	reports := make([]report, len(hosts))
-	var wg sync.WaitGroup
-	for i, h := range hosts {
-		wg.Add(1)
-		go func(i int, h string) {
-			defer wg.Done()
-			info, err := probe(h)
-			reports[i] = report{info, err}
-		}(i, h)
-	}
-	wg.Wait()
-
-	// Buffer the report: bufio latches the first write error and a
-	// single checked Flush surfaces it, so a broken pipe is not silent.
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%-28s %-8s %8s %9s %7s %8s %10s %10s\n",
-		"HOST", "STATUS", "PROTO", "CAPACITY", "ACTIVE", "SERVED", "UPTIME", "RTT")
-	unhealthy := 0
-	for i, h := range hosts {
-		if err := reports[i].err; err != nil {
-			unhealthy++
-			fmt.Fprintf(bw, "%-28s %-8s %v\n", h, "down", err)
-			continue
-		}
-		info := reports[i].info
-		fmt.Fprintf(bw, "%-28s %-8s %8d %9d %7d %8d %10s %10s\n",
-			info.Host, "ok", info.Version, info.Capacity, info.Active, info.Served,
-			(time.Duration(info.UptimeS * float64(time.Second))).Round(time.Second),
-			info.RTT.Round(10*time.Microsecond))
-	}
-	if unhealthy > 0 {
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return fmt.Errorf("%d of %d host(s) unhealthy", unhealthy, len(hosts))
-	}
-	fmt.Fprintf(bw, "all %d host(s) healthy\n", len(hosts))
-	return bw.Flush()
 }
 
 // compileSpec lowers the artifact flags onto the declarative Spec the
@@ -550,16 +297,12 @@ func compileSpec(artifact, scenario string, n int, seed, fleetSeed int64, train,
 }
 
 // renderArtifact prints the artifact's stdout report from the
-// manifest rows — one renderer regardless of which executor ran the
-// tasks.
-func renderArtifact(artifact string, m *records.RunManifest, shards int, outdir string) error {
-	how := "in-process"
-	if shards > 0 {
-		how = fmt.Sprintf("sharded across %d worker processes", shards)
-	}
+// manifest rows — one renderer for the spec-compiled and the figure
+// paths.
+func renderArtifact(artifact string, m *records.RunManifest, outdir string) error {
 	switch artifact {
 	case "table2":
-		fmt.Printf("== Table 2 (%s): performance of allocation strategies on %d large circuits ==\n", how, m.Runs[0].Jobs)
+		fmt.Printf("== Table 2 (in-process): performance of allocation strategies on %d large circuits ==\n", m.Runs[0].Jobs)
 		rows := make([]t2row, 0, len(m.Runs))
 		for _, r := range m.Runs {
 			if r.Kind != "mode" {
@@ -579,7 +322,7 @@ func renderArtifact(artifact string, m *records.RunManifest, shards int, outdir 
 				byMode[r.Mode] = append(byMode[r.Mode], r)
 			}
 		}
-		fmt.Printf("== Table 2 replicated over %d workload seeds (%s) ==\n", len(byMode[experiments.Modes[0]]), how)
+		fmt.Printf("== Table 2 replicated over %d workload seeds (in-process) ==\n", len(byMode[experiments.Modes[0]]))
 		printReplicateHeader()
 		for _, mode := range experiments.Modes {
 			var tsim, muF, tcomm []float64
@@ -831,11 +574,11 @@ func hasReplicas(m *records.RunManifest) bool {
 // fig5 (the training history), fig6 (per-job fidelity records) and
 // the combined "all", which also prints Table 2 and the ablations. The
 // case study is built once and trained in fig5; the manifest matrices
-// then execute on that same trained case study through the Parallel
-// executor, so PPO trains once per invocation. Figure 6 re-runs each
+// then execute on that same trained case study through exec, so PPO
+// trains once per invocation. Figure 6 re-runs each
 // mode with RunMode for its per-job fidelities — the same simulations
 // as the manifest's mode rows, which carry only the headline results.
-func runFigures(artifact, scenario string, n int, seed, fleetSeed int64, train, workers int, progress bool, outdir, out string) error {
+func runFigures(artifact, scenario string, n int, seed, fleetSeed int64, train int, exec experiments.Executor, outdir, out string) error {
 	base := experiments.Spec{Scenario: scenario, Jobs: n, Seed: &seed, FleetSeed: &fleetSeed, TrainSteps: train}
 	cs, err := base.CaseStudy()
 	if err != nil {
@@ -861,13 +604,9 @@ func runFigures(artifact, scenario string, n int, seed, fleetSeed int64, train, 
 		}
 		matrices = append(matrices, ablations.Matrices...)
 	}
-	opt := experiments.ExecOptions{Workers: workers}
-	if progress {
-		opt.OnProgress = progressPrinter
-	}
 	m := &records.RunManifest{Label: artifact}
 	for _, matrix := range matrices {
-		mf, err := experiments.Parallel{Options: opt}.Execute(context.Background(), cs, matrix)
+		mf, err := exec.Execute(context.Background(), cs, matrix)
 		if err != nil {
 			return err
 		}
@@ -876,7 +615,7 @@ func runFigures(artifact, scenario string, n int, seed, fleetSeed int64, train, 
 	}
 
 	if artifact == "all" {
-		if err := renderArtifact("table2", m, 0, outdir); err != nil {
+		if err := renderArtifact("table2", m, outdir); err != nil {
 			return err
 		}
 	}
@@ -884,7 +623,7 @@ func runFigures(artifact, scenario string, n int, seed, fleetSeed int64, train, 
 		return err
 	}
 	if artifact == "all" {
-		if err := renderArtifact("ablations", m, 0, outdir); err != nil {
+		if err := renderArtifact("ablations", m, outdir); err != nil {
 			return err
 		}
 	}

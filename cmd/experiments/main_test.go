@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -107,7 +109,8 @@ func TestCompileSpecShapes(t *testing.T) {
 func TestRunFiguresAllMatchesCompiledSpecs(t *testing.T) {
 	const n, seed, fleetSeed, train = 20, 1, 2025, 2048
 	dir := t.TempDir()
-	if err := runFigures("all", "", n, seed, fleetSeed, train, 2, false, "", dir); err != nil {
+	pool := experiments.Parallel{Options: experiments.ExecOptions{Workers: 2}}
+	if err := runFigures("all", "", n, seed, fleetSeed, train, pool, "", dir); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(filepath.Join(dir, "manifest.json"))
@@ -141,14 +144,12 @@ func TestRunFiguresAllMatchesCompiledSpecs(t *testing.T) {
 
 // normalizedRows renders a manifest's rows as JSON with the fields that
 // legitimately differ between runs of one experiment zeroed: label,
-// worker accounting, wall time and remote provenance.
+// worker accounting and wall time.
 func normalizedRows(t *testing.T, m *records.RunManifest) []byte {
 	t.Helper()
 	c := records.RunManifest{Runs: append([]records.RunSummary(nil), m.Runs...)}
 	for i := range c.Runs {
 		c.Runs[i].WallMS = 0
-		c.Runs[i].Host = ""
-		c.Runs[i].Attempt = 0
 	}
 	var buf bytes.Buffer
 	if err := c.WriteJSON(&buf); err != nil {
@@ -170,16 +171,12 @@ func TestValidateFlags(t *testing.T) {
 		train    int
 		workers  int
 		reps     int
-		shards   int
 		diff     bool
 		sig      bool
 		tol      float64
 		rtol     float64
 		trend    string
 		trendTol float64
-		serve    string
-		hosts    string
-		doctor   bool
 		cpuProf  string
 		memProf  string
 	}
@@ -216,18 +213,12 @@ func TestValidateFlags(t *testing.T) {
 		{"stray args", ok(args{args: []string{"table2"}}), "unexpected arguments"},
 		{"workers zero", ok(args{set: map[string]bool{"workers": true}}), "-workers must be >= 1"},
 		{"workers set valid", ok(args{set: map[string]bool{"workers": true}, workers: 4}), ""},
-		{"shards zero", ok(args{set: map[string]bool{"shards": true}}), "-shards must be >= 1"},
-		{"shards valid", ok(args{set: map[string]bool{"shards": true}, shards: 2, artifact: "table2"}), ""},
 		{"replications zero", ok(args{set: map[string]bool{"replications": true}, reps: -5}), "-replications"},
 		{"replications above max", ok(args{set: map[string]bool{"replications": true}, reps: experiments.MaxReplications + 1, artifact: "replicate"}), "-replications"},
 		{"n zero", ok(args{set: map[string]bool{"n": true}, n: -1}), "-n"},
 		{"train zero", ok(args{set: map[string]bool{"train": true}, train: -1}), "-train"},
 		{"spec with artifact", ok(args{set: map[string]bool{"spec": true, "artifact": true}, spec: "s.json"}), "-artifact conflicts"},
 		{"spec with seed", ok(args{set: map[string]bool{"spec": true, "seed": true}, spec: "s.json"}), "-seed conflicts"},
-		{"spec with shards", ok(args{set: map[string]bool{"spec": true, "shards": true}, spec: "s.json", shards: 2}), ""},
-		{"fig5 sharded", ok(args{set: map[string]bool{"shards": true}, shards: 2, artifact: "fig5"}), "does not support -shards"},
-		{"all sharded", ok(args{set: map[string]bool{"shards": true}, shards: 2, artifact: "all"}), "does not support -shards"},
-		{"ablations sharded", ok(args{set: map[string]bool{"shards": true}, shards: 2, artifact: "ablations"}), ""},
 		{"diff sig", ok(args{set: map[string]bool{"diff": true, "sig": true}, args: []string{"a.json", "b.json"}, diff: true, sig: true}), ""},
 		{"diff tol", ok(args{set: map[string]bool{"diff": true, "tol": true}, args: []string{"a.json", "b.json"}, diff: true, tol: 1e-9}), ""},
 		{"diff negative tol", ok(args{set: map[string]bool{"diff": true, "tol": true}, args: []string{"a.json", "b.json"}, diff: true, tol: -1}), ">= 0"},
@@ -242,25 +233,6 @@ func TestValidateFlags(t *testing.T) {
 		{"trend with args", ok(args{set: map[string]bool{"trend": true}, trend: "dir", args: []string{"x"}}), "no positional"},
 		{"trend bad tol", ok(args{set: map[string]bool{"trend": true, "trend-tol": true}, trend: "dir", trendTol: -1}), "-trend-tol"},
 		{"trend-tol without trend", ok(args{set: map[string]bool{"trend-tol": true}, trendTol: 0.1}), "pass -trend"},
-		{"serve alone", ok(args{set: map[string]bool{"serve": true}, serve: "127.0.0.1:7070"}), ""},
-		{"serve port zero", ok(args{set: map[string]bool{"serve": true}, serve: "127.0.0.1:0"}), ""},
-		{"serve with workers", ok(args{set: map[string]bool{"serve": true, "workers": true}, serve: ":7070", workers: 4}), ""},
-		{"serve empty value", ok(args{set: map[string]bool{"serve": true}}), "listen address"},
-		{"serve bad address", ok(args{set: map[string]bool{"serve": true}, serve: "7070"}), "not host:port"},
-		{"serve with artifact flag", ok(args{set: map[string]bool{"serve": true, "n": true}, serve: ":7070"}), "-n conflicts"},
-		{"serve with args", ok(args{set: map[string]bool{"serve": true}, serve: ":7070", args: []string{"x"}}), "no positional"},
-		{"serve workers zero", ok(args{set: map[string]bool{"serve": true, "workers": true}, serve: ":7070"}), "-workers must be >= 1"},
-		{"hosts valid", ok(args{set: map[string]bool{"hosts": true}, hosts: "a:7070,b:7070", artifact: "table2"}), ""},
-		{"hosts spaced", ok(args{set: map[string]bool{"hosts": true}, hosts: "a:7070, b:7070", artifact: "table2"}), ""},
-		{"hosts with spec", ok(args{set: map[string]bool{"hosts": true, "spec": true}, hosts: "a:7070", spec: "s.json"}), ""},
-		{"hosts empty", ok(args{set: map[string]bool{"hosts": true}, hosts: " , ", artifact: "table2"}), "at least one"},
-		{"hosts bad entry", ok(args{set: map[string]bool{"hosts": true}, hosts: "a:7070,b", artifact: "table2"}), "not host:port"},
-		{"hosts with shards", ok(args{set: map[string]bool{"hosts": true, "shards": true}, hosts: "a:7070", shards: 2, artifact: "table2"}), "pick one"},
-		{"hosts fig6", ok(args{set: map[string]bool{"hosts": true}, hosts: "a:7070", artifact: "fig6"}), "does not support"},
-		{"doctor with hosts", ok(args{set: map[string]bool{"doctor": true, "hosts": true}, doctor: true, hosts: "a:7070"}), ""},
-		{"doctor without hosts", ok(args{set: map[string]bool{"doctor": true}, doctor: true}), "pass -hosts"},
-		{"doctor with n", ok(args{set: map[string]bool{"doctor": true, "hosts": true, "n": true}, doctor: true, hosts: "a:7070"}), "-n conflicts"},
-		{"doctor bad host", ok(args{set: map[string]bool{"doctor": true, "hosts": true}, doctor: true, hosts: "nope"}), "not host:port"},
 		{"profiles", ok(args{set: map[string]bool{"cpuprofile": true, "memprofile": true}, cpuProf: filepath.Join(t.TempDir(), "cpu.prof"), memProf: filepath.Join(t.TempDir(), "mem.prof")}), ""},
 		{"cpuprofile unwritable", ok(args{set: map[string]bool{"cpuprofile": true}, cpuProf: filepath.Join(t.TempDir(), "missing", "cpu.prof")}), "-cpuprofile"},
 		{"memprofile unwritable", ok(args{set: map[string]bool{"memprofile": true}, memProf: filepath.Join(t.TempDir(), "missing", "mem.prof")}), "-memprofile"},
@@ -268,9 +240,8 @@ func TestValidateFlags(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			err := validateFlags(c.a.set, c.a.args, c.a.artifact, c.a.spec,
-				c.a.n, c.a.train, c.a.workers, c.a.reps, c.a.shards, c.a.diff,
-				c.a.sig, c.a.tol, c.a.rtol, c.a.trend, c.a.trendTol, c.a.serve, c.a.hosts, c.a.doctor,
-				c.a.cpuProf, c.a.memProf)
+				c.a.n, c.a.train, c.a.workers, c.a.reps, c.a.diff,
+				c.a.sig, c.a.tol, c.a.rtol, c.a.trend, c.a.trendTol, c.a.cpuProf, c.a.memProf)
 			if c.want == "" {
 				if err != nil {
 					t.Fatalf("rejected: %v", err)
@@ -281,5 +252,45 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestMain lets a test re-exec this binary as experiments itself: with
+// EXPERIMENTS_TEST_MAIN=1 the process runs main on its arguments
+// instead of the tests, so a test drives the real flag parsing and exit
+// path.
+func TestMain(m *testing.M) {
+	if os.Getenv("EXPERIMENTS_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRemovedFlagsUndefined: experiments has no multi-process executor,
+// so -shards, -hosts, -serve, -doctor and -wait are undefined flags.
+// Each must fail flag parsing (exit 2) before anything runs.
+func TestRemovedFlagsUndefined(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-shards", "2"},
+		{"-hosts", "a:1"},
+		{"-serve", ":0"},
+		{"-doctor"},
+		{"-wait", "1s"},
+	} {
+		cmd := exec.Command(exe, args...)
+		cmd.Env = append(os.Environ(), "EXPERIMENTS_TEST_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("%v: err = %v, want exit status 2\n%s", args, err, out)
+		}
+		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
+			t.Fatalf("%v: output lacks %q:\n%s", args, want, out)
+		}
 	}
 }

@@ -55,8 +55,8 @@ type Config struct {
 // error score is recomputed, so error-aware policies see time-varying
 // hardware quality — the dynamic variability the paper lists as absent
 // from its model (§7.2). Carried inside Config, it travels wherever the
-// config does — including into shard worker processes — so a drifting
-// scenario reproduces identically on every executor.
+// config does, so a drifting scenario reproduces identically on every
+// executor.
 //
 // The Broker steps drift only while a job executes, so an idle broker
 // keeps no timer and Drain terminates. When a job reaches a broker whose

@@ -9,11 +9,10 @@ import (
 	"repro/internal/sim"
 )
 
-// A fleet preset is a named, seeded fleet constructor: everything a
-// worker process needs to rebuild the same cloud is the preset name
-// plus the calibration seed, which is what lets scenario variants
-// travel inside a JSON ShardSpec. The standard (paper) fleet is the
-// empty-name default.
+// A fleet preset is a named, seeded fleet constructor: everything
+// needed to rebuild the same cloud is the preset name plus the
+// calibration seed, which is what lets a JSON spec name a scenario's
+// fleet. The standard (paper) fleet is the empty-name default.
 type presetDef struct {
 	build func(env *sim.Environment, seed int64, opts ...Option) ([]*Device, error)
 	// maxSingle and total are the preset's largest single-device and

@@ -50,8 +50,8 @@ func TestPresetFleetHetero(t *testing.T) {
 }
 
 // TestPresetFleetDeterministic: same preset and seed, same
-// calibration — the property that lets a shard worker rebuild the
-// coordinator's fleet from the ShardSpec alone.
+// calibration — the property that lets every task of a run rebuild the
+// same fleet from the preset name and seed alone.
 func TestPresetFleetDeterministic(t *testing.T) {
 	a, err := PresetFleet("hetero", sim.NewEnvironment(), 42)
 	if err != nil {

@@ -12,13 +12,10 @@ import (
 // Executor is the pluggable execution backend behind Run, and the only
 // way to run a task matrix: it receives a fully configured case study
 // plus one task matrix and returns the manifest rows in global task
-// order. All four built-ins — Sequential, Parallel, Sharded, Remote —
-// are bit-identical for fixed seeds (wall times and provenance aside),
-// because they expand the same matrix through the same enumeration and
-// every task runs on a private snapshot seeded only from the case
-// study's configuration. The out-of-process backends differ only in
-// the transport they hand the shard coordinator: Sharded spawns local
-// worker daemons, Remote dials worker daemons across a host fleet.
+// order. Both built-ins — Sequential and Parallel — are bit-identical
+// for fixed seeds (wall times aside), because they expand the same
+// matrix through the same enumeration and every task runs on a private
+// snapshot seeded only from the case study's configuration.
 type Executor interface {
 	// Name identifies the backend in logs and errors.
 	Name() string
@@ -27,7 +24,7 @@ type Executor interface {
 }
 
 // Sequential executes the matrix one task at a time in-process — the
-// reference backend the others are measured against.
+// reference backend Parallel is measured against.
 type Sequential struct {
 	// Options' Workers is ignored (forced to 1); OnProgress applies.
 	Options ExecOptions

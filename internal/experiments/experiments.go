@@ -7,16 +7,13 @@
 // The API is declarative: describe a run as a Spec — a registered
 // scenario ("paper", "hetero-fleet", "stress-arrivals", or your own
 // via RegisterScenario) plus task matrices and overrides — and hand it
-// to Run with any Executor (Sequential, Parallel across a goroutine
-// pool, Sharded across worker daemons it spawns on loopback, or Remote
-// across a fleet of worker daemons — see ShardServer and
-// docs/operations.md).
-// Executor.Execute runs one TaskMatrix on a configured CaseStudy and is
-// the only way to run a task matrix; Run is Execute over every matrix
-// of a Spec. All executors produce identical manifests for fixed seeds,
-// remote rows additionally carrying host/attempt provenance. Allocation
-// strategies resolve through the internal/policy registry, so new
-// policies and new scenarios plug in without touching this package.
+// to Run with an Executor (Sequential, or Parallel across a goroutine
+// pool). Executor.Execute runs one TaskMatrix on a configured CaseStudy
+// and is the only way to run a task matrix; Run is Execute over every
+// matrix of a Spec. Both executors produce identical manifests for
+// fixed seeds. Allocation strategies resolve through the
+// internal/policy registry, so new policies and new scenarios plug in
+// without touching this package.
 //
 // Beside the manifest path sit the single-run and figure primitives:
 // CaseStudy.RunMode (one full simulation, with per-job records),
@@ -52,15 +49,14 @@ type CaseStudy struct {
 	// against the configured fleet. Workload's distribution fields are
 	// ignored; its Seed mutation under replication is a no-op, since a
 	// trace is the same jobs every time. The path resolves against the
-	// process working directory (worker processes inherit it), like
-	// every other path the experiments CLI takes.
+	// process working directory, like every other path the experiments
+	// CLI takes.
 	TracePath string
 	// Core carries the model constants (M, K, φ, λ).
 	Core core.Config
 	// FleetPreset names the device fleet (see device.PresetFleet):
 	// "" or "standard" is the paper's five-Eagle cloud, "hetero" the
-	// mixed-capacity variant. The name travels inside a ShardSpec, so
-	// scenario fleets survive the trip into worker processes.
+	// mixed-capacity variant.
 	FleetPreset string
 	// FleetSeed draws the synthetic calibration snapshot.
 	FleetSeed int64
@@ -76,11 +72,6 @@ type CaseStudy struct {
 
 	trained *rl.GaussianPolicy
 	history []rl.TrainStats
-	// injected marks a policy supplied via UseTrainedPolicy rather than
-	// trained here: it is not reproducible from the config fields alone,
-	// which the sharded executor must know (workers rebuild everything
-	// from the serialized config).
-	injected bool
 }
 
 // Default returns the paper's case-study configuration with a reduced
@@ -160,14 +151,9 @@ func (cs *CaseStudy) TrainRL(onIter func(rl.TrainStats)) (*rl.GaussianPolicy, []
 }
 
 // UseTrainedPolicy injects an externally trained policy (e.g. loaded
-// from disk), skipping TrainRL. Injected policies are confined to
-// in-process execution: the Sharded and Remote executors reject them,
-// because worker processes rebuild the rlbase policy from the
-// serialized config's seeds and would silently diverge from the
-// injected weights.
+// from disk), skipping TrainRL.
 func (cs *CaseStudy) UseTrainedPolicy(pol *rl.GaussianPolicy) {
 	cs.trained = pol
-	cs.injected = pol != nil
 }
 
 // policyFor resolves a mode name through the policy registry. Any

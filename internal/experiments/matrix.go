@@ -10,12 +10,10 @@ import (
 
 // TaskMatrix declaratively describes the task set of one orchestrated
 // run — the unit an Executor executes. It is the single enumeration
-// source of truth shared by every executor: in-process pools and shard
-// workers expand the same matrix into the same spec list in the same
-// order, which is what lets a shard coordinator ship bare task indices
-// to worker processes and still merge their manifests back into the
-// exact sequential row order. The type is JSON-portable so it travels
-// inside a ShardSpec.
+// source of truth shared by every executor: each expands the same
+// matrix into the same spec list in the same order, which is what keeps
+// a parallel run's rows in the exact sequential row order. The type is
+// JSON-portable because spec files declare it.
 type TaskMatrix struct {
 	// Kind selects the expansion: "modes" (one task per strategy,
 	// Table 2 / Fig. 6), "phi-sweep" / "lambda-sweep" (one task per
@@ -36,10 +34,9 @@ type TaskMatrix struct {
 	// workload seeds: each base task becomes one replica per seed, ID
 	// suffixed "@seed<k>" (records.ReplicaID), run with the workload
 	// seed overridden. Replicas expand task-major (all seeds of task 0,
-	// then task 1, …), and the field travels inside a ShardSpec, so
-	// every executor — including worker OS processes — rebuilds the
-	// identical fan-out. Usually lowered from the spec-level
-	// Replications/ReplicationSeeds by Run rather than set directly.
+	// then task 1, …), so every executor builds the identical fan-out.
+	// Usually lowered from the spec-level Replications/ReplicationSeeds
+	// by Run rather than set directly.
 	// Invalid on "replicate" matrices, which already enumerate seeds.
 	ReplicationSeeds []int64 `json:"replication_seeds,omitempty"`
 }
@@ -73,8 +70,7 @@ func (m TaskMatrix) modes() []string {
 
 // checkMode rejects strategies RunMode would reject — any name without
 // a registered policy factory — so a malformed matrix fails during
-// planning, before any worker process is spawned, rather than deep
-// inside a shard.
+// planning, before any task runs, rather than deep inside a worker.
 func checkMode(mode string) error {
 	if !policy.Registered(mode) {
 		return fmt.Errorf("experiments: unknown mode %q (registered policies: %v)", mode, policy.Names())
@@ -84,9 +80,8 @@ func checkMode(mode string) error {
 
 // MaxTasks bounds the task count of one matrix and of one spec. Every
 // task is a full simulation, so a larger run is a typo; counting
-// before expanding keeps a decoded spec or shard order — whose value
-// and seed lists multiply — from allocating a task list that could
-// exhaust memory.
+// before expanding keeps a decoded spec — whose value and seed lists
+// multiply — from allocating a task list that could exhaust memory.
 const MaxTasks = 100000
 
 // taskCount is the matrix's task count, computed without expanding it.
@@ -199,8 +194,7 @@ func (m TaskMatrix) baseSpecs() ([]runSpec, error) {
 	}
 }
 
-// TaskLabels returns the matrix's task IDs in execution order — the
-// descriptor list a shard coordinator partitions.
+// TaskLabels returns the matrix's task IDs in execution order.
 func (m TaskMatrix) TaskLabels() ([]string, error) {
 	specs, err := m.specs()
 	if err != nil {

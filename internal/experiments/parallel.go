@@ -11,19 +11,11 @@ import (
 	"repro/internal/records"
 )
 
-// ExecOptions carries the orchestration knobs every executor
-// understands — the single options struct shared by the in-process
-// pool (Sequential, Parallel) and the out-of-process Sharded and Remote
-// executors, which embed it in ShardOptions and RemoteOptions.
+// ExecOptions carries the orchestration knobs both executors
+// (Sequential, Parallel) understand.
 type ExecOptions struct {
-	// Workers caps concurrent simulations. In-process, <= 0 uses
-	// GOMAXPROCS; under sharded execution it sizes each worker
-	// process's internal pool (<= 1 keeps workers sequential).
+	// Workers caps concurrent simulations; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Retries is the crash respawn budget per shard: 0 means
-	// shard.DefaultRetries, negative disables retries. In-process
-	// executors have no crash domain and ignore it.
-	Retries int
 	// OnProgress, if set, receives one callback per finished task,
 	// whichever executor ran it.
 	OnProgress func(runner.Progress)

@@ -1,19 +1,22 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
+
+	"repro/internal/records"
 )
 
 // TestPinnedManifestDigests pins the SHA-256 of the normalized manifest
-// (wall time, worker accounting and host provenance zeroed — see
-// normalizedJSON) that the Sequential executor produces for each task
-// matrix kind on the small case. Every executor is proven equal to
-// Sequential elsewhere, so these digests are the independent reference
-// for what the experiment engine computes: a refactor of the engine
-// must leave every one of them unchanged.
+// (wall time and worker accounting zeroed — see normalizedJSON) that
+// the Sequential executor produces for each task matrix kind on the
+// small case. Parallel is proven equal to Sequential elsewhere, so
+// these digests are the independent reference for what the experiment
+// engine computes: a refactor of the engine must leave every one of
+// them unchanged.
 //
 // The per-artifact entry points that predate Run (RunAll, PhiSweep,
 // LambdaSweep, RunReplicated, RLDeploymentAblation and their *Parallel
@@ -52,4 +55,24 @@ func TestPinnedManifestDigests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// normalizedJSON renders a manifest with the fields that legitimately
+// differ between runs of one experiment — label, wall-clock times and
+// worker accounting — zeroed, so equality is a byte comparison of
+// everything that must be deterministic.
+func normalizedJSON(t *testing.T, m *records.RunManifest) []byte {
+	t.Helper()
+	c := *m
+	c.Label = ""
+	c.Workers = 0
+	c.Runs = append([]records.RunSummary(nil), m.Runs...)
+	for i := range c.Runs {
+		c.Runs[i].WallMS = 0
+	}
+	var buf bytes.Buffer
+	if err := c.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -74,19 +74,18 @@ func TestReplicatedSweepComposesMutations(t *testing.T) {
 
 // TestReplicatedSpecExecutorEquivalence is the tentpole's acceptance
 // gate: one replicated Spec produces bit-identical manifests — and
-// therefore bit-identical aggregated manifests — under the Sequential,
-// Parallel and Sharded executors, the per-seed rows record the
+// therefore bit-identical aggregated manifests — under the Sequential
+// and Parallel executors, the per-seed rows record the
 // replication seeds, and significance-diffing two such runs is Empty
 // while a run over different seeds is flagged.
 func TestReplicatedSpecExecutorEquivalence(t *testing.T) {
 	spec := specForSmallCase(TaskMatrix{Kind: "modes", Modes: []string{"speed", "fair"}})
 	spec.ReplicationSeeds = []int64{5, 6, 7}
 
-	manifests := make([]*records.RunManifest, 0, 3)
+	manifests := make([]*records.RunManifest, 0, 2)
 	for _, exec := range []Executor{
 		Sequential{},
 		Parallel{Options: ExecOptions{Workers: 4}},
-		Sharded{Options: ShardOptions{Shards: 2, Command: selfWorker(t)}},
 	} {
 		m, err := Run(context.Background(), spec, exec)
 		if err != nil {

@@ -52,34 +52,6 @@ type Pool[T any] struct {
 	// serialized; the callback must not block for long and must not
 	// re-enter the pool.
 	OnProgress func(Progress)
-	// OnResult, if set, receives each successful task's value as it
-	// completes, before the corresponding OnProgress call. Calls are
-	// serialized under the same lock as OnProgress. Unlike Run's return
-	// value, deliveries are not rolled back by a later failure — a shard
-	// worker streams completed results to its coordinator through this
-	// hook precisely so they survive a mid-batch crash.
-	OnResult func(index int, v T)
-}
-
-// Subset selects the tasks at the given global indices, preserving the
-// given order, so a shard worker runs exactly its assigned slice of the
-// globally enumerated task list. Out-of-range or duplicate indices are
-// an error: a shard plan that names a task twice would corrupt the
-// merged manifest.
-func Subset[T any](tasks []Task[T], indices []int) ([]Task[T], error) {
-	out := make([]Task[T], len(indices))
-	seen := make(map[int]bool, len(indices))
-	for j, i := range indices {
-		if i < 0 || i >= len(tasks) {
-			return nil, fmt.Errorf("runner: subset index %d out of range [0,%d)", i, len(tasks))
-		}
-		if seen[i] {
-			return nil, fmt.Errorf("runner: subset index %d duplicated", i)
-		}
-		seen[i] = true
-		out[j] = tasks[i]
-	}
-	return out, nil
 }
 
 // Run executes every task and returns the results in task order. On the
@@ -158,9 +130,6 @@ func (p *Pool[T]) Run(ctx context.Context, tasks []Task[T]) ([]T, error) {
 					cancel()
 				} else {
 					results[i] = v
-					if p.OnResult != nil {
-						p.OnResult(i, v)
-					}
 				}
 				done++
 				if p.OnProgress != nil {

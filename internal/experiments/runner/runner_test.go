@@ -254,66 +254,6 @@ func TestPoolCancelAfterAllTasksDone(t *testing.T) {
 	}
 }
 
-// TestPoolOnResultStreamsBeforeFailure: OnResult deliveries are not
-// rolled back when a later task fails — the shard worker depends on
-// completed results surviving a mid-batch abort.
-func TestPoolOnResultStreamsBeforeFailure(t *testing.T) {
-	boom := errors.New("boom")
-	tasks := make([]Task[int], 5)
-	for i := range tasks {
-		tasks[i] = Task[int]{
-			Label: fmt.Sprintf("t/%d", i),
-			Run: func(context.Context) (int, error) {
-				if i == 3 {
-					return 0, boom
-				}
-				return i * 10, nil
-			},
-		}
-	}
-	delivered := map[int]int{}
-	p := Pool[int]{Workers: 1, OnResult: func(i, v int) { delivered[i] = v }}
-	if _, err := p.Run(context.Background(), tasks); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	// Single worker: tasks 0–2 complete and stream before 3 fails.
-	want := map[int]int{0: 0, 1: 10, 2: 20}
-	if len(delivered) != len(want) {
-		t.Fatalf("delivered %v, want %v", delivered, want)
-	}
-	for i, v := range want {
-		if delivered[i] != v {
-			t.Fatalf("delivered[%d] = %d, want %d", i, delivered[i], v)
-		}
-	}
-}
-
-func TestSubset(t *testing.T) {
-	tasks := squares(10)
-	sub, err := Subset(tasks, []int{7, 2, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := (&Pool[int]{Workers: 1}).Run(context.Background(), sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, i := range []int{7, 2, 5} {
-		if got[j] != i*i {
-			t.Fatalf("subset result %d = %d, want %d", j, got[j], i*i)
-		}
-	}
-	if _, err := Subset(tasks, []int{10}); err == nil {
-		t.Fatal("out-of-range index accepted")
-	}
-	if _, err := Subset(tasks, []int{-1}); err == nil {
-		t.Fatal("negative index accepted")
-	}
-	if _, err := Subset(tasks, []int{4, 4}); err == nil {
-		t.Fatal("duplicate index accepted")
-	}
-}
-
 // TestPoolTasksOverlap proves tasks genuinely run concurrently (valid
 // even on one CPU): four 100ms sleeps across 4 workers must finish in
 // well under the 400ms a serial pass needs. The 300ms bound leaves

@@ -127,8 +127,8 @@ func StressArrivals() *CaseStudy {
 // random-walk step and its error score is recomputed, so error-aware
 // policies chase a moving target — the dynamic hardware variability
 // the paper's model omits (§7.2). Drift lives inside Core, so the
-// scenario reproduces bit-identically on the Sequential, Parallel and
-// Sharded executors alike.
+// scenario reproduces bit-identically on the Sequential and Parallel
+// executors alike.
 func CalibrationDrift() *CaseStudy {
 	cs := Default()
 	cs.Core.Drift = core.DriftConfig{IntervalS: 3600, Rel: 0.3, Seed: 17}

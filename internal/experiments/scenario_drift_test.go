@@ -65,8 +65,7 @@ func TestCalibrationDriftChangesOutcome(t *testing.T) {
 
 // TestCalibrationDriftExecutorEquivalence runs the scenario as a spec
 // on the Sequential and Parallel executors: the drift process must
-// reproduce bit-identically (the Sharded leg is covered by the Core
-// round-trip test below plus the generic shard equivalence suite).
+// reproduce bit-identically.
 func TestCalibrationDriftExecutorEquivalence(t *testing.T) {
 	spec := Spec{
 		Scenario: "calibration-drift",
@@ -88,17 +87,5 @@ func TestCalibrationDriftExecutorEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Fatalf("sequential vs parallel drift runs differ:\n%s", sb.String())
-	}
-}
-
-// TestShardSpecCarriesDrift pins the transport invariant the scenario
-// relies on: the drift config rides inside Core through the ShardSpec,
-// so worker processes rebuild the identical drifting simulation.
-func TestShardSpecCarriesDrift(t *testing.T) {
-	cs := shrinkDrift(t)
-	rebuilt := cs.shardSpec(TaskMatrix{Kind: "modes"}, 1).caseStudy()
-	if rebuilt.Core.Drift != cs.Core.Drift {
-		t.Fatalf("drift config lost in shard round trip: %+v vs %+v",
-			rebuilt.Core.Drift, cs.Core.Drift)
 	}
 }

@@ -157,16 +157,3 @@ func TestSpecTraceJobsConflict(t *testing.T) {
 		t.Fatal("trace_path + jobs override validated")
 	}
 }
-
-// TestShardSpecCarriesTrace pins the transport invariant: the trace
-// path rides through the ShardSpec round trip, so worker processes
-// replay the identical workload.
-func TestShardSpecCarriesTrace(t *testing.T) {
-	cs := Default()
-	cs.TracePath = "specs/trace-smoke.csv"
-	rebuilt := cs.shardSpec(TaskMatrix{Kind: "modes"}, 1).caseStudy()
-	if rebuilt.TracePath != cs.TracePath {
-		t.Fatalf("trace path lost in shard round trip: %q vs %q",
-			rebuilt.TracePath, cs.TracePath)
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"strings"
 
@@ -30,7 +29,7 @@ type Spec struct {
 	Scenario string `json:"scenario,omitempty"`
 	// Matrices enumerate the tasks to run, in order. Task IDs must be
 	// unique across all matrices, so the combined manifest stays
-	// unambiguous and shard merges can account for every task.
+	// unambiguous.
 	Matrices []TaskMatrix `json:"matrices"`
 	// Replications fans every matrix task out across the workload
 	// seeds 1..Replications (one replica per seed, matching the
@@ -61,14 +60,6 @@ type Spec struct {
 	// PPO overrides the full PPO trainer configuration when set —
 	// mostly useful to shrink rollouts for smoke runs.
 	PPO *rl.PPOConfig `json:"ppo,omitempty"`
-	// Hosts lists worker daemon addresses (host:port) for hosts-level
-	// execution: the CLI's -hosts flag overrides it, otherwise a
-	// non-empty list makes the CLI run the spec on the Remote executor
-	// against these daemons. Library callers configure RemoteOptions
-	// directly; the in-process and Sharded executors ignore it. Results
-	// are unaffected either way — hosts say where tasks run, never what
-	// they compute.
-	Hosts []string `json:"hosts,omitempty"`
 }
 
 // LoadSpec decodes and validates a Spec. Unknown fields and trailing
@@ -144,11 +135,6 @@ func (s *Spec) Validate() error {
 	if s.Replications > 0 && len(s.ReplicationSeeds) > 0 {
 		return fmt.Errorf("experiments: spec sets both replications and replication_seeds; pick one")
 	}
-	for _, h := range s.Hosts {
-		if _, _, err := net.SplitHostPort(h); err != nil {
-			return fmt.Errorf("experiments: spec host %q is not host:port: %w", h, err)
-		}
-	}
 	matrices := s.runMatrices()
 	total := 0
 	for _, m := range matrices {
@@ -210,8 +196,7 @@ func (s *Spec) replicationSeeds() []int64 {
 // matrices with spec-level replication lowered onto each one that does
 // not already enumerate workload seeds itself. Lowering onto the
 // TaskMatrix (rather than looping in Run) is what makes replication
-// executor-agnostic: the seeds travel inside the ShardSpec, so worker
-// processes rebuild the identical fan-out.
+// executor-agnostic: every executor expands the same seeded matrices.
 func (s *Spec) runMatrices() []TaskMatrix {
 	seeds := s.replicationSeeds()
 	if seeds == nil {
@@ -280,11 +265,10 @@ func (s *Spec) CaseStudy() (*CaseStudy, error) {
 // that already hold a configured (or trained) CaseStudy call
 // Execute directly.
 //
-// For fixed seeds the manifest is identical (wall times, worker
-// accounting and remote provenance aside) across the Sequential,
-// Parallel, Sharded and Remote executors: every backend expands the
-// same matrices into the same task list and every task derives its
-// random streams from seeds the spec pins.
+// For fixed seeds the manifest is identical (wall times and worker
+// accounting aside) across the Sequential and Parallel executors:
+// both expand the same matrices into the same task list and every
+// task derives its random streams from seeds the spec pins.
 func Run(ctx context.Context, spec Spec, exec Executor) (*records.RunManifest, error) {
 	if exec == nil {
 		exec = Sequential{}

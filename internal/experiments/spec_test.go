@@ -94,6 +94,16 @@ func TestLoadSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestSpecHostsValidation: a spec names no hosts — every task runs on
+// the in-process pool — so a "hosts" list is an unknown field and the
+// spec is refused, not run somewhere other than the file says.
+func TestSpecHostsValidation(t *testing.T) {
+	_, err := LoadSpec(strings.NewReader(`{"matrices":[{"kind":"modes"}],"hosts":["10.0.0.1:7070"]}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "hosts"`) {
+		t.Fatalf("err = %v, want unknown-field rejection naming hosts", err)
+	}
+}
+
 // TestLoadSpecRejectsTrailingContent: content after the JSON document
 // (a duplicated object from a bad paste, merge-conflict leftovers)
 // must not be silently ignored — the decoder would otherwise run only
@@ -306,13 +316,12 @@ func rowsDigest(t *testing.T, rows []records.RunSummary) string {
 // TestRunSpecMatchesLegacyPaths is the redesign's acceptance gate: for
 // fixed seeds, Run with the "paper" scenario produces the pinned
 // Table 2 manifest — the result the legacy per-artifact entry points
-// produced — on the Sequential, Parallel and Sharded executors.
+// produced — on the Sequential and Parallel executors.
 func TestRunSpecMatchesLegacyPaths(t *testing.T) {
 	spec := specForSmallCase(TaskMatrix{Kind: "modes"})
 	execs := []Executor{
 		Sequential{},
 		Parallel{Options: ExecOptions{Workers: 4}},
-		Sharded{Options: ShardOptions{Shards: 2, Command: selfWorker(t)}},
 	}
 	for _, exec := range execs {
 		m, err := Run(context.Background(), spec, exec)

@@ -5,9 +5,9 @@
 // chaos tests are replayable and CI can gate on the exact event log.
 //
 // Faults are consulted at "opportunities": each time a covered layer
-// reaches a decision point (a transport frame, an ingest line, an HTTP
-// request) it calls Decide, which counts the opportunity against every
-// matching rule and reports which faults fire. The ordered event log
+// reaches a decision point (an ingest line or read, an HTTP request) it
+// calls Decide, which counts the opportunity against every matching
+// rule and reports which faults fire. The ordered event log
 // (Events, OnEvent) is the determinism witness: two runs with the same
 // plan over the same workload must produce byte-identical logs.
 package faults
@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"sync"
@@ -24,17 +25,11 @@ import (
 
 // Layer, op, and kind names recognized in fault rules.
 const (
-	// LayerTransport covers the shard coordinator's worker links.
-	LayerTransport = "transport"
 	// LayerIngest covers the broker's NDJSON job stream.
 	LayerIngest = "ingest"
 	// LayerHTTP covers the HTTP control plane.
 	LayerHTTP = "http"
 
-	// OpConnect is a transport session establishment.
-	OpConnect = "connect"
-	// OpFrame is one transport reply frame.
-	OpFrame = "frame"
 	// OpLine is one line of the broker's logical-time stdin stream,
 	// supervised or not; real-time brokers refuse line rules.
 	OpLine = "line"
@@ -44,16 +39,10 @@ const (
 	// OpRequest is one HTTP request.
 	OpRequest = "request"
 
-	// KindPartition refuses connections to the matched hosts.
-	KindPartition = "partition"
-	// KindDelay stalls the operation for DelayMS.
+	// KindDelay stalls the HTTP request for DelayMS.
 	KindDelay = "delay"
-	// KindReset kills the connection with an injected reset.
+	// KindReset kills the HTTP connection with an injected reset.
 	KindReset = "reset"
-	// KindDrop discards the frame (the reader waits for the next one).
-	KindDrop = "drop"
-	// KindDup replays the previous frame instead of reading a new one.
-	KindDup = "dup"
 	// KindCrash panics the ingest loop with a Crash value, simulating a
 	// broker process death mid-stream.
 	KindCrash = "crash"
@@ -72,10 +61,6 @@ const (
 
 // validKinds maps layer → op → permitted kinds.
 var validKinds = map[string]map[string][]string{
-	LayerTransport: {
-		OpConnect: {KindPartition},
-		OpFrame:   {KindDelay, KindReset, KindDrop, KindDup},
-	},
 	LayerIngest: {
 		OpLine: {KindCrash, KindGarble, KindCut, KindStall},
 		OpRead: {KindCut, KindStall},
@@ -115,9 +100,9 @@ type Rule struct {
 	DelayMS float64 `json:"delay_ms,omitempty"`
 	// Bytes parameterizes cut/sever: how many further bytes survive.
 	Bytes int64 `json:"bytes,omitempty"`
-	// Targets restricts the rule to matching opportunity targets (host
-	// addresses for transport, "METHOD /path" for HTTP). Empty matches
-	// everything.
+	// Targets restricts the rule to matching opportunity targets
+	// ("METHOD /path" for HTTP; ingest opportunities have none). Empty
+	// matches everything.
 	Targets []string `json:"targets,omitempty"`
 }
 
@@ -150,14 +135,18 @@ func (r *Rule) validate(i int) error {
 	if r.DelayMS < 0 {
 		return fmt.Errorf("faults: rule %d: negative delay", i)
 	}
+	if r.DelayMS*float64(time.Millisecond) >= math.MaxInt64 {
+		return fmt.Errorf("faults: rule %d (%s/%s/%s): delay_ms %g outside time.Duration's range", i, r.Layer, r.Op, r.Kind, r.DelayMS)
+	}
 	if r.Bytes < 0 {
 		return fmt.Errorf("faults: rule %d: negative byte count", i)
 	}
 	return nil
 }
 
-// ParsePlan decodes a plan, rejecting unknown fields so spec typos fail
-// loudly instead of silently disarming a rule.
+// ParsePlan decodes a plan, rejecting unknown fields and trailing
+// content so spec typos and a second pasted plan fail loudly instead of
+// silently disarming a rule.
 func ParsePlan(r io.Reader) (*Plan, error) {
 	var p Plan
 	dec := json.NewDecoder(r)
@@ -165,9 +154,17 @@ func ParsePlan(r io.Reader) (*Plan, error) {
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("faults: decoding plan: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("faults: plan has trailing content after the JSON document")
+	}
 	for i := range p.Rules {
 		if err := p.Rules[i].validate(i); err != nil {
 			return nil, err
+		}
+		// An empty target list matches everything, as an absent one
+		// does; keep one form so a parsed plan re-encodes to itself.
+		if len(p.Rules[i].Targets) == 0 {
+			p.Rules[i].Targets = nil
 		}
 	}
 	return &p, nil
@@ -233,7 +230,7 @@ type ruleState struct {
 // Injector evaluates a compiled plan. It is safe for concurrent use;
 // determinism of the event log requires that each rule's opportunity
 // stream itself arrives in a deterministic order (single-threaded
-// ingest, ordered frames per session).
+// ingest, serialized HTTP requests).
 type Injector struct {
 	mu      sync.Mutex
 	rules   []*ruleState

@@ -24,8 +24,12 @@ func TestParsePlanRejectsBadRules(t *testing.T) {
 		name, src, want string
 	}{
 		{"unknown layer", `{"seed":1,"rules":[{"layer":"disk","op":"read","kind":"cut"}]}`, "unknown layer"},
+		{"transport layer", `{"seed":1,"rules":[{"layer":"transport","op":"frame","kind":"reset"}]}`, `unknown layer "transport"`},
 		{"bad op", `{"seed":1,"rules":[{"layer":"http","op":"frame","kind":"delay"}]}`, "no op"},
-		{"kind mismatch", `{"seed":1,"rules":[{"layer":"transport","op":"frame","kind":"crash"}]}`, "not valid"},
+		{"kind mismatch", `{"seed":1,"rules":[{"layer":"http","op":"request","kind":"crash"}]}`, "not valid"},
+		{"second plan", `{"seed":1,"rules":[]} {"seed":2,"rules":[{"layer":"ingest","op":"line","kind":"garble"}]}`, "trailing content"},
+		{"trailing garbage", `{"seed":1,"rules":[]} garbage`, "trailing content"},
+		{"delay overflow", `{"seed":1,"rules":[{"layer":"http","op":"request","kind":"delay","delay_ms":1e300}]}`, "rule 0 (http/request/delay): delay_ms 1e+300 outside"},
 		{"probability", `{"seed":1,"rules":[{"layer":"http","op":"request","kind":"error","p":1.5}]}`, "probability"},
 		{"unknown field", `{"seed":1,"rules":[{"layer":"http","op":"request","kind":"error","when":"later"}]}`, "unknown field"},
 	}
@@ -41,12 +45,12 @@ func TestParsePlanRejectsBadRules(t *testing.T) {
 
 func TestScheduleDeterministicPerSeed(t *testing.T) {
 	plan := &Plan{Seed: 42, Rules: []Rule{
-		{Layer: LayerTransport, Op: OpFrame, Kind: KindReset, P: 0.3},
-		{Layer: LayerTransport, Op: OpFrame, Kind: KindDelay, P: 0.5, DelayMS: 5},
+		{Layer: LayerHTTP, Op: OpRequest, Kind: KindReset, P: 0.3},
+		{Layer: LayerHTTP, Op: OpRequest, Kind: KindDelay, P: 0.5, DelayMS: 5},
 	}}
 	drive := func(in *Injector) []Event {
 		for i := 0; i < 200; i++ {
-			in.Decide(LayerTransport, OpFrame, "hostA")
+			in.Decide(LayerHTTP, OpRequest, "POST /v1/jobs")
 		}
 		return in.Events()
 	}

@@ -134,8 +134,8 @@ func (opt DiffOptions) metricsEqual(a, b float64) bool {
 // DiffManifests compares two run manifests task by task (matched on
 // ID) and reports per-label metric deltas, configuration mismatches,
 // and tasks present on one side only. Wall times and worker accounting
-// are ignored, so diffing a sharded run against an in-process run of
-// the same spec reports Empty — the determinism gate CI relies on.
+// are ignored, so diffing a -workers 1 run against a pooled run of the
+// same spec reports Empty — the determinism gate CI relies on.
 // Metrics compare exactly (NaN equal to NaN); use DiffManifestsOpt for
 // a drift tolerance.
 func DiffManifests(a, b *RunManifest) *ManifestDiff {

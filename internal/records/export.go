@@ -195,16 +195,6 @@ type RunSummary struct {
 	MeanWaitS         float64 `json:"mean_wait_s"`
 	// WallMS is the host wall-clock time the simulation took.
 	WallMS float64 `json:"wall_ms"`
-	// Host and Attempt are execution provenance, recorded only by
-	// transports with a real host identity (the Remote executor's TCP
-	// daemons): which worker host delivered this row, and on which
-	// spawn attempt of its shard (>0 means the task was requeued after
-	// a crash). Both stay absent for local and subprocess runs, keeping
-	// those manifests byte-identical across executors; diffing ignores
-	// them either way (like wall_ms, they describe the run, not the
-	// simulated result).
-	Host    string `json:"host,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
 }
 
 // RunManifest aggregates every task of one orchestrated experiment run,
@@ -237,7 +227,6 @@ func (m *RunManifest) WriteCSV(w io.Writer) error {
 		"train_steps", "rl_seed", "rl_deterministic",
 		"tsim_s", "fidelity_mean", "fidelity_std",
 		"tcomm_s", "mean_devices_per_job", "mean_wait_s", "wall_ms",
-		"host", "attempt",
 	}
 	if err := cw.Write(header); err != nil {
 		return err
@@ -251,7 +240,6 @@ func (m *RunManifest) WriteCSV(w io.Writer) error {
 			fmtIntPtr(r.TrainSteps), fmtInt64Ptr(r.RLSeed), fmtBoolPtr(r.RLDeterministic),
 			f(r.TsimS), f(r.FidelityMean), f(r.FidelityStd),
 			f(r.TcommS), f(r.MeanDevicesPerJob), f(r.MeanWaitS), f(r.WallMS),
-			r.Host, fmtAttempt(r.Attempt, r.Host),
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -282,16 +270,6 @@ func fmtInt64Ptr(v *int64) string {
 		return ""
 	}
 	return strconv.FormatInt(*v, 10)
-}
-
-// fmtAttempt renders the provenance attempt column: blank when no host
-// was recorded (local runs — attempt 0 there means "unset", not "first
-// try"), the plain number otherwise.
-func fmtAttempt(attempt int, host string) string {
-	if host == "" {
-		return ""
-	}
-	return strconv.Itoa(attempt)
 }
 
 // ReadManifestJSON restores a manifest written by WriteJSON, for

@@ -13,12 +13,10 @@ import (
 //	go test ./internal/records -run Golden -update
 var update = flag.Bool("update", false, "rewrite golden fixtures")
 
-// goldenManifest is the fixture source: a merged sharded run mixing
-// heuristic rows (pointer fields absent), an rlbase row (pointer fields
-// present), explicit zero values behind pointers (the omitempty trap
-// the pointers exist to avoid), a zero-valued sweep param, and one row
-// with remote provenance (Host set, Attempt 0 rendered as the explicit
-// "0" — first try on that host, not unset).
+// goldenManifest is the fixture source: a run mixing heuristic rows
+// (pointer fields absent), an rlbase row (pointer fields present),
+// explicit zero values behind pointers (the omitempty trap the pointers
+// exist to avoid) and a zero-valued sweep param.
 func goldenManifest() *RunManifest {
 	steps, zeroSteps := 100000, 0
 	seed, zeroSeed := int64(7), int64(0)
@@ -52,7 +50,6 @@ func goldenManifest() *RunManifest {
 				WorkloadSeed: 1, FleetSeed: 2025, Phi: 0.95, Lambda: 0,
 				Jobs: 1000, TsimS: 11800, FidelityMean: 0.69, FidelityStd: 0.03,
 				TcommS: 0, MeanDevicesPerJob: 2.2, MeanWaitS: 55, WallMS: 1300,
-				Host: "127.0.0.1:7070", Attempt: 0,
 			},
 		},
 	}
@@ -81,9 +78,9 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestGoldenManifestJSON pins WriteJSON's byte-level output and proves
-// ReadManifestJSON restores the exact same bytes — the manifest format
-// is the shard protocol's persistence layer, so its encoding must not
-// drift silently.
+// ReadManifestJSON restores the exact same bytes — -diff, -diff -sig
+// and -trend read saved manifests, so the encoding must not drift
+// silently.
 func TestGoldenManifestJSON(t *testing.T) {
 	var buf bytes.Buffer
 	if err := goldenManifest().WriteJSON(&buf); err != nil {
@@ -115,51 +112,6 @@ func TestGoldenManifestCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "manifest_golden.csv", buf.Bytes())
-}
-
-// TestGoldenMergeRoundTrip walks the full shard pipeline over the
-// fixtures: read the golden JSON, split it into two shard manifests,
-// merge them back, and require byte-identical JSON and CSV — merging
-// must be lossless down to encoding.
-func TestGoldenMergeRoundTrip(t *testing.T) {
-	f, err := os.Open(goldenPath(t, "manifest_golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	m, err := ReadManifestJSON(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deal rows round-robin so neither shard holds a contiguous block:
-	// the merge must restore order, not concatenate.
-	shardA := &RunManifest{Label: m.Label + "/shard0", Workers: 2}
-	shardB := &RunManifest{Label: m.Label + "/shard1", Workers: 1}
-	order := make([]string, 0, len(m.Runs))
-	for i, r := range m.Runs {
-		order = append(order, r.ID)
-		if i%2 == 0 {
-			shardB.Runs = append(shardB.Runs, r)
-		} else {
-			shardA.Runs = append(shardA.Runs, r)
-		}
-	}
-	merged, err := MergeManifests(m.Label, order, shardA, shardB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Workers != m.Workers {
-		t.Fatalf("merged workers = %d, want shard sum %d", merged.Workers, m.Workers)
-	}
-	var mergedJSON, mergedCSV bytes.Buffer
-	if err := merged.WriteJSON(&mergedJSON); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "manifest_golden.json", mergedJSON.Bytes())
-	if err := merged.WriteCSV(&mergedCSV); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "manifest_golden.csv", mergedCSV.Bytes())
 }
 
 // TestFmtPtrHelpers covers the optional-field CSV formatters directly:

@@ -12,16 +12,11 @@
 // Above it live the run artifacts the experiment harness trades in:
 //
 //   - RunManifest / RunSummary — one row per executed task (config
-//     echo, metrics, wall time, and — for hosts-level runs — which
-//     worker host produced the row on which attempt), with JSON and
-//     CSV writers (WriteJSON, WriteCSV, ReadManifestJSON).
-//   - MergeManifests — recombines per-shard manifests into global task
-//     order, failing loudly on missing or duplicated tasks, so a
-//     merged manifest is complete by construction.
+//     echo, metrics and wall time), with JSON and CSV writers
+//     (WriteJSON, WriteCSV, ReadManifestJSON).
 //   - DiffManifests / DiffManifestsOpt — the exact comparison gate:
 //     task-by-task metric deltas with optional absolute/relative
-//     tolerances, NaN-equals-NaN semantics, wall times and provenance
-//     ignored.
+//     tolerances, NaN-equals-NaN semantics, wall times ignored.
 //   - AggregateManifests and the significance layer (DiffAggregated,
 //     AggregatedDiff) — fold replicated rows into mean/std/stderr/CI
 //     per base task and compare runs statistically (Welch's t) rather
