@@ -45,11 +45,11 @@ func benchCase() *experiments.CaseStudy {
 	return cs
 }
 
-// execute runs one task matrix on cs through exec and returns the
-// manifest rows.
-func execute(b *testing.B, exec experiments.Executor, cs *experiments.CaseStudy, m experiments.TaskMatrix) []records.RunSummary {
+// execute runs one task matrix on cs with opt and returns the manifest
+// rows.
+func execute(b *testing.B, cs *experiments.CaseStudy, m experiments.TaskMatrix, opt experiments.ExecOptions) []records.RunSummary {
 	b.Helper()
-	mf, err := exec.Execute(context.Background(), cs, m)
+	mf, err := experiments.Execute(context.Background(), cs, m, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -59,13 +59,17 @@ func execute(b *testing.B, exec experiments.Executor, cs *experiments.CaseStudy,
 // modesMatrix is the four-strategy Table 2 fan-out.
 var modesMatrix = experiments.TaskMatrix{Kind: "modes"}
 
+// oneWorker runs a matrix's tasks back to back — the sequential
+// reference; the zero ExecOptions is the default GOMAXPROCS pool.
+var oneWorker = experiments.ExecOptions{Workers: 1}
+
 // BenchmarkTable2 regenerates the paper's Table 2: the four allocation
 // strategies on the synthetic large-circuit workload, reporting Tsim,
 // μF±σF, and Tcomm per mode.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
-		rows := execute(b, experiments.Sequential{}, cs, modesMatrix)
+		rows := execute(b, cs, modesMatrix, oneWorker)
 		if i == 0 {
 			b.Logf("Table 2 (scaled: %d jobs):", cs.Workload.N)
 			for _, r := range rows {
@@ -93,7 +97,7 @@ func BenchmarkSequentialRunAll(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		execute(b, experiments.Sequential{}, cs, modesMatrix)
+		execute(b, cs, modesMatrix, oneWorker)
 	}
 }
 
@@ -113,13 +117,13 @@ func BenchmarkParallelRunAll(b *testing.B) {
 	baseN := min(b.N, 3)
 	seqStart := time.Now()
 	for i := 0; i < baseN; i++ {
-		execute(b, experiments.Sequential{}, cs, modesMatrix)
+		execute(b, cs, modesMatrix, oneWorker)
 	}
 	seqAvg := time.Since(seqStart).Seconds() / float64(baseN)
 	b.ResetTimer()
 	parStart := time.Now()
 	for i := 0; i < b.N; i++ {
-		execute(b, experiments.Parallel{}, cs, modesMatrix)
+		execute(b, cs, modesMatrix, experiments.ExecOptions{})
 	}
 	parAvg := time.Since(parStart).Seconds() / float64(b.N)
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
@@ -136,13 +140,13 @@ func BenchmarkParallelReplicated(b *testing.B) {
 	baseN := min(b.N, 3)
 	seqStart := time.Now()
 	for i := 0; i < baseN; i++ {
-		execute(b, experiments.Sequential{}, cs, m)
+		execute(b, cs, m, oneWorker)
 	}
 	seqAvg := time.Since(seqStart).Seconds() / float64(baseN)
 	b.ResetTimer()
 	parStart := time.Now()
 	for i := 0; i < b.N; i++ {
-		execute(b, experiments.Parallel{}, cs, m)
+		execute(b, cs, m, experiments.ExecOptions{})
 	}
 	parAvg := time.Since(parStart).Seconds() / float64(b.N)
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
@@ -219,8 +223,8 @@ func BenchmarkAblationPhiSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
 		cs.Workload.N = 60
-		points := execute(b, experiments.Sequential{}, cs,
-			experiments.TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.85, 0.90, 0.95, 1.0}})
+		points := execute(b, cs,
+			experiments.TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.85, 0.90, 0.95, 1.0}}, oneWorker)
 		if i == 0 {
 			for _, p := range points {
 				b.Logf("phi=%.2f -> muF=%.4f", p.Param, p.FidelityMean)
@@ -235,8 +239,8 @@ func BenchmarkAblationLambdaSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
 		cs.Workload.N = 60
-		points := execute(b, experiments.Sequential{}, cs,
-			experiments.TaskMatrix{Kind: "lambda-sweep", Mode: "fair", Values: []float64{0.0, 0.02, 0.05, 0.1}})
+		points := execute(b, cs,
+			experiments.TaskMatrix{Kind: "lambda-sweep", Mode: "fair", Values: []float64{0.0, 0.02, 0.05, 0.1}}, oneWorker)
 		if i == 0 {
 			for _, p := range points {
 				b.Logf("lambda=%.2f -> Tcomm=%.1f Tsim=%.1f", p.Param, p.TcommS, p.TsimS)
@@ -295,7 +299,7 @@ func BenchmarkAblationRLDeployment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
 		cs.Workload.N = 60
-		rows := execute(b, experiments.Sequential{}, cs, experiments.TaskMatrix{Kind: "rl-deploy"})
+		rows := execute(b, cs, experiments.TaskMatrix{Kind: "rl-deploy"}, oneWorker)
 		sampled, det := rows[0], rows[1]
 		if i == 0 {
 			b.Logf("sampled:       muF=%.4f sigma=%.4f Tcomm=%.1f",

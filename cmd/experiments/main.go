@@ -123,7 +123,6 @@ func run() (err error) {
 	if *progress {
 		opt.OnProgress = progressPrinter
 	}
-	exec := experiments.Parallel{Options: opt}
 
 	for _, dir := range []string{*outdir, *out} {
 		if dir != "" {
@@ -140,11 +139,11 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		m, err := experiments.Run(context.Background(), *spec, exec)
+		m, err := experiments.Run(context.Background(), *spec, opt)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "spec %q: %d task(s) via the %s executor\n", m.Label, len(m.Runs), exec.Name())
+		fmt.Fprintf(os.Stderr, "spec %q: %d task(s)\n", m.Label, len(m.Runs))
 		if *out == "" {
 			// No manifest directory: the manifest is the output, so emit
 			// it on stdout for pipelines.
@@ -162,7 +161,7 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		m, err := experiments.Run(context.Background(), spec, exec)
+		m, err := experiments.Run(context.Background(), spec, opt)
 		if err != nil {
 			return err
 		}
@@ -174,7 +173,7 @@ func run() (err error) {
 		}
 		return nil
 	case "fig5", "fig6", "all":
-		return runFigures(*artifact, *scenario, *n, *seed, *fleetSeed, *train, exec, *outdir, *out)
+		return runFigures(*artifact, *scenario, *n, *seed, *fleetSeed, *train, opt, *outdir, *out)
 	default:
 		return fmt.Errorf("unknown artifact %q", *artifact)
 	}
@@ -574,11 +573,12 @@ func hasReplicas(m *records.RunManifest) bool {
 // fig5 (the training history), fig6 (per-job fidelity records) and
 // the combined "all", which also prints Table 2 and the ablations. The
 // case study is built once and trained in fig5; the manifest matrices
-// then execute on that same trained case study through exec, so PPO
-// trains once per invocation. Figure 6 re-runs each
-// mode with RunMode for its per-job fidelities — the same simulations
-// as the manifest's mode rows, which carry only the headline results.
-func runFigures(artifact, scenario string, n int, seed, fleetSeed int64, train int, exec experiments.Executor, outdir, out string) error {
+// then execute on that same trained case study through
+// experiments.ExecuteAll, the loop Run uses, so PPO trains once per
+// invocation. Figure 6 re-runs each mode with RunMode for its per-job
+// fidelities — the same simulations as the manifest's mode rows, which
+// carry only the headline results.
+func runFigures(artifact, scenario string, n int, seed, fleetSeed int64, train int, opt experiments.ExecOptions, outdir, out string) error {
 	base := experiments.Spec{Scenario: scenario, Jobs: n, Seed: &seed, FleetSeed: &fleetSeed, TrainSteps: train}
 	cs, err := base.CaseStudy()
 	if err != nil {
@@ -604,14 +604,9 @@ func runFigures(artifact, scenario string, n int, seed, fleetSeed int64, train i
 		}
 		matrices = append(matrices, ablations.Matrices...)
 	}
-	m := &records.RunManifest{Label: artifact}
-	for _, matrix := range matrices {
-		mf, err := exec.Execute(context.Background(), cs, matrix)
-		if err != nil {
-			return err
-		}
-		m.Workers = mf.Workers
-		m.Runs = append(m.Runs, mf.Runs...)
+	m, err := experiments.ExecuteAll(context.Background(), cs, artifact, matrices, opt)
+	if err != nil {
+		return err
 	}
 
 	if artifact == "all" {

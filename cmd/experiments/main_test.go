@@ -109,8 +109,7 @@ func TestCompileSpecShapes(t *testing.T) {
 func TestRunFiguresAllMatchesCompiledSpecs(t *testing.T) {
 	const n, seed, fleetSeed, train = 20, 1, 2025, 2048
 	dir := t.TempDir()
-	pool := experiments.Parallel{Options: experiments.ExecOptions{Workers: 2}}
-	if err := runFigures("all", "", n, seed, fleetSeed, train, pool, "", dir); err != nil {
+	if err := runFigures("all", "", n, seed, fleetSeed, train, experiments.ExecOptions{Workers: 2}, "", dir); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(filepath.Join(dir, "manifest.json"))
@@ -131,7 +130,7 @@ func TestRunFiguresAllMatchesCompiledSpecs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := experiments.Run(context.Background(), spec, experiments.Sequential{})
+		m, err := experiments.Run(context.Background(), spec, experiments.ExecOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

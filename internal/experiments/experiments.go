@@ -4,15 +4,15 @@
 // fidelity distributions), plus the ablation sweeps for the model
 // constants the paper fixes (φ, λ) and the RL deployment mode.
 //
-// The API is declarative: describe a run as a Spec — a registered
-// scenario ("paper", "hetero-fleet", "stress-arrivals", or your own
-// via RegisterScenario) plus task matrices and overrides — and hand it
-// to Run with an Executor (Sequential, or Parallel across a goroutine
-// pool). Executor.Execute runs one TaskMatrix on a configured CaseStudy
-// and is the only way to run a task matrix; Run is Execute over every
-// matrix of a Spec. Both executors produce identical manifests for
-// fixed seeds. Allocation strategies resolve through the
-// internal/policy registry, so new policies and new scenarios plug in
+// The API is declarative: describe a run as a Spec — a built-in
+// scenario (see ScenarioNames) plus task matrices and overrides — and
+// hand it to Run with ExecOptions. Execute runs one TaskMatrix on a
+// configured CaseStudy and is the only way to run a task matrix;
+// ExecuteAll runs several into one manifest, and Run is ExecuteAll
+// over the matrices of a Spec. Every task runs on the in-process
+// worker pool, and for fixed seeds the manifest is the same whatever
+// the pool size (ExecOptions.Workers). Allocation strategies resolve
+// through the internal/policy registry, so a new policy plugs in
 // without touching this package.
 //
 // Beside the manifest path sit the single-run and figure primitives:
@@ -148,12 +148,6 @@ func (cs *CaseStudy) TrainRL(onIter func(rl.TrainStats)) (*rl.GaussianPolicy, []
 	cs.trained = pol
 	cs.history = hist
 	return pol, hist, nil
-}
-
-// UseTrainedPolicy injects an externally trained policy (e.g. loaded
-// from disk), skipping TrainRL.
-func (cs *CaseStudy) UseTrainedPolicy(pol *rl.GaussianPolicy) {
-	cs.trained = pol
 }
 
 // policyFor resolves a mode name through the policy registry. Any

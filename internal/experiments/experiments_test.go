@@ -24,11 +24,11 @@ func smallCase() *CaseStudy {
 	return cs
 }
 
-// execute runs one task matrix on the Sequential executor — the
-// reference backend — and returns its manifest rows.
+// execute runs one task matrix on one worker — the reference run —
+// and returns its manifest rows.
 func execute(t *testing.T, cs *CaseStudy, m TaskMatrix) []records.RunSummary {
 	t.Helper()
-	mf, err := Sequential{}.Execute(context.Background(), cs, m)
+	mf, err := Execute(context.Background(), cs, m, ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,23 +135,6 @@ func TestTrainRLCachesPolicy(t *testing.T) {
 	}
 	if p1 != p2 || len(h1) != len(h2) {
 		t.Fatal("TrainRL should cache the trained policy")
-	}
-}
-
-func TestUseTrainedPolicySkipsTraining(t *testing.T) {
-	cs := smallCase()
-	donor := smallCase()
-	pol, _, err := donor.TrainRL(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs.UseTrainedPolicy(pol)
-	run, err := cs.RunMode("rlbase")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Results.JobsFinished != 60 {
-		t.Fatalf("finished %d", run.Results.JobsFinished)
 	}
 }
 
@@ -262,10 +245,10 @@ func TestLambdaSweepScalesCommTime(t *testing.T) {
 func TestSweepValidation(t *testing.T) {
 	cs := smallCase()
 	ctx := context.Background()
-	if _, err := (Sequential{}).Execute(ctx, cs, TaskMatrix{Kind: "phi-sweep", Mode: "speed"}); err == nil {
+	if _, err := Execute(ctx, cs, TaskMatrix{Kind: "phi-sweep", Mode: "speed"}, ExecOptions{Workers: 1}); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
-	if _, err := (Sequential{}).Execute(ctx, cs, TaskMatrix{Kind: "phi-sweep", Mode: "bogus", Values: []float64{0.9}}); err == nil {
+	if _, err := Execute(ctx, cs, TaskMatrix{Kind: "phi-sweep", Mode: "bogus", Values: []float64{0.9}}, ExecOptions{Workers: 1}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -328,10 +311,10 @@ func TestRunReplicatedAggregates(t *testing.T) {
 func TestRunReplicatedValidation(t *testing.T) {
 	cs := smallCase()
 	ctx := context.Background()
-	if _, err := (Sequential{}).Execute(ctx, cs, TaskMatrix{Kind: "replicate", Mode: "speed"}); err == nil {
+	if _, err := Execute(ctx, cs, TaskMatrix{Kind: "replicate", Mode: "speed"}, ExecOptions{Workers: 1}); err == nil {
 		t.Fatal("empty seeds accepted")
 	}
-	if _, err := (Sequential{}).Execute(ctx, cs, TaskMatrix{Kind: "replicate", Mode: "bogus", Seeds: []int64{1}}); err == nil {
+	if _, err := Execute(ctx, cs, TaskMatrix{Kind: "replicate", Mode: "bogus", Seeds: []int64{1}}, ExecOptions{Workers: 1}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }

@@ -9,11 +9,11 @@ import (
 )
 
 // TaskMatrix declaratively describes the task set of one orchestrated
-// run — the unit an Executor executes. It is the single enumeration
-// source of truth shared by every executor: each expands the same
-// matrix into the same spec list in the same order, which is what keeps
-// a parallel run's rows in the exact sequential row order. The type is
-// JSON-portable because spec files declare it.
+// run — the unit Execute runs. It is the single enumeration source of
+// truth: every run expands the same matrix into the same spec list in
+// the same order, which is what keeps a pooled run's rows in the exact
+// one-worker row order. The type is JSON-portable because spec files
+// declare it.
 type TaskMatrix struct {
 	// Kind selects the expansion: "modes" (one task per strategy,
 	// Table 2 / Fig. 6), "phi-sweep" / "lambda-sweep" (one task per
@@ -34,7 +34,7 @@ type TaskMatrix struct {
 	// workload seeds: each base task becomes one replica per seed, ID
 	// suffixed "@seed<k>" (records.ReplicaID), run with the workload
 	// seed overridden. Replicas expand task-major (all seeds of task 0,
-	// then task 1, …), so every executor builds the identical fan-out.
+	// then task 1, …), so every run builds the identical fan-out.
 	// Usually lowered from the spec-level Replications/ReplicationSeeds
 	// by Run rather than set directly.
 	// Invalid on "replicate" matrices, which already enumerate seeds.

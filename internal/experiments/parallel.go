@@ -11,20 +11,10 @@ import (
 	"repro/internal/records"
 )
 
-// ExecOptions carries the orchestration knobs both executors
-// (Sequential, Parallel) understand.
-type ExecOptions struct {
-	// Workers caps concurrent simulations; <= 0 uses GOMAXPROCS.
-	Workers int
-	// OnProgress, if set, receives one callback per finished task,
-	// whichever executor ran it.
-	OnProgress func(runner.Progress)
-}
-
 // RunArtifact is one completed simulation task of a task matrix: the
 // exact configuration that produced it and the headline results. It is
-// the worker pool's result type; every executor flattens it to one
-// manifest row (Summary). Per-job records stay with CaseStudy.RunMode,
+// the worker pool's result type; Execute flattens it to one manifest
+// row (Summary). Per-job records stay with CaseStudy.RunMode,
 // so a 100-seed replication never pins 100 record sets in memory.
 type RunArtifact struct {
 	// ID uniquely names the task, e.g. "mode/speed" or "phi-sweep/speed/0.95".

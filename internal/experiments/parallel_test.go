@@ -16,11 +16,11 @@ import (
 // accounting aside).
 func TestParallelRunAllMatchesSequential(t *testing.T) {
 	ctx := context.Background()
-	seq, err := Sequential{}.Execute(ctx, smallCase(), TaskMatrix{Kind: "modes"})
+	seq, err := Execute(ctx, smallCase(), TaskMatrix{Kind: "modes"}, ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Parallel{Options: ExecOptions{Workers: 4}}.Execute(ctx, smallCase(), TaskMatrix{Kind: "modes"})
+	par, err := Execute(ctx, smallCase(), TaskMatrix{Kind: "modes"}, ExecOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +40,11 @@ func TestParallelRunAllMatchesSequential(t *testing.T) {
 func TestParallelSweepMatchesSequential(t *testing.T) {
 	ctx := context.Background()
 	m := TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.9, 0.95, 1.0}}
-	seq, err := Sequential{}.Execute(ctx, smallCase(), m)
+	seq, err := Execute(ctx, smallCase(), m, ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Parallel{Options: ExecOptions{Workers: 3}}.Execute(ctx, smallCase(), m)
+	par, err := Execute(ctx, smallCase(), m, ExecOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +67,13 @@ func TestParallelReplicatedMatchesSequential(t *testing.T) {
 	m := TaskMatrix{Kind: "replicate", Mode: "fair", Seeds: seeds}
 	cs := smallCase()
 	cs.Workload.N = 30
-	seq, err := Sequential{}.Execute(ctx, cs, m)
+	seq, err := Execute(ctx, cs, m, ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cs2 := smallCase()
 	cs2.Workload.N = 30
-	par, err := Parallel{Options: ExecOptions{Workers: 4}}.Execute(ctx, cs2, m)
+	par, err := Execute(ctx, cs2, m, ExecOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestParallelDoesNotMutateCaseStudy(t *testing.T) {
 	cs.Workload.N = 30
 	savedCore := cs.Core
 	savedWorkload := cs.Workload
-	exec := Parallel{Options: ExecOptions{Workers: 2}}
-	if _, err := exec.Execute(context.Background(), cs, TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.9, 0.95}}); err != nil {
+	opt := ExecOptions{Workers: 2}
+	if _, err := Execute(context.Background(), cs, TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.9, 0.95}}, opt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.Execute(context.Background(), cs, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{5, 6}}); err != nil {
+	if _, err := Execute(context.Background(), cs, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{5, 6}}, opt); err != nil {
 		t.Fatal(err)
 	}
 	if cs.Core != savedCore || cs.Workload != savedWorkload {
@@ -122,7 +122,7 @@ func TestParallelErrorPropagates(t *testing.T) {
 	// fails fast inside workload validation.
 	cs.Workload.MinQubits = 10000
 	cs.Workload.MaxQubits = 10001
-	_, err := Parallel{Options: ExecOptions{Workers: 4}}.Execute(context.Background(), cs, TaskMatrix{Kind: "modes"})
+	_, err := Execute(context.Background(), cs, TaskMatrix{Kind: "modes"}, ExecOptions{Workers: 4})
 	if err == nil {
 		t.Fatal("impossible workload accepted")
 	}
@@ -141,7 +141,7 @@ func TestParallelProgressAndArtifacts(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	m, err := Parallel{Options: opt}.Execute(context.Background(), cs, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2, 3}})
+	m, err := Execute(context.Background(), cs, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2, 3}}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,16 +12,17 @@ import (
 
 // TestPinnedManifestDigests pins the SHA-256 of the normalized manifest
 // (wall time and worker accounting zeroed — see normalizedJSON) that
-// the Sequential executor produces for each task matrix kind on the
-// small case. Parallel is proven equal to Sequential elsewhere, so
+// a one-worker run produces for each task matrix kind on the small
+// case. Larger pools are proven equal to one worker elsewhere, so
 // these digests are the independent reference for what the experiment
 // engine computes: a refactor of the engine must leave every one of
 // them unchanged.
 //
 // The per-artifact entry points that predate Run (RunAll, PhiSweep,
-// LambdaSweep, RunReplicated, RLDeploymentAblation and their *Parallel
-// and *Sharded forms) ran this same engine; these pins carry their
-// results forward, so no digest may change when those entry points go.
+// LambdaSweep, RunReplicated, RLDeploymentAblation, their *Parallel
+// and *Sharded forms, and the executor types that ExecOptions replaced)
+// ran this same engine; these pins carry their results forward, so no
+// digest may change when such entry points go.
 func TestPinnedManifestDigests(t *testing.T) {
 	replicated := specForSmallCase(TaskMatrix{Kind: "modes", Modes: []string{"speed", "fair"}})
 	replicated.Replications = 2
@@ -45,7 +46,7 @@ func TestPinnedManifestDigests(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			m, err := Run(context.Background(), c.spec, Sequential{})
+			m, err := Run(context.Background(), c.spec, ExecOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -74,25 +74,21 @@ func TestReplicatedSweepComposesMutations(t *testing.T) {
 
 // TestReplicatedSpecExecutorEquivalence is the tentpole's acceptance
 // gate: one replicated Spec produces bit-identical manifests — and
-// therefore bit-identical aggregated manifests — under the Sequential
-// and Parallel executors, the per-seed rows record the
-// replication seeds, and significance-diffing two such runs is Empty
+// therefore bit-identical aggregated manifests — on one worker and on
+// a four-worker pool, the per-seed rows record the replication seeds, and significance-diffing two such runs is Empty
 // while a run over different seeds is flagged.
 func TestReplicatedSpecExecutorEquivalence(t *testing.T) {
 	spec := specForSmallCase(TaskMatrix{Kind: "modes", Modes: []string{"speed", "fair"}})
 	spec.ReplicationSeeds = []int64{5, 6, 7}
 
 	manifests := make([]*records.RunManifest, 0, 2)
-	for _, exec := range []Executor{
-		Sequential{},
-		Parallel{Options: ExecOptions{Workers: 4}},
-	} {
-		m, err := Run(context.Background(), spec, exec)
+	for _, workers := range []int{1, 4} {
+		m, err := Run(context.Background(), spec, ExecOptions{Workers: workers})
 		if err != nil {
-			t.Fatalf("%s: %v", exec.Name(), err)
+			t.Fatalf("%d workers: %v", workers, err)
 		}
 		if len(m.Runs) != 6 {
-			t.Fatalf("%s: %d rows, want 6", exec.Name(), len(m.Runs))
+			t.Fatalf("%d workers: %d rows, want 6", workers, len(m.Runs))
 		}
 		manifests = append(manifests, m)
 	}
@@ -108,7 +104,7 @@ func TestReplicatedSpecExecutorEquivalence(t *testing.T) {
 	}
 	for i, m := range manifests[1:] {
 		if got := normalizedJSON(t, m); !bytes.Equal(wantRaw, got) {
-			t.Fatalf("executor %d manifest diverges:\n%s\n%s", i+1, got, wantRaw)
+			t.Fatalf("run %d manifest diverges:\n%s\n%s", i+1, got, wantRaw)
 		}
 		agg, err := records.AggregateManifests(m)
 		if err != nil {
@@ -120,7 +116,7 @@ func TestReplicatedSpecExecutorEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(wantAgg.Bytes(), got.Bytes()) {
-			t.Fatalf("executor %d aggregated manifest diverges:\n%s\n%s", i+1, got.Bytes(), wantAgg.Bytes())
+			t.Fatalf("run %d aggregated manifest diverges:\n%s\n%s", i+1, got.Bytes(), wantAgg.Bytes())
 		}
 	}
 
@@ -135,7 +131,7 @@ func TestReplicatedSpecExecutorEquivalence(t *testing.T) {
 		t.Fatalf("aggregated row = %+v", agg0.Rows[0])
 	}
 
-	// Two executors' aggregations are statistically indistinguishable;
+	// The two runs' aggregations are statistically indistinguishable;
 	// a run over different seeds is flagged (drifted seed config at
 	// minimum — it is a different replication by construction).
 	aggB, err := records.AggregateManifests(manifests[1])
@@ -149,11 +145,11 @@ func TestReplicatedSpecExecutorEquivalence(t *testing.T) {
 	if !d.Empty() {
 		var buf bytes.Buffer
 		d.Write(&buf)
-		t.Fatalf("same spec, two executors, significant diff:\n%s", buf.String())
+		t.Fatalf("same spec, two pool sizes, significant diff:\n%s", buf.String())
 	}
 	shifted := spec
 	shifted.ReplicationSeeds = []int64{8, 9, 10}
-	sm, err := Run(context.Background(), shifted, Sequential{})
+	sm, err := Run(context.Background(), shifted, ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

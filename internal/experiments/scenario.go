@@ -3,49 +3,23 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 )
 
-// A ScenarioFunc builds a fresh, fully configured case study for one
-// named scenario. Every call must return an independent value: Run
-// mutates the returned case study with spec overrides and caches the
-// trained rlbase policy on it.
-type ScenarioFunc func() *CaseStudy
-
-// scenarios maps scenario names to constructors. Built-ins register in
-// init; user packages may register more at startup.
-var scenarios = struct {
-	sync.RWMutex
-	byName map[string]ScenarioFunc
-}{byName: make(map[string]ScenarioFunc)}
-
-// RegisterScenario adds a named scenario. Duplicate names fail loudly:
-// two packages redefining the same scenario would silently change what
-// a spec file means.
-func RegisterScenario(name string, fn ScenarioFunc) error {
-	if name == "" {
-		return fmt.Errorf("experiments: RegisterScenario with empty name")
-	}
-	if fn == nil {
-		return fmt.Errorf("experiments: RegisterScenario %q with nil constructor", name)
-	}
-	scenarios.Lock()
-	defer scenarios.Unlock()
-	if _, dup := scenarios.byName[name]; dup {
-		return fmt.Errorf("experiments: scenario %q already registered", name)
-	}
-	scenarios.byName[name] = fn
-	return nil
-}
-
-// MustRegisterScenario is RegisterScenario that panics on error, for
-// package init use.
-func MustRegisterScenario(name string, fn ScenarioFunc) {
-	if err := RegisterScenario(name, fn); err != nil {
-		panic(err)
-	}
+// scenarios maps each built-in scenario name to the constructor of its
+// case study. "paper" is the case study exactly as §7 configures it
+// (Default); the others stretch the same machinery along the axes the
+// paper holds fixed — fleet shape, arrival pressure, hardware drift and
+// the workload source — without touching any experiment code. Every
+// constructor returns an independent value: Run mutates it with spec
+// overrides and caches the trained rlbase policy on it.
+var scenarios = map[string]func() *CaseStudy{
+	"paper":             Default,
+	"hetero-fleet":      HeteroFleet,
+	"stress-arrivals":   StressArrivals,
+	"calibration-drift": CalibrationDrift,
+	"trace-replay":      TraceReplay,
 }
 
 // NewScenario builds a fresh case study for the named scenario. The
@@ -54,50 +28,22 @@ func NewScenario(name string) (*CaseStudy, error) {
 	if name == "" {
 		name = "paper"
 	}
-	scenarios.RLock()
-	fn, ok := scenarios.byName[name]
-	scenarios.RUnlock()
+	fn, ok := scenarios[name]
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown scenario %q (registered: %v)", name, ScenarioNames())
+		return nil, fmt.Errorf("experiments: unknown scenario %q (scenarios: %v)", name, ScenarioNames())
 	}
 	return fn(), nil
 }
 
-// ScenarioRegistered reports whether name resolves to a scenario.
-func ScenarioRegistered(name string) bool {
-	if name == "" {
-		name = "paper"
-	}
-	scenarios.RLock()
-	defer scenarios.RUnlock()
-	_, ok := scenarios.byName[name]
-	return ok
-}
-
-// ScenarioNames lists the registered scenarios, sorted.
+// ScenarioNames lists the built-in scenarios, sorted.
 func ScenarioNames() []string {
-	scenarios.RLock()
-	defer scenarios.RUnlock()
-	out := make([]string, 0, len(scenarios.byName))
+	out := make([]string, 0, len(scenarios))
 	//lint:allow detlint collect-then-sort: the sort.Strings below fixes the order before anyone observes it
-	for name := range scenarios.byName {
+	for name := range scenarios {
 		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// The built-in scenarios. "paper" is the case study exactly as §7
-// configures it (Default); the other two stretch the same machinery
-// along the axes the paper holds fixed — fleet shape and arrival
-// pressure — without touching any experiment code, which is the point
-// of the registry.
-func init() {
-	MustRegisterScenario("paper", Default)
-	MustRegisterScenario("hetero-fleet", HeteroFleet)
-	MustRegisterScenario("stress-arrivals", StressArrivals)
-	MustRegisterScenario("calibration-drift", CalibrationDrift)
-	MustRegisterScenario("trace-replay", TraceReplay)
 }
 
 // HeteroFleet is the paper's workload on a mixed-capacity cloud
@@ -127,8 +73,7 @@ func StressArrivals() *CaseStudy {
 // random-walk step and its error score is recomputed, so error-aware
 // policies chase a moving target — the dynamic hardware variability
 // the paper's model omits (§7.2). Drift lives inside Core, so the
-// scenario reproduces bit-identically on the Sequential and Parallel
-// executors alike.
+// scenario reproduces bit-identically whatever the pool size.
 func CalibrationDrift() *CaseStudy {
 	cs := Default()
 	cs.Core.Drift = core.DriftConfig{IntervalS: 3600, Rel: 0.3, Seed: 17}
@@ -137,8 +82,8 @@ func CalibrationDrift() *CaseStudy {
 
 // TraceReplay replays a recorded workload trace instead of generating
 // the synthetic workload, so a captured production stream (or any
-// workload exported with job.WriteCSV) runs under every strategy and
-// executor with full manifest provenance. The default trace is the
+// workload exported with job.WriteCSV) runs under every strategy with
+// full manifest provenance. The default trace is the
 // committed smoke trace, resolved against the repository root (the
 // experiments CLI's working directory); a spec's trace_path override
 // points it anywhere else.

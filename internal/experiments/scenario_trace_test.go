@@ -40,9 +40,6 @@ func writeTrace(t *testing.T, n int) (string, []*job.QJob) {
 }
 
 func TestTraceReplayScenarioRegistered(t *testing.T) {
-	if !ScenarioRegistered("trace-replay") {
-		t.Fatal("trace-replay scenario not registered")
-	}
 	cs, err := NewScenario("trace-replay")
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +104,8 @@ func TestTraceReplayJobs(t *testing.T) {
 	}
 }
 
-// TestTraceReplayExecutorEquivalence runs a trace spec on the
-// Sequential and Parallel executors and requires identical manifests —
+// TestTraceReplayExecutorEquivalence runs a trace spec on one worker
+// and on a four-worker pool and requires identical manifests —
 // the determinism gate CI runs against the committed smoke trace.
 func TestTraceReplayExecutorEquivalence(t *testing.T) {
 	path, want := writeTrace(t, 12)
@@ -118,11 +115,11 @@ func TestTraceReplayExecutorEquivalence(t *testing.T) {
 		Matrices:  []TaskMatrix{{Kind: "modes", Modes: []string{"speed", "fair"}}},
 	}
 	ctx := context.Background()
-	seq, err := Run(ctx, spec, Sequential{})
+	seq, err := Run(ctx, spec, ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(ctx, spec, Parallel{Options: ExecOptions{Workers: 4}})
+	par, err := Run(ctx, spec, ExecOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

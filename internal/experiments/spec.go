@@ -1,31 +1,28 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
-	"repro/internal/records"
 	"repro/internal/rl"
 )
 
 // Spec is the declarative, JSON-round-trippable description of one
 // experiment run: which scenario to configure, which task matrices to
 // expand, and the handful of knobs worth overriding per run. It is the
-// single entry currency of the experiments API — Run(ctx, spec, exec)
-// executes a Spec on any Executor, the experiments CLI compiles its
-// flags down to one, and a spec file checked into a repo reproduces a
-// run exactly (all random streams derive from the seeds captured
-// here).
+// single entry currency of the experiments API — Run(ctx, spec, opt)
+// executes a Spec, the experiments CLI compiles its flags down to one,
+// and a spec file checked into a repo reproduces a run exactly (all
+// random streams derive from the seeds captured here).
 type Spec struct {
 	// Name labels the run's manifest; empty derives a label from the
 	// scenario and matrices.
 	Name string `json:"name,omitempty"`
-	// Scenario names the registered base configuration; empty means
-	// "paper" (see RegisterScenario).
+	// Scenario names the built-in base configuration; empty means
+	// "paper" (see ScenarioNames).
 	Scenario string `json:"scenario,omitempty"`
 	// Matrices enumerate the tasks to run, in order. Task IDs must be
 	// unique across all matrices, so the combined manifest stays
@@ -105,14 +102,13 @@ func (s *Spec) WriteJSON(w io.Writer) error {
 }
 
 // Validate checks the spec without running anything: the scenario must
-// be registered, every matrix must expand, every override must be
+// be a built-in, every matrix must expand, every override must be
 // sane, the total task count must stay within MaxTasks, and task IDs
-// must be unique across the whole spec. A valid
-// spec is executable by construction — executors re-derive the same
-// expansions.
+// must be unique across the whole spec. A valid spec is executable by
+// construction — Run re-derives the same expansions.
 func (s *Spec) Validate() error {
-	if !ScenarioRegistered(s.Scenario) {
-		return fmt.Errorf("experiments: unknown scenario %q (registered: %v)", s.Scenario, ScenarioNames())
+	if _, err := NewScenario(s.Scenario); err != nil {
+		return err
 	}
 	if len(s.Matrices) == 0 {
 		return fmt.Errorf("experiments: spec has no task matrices")
@@ -195,8 +191,8 @@ func (s *Spec) replicationSeeds() []int64 {
 // runMatrices returns the matrices Run actually executes: the declared
 // matrices with spec-level replication lowered onto each one that does
 // not already enumerate workload seeds itself. Lowering onto the
-// TaskMatrix (rather than looping in Run) is what makes replication
-// executor-agnostic: every executor expands the same seeded matrices.
+// TaskMatrix (rather than looping in Run) keeps replication
+// independent of the pool: every run expands the same seeded matrices.
 func (s *Spec) runMatrices() []TaskMatrix {
 	seeds := s.replicationSeeds()
 	if seeds == nil {
@@ -256,40 +252,4 @@ func (s *Spec) CaseStudy() (*CaseStudy, error) {
 		cs.PPO = *s.PPO
 	}
 	return cs, nil
-}
-
-// Run executes a declarative spec on the given executor and returns
-// the combined manifest, rows in spec order. A nil executor runs
-// sequentially. This is the experiments API: it materializes the
-// spec's case study and calls exec.Execute once per matrix. Callers
-// that already hold a configured (or trained) CaseStudy call
-// Execute directly.
-//
-// For fixed seeds the manifest is identical (wall times and worker
-// accounting aside) across the Sequential and Parallel executors:
-// both expand the same matrices into the same task list and every
-// task derives its random streams from seeds the spec pins.
-func Run(ctx context.Context, spec Spec, exec Executor) (*records.RunManifest, error) {
-	if exec == nil {
-		exec = Sequential{}
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	cs, err := spec.CaseStudy()
-	if err != nil {
-		return nil, err
-	}
-	out := &records.RunManifest{Label: spec.Label()}
-	for _, m := range spec.runMatrices() {
-		mf, err := exec.Execute(ctx, cs, m)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s on %s executor: %w", m.Label(), exec.Name(), err)
-		}
-		// Executors agree on the workers accounting across matrices of
-		// one run; keep the last value rather than summing repeats.
-		out.Workers = mf.Workers
-		out.Runs = append(out.Runs, mf.Runs...)
-	}
-	return out, nil
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -199,41 +200,21 @@ func TestSpecCaseStudyOverrides(t *testing.T) {
 	}
 }
 
-// TestScenarioRegistry: built-ins resolve, unknown names fail with the
-// list, duplicates are rejected, and runtime registration works.
+// TestScenarioRegistry: every built-in resolves, and an unknown name
+// fails with the list.
 func TestScenarioRegistry(t *testing.T) {
-	for _, name := range []string{"paper", "hetero-fleet", "stress-arrivals"} {
-		if !ScenarioRegistered(name) {
-			t.Fatalf("%s not registered (have %v)", name, ScenarioNames())
-		}
+	want := []string{"calibration-drift", "hetero-fleet", "paper", "stress-arrivals", "trace-replay"}
+	if got := ScenarioNames(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ScenarioNames() = %v, want %v", got, want)
+	}
+	for _, name := range want {
 		cs, err := NewScenario(name)
 		if err != nil || cs == nil {
 			t.Fatalf("NewScenario(%s): %v", name, err)
 		}
 	}
 	if _, err := NewScenario("warp"); err == nil || !strings.Contains(err.Error(), "paper") {
-		t.Fatalf("err = %v, want the registered scenarios listed", err)
-	}
-	if err := RegisterScenario("paper", Default); err == nil || !strings.Contains(err.Error(), "already registered") {
-		t.Fatalf("duplicate registration: err = %v", err)
-	}
-	if err := RegisterScenario("", Default); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if err := RegisterScenario("nil-ctor", nil); err == nil {
-		t.Fatal("nil constructor accepted")
-	}
-	name := "spec-test-registered"
-	if err := RegisterScenario(name, func() *CaseStudy {
-		cs := Default()
-		cs.Workload.N = 7
-		return cs
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cs, err := NewScenario(name)
-	if err != nil || cs.Workload.N != 7 {
-		t.Fatalf("user scenario: %v, %+v", err, cs)
+		t.Fatalf("err = %v, want the built-in scenarios listed", err)
 	}
 }
 
@@ -259,14 +240,14 @@ func TestBuiltinScenarioVariants(t *testing.T) {
 
 // TestHeteroFleetScenarioRuns drives a scaled-down hetero-fleet
 // simulation end to end through Run: the mixed-capacity preset must
-// survive the scenario → spec → executor path, not just construct.
+// survive the scenario → spec → Run path, not just construct.
 func TestHeteroFleetScenarioRuns(t *testing.T) {
 	spec := Spec{
 		Scenario: "hetero-fleet",
 		Jobs:     20,
 		Matrices: []TaskMatrix{{Kind: "modes", Modes: []string{"speed", "fair"}}},
 	}
-	m, err := Run(context.Background(), spec, Parallel{Options: ExecOptions{Workers: 2}})
+	m, err := Run(context.Background(), spec, ExecOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,20 +297,16 @@ func rowsDigest(t *testing.T, rows []records.RunSummary) string {
 // TestRunSpecMatchesLegacyPaths is the redesign's acceptance gate: for
 // fixed seeds, Run with the "paper" scenario produces the pinned
 // Table 2 manifest — the result the legacy per-artifact entry points
-// produced — on the Sequential and Parallel executors.
+// produced — on one worker and on a four-worker pool.
 func TestRunSpecMatchesLegacyPaths(t *testing.T) {
 	spec := specForSmallCase(TaskMatrix{Kind: "modes"})
-	execs := []Executor{
-		Sequential{},
-		Parallel{Options: ExecOptions{Workers: 4}},
-	}
-	for _, exec := range execs {
-		m, err := Run(context.Background(), spec, exec)
+	for _, workers := range []int{1, 4} {
+		m, err := Run(context.Background(), spec, ExecOptions{Workers: workers})
 		if err != nil {
-			t.Fatalf("%s: %v", exec.Name(), err)
+			t.Fatalf("%d workers: %v", workers, err)
 		}
 		if got := rowsDigest(t, m.Runs); got != pinnedModes {
-			t.Fatalf("%s executor manifest digest %s, want the pinned %s", exec.Name(), got, pinnedModes)
+			t.Fatalf("%d workers: manifest digest %s, want the pinned %s", workers, got, pinnedModes)
 		}
 	}
 }
@@ -344,7 +321,7 @@ func TestRunMultiMatrixSpec(t *testing.T) {
 		TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: seeds},
 		TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: phis},
 	)
-	m, err := Run(context.Background(), spec, Parallel{Options: ExecOptions{Workers: 2}})
+	m, err := Run(context.Background(), spec, ExecOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,24 +339,25 @@ func TestRunMultiMatrixSpec(t *testing.T) {
 	}
 }
 
-// TestRunNilExecutorIsSequential: Run's nil executor default.
-func TestRunNilExecutorIsSequential(t *testing.T) {
+// TestRunZeroOptionsUsesDefaultPool: the zero ExecOptions runs on the
+// default pool and records its resolved size, GOMAXPROCS.
+func TestRunZeroOptionsUsesDefaultPool(t *testing.T) {
 	spec := specForSmallCase(TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2}})
-	m, err := Run(context.Background(), spec, nil)
+	m, err := Run(context.Background(), spec, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Runs) != 2 || m.Workers != 1 {
-		t.Fatalf("manifest = %d rows, workers %d", len(m.Runs), m.Workers)
+	if len(m.Runs) != 2 || m.Workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("manifest = %d rows, workers %d, want 2 rows on %d workers", len(m.Runs), m.Workers, runtime.GOMAXPROCS(0))
 	}
 }
 
 // TestRunInvalidSpec: Run validates before executing anything.
 func TestRunInvalidSpec(t *testing.T) {
-	if _, err := Run(context.Background(), Spec{Scenario: "warp", Matrices: []TaskMatrix{{Kind: "modes"}}}, nil); err == nil {
+	if _, err := Run(context.Background(), Spec{Scenario: "warp", Matrices: []TaskMatrix{{Kind: "modes"}}}, ExecOptions{}); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
-	if _, err := Run(context.Background(), Spec{}, nil); err == nil {
+	if _, err := Run(context.Background(), Spec{}, ExecOptions{}); err == nil {
 		t.Fatal("empty spec accepted")
 	}
 }

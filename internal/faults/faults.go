@@ -106,7 +106,9 @@ type Rule struct {
 	Targets []string `json:"targets,omitempty"`
 }
 
-// validate checks the rule against the layer/op/kind matrix.
+// validate checks the rule against the layer/op/kind matrix, and
+// refuses a parameter the rule's kind never reads: a delay_ms on a cut
+// would otherwise load and inject no delay.
 func (r *Rule) validate(i int) error {
 	ops, ok := validKinds[r.Layer]
 	if !ok {
@@ -141,6 +143,12 @@ func (r *Rule) validate(i int) error {
 	if r.Bytes < 0 {
 		return fmt.Errorf("faults: rule %d: negative byte count", i)
 	}
+	if r.DelayMS != 0 && r.Kind != KindDelay && r.Kind != KindStall {
+		return fmt.Errorf("faults: rule %d (%s/%s/%s): delay_ms applies only to delay and stall rules", i, r.Layer, r.Op, r.Kind)
+	}
+	if r.Bytes != 0 && r.Kind != KindCut && r.Kind != KindSever {
+		return fmt.Errorf("faults: rule %d (%s/%s/%s): bytes applies only to cut and sever rules", i, r.Layer, r.Op, r.Kind)
+	}
 	return nil
 }
 
@@ -170,7 +178,8 @@ func ParsePlan(r io.Reader) (*Plan, error) {
 	return &p, nil
 }
 
-// LoadPlan reads a plan file.
+// LoadPlan reads a plan file. A parse error is prefixed with the path
+// only: ParsePlan's errors already carry the package prefix.
 func LoadPlan(path string) (*Plan, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -179,7 +188,7 @@ func LoadPlan(path string) (*Plan, error) {
 	defer f.Close() //lint:allow errlint close of a read-only plan file cannot lose data
 	p, err := ParsePlan(f)
 	if err != nil {
-		return nil, fmt.Errorf("faults: plan %s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return p, nil
 }

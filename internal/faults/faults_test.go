@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,6 +19,22 @@ func mustInjector(t *testing.T, p *Plan) *Injector {
 		t.Fatalf("NewInjector: %v", err)
 	}
 	return in
+}
+
+// TestLoadPlanNamesPathOnce: a bad plan file's error names the path
+// and carries the package prefix once.
+func TestLoadPlanNamesPathOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.json")
+	if err := os.WriteFile(path, []byte(`{"seed":1,"rules":[{"layer":"transport","op":"frame","kind":"reset"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadPlan(path)
+	if err == nil {
+		t.Fatal("plan with an unknown layer loaded")
+	}
+	if msg := err.Error(); strings.Count(msg, "faults:") != 1 || !strings.Contains(msg, path) || !strings.Contains(msg, `unknown layer "transport"`) {
+		t.Fatalf("err = %q, want the path, one faults: prefix and the cause", msg)
+	}
 }
 
 func TestParsePlanRejectsBadRules(t *testing.T) {
@@ -32,6 +50,8 @@ func TestParsePlanRejectsBadRules(t *testing.T) {
 		{"delay overflow", `{"seed":1,"rules":[{"layer":"http","op":"request","kind":"delay","delay_ms":1e300}]}`, "rule 0 (http/request/delay): delay_ms 1e+300 outside"},
 		{"probability", `{"seed":1,"rules":[{"layer":"http","op":"request","kind":"error","p":1.5}]}`, "probability"},
 		{"unknown field", `{"seed":1,"rules":[{"layer":"http","op":"request","kind":"error","when":"later"}]}`, "unknown field"},
+		{"delay on cut", `{"seed":1,"rules":[{"layer":"ingest","op":"read","kind":"cut","delay_ms":60000}]}`, "rule 0 (ingest/read/cut): delay_ms applies only to delay and stall"},
+		{"bytes on error", `{"seed":1,"rules":[{"layer":"http","op":"request","kind":"error","bytes":10}]}`, "rule 0 (http/request/error): bytes applies only to cut and sever"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
