@@ -61,6 +61,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/experiments/runner"
@@ -71,9 +72,17 @@ import (
 
 func main() {
 	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine renders a failure for stderr with the command's prefix
+// exactly once: errors from the experiments package carry the same
+// prefix, possibly behind a path or a matrix label, so every copy is
+// dropped before one leads the line.
+func errorLine(err error) string {
+	return "experiments: " + strings.ReplaceAll(err.Error(), "experiments: ", "")
 }
 
 func run() (err error) {
@@ -302,15 +311,11 @@ func renderArtifact(artifact string, m *records.RunManifest, outdir string) erro
 	switch artifact {
 	case "table2":
 		fmt.Printf("== Table 2 (in-process): performance of allocation strategies on %d large circuits ==\n", m.Runs[0].Jobs)
-		rows := make([]t2row, 0, len(m.Runs))
+		var rows []records.RunSummary
 		for _, r := range m.Runs {
-			if r.Kind != "mode" {
-				continue
+			if r.Kind == "mode" {
+				rows = append(rows, r)
 			}
-			rows = append(rows, t2row{
-				mode: r.Mode, tsim: r.TsimS, muF: r.FidelityMean, sigmaF: r.FidelityStd,
-				tcomm: r.TcommS, kMean: r.MeanDevicesPerJob, wait: r.MeanWaitS,
-			})
 		}
 		printTable2(rows)
 		return writeTable2CSV(outdir, rows)
@@ -392,7 +397,7 @@ func diffManifests(pathA, pathB string, sig bool, absTol, relTol float64) error 
 	if err != nil {
 		return err
 	}
-	d := records.DiffManifestsOpt(a, b, records.DiffOptions{AbsTol: absTol, RelTol: relTol})
+	d := records.DiffManifests(a, b, records.DiffOptions{AbsTol: absTol, RelTol: relTol})
 	if err := d.Write(os.Stdout); err != nil {
 		return err
 	}
@@ -414,10 +419,7 @@ func diffSignificance(pathA, pathB string) error {
 	if err != nil {
 		return err
 	}
-	d, err := records.DiffAggregated(a, b, records.SigOptions{})
-	if err != nil {
-		return err
-	}
+	d := records.DiffAggregated(a, b)
 	if err := d.Write(os.Stdout); err != nil {
 		return err
 	}
@@ -477,20 +479,15 @@ func loadAggregatedAny(path string) (*records.AggregatedManifest, error) {
 	return agg, nil
 }
 
-// t2row is one Table 2 line.
-type t2row struct {
-	mode                                  string
-	tsim, muF, sigmaF, tcomm, kMean, wait float64
-}
-
-func printTable2(rows []t2row) {
+// printTable2 prints one Table 2 line per row.
+func printTable2(rows []records.RunSummary) {
 	fmt.Printf("%-10s %14s %22s %14s\n", "Mode", "T_sim (s)", "muF +- sigmaF", "T_comm (s)")
 	for _, r := range rows {
-		fmt.Printf("%-10s %14.2f %14.5f +- %.5f %14.2f\n", r.mode, r.tsim, r.muF, r.sigmaF, r.tcomm)
+		fmt.Printf("%-10s %14.2f %14.5f +- %.5f %14.2f\n", r.Mode, r.TsimS, r.FidelityMean, r.FidelityStd, r.TcommS)
 	}
 }
 
-func writeTable2CSV(outdir string, rows []t2row) error {
+func writeTable2CSV(outdir string, rows []records.RunSummary) error {
 	if outdir == "" {
 		return nil
 	}
@@ -499,7 +496,7 @@ func writeTable2CSV(outdir string, rows []t2row) error {
 		fmt.Fprintln(bw, "mode,tsim_s,fidelity_mean,fidelity_std,tcomm_s,mean_devices_per_job,mean_wait_s")
 		for _, r := range rows {
 			fmt.Fprintf(bw, "%s,%g,%g,%g,%g,%g,%g\n",
-				r.mode, r.tsim, r.muF, r.sigmaF, r.tcomm, r.kMean, r.wait)
+				r.Mode, r.TsimS, r.FidelityMean, r.FidelityStd, r.TcommS, r.MeanDevicesPerJob, r.MeanWaitS)
 		}
 		return bw.Flush()
 	})

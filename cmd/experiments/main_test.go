@@ -293,3 +293,38 @@ func TestRemovedFlagsUndefined(t *testing.T) {
 		}
 	}
 }
+
+// TestErrorPrefixOnce: a failure names the command exactly once on
+// stderr, whether the experiments package's error reaches main bare
+// (-scenario) or behind the spec path (-spec), and the spec error keeps
+// its path.
+func TestErrorPrefixOnce(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"scenario":"warp","matrices":[{"kind":"modes"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-spec", bad}, "experiments: " + bad + `: unknown scenario "warp"`},
+		{[]string{"-artifact", "table2", "-scenario", "warp"}, `experiments: unknown scenario "warp"`},
+	} {
+		cmd := exec.Command(exe, tc.args...)
+		cmd.Env = append(os.Environ(), "EXPERIMENTS_TEST_MAIN=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		var exit *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%v: err = %v, want exit status 1\n%s", tc.args, err, stderr.String())
+		}
+		got := stderr.String()
+		if !strings.HasPrefix(got, tc.want) || strings.Count(got, "experiments:") != 1 {
+			t.Fatalf("%v: stderr = %q, want one line starting %q with the prefix once", tc.args, got, tc.want)
+		}
+	}
+}

@@ -269,6 +269,24 @@ func TestServeLogicalMatchesBatch(t *testing.T) {
 	}
 }
 
+// A two_qubit_gates count above 2^53 is a decode error on its stream
+// line, refused before the broker sees the job: its fidelity split
+// would overflow an int and crash the broker.
+func TestServeRefusesHugeTwoQubitGates(t *testing.T) {
+	line := `{"job_id":"a","num_qubits":5,"depth":10,"num_shots":100,"two_qubit_gates":9223372036854775807}` + "\n"
+	var out, errOut bytes.Buffer
+	err := runServe(context.Background(), serveOptions{
+		cloud:  cloud{policy: "fair", fleetSeed: 2025, cfg: core.DefaultConfig()},
+		window: 64,
+	}, strings.NewReader(line), &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), "stream line 1:") || !strings.Contains(err.Error(), "two-qubit gates") {
+		t.Fatalf("runServe = %v, want a decode error naming stream line 1", err)
+	}
+	if out.Len() != 0 || strings.Contains(errOut.String(), "crash") {
+		t.Fatalf("refused job reached the broker:\nstdout: %s\nstderr: %s", out.String(), errOut.String())
+	}
+}
+
 // A serve session interrupted at a checkpoint must continue in a new
 // process and finish the remaining stream.
 func TestServeCheckpointResume(t *testing.T) {

@@ -26,7 +26,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/job"
 	"repro/internal/policy"
-	"repro/internal/records"
 	"repro/internal/rl"
 	"repro/internal/rlsched"
 	"repro/internal/sim"
@@ -175,7 +174,6 @@ type ModeRun struct {
 	Mode       string
 	Results    core.Results
 	Fidelities []float64
-	Records    *records.Manager
 }
 
 // RunMode simulates the full workload under the named strategy.
@@ -201,7 +199,6 @@ func (cs *CaseStudy) RunMode(mode string) (*ModeRun, error) {
 		Mode:       mode,
 		Results:    res,
 		Fidelities: simEnv.Records.Fidelities(),
-		Records:    simEnv.Records,
 	}, nil
 }
 

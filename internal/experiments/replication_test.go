@@ -138,10 +138,7 @@ func TestReplicatedSpecExecutorEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := records.DiffAggregated(agg0, aggB, records.SigOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := records.DiffAggregated(agg0, aggB)
 	if !d.Empty() {
 		var buf bytes.Buffer
 		d.Write(&buf)
@@ -157,10 +154,7 @@ func TestReplicatedSpecExecutorEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err = records.DiffAggregated(agg0, aggS, records.SigOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = records.DiffAggregated(agg0, aggS)
 	if d.Empty() {
 		t.Fatal("different replication seeds diffed Empty")
 	}

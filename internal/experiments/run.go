@@ -60,8 +60,8 @@ func ExecuteAll(ctx context.Context, cs *CaseStudy, label string, matrices []Tas
 // Execute runs every task of one matrix and returns the manifest rows
 // in task order: expand the matrix, train the rlbase policy up front
 // when any task needs it (so worker snapshots share identical cloned
-// weights), run the tasks through the pool, and flatten the artifacts
-// to manifest rows.
+// weights), and run the tasks through the pool, each of which returns
+// its manifest row.
 func Execute(ctx context.Context, cs *CaseStudy, m TaskMatrix, opt ExecOptions) (*records.RunManifest, error) {
 	specs, err := m.specs()
 	if err != nil {
@@ -70,12 +70,12 @@ func Execute(ctx context.Context, cs *CaseStudy, m TaskMatrix, opt ExecOptions) 
 	if err := cs.ensureTrained(m.modes()...); err != nil {
 		return nil, fmt.Errorf("experiments: training rlbase: %w", err)
 	}
-	tasks := make([]runner.Task[RunArtifact], len(specs))
+	tasks := make([]runner.Task[records.RunSummary], len(specs))
 	for i, spec := range specs {
 		tasks[i] = cs.task(spec)
 	}
-	pool := runner.Pool[RunArtifact]{Workers: opt.Workers, OnProgress: opt.OnProgress}
-	arts, err := pool.Run(ctx, tasks)
+	pool := runner.Pool[records.RunSummary]{Workers: opt.Workers, OnProgress: opt.OnProgress}
+	rows, err := pool.Run(ctx, tasks)
 	if err != nil {
 		return nil, err
 	}
@@ -85,9 +85,5 @@ func Execute(ctx context.Context, cs *CaseStudy, m TaskMatrix, opt ExecOptions) 
 		// manifest states the run's actual concurrency budget.
 		workers = runtime.GOMAXPROCS(0)
 	}
-	out := &records.RunManifest{Label: m.Label(), Workers: workers, Runs: make([]records.RunSummary, 0, len(arts))}
-	for i := range arts {
-		out.Runs = append(out.Runs, arts[i].Summary())
-	}
-	return out, nil
+	return &records.RunManifest{Label: m.Label(), Workers: workers, Runs: rows}, nil
 }

@@ -123,7 +123,7 @@ func TestTraceReplayExecutorEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := records.DiffManifests(seq, par); !diff.Empty() {
+	if diff := records.DiffManifests(seq, par, records.DiffOptions{}); !diff.Empty() {
 		var sb strings.Builder
 		if err := diff.Write(&sb); err != nil {
 			t.Fatal(err)

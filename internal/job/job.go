@@ -58,6 +58,12 @@ type Ingest struct {
 	ConnID int64 `json:"conn_id,omitempty"`
 }
 
+// maxTwoQubitGates is the largest two-qubit gate count a job may
+// declare: 2^53, the largest count a float64 holds exactly. The
+// fidelity model splits the count across partitions in float64 and
+// rounds each share back to an int, which a larger count overflows.
+const maxTwoQubitGates = 1 << 53
+
 // Validate checks the job's fields for physical plausibility.
 func (j *QJob) Validate() error {
 	switch {
@@ -71,6 +77,8 @@ func (j *QJob) Validate() error {
 		return fmt.Errorf("job %s: %d shots", j.ID, j.Shots)
 	case j.TwoQubitGates < 0:
 		return fmt.Errorf("job %s: %d two-qubit gates", j.ID, j.TwoQubitGates)
+	case j.TwoQubitGates > maxTwoQubitGates:
+		return fmt.Errorf("job %s: %d two-qubit gates (at most 2^53)", j.ID, j.TwoQubitGates)
 	case j.ArrivalTime < 0:
 		return fmt.Errorf("job %s: arrival %g", j.ID, j.ArrivalTime)
 	}

@@ -3,6 +3,7 @@ package job
 import (
 	"bytes"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -14,12 +15,17 @@ func TestQJobValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good job rejected: %v", err)
 	}
+	if err := (&QJob{ID: "max", NumQubits: 150, Depth: 10, Shots: 1000, TwoQubitGates: maxTwoQubitGates}).Validate(); err != nil {
+		t.Fatalf("job at the two-qubit gate bound rejected: %v", err)
+	}
 	cases := []func(*QJob){
 		func(j *QJob) { j.ID = "" },
 		func(j *QJob) { j.NumQubits = 0 },
 		func(j *QJob) { j.Depth = 0 },
 		func(j *QJob) { j.Shots = 0 },
 		func(j *QJob) { j.TwoQubitGates = -1 },
+		func(j *QJob) { j.TwoQubitGates = maxTwoQubitGates + 1 },
+		func(j *QJob) { j.TwoQubitGates = math.MaxInt64 },
 		func(j *QJob) { j.ArrivalTime = -1 },
 	}
 	for i, mutate := range cases {

@@ -2,7 +2,6 @@ package records
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -201,69 +200,34 @@ func ReadAggregatedJSON(r io.Reader) (*AggregatedManifest, error) {
 	return &m, nil
 }
 
-// WriteCSV emits one row per base task with per-metric
-// mean/std/stderr/ci95 column groups, mirroring the JSON field order.
+// WriteCSV emits one row per base task: id, aggConfigCols, then the
+// mean/std/stderr/ci95 columns of each metric in metricCols.
 func (m *AggregatedManifest) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"id", "kind", "mode", "param", "n", "seeds", "fleet_seed", "fleet_preset",
-		"phi", "lambda", "jobs", "mean_interarrival_s",
-		"train_steps", "rl_seed", "rl_deterministic",
+	header := []string{"id"}
+	for _, c := range aggConfigCols {
+		header = append(header, c.name)
 	}
 	for _, c := range metricCols {
 		header = append(header, c.name+"_mean", c.name+"_std", c.name+"_stderr", c.name+"_ci95")
 	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, r := range m.Rows {
-		seeds := make([]string, len(r.Seeds))
-		for i, s := range r.Seeds {
-			seeds[i] = strconv.FormatInt(s, 10)
-		}
-		row := []string{
-			r.ID, r.Kind, r.Mode, formatFloat(r.Param),
-			strconv.Itoa(r.N), strings.Join(seeds, "+"),
-			strconv.FormatInt(r.FleetSeed, 10), r.FleetPreset,
-			formatFloat(r.Phi), formatFloat(r.Lambda), strconv.Itoa(r.Jobs), formatFloat(r.MeanInterarrivalS),
-			fmtIntPtr(r.TrainSteps), fmtInt64Ptr(r.RLSeed), fmtBoolPtr(r.RLDeterministic),
+	return writeTable(w, header, len(m.Rows), func(row []string, i int) []string {
+		r := &m.Rows[i]
+		row = append(row, r.ID)
+		for _, c := range aggConfigCols {
+			row = append(row, c.get(r))
 		}
 		for _, c := range metricCols {
 			a := r.Metrics[c.name]
 			row = append(row, formatFloat(a.Mean), formatFloat(a.Std), formatFloat(a.StdErr), formatFloat(a.CI95))
 		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+		return row
+	})
 }
 
-// SigOptions tunes significance diffing of aggregated manifests.
-type SigOptions struct {
-	// Alpha is the two-tailed significance level; 0 means 0.05, the
-	// only level the embedded t table supports.
-	Alpha float64
-	// IgnoreSampling drops the replica count and seed list from the
-	// configuration comparison, so two runs of the same experiment
-	// replicated over different (or differently many) workload seeds
-	// compare purely statistically — the unequal-N design Welch's t
-	// exists for. The default treats a changed sampling design as
-	// configuration drift: for a regression gate, "the same replicated
-	// experiment" includes its seeds.
-	IgnoreSampling bool
-}
-
-// alpha resolves the default and rejects unsupported levels.
-func (o SigOptions) alpha() (float64, error) {
-	switch o.Alpha {
-	case 0, 0.05:
-		return 0.05, nil
-	default:
-		return 0, fmt.Errorf("records: significance level %g not supported (only alpha=0.05; the critical-value table is 97.5th-percentile)", o.Alpha)
-	}
-}
+// sigAlpha is the two-tailed significance level of DiffAggregated, the
+// only one the embedded critical-value table (97.5th percentile of
+// Student's t) supports.
+const sigAlpha = 0.05
 
 // SigDelta is one metric whose means differ significantly between two
 // aggregated runs of the same base task.
@@ -292,7 +256,7 @@ type AggRowDiff struct {
 }
 
 // AggregatedDiff reports how two aggregated manifests differ, base
-// task by base task, at the configured significance level. Unlike the
+// task by base task, at two-tailed alpha=0.05. Unlike the
 // exact ManifestDiff, metric deltas appear only when the statistics
 // say the means moved: Welch's t on the stored N/mean/StdErr when both
 // sides carry a dispersion estimate (N >= 2), CI95-overlap otherwise —
@@ -300,8 +264,6 @@ type AggRowDiff struct {
 // the determinism gate on unreplicated tasks.
 type AggregatedDiff struct {
 	LabelA, LabelB string
-	// Alpha is the significance level the deltas were tested at.
-	Alpha float64
 	// Rows lists base tasks with configuration drift or significant
 	// metric deltas, in manifest-A order.
 	Rows []AggRowDiff
@@ -318,50 +280,43 @@ func (d *AggregatedDiff) Empty() bool {
 	return len(d.Rows) == 0 && len(d.OnlyInA) == 0 && len(d.OnlyInB) == 0
 }
 
-// aggConfigCols are the aggregated-row configuration fields whose
-// disagreement means the rows are not two runs of the same replicated
-// experiment. By default the sampling design — replica count and seed
-// list — is configuration too (the `sampling: true` columns):
-// aggregates over different seed sets are a changed experiment to a
-// regression gate. SigOptions.IgnoreSampling skips those two columns
-// for deliberate cross-design comparisons.
+// aggConfigCols are an aggregated row's configuration columns in file
+// order: the CSV writer's columns after id, and the fields whose
+// disagreement means two rows are not runs of the same replicated
+// experiment. The sampling design — replica count and seed list — is
+// configuration too: aggregates over different seed sets are a changed
+// experiment to a regression gate.
 var aggConfigCols = []struct {
-	name     string
-	sampling bool
-	get      func(*AggregatedRow) string
+	name string
+	get  func(*AggregatedRow) string
 }{
-	{"kind", false, func(r *AggregatedRow) string { return r.Kind }},
-	{"mode", false, func(r *AggregatedRow) string { return r.Mode }},
-	{"param", false, func(r *AggregatedRow) string { return formatFloat(r.Param) }},
-	{"n", true, func(r *AggregatedRow) string { return strconv.Itoa(r.N) }},
-	{"seeds", true, func(r *AggregatedRow) string {
+	{"kind", func(r *AggregatedRow) string { return r.Kind }},
+	{"mode", func(r *AggregatedRow) string { return r.Mode }},
+	{"param", func(r *AggregatedRow) string { return formatFloat(r.Param) }},
+	{"n", func(r *AggregatedRow) string { return strconv.Itoa(r.N) }},
+	{"seeds", func(r *AggregatedRow) string {
 		parts := make([]string, len(r.Seeds))
 		for i, s := range r.Seeds {
 			parts[i] = strconv.FormatInt(s, 10)
 		}
 		return strings.Join(parts, "+")
 	}},
-	{"fleet_seed", false, func(r *AggregatedRow) string { return strconv.FormatInt(r.FleetSeed, 10) }},
-	{"fleet_preset", false, func(r *AggregatedRow) string { return r.FleetPreset }},
-	{"phi", false, func(r *AggregatedRow) string { return formatFloat(r.Phi) }},
-	{"lambda", false, func(r *AggregatedRow) string { return formatFloat(r.Lambda) }},
-	{"jobs", false, func(r *AggregatedRow) string { return strconv.Itoa(r.Jobs) }},
-	{"mean_interarrival_s", false, func(r *AggregatedRow) string { return formatFloat(r.MeanInterarrivalS) }},
-	{"train_steps", false, func(r *AggregatedRow) string { return fmtIntPtr(r.TrainSteps) }},
-	{"rl_seed", false, func(r *AggregatedRow) string { return fmtInt64Ptr(r.RLSeed) }},
-	{"rl_deterministic", false, func(r *AggregatedRow) string { return fmtBoolPtr(r.RLDeterministic) }},
+	{"fleet_seed", func(r *AggregatedRow) string { return strconv.FormatInt(r.FleetSeed, 10) }},
+	{"fleet_preset", func(r *AggregatedRow) string { return r.FleetPreset }},
+	{"phi", func(r *AggregatedRow) string { return formatFloat(r.Phi) }},
+	{"lambda", func(r *AggregatedRow) string { return formatFloat(r.Lambda) }},
+	{"jobs", func(r *AggregatedRow) string { return strconv.Itoa(r.Jobs) }},
+	{"mean_interarrival_s", func(r *AggregatedRow) string { return formatFloat(r.MeanInterarrivalS) }},
+	{"train_steps", func(r *AggregatedRow) string { return fmtIntPtr(r.TrainSteps) }},
+	{"rl_seed", func(r *AggregatedRow) string { return fmtInt64Ptr(r.RLSeed) }},
+	{"rl_deterministic", func(r *AggregatedRow) string { return fmtBoolPtr(r.RLDeterministic) }},
 }
 
 // DiffAggregated compares two aggregated manifests base task by base
-// task and reports only statistically significant metric movement (see
-// AggregatedDiff). An error is returned for unsupported SigOptions,
-// never for data differences — those are the diff's output.
-func DiffAggregated(a, b *AggregatedManifest, opt SigOptions) (*AggregatedDiff, error) {
-	alpha, err := opt.alpha()
-	if err != nil {
-		return nil, err
-	}
-	d := &AggregatedDiff{LabelA: a.Label, LabelB: b.Label, Alpha: alpha}
+// task and reports only statistically significant metric movement at
+// alpha=0.05 (see AggregatedDiff).
+func DiffAggregated(a, b *AggregatedManifest) *AggregatedDiff {
+	d := &AggregatedDiff{LabelA: a.Label, LabelB: b.Label}
 	byID := make(map[string]*AggregatedRow, len(b.Rows))
 	for i := range b.Rows {
 		byID[b.Rows[i].ID] = &b.Rows[i]
@@ -378,9 +333,6 @@ func DiffAggregated(a, b *AggregatedManifest, opt SigOptions) (*AggregatedDiff, 
 		d.Compared++
 		var row AggRowDiff
 		for _, c := range aggConfigCols {
-			if c.sampling && opt.IgnoreSampling {
-				continue
-			}
 			if va, vb := c.get(ra), c.get(rb); va != vb {
 				row.Config = append(row.Config, ConfigDelta{Name: c.name, A: va, B: vb})
 			}
@@ -410,7 +362,7 @@ func DiffAggregated(a, b *AggregatedManifest, opt SigOptions) (*AggregatedDiff, 
 			d.OnlyInB = append(d.OnlyInB, b.Rows[i].ID)
 		}
 	}
-	return d, nil
+	return d
 }
 
 // significant applies the decision rule to one metric pair and returns
@@ -475,10 +427,10 @@ func presence(ok bool) string {
 func (d *AggregatedDiff) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if d.Empty() {
-		fmt.Fprintf(bw, "aggregated manifests agree at alpha=%g on all %d base task(s)\n", d.Alpha, d.Compared)
+		fmt.Fprintf(bw, "aggregated manifests agree at alpha=%g on all %d base task(s)\n", sigAlpha, d.Compared)
 		return bw.Flush()
 	}
-	fmt.Fprintf(bw, "aggregated manifests differ at alpha=%g (%q vs %q):\n", d.Alpha, d.LabelA, d.LabelB)
+	fmt.Fprintf(bw, "aggregated manifests differ at alpha=%g (%q vs %q):\n", sigAlpha, d.LabelA, d.LabelB)
 	for _, row := range d.Rows {
 		writeRowConfig(bw, row.ID, row.Config)
 		for _, m := range row.Metrics {

@@ -179,11 +179,8 @@ func mustAggregate(t *testing.T, m *RunManifest) *AggregatedManifest {
 func TestDiffAggregatedIdentical(t *testing.T) {
 	a := mustAggregate(t, replicatedFixture())
 	b := mustAggregate(t, replicatedFixture())
-	d, err := DiffAggregated(a, b, SigOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Empty() || d.Compared != 3 || d.Alpha != 0.05 {
+	d := DiffAggregated(a, b)
+	if !d.Empty() || d.Compared != 3 {
 		t.Fatalf("diff = %+v", d)
 	}
 	var buf bytes.Buffer
@@ -207,10 +204,7 @@ func TestDiffAggregatedShiftedMean(t *testing.T) {
 		}
 	}
 	b := mustAggregate(t, shifted)
-	d, err := DiffAggregated(a, b, SigOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := DiffAggregated(a, b)
 	if d.Empty() || len(d.Rows) != 1 || d.Rows[0].ID != "mode/speed" {
 		t.Fatalf("diff = %+v", d)
 	}
@@ -233,10 +227,7 @@ func TestDiffAggregatedShiftedMean(t *testing.T) {
 	// the sample std — the means move, but not significantly.
 	noisy := replicatedFixture()
 	noisy.Runs[0].TsimS += 0.5
-	nd, err := DiffAggregated(a, mustAggregate(t, noisy), SigOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	nd := DiffAggregated(a, mustAggregate(t, noisy))
 	if !nd.Empty() {
 		var buf bytes.Buffer
 		nd.Write(&buf)
@@ -252,10 +243,7 @@ func TestDiffAggregatedSingletonFallback(t *testing.T) {
 	moved := replicatedFixture()
 	last := len(moved.Runs) - 1
 	moved.Runs[last].TcommS += 1e-9 // the singleton rlbase row
-	d, err := DiffAggregated(a, mustAggregate(t, moved), SigOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := DiffAggregated(a, mustAggregate(t, moved))
 	if d.Empty() || d.Rows[0].ID != "mode/rlbase" || d.Rows[0].Metrics[0].Method != "ci95-overlap" {
 		t.Fatalf("diff = %+v", d)
 	}
@@ -270,27 +258,20 @@ func TestDiffAggregatedNaN(t *testing.T) {
 			Metrics: map[string]MetricAggregate{"mean_wait_s": {Mean: math.NaN()}},
 		}}}
 	}
-	d, err := DiffAggregated(nanRow(), nanRow(), SigOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := DiffAggregated(nanRow(), nanRow())
 	if !d.Empty() {
 		t.Fatalf("NaN vs NaN flagged: %+v", d.Rows)
 	}
 	finite := nanRow()
 	finite.Rows[0].Metrics["mean_wait_s"] = MetricAggregate{Mean: 4}
-	d, err = DiffAggregated(nanRow(), finite, SigOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = DiffAggregated(nanRow(), finite)
 	if d.Empty() || d.Rows[0].Metrics[0].Method != "nan" {
 		t.Fatalf("NaN vs real not flagged: %+v", d)
 	}
 }
 
 // TestDiffAggregatedConfigAndCoverage: drifted seed lists are config
-// drift (not metric noise), one-sided tasks are listed, and
-// unsupported alpha levels are rejected up front.
+// drift (not metric noise), and one-sided tasks are listed.
 func TestDiffAggregatedConfigAndCoverage(t *testing.T) {
 	a := mustAggregate(t, replicatedFixture())
 	otherSeeds := replicatedFixture()
@@ -301,10 +282,7 @@ func TestDiffAggregatedConfigAndCoverage(t *testing.T) {
 			otherSeeds.Runs[i].WorkloadSeed += 10
 		}
 	}
-	d, err := DiffAggregated(a, mustAggregate(t, otherSeeds), SigOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := DiffAggregated(a, mustAggregate(t, otherSeeds))
 	found := false
 	for _, row := range d.Rows {
 		for _, c := range row.Config {
@@ -316,42 +294,11 @@ func TestDiffAggregatedConfigAndCoverage(t *testing.T) {
 	if !found {
 		t.Fatalf("seed-list drift not reported as config: %+v", d.Rows)
 	}
-	// IgnoreSampling lifts the seed/count columns so a cross-design
-	// comparison (different seeds, unequal N) is purely statistical —
-	// here the metrics are identical, so the diff goes Empty.
-	d, err = DiffAggregated(a, mustAggregate(t, otherSeeds), SigOptions{IgnoreSampling: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Empty() {
-		t.Fatalf("sampling design still flagged under IgnoreSampling: %+v", d.Rows)
-	}
-	unequal := mustAggregate(t, replicatedFixture())
-	for i := range unequal.Rows {
-		if unequal.Rows[i].ID == "mode/speed" {
-			unequal.Rows[i].N = 2
-			unequal.Rows[i].Seeds = unequal.Rows[i].Seeds[:2]
-		}
-	}
-	d, err = DiffAggregated(a, unequal, SigOptions{IgnoreSampling: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Empty() {
-		t.Fatalf("unequal N flagged under IgnoreSampling with same means: %+v", d.Rows)
-	}
 
 	onlyB := mustAggregate(t, replicatedFixture())
 	onlyB.Rows = onlyB.Rows[:2]
-	d, err = DiffAggregated(a, onlyB, SigOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = DiffAggregated(a, onlyB)
 	if len(d.OnlyInA) != 1 || d.OnlyInA[0] != "mode/rlbase" || d.Compared != 2 {
 		t.Fatalf("one-sided diff = %+v", d)
-	}
-
-	if _, err := DiffAggregated(a, a, SigOptions{Alpha: 0.01}); err == nil {
-		t.Fatal("alpha=0.01 accepted without a critical-value table")
 	}
 }

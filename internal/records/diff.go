@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 )
 
 // MetricDelta is one metric that differs between two runs of the same
@@ -54,45 +53,6 @@ func (d *ManifestDiff) Empty() bool {
 	return len(d.Rows) == 0 && len(d.OnlyInA) == 0 && len(d.OnlyInB) == 0
 }
 
-// metricCols are the per-task result metrics compared by
-// DiffManifests, in manifest column order. WallMS is deliberately
-// absent.
-var metricCols = []struct {
-	name string
-	get  func(*RunSummary) float64
-}{
-	{"tsim_s", func(r *RunSummary) float64 { return r.TsimS }},
-	{"fidelity_mean", func(r *RunSummary) float64 { return r.FidelityMean }},
-	{"fidelity_std", func(r *RunSummary) float64 { return r.FidelityStd }},
-	{"tcomm_s", func(r *RunSummary) float64 { return r.TcommS }},
-	{"mean_devices_per_job", func(r *RunSummary) float64 { return r.MeanDevicesPerJob }},
-	{"mean_wait_s", func(r *RunSummary) float64 { return r.MeanWaitS }},
-}
-
-// configCols are the per-task configuration fields whose disagreement
-// means the rows are not two runs of the same experiment.
-var configCols = []struct {
-	name string
-	get  func(*RunSummary) string
-}{
-	{"kind", func(r *RunSummary) string { return r.Kind }},
-	{"mode", func(r *RunSummary) string { return r.Mode }},
-	{"param", func(r *RunSummary) string { return formatFloat(r.Param) }},
-	{"workload_seed", func(r *RunSummary) string { return strconv.FormatInt(r.WorkloadSeed, 10) }},
-	{"fleet_seed", func(r *RunSummary) string { return strconv.FormatInt(r.FleetSeed, 10) }},
-	{"fleet_preset", func(r *RunSummary) string { return r.FleetPreset }},
-	{"phi", func(r *RunSummary) string { return formatFloat(r.Phi) }},
-	{"lambda", func(r *RunSummary) string { return formatFloat(r.Lambda) }},
-	{"jobs", func(r *RunSummary) string { return strconv.Itoa(r.Jobs) }},
-	{"mean_interarrival_s", func(r *RunSummary) string { return formatFloat(r.MeanInterarrivalS) }},
-	{"trace_path", func(r *RunSummary) string { return r.TracePath }},
-	{"train_steps", func(r *RunSummary) string { return fmtIntPtr(r.TrainSteps) }},
-	{"rl_seed", func(r *RunSummary) string { return fmtInt64Ptr(r.RLSeed) }},
-	{"rl_deterministic", func(r *RunSummary) string { return fmtBoolPtr(r.RLDeterministic) }},
-}
-
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
 // DiffOptions tunes the metric comparison of DiffManifests. The zero
 // value preserves the exact gate: metrics are equal only when their
 // bits say so (with NaN equal to NaN — see metricsEqual).
@@ -135,17 +95,11 @@ func (opt DiffOptions) metricsEqual(a, b float64) bool {
 // ID) and reports per-label metric deltas, configuration mismatches,
 // and tasks present on one side only. Wall times and worker accounting
 // are ignored, so diffing a -workers 1 run against a pooled run of the
-// same spec reports Empty — the determinism gate CI relies on.
-// Metrics compare exactly (NaN equal to NaN); use DiffManifestsOpt for
-// a drift tolerance.
-func DiffManifests(a, b *RunManifest) *ManifestDiff {
-	return DiffManifestsOpt(a, b, DiffOptions{})
-}
-
-// DiffManifestsOpt is DiffManifests with an explicit metric-comparison
-// tolerance. Configuration fields always compare exactly: two runs
-// with drifted configs are not the same experiment at any tolerance.
-func DiffManifestsOpt(a, b *RunManifest, opt DiffOptions) *ManifestDiff {
+// same spec reports Empty — the determinism gate CI relies on. Metrics
+// compare under opt (exactly, NaN equal to NaN, for the zero value);
+// configuration fields always compare exactly: two runs with drifted
+// configs are not the same experiment at any tolerance.
+func DiffManifests(a, b *RunManifest, opt DiffOptions) *ManifestDiff {
 	d := &ManifestDiff{LabelA: a.Label, LabelB: b.Label}
 	byID := make(map[string]*RunSummary, len(b.Runs))
 	for i := range b.Runs {

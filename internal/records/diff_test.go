@@ -34,7 +34,7 @@ func TestDiffIdenticalIgnoresSchedulingNoise(t *testing.T) {
 	for i := range b.Runs {
 		b.Runs[i].WallMS *= 3
 	}
-	d := DiffManifests(a, b)
+	d := DiffManifests(a, b, DiffOptions{})
 	if !d.Empty() {
 		var buf bytes.Buffer
 		d.Write(&buf)
@@ -59,7 +59,7 @@ func TestDiffReportsMetricDeltas(t *testing.T) {
 	b := diffFixture()
 	b.Runs[1].FidelityMean = 0.64
 	b.Runs[1].TcommS = 46
-	d := DiffManifests(a, b)
+	d := DiffManifests(a, b, DiffOptions{})
 	if d.Empty() || len(d.Rows) != 1 {
 		t.Fatalf("diff = %+v", d)
 	}
@@ -89,14 +89,14 @@ func TestDiffReportsConfigMismatch(t *testing.T) {
 	a := diffFixture()
 	b := diffFixture()
 	b.Runs[0].WorkloadSeed = 99
-	d := DiffManifests(a, b)
+	d := DiffManifests(a, b, DiffOptions{})
 	if len(d.Rows) != 1 || len(d.Rows[0].Config) != 1 || d.Rows[0].Config[0].Name != "workload_seed" {
 		t.Fatalf("diff = %+v", d)
 	}
 	c := diffFixture()
 	c.Runs[0].FleetPreset = "hetero"
 	c.Runs[1].MeanInterarrivalS = 10
-	d = DiffManifests(a, c)
+	d = DiffManifests(a, c, DiffOptions{})
 	if len(d.Rows) != 2 {
 		t.Fatalf("diff = %+v", d)
 	}
@@ -114,7 +114,7 @@ func TestDiffReportsMissingTasks(t *testing.T) {
 	extra.ID = "mode/extra"
 	b.Runs = append(b.Runs, extra)
 	a.Runs = a.Runs[:1] // drop mode/fair from a
-	d := DiffManifests(a, b)
+	d := DiffManifests(a, b, DiffOptions{})
 	if d.Empty() {
 		t.Fatal("missing tasks reported as agreement")
 	}
@@ -138,7 +138,7 @@ func TestDiffNaNMetricsEqual(t *testing.T) {
 	b := diffFixture()
 	b.Runs[0].MeanWaitS = math.NaN()
 	b.Runs[1].FidelityMean = math.NaN()
-	d := DiffManifests(a, b)
+	d := DiffManifests(a, b, DiffOptions{})
 	if !d.Empty() {
 		var buf bytes.Buffer
 		d.Write(&buf)
@@ -146,13 +146,13 @@ func TestDiffNaNMetricsEqual(t *testing.T) {
 	}
 	// NaN on one side only IS drift.
 	c := diffFixture()
-	d = DiffManifests(a, c)
+	d = DiffManifests(a, c, DiffOptions{})
 	if d.Empty() || len(d.Rows) != 2 {
 		t.Fatalf("one-sided NaN not reported: %+v", d)
 	}
 }
 
-// TestDiffTolerance: DiffManifestsOpt's absolute and relative
+// TestDiffTolerance: DiffOptions' absolute and relative
 // tolerances absorb cross-platform float drift, the zero value keeps
 // the exact gate, and config fields never get tolerance.
 func TestDiffTolerance(t *testing.T) {
@@ -161,26 +161,26 @@ func TestDiffTolerance(t *testing.T) {
 	b.Runs[0].TsimS += 1e-9       // tiny absolute drift on a ~100 metric
 	b.Runs[1].TcommS *= 1 + 1e-12 // tiny relative drift
 
-	if d := DiffManifests(a, b); d.Empty() {
+	if d := DiffManifests(a, b, DiffOptions{}); d.Empty() {
 		t.Fatal("exact gate absorbed drift without a tolerance")
 	}
-	if d := DiffManifestsOpt(a, b, DiffOptions{AbsTol: 1e-6}); !d.Empty() {
+	if d := DiffManifests(a, b, DiffOptions{AbsTol: 1e-6}); !d.Empty() {
 		t.Fatalf("abs tolerance did not absorb drift: %+v", d.Rows)
 	}
-	if d := DiffManifestsOpt(a, b, DiffOptions{RelTol: 1e-9}); !d.Empty() {
+	if d := DiffManifests(a, b, DiffOptions{RelTol: 1e-9}); !d.Empty() {
 		t.Fatalf("rel tolerance did not absorb drift: %+v", d.Rows)
 	}
 	// The tolerance is a drift allowance, not a blindfold: a real delta
 	// far beyond it still surfaces.
 	b.Runs[0].TsimS += 5
-	d := DiffManifestsOpt(a, b, DiffOptions{AbsTol: 1e-6, RelTol: 1e-9})
+	d := DiffManifests(a, b, DiffOptions{AbsTol: 1e-6, RelTol: 1e-9})
 	if d.Empty() || d.Rows[0].Metrics[0].Name != "tsim_s" {
 		t.Fatalf("real delta hidden by tolerance: %+v", d)
 	}
 	// Config drift is never tolerated: it means different experiments.
 	cfg := diffFixture()
 	cfg.Runs[0].Phi = 0.95 + 1e-13
-	if d := DiffManifestsOpt(a, cfg, DiffOptions{AbsTol: 1, RelTol: 1}); d.Empty() {
+	if d := DiffManifests(a, cfg, DiffOptions{AbsTol: 1, RelTol: 1}); d.Empty() {
 		t.Fatal("config drift absorbed by metric tolerance")
 	}
 	// An infinite disagreement is never within tolerance: the relative
@@ -188,15 +188,15 @@ func TestDiffTolerance(t *testing.T) {
 	// diverged to infinity (equal infinities still compare equal).
 	inf := diffFixture()
 	inf.Runs[0].TsimS = math.Inf(1)
-	if d := DiffManifestsOpt(a, inf, DiffOptions{RelTol: 0.5}); d.Empty() {
+	if d := DiffManifests(a, inf, DiffOptions{RelTol: 0.5}); d.Empty() {
 		t.Fatal("+Inf vs finite absorbed by relative tolerance")
 	}
 	neg := diffFixture()
 	neg.Runs[0].TsimS = math.Inf(-1)
-	if d := DiffManifestsOpt(inf, neg, DiffOptions{RelTol: 0.5}); d.Empty() {
+	if d := DiffManifests(inf, neg, DiffOptions{RelTol: 0.5}); d.Empty() {
 		t.Fatal("+Inf vs -Inf absorbed by relative tolerance")
 	}
-	if d := DiffManifestsOpt(inf, inf, DiffOptions{}); !d.Empty() {
+	if d := DiffManifests(inf, inf, DiffOptions{}); !d.Empty() {
 		t.Fatalf("equal infinities reported as drift: %+v", d.Rows)
 	}
 }

@@ -217,31 +217,80 @@ func (m *RunManifest) WriteJSON(w io.Writer) error {
 	return enc.Encode(m)
 }
 
-// WriteCSV emits one row per task with a header, mirroring the JSON
-// field order.
+// configCols are a manifest row's configuration columns in file order:
+// the CSV writer's columns after id, and the fields whose disagreement
+// means two rows are not runs of the same experiment.
+var configCols = []struct {
+	name string
+	get  func(*RunSummary) string
+}{
+	{"kind", func(r *RunSummary) string { return r.Kind }},
+	{"mode", func(r *RunSummary) string { return r.Mode }},
+	{"param", func(r *RunSummary) string { return formatFloat(r.Param) }},
+	{"workload_seed", func(r *RunSummary) string { return strconv.FormatInt(r.WorkloadSeed, 10) }},
+	{"fleet_seed", func(r *RunSummary) string { return strconv.FormatInt(r.FleetSeed, 10) }},
+	{"fleet_preset", func(r *RunSummary) string { return r.FleetPreset }},
+	{"phi", func(r *RunSummary) string { return formatFloat(r.Phi) }},
+	{"lambda", func(r *RunSummary) string { return formatFloat(r.Lambda) }},
+	{"jobs", func(r *RunSummary) string { return strconv.Itoa(r.Jobs) }},
+	{"mean_interarrival_s", func(r *RunSummary) string { return formatFloat(r.MeanInterarrivalS) }},
+	{"trace_path", func(r *RunSummary) string { return r.TracePath }},
+	{"train_steps", func(r *RunSummary) string { return fmtIntPtr(r.TrainSteps) }},
+	{"rl_seed", func(r *RunSummary) string { return fmtInt64Ptr(r.RLSeed) }},
+	{"rl_deterministic", func(r *RunSummary) string { return fmtBoolPtr(r.RLDeterministic) }},
+}
+
+// metricCols are a manifest row's result metrics in file order, after
+// configCols. WallMS is deliberately absent: it is host timing, written
+// last and never compared.
+var metricCols = []struct {
+	name string
+	get  func(*RunSummary) float64
+}{
+	{"tsim_s", func(r *RunSummary) float64 { return r.TsimS }},
+	{"fidelity_mean", func(r *RunSummary) float64 { return r.FidelityMean }},
+	{"fidelity_std", func(r *RunSummary) float64 { return r.FidelityStd }},
+	{"tcomm_s", func(r *RunSummary) float64 { return r.TcommS }},
+	{"mean_devices_per_job", func(r *RunSummary) float64 { return r.MeanDevicesPerJob }},
+	{"mean_wait_s", func(r *RunSummary) float64 { return r.MeanWaitS }},
+}
+
+func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// WriteCSV emits one row per task with a header: id, configCols,
+// metricCols, wall_ms.
 func (m *RunManifest) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"id", "kind", "mode", "param", "workload_seed", "fleet_seed", "fleet_preset",
-		"phi", "lambda", "jobs", "mean_interarrival_s", "trace_path",
-		"train_steps", "rl_seed", "rl_deterministic",
-		"tsim_s", "fidelity_mean", "fidelity_std",
-		"tcomm_s", "mean_devices_per_job", "mean_wait_s", "wall_ms",
+	header := []string{"id"}
+	for _, c := range configCols {
+		header = append(header, c.name)
 	}
+	for _, c := range metricCols {
+		header = append(header, c.name)
+	}
+	header = append(header, "wall_ms")
+	return writeTable(w, header, len(m.Runs), func(row []string, i int) []string {
+		r := &m.Runs[i]
+		row = append(row, r.ID)
+		for _, c := range configCols {
+			row = append(row, c.get(r))
+		}
+		for _, c := range metricCols {
+			row = append(row, formatFloat(c.get(r)))
+		}
+		return append(row, formatFloat(r.WallMS))
+	})
+}
+
+// writeTable writes header and then the n records row(dst, i) appends
+// to dst, a reused buffer.
+func writeTable(w io.Writer, header []string, n int, row func(dst []string, i int) []string) error {
+	cw := csv.NewWriter(w)
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for _, r := range m.Runs {
-		row := []string{
-			r.ID, r.Kind, r.Mode, f(r.Param),
-			strconv.FormatInt(r.WorkloadSeed, 10), strconv.FormatInt(r.FleetSeed, 10), r.FleetPreset,
-			f(r.Phi), f(r.Lambda), strconv.Itoa(r.Jobs), f(r.MeanInterarrivalS), r.TracePath,
-			fmtIntPtr(r.TrainSteps), fmtInt64Ptr(r.RLSeed), fmtBoolPtr(r.RLDeterministic),
-			f(r.TsimS), f(r.FidelityMean), f(r.FidelityStd),
-			f(r.TcommS), f(r.MeanDevicesPerJob), f(r.MeanWaitS), f(r.WallMS),
-		}
-		if err := cw.Write(row); err != nil {
+	buf := make([]string, 0, len(header))
+	for i := 0; i < n; i++ {
+		if err := cw.Write(row(buf[:0], i)); err != nil {
 			return err
 		}
 	}

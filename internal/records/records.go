@@ -13,10 +13,13 @@
 //
 //   - RunManifest / RunSummary — one row per executed task (config
 //     echo, metrics and wall time), with JSON and CSV writers
-//     (WriteJSON, WriteCSV, ReadManifestJSON).
-//   - DiffManifests / DiffManifestsOpt — the exact comparison gate:
-//     task-by-task metric deltas with optional absolute/relative
-//     tolerances, NaN-equals-NaN semantics, wall times ignored.
+//     (WriteJSON, WriteCSV, ReadManifestJSON). RunSummary is also the
+//     experiment worker pool's result type, so a row goes from task to
+//     file unchanged; one column list (configCols, metricCols) serves
+//     the CSV writer and the diff.
+//   - DiffManifests — the exact comparison gate: task-by-task metric
+//     deltas with optional absolute/relative tolerances (DiffOptions),
+//     NaN-equals-NaN semantics, wall times ignored.
 //   - AggregateManifests and the significance layer (DiffAggregated,
 //     AggregatedDiff) — fold replicated rows into mean/std/stderr/CI
 //     per base task and compare runs statistically (Welch's t) rather

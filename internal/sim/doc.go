@@ -9,8 +9,7 @@
 // is how a multi-step lifecycle (a job's execute → communicate → finish,
 // a workload's arrivals, a recalibration ticker) is expressed. The
 // kernel starts no goroutine: callbacks run one at a time on whichever
-// goroutine steps the environment (Step, StepWithin, AdvanceTo, Run,
-// RunUntil).
+// goroutine steps the environment (Step, StepWithin, AdvanceTo, Run).
 //
 // A minimal simulation:
 //

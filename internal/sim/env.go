@@ -178,9 +178,10 @@ func (env *Environment) StepWithin(horizon float64) error {
 }
 
 // AdvanceTo processes every event due at or before t and then sets the
-// clock to exactly t, returning the number of events processed. Unlike
-// RunUntil it reports progress, making it the natural primitive for a
-// broker mapping external (wall or scaled) time onto the simulation.
+// clock to exactly t even if the queue drains earlier (simpy's
+// Environment.run(until=...)), returning the number of events
+// processed. It is the primitive for a broker mapping external (wall
+// or scaled) time onto the simulation.
 func (env *Environment) AdvanceTo(t float64) int {
 	if t < env.now {
 		panic(fmt.Sprintf("sim: AdvanceTo(%g) is in the past (now=%g)", t, env.now))
@@ -200,17 +201,5 @@ func (env *Environment) AdvanceTo(t float64) int {
 func (env *Environment) Run() float64 {
 	for env.Step() == nil {
 	}
-	return env.now
-}
-
-// RunUntil processes events until the clock would pass the given time.
-// Events scheduled exactly at `until` are processed. The clock is advanced
-// to `until` even if the queue drains earlier, mirroring
-// simpy.Environment.run(until=...).
-func (env *Environment) RunUntil(until float64) float64 {
-	if until < env.now {
-		panic(fmt.Sprintf("sim: RunUntil(%g) is in the past (now=%g)", until, env.now))
-	}
-	env.AdvanceTo(until)
 	return env.now
 }

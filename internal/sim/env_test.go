@@ -80,14 +80,17 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 	}
 }
 
+// The TestRunUntil* tests check AdvanceTo as a bounded run, simpy's
+// Environment.run(until=...).
+
 func TestRunUntilStopsAtBoundary(t *testing.T) {
 	env := NewEnvironment()
 	fired := 0
 	env.AfterFunc(5, func() { fired++ })
 	env.AfterFunc(15, func() { fired++ })
-	end := env.RunUntil(10)
-	if end != 10 {
-		t.Fatalf("RunUntil = %g, want 10", end)
+	env.AdvanceTo(10)
+	if end := env.Now(); end != 10 {
+		t.Fatalf("AdvanceTo(10) left the clock at %g, want 10", end)
 	}
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
@@ -103,7 +106,7 @@ func TestRunUntilInclusiveOfBoundaryEvents(t *testing.T) {
 	env := NewEnvironment()
 	fired := false
 	env.AfterFunc(10, func() { fired = true })
-	env.RunUntil(10)
+	env.AdvanceTo(10)
 	if !fired {
 		t.Fatal("event at exactly the boundary should fire")
 	}
@@ -113,10 +116,10 @@ func TestRunUntilPastPanics(t *testing.T) {
 	env := NewEnvironmentAt(100)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for RunUntil in the past")
+			t.Fatal("expected panic for AdvanceTo in the past")
 		}
 	}()
-	env.RunUntil(50)
+	env.AdvanceTo(50)
 }
 
 func TestStepEmptySchedule(t *testing.T) {
@@ -201,7 +204,7 @@ func TestPropertyTimeOrdering(t *testing.T) {
 	}
 }
 
-// Property: RunUntil(T) never processes an event scheduled after T and
+// Property: AdvanceTo(T) never processes an event scheduled after T and
 // always leaves the clock exactly at T.
 func TestPropertyRunUntilBoundary(t *testing.T) {
 	f := func(raw []uint8, horizon uint8) bool {
@@ -216,7 +219,7 @@ func TestPropertyRunUntilBoundary(t *testing.T) {
 				}
 			})
 		}
-		env.RunUntil(T)
+		env.AdvanceTo(T)
 		return late == 0 && env.Now() == T
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
