@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -181,8 +182,10 @@ func TestServeConfigRefusals(t *testing.T) {
 }
 
 // A drifting serve run split at a quiescent checkpoint and resumed in a
-// new broker continues the uninterrupted run exactly: the drift steps
-// replayed from the checkpoint rebuild the calibration the tail sees.
+// new broker, fed the whole stream, continues the uninterrupted run
+// exactly: the drift steps replayed from the checkpoint rebuild the
+// calibration the tail sees, and the resumed run appends the tail's
+// rows to the first segment's export.
 func TestServeDriftCheckpointResume(t *testing.T) {
 	jobs := spacedJobs(t, 20)
 	dir := t.TempDir()
@@ -190,41 +193,37 @@ func TestServeDriftCheckpointResume(t *testing.T) {
 	drifting.policy = "fidelity"
 	drifting.cfg.Drift = core.DriftConfig{IntervalS: 300, Rel: 0.3, Seed: 5}
 	opts := serveOptions{cloud: drifting, window: 64, export: filepath.Join(dir, "full.csv")}
-	var out, errOut bytes.Buffer
-	if err := runServe(context.Background(), opts, bytes.NewReader(ndjson(t, jobs)), &out, &errOut); err != nil {
+	if err := runServe(context.Background(), opts, bytes.NewReader(ndjson(t, jobs)), io.Discard, io.Discard); err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
 
 	const split = 10
-	opts.export = ""
+	opts.export = filepath.Join(dir, "split.csv")
 	opts.checkpointPath = filepath.Join(dir, "broker.ckpt")
-	if err := runServe(context.Background(), opts, bytes.NewReader(ndjson(t, jobs[:split])), &out, &errOut); err != nil {
+	if err := runServe(context.Background(), opts, bytes.NewReader(ndjson(t, jobs[:split])), io.Discard, io.Discard); err != nil {
 		t.Fatalf("segment 1: %v", err)
 	}
 	cp, err := loadCheckpoint(opts.checkpointPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.DriftSteps == 0 || cp.SimNow >= jobs[split].ArrivalTime {
-		t.Fatalf("split checkpoint: %d drift steps at %g, next arrival %g", cp.DriftSteps, cp.SimNow, jobs[split].ArrivalTime)
+	if cp.DriftSteps == 0 || cp.SimNow >= jobs[split].ArrivalTime || cp.Ingested != split || cp.ExportLen == 0 {
+		t.Fatalf("split checkpoint: %d drift steps at %g (next arrival %g), %d lines, export_len %d",
+			cp.DriftSteps, cp.SimNow, jobs[split].ArrivalTime, cp.Ingested, cp.ExportLen)
 	}
 	opts.resume = true
-	opts.export = filepath.Join(dir, "tail.csv")
-	if err := runServe(context.Background(), opts, bytes.NewReader(ndjson(t, jobs[split:])), &out, &errOut); err != nil {
+	if err := runServe(context.Background(), opts, bytes.NewReader(ndjson(t, jobs)), io.Discard, io.Discard); err != nil {
 		t.Fatalf("segment 2: %v", err)
 	}
 	full, err := os.ReadFile(filepath.Join(dir, "full.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail, err := os.ReadFile(opts.export)
+	split2, err := os.ReadFile(opts.export)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullRows := strings.Split(strings.TrimSpace(string(full)), "\n")
-	tailRows := strings.Split(strings.TrimSpace(string(tail)), "\n")
-	want := strings.Join(fullRows[len(fullRows)-(len(jobs)-split):], "\n")
-	if got := strings.Join(tailRows[1:], "\n"); got != want {
-		t.Fatalf("resumed records diverge from the uninterrupted run's tail:\nwant:\n%s\ngot:\n%s", want, got)
+	if !bytes.Equal(full, split2) {
+		t.Fatalf("resumed export diverges from the uninterrupted run's:\nwant:\n%s\ngot:\n%s", full, split2)
 	}
 }

@@ -227,17 +227,14 @@ func TestLifecycleEmitterBoundsItsBuffer(t *testing.T) {
 func TestCrashKeepsEarlierLifecycleLines(t *testing.T) {
 	jobs := spacedJobs(t, 20)
 	in := ndjson(t, jobs)
-	clean := superviseOpts(t.TempDir(), "clean", nil)
-	clean.supervise = false
+	clean := recoveryOpts(t.TempDir(), "clean", nil)
 	var full, errOut bytes.Buffer
 	if err := runServe(context.Background(), clean, bytes.NewReader(in), &full, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	crash := superviseOpts(t.TempDir(), "crash", crashInjector(t, 5, 1))
-	crash.supervise = false
+	crash := recoveryOpts(t.TempDir(), "crash", crashInjector(t, 5, 1))
 	var cut bytes.Buffer
-	var ce *brokerCrashError
-	if err := runServe(context.Background(), crash, bytes.NewReader(in), &cut, &errOut); !errors.As(err, &ce) {
+	if err := runServe(context.Background(), crash, bytes.NewReader(in), &cut, &errOut); !errors.Is(err, errCrash) {
 		t.Fatalf("crash run = %v, want a broker crash", err)
 	}
 	if !bytes.HasPrefix(full.Bytes(), cut.Bytes()) {

@@ -47,9 +47,17 @@ import (
 	"repro/internal/sim"
 )
 
+// exitCrash is the exit status of a run stopped by an injected crash
+// (a fault plan's ingest/line/crash rule), so a driver can tell it from
+// a failure.
+const exitCrash = 3
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "qcloudsim:", err)
+		if errors.Is(err, errCrash) {
+			os.Exit(exitCrash)
+		}
 		os.Exit(1)
 	}
 }
@@ -90,7 +98,6 @@ func run() (err error) {
 		checkpointPath   = flag.String("checkpoint", "", "broker checkpoint file")
 		checkpointEvery  = flag.Float64("checkpoint-every", 0, "checkpoint every N sim seconds at quiescent points")
 		resume           = flag.Bool("resume", false, "restore broker state from -checkpoint before serving")
-		supervise        = flag.Bool("supervise", false, "restart the broker from the latest checkpoint after a crash (requires -checkpoint and -checkpoint-every)")
 		faultPlan        = flag.String("fault-plan", "", "JSON fault-injection plan file (see internal/faults)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
@@ -103,7 +110,7 @@ func run() (err error) {
 	if err := validateFlags(set, flag.Args(), *serve, *polName, *rlModel, *listen, *httpAddr,
 		*admitPolicy, *admitMaxQueue, *admitTenantQuota, *admitRetryAfter, *admitRate, *admitBurst,
 		*timeScale, *window, *metricsEvery, *checkpointPath, *checkpointEvery, *resume,
-		*supervise, *faultPlan, *cpuProfile, *memProfile); err != nil {
+		*faultPlan, *cpuProfile, *memProfile); err != nil {
 		return err
 	}
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
@@ -132,7 +139,7 @@ func run() (err error) {
 	if !*serve {
 		return b.run(*export, *verbose)
 	}
-	inj, err := buildInjector(*faultPlan, *supervise, *timeScale > 0, os.Stderr)
+	inj, err := buildInjector(*faultPlan, *timeScale > 0, os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -149,7 +156,6 @@ func run() (err error) {
 		checkpointPath:  *checkpointPath,
 		checkpointEvery: *checkpointEvery,
 		resume:          *resume,
-		supervise:       *supervise,
 		export:          *export,
 		inj:             inj,
 	}
@@ -231,7 +237,7 @@ func (b batch) run(export string, verbose bool) error {
 // serveFlags are meaningful only with -serve.
 var serveFlags = []string{"listen", "http", "admit-policy", "admit-max-queue", "admit-tenant-quota", "admit-retry-after",
 	"admit-rate", "admit-burst",
-	"time-scale", "window", "metrics-every", "checkpoint", "checkpoint-every", "resume", "supervise", "fault-plan"}
+	"time-scale", "window", "metrics-every", "checkpoint", "checkpoint-every", "resume", "fault-plan"}
 
 // admissionConfig maps the -admit-* flags onto the broker's admission
 // configuration. validateFlags has already rejected inconsistent
@@ -254,8 +260,7 @@ func admissionConfig(policyName string, maxQueue, tenantQuota int, retryAfter, r
 }
 
 // faultEventLine wraps a fired fault for the JSONL telemetry stream, so
-// fault events interleave distinguishably with metrics and recovery
-// lines on stderr.
+// fault events interleave distinguishably with metrics lines on stderr.
 type faultEventLine struct {
 	Event string       `json:"event"`
 	Fault faults.Event `json:"fault"`
@@ -264,10 +269,8 @@ type faultEventLine struct {
 // buildInjector loads and compiles the -fault-plan, wiring fired-fault
 // telemetry to errOut. No rule may be silently ignored: ingest line
 // rules are refused in real time (-time-scale > 0, which -listen
-// needs), where streams are decoded without the logical-time line loop,
-// and plans that arm an induced broker crash are refused without
-// -supervise, since nothing would recover the process.
-func buildInjector(planPath string, supervise, realTime bool, errOut io.Writer) (*faults.Injector, error) {
+// needs), where streams are decoded without the logical-time line loop.
+func buildInjector(planPath string, realTime bool, errOut io.Writer) (*faults.Injector, error) {
 	if planPath == "" {
 		return nil, nil
 	}
@@ -280,9 +283,6 @@ func buildInjector(planPath string, supervise, realTime bool, errOut io.Writer) 
 			return nil, fmt.Errorf("fault plan %s: rule %d (%s/%s/%s) applies only to logical-time stdin; a real-time broker honours ingest/read rules",
 				planPath, i, r.Layer, r.Op, r.Kind)
 		}
-	}
-	if !supervise && plan.Has(faults.LayerIngest, faults.OpLine, faults.KindCrash) {
-		return nil, fmt.Errorf("fault plan %s arms an ingest crash; pass -supervise so the broker can recover", planPath)
 	}
 	inj, err := faults.NewInjector(plan)
 	if err != nil {
@@ -305,7 +305,7 @@ func buildInjector(planPath string, supervise, realTime bool, errOut io.Writer) 
 func validateFlags(set map[string]bool, args []string, serve bool, polName, rlModel, listen, httpAddr string,
 	admitPolicy string, admitMaxQueue, admitTenantQuota int, admitRetryAfter, admitRate, admitBurst float64,
 	timeScale float64, window int, metricsEvery float64, checkpointPath string, checkpointEvery float64, resume bool,
-	supervise bool, faultPlan, cpuProfile, memProfile string) error {
+	faultPlan, cpuProfile, memProfile string) error {
 	if len(args) > 0 {
 		return fmt.Errorf("unexpected positional arguments %q (all inputs are flags)", args)
 	}
@@ -386,20 +386,6 @@ func validateFlags(set map[string]bool, args []string, serve bool, polName, rlMo
 			}
 			if admitBurst < 1 {
 				return fmt.Errorf("-admit-burst must be >= 1 so a full bucket admits at least one job, have %g", admitBurst)
-			}
-		}
-		if supervise {
-			if listen != "" {
-				return fmt.Errorf("-supervise ingests from stdin under logical time; -listen conflicts with it")
-			}
-			if httpAddr != "" {
-				return fmt.Errorf("-supervise ingests from stdin under logical time; -http conflicts with it")
-			}
-			if set["time-scale"] {
-				return fmt.Errorf("-supervise requires deterministic logical time; drop -time-scale")
-			}
-			if checkpointPath == "" || checkpointEvery <= 0 {
-				return fmt.Errorf("-supervise recovers from durable snapshots; pass -checkpoint and -checkpoint-every with it")
 			}
 		}
 		if timeScale < 0 {

@@ -49,7 +49,6 @@ func TestValidateFlagsCombinations(t *testing.T) {
 		checkpointPath   string
 		checkpointEvery  float64
 		resume           bool
-		supervise        bool
 		faultPlan        string
 		cpuProfile       string
 		memProfile       string
@@ -132,12 +131,6 @@ func TestValidateFlagsCombinations(t *testing.T) {
 		{"admit-burst without rate", ok(args{set: mkSet("serve", "admit-burst"), serve: true, admitBurst: 4}), "pass -admit-rate with it"},
 		{"admit-burst below one", ok(args{set: mkSet("serve", "admit-rate", "admit-burst"), serve: true, admitRate: 2, admitBurst: 0.5}), "-admit-burst must be >= 1"},
 		{"admit-burst", ok(args{set: mkSet("serve", "admit-rate", "admit-burst"), serve: true, admitRate: 2, admitBurst: 4}), ""},
-		{"supervise without serve", ok(args{set: mkSet("supervise"), supervise: true}), "pass -serve with it"},
-		{"supervise without checkpoint", ok(args{set: mkSet("serve", "supervise"), serve: true, supervise: true}), "pass -checkpoint and -checkpoint-every"},
-		{"supervise with checkpointing", ok(args{set: mkSet("serve", "supervise", "checkpoint", "checkpoint-every"), serve: true, supervise: true, checkpointPath: "cp.json", checkpointEvery: 50}), ""},
-		{"supervise with listen", ok(args{set: mkSet("serve", "supervise", "checkpoint", "checkpoint-every", "listen", "time-scale"), serve: true, supervise: true, checkpointPath: "cp.json", checkpointEvery: 50, listen: "127.0.0.1:0", timeScale: 10}), "-listen conflicts"},
-		{"supervise with http", ok(args{set: mkSet("serve", "supervise", "checkpoint", "checkpoint-every", "http"), serve: true, supervise: true, checkpointPath: "cp.json", checkpointEvery: 50, httpAddr: "127.0.0.1:0"}), "-http conflicts"},
-		{"supervise with time-scale", ok(args{set: mkSet("serve", "supervise", "checkpoint", "checkpoint-every", "time-scale"), serve: true, supervise: true, checkpointPath: "cp.json", checkpointEvery: 50, timeScale: 10}), "drop -time-scale"},
 		{"fault-plan without serve", ok(args{set: mkSet("fault-plan"), faultPlan: "plan.json"}), "pass -serve with it"},
 		{"fault-plan with serve", ok(args{set: mkSet("serve", "fault-plan"), serve: true, faultPlan: "plan.json"}), ""},
 		{"cpuprofile", ok(args{set: mkSet("cpuprofile"), cpuProfile: filepath.Join(t.TempDir(), "cpu.prof")}), ""},
@@ -150,7 +143,7 @@ func TestValidateFlagsCombinations(t *testing.T) {
 			err := validateFlags(c.a.set, c.a.args, c.a.serve, c.a.polName, c.a.rlModel, c.a.listen, c.a.httpAddr,
 				c.a.admitPolicy, c.a.admitMaxQueue, c.a.admitTenantQuota, c.a.admitRetryAfter, c.a.admitRate, c.a.admitBurst,
 				c.a.timeScale, c.a.window, c.a.metricsEvery, c.a.checkpointPath, c.a.checkpointEvery, c.a.resume,
-				c.a.supervise, c.a.faultPlan, c.a.cpuProfile, c.a.memProfile)
+				c.a.faultPlan, c.a.cpuProfile, c.a.memProfile)
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -287,8 +280,11 @@ func TestServeRefusesHugeTwoQubitGates(t *testing.T) {
 	}
 }
 
-// A serve session interrupted at a checkpoint must continue in a new
-// process and finish the remaining stream.
+// A serve session stopped at a checkpoint continues in a new process
+// fed the whole stream: it skips the lines the checkpoint covers and
+// finishes the rest. The first session exported nothing, so the
+// checkpoint has no export length, and the resumed -export starts a new
+// file with the header.
 func TestServeCheckpointResume(t *testing.T) {
 	jobs := testJobs(t, 20)
 	dir := t.TempDir()
@@ -325,15 +321,15 @@ func TestServeCheckpointResume(t *testing.T) {
 		t.Fatalf("checkpoint job index = %+v, want the 10 finished jobs", cp.Jobs)
 	}
 
-	var seg2 bytes.Buffer
-	if err := job.WriteNDJSON(&seg2, jobs[10:]); err != nil {
+	var whole bytes.Buffer
+	if err := job.WriteNDJSON(&whole, jobs); err != nil {
 		t.Fatal(err)
 	}
 	export := filepath.Join(dir, "seg2.csv")
 	opts.resume = true
 	opts.export = export
 	var out2, errOut2 bytes.Buffer
-	if err := runServe(context.Background(), opts, &seg2, &out2, &errOut2); err != nil {
+	if err := runServe(context.Background(), opts, &whole, &out2, &errOut2); err != nil {
 		t.Fatalf("segment 2: %v", err)
 	}
 	if !strings.Contains(errOut2.String(), "20 jobs finished") {
@@ -343,8 +339,11 @@ func TestServeCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows := strings.Count(strings.TrimSpace(string(data)), "\n"); rows != 10 {
-		t.Fatalf("segment-2 export has %d data rows, want 10", rows)
+	if rows := strings.Count(strings.TrimSpace(string(data)), "\n"); rows != 10 || !strings.HasPrefix(string(data), "job_id,") {
+		t.Fatalf("segment-2 export has %d data rows, want the header and 10:\n%s", rows, data)
+	}
+	if strings.Count(out2.String(), `"event":"arrival"`) != 10 {
+		t.Fatalf("resumed session admitted other than the 10 uncovered lines:\n%s", out2.String())
 	}
 }
 

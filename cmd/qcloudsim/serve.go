@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -53,22 +54,22 @@ type serveOptions struct {
 
 	checkpointPath  string
 	checkpointEvery float64
-	resume          bool
-	// supervise restarts a crashed logical-time broker from its latest
-	// checkpoint, keeping the stream lines after that checkpoint for the
-	// replay. Without it a crash ends the run and no line is kept.
-	supervise bool
+	// resume restores the checkpoint at checkpointPath first. In logical
+	// time the run then skips the stream lines the checkpoint covers,
+	// and an export the checkpoint measured is continued (exportFile).
+	resume bool
 
-	// export writes the full per-job records CSV at shutdown. Only when
-	// set does the broker keep per-job history, as encoded CSV rows;
-	// without it service-mode memory stays flat indefinitely.
+	// export is the per-job records CSV. Each row is written as it
+	// seals (every earlier admission terminal), so the broker holds
+	// only the live jobs and service-mode memory stays flat.
 	export string
 
 	// inj, if set, injects faults into the ingest and HTTP layers:
 	// stream readers are wrapped (cut/stall), logical-time stdin lines
-	// pass its line rules (crash/garble/cut/stall), and the HTTP control
-	// plane's handler chain gains the fault middleware (error/delay/
-	// reset/sever). nil serves undisturbed.
+	// pass its line rules (crash/garble/cut/stall; a crash stops the run
+	// with errCrash), and the HTTP control plane's handler chain gains
+	// the fault middleware (error/delay/reset/sever). nil serves
+	// undisturbed.
 	inj *faults.Injector
 
 	// onListen, if set, receives the bound TCP address (tests bind :0).
@@ -118,10 +119,8 @@ type server struct {
 	// logical-time ingest loop keeps it current so checkpoints record how
 	// far the input stream is durably covered (core.Checkpoint.Ingested).
 	ingested int64
-	// onCheckpointed, if set, observes every durable checkpoint; the
-	// supervisor notes it, and the records it covers, as the state a
-	// restarted incarnation rolls back to.
-	onCheckpointed func(cp *core.Checkpoint)
+	// export is the -export file; nil without -export.
+	export *exportFile
 }
 
 // emitMetrics writes one metrics sample at the current simulated time.
@@ -164,7 +163,8 @@ var checkpointWriteRetry = retry.Policy{
 
 // writeCheckpoint snapshots the broker if it is quiescent. Non-quiescent
 // ticks are skipped: the next quiescent tick (or the final drain) covers
-// them.
+// them. A quiescent broker has sealed every job it admitted, so the
+// export is flushed first and its length recorded.
 func (s *server) writeCheckpoint() error {
 	if s.opts.checkpointPath == "" || !s.b.Quiescent() {
 		return nil
@@ -172,6 +172,12 @@ func (s *server) writeCheckpoint() error {
 	cp, err := s.b.Checkpoint()
 	if err != nil {
 		return err
+	}
+	if s.export != nil {
+		if err := s.export.w.Flush(); err != nil {
+			return fmt.Errorf("export %s: %w", s.export.path, err)
+		}
+		cp.ExportLen = s.export.n
 	}
 	// A quiescent broker implies a quiescent index; the snapshot rides
 	// in the same file so -resume restores the status API's history too.
@@ -187,13 +193,7 @@ func (s *server) writeCheckpoint() error {
 		}
 		return os.Rename(tmp, s.opts.checkpointPath)
 	})
-	if err != nil {
-		return err
-	}
-	if s.onCheckpointed != nil {
-		s.onCheckpointed(cp)
-	}
-	return nil
+	return err
 }
 
 // scheduleTicks installs the self-rescheduling metrics and checkpoint
@@ -228,7 +228,7 @@ func (s *server) scheduleTicks() {
 
 // shutdown stops the HTTP control plane, drains admitted jobs, emits the
 // final metrics sample, and writes the final checkpoint. The caller
-// writes the export.
+// closes the export.
 func (s *server) shutdown(errOut io.Writer) error {
 	if s.stopHTTP != nil {
 		s.stopHTTP()
@@ -300,8 +300,8 @@ func loadCheckpoint(path string) (*core.Checkpoint, error) {
 // checkpoint's simulated time when resuming), fleet, job index, records
 // pipeline, broker, admission, restore, and gateway — and starts its
 // periodic ticks and, with -http, the HTTP control plane. The broker
-// records into rec unless it is nil.
-func buildServer(opts serveOptions, cp *core.Checkpoint, rec *records.ExportRecorder, out, errOut io.Writer) (*server, error) {
+// records into export unless it is nil.
+func buildServer(opts serveOptions, cp *core.Checkpoint, export *exportFile, out, errOut io.Writer) (*server, error) {
 	var env *sim.Environment
 	if cp != nil {
 		env = sim.NewEnvironmentAt(cp.SimNow)
@@ -317,8 +317,8 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, rec *records.ExportReco
 		return nil, err
 	}
 	recorder := core.MultiRecorder{}
-	if rec != nil {
-		recorder = append(recorder, rec)
+	if export != nil {
+		recorder = append(recorder, records.NewExportRecorder(export.w, export.start == 0))
 	}
 	// Only GET /v1/jobs/{id} and checkpoints (cp.Jobs) read the index.
 	// Without -http or -checkpoint it stays empty: feeding it would cost
@@ -354,7 +354,7 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, rec *records.ExportReco
 		return nil, err
 	}
 	gw.SetFlush(em.flush)
-	s := &server{opts: opts, b: b, env: env, gw: gw, idx: idx, metricsOut: bufio.NewWriter(errOut), warnOut: errOut}
+	s := &server{opts: opts, b: b, env: env, gw: gw, idx: idx, metricsOut: bufio.NewWriter(errOut), warnOut: errOut, export: export}
 	s.scheduleTicks()
 	if opts.httpAddr != "" {
 		if err := s.startHTTP(errOut); err != nil {
@@ -368,35 +368,116 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, rec *records.ExportReco
 // (stdin or TCP) and/or over the HTTP API, are injected into the live
 // event core, and lifecycle records stream to out while rolling metrics
 // stream to errOut. In logical time stdin goes through serveLogical's
-// line loop; in real time stdin or TCP feeds runRealTime.
-func runServe(ctx context.Context, opts serveOptions, in io.Reader, out, errOut io.Writer) error {
+// line loop; in real time stdin or TCP feeds runRealTime. A run that
+// fails, an injected crash included, stops without draining or a final
+// checkpoint and leaves its export as the last flush did.
+func runServe(ctx context.Context, opts serveOptions, in io.Reader, out, errOut io.Writer) (err error) {
 	var cp *core.Checkpoint
 	if opts.resume {
-		var err error
 		if cp, err = loadCheckpoint(opts.checkpointPath); err != nil {
 			return err
 		}
-		// The checkpoint's stream position described the run that wrote
-		// it; this invocation reads a new stream from its beginning.
-		cp.Ingested = 0
 	}
-	// The recorder keeps the -export CSV: the live jobs, and the rows of
-	// the sealed ones. Without -export no per-job history is kept.
-	var rec *records.ExportRecorder
+	var export *exportFile
 	if opts.export != "" {
-		rec = records.NewExportRecorder()
+		if export, err = newExportFile(opts.export, cp); err != nil {
+			return err
+		}
+		defer func() {
+			if err != nil {
+				export.abandon()
+			}
+		}()
 	}
-	if opts.timeScale == 0 {
-		return serveLogical(ctx, opts, cp, rec, in, out, errOut)
-	}
-	s, err := buildServer(opts, cp, rec, out, errOut)
+	s, err := buildServer(opts, cp, export, out, errOut)
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if s.stopHTTP != nil {
+			s.stopHTTP()
+		}
+	}()
+	if opts.timeScale == 0 {
+		if cp != nil {
+			s.ingested = cp.Ingested
+		}
+		err = s.serveLogical(ctx, in)
+	} else {
+		err = s.serveRealTime(ctx, in, errOut)
+	}
+	if err != nil {
+		return err
+	}
+	if err := s.shutdown(errOut); err != nil {
+		return err
+	}
+	if export != nil {
+		return export.close()
+	}
+	return nil
+}
+
+// serveLogical is the logical-time ingest loop, the one code that reads
+// stdin in logical time. It skips the lines a resumed checkpoint covers
+// (s.ingested), then decodes and submits each line, the clock jumping
+// to each job's nominal arrival_time: a fixed stream yields a
+// bit-reproducible transcript, and per-job records byte-identical to a
+// batch run over the same workload. With -http the service keeps
+// serving after stdin EOF until interrupted. An injected crash returns
+// errCrash at once.
+func (s *server) serveLogical(ctx context.Context, in io.Reader) error {
+	if s.opts.inj != nil {
+		in = s.opts.inj.Reader(in)
+	}
+	lr := job.NewLineReader(in)
+	for pos := int64(0); pos < s.ingested; pos++ {
+		if _, _, err := lr.Next(); errors.Is(err, io.EOF) {
+			return fmt.Errorf("resume: the stream ends after %d lines, but the checkpoint covers %d; feed the stream the checkpointed run read",
+				pos, s.ingested)
+		} else if err != nil {
+			return fmt.Errorf("job: reading stream: %w", err)
+		}
+	}
+	for pos := s.ingested; ctx.Err() == nil; pos++ {
+		raw, terminated, err := lr.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("job: reading stream: %w", err)
+		}
+		if s.opts.inj != nil {
+			var crash bool
+			if raw, crash = s.opts.inj.Line(raw); crash {
+				return fmt.Errorf("stream line %d: %w", pos+1, errCrash)
+			}
+		}
+		j, err := job.DecodeRecord(raw, terminated)
+		if err != nil {
+			return fmt.Errorf("job: stream line %d: %w", pos+1, err)
+		}
+		if j != nil {
+			s.gw.Submit(j)
+		}
+		// Only after Submit returns is the record fully applied; a
+		// checkpoint tick firing inside Submit's event advance must not
+		// claim this line as durable.
+		s.ingested = pos + 1
+	}
+	if s.opts.httpAddr != "" {
+		<-ctx.Done()
+	}
+	return nil
+}
+
+// serveRealTime feeds stdin, or with -listen the TCP streams, to
+// runRealTime until they end or ctx is cancelled.
+func (s *server) serveRealTime(ctx context.Context, in io.Reader, errOut io.Writer) error {
 	// Slack so the decoders run a little ahead of admission.
 	jobs := make(chan *job.QJob, 64)
 	stdinErr := make(chan error, 1)
-	if opts.listen != "" {
+	if s.opts.listen != "" {
 		if err := s.listenTCP(ctx, jobs, errOut); err != nil {
 			return err
 		}
@@ -410,17 +491,113 @@ func runServe(ctx context.Context, opts serveOptions, in io.Reader, out, errOut 
 	s.runRealTime(ctx, jobs)
 	select {
 	case err := <-stdinErr:
-		if err != nil {
-			return err
-		}
+		return err
 	case <-ctx.Done():
 		// The stdin feed may be blocked on a read; abandon it and drain
 		// what was admitted. TCP connections end with the context.
+		return nil
 	}
-	if err := s.shutdown(errOut); err != nil {
+}
+
+// errCrash ends a run stopped by an injected crash. The run stops as a
+// kill would: no drain, no final checkpoint, no export flush; main
+// exits with exitCrash.
+var errCrash = errors.New("injected crash (stopped as a kill would; restart with -resume)")
+
+// exportBuffer is the size of the buffer -export rows pass through on
+// their way to the file.
+const exportBuffer = 64 << 10
+
+// exportFile is a serve run's -export CSV. The recorder writes each row
+// into w as it seals; w reaches the file when it fills and at every
+// checkpoint, which records the file's length. Nothing is fsynced: rows
+// in the page cache survive a killed process, not a lost host.
+//
+// The file is opened by the first write that reaches it, so a run
+// refused at startup leaves no file. A new export is created there; a
+// resumed one is cut back to the checkpoint's length, dropping what a
+// killed run wrote after its last checkpoint, and appended to.
+type exportFile struct {
+	path string
+	w    *bufio.Writer
+	f    *os.File
+	// start is the length of the file this run continues; 0 starts a
+	// new file with the header.
+	start int64
+	// n is the file's length once w is flushed.
+	n int64
+}
+
+// newExportFile prepares path for a run that resumes cp (nil for a new
+// run). A checkpoint that measured its export is continued, and the
+// file must be there, at least that long; otherwise the run writes a
+// new file.
+func newExportFile(path string, cp *core.Checkpoint) (*exportFile, error) {
+	e := &exportFile{path: path}
+	if cp != nil && cp.ExportLen > 0 {
+		fi, err := os.Stat(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("resume: export %s is missing; the checkpoint recorded %d bytes of it", path, cp.ExportLen)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("resume: %w", err)
+		}
+		if fi.Size() < cp.ExportLen {
+			return nil, fmt.Errorf("resume: export %s has %d bytes, fewer than the %d the checkpoint recorded", path, fi.Size(), cp.ExportLen)
+		}
+		e.start, e.n = cp.ExportLen, cp.ExportLen
+	}
+	e.w = bufio.NewWriterSize(e, exportBuffer)
+	return e, nil
+}
+
+// open creates the file, or cuts a continued one to its start.
+func (e *exportFile) open() (err error) {
+	if e.start == 0 {
+		e.f, err = os.Create(e.path)
 		return err
 	}
-	return writeExport(opts.export, rec)
+	if e.f, err = os.OpenFile(e.path, os.O_WRONLY, 0); err != nil {
+		return err
+	}
+	if err := e.f.Truncate(e.start); err != nil {
+		return err
+	}
+	_, err = e.f.Seek(e.start, io.SeekStart)
+	return err
+}
+
+// Write is w's way to the file.
+func (e *exportFile) Write(p []byte) (int, error) {
+	if e.f == nil {
+		if err := e.open(); err != nil {
+			return 0, err
+		}
+	}
+	n, err := e.f.Write(p)
+	e.n += int64(n)
+	return n, err
+}
+
+// close flushes the export and closes the file, opening it first if no
+// row reached it (a resumed run still drops the killed run's tail).
+func (e *exportFile) close() error {
+	err := e.w.Flush()
+	if err == nil && e.f == nil {
+		err = e.open()
+	}
+	if e.f != nil {
+		err = errors.Join(err, e.f.Close())
+		e.f = nil
+	}
+	return err
+}
+
+// abandon closes the file without flushing, leaving it as a kill would.
+func (e *exportFile) abandon() {
+	if e.f != nil {
+		e.f.Close() //lint:allow errlint the run already failed; the file stays as the last flush left it
+	}
 }
 
 // feed decodes one NDJSON stream into jobs until EOF, a decode error,

@@ -69,10 +69,15 @@ type Checkpoint struct {
 	DriftNext  float64 `json:"drift_next,omitempty"`
 	// Ingested is the serving layer's durable stream position: how many
 	// stream lines are fully covered by this checkpoint. The broker
-	// leaves it zero; every logical-time serve run stamps it, supervised
-	// or not, and the supervisor resumes the feed there after a crash.
-	// -resume starts a new stream, so it reads the next one from line 0.
+	// leaves it zero; every logical-time serve run stamps it, and a
+	// -resume run fed the same stream skips that many lines.
 	Ingested int64 `json:"ingested,omitempty"`
+	// ExportLen is the length in bytes of the serving layer's -export
+	// file when this checkpoint was written, every row sealed by then
+	// flushed to it. A -resume run cuts the file back to it and
+	// appends; zero (no -export, or a checkpoint from an older binary)
+	// starts a new file.
+	ExportLen int64 `json:"export_len,omitempty"`
 	// Jobs carries the serving layer's JobIndex snapshot when one is
 	// attached. The broker itself does not own a JobIndex, so
 	// Broker.Checkpoint leaves it nil and the serve loop fills it in.

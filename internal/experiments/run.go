@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 
 	"repro/internal/experiments/runner"
 	"repro/internal/records"
@@ -47,7 +48,7 @@ func ExecuteAll(ctx context.Context, cs *CaseStudy, label string, matrices []Tas
 	for _, m := range matrices {
 		mf, err := Execute(ctx, cs, m, opt)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", m.Label(), err)
+			return nil, wrapError(err, "%s", m.Label())
 		}
 		// Every matrix resolves the same pool size; keep it rather
 		// than summing repeats.
@@ -87,3 +88,22 @@ func Execute(ctx context.Context, cs *CaseStudy, m TaskMatrix, opt ExecOptions) 
 	}
 	return &records.RunManifest{Label: m.Label(), Workers: workers, Runs: rows}, nil
 }
+
+// wrapError puts context after the package prefix of err: the message
+// is "experiments: <context>: " and err's own, the prefix it carries
+// when it comes from this package taken off, so the package is named
+// once. errors.Is and errors.As see err.
+func wrapError(err error, format string, args ...any) error {
+	return &contextError{context: fmt.Sprintf(format, args...), err: err}
+}
+
+type contextError struct {
+	context string
+	err     error
+}
+
+func (e *contextError) Error() string {
+	return "experiments: " + e.context + ": " + strings.TrimPrefix(e.err.Error(), "experiments: ")
+}
+
+func (e *contextError) Unwrap() error { return e.err }

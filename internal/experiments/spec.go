@@ -143,7 +143,7 @@ func (s *Spec) Validate() error {
 	for i, m := range matrices {
 		specs, err := m.specs()
 		if err != nil {
-			return fmt.Errorf("experiments: spec matrix %d: %w", i, err)
+			return wrapError(err, "spec matrix %d", i)
 		}
 		for _, sp := range specs {
 			if seen[sp.id] {

@@ -361,3 +361,22 @@ func TestRunInvalidSpec(t *testing.T) {
 		t.Fatal("empty spec accepted")
 	}
 }
+
+// TestLoadSpecFileNamesPackageOnce: an error from inside a matrix keeps
+// its detail and the path, and names the package once, though both the
+// matrix and the spec add context to it.
+func TestLoadSpecFileNamesPackageOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	if err := os.WriteFile(path, []byte(`{"matrices":[{"kind":"phi-sweep","mode":"speed"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadSpecFile(path)
+	if err == nil {
+		t.Fatal("an empty sweep loaded")
+	}
+	msg := err.Error()
+	if n := strings.Count(msg, "experiments:"); n != 1 || !strings.Contains(msg, path) ||
+		!strings.Contains(msg, "spec matrix 0: empty sweep") {
+		t.Fatalf("error %q: want the path, the matrix, the detail, and %q once (found %d)", msg, "experiments:", n)
+	}
+}

@@ -30,8 +30,8 @@ const (
 	// LayerHTTP covers the HTTP control plane.
 	LayerHTTP = "http"
 
-	// OpLine is one line of the broker's logical-time stdin stream,
-	// supervised or not; real-time brokers refuse line rules.
+	// OpLine is one line of the broker's logical-time stdin stream;
+	// real-time brokers refuse line rules.
 	OpLine = "line"
 	// OpRead is one ingest byte-stream read: logical-time stdin, and
 	// real-time stdin and TCP connections.
@@ -43,8 +43,8 @@ const (
 	KindDelay = "delay"
 	// KindReset kills the HTTP connection with an injected reset.
 	KindReset = "reset"
-	// KindCrash panics the ingest loop with a Crash value, simulating a
-	// broker process death mid-stream.
+	// KindCrash stops the ingest loop at the line, as a process death
+	// mid-stream would: Line reports it, and the broker exits at once.
 	KindCrash = "crash"
 	// KindGarble corrupts the line into invalid JSON.
 	KindGarble = "garble"
@@ -193,17 +193,6 @@ func LoadPlan(path string) (*Plan, error) {
 	return p, nil
 }
 
-// Has reports whether the plan arms the given layer/op/kind. The CLI
-// uses it to refuse crash rules without a supervisor to recover them.
-func (p *Plan) Has(layer, op, kind string) bool {
-	for _, r := range p.Rules {
-		if r.Layer == layer && r.Op == op && r.Kind == kind {
-			return true
-		}
-	}
-	return false
-}
-
 // Event is one fired fault in the injector's ordered log.
 type Event struct {
 	// Seq is the 1-based global firing order.
@@ -333,27 +322,15 @@ func (rs *ruleState) matches(target string) bool {
 	return false
 }
 
-// Crash is the panic value raised for an induced broker crash; the
-// supervisor recognizes it and restarts from the latest checkpoint.
-type Crash struct {
-	// Pos is the 0-based stream position the crash fired at.
-	Pos int64
-}
-
-// Error describes the induced crash.
-func (c *Crash) Error() string {
-	return fmt.Sprintf("faults: injected crash at stream position %d", c.Pos)
-}
-
-// Line applies ingest line rules to one raw stream line at position
-// pos. Garble and cut return a modified copy (the caller's buffer is
-// never mutated, so a replay after recovery sees the original bytes);
-// stall sleeps; crash panics with a *Crash.
-func (in *Injector) Line(pos int64, line []byte) []byte {
+// Line applies ingest line rules to one raw stream line. Garble and
+// cut return a modified copy (the caller's buffer is never mutated);
+// stall sleeps; crash reports true, and the caller stops the run
+// without submitting the line.
+func (in *Injector) Line(line []byte) (out []byte, crash bool) {
 	for _, f := range in.Decide(LayerIngest, OpLine, "") {
 		switch f.Kind {
 		case KindCrash:
-			panic(&Crash{Pos: pos})
+			crash = true
 		case KindStall:
 			time.Sleep(f.Delay)
 		case KindGarble:
@@ -369,7 +346,7 @@ func (in *Injector) Line(pos int64, line []byte) []byte {
 			line = line[:n]
 		}
 	}
-	return line
+	return line, crash
 }
 
 // Reader wraps an ingest byte stream with the plan's ingest/read rules:

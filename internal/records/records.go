@@ -7,7 +7,7 @@
 // simulation time, fidelity mean and standard deviation, total
 // communication time, wait times, and throughput. A streaming broker
 // writes the same per-job CSV through an ExportRecorder instead, which
-// holds only the jobs still live.
+// writes each row as it seals and holds only the jobs still live.
 //
 // Above it live the run artifacts the experiment harness trades in:
 //

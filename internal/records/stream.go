@@ -1,23 +1,30 @@
 package records
 
 import (
+	"bufio"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/job"
 )
 
-// ExportRecorder builds a streaming broker's per-job records CSV while
-// holding only the jobs that are still live. It has the lifecycle
-// methods of core.StreamRecorder, and a broker records through it
-// directly.
+// ExportRecorder writes a streaming broker's per-job records CSV as
+// the rows seal, holding only the jobs that are still live. It has the
+// lifecycle methods of core.StreamRecorder, and a broker records
+// through it directly.
 //
 // Jobs are kept in admission order. Once every job admitted before a
 // job is terminal, the job is sealed: a finished job's row is encoded
-// (appendStatsRow) onto the CSV buffer and its JobStats is recycled; a
-// shed job leaves no row. For unique job IDs the CSV is exactly what
-// Manager.WriteCSV writes over the same events.
+// (appendStatsRow) and written to the recorder's writer, and its
+// JobStats is recycled; a shed job leaves no row. For unique job IDs
+// the bytes written are exactly what Manager.WriteCSV writes over the
+// same events.
+//
+// A quiescent point (no job live) is a row boundary: every job recorded
+// so far is sealed. Cutting the written bytes back to such a point and
+// continuing with a fresh recorder that writes no header, over the
+// events after it, gives the same CSV as one recorder over all of
+// them. A resumed serve run continues its export file that way.
 //
 // Two cases differ from a Manager, which keeps every job it ever saw:
 //   - a refused job leaves no record, so a refused ID that is admitted
@@ -39,7 +46,9 @@ type ExportRecorder struct {
 	// free holds sealed entries for reuse, DeviceNames capacity and all.
 	free []*streamJob
 
-	csv chunkBuf
+	// w receives the header and the sealed rows. Its first write error
+	// sticks (bufio.Writer's contract): the caller's Flush reports it.
+	w   *bufio.Writer
 	row []byte // one encoded row, reused
 }
 
@@ -51,10 +60,14 @@ type streamJob struct {
 	j *job.QJob
 }
 
-// NewExportRecorder returns a recorder whose CSV holds only the header.
-func NewExportRecorder() *ExportRecorder {
-	r := &ExportRecorder{live: make(map[string]*streamJob)}
-	r.csv.write([]byte(statsHeader))
+// NewExportRecorder returns a recorder that writes sealed rows to w,
+// after the CSV header if header is set. Nothing reaches w's own
+// writer until w fills or its caller flushes it.
+func NewExportRecorder(w *bufio.Writer, header bool) *ExportRecorder {
+	r := &ExportRecorder{live: make(map[string]*streamJob), w: w}
+	if header {
+		r.w.WriteString(statsHeader) //lint:allow errlint a bufio.Writer keeps its first error for the caller's Flush
+	}
 	return r
 }
 
@@ -159,7 +172,7 @@ func (r *ExportRecorder) retire(e *streamJob) {
 		}
 		if h.finished {
 			r.row = appendStatsRow(r.row[:0], &h.JobStats)
-			r.csv.write(r.row)
+			r.w.Write(r.row) //lint:allow errlint a bufio.Writer keeps its first error for the caller's Flush
 		}
 		r.ring[r.head] = nil
 		if r.head++; r.head == len(r.ring) {
@@ -168,72 +181,4 @@ func (r *ExportRecorder) retire(e *streamJob) {
 		r.n--
 		r.free = append(r.free, h)
 	}
-}
-
-// Len returns the CSV's length in bytes: the mark Truncate rolls back
-// to. It is the header's length before any row is sealed.
-func (r *ExportRecorder) Len() int { return r.csv.n }
-
-// Truncate rolls the recorder back to a Len mark taken when no job was
-// unsealed: the CSV is cut to n bytes and every job recorded since is
-// forgotten, so a replay of the events after the mark records them
-// afresh. A quiescent broker checkpoint is such a point.
-func (r *ExportRecorder) Truncate(n int) {
-	if n < len(statsHeader) || n > r.csv.n {
-		panic(fmt.Sprintf("records: truncate to %d of %d CSV bytes", n, r.csv.n))
-	}
-	r.csv.truncate(n)
-	clear(r.ring)
-	r.head, r.n = 0, 0
-	clear(r.live)
-}
-
-// WriteCSV writes the sealed rows: after the broker has drained, every
-// finished job's. The bytes are those of Manager.WriteCSV over the
-// same (unique-ID) events.
-func (r *ExportRecorder) WriteCSV(w io.Writer) error {
-	for _, c := range r.csv.chunks {
-		if _, err := w.Write(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// exportChunk is the size of one CSV buffer chunk. Chunks are never
-// regrown: a long export costs one allocation per chunk and no copy of
-// the rows already written.
-const exportChunk = 64 << 10
-
-// chunkBuf is an append-only byte buffer made of exportChunk-byte
-// chunks; every chunk but the last is full.
-type chunkBuf struct {
-	chunks [][]byte
-	n      int
-}
-
-func (b *chunkBuf) write(p []byte) {
-	for len(p) > 0 {
-		k := len(b.chunks) - 1
-		if k < 0 || len(b.chunks[k]) == exportChunk {
-			b.chunks = append(b.chunks, make([]byte, 0, exportChunk))
-			k++
-		}
-		c := b.chunks[k]
-		m := copy(c[len(c):exportChunk], p)
-		b.chunks[k] = c[:len(c)+m]
-		b.n += m
-		p = p[m:]
-	}
-}
-
-// truncate cuts the buffer to its first n bytes, n <= b.n.
-func (b *chunkBuf) truncate(n int) {
-	keep := (n + exportChunk - 1) / exportChunk
-	clear(b.chunks[keep:])
-	b.chunks = b.chunks[:keep]
-	if keep > 0 {
-		b.chunks[keep-1] = b.chunks[keep-1][:n-(keep-1)*exportChunk]
-	}
-	b.n = n
 }

@@ -1,8 +1,10 @@
 package records
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -123,33 +125,42 @@ func managerCSV(t *testing.T, evs []streamEvent) []byte {
 	return buf.Bytes()
 }
 
-func recorderCSV(t *testing.T, r *ExportRecorder) []byte {
+// newBufRecorder returns a recorder writing into buf through a bufio
+// writer of size bytes, so rows reach buf in pieces that need not end
+// on a row boundary; header is the recorder's.
+func newBufRecorder(buf *bytes.Buffer, size int, header bool) (*ExportRecorder, *bufio.Writer) {
+	w := bufio.NewWriterSize(buf, size)
+	return NewExportRecorder(w, header), w
+}
+
+// flushed flushes w and returns the bytes buf holds.
+func flushed(t *testing.T, w *bufio.Writer, buf *bytes.Buffer) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := r.WriteCSV(&buf); err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
-	}
-	if buf.Len() != r.Len() {
-		t.Fatalf("WriteCSV wrote %d bytes, Len is %d", buf.Len(), r.Len())
 	}
 	return buf.Bytes()
 }
 
 // FuzzServeExport is differential: over a seeded event sequence with
 // unique IDs (out-of-order starts and finishes, sheds, refusals never
-// re-admitted), the export recorder's CSV equals Manager.WriteCSV over
-// the same events, also when the recorder is rolled back to a byte
-// mark taken at a quiescent point and the events since are replayed,
-// as the serve supervisor does after a crash. jobs bounds the sequence,
-// and crashes bounds the rollbacks.
+// re-admitted), the export recorder writes Manager.WriteCSV's bytes
+// over the same events. It does so also across rollbacks, as a resumed
+// serve run continues a killed run's export: the written bytes are cut
+// to a mark taken at a quiescent point (where the buffer was flushed,
+// as a checkpoint flushes it), the unflushed buffer is lost, and a
+// fresh recorder that writes no header records the events since the
+// mark. jobs bounds the sequence, and crashes bounds the rollbacks.
 func FuzzServeExport(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint8(0))
 	f.Add(int64(2), uint16(300), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, jobs uint16, crashes uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		evs, quiet := genStreamEvents(rng, int(jobs%600))
-		r := NewExportRecorder()
-		mark, markAt := r.Len(), 0
+		var buf bytes.Buffer
+		size := 16 + rng.Intn(512) // small: flushes land mid-row
+		r, w := newBufRecorder(&buf, size, true)
+		mark, markAt := len(flushed(t, w, &buf)), 0
 		left := int(crashes % 8)
 		for i := 0; i < len(evs); {
 			evs[i].record(r)
@@ -159,27 +170,30 @@ func FuzzServeExport(f *testing.F) {
 					t.Fatalf("%d jobs live at a quiescent point", len(r.live))
 				}
 				if rng.Intn(3) == 0 {
-					mark, markAt = r.Len(), i
+					mark, markAt = len(flushed(t, w, &buf)), i
 				}
 			}
 			if left > 0 && rng.Intn(len(evs)) < 2 {
 				left--
-				r.Truncate(mark)
+				buf.Truncate(mark)
+				r, w = newBufRecorder(&buf, size, false)
 				i = markAt
 			}
 		}
-		if got, want := recorderCSV(t, r), managerCSV(t, evs); !bytes.Equal(got, want) {
+		if got, want := flushed(t, w, &buf), managerCSV(t, evs); !bytes.Equal(got, want) {
 			t.Fatalf("export recorder CSV differs from the Manager's:\n got %q\nwant %q", got, want)
 		}
 	})
 }
 
-// TestTruncateRollsBackToMark: Truncate rolls an export recorder back to
-// a Len mark taken when no job was live. The CSV is the mark's, whatever
-// was recorded after it (a sealed row, a queued and a running job, a row
-// finished behind them, a refusal and a shed), and the replay records
-// the forgotten IDs afresh, ending with the uninterrupted run's CSV. The
-// mark sits inside the second 64 KiB chunk, so the cut is mid-chunk.
+// TestTruncateRollsBackToMark: truncating a recorder's written bytes to
+// a mark flushed when no job was live rolls the export back to that
+// mark, whatever was recorded after it (a sealed row, a queued and a
+// running job, a row finished behind them, a refusal and a shed, some
+// of it flushed and some still buffered). A fresh recorder without a
+// header, fed the events after the mark, ends with the uninterrupted
+// run's CSV. The mark sits past the first 64 KiB buffer, so the export
+// reached its writer in several flushes before it.
 func TestTruncateRollsBackToMark(t *testing.T) {
 	var before, after []streamEvent
 	finish := func(evs []streamEvent, id string, t0 float64) []streamEvent {
@@ -214,33 +228,41 @@ func TestTruncateRollsBackToMark(t *testing.T) {
 		streamEvent{kind: 'f', j: queued, t: 2031, fid: 0.5, names: []string{"c"}},
 		streamEvent{kind: 'f', j: running, t: 2032, fid: 0.6, names: []string{"d"}})
 
-	r := NewExportRecorder()
+	const size = 64 << 10
+	var buf bytes.Buffer
+	r, w := newBufRecorder(&buf, size, true)
 	for _, e := range before {
 		e.record(r)
 	}
-	mark := r.Len()
-	if mark <= exportChunk || mark%exportChunk == 0 {
-		t.Fatalf("mark %d is not inside the second %d-byte chunk", mark, exportChunk)
+	want := bytes.Clone(flushed(t, w, &buf))
+	mark := len(want)
+	if mark <= size {
+		t.Fatalf("mark %d is not past the first %d-byte buffer", mark, size)
 	}
-	want := recorderCSV(t, r)
 	for _, e := range after[:crashAt] {
 		e.record(r)
 	}
-	if r.Len() <= mark || len(r.live) != 2 {
-		t.Fatalf("after the mark: Len %d (mark %d), %d live, want a sealed row and 2 live", r.Len(), mark, len(r.live))
+	if len(r.live) != 2 {
+		t.Fatalf("after the mark: %d live, want 2", len(r.live))
 	}
-	r.Truncate(mark)
-	if r.Len() != mark || len(r.live) != 0 {
-		t.Fatalf("after Truncate(%d): Len %d, %d live", mark, r.Len(), len(r.live))
+	// The killed run's buffer reached the file up to a torn row.
+	w.WriteString("torn,")
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if got := recorderCSV(t, r); !bytes.Equal(got, want) {
-		t.Fatalf("CSV after Truncate differs from the mark's")
+	if buf.Len() <= mark {
+		t.Fatalf("nothing written after the mark (%d bytes)", buf.Len())
 	}
+	buf.Truncate(mark)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("export after the cut differs from the mark's")
+	}
+	r, w = newBufRecorder(&buf, size, false)
 	for _, e := range after {
 		e.record(r)
 	}
-	if got, want := recorderCSV(t, r), managerCSV(t, append(before, after...)); !bytes.Equal(got, want) {
-		t.Fatalf("replayed CSV differs from the uninterrupted run's:\n got %q\nwant %q",
+	if got, want := flushed(t, w, &buf), managerCSV(t, append(before, after...)); !bytes.Equal(got, want) {
+		t.Fatalf("continued CSV differs from the uninterrupted run's:\n got %q\nwant %q",
 			got[len(got)-300:], want[len(want)-300:])
 	}
 }
@@ -251,7 +273,8 @@ func TestTruncateRollsBackToMark(t *testing.T) {
 // its row at its admission position), a sealed ID may be admitted again,
 // and a repeat of a live ID panics.
 func TestExportRecorderIDRules(t *testing.T) {
-	r := NewExportRecorder()
+	var buf bytes.Buffer
+	r, w := newBufRecorder(&buf, 4096, true)
 	a, c := &job.QJob{ID: "a"}, &job.QJob{ID: "c"}
 	r.Arrival(a, 0)
 	r.Start("a", 0)
@@ -272,7 +295,7 @@ func TestExportRecorderIDRules(t *testing.T) {
 	r.Start("a", 8)
 	r.Finish("a", 9, 0.6, 0, []string{"d3"})
 	var ids []string
-	for _, line := range bytes.Split(bytes.TrimSpace(recorderCSV(t, r)), []byte("\n"))[1:] {
+	for _, line := range bytes.Split(bytes.TrimSpace(flushed(t, w, &buf)), []byte("\n"))[1:] {
 		ids = append(ids, string(line[:bytes.IndexByte(line, ',')]))
 	}
 	if fmt.Sprint(ids) != "[a c b a]" {
@@ -291,9 +314,9 @@ func TestExportRecorderIDRules(t *testing.T) {
 // TestServeExportAllocsPerJob: once warm, a job's arrival, start and
 // finish through the export recorder allocate nothing of their own
 // (entries are recycled, device names reuse their slice, the live map
-// stays at the reorder window's size); only the 64 KiB CSV chunks
-// allocate. 20k jobs finishing out of order within a 32-job window must
-// cost under 0.05 allocations each.
+// stays at the reorder window's size), and the rows go out through one
+// 64 KiB buffer. 20k jobs finishing out of order within a 32-job window
+// must cost under 0.05 allocations each.
 func TestServeExportAllocsPerJob(t *testing.T) {
 	const n, window = 20000, 32
 	jobs := make([]job.QJob, n)
@@ -301,7 +324,7 @@ func TestServeExportAllocsPerJob(t *testing.T) {
 		jobs[i] = job.QJob{ID: fmt.Sprintf("job-%07d", i), Ingest: job.Ingest{Source: "stdin", ConnID: 1}}
 	}
 	names := []string{"ibm_quebec", "ibm_kyiv"}
-	r := NewExportRecorder()
+	r := NewExportRecorder(bufio.NewWriterSize(io.Discard, 64<<10), true)
 	finish := func(i int) {
 		r.Finish(jobs[i].ID, float64(i)+3, 0.9, 0.1, names[:1+i%2])
 	}
@@ -326,5 +349,5 @@ func TestServeExportAllocsPerJob(t *testing.T) {
 	if len(r.live) != 0 {
 		t.Fatalf("%d jobs live after the run", len(r.live))
 	}
-	t.Logf("%.4f allocs per job, %d CSV bytes", perJob, r.Len())
+	t.Logf("%.4f allocs per job", perJob)
 }

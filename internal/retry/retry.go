@@ -1,9 +1,8 @@
 // Package retry is the repo's single retry/backoff discipline: one
-// policy type shared by the HTTP submit client, checkpoint writes and
-// the serve supervisor's restart backoff. The backoff is
-// capped decorrelated jitter (each sleep drawn uniformly from
-// [base, 3·previous], clamped to the cap) driven by a seeded RNG, so a
-// fixed seed reproduces the exact delay sequence — retries stay as
+// policy type shared by the HTTP submit client and checkpoint writes.
+// The backoff is capped decorrelated jitter (each sleep drawn uniformly
+// from [base, 3·previous], clamped to the cap) driven by a seeded RNG,
+// so a fixed seed reproduces the exact delay sequence — retries stay as
 // replayable as everything else in this repo.
 package retry
 
