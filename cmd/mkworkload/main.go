@@ -10,34 +10,50 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/job"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "mkworkload:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// writers maps each -format to its encoder.
+var writers = map[string]func(io.Writer, []*job.QJob) error{
+	"csv":    job.WriteCSV,
+	"json":   job.WriteJSON,
+	"ndjson": job.WriteNDJSON,
+}
+
+// run parses args (a bad flag exits 2, as the flag package does) and
+// writes the workload to -out, or to stdout.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mkworkload", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		n            = flag.Int("n", 1000, "number of jobs")
-		minQ         = flag.Int("min-qubits", 130, "minimum qubits per job")
-		maxQ         = flag.Int("max-qubits", 250, "maximum qubits per job")
-		minD         = flag.Int("min-depth", 5, "minimum circuit depth")
-		maxD         = flag.Int("max-depth", 20, "maximum circuit depth")
-		minS         = flag.Int("min-shots", 10000, "minimum shots")
-		maxS         = flag.Int("max-shots", 100000, "maximum shots")
-		t2f          = flag.Float64("t2-factor", 0.25, "two-qubit gates per qubit-layer slot")
-		interarrival = flag.Float64("interarrival", 60, "mean inter-arrival time (s); 0 = all at t=0")
-		seed         = flag.Int64("seed", 1, "generator seed")
-		out          = flag.String("out", "", "output path (default stdout)")
-		format       = flag.String("format", "csv", "output format: csv|json|ndjson (ndjson is the qcloudsim -serve ingest format)")
+		n            = fs.Int("n", 1000, "number of jobs")
+		minQ         = fs.Int("min-qubits", 130, "minimum qubits per job")
+		maxQ         = fs.Int("max-qubits", 250, "maximum qubits per job")
+		minD         = fs.Int("min-depth", 5, "minimum circuit depth")
+		maxD         = fs.Int("max-depth", 20, "maximum circuit depth")
+		minS         = fs.Int("min-shots", 10000, "minimum shots")
+		maxS         = fs.Int("max-shots", 100000, "maximum shots")
+		t2f          = fs.Float64("t2-factor", 0.25, "two-qubit gates per qubit-layer slot")
+		interarrival = fs.Float64("interarrival", 60, "mean inter-arrival time (s); 0 = all at t=0")
+		seed         = fs.Int64("seed", 1, "generator seed")
+		out          = fs.String("out", "", "output path (default stdout)")
+		format       = fs.String("format", "csv", "output format: csv|json|ndjson (ndjson is the qcloudsim -serve ingest format)")
 	)
-	flag.Parse()
+	fs.Parse(args) //lint:allow errlint ExitOnError: Parse exits instead of returning an error
+	write, ok := writers[*format]
+	if !ok {
+		return fmt.Errorf("unknown -format %q (want csv|json|ndjson)", *format)
+	}
 
 	cfg := job.SyntheticConfig{
 		N:         *n,
@@ -52,7 +68,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	w := os.Stdout
+	w := stdout
 	var outFile *os.File
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -62,17 +78,7 @@ func run() error {
 		outFile = f
 		w = f
 	}
-	switch *format {
-	case "csv":
-		err = job.WriteCSV(w, jobs)
-	case "json":
-		err = job.WriteJSON(w, jobs)
-	case "ndjson":
-		err = job.WriteNDJSON(w, jobs)
-	default:
-		return fmt.Errorf("unknown -format %q (want csv|json|ndjson)", *format)
-	}
-	if err != nil {
+	if err := write(w, jobs); err != nil {
 		if outFile != nil {
 			outFile.Close() //lint:allow errlint the write error above is the one to report; close is failure-path cleanup
 		}
@@ -83,7 +89,7 @@ func run() error {
 		if err := outFile.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d jobs to %s\n", len(jobs), *out)
+		fmt.Fprintf(stderr, "wrote %d jobs to %s\n", len(jobs), *out) //lint:allow errlint the workload is written; the note on stderr is informational
 	}
 	return nil
 }

@@ -210,12 +210,13 @@ func TestOfferSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// Dropped jobs must not poison the records layer: refused jobs never
-// count as pending, shed jobs stop counting, and the shed job alone
-// carries the drop and its reason.
+// Dropped jobs must not poison the records layer: a shed job stops
+// counting as pending and leaves no row, the rows behind it still seal,
+// and the shed reaches the recorders as the one drop, with its reason.
 func TestAdmissionRecordsIntegration(t *testing.T) {
 	m := records.NewManager()
-	b := admissionBroker(t, AdmissionConfig{Policy: AdmitShed, MaxQueue: 1}, ManagerRecorder{M: m})
+	drops := &dropRecorder{}
+	b := admissionBroker(t, AdmissionConfig{Policy: AdmitShed, MaxQueue: 1}, MultiRecorder{ManagerRecorder{M: m}, drops})
 	for i := 0; i < 4; i++ {
 		b.Offer(mkJob(fmt.Sprintf("j%d", i), ""))
 	}
@@ -223,8 +224,8 @@ func TestAdmissionRecordsIntegration(t *testing.T) {
 	if _, err := b.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if got := m.NumDropped(); got != 1 {
-		t.Fatalf("dropped = %d, want 1", got)
+	if got := fmt.Sprint(drops.drops); got != "[j2@0:shed]" {
+		t.Fatalf("drops = %s, want [j2@0:shed]", got)
 	}
 	if got := m.NumPending(); got != 0 {
 		t.Fatalf("pending = %d, want 0 (shed job must not linger)", got)
@@ -232,15 +233,12 @@ func TestAdmissionRecordsIntegration(t *testing.T) {
 	if got := m.NumFinished(); got != 3 {
 		t.Fatalf("finished = %d, want 3", got)
 	}
-	for i := 0; i < 4; i++ {
-		id := fmt.Sprintf("j%d", i)
-		s := m.Get(id)
-		if s == nil {
-			t.Fatalf("%s has no record", id)
-		}
-		if shed := id == "j2"; s.Dropped() != shed || (s.DropReason == DropShed) != shed {
-			t.Fatalf("%s stats = %+v, want dropped %v", id, s, shed)
-		}
+	var ids []string
+	for _, s := range m.Finished() {
+		ids = append(ids, s.JobID)
+	}
+	if got := fmt.Sprint(ids); got != "[j0 j1 j3]" {
+		t.Fatalf("rows %s, want [j0 j1 j3]", got)
 	}
 }
 

@@ -43,8 +43,8 @@ func TestBackfillLetsSmallJobSkipBlockedHead(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	small := e.Records.Get("small")
-	big2 := e.Records.Get("big-2")
+	small := finishedRow(t, e, "small")
+	big2 := finishedRow(t, e, "big-2")
 	if small.Start >= big2.Start {
 		t.Fatalf("backfill should start small (%g) before blocked big-2 (%g)",
 			small.Start, big2.Start)
@@ -68,8 +68,8 @@ func TestFIFOHoldsSmallJobBehindBlockedHead(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	small := e.Records.Get("small")
-	big2 := e.Records.Get("big-2")
+	small := finishedRow(t, e, "small")
+	big2 := finishedRow(t, e, "big-2")
 	if small.Start < big2.Start {
 		t.Fatalf("FIFO must not let small (%g) pass big-2 (%g)", small.Start, big2.Start)
 	}

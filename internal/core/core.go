@@ -4,8 +4,8 @@
 // (Algorithm 1) to partition each large circuit across QDevices, runs
 // the partitions in parallel on the callback-driven event kernel,
 // simulates blocking inter-device classical communication, computes
-// final fidelity with the Eq. 8 penalty, and logs everything to the
-// JobRecordsManager.
+// final fidelity with the Eq. 8 penalty, and logs everything to a
+// StreamRecorder (a batch run's records.Manager).
 //
 // The Broker is the only scheduling engine. Batch runs (QCloudSimEnv)
 // release a finite workload into it at the jobs' arrival times and run
@@ -139,7 +139,7 @@ const batchWindowCap = 1
 // given allocation policy.
 func NewQCloudSimEnv(env *sim.Environment, fleet []*device.Device, pol policy.Policy, cfg Config) (*QCloudSimEnv, error) {
 	rec := records.NewManager()
-	b, err := NewBroker(env, fleet, pol, cfg, ManagerRecorder{M: rec}, batchWindowCap)
+	b, err := NewBroker(env, fleet, pol, cfg, rec, batchWindowCap)
 	if err != nil {
 		return nil, err
 	}

@@ -9,8 +9,21 @@ import (
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/policy"
+	"repro/internal/records"
 	"repro/internal/sim"
 )
+
+// finishedRow returns the finished row of job id.
+func finishedRow(t *testing.T, e *QCloudSimEnv, id string) *records.JobStats {
+	t.Helper()
+	for _, s := range e.Records.Finished() {
+		if s.JobID == id {
+			return s
+		}
+	}
+	t.Fatalf("job %s has no finished row", id)
+	return nil
+}
 
 // buildEnv assembles a standard-fleet simulation with the given policy.
 func buildEnv(t *testing.T, pol policy.Policy) *QCloudSimEnv {
@@ -77,7 +90,7 @@ func TestSingleJobLifecycle(t *testing.T) {
 	if res.JobsFinished != 1 {
 		t.Fatalf("finished = %d", res.JobsFinished)
 	}
-	s := e.Records.Get("solo")
+	s := finishedRow(t, e, "solo")
 	if s.Arrival != 5 {
 		t.Fatalf("arrival = %g", s.Arrival)
 	}
@@ -113,7 +126,7 @@ func TestJobTimeIsMaxOverPartitions(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	s := e.Records.Get("x")
+	s := finishedRow(t, e, "x")
 	// Fair spreads over all 5 devices: slowest is kawasaki (29k CLOPS).
 	slowest := metrics.ExecutionTime(10, 10, 50000, 128, 29000)
 	want := slowest + s.CommTime
@@ -135,7 +148,7 @@ func TestQueueingWhenCloudSaturated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, sb := e.Records.Get("a"), e.Records.Get("b")
+	sa, sb := finishedRow(t, e, "a"), finishedRow(t, e, "b")
 	if sb.Start < sa.Finish {
 		t.Fatalf("b started at %g before a finished at %g", sb.Start, sa.Finish)
 	}
@@ -162,7 +175,7 @@ func TestFIFOOrderPreserved(t *testing.T) {
 	}
 	var lastStart float64
 	for _, j := range jobs {
-		s := e.Records.Get(j.ID)
+		s := finishedRow(t, e, j.ID)
 		if s.Start < lastStart {
 			t.Fatalf("job %s started at %g before its predecessor at %g", j.ID, s.Start, lastStart)
 		}
@@ -293,8 +306,8 @@ func TestCommunicationScalesWithPartitions(t *testing.T) {
 	if _, err := eFair.Run(); err != nil {
 		t.Fatal(err)
 	}
-	commFid := eFid.Records.Get("c").CommTime
-	commFair := eFair.Records.Get("c").CommTime
+	commFid := finishedRow(t, eFid, "c").CommTime
+	commFair := finishedRow(t, eFair, "c").CommTime
 	if commFid >= commFair {
 		t.Fatalf("2-way comm %g should be below 5-way comm %g", commFid, commFair)
 	}

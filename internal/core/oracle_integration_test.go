@@ -32,7 +32,7 @@ func TestSimulatedFidelityMatchesPrediction(t *testing.T) {
 		if _, err := env2.Run(); err != nil {
 			t.Fatal(err)
 		}
-		got := env2.Records.Get(j.ID).Fidelity
+		got := finishedRow(t, env2, j.ID).Fidelity
 		if math.Abs(got-predicted) > 1e-12 {
 			t.Fatalf("job %s: simulated %g vs predicted %g", j.ID, got, predicted)
 		}

@@ -14,10 +14,10 @@ import (
 )
 
 // StreamRecorder receives job lifecycle notifications from a Broker.
-// records.Manager satisfies it through ManagerRecorder (full retention,
-// byte-identical CSV export); serve mode records its export through
-// records.ExportRecorder (live jobs only, same CSV) and layers a
-// streaming emitter on top. Implementations used inside the
+// records.Manager satisfies it (a batch run's rows, kept for the
+// aggregates and the CSV export), as does records.ExportRecorder (serve
+// mode's -export, each row written as it seals); both run the same
+// lifecycle and write the same CSV. Implementations used inside the
 // allocation-gated steady state must themselves be allocation-free.
 type StreamRecorder interface {
 	// Arrival is called when a job is admitted into the broker. The job
@@ -37,34 +37,27 @@ type StreamRecorder interface {
 	Drop(j *job.QJob, t float64, reason string)
 }
 
-// ManagerRecorder adapts a records.Manager to the StreamRecorder seam.
-// Batch runs record through it, so a serve-mode broker recording through
-// it produces per-job records byte-identical to a batch QCloudSimEnv run
-// over the same workload: ingest provenance is recorded in dedicated
-// columns that batch-vs-serve diffs exclude explicitly, like
-// host/attempt in run manifests.
+// ManagerRecorder forwards a broker's lifecycle events to a
+// records.Manager, which is itself a StreamRecorder; the wrapper stays
+// for the callers that name it. Ingest provenance is recorded in
+// dedicated columns, which batch-vs-serve record diffs exclude
+// explicitly, so a serve-mode broker recording through it writes the
+// per-job records of a batch QCloudSimEnv run over the same workload.
 type ManagerRecorder struct{ M *records.Manager }
 
 // Arrival implements StreamRecorder.
-func (r ManagerRecorder) Arrival(j *job.QJob, t float64) {
-	r.M.LogArrival(j.ID, t)
-	if j.Ingest != (job.Ingest{}) {
-		r.M.SetIngest(j.ID, j.Ingest.Source, j.Ingest.Remote, j.Ingest.ConnID)
-	}
-}
+func (r ManagerRecorder) Arrival(j *job.QJob, t float64) { r.M.Arrival(j, t) }
 
 // Start implements StreamRecorder.
-func (r ManagerRecorder) Start(jobID string, t float64) { r.M.LogStart(jobID, t) }
+func (r ManagerRecorder) Start(jobID string, t float64) { r.M.Start(jobID, t) }
 
 // Finish implements StreamRecorder.
 func (r ManagerRecorder) Finish(jobID string, finish, fidelity, commTime float64, deviceNames []string) {
-	r.M.LogFinish(jobID, finish, fidelity, commTime, deviceNames)
+	r.M.Finish(jobID, finish, fidelity, commTime, deviceNames)
 }
 
 // Drop implements StreamRecorder.
-func (r ManagerRecorder) Drop(j *job.QJob, t float64, reason string) {
-	r.M.LogDrop(j.ID, t, reason)
-}
+func (r ManagerRecorder) Drop(j *job.QJob, t float64, reason string) { r.M.Drop(j, t, reason) }
 
 // MultiRecorder fans lifecycle notifications out to several recorders.
 type MultiRecorder []StreamRecorder

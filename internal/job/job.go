@@ -44,9 +44,9 @@ type QJob struct {
 // Ingest is per-connection provenance for a streamed job: which ingest
 // path accepted it, the peer address, and a broker-local connection (or
 // request) sequence number. Batch-loaded and stdin-streamed jobs leave
-// it zero — like host/attempt in run manifests, provenance is recorded
-// only by transports with a real peer identity, so the stdin broker
-// path stays byte-identical to batch runs.
+// it zero: provenance is recorded only by transports with a real peer
+// identity, so the stdin broker path stays byte-identical to batch
+// runs.
 type Ingest struct {
 	// Source names the ingest path: "tcp" or "http".
 	Source string `json:"source,omitempty"`

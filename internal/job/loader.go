@@ -164,8 +164,9 @@ func loadQuotedCSV(r io.Reader) ([]*QJob, error) {
 // inArrivalOrder is the step LoadCSV and LoadJSON share: it refuses a
 // job_id that two records carry, naming both records by their 1-based
 // numbers (lines[k] for jobs[k]), then sorts the jobs by arrival. A run
-// keys every lifecycle record by job ID, so a repeated ID would
-// otherwise reach records.Manager's duplicate-arrival panic.
+// keys its live jobs' records by job ID, so a repeated ID would
+// otherwise panic as a duplicate arrival while its first job is live,
+// or give the workload two rows under one ID.
 func inArrivalOrder(jobs []*QJob, lines []int, what string) ([]*QJob, error) {
 	if first, k := repeatedID(jobs); k >= 0 {
 		return nil, fmt.Errorf("job: %s %d and %d both have job_id %q", what, lines[first], lines[k], jobs[k].ID)

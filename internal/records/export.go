@@ -20,7 +20,7 @@ import (
 // fields: rows are appended to one reused buffer (appendStatsRow), which
 // goes to w whenever it reaches statsFlushAt bytes.
 func (m *Manager) WriteCSV(w io.Writer) error {
-	return writeStatsCSV(w, m.Finished())
+	return writeStatsCSV(w, m.rows)
 }
 
 // writeStatsCSV writes the per-job records CSV over rows.

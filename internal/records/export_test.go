@@ -5,13 +5,12 @@ import (
 	"encoding/csv"
 	"strings"
 	"testing"
+
+	"repro/internal/job"
 )
 
 func TestWriteCSVContent(t *testing.T) {
-	m := NewManager()
-	m.LogArrival("j1", 0)
-	m.LogStart("j1", 5)
-	m.LogFinish("j1", 25, 0.75, 3.8, []string{"ibm_quebec", "ibm_kyiv"})
+	m := recordAll(t, run(&job.QJob{ID: "j1"}, 0, 5, 25, 0.75, 3.8, "ibm_quebec", "ibm_kyiv"))
 
 	var buf bytes.Buffer
 	if err := m.WriteCSV(&buf); err != nil {

@@ -21,8 +21,17 @@ type streamEvent struct {
 	reason    string
 }
 
-// record feeds e to an export recorder.
-func (e streamEvent) record(r *ExportRecorder) {
+// recorder is core.StreamRecorder's method set, which both recorders
+// and the reference have.
+type recorder interface {
+	Arrival(j *job.QJob, t float64)
+	Start(jobID string, t float64)
+	Finish(jobID string, finish, fidelity, commTime float64, deviceNames []string)
+	Drop(j *job.QJob, t float64, reason string)
+}
+
+// feed records e through r.
+func (e streamEvent) feed(r recorder) {
 	switch e.kind {
 	case 'a':
 		r.Arrival(e.j, e.t)
@@ -32,23 +41,6 @@ func (e streamEvent) record(r *ExportRecorder) {
 		r.Finish(e.j.ID, e.t, e.fid, e.comm, e.names)
 	case 'd':
 		r.Drop(e.j, e.t, e.reason)
-	}
-}
-
-// log feeds e to a Manager the way core.ManagerRecorder does.
-func (e streamEvent) log(m *Manager) {
-	switch e.kind {
-	case 'a':
-		m.LogArrival(e.j.ID, e.t)
-		if e.j.Ingest != (job.Ingest{}) {
-			m.SetIngest(e.j.ID, e.j.Ingest.Source, e.j.Ingest.Remote, e.j.Ingest.ConnID)
-		}
-	case 's':
-		m.LogStart(e.j.ID, e.t)
-	case 'f':
-		m.LogFinish(e.j.ID, e.t, e.fid, e.comm, e.names)
-	case 'd':
-		m.LogDrop(e.j.ID, e.t, e.reason)
 	}
 }
 
@@ -112,11 +104,15 @@ func genStreamEvents(rng *rand.Rand, n int) (evs []streamEvent, quiet []bool) {
 	return evs, quiet
 }
 
+// managerCSV feeds evs to a Manager and returns its export.
 func managerCSV(t *testing.T, evs []streamEvent) []byte {
 	t.Helper()
 	m := NewManager()
 	for _, e := range evs {
-		e.log(m)
+		e.feed(m)
+	}
+	if n := m.NumPending(); n != 0 {
+		t.Fatalf("%d jobs pending after the events", n)
 	}
 	var buf bytes.Buffer
 	if err := m.WriteCSV(&buf); err != nil {
@@ -144,8 +140,9 @@ func flushed(t *testing.T, w *bufio.Writer, buf *bytes.Buffer) []byte {
 
 // FuzzServeExport is differential: over a seeded event sequence with
 // unique IDs (out-of-order starts and finishes, sheds, refusals never
-// re-admitted), the export recorder writes Manager.WriteCSV's bytes
-// over the same events. It does so also across rollbacks, as a resumed
+// re-admitted), the export recorder and Manager.WriteCSV both write the
+// bytes the map-and-order reference (refManager) writes over the same
+// events. The export recorder does so also across rollbacks, as a resumed
 // serve run continues a killed run's export: the written bytes are cut
 // to a mark taken at a quiescent point (where the buffer was flushed,
 // as a checkpoint flushes it), the unflushed buffer is lost, and a
@@ -163,7 +160,7 @@ func FuzzServeExport(f *testing.F) {
 		mark, markAt := len(flushed(t, w, &buf)), 0
 		left := int(crashes % 8)
 		for i := 0; i < len(evs); {
-			evs[i].record(r)
+			evs[i].feed(r)
 			i++
 			if quiet[i] {
 				if len(r.live) != 0 {
@@ -180,8 +177,12 @@ func FuzzServeExport(f *testing.F) {
 				i = markAt
 			}
 		}
-		if got, want := flushed(t, w, &buf), managerCSV(t, evs); !bytes.Equal(got, want) {
-			t.Fatalf("export recorder CSV differs from the Manager's:\n got %q\nwant %q", got, want)
+		want := refCSV(t, evs)
+		if got := flushed(t, w, &buf); !bytes.Equal(got, want) {
+			t.Fatalf("export recorder CSV differs from the reference's:\n got %q\nwant %q", got, want)
+		}
+		if got := managerCSV(t, evs); !bytes.Equal(got, want) {
+			t.Fatalf("Manager CSV differs from the reference's:\n got %q\nwant %q", got, want)
 		}
 	})
 }
@@ -192,7 +193,8 @@ func FuzzServeExport(f *testing.F) {
 // running job, a row finished behind them, a refusal and a shed, some
 // of it flushed and some still buffered). A fresh recorder without a
 // header, fed the events after the mark, ends with the uninterrupted
-// run's CSV. The mark sits past the first 64 KiB buffer, so the export
+// run's CSV, the reference's, which a Manager over all the events
+// writes too. The mark sits past the first 64 KiB buffer, so the export
 // reached its writer in several flushes before it.
 func TestTruncateRollsBackToMark(t *testing.T) {
 	var before, after []streamEvent
@@ -232,7 +234,7 @@ func TestTruncateRollsBackToMark(t *testing.T) {
 	var buf bytes.Buffer
 	r, w := newBufRecorder(&buf, size, true)
 	for _, e := range before {
-		e.record(r)
+		e.feed(r)
 	}
 	want := bytes.Clone(flushed(t, w, &buf))
 	mark := len(want)
@@ -240,7 +242,7 @@ func TestTruncateRollsBackToMark(t *testing.T) {
 		t.Fatalf("mark %d is not past the first %d-byte buffer", mark, size)
 	}
 	for _, e := range after[:crashAt] {
-		e.record(r)
+		e.feed(r)
 	}
 	if len(r.live) != 2 {
 		t.Fatalf("after the mark: %d live, want 2", len(r.live))
@@ -259,56 +261,72 @@ func TestTruncateRollsBackToMark(t *testing.T) {
 	}
 	r, w = newBufRecorder(&buf, size, false)
 	for _, e := range after {
-		e.record(r)
+		e.feed(r)
 	}
-	if got, want := flushed(t, w, &buf), managerCSV(t, append(before, after...)); !bytes.Equal(got, want) {
+	all := append(before, after...)
+	want = refCSV(t, all)
+	if got := flushed(t, w, &buf); !bytes.Equal(got, want) {
 		t.Fatalf("continued CSV differs from the uninterrupted run's:\n got %q\nwant %q",
 			got[len(got)-300:], want[len(want)-300:])
 	}
+	if got := managerCSV(t, all); !bytes.Equal(got, want) {
+		t.Fatalf("Manager CSV differs from the reference's")
+	}
 }
 
-// TestExportRecorderIDRules pins the cases where the recorder differs
-// from a Manager, and the one where it agrees: refusals leave no record
-// (so refusing an ID twice is fine, and a refused ID admitted later gets
-// its row at its admission position), a sealed ID may be admitted again,
-// and a repeat of a live ID panics.
+// TestExportRecorderIDRules pins the lifecycle's ID rules, where both
+// recorders differ from the reference, which keeps every ID it saw:
+// refusals leave no record (so refusing an ID twice is fine, and a
+// refused ID admitted later gets its row at its admission position), a
+// sealed ID may be admitted again, and a repeat of a live ID panics.
 func TestExportRecorderIDRules(t *testing.T) {
 	var buf bytes.Buffer
 	r, w := newBufRecorder(&buf, 4096, true)
-	a, c := &job.QJob{ID: "a"}, &job.QJob{ID: "c"}
-	r.Arrival(a, 0)
-	r.Start("a", 0)
-	r.Drop(&job.QJob{ID: "b"}, 1, "tenant-quota")
-	// A refusal under a live job's ID is not that job's shed.
-	r.Drop(&job.QJob{ID: "a"}, 1.5, "tenant-quota")
-	r.Arrival(c, 2)
-	r.Start("c", 2)
-	r.Drop(&job.QJob{ID: "b"}, 3, "tenant-quota")
-	r.Finish("c", 4, 0.9, 0, []string{"d1"})
-	r.Finish("a", 5, 0.8, 0, []string{"d0"})
-	b := &job.QJob{ID: "b"}
-	r.Arrival(b, 6)
-	r.Start("b", 6)
-	r.Finish("b", 7, 0.7, 0, []string{"d2"})
-	again := &job.QJob{ID: "a"}
-	r.Arrival(again, 8)
-	r.Start("a", 8)
-	r.Finish("a", 9, 0.6, 0, []string{"d3"})
-	var ids []string
+	m := NewManager()
+	for _, rec := range []recorder{r, m} {
+		a, c := &job.QJob{ID: "a"}, &job.QJob{ID: "c"}
+		rec.Arrival(a, 0)
+		rec.Start("a", 0)
+		rec.Drop(&job.QJob{ID: "b"}, 1, "tenant-quota")
+		// A refusal under a live job's ID is not that job's shed.
+		rec.Drop(&job.QJob{ID: "a"}, 1.5, "tenant-quota")
+		rec.Arrival(c, 2)
+		rec.Start("c", 2)
+		rec.Drop(&job.QJob{ID: "b"}, 3, "tenant-quota")
+		rec.Finish("c", 4, 0.9, 0, []string{"d1"})
+		rec.Finish("a", 5, 0.8, 0, []string{"d0"})
+		b := &job.QJob{ID: "b"}
+		rec.Arrival(b, 6)
+		rec.Start("b", 6)
+		rec.Finish("b", 7, 0.7, 0, []string{"d2"})
+		again := &job.QJob{ID: "a"}
+		rec.Arrival(again, 8)
+		rec.Start("a", 8)
+		rec.Finish("a", 9, 0.6, 0, []string{"d3"})
+	}
+	var ids, kept []string
 	for _, line := range bytes.Split(bytes.TrimSpace(flushed(t, w, &buf)), []byte("\n"))[1:] {
 		ids = append(ids, string(line[:bytes.IndexByte(line, ',')]))
 	}
-	if fmt.Sprint(ids) != "[a c b a]" {
-		t.Fatalf("rows %v, want [a c b a]: admission order, a sealed ID admitted again", ids)
+	for _, s := range m.Finished() {
+		kept = append(kept, s.JobID)
+	}
+	const want = "[a c b a]"
+	if fmt.Sprint(ids) != want || fmt.Sprint(kept) != want {
+		t.Fatalf("export rows %v, Manager rows %v, want %s: admission order, a sealed ID admitted again", ids, kept, want)
 	}
 
-	r.Arrival(&job.QJob{ID: "live"}, 10)
-	defer func() {
-		if p := recover(); p != "records: duplicate arrival for live" {
-			t.Fatalf("repeat of a live ID: panic %v", p)
-		}
-	}()
-	r.Arrival(&job.QJob{ID: "live"}, 11)
+	for _, rec := range []recorder{r, m} {
+		rec.Arrival(&job.QJob{ID: "live"}, 10)
+		func() {
+			defer func() {
+				if p := recover(); p != "records: duplicate arrival for live" {
+					t.Fatalf("%T: repeat of a live ID: panic %v", rec, p)
+				}
+			}()
+			rec.Arrival(&job.QJob{ID: "live"}, 11)
+		}()
+	}
 }
 
 // TestServeExportAllocsPerJob: once warm, a job's arrival, start and

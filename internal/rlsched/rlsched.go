@@ -453,8 +453,11 @@ func (p *RLPolicy) RestoreState(data []byte) error {
 
 // Train runs PPO on the QCloudGymEnv for the given number of timesteps
 // and returns the trained policy plus per-iteration statistics (the
-// paper's Fig. 5 series).
+// paper's Fig. 5 series). timesteps must be at least 1.
 func Train(devices []DeviceInfo, gymCfg GymConfig, ppoCfg rl.PPOConfig, timesteps int, onIter func(rl.TrainStats)) (*rl.GaussianPolicy, []rl.TrainStats, error) {
+	if timesteps < 1 {
+		return nil, nil, fmt.Errorf("rlsched: timesteps must be >= 1, have %d", timesteps)
+	}
 	env, err := NewGymEnv(devices, gymCfg)
 	if err != nil {
 		return nil, nil, err

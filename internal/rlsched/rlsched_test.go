@@ -223,6 +223,18 @@ func TestGymEnvValidation(t *testing.T) {
 	}
 }
 
+// TestTrainRefusesNonPositiveTimesteps: a training budget below one
+// step is an error, not an untrained policy.
+func TestTrainRefusesNonPositiveTimesteps(t *testing.T) {
+	info := fleetInfo(t)
+	for _, steps := range []int{0, -5} {
+		pol, hist, err := Train(info, DefaultGymConfig(), rl.DefaultPPOConfig(), steps, nil)
+		if err == nil || pol != nil || hist != nil {
+			t.Errorf("Train(%d timesteps) = %v, %d iterations, %v; want an error", steps, pol, len(hist), err)
+		}
+	}
+}
+
 func TestShortTrainingImprovesReward(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
