@@ -328,3 +328,41 @@ func TestErrorPrefixOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffSeesTracePath: two one-row manifests that differ only in the
+// trace they replayed differ under -diff and under -diff -sig alike;
+// both exit 1 naming trace_path.
+func TestDiffSeesTracePath(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	write := func(name, trace string) string {
+		m := &records.RunManifest{Label: name, Runs: []records.RunSummary{{
+			ID: "mode/speed", Kind: "modes", Mode: "speed", FleetSeed: 2025, Jobs: 8, TracePath: trace, TsimS: 10,
+		}}}
+		var buf bytes.Buffer
+		if err := m.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	a, b := write("a", "a.csv"), write("b", "b.csv")
+	for _, args := range [][]string{{"-diff", a, b}, {"-diff", "-sig", a, b}} {
+		cmd := exec.Command(exe, args...)
+		cmd.Env = append(os.Environ(), "EXPERIMENTS_TEST_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%v: err = %v, want exit status 1\n%s", args[:len(args)-2], err, out)
+		}
+		if !strings.Contains(string(out), "config trace_path") || !strings.Contains(string(out), "a.csv -> b.csv") {
+			t.Fatalf("%v: output does not name the trace_path change:\n%s", args[:len(args)-2], out)
+		}
+	}
+}

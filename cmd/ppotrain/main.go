@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/device"
@@ -22,23 +23,27 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ppotrain:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args (a bad flag exits 2, as the flag package does),
+// trains, and writes the model, the optional curve, and its report to
+// stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ppotrain", flag.ExitOnError)
 	var (
-		timesteps = flag.Int("timesteps", 100000, "PPO training timesteps")
-		out       = flag.String("out", "policy.json", "output path for the trained policy")
-		curve     = flag.String("curve", "", "optional CSV path for the Fig. 5 training curve")
-		fleetSeed = flag.Int64("fleet-seed", 2025, "calibration snapshot seed")
-		seed      = flag.Int64("seed", 1, "PPO initialization/sampling seed")
-		randomize = flag.Bool("randomize-levels", false, "train on randomized device occupancy")
-		quiet     = flag.Bool("q", false, "suppress progress output")
+		timesteps = fs.Int("timesteps", 100000, "PPO training timesteps")
+		out       = fs.String("out", "policy.json", "output path for the trained policy")
+		curve     = fs.String("curve", "", "optional CSV path for the Fig. 5 training curve")
+		fleetSeed = fs.Int64("fleet-seed", 2025, "calibration snapshot seed")
+		seed      = fs.Int64("seed", 1, "PPO initialization/sampling seed")
+		randomize = fs.Bool("randomize-levels", false, "train on randomized device occupancy")
+		quiet     = fs.Bool("q", false, "suppress progress output")
 	)
-	flag.Parse()
+	fs.Parse(args) //lint:allow errlint ExitOnError: Parse exits instead of returning an error
 
 	env := sim.NewEnvironment()
 	fleet, err := device.StandardFleet(env, *fleetSeed)
@@ -54,7 +59,7 @@ func run() error {
 
 	onIter := func(s rl.TrainStats) {
 		if !*quiet {
-			fmt.Printf("steps=%6d reward=%.4f entropy_loss=%.3f policy_loss=%.4f value_loss=%.4f clip=%.2f\n",
+			fmt.Fprintf(stdout, "steps=%6d reward=%.4f entropy_loss=%.3f policy_loss=%.4f value_loss=%.4f clip=%.2f\n", //lint:allow errlint progress is best-effort; a broken stdout must not stop training
 				s.Timesteps, s.MeanEpisodeReward, s.EntropyLoss, s.PolicyLoss, s.ValueLoss, s.ClipFraction)
 		}
 	}
@@ -65,7 +70,8 @@ func run() error {
 	if err := rlsched.SavePolicy(*out, pol); err != nil {
 		return err
 	}
-	fmt.Printf("trained %d timesteps; policy written to %s\n", *timesteps, *out)
+	// PPO trains whole rollouts, so it may take more steps than asked.
+	fmt.Fprintf(stdout, "trained %d timesteps; policy written to %s\n", hist[len(hist)-1].Timesteps, *out) //lint:allow errlint the model is already written; a broken stdout must not fail the run
 
 	if *curve != "" {
 		reward, entropy := experiments.Fig5Series(hist)
@@ -80,7 +86,7 @@ func run() error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("training curve written to %s\n", *curve)
+		fmt.Fprintf(stdout, "training curve written to %s\n", *curve) //lint:allow errlint the curve is already written; a broken stdout must not fail the run
 	}
 	return nil
 }

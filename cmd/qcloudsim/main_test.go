@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -344,6 +345,70 @@ func TestServeCheckpointResume(t *testing.T) {
 	}
 	if strings.Count(out2.String(), `"event":"arrival"`) != 10 {
 		t.Fatalf("resumed session admitted other than the 10 uncovered lines:\n%s", out2.String())
+	}
+}
+
+// A resumed real-time broker runs its clock on from the checkpoint's
+// sim_now at -time-scale sim seconds per wall second; it does not wait
+// for wall time × scale to catch up with the checkpoint.
+func TestResumedRealTimeClockAdvances(t *testing.T) {
+	dir := t.TempDir()
+	opts := serveOptions{cloud: speedCloud(), window: 64, checkpointPath: filepath.Join(dir, "rt.ckpt")}
+	if err := runServe(context.Background(), opts, bytes.NewReader(ndjson(t, spacedJobs(t, 3))), io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := loadCheckpoint(opts.checkpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const scale = 100
+	// Wall time × scale would take over a minute to reach the
+	// checkpoint's clock.
+	if cp.SimNow < 60*scale {
+		t.Fatalf("checkpoint at sim %g, want a later one", cp.SimNow)
+	}
+	opts.resume, opts.timeScale, opts.httpAddr = true, scale, "127.0.0.1:0"
+	addrCh := make(chan net.Addr, 1)
+	opts.onHTTP = func(a net.Addr) { addrCh <- a }
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- runServe(ctx, opts, strings.NewReader(""), io.Discard, io.Discard) }()
+	var base string
+	select {
+	case a := <-addrCh:
+		base = "http://" + a.String()
+	case err := <-done:
+		t.Fatalf("resumed run ended before serving: %v", err)
+	}
+	simNow := func() float64 {
+		resp, err := http.Get(base + "/v1/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st struct {
+			SimNow float64 `json:"sim_now"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.SimNow
+	}
+	first := simNow()
+	if first < cp.SimNow {
+		t.Fatalf("resumed clock at %g, before the checkpoint's %g", first, cp.SimNow)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for simNow() <= first {
+		if time.Now().After(deadline) {
+			t.Fatalf("resumed real-time clock stayed at %g for 5 s", first)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("runServe: %v", err)
 	}
 }
 

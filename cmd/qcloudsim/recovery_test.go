@@ -499,6 +499,45 @@ func TestResumeRefusesMissingOrShortExport(t *testing.T) {
 	}
 }
 
+// A checkpoint is a quiescent broker, and no qcloudsim ever wrote a
+// queued-job snapshot: -resume over a checkpoint with a "pending" key
+// exits 1 naming the field, and leaves the export as it found it.
+func TestResumeRefusesPendingJobs(t *testing.T) {
+	dir := t.TempDir()
+	stream := ndjson(t, spacedJobs(t, 20))
+	opts := recoveryOpts(dir, "run", nil)
+	if err := runServe(context.Background(), opts, bytes.NewReader(firstLines(stream, 10)), io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := os.ReadFile(opts.checkpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := []byte(`"pending":[{"arrival":0,"job":{"job_id":"q","num_qubits":5,"depth":5,"num_shots":100}}],"devices":`)
+	if err := os.WriteFile(opts.checkpointPath, bytes.Replace(cp, []byte(`"devices":`), pending, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	export, err := os.ReadFile(opts.export)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := qcloudsimCmd(t, ctx, "-serve", "-policy", "speed", "-checkpoint", opts.checkpointPath, "-resume", "-export", opts.export)
+	cmd.Stdin = bytes.NewReader(stream)
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("resume over a pending checkpoint = %v, want exit status 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `unknown field "pending"`) {
+		t.Fatalf("refusal does not name the field:\n%s", out)
+	}
+	if got, err := os.ReadFile(opts.export); err != nil || !bytes.Equal(got, export) {
+		t.Fatalf("refused resume changed the export (%v)", err)
+	}
+}
+
 // A checkpoint written before checkpoints measured the export (by the
 // binary that wrote testdata/legacy/speed-10.ckpt over the first 10
 // lines of spaced20.ndjson) still decodes and resumes: the run skips

@@ -346,9 +346,6 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, export *exportFile, out
 			}
 		}
 	}
-	// Lines a restore produced (re-admitted and restarted jobs) go out
-	// now; from here on every gateway call writes its own.
-	em.flush()
 	gw, err := api.NewGateway(b, idx, opts.timeScale == 0)
 	if err != nil {
 		return nil, err
@@ -629,7 +626,8 @@ func (s *server) feed(ctx context.Context, r io.Reader, remote string, connID in
 }
 
 // runRealTime advances the simulation clock in proportion to wall time
-// (timeScale sim seconds per wall second), admitting jobs as the streams
+// (timeScale sim seconds per wall second) from where it stands, the
+// checkpoint's sim_now after -resume, admitting jobs as the streams
 // deliver them. Nominal arrival_time fields are ignored: arrival is
 // when the job reaches the broker. Returns once the stream closes or the
 // context is cancelled; the caller drains. With -http active, a closed
@@ -638,8 +636,9 @@ func (s *server) feed(ctx context.Context, r io.Reader, remote string, connID in
 func (s *server) runRealTime(ctx context.Context, jobs <-chan *job.QJob) {
 	ticker := time.NewTicker(20 * time.Millisecond)
 	defer ticker.Stop()
+	simStart := s.env.Now()
 	advance := func() {
-		s.gw.AdvanceTo(time.Since(s.wallStart).Seconds() * s.opts.timeScale)
+		s.gw.AdvanceTo(simStart + time.Since(s.wallStart).Seconds()*s.opts.timeScale)
 	}
 	for {
 		select {

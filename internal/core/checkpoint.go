@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/job"
 )
 
 // CheckpointVersion is the current checkpoint schema version.
@@ -39,26 +37,20 @@ type RateBucketCheckpoint struct {
 	Last   float64 `json:"last"`
 }
 
-// CheckpointPending is one admitted-but-unplaced job awaiting dispatch.
-type CheckpointPending struct {
-	Arrival float64  `json:"arrival"`
-	Job     job.QJob `json:"job"`
-}
-
-// Checkpoint is a broker snapshot taken at a quiescent point (no job
-// executing). A fresh broker constructed over an idle fleet at
-// NewEnvironmentAt(SimNow) and restored from it continues the stream
-// exactly where the checkpointed one stopped.
+// Checkpoint is a snapshot of a quiescent broker: nothing queued and
+// nothing running, so every admitted job is finished or shed. A fresh
+// broker constructed over an idle fleet at NewEnvironmentAt(SimNow) and
+// restored from it continues the stream exactly where the checkpointed
+// one stopped.
 type Checkpoint struct {
-	Version     int                 `json:"version"`
-	SimNow      float64             `json:"sim_now"`
-	Policy      string              `json:"policy"`
-	Admitted    int                 `json:"jobs_admitted"`
-	Finished    int                 `json:"jobs_finished"`
-	Pending     []CheckpointPending `json:"pending,omitempty"`
-	Devices     []DeviceCheckpoint  `json:"devices"`
-	PolicyState json.RawMessage     `json:"policy_state,omitempty"`
-	Admission   AdmissionStats      `json:"admission,omitzero"`
+	Version     int                `json:"version"`
+	SimNow      float64            `json:"sim_now"`
+	Policy      string             `json:"policy"`
+	Admitted    int                `json:"jobs_admitted"`
+	Finished    int                `json:"jobs_finished"`
+	Devices     []DeviceCheckpoint `json:"devices"`
+	PolicyState json.RawMessage    `json:"policy_state,omitempty"`
+	Admission   AdmissionStats     `json:"admission,omitzero"`
 	// RateBuckets carries per-tenant token-bucket state, sorted by
 	// tenant so the encoding is deterministic.
 	RateBuckets []RateBucketCheckpoint `json:"rate_buckets,omitempty"`
@@ -84,12 +76,12 @@ type Checkpoint struct {
 	Jobs *JobIndexCheckpoint `json:"jobs,omitempty"`
 }
 
-// Checkpoint snapshots the broker. It fails unless no job is executing:
-// in-flight reservations cannot be serialized, so the serve loop
-// checkpoints only at quiescent points (Active() == 0).
+// Checkpoint snapshots the broker. It fails unless the broker is
+// Quiescent: queued jobs and in-flight reservations are not part of the
+// schema, so the serve loop checkpoints only at quiescent points.
 func (b *Broker) Checkpoint() (*Checkpoint, error) {
-	if b.active > 0 {
-		return nil, fmt.Errorf("core: checkpoint requires an idle broker, %d jobs active", b.active)
+	if !b.Quiescent() {
+		return nil, fmt.Errorf("core: checkpoint requires a quiescent broker, %d jobs queued and %d active", b.QueueDepth(), b.active)
 	}
 	cp := &Checkpoint{
 		Version:   CheckpointVersion,
@@ -101,9 +93,6 @@ func (b *Broker) Checkpoint() (*Checkpoint, error) {
 	}
 	if b.driftRNG != nil {
 		cp.DriftSteps, cp.DriftNext = b.driftSteps, b.driftNext
-	}
-	for _, pj := range b.pending[b.head:] {
-		cp.Pending = append(cp.Pending, CheckpointPending{Arrival: pj.arrival, Job: *pj.j})
 	}
 	if len(b.buckets) > 0 {
 		keys := make([]string, 0, len(b.buckets))
@@ -135,9 +124,8 @@ func (b *Broker) Checkpoint() (*Checkpoint, error) {
 // Restore reinstates a checkpoint into a freshly constructed broker. The
 // broker's environment must have been created with
 // NewEnvironmentAt(cp.SimNow) and its fleet must be idle and match the
-// checkpointed device names. Drift steps are replayed on the fleet, and
-// pending jobs are re-admitted like arrivals (re-logging their original
-// arrival times with the new recorder); dispatch resumes immediately.
+// checkpointed device names. Drift steps are replayed on the fleet.
+// Restore admits no job, so the broker's recorder hears nothing of it.
 func (b *Broker) Restore(cp *Checkpoint) error {
 	if cp.Version != CheckpointVersion {
 		return fmt.Errorf("core: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
@@ -153,17 +141,6 @@ func (b *Broker) Restore(cp *Checkpoint) error {
 	}
 	if err := b.checkDriftPosition(cp); err != nil {
 		return err
-	}
-	ids := make(map[string]bool, len(cp.Pending))
-	for i := range cp.Pending {
-		j := &cp.Pending[i].Job
-		if err := j.Validate(); err != nil {
-			return fmt.Errorf("core: pending %w", err)
-		}
-		if ids[j.ID] {
-			return fmt.Errorf("core: pending job %q listed twice", j.ID)
-		}
-		ids[j.ID] = true
 	}
 	for i := 1; i < len(cp.RateBuckets); i++ {
 		if cp.RateBuckets[i-1].Tenant >= cp.RateBuckets[i].Tenant {
@@ -199,9 +176,6 @@ func (b *Broker) Restore(cp *Checkpoint) error {
 			b.stepDrift()
 		}
 		b.driftNext = cp.DriftNext
-		if len(cp.Pending) > 0 {
-			b.wakeDrift()
-		}
 	}
 	b.admitted = cp.Admitted
 	b.finished = cp.Finished
@@ -212,14 +186,6 @@ func (b *Broker) Restore(cp *Checkpoint) error {
 		}
 		b.buckets[rb.Tenant] = &rateBucket{tokens: rb.Tokens, last: rb.Last}
 	}
-	for i := range cp.Pending {
-		p := &cp.Pending[i]
-		j := p.Job
-		b.inflight[tenantKey(j.Tenant)]++
-		b.rec.Arrival(&j, p.Arrival)
-		b.pending = append(b.pending, pendingJob{j: &j, arrival: p.Arrival})
-	}
-	b.dispatch()
 	return nil
 }
 

@@ -389,6 +389,84 @@ func TestBrokerRestoreValidation(t *testing.T) {
 	}
 }
 
+// A checkpoint is a quiescent broker: Checkpoint refuses a broker with
+// a queued job even when none executes, and one with a running job.
+func TestCheckpointRequiresQuiescence(t *testing.T) {
+	b := newSteadyStateBroker(t)
+	total := device.TotalFree(b.Devices())
+	b.Admit(&job.QJob{ID: "too-big", NumQubits: total + 1, Depth: 5, Shots: 1000, TwoQubitGates: 1})
+	if b.Active() != 0 || b.QueueDepth() != 1 {
+		t.Fatalf("active %d, queued %d, want 0 and 1", b.Active(), b.QueueDepth())
+	}
+	if _, err := b.Checkpoint(); err == nil || !strings.Contains(err.Error(), "1 jobs queued") {
+		t.Fatalf("Checkpoint with a queued job = %v, want a refusal naming it", err)
+	}
+
+	b = newSteadyStateBroker(t)
+	b.Admit(&job.QJob{ID: "running", NumQubits: total, Depth: 5, Shots: 1000, TwoQubitGates: 1})
+	if _, err := b.Checkpoint(); err == nil || !strings.Contains(err.Error(), "1 active") {
+		t.Fatalf("Checkpoint with a running job = %v, want a refusal naming it", err)
+	}
+	if _, err := b.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint of a drained broker: %v", err)
+	}
+}
+
+// countingRecorder counts every lifecycle call it receives.
+type countingRecorder struct{ calls int }
+
+func (r *countingRecorder) Arrival(*job.QJob, float64)                         { r.calls++ }
+func (r *countingRecorder) Start(string, float64)                              { r.calls++ }
+func (r *countingRecorder) Finish(string, float64, float64, float64, []string) { r.calls++ }
+func (r *countingRecorder) Drop(*job.QJob, float64, string)                    { r.calls++ }
+
+// Restore admits no job, so it calls the restored broker's recorder zero
+// times, here over a checkpoint with drift steps, shed jobs and tenant
+// rate buckets.
+func TestRestoreRecordsNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Drift = DriftConfig{IntervalS: 700, Rel: 0.3, Seed: 4}
+	adm := AdmissionConfig{Policy: AdmitShed, MaxQueue: 1, RatePerS: 1, Burst: 8}
+	mk := func(env *sim.Environment, rec StreamRecorder) *Broker {
+		fleet, err := device.StandardFleet(env, 2025)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewBroker(env, fleet, policy.Speed{}, cfg, rec, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.SetAdmission(adm); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	b := mk(sim.NewEnvironment(), &countingRecorder{})
+	for i := range 8 {
+		b.Offer(mkJob(fmt.Sprintf("j%d", i), []string{"acme", "zeta"}[i%2]))
+	}
+	if _, err := b.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := b.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.DriftSteps == 0 || cp.Admission.Shed == 0 || len(cp.RateBuckets) != 2 {
+		t.Fatalf("checkpoint lacks drift steps, sheds or rate buckets: %+v", cp)
+	}
+	rec := &countingRecorder{}
+	if err := mk(sim.NewEnvironmentAt(cp.SimNow), rec).Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	if rec.calls != 0 {
+		t.Fatalf("Restore made %d recorder calls, want 0", rec.calls)
+	}
+}
+
 // nopRecorder is the zero-overhead recorder used by the allocation gate.
 type nopRecorder struct{}
 

@@ -14,10 +14,9 @@ import (
 // requirements, mirroring the paper's QJob attributes (§3) plus the
 // two-qubit gate count t2 from the §4 problem definition.
 //
-// The json tags pin the struct's serialized form — QJob is embedded in
-// broker checkpoints — to the same field names the workload wire schema
-// (loader.go's jobJSON) uses, so a checkpoint survives any future field
-// rename.
+// The json tags name the fields as the workload wire schema (loader.go's
+// jobJSON) does, so a QJob written with encoding/json reads like a
+// workload record.
 type QJob struct {
 	// ID uniquely identifies the job.
 	ID string `json:"job_id"`

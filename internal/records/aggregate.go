@@ -81,6 +81,7 @@ type AggregatedRow struct {
 	Lambda            float64 `json:"lambda"`
 	Jobs              int     `json:"jobs"`
 	MeanInterarrivalS float64 `json:"mean_interarrival_s,omitempty"`
+	TracePath         string  `json:"trace_path,omitempty"`
 	TrainSteps        *int    `json:"train_steps,omitempty"`
 	RLSeed            *int64  `json:"rl_seed,omitempty"`
 	RLDeterministic   *bool   `json:"rl_deterministic,omitempty"`
@@ -150,8 +151,8 @@ func AggregateManifests(m *RunManifest) (*AggregatedManifest, error) {
 				ID: base, Kind: r.Kind, Mode: r.Mode, Param: r.Param,
 				FleetSeed: r.FleetSeed, FleetPreset: r.FleetPreset,
 				Phi: r.Phi, Lambda: r.Lambda, Jobs: r.Jobs,
-				MeanInterarrivalS: r.MeanInterarrivalS,
-				TrainSteps:        r.TrainSteps, RLSeed: r.RLSeed, RLDeterministic: r.RLDeterministic,
+				MeanInterarrivalS: r.MeanInterarrivalS, TracePath: r.TracePath,
+				TrainSteps: r.TrainSteps, RLSeed: r.RLSeed, RLDeterministic: r.RLDeterministic,
 			})
 			samples[base] = make(map[string][]float64, len(metricCols))
 		} else {
@@ -307,6 +308,7 @@ var aggConfigCols = []struct {
 	{"lambda", func(r *AggregatedRow) string { return formatFloat(r.Lambda) }},
 	{"jobs", func(r *AggregatedRow) string { return strconv.Itoa(r.Jobs) }},
 	{"mean_interarrival_s", func(r *AggregatedRow) string { return formatFloat(r.MeanInterarrivalS) }},
+	{"trace_path", func(r *AggregatedRow) string { return r.TracePath }},
 	{"train_steps", func(r *AggregatedRow) string { return fmtIntPtr(r.TrainSteps) }},
 	{"rl_seed", func(r *AggregatedRow) string { return fmtInt64Ptr(r.RLSeed) }},
 	{"rl_deterministic", func(r *AggregatedRow) string { return fmtBoolPtr(r.RLDeterministic) }},

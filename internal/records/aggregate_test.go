@@ -302,3 +302,23 @@ func TestDiffAggregatedConfigAndCoverage(t *testing.T) {
 		t.Fatalf("one-sided diff = %+v", d)
 	}
 }
+
+// TestDiffAggregatedTracePath: the aggregated row carries trace_path,
+// so two one-row runs that replayed different traces are configuration
+// drift under DiffAggregated, as under DiffManifests.
+func TestDiffAggregatedTracePath(t *testing.T) {
+	run := func(trace string) *RunManifest {
+		return &RunManifest{Label: "trace", Runs: []RunSummary{{
+			ID: "mode/speed", Kind: "modes", Mode: "speed", FleetSeed: 2025, Jobs: 8, TracePath: trace, TsimS: 10,
+		}}}
+	}
+	a, b := mustAggregate(t, run("a.csv")), mustAggregate(t, run("b.csv"))
+	if a.Rows[0].TracePath != "a.csv" {
+		t.Fatalf("aggregated row trace_path %q, want a.csv", a.Rows[0].TracePath)
+	}
+	d := DiffAggregated(a, b)
+	want := []ConfigDelta{{Name: "trace_path", A: "a.csv", B: "b.csv"}}
+	if len(d.Rows) != 1 || !reflect.DeepEqual(d.Rows[0].Config, want) || len(d.Rows[0].Metrics) != 0 {
+		t.Fatalf("DiffAggregated rows = %+v, want one with config %+v", d.Rows, want)
+	}
+}
