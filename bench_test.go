@@ -136,7 +136,7 @@ func BenchmarkParallelRunAll(b *testing.B) {
 func BenchmarkParallelReplicated(b *testing.B) {
 	cs := benchCase()
 	cs.Workload.N = 150
-	m := experiments.TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}}
+	m := experiments.TaskMatrix{Kind: "modes", Modes: []string{"speed"}, ReplicationSeeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}}
 	baseN := min(b.N, 3)
 	seqStart := time.Now()
 	for i := 0; i < baseN; i++ {

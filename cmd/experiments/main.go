@@ -28,14 +28,18 @@
 //	experiments -diff runs/a/manifest.json runs/b/manifest.json
 //	experiments -diff -tol 1e-9 a.json b.json   # absorb float drift
 //
-// For replicated runs (a spec with "replications"/"replication_seeds",
-// or any manifest with "…@seed<k>" task IDs) -out additionally writes
-// aggregated.json / aggregated.csv — per-task mean/std/stderr/CI95
-// across the workload seeds — and -diff -sig compares runs
-// statistically instead of exactly: Welch's t on the stored aggregates
-// (CI95-overlap when a task has fewer than two replicas), exiting
-// non-zero only on significant deltas. Either file may be a run
-// manifest (aggregated on the fly) or an aggregated manifest:
+// Replication over workload seeds has one form, the "…@seed<k>"
+// fan-out: -artifact replicate is Table 2's modes matrix with
+// "replications" set to -replications, and a spec replicates with
+// "replications" or a matrix's "replication_seeds". For every
+// replicated run -out additionally writes aggregated.json /
+// aggregated.csv — per-task mean/std/stderr/CI95 across the workload
+// seeds, the figures -artifact replicate prints — and -diff -sig
+// compares runs statistically instead of exactly: Welch's t on the
+// stored aggregates (CI95-overlap when a task has fewer than two
+// replicas), exiting non-zero only on significant deltas. Either file
+// may be a run manifest (aggregated on the fly) or an aggregated
+// manifest; exact -diff takes run manifests only:
 //
 //	experiments -diff -sig runs/a/aggregated.json runs/b/manifest.json
 //
@@ -259,6 +263,15 @@ func validateFlags(set map[string]bool, args []string, artifact, specPath string
 				return fmt.Errorf("-spec is a self-contained experiment description; -%s conflicts with it (set it inside the spec file)", f)
 			}
 		}
+		return nil
+	}
+	switch {
+	case set["replications"] && artifact != "replicate":
+		return fmt.Errorf("-replications applies to -artifact replicate only, not %q", artifact)
+	case set["seed"] && artifact == "replicate":
+		return fmt.Errorf("-seed conflicts with -artifact replicate, which runs workload seeds 1..-replications")
+	case set["outdir"] && (artifact == "ablations" || artifact == "replicate"):
+		return fmt.Errorf("-outdir: -artifact %s writes no CSV artifacts (use -out for its manifest)", artifact)
 	}
 	return nil
 }
@@ -288,10 +301,8 @@ func compileSpec(artifact, scenario string, n int, seed, fleetSeed int64, train,
 	case "table2":
 		s.Matrices = []experiments.TaskMatrix{{Kind: "modes"}}
 	case "replicate":
-		seeds := experiments.CanonicalReplicationSeeds(reps)
-		for _, mode := range experiments.Modes {
-			s.Matrices = append(s.Matrices, experiments.TaskMatrix{Kind: "replicate", Mode: mode, Seeds: seeds})
-		}
+		s.Matrices = []experiments.TaskMatrix{{Kind: "modes"}}
+		s.Replications = reps
 	case "ablations":
 		s.Matrices = []experiments.TaskMatrix{
 			{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.85, 0.90, 0.95, 1.0}},
@@ -320,23 +331,16 @@ func renderArtifact(artifact string, m *records.RunManifest, outdir string) erro
 		printTable2(rows)
 		return writeTable2CSV(outdir, rows)
 	case "replicate":
-		byMode := map[string][]records.RunSummary{}
-		for _, r := range m.Runs {
-			if r.Kind == "replicate" {
-				byMode[r.Mode] = append(byMode[r.Mode], r)
-			}
+		agg, err := records.AggregateManifests(m)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("== Table 2 replicated over %d workload seeds (in-process) ==\n", len(byMode[experiments.Modes[0]]))
-		printReplicateHeader()
-		for _, mode := range experiments.Modes {
-			var tsim, muF, tcomm []float64
-			for _, r := range byMode[mode] {
-				tsim = append(tsim, r.TsimS)
-				muF = append(muF, r.FidelityMean)
-				tcomm = append(tcomm, r.TcommS)
-			}
-			ts, mf, tc := stats.AggregateSamples(tsim), stats.AggregateSamples(muF), stats.AggregateSamples(tcomm)
-			printReplicateRow(mode, ts.Mean, ts.Std, mf.Mean, mf.Std, tc.Mean, tc.Std, mf.CI95)
+		fmt.Printf("== Table 2 replicated over %d workload seeds (in-process) ==\n", agg.Rows[0].N)
+		fmt.Printf("%-10s %26s %24s %24s %12s\n", "Mode", "T_sim (s)", "muF", "T_comm (s)", "muF CI95")
+		for _, r := range agg.Rows {
+			ts, mf, tc := r.Metrics["tsim_s"], r.Metrics["fidelity_mean"], r.Metrics["tcomm_s"]
+			fmt.Printf("%-10s %14.0f +- %8.0f %14.5f +- %.5f %14.0f +- %7.0f %12.5f\n",
+				r.Mode, ts.Mean, ts.Std, mf.Mean, mf.Std, tc.Mean, tc.Std, mf.CI95)
 		}
 		return nil
 	case "ablations":
@@ -384,6 +388,12 @@ func diffManifests(pathA, pathB string, sig bool, absTol, relTol float64) error 
 		}
 		defer f.Close() //lint:allow errlint close of a read-only manifest file cannot lose data
 		m, err := records.ReadManifestJSON(f)
+		if err == nil && m.Runs == nil {
+			// The test aggregatedFromJSON's probe applies: without a
+			// "runs" array (an aggregated manifest, any other JSON)
+			// the document would read as a manifest of zero tasks.
+			err = errors.New(`not a run manifest: no "runs" array (-diff -sig compares aggregated manifests)`)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
@@ -500,15 +510,6 @@ func writeTable2CSV(outdir string, rows []records.RunSummary) error {
 		}
 		return bw.Flush()
 	})
-}
-
-func printReplicateHeader() {
-	fmt.Printf("%-10s %26s %24s %24s %12s\n", "Mode", "T_sim (s)", "muF", "T_comm (s)", "muF CI95")
-}
-
-func printReplicateRow(mode string, tsimMean, tsimStd, mufMean, mufStd, tcommMean, tcommStd, ci float64) {
-	fmt.Printf("%-10s %14.0f +- %8.0f %14.5f +- %.5f %14.0f +- %7.0f %12.5f\n",
-		mode, tsimMean, tsimStd, mufMean, mufStd, tcommMean, tcommStd, ci)
 }
 
 // writeManifest exports a run manifest as JSON and CSV. Replicated

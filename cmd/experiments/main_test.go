@@ -71,8 +71,8 @@ func TestCompileSpecRoundTrips(t *testing.T) {
 }
 
 // TestCompileSpecShapes pins the task matrices each artifact lowers
-// to: table2 is the four-mode fan-out, replicate is one matrix per
-// mode over seeds 1..reps, ablations is the paper's three sweeps.
+// to: table2 is the four-mode fan-out, replicate is the same matrix
+// fanned out over seeds 1..reps, ablations is the paper's three sweeps.
 func TestCompileSpecShapes(t *testing.T) {
 	table2, _ := compileSpec("table2", "stress-arrivals", 50, 9, 7, 100, 3)
 	if table2.Scenario != "stress-arrivals" || table2.Jobs != 50 || *table2.Seed != 9 ||
@@ -83,13 +83,8 @@ func TestCompileSpecShapes(t *testing.T) {
 		t.Fatalf("table2 matrices = %+v", table2.Matrices)
 	}
 	rep, _ := compileSpec("replicate", "", 30, 1, 2025, 2048, 3)
-	if len(rep.Matrices) != len(experiments.Modes) {
-		t.Fatalf("replicate matrices = %d, want one per mode", len(rep.Matrices))
-	}
-	for i, m := range rep.Matrices {
-		if m.Kind != "replicate" || m.Mode != experiments.Modes[i] || len(m.Seeds) != 3 || m.Seeds[0] != 1 {
-			t.Fatalf("replicate matrix %d = %+v", i, m)
-		}
+	if len(rep.Matrices) != 1 || rep.Matrices[0].Kind != "modes" || rep.Replications != 3 {
+		t.Fatalf("replicate spec = %+v, want one modes matrix with replications 3", rep)
 	}
 	abl, _ := compileSpec("ablations", "", 30, 1, 2025, 2048, 3)
 	kinds := make([]string, len(abl.Matrices))
@@ -218,6 +213,14 @@ func TestValidateFlags(t *testing.T) {
 		{"train zero", ok(args{set: map[string]bool{"train": true}, train: -1}), "-train"},
 		{"spec with artifact", ok(args{set: map[string]bool{"spec": true, "artifact": true}, spec: "s.json"}), "-artifact conflicts"},
 		{"spec with seed", ok(args{set: map[string]bool{"spec": true, "seed": true}, spec: "s.json"}), "-seed conflicts"},
+		{"replications with table2", ok(args{set: map[string]bool{"replications": true}, artifact: "table2", reps: 3}), "-replications"},
+		{"replications with fig5", ok(args{set: map[string]bool{"replications": true}, artifact: "fig5", reps: 3}), "-replications"},
+		{"replications with replicate", ok(args{set: map[string]bool{"replications": true}, artifact: "replicate", reps: 3}), ""},
+		{"seed with replicate", ok(args{set: map[string]bool{"seed": true}, artifact: "replicate"}), "-seed"},
+		{"seed with table2", ok(args{set: map[string]bool{"seed": true}, artifact: "table2"}), ""},
+		{"outdir with ablations", ok(args{set: map[string]bool{"outdir": true}, artifact: "ablations"}), "-outdir"},
+		{"outdir with replicate", ok(args{set: map[string]bool{"outdir": true}, artifact: "replicate"}), "-outdir"},
+		{"outdir with table2", ok(args{set: map[string]bool{"outdir": true}, artifact: "table2"}), ""},
 		{"diff sig", ok(args{set: map[string]bool{"diff": true, "sig": true}, args: []string{"a.json", "b.json"}, diff: true, sig: true}), ""},
 		{"diff tol", ok(args{set: map[string]bool{"diff": true, "tol": true}, args: []string{"a.json", "b.json"}, diff: true, tol: 1e-9}), ""},
 		{"diff negative tol", ok(args{set: map[string]bool{"diff": true, "tol": true}, args: []string{"a.json", "b.json"}, diff: true, tol: -1}), ">= 0"},
@@ -270,10 +273,6 @@ func TestMain(m *testing.M) {
 // so -shards, -hosts, -serve, -doctor and -wait are undefined flags.
 // Each must fail flag parsing (exit 2) before anything runs.
 func TestRemovedFlagsUndefined(t *testing.T) {
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, args := range [][]string{
 		{"-shards", "2"},
 		{"-hosts", "a:1"},
@@ -281,12 +280,9 @@ func TestRemovedFlagsUndefined(t *testing.T) {
 		{"-doctor"},
 		{"-wait", "1s"},
 	} {
-		cmd := exec.Command(exe, args...)
-		cmd.Env = append(os.Environ(), "EXPERIMENTS_TEST_MAIN=1")
-		out, err := cmd.CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Fatalf("%v: err = %v, want exit status 2\n%s", args, err, out)
+		out, code := runMain(t, args...)
+		if code != 2 {
+			t.Fatalf("%v: exit %d, want 2\n%s", args, code, out)
 		}
 		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
 			t.Fatalf("%v: output lacks %q:\n%s", args, want, out)
@@ -333,10 +329,6 @@ func TestErrorPrefixOnce(t *testing.T) {
 // trace they replayed differ under -diff and under -diff -sig alike;
 // both exit 1 naming trace_path.
 func TestDiffSeesTracePath(t *testing.T) {
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
 	write := func(name, trace string) string {
 		m := &records.RunManifest{Label: name, Runs: []records.RunSummary{{
@@ -354,15 +346,88 @@ func TestDiffSeesTracePath(t *testing.T) {
 	}
 	a, b := write("a", "a.csv"), write("b", "b.csv")
 	for _, args := range [][]string{{"-diff", a, b}, {"-diff", "-sig", a, b}} {
-		cmd := exec.Command(exe, args...)
-		cmd.Env = append(os.Environ(), "EXPERIMENTS_TEST_MAIN=1")
-		out, err := cmd.CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Fatalf("%v: err = %v, want exit status 1\n%s", args[:len(args)-2], err, out)
+		out, code := runMain(t, args...)
+		if code != 1 {
+			t.Fatalf("%v: exit %d, want 1\n%s", args[:len(args)-2], code, out)
 		}
 		if !strings.Contains(string(out), "config trace_path") || !strings.Contains(string(out), "a.csv -> b.csv") {
 			t.Fatalf("%v: output does not name the trace_path change:\n%s", args[:len(args)-2], out)
+		}
+	}
+}
+
+// runMain re-execs the test binary as experiments on args and returns
+// its combined output and exit status.
+func runMain(t *testing.T, args ...string) ([]byte, int) {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, args...)
+	cmd.Env = append(os.Environ(), "EXPERIMENTS_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return out, 0
+	case errors.As(err, &exit):
+		return out, exit.ExitCode()
+	}
+	t.Fatalf("%v: %v", args, err)
+	return nil, 0
+}
+
+// TestReplicateArtifactAggregates: -artifact replicate is a replicated
+// run like any other, so -out writes its aggregated manifest — one row
+// per mode, each folding the -replications seeds — and -diff -sig
+// counts the four base tasks, not one per replica.
+func TestReplicateArtifactAggregates(t *testing.T) {
+	dir := t.TempDir()
+	if out, code := runMain(t, "-artifact", "replicate", "-replications", "3", "-n", "30", "-train", "2048",
+		"-progress=false", "-out", dir); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	f, err := os.Open(filepath.Join(dir, "aggregated.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	agg, err := records.ReadAggregatedJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(agg.Rows) != len(experiments.Modes) {
+		t.Fatalf("%d aggregated rows, want %d", len(agg.Rows), len(experiments.Modes))
+	}
+	for i, r := range agg.Rows {
+		if r.ID != "mode/"+experiments.Modes[i] || r.N != 3 || !reflect.DeepEqual(r.Seeds, []int64{1, 2, 3}) {
+			t.Fatalf("aggregated row %d = %s n=%d seeds=%v, want mode/%s over seeds 1..3", i, r.ID, r.N, r.Seeds, experiments.Modes[i])
+		}
+	}
+	out, code := runMain(t, "-diff", "-sig", filepath.Join(dir, "manifest.json"), filepath.Join(dir, "aggregated.json"))
+	if code != 0 || !strings.Contains(string(out), "all 4 base task(s)") {
+		t.Fatalf("-diff -sig: exit %d, want 0 over 4 base tasks:\n%s", code, out)
+	}
+}
+
+// TestDiffRefusesNonManifest: exact -diff compares run manifests only.
+// An aggregated manifest or any other JSON document has no "runs"
+// array; reading it as a manifest of zero tasks would make any two such
+// files "agree", so each is refused naming its path.
+func TestDiffRefusesNonManifest(t *testing.T) {
+	dir := t.TempDir()
+	agg, empty := filepath.Join(dir, "aggregated.json"), filepath.Join(dir, "empty.json")
+	if err := os.WriteFile(agg, []byte(`{"label":"x","rows":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(empty, []byte(`{}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{agg, empty} {
+		out, code := runMain(t, "-diff", path, path)
+		if code != 1 || !strings.Contains(string(out), path+`: not a run manifest: no "runs" array`) {
+			t.Fatalf("-diff %s %s: exit %d, want 1 naming the path:\n%s", path, path, code, out)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/records"
-	"repro/internal/stats"
 )
 
 // smallCase returns a scaled-down case study that keeps test time low
@@ -278,22 +277,25 @@ func TestRLDeploymentAblation(t *testing.T) {
 func TestRunReplicatedAggregates(t *testing.T) {
 	cs := smallCase()
 	cs.Workload.N = 30
-	rows := execute(t, cs, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2, 3}})
+	rows := execute(t, cs, TaskMatrix{Kind: "modes", Modes: []string{"speed"}, ReplicationSeeds: []int64{1, 2, 3}})
 	if len(rows) != 3 {
 		t.Fatalf("%d rows, want one per seed", len(rows))
 	}
-	var tsim, muF, tcomm []float64
 	for i, r := range rows {
 		if r.Mode != "speed" || r.WorkloadSeed != int64(i+1) {
 			t.Fatalf("row %d = %+v", i, r)
 		}
-		tsim = append(tsim, r.TsimS)
-		muF = append(muF, r.FidelityMean)
-		tcomm = append(tcomm, r.TcommS)
 	}
-	ts, mf, tc := stats.AggregateSamples(tsim), stats.AggregateSamples(muF), stats.AggregateSamples(tcomm)
-	if mf.N != 3 || mf.Std < 0 || mf.CI95 <= 0 {
-		t.Fatalf("muF stats inconsistent: %+v", mf)
+	agg, err := records.AggregateManifests(&records.RunManifest{Runs: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(agg.Rows) != 1 || agg.Rows[0].ID != "mode/speed" {
+		t.Fatalf("aggregated rows = %+v, want the one base task mode/speed", agg.Rows)
+	}
+	ts, mf, tc := agg.Rows[0].Metrics["tsim_s"], agg.Rows[0].Metrics["fidelity_mean"], agg.Rows[0].Metrics["tcomm_s"]
+	if agg.Rows[0].N != 3 || mf.Std < 0 || mf.CI95 <= 0 {
+		t.Fatalf("muF stats inconsistent: n=%d %+v", agg.Rows[0].N, mf)
 	}
 	if ts.Mean <= 0 || tc.Mean <= 0 {
 		t.Fatalf("degenerate stats: tsim %+v, tcomm %+v", ts, tc)
@@ -302,8 +304,8 @@ func TestRunReplicatedAggregates(t *testing.T) {
 	if ts.Std == 0 {
 		t.Fatal("replication shows no variation across seeds")
 	}
-	// Original seed restored.
-	if cs.Workload.Seed != 3 && cs.Workload.Seed != smallCase().Workload.Seed {
+	// The replicas run on snapshots; the case study keeps its seed.
+	if cs.Workload.Seed != smallCase().Workload.Seed {
 		t.Fatalf("workload seed not restored: %d", cs.Workload.Seed)
 	}
 }
@@ -311,10 +313,10 @@ func TestRunReplicatedAggregates(t *testing.T) {
 func TestRunReplicatedValidation(t *testing.T) {
 	cs := smallCase()
 	ctx := context.Background()
-	if _, err := Execute(ctx, cs, TaskMatrix{Kind: "replicate", Mode: "speed"}, ExecOptions{Workers: 1}); err == nil {
-		t.Fatal("empty seeds accepted")
+	if _, err := Execute(ctx, cs, TaskMatrix{Kind: "replicate", Mode: "speed", ReplicationSeeds: []int64{1}}, ExecOptions{Workers: 1}); err == nil {
+		t.Fatal("the removed replicate kind accepted")
 	}
-	if _, err := Execute(ctx, cs, TaskMatrix{Kind: "replicate", Mode: "bogus", Seeds: []int64{1}}, ExecOptions{Workers: 1}); err == nil {
+	if _, err := Execute(ctx, cs, TaskMatrix{Kind: "modes", Modes: []string{"bogus"}, ReplicationSeeds: []int64{1}}, ExecOptions{Workers: 1}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }

@@ -17,27 +17,24 @@ import (
 type TaskMatrix struct {
 	// Kind selects the expansion: "modes" (one task per strategy,
 	// Table 2 / Fig. 6), "phi-sweep" / "lambda-sweep" (one task per
-	// Values entry running Mode), "replicate" (one task per Seeds entry
-	// running Mode), or "rl-deploy" (the sampled and deterministic
-	// rlbase deployments).
+	// Values entry running Mode), or "rl-deploy" (the sampled and
+	// deterministic rlbase deployments). Replication over workload
+	// seeds is not a kind: ReplicationSeeds fans any kind out.
 	Kind string `json:"kind"`
 	// Modes restricts the "modes" expansion; empty means all four, in
 	// the paper's Table 2 order.
 	Modes []string `json:"modes,omitempty"`
-	// Mode is the strategy for sweep and replicate kinds.
+	// Mode is the strategy for sweep kinds.
 	Mode string `json:"mode,omitempty"`
 	// Values are the swept parameter values (sweep kinds only).
 	Values []float64 `json:"values,omitempty"`
-	// Seeds are the workload seeds (replicate kind only).
-	Seeds []int64 `json:"seeds,omitempty"`
 	// ReplicationSeeds fans every task of the matrix out across these
 	// workload seeds: each base task becomes one replica per seed, ID
 	// suffixed "@seed<k>" (records.ReplicaID), run with the workload
 	// seed overridden. Replicas expand task-major (all seeds of task 0,
 	// then task 1, …), so every run builds the identical fan-out.
-	// Usually lowered from the spec-level Replications/ReplicationSeeds
-	// by Run rather than set directly.
-	// Invalid on "replicate" matrices, which already enumerate seeds.
+	// A spec's Replications count lowers onto every matrix without a
+	// list of its own as the seeds 1..Replications.
 	ReplicationSeeds []int64 `json:"replication_seeds,omitempty"`
 }
 
@@ -92,8 +89,6 @@ func (m TaskMatrix) taskCount() int {
 	switch m.Kind {
 	case "phi-sweep", "lambda-sweep":
 		base = len(m.Values)
-	case "replicate":
-		base = len(m.Seeds)
 	case "rl-deploy":
 		base = 2
 	}
@@ -112,9 +107,6 @@ func (m TaskMatrix) specs() ([]runSpec, error) {
 	}
 	if len(m.ReplicationSeeds) == 0 {
 		return base, nil
-	}
-	if m.Kind == "replicate" {
-		return nil, fmt.Errorf("experiments: replication seeds on a %q matrix: it already enumerates workload seeds (use one or the other)", m.Kind)
 	}
 	out := make([]runSpec, 0, len(base)*len(m.ReplicationSeeds))
 	for _, b := range base {
@@ -164,21 +156,6 @@ func (m TaskMatrix) baseSpecs() ([]runSpec, error) {
 			specs[i] = runSpec{
 				id: fmt.Sprintf("%s/%s/%g", m.Kind, m.Mode, v), kind: m.Kind, mode: m.Mode, param: v,
 				mutate: func(snap *CaseStudy) { set(&snap.Core, v) },
-			}
-		}
-		return specs, nil
-	case "replicate":
-		if err := checkMode(m.Mode); err != nil {
-			return nil, err
-		}
-		if len(m.Seeds) == 0 {
-			return nil, fmt.Errorf("experiments: no seeds")
-		}
-		specs := make([]runSpec, len(m.Seeds))
-		for i, s := range m.Seeds {
-			specs[i] = runSpec{
-				id: fmt.Sprintf("replicate/%s/seed%d", m.Mode, s), kind: "replicate", mode: m.Mode,
-				mutate: func(snap *CaseStudy) { snap.Workload.Seed = s },
 			}
 		}
 		return specs, nil

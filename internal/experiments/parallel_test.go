@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments/runner"
-	"repro/internal/stats"
+	"repro/internal/records"
 )
 
 // TestParallelRunAllMatchesSequential is the engine's core guarantee:
@@ -64,7 +64,7 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 func TestParallelReplicatedMatchesSequential(t *testing.T) {
 	ctx := context.Background()
 	seeds := []int64{1, 2, 3, 4}
-	m := TaskMatrix{Kind: "replicate", Mode: "fair", Seeds: seeds}
+	m := TaskMatrix{Kind: "modes", Modes: []string{"fair"}, ReplicationSeeds: seeds}
 	cs := smallCase()
 	cs.Workload.N = 30
 	seq, err := Execute(ctx, cs, m, ExecOptions{Workers: 1})
@@ -80,15 +80,17 @@ func TestParallelReplicatedMatchesSequential(t *testing.T) {
 	if want, got := normalizedJSON(t, seq), normalizedJSON(t, par); !bytes.Equal(want, got) {
 		t.Fatalf("replication diverges:\nseq %s\npar %s", want, got)
 	}
-	var tsim []float64
 	for i, r := range par.Runs {
 		if r.WorkloadSeed != seeds[i] {
 			t.Fatalf("row %d ran seed %d, want %d", i, r.WorkloadSeed, seeds[i])
 		}
-		tsim = append(tsim, r.TsimS)
 	}
-	if agg := stats.AggregateSamples(tsim); agg.N != len(seeds) || agg.CI95 <= 0 {
-		t.Fatalf("aggregate incomplete: %+v", agg)
+	agg, err := records.AggregateManifests(par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(agg.Rows) != 1 || agg.Rows[0].N != len(seeds) || agg.Rows[0].Metrics["tsim_s"].CI95 <= 0 {
+		t.Fatalf("aggregate incomplete: %+v", agg.Rows)
 	}
 }
 
@@ -104,7 +106,7 @@ func TestParallelDoesNotMutateCaseStudy(t *testing.T) {
 	if _, err := Execute(context.Background(), cs, TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.9, 0.95}}, opt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Execute(context.Background(), cs, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{5, 6}}, opt); err != nil {
+	if _, err := Execute(context.Background(), cs, TaskMatrix{Kind: "modes", Modes: []string{"speed"}, ReplicationSeeds: []int64{5, 6}}, opt); err != nil {
 		t.Fatal(err)
 	}
 	if cs.Core != savedCore || cs.Workload != savedWorkload {
@@ -141,18 +143,18 @@ func TestParallelProgressAndArtifacts(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	m, err := Execute(context.Background(), cs, TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2, 3}}, opt)
+	m, err := Execute(context.Background(), cs, TaskMatrix{Kind: "modes", Modes: []string{"speed"}, ReplicationSeeds: []int64{1, 2, 3}}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 3 {
 		t.Fatalf("%d progress events, want 3", len(events))
 	}
-	if m.Label != "replicate/speed" || m.Workers != 2 || len(m.Runs) != 3 {
+	if m.Label != "modes" || m.Workers != 2 || len(m.Runs) != 3 {
 		t.Fatalf("manifest = %+v", m)
 	}
 	for i, r := range m.Runs {
-		if r.Kind != "replicate" || r.Mode != "speed" || r.Jobs != 30 {
+		if r.ID != records.ReplicaID("mode/speed", int64(i+1)) || r.Kind != "mode" || r.Mode != "speed" || r.Jobs != 30 {
 			t.Fatalf("manifest run %d = %+v", i, r)
 		}
 		if r.WallMS <= 0 {

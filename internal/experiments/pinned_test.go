@@ -37,8 +37,8 @@ func TestPinnedManifestDigests(t *testing.T) {
 			"d76b538ce39b1744e79b5bc2a7bdc267fc72c654ae2f1e32094ddec4d5d66521"},
 		{"lambda-sweep/fair", specForSmallCase(TaskMatrix{Kind: "lambda-sweep", Mode: "fair", Values: []float64{0, 0.02, 0.05, 0.1}}),
 			"0ec7c29ab0dbbf41a3fbba81038c89679f4fd33dee0848aae573120b86358246"},
-		{"replicate/speed", specForSmallCase(TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2, 3}}),
-			"16fa593ac5eb9ca15ef40c9f45d18e1d9117c0dd403cb2b64cddfd6961fea5ec"},
+		{"modes/speed@seed1-3", specForSmallCase(TaskMatrix{Kind: "modes", Modes: []string{"speed"}, ReplicationSeeds: []int64{1, 2, 3}}),
+			"153e4fb32021682f6fdba366b8584abc0fe862db3f1e46837dd99ab26a80cd45"},
 		{"rl-deploy", specForSmallCase(TaskMatrix{Kind: "rl-deploy"}),
 			"068bd3ff8e018c8e27bcdf632dc162c7d8233cd9cf26087fe50b22d20a158f72"},
 		{"replications=2", replicated,

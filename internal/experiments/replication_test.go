@@ -10,46 +10,35 @@ import (
 )
 
 // TestReplicationExpansion pins the fan-out: task-major order, replica
-// IDs via records.ReplicaID, the workload seed overridden after the
-// base task's own mutation, and replicate-kind matrices left exempt
-// from spec-level replication.
+// IDs via records.ReplicaID, Replications: N lowered as the seeds 1..N
+// onto every matrix without a seed list, and a matrix's own list kept.
 func TestReplicationExpansion(t *testing.T) {
 	spec := Spec{
-		ReplicationSeeds: []int64{7, 8},
+		Replications: 3,
 		Matrices: []TaskMatrix{
-			{Kind: "modes", Modes: []string{"speed", "fair"}},
-			{Kind: "replicate", Mode: "speed", Seeds: []int64{1}},
+			{Kind: "modes", Modes: []string{"speed", "fair"}, ReplicationSeeds: []int64{7, 8}},
+			{Kind: "modes", Modes: []string{"rlbase"}},
 		},
 	}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	effective := spec.runMatrices()
-	labels, err := effective[0].TaskLabels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"mode/speed@seed7", "mode/speed@seed8", "mode/fair@seed7", "mode/fair@seed8"}
-	if !reflect.DeepEqual(labels, want) {
-		t.Fatalf("labels = %v, want %v", labels, want)
-	}
-	if len(effective[1].ReplicationSeeds) != 0 {
-		t.Fatalf("replicate matrix inherited spec-level replication: %+v", effective[1])
+	for i, want := range [][]string{
+		{"mode/speed@seed7", "mode/speed@seed8", "mode/fair@seed7", "mode/fair@seed8"},
+		{"mode/rlbase@seed1", "mode/rlbase@seed2", "mode/rlbase@seed3"},
+	} {
+		labels, err := effective[i].TaskLabels()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(labels, want) {
+			t.Fatalf("matrix %d labels = %v, want %v", i, labels, want)
+		}
 	}
 	// The declared spec is untouched — lowering happens on a copy.
-	if len(spec.Matrices[0].ReplicationSeeds) != 0 {
+	if len(spec.Matrices[1].ReplicationSeeds) != 0 {
 		t.Fatal("runMatrices mutated the spec's own matrices")
-	}
-
-	// Replications: N is the canonical 1..N seed list.
-	counted := Spec{Replications: 3, Matrices: []TaskMatrix{{Kind: "modes", Modes: []string{"fair"}}}}
-	labels, err = counted.runMatrices()[0].TaskLabels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = []string{"mode/fair@seed1", "mode/fair@seed2", "mode/fair@seed3"}
-	if !reflect.DeepEqual(labels, want) {
-		t.Fatalf("labels = %v, want %v", labels, want)
 	}
 }
 
@@ -78,8 +67,7 @@ func TestReplicatedSweepComposesMutations(t *testing.T) {
 // a four-worker pool, the per-seed rows record the replication seeds, and significance-diffing two such runs is Empty
 // while a run over different seeds is flagged.
 func TestReplicatedSpecExecutorEquivalence(t *testing.T) {
-	spec := specForSmallCase(TaskMatrix{Kind: "modes", Modes: []string{"speed", "fair"}})
-	spec.ReplicationSeeds = []int64{5, 6, 7}
+	spec := specForSmallCase(TaskMatrix{Kind: "modes", Modes: []string{"speed", "fair"}, ReplicationSeeds: []int64{5, 6, 7}})
 
 	manifests := make([]*records.RunManifest, 0, 2)
 	for _, workers := range []int{1, 4} {
@@ -144,8 +132,7 @@ func TestReplicatedSpecExecutorEquivalence(t *testing.T) {
 		d.Write(&buf)
 		t.Fatalf("same spec, two pool sizes, significant diff:\n%s", buf.String())
 	}
-	shifted := spec
-	shifted.ReplicationSeeds = []int64{8, 9, 10}
+	shifted := specForSmallCase(TaskMatrix{Kind: "modes", Modes: []string{"speed", "fair"}, ReplicationSeeds: []int64{8, 9, 10}})
 	sm, err := Run(context.Background(), shifted, ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -30,16 +30,11 @@ type Spec struct {
 	Matrices []TaskMatrix `json:"matrices"`
 	// Replications fans every matrix task out across the workload
 	// seeds 1..Replications (one replica per seed, matching the
-	// -replications flag's canonical seed list), so the paper-style
-	// "mean over replicated workload seeds" tables are one spec field
-	// instead of hand-written seed lists. Matrices that already
-	// enumerate workload seeds themselves — kind "replicate", or an
-	// explicit matrix-level ReplicationSeeds — are left untouched.
-	// Mutually exclusive with ReplicationSeeds.
+	// -replications flag), so the paper-style "mean over replicated
+	// workload seeds" tables are one spec field instead of hand-written
+	// seed lists. A matrix with its own ReplicationSeeds list keeps it;
+	// that list is the one place to pin particular seeds.
 	Replications int `json:"replications,omitempty"`
-	// ReplicationSeeds is Replications with an explicit seed list, for
-	// runs that must pin particular seeds.
-	ReplicationSeeds []int64 `json:"replication_seeds,omitempty"`
 	// Jobs overrides the scenario's workload size when > 0. Mutually
 	// exclusive with TracePath: a trace's job count is the trace's.
 	Jobs int `json:"jobs,omitempty"`
@@ -128,9 +123,6 @@ func (s *Spec) Validate() error {
 	if s.Replications > MaxReplications {
 		return fmt.Errorf("experiments: spec replications %d > MaxReplications (%d)", s.Replications, MaxReplications)
 	}
-	if s.Replications > 0 && len(s.ReplicationSeeds) > 0 {
-		return fmt.Errorf("experiments: spec sets both replications and replication_seeds; pick one")
-	}
 	matrices := s.runMatrices()
 	total := 0
 	for _, m := range matrices {
@@ -162,48 +154,24 @@ func (s *Spec) Validate() error {
 // out-of-range allocation of the seed list.
 const MaxReplications = 10000
 
-// CanonicalReplicationSeeds is the seed list a bare replication count
-// expands to: 1..n. It is the one definition shared by the spec-level
-// Replications field and the CLI's -replications flag, so
-// `"replications": 5` in a spec and `-replications 5` on the command
-// line describe the same run by construction.
-func CanonicalReplicationSeeds(n int) []int64 {
-	seeds := make([]int64, n)
+// runMatrices returns the matrices Run actually executes: the declared
+// matrices with Replications lowered onto each one that has no
+// ReplicationSeeds of its own, as the seeds 1..Replications. Lowering
+// onto the TaskMatrix (rather than looping in Run) keeps replication
+// independent of the pool: every run expands the same seeded matrices.
+func (s *Spec) runMatrices() []TaskMatrix {
+	if s.Replications <= 0 {
+		return s.Matrices
+	}
+	seeds := make([]int64, s.Replications)
 	for i := range seeds {
 		seeds[i] = int64(i + 1)
 	}
-	return seeds
-}
-
-// replicationSeeds resolves the spec-level replication request to an
-// explicit seed list: ReplicationSeeds verbatim, or the canonical
-// 1..Replications. Nil when the spec requests no replication.
-func (s *Spec) replicationSeeds() []int64 {
-	if len(s.ReplicationSeeds) > 0 {
-		return s.ReplicationSeeds
-	}
-	if s.Replications > 0 {
-		return CanonicalReplicationSeeds(s.Replications)
-	}
-	return nil
-}
-
-// runMatrices returns the matrices Run actually executes: the declared
-// matrices with spec-level replication lowered onto each one that does
-// not already enumerate workload seeds itself. Lowering onto the
-// TaskMatrix (rather than looping in Run) keeps replication
-// independent of the pool: every run expands the same seeded matrices.
-func (s *Spec) runMatrices() []TaskMatrix {
-	seeds := s.replicationSeeds()
-	if seeds == nil {
-		return s.Matrices
-	}
 	out := append([]TaskMatrix(nil), s.Matrices...)
 	for i := range out {
-		if out[i].Kind == "replicate" || len(out[i].ReplicationSeeds) > 0 {
-			continue
+		if len(out[i].ReplicationSeeds) == 0 {
+			out[i].ReplicationSeeds = seeds
 		}
-		out[i].ReplicationSeeds = seeds
 	}
 	return out
 }

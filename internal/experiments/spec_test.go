@@ -23,8 +23,8 @@ var update = flag.Bool("update", false, "rewrite golden fixtures")
 
 // goldenSpec exercises every Spec field: overrides behind pointers
 // (seed 0 must survive), a PPO override, spec-level replication (which
-// the replicate matrix is exempt from — it enumerates its own seeds),
-// and two matrices.
+// a matrix with its own replication seeds keeps them over), and two
+// matrices.
 func goldenSpec() *Spec {
 	seed := int64(0)
 	fleetSeed := int64(2025)
@@ -41,7 +41,7 @@ func goldenSpec() *Spec {
 		PPO:        &ppo,
 		Matrices: []TaskMatrix{
 			{Kind: "modes", Modes: []string{"speed", "fair"}},
-			{Kind: "replicate", Mode: "fidelity", Seeds: []int64{1, 2, 3}},
+			{Kind: "modes", Modes: []string{"fidelity"}, ReplicationSeeds: []int64{1, 2, 3}},
 		},
 		Replications: 2,
 	}
@@ -95,6 +95,22 @@ func TestLoadSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestLoadSpecRefusesRemovedReplication: replication over workload
+// seeds has one form, the matrix-level fan-out. The spec-level seed
+// list and the "replicate" matrix kind (with its "seeds" list) are
+// refused, each with an error naming it.
+func TestLoadSpecRefusesRemovedReplication(t *testing.T) {
+	for _, c := range []struct{ spec, want string }{
+		{`{"matrices":[{"kind":"modes"}],"replication_seeds":[1,2]}`, `unknown field "replication_seeds"`},
+		{`{"matrices":[{"kind":"replicate","mode":"speed"}]}`, `unknown task-matrix kind "replicate"`},
+		{`{"matrices":[{"kind":"modes","seeds":[1,2]}]}`, `unknown field "seeds"`},
+	} {
+		if _, err := LoadSpec(strings.NewReader(c.spec)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.spec, err, c.want)
+		}
+	}
+}
+
 // TestSpecHostsValidation: a spec names no hosts — every task runs on
 // the in-process pool — so a "hosts" list is an unknown field and the
 // spec is refused, not run somewhere other than the file says.
@@ -132,26 +148,22 @@ func TestSpecValidate(t *testing.T) {
 		{"unknown scenario", Spec{Scenario: "warp", Matrices: []TaskMatrix{{Kind: "modes"}}}, "unknown scenario"},
 		{"no matrices", Spec{Scenario: "paper"}, "no task matrices"},
 		{"bad matrix kind", Spec{Matrices: []TaskMatrix{{Kind: "warp"}}}, "unknown task-matrix kind"},
-		{"bad mode", Spec{Matrices: []TaskMatrix{{Kind: "replicate", Mode: "warp", Seeds: []int64{1}}}}, "unknown mode"},
+		{"bad mode", Spec{Matrices: []TaskMatrix{{Kind: "modes", Modes: []string{"warp"}, ReplicationSeeds: []int64{1}}}}, "unknown mode"},
 		{"negative jobs", Spec{Jobs: -1, Matrices: []TaskMatrix{{Kind: "modes"}}}, "jobs"},
 		{"negative train", Spec{TrainSteps: -1, Matrices: []TaskMatrix{{Kind: "modes"}}}, "train_steps"},
 		{"duplicate across matrices", Spec{Matrices: []TaskMatrix{
-			{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2}},
-			{Kind: "replicate", Mode: "speed", Seeds: []int64{2, 3}},
+			{Kind: "modes", Modes: []string{"speed"}, ReplicationSeeds: []int64{1, 2}},
+			{Kind: "modes", Modes: []string{"speed"}, ReplicationSeeds: []int64{2, 3}},
 		}}, "twice"},
 		{"negative replications", Spec{Replications: -1, Matrices: []TaskMatrix{{Kind: "modes"}}}, "replications"},
 		{"replications above max", Spec{Replications: 100000000000000, Matrices: []TaskMatrix{{Kind: "modes"}}}, "MaxReplications"},
-		{"replications and seeds", Spec{Replications: 2, ReplicationSeeds: []int64{1}, Matrices: []TaskMatrix{{Kind: "modes"}}}, "pick one"},
-		{"replication on replicate matrix", Spec{Matrices: []TaskMatrix{
-			{Kind: "replicate", Mode: "speed", Seeds: []int64{1}, ReplicationSeeds: []int64{2}},
-		}}, "already enumerates"},
-		{"duplicate replication seeds", Spec{ReplicationSeeds: []int64{4, 4}, Matrices: []TaskMatrix{{Kind: "modes"}}}, "twice"},
+		{"duplicate replication seeds", Spec{Matrices: []TaskMatrix{{Kind: "modes", ReplicationSeeds: []int64{4, 4}}}}, "twice"},
 		{"replicated duplicate across matrices", Spec{Replications: 2, Matrices: []TaskMatrix{
 			{Kind: "modes", Modes: []string{"speed"}},
 			{Kind: "modes", Modes: []string{"speed"}},
 		}}, "twice"},
-		{"matrix above max tasks", Spec{ReplicationSeeds: make([]int64, 400), Matrices: []TaskMatrix{
-			{Kind: "phi-sweep", Mode: "speed", Values: make([]float64, 300)},
+		{"matrix above max tasks", Spec{Matrices: []TaskMatrix{
+			{Kind: "phi-sweep", Mode: "speed", Values: make([]float64, 300), ReplicationSeeds: make([]int64, 400)},
 		}}, "MaxTasks"},
 		{"spec above max tasks", Spec{Replications: MaxReplications, Matrices: []TaskMatrix{
 			{Kind: "modes"}, {Kind: "modes"}, {Kind: "modes"},
@@ -167,7 +179,7 @@ func TestSpecValidate(t *testing.T) {
 	}
 	good := Spec{Matrices: []TaskMatrix{
 		{Kind: "modes"},
-		{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2}},
+		{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.9}, ReplicationSeeds: []int64{1, 2}},
 	}}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
@@ -284,7 +296,7 @@ func specForSmallCase(matrices ...TaskMatrix) Spec {
 const (
 	pinnedModes    = "7708b152b46bbe72339ebdab7eaa397feb3aaa74ec9250ade595263c35ffb0e6"
 	pinnedPhiSweep = "d76b538ce39b1744e79b5bc2a7bdc267fc72c654ae2f1e32094ddec4d5d66521"
-	pinnedReplicas = "16fa593ac5eb9ca15ef40c9f45d18e1d9117c0dd403cb2b64cddfd6961fea5ec"
+	pinnedReplicas = "153e4fb32021682f6fdba366b8584abc0fe862db3f1e46837dd99ab26a80cd45"
 )
 
 // rowsDigest is the SHA-256 of the normalized manifest holding rows.
@@ -318,21 +330,21 @@ func TestRunMultiMatrixSpec(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	phis := []float64{0.85, 0.9, 0.95, 1}
 	spec := specForSmallCase(
-		TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: seeds},
+		TaskMatrix{Kind: "modes", Modes: []string{"speed"}, ReplicationSeeds: seeds},
 		TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: phis},
 	)
 	m, err := Run(context.Background(), spec, ExecOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Label != "paper:replicate/speed+phi-sweep/speed" {
+	if m.Label != "paper:modes+phi-sweep/speed" {
 		t.Fatalf("label = %q", m.Label)
 	}
 	if len(m.Runs) != len(seeds)+len(phis) {
 		t.Fatalf("%d rows, want %d", len(m.Runs), len(seeds)+len(phis))
 	}
 	if got := rowsDigest(t, m.Runs[:len(seeds)]); got != pinnedReplicas {
-		t.Fatalf("replicate rows digest %s, want the pinned %s", got, pinnedReplicas)
+		t.Fatalf("replica rows digest %s, want the pinned %s", got, pinnedReplicas)
 	}
 	if got := rowsDigest(t, m.Runs[len(seeds):]); got != pinnedPhiSweep {
 		t.Fatalf("phi-sweep rows digest %s, want the pinned %s", got, pinnedPhiSweep)
@@ -342,7 +354,7 @@ func TestRunMultiMatrixSpec(t *testing.T) {
 // TestRunZeroOptionsUsesDefaultPool: the zero ExecOptions runs on the
 // default pool and records its resolved size, GOMAXPROCS.
 func TestRunZeroOptionsUsesDefaultPool(t *testing.T) {
-	spec := specForSmallCase(TaskMatrix{Kind: "replicate", Mode: "speed", Seeds: []int64{1, 2}})
+	spec := specForSmallCase(TaskMatrix{Kind: "modes", Modes: []string{"speed"}, ReplicationSeeds: []int64{1, 2}})
 	m, err := Run(context.Background(), spec, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -145,11 +145,11 @@ func appendCSVQuoted(dst []byte, field string) []byte {
 // is a flat value type so manifests round-trip through JSON and CSV
 // without depending on the simulation packages.
 type RunSummary struct {
-	// ID uniquely names the task within its manifest, e.g. "mode/speed"
-	// or "phi-sweep/speed/0.95".
+	// ID uniquely names the task within its manifest, e.g. "mode/speed",
+	// "phi-sweep/speed/0.95", or a seed replica "mode/speed@seed3".
 	ID string `json:"id"`
 	// Kind groups tasks: "mode", "phi-sweep", "lambda-sweep",
-	// "replicate", "rl-deploy".
+	// "rl-deploy". A seed replica keeps its base task's kind.
 	Kind string `json:"kind"`
 	// Mode is the allocation strategy simulated.
 	Mode string `json:"mode"`
