@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/experiments"
+	"repro/internal/profiling"
 	"repro/internal/rl"
 	"repro/internal/rlsched"
 	"repro/internal/sim"
@@ -32,7 +34,7 @@ func main() {
 // run parses args (a bad flag exits 2, as the flag package does),
 // trains, and writes the model, the optional curve, and its report to
 // stdout.
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("ppotrain", flag.ExitOnError)
 	var (
 		timesteps = fs.Int("timesteps", 100000, "PPO training timesteps")
@@ -42,8 +44,22 @@ func run(args []string, stdout io.Writer) error {
 		seed      = fs.Int64("seed", 1, "PPO initialization/sampling seed")
 		randomize = fs.Bool("randomize-levels", false, "train on randomized device occupancy")
 		quiet     = fs.Bool("q", false, "suppress progress output")
+
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile (runtime/pprof) to this file at exit")
 	)
 	fs.Parse(args) //lint:allow errlint ExitOnError: Parse exits instead of returning an error
+	if err := profiling.CheckPath("cpuprofile", *cpuProfile); err != nil {
+		return err
+	}
+	if err := profiling.CheckPath("memprofile", *memProfile); err != nil {
+		return err
+	}
+	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	env := sim.NewEnvironment()
 	fleet, err := device.StandardFleet(env, *fleetSeed)

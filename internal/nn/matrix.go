@@ -5,13 +5,22 @@
 // in the original implementation, using only the standard library.
 //
 // The compute core is batched and allocation-free: Mat.MulMatT /
-// Mat.MulMat / Mat.AddOuterBatch process whole minibatches while
-// preserving the per-sample accumulation order (batched results are
-// bit-identical to the single-vector path), and caller-owned Workspace
-// buffers let MLP.ForwardBatch / MLP.BackwardBatch run entire
-// minibatches with zero allocations in steady state. A Workspace
-// belongs to one goroutine; ForwardBatch never mutates MLP state, so
-// one model can serve concurrent forward passes.
+// Mat.MulMat / Mat.AddOuterBatch process whole minibatches, and
+// caller-owned Workspace buffers let MLP.ForwardBatch /
+// MLP.BackwardBatch run entire minibatches with zero allocations in
+// steady state. The batched kernels are register-blocked: MulMatT
+// computes four weight rows' dot products per pass, and MulMat and
+// AddOuterBatch keep each output entry in a register across four
+// nonzero gradient terms. The invariant every blocking keeps is the
+// per-entry accumulation order: each output or gradient entry takes
+// its terms in the order the single-vector form (MulVec, MulVecT,
+// AddOuter) applies them, with the same zero-gradient skips and the
+// same acc += a*b expression, so batched results are bit-identical to
+// the per-sample path on every GOARCH, with or without fused
+// multiply-add. MLP.BackwardBatch computes parameter gradients only;
+// single-sample MLP.Backward also returns the input gradient. A
+// Workspace belongs to one goroutine; ForwardBatch never mutates MLP
+// state, so one model can serve concurrent forward passes.
 package nn
 
 import (
@@ -157,31 +166,100 @@ func (m *Mat) MulMatT(x, out *Mat) {
 
 // MulMat computes out = g · m — the batched form of MulVecT, with the
 // receiver as the weight matrix: row b of out is mᵀ · (row b of g).
-// Shapes: g is B×Rows, out is B×Cols. Accumulation order per row
-// matches MulVecT exactly (rows ascending, zero entries skipped).
+// Shapes: g is B×Rows, out is B×Cols.
+//
+// Row b of out is the sum of the weight rows scaled by the nonzero
+// entries of g's row b, in ascending row order, as MulVecT adds them.
+// Those terms go through addScaled4 four at a time, so each output
+// entry stays in a register across four weight rows instead of being
+// loaded and stored once per row. Every entry still starts from zero
+// and takes the same terms in the same order, skipping the same zero
+// gradient entries, so the result is bit-identical to MulVecT's.
 func (m *Mat) MulMat(g, out *Mat) {
 	if g.Cols != m.Rows || out.Cols != m.Cols || out.Rows != g.Rows {
 		panic(fmt.Sprintf("nn: MulMat shape mismatch: %dx%d · %dx%d -> %dx%d",
 			g.Rows, g.Cols, m.Rows, m.Cols, out.Rows, out.Cols))
 	}
 	for b := 0; b < g.Rows; b++ {
-		m.MulVecTInto(g.Row(b), out.Row(b))
+		gb, o := g.Row(b), out.Row(b)
+		clear(o)
+		var rs [4]int // weight rows of the pending group
+		k := 0
+		for r, gr := range gb {
+			if gr == 0 {
+				continue
+			}
+			rs[k] = r
+			if k++; k == len(rs) {
+				addScaled4(o, m.Row(rs[0]), m.Row(rs[1]), m.Row(rs[2]), m.Row(rs[3]),
+					gb[rs[0]], gb[rs[1]], gb[rs[2]], gb[rs[3]])
+				k = 0
+			}
+		}
+		for _, r := range rs[:k] {
+			addScaled(o, m.Row(r), gb[r])
+		}
 	}
 }
 
 // AddOuterBatch accumulates Σ_b g[b] ⊗ x[b] into the matrix — the
 // batched form of AddOuter for a dense layer's weight gradient over a
-// minibatch. Samples are applied in row order, so every matrix entry
-// receives its per-sample contributions in exactly the order B separate
-// AddOuter calls would apply them: the accumulated gradient is
-// bit-identical to the per-sample path. Shapes: g is B×Rows, x is
-// B×Cols.
+// minibatch. Shapes: g is B×Rows, x is B×Cols.
+//
+// Matrix row r takes the input rows x[b] scaled by the nonzero g[b][r],
+// in sample order, as B AddOuter calls add them. Those terms go through
+// addScaled4 four samples at a time, so each gradient entry stays in a
+// register across four samples instead of being loaded and stored once
+// per sample. Every entry still takes the same terms in the same order,
+// skipping the same zero gradient entries, so the accumulated gradient
+// is bit-identical to B AddOuter calls.
 func (m *Mat) AddOuterBatch(g, x *Mat) {
 	if g.Cols != m.Rows || x.Cols != m.Cols || g.Rows != x.Rows {
 		panic("nn: AddOuterBatch shape mismatch")
 	}
-	for b := 0; b < g.Rows; b++ {
-		m.AddOuter(g.Row(b), x.Row(b))
+	rows := m.Rows
+	for r := 0; r < rows; r++ {
+		row := m.Row(r)
+		var bs [4]int // samples of the pending group
+		k := 0
+		for b := 0; b < g.Rows; b++ {
+			if g.Data[b*rows+r] == 0 {
+				continue
+			}
+			bs[k] = b
+			if k++; k == len(bs) {
+				addScaled4(row, x.Row(bs[0]), x.Row(bs[1]), x.Row(bs[2]), x.Row(bs[3]),
+					g.Data[bs[0]*rows+r], g.Data[bs[1]*rows+r], g.Data[bs[2]*rows+r], g.Data[bs[3]*rows+r])
+				k = 0
+			}
+		}
+		for _, b := range bs[:k] {
+			addScaled(row, x.Row(b), g.Data[b*rows+r])
+		}
+	}
+}
+
+// addScaled4 adds v0·s0, v1·s1, v2·s2 and v3·s3 to dst, in that order,
+// holding each dst entry in a register across the four terms. Each
+// step is dst += v*s, the expression MulVecT and AddOuter use (a
+// product's operand order changes no bit, fused or not), so four terms
+// here equal four successive addScaled calls bit for bit.
+func addScaled4(dst, v0, v1, v2, v3 []float64, s0, s1, s2, s3 float64) {
+	v0, v1, v2, v3 = v0[:len(dst)], v1[:len(dst)], v2[:len(dst)], v3[:len(dst)]
+	for c, a := range dst {
+		a += v0[c] * s0
+		a += v1[c] * s1
+		a += v2[c] * s2
+		a += v3[c] * s3
+		dst[c] = a
+	}
+}
+
+// addScaled adds v·s to dst.
+func addScaled(dst, v []float64, s float64) {
+	v = v[:len(dst)]
+	for c := range dst {
+		dst[c] += v[c] * s
 	}
 }
 

@@ -4,7 +4,7 @@ import "fmt"
 
 // Workspace holds the preallocated per-layer scratch for the batched
 // MLP kernels: the activation matrices ForwardBatch fills and the
-// gradient matrices BackwardBatch consumes and produces. It is owned by
+// gradient matrices BackwardBatch consumes. It is owned by
 // the caller and reused across minibatches, so steady-state batched
 // forward/backward passes allocate nothing.
 //
@@ -19,10 +19,11 @@ type Workspace struct {
 	batch int // row capacity
 
 	// acts[0] is the input matrix; acts[l+1] is layer l's post-activation
-	// output. grads[i] is dL/d(acts[i]) during BackwardBatch. Both are
-	// views whose Rows field tracks the current batch size; the full
-	// backing arrays are retained separately so shrinking and regrowing
-	// the view never reallocates.
+	// output. grads[i] is dL/d(acts[i]) during BackwardBatch; grads[0]
+	// is never written, since BackwardBatch computes no input gradient.
+	// Both are views whose Rows field tracks the current batch size;
+	// the full backing arrays are retained separately so shrinking and
+	// regrowing the view never reallocates.
 	acts, grads         []*Mat
 	actsFull, gradsFull [][]float64
 }
@@ -123,14 +124,16 @@ func (m *MLP) ForwardBatch(w *Workspace) *Mat {
 
 // BackwardBatch accumulates parameter gradients for the most recent
 // ForwardBatch on the same workspace, reading dL/doutput from
-// w.OutputGrad() (which the caller fills) and returning dL/dinput.
-// Gradients accumulate into the MLP until ZeroGrad, exactly like
-// Backward. Per-entry accumulation order over the batch matches B
-// sequential Forward+Backward calls (samples applied in row order), so
-// the accumulated gradients are bit-identical to the per-sample path.
+// w.OutputGrad() (which the caller fills). Gradients accumulate into
+// the MLP until ZeroGrad, exactly like Backward. Every gradient entry
+// receives its per-sample terms in row order, as B sequential
+// Forward+Backward calls would apply them, so the accumulated gradients
+// are bit-identical to the per-sample path however the kernels tile
+// the batch. It stops at layer 0's parameters: the input gradient is
+// not computed (single-sample Backward still returns it).
 //
 //repro:noalloc
-func (m *MLP) BackwardBatch(w *Workspace) *Mat {
+func (m *MLP) BackwardBatch(w *Workspace) {
 	w.mustMatch(m)
 	last := len(m.Weights) - 1
 	for l := last; l >= 0; l-- {
@@ -150,7 +153,8 @@ func (m *MLP) BackwardBatch(w *Workspace) *Mat {
 				gb[i] += row[i]
 			}
 		}
-		m.Weights[l].MulMat(dZ, w.grads[l])
+		if l > 0 {
+			m.Weights[l].MulMat(dZ, w.grads[l])
+		}
 	}
-	return w.grads[0]
 }
