@@ -65,6 +65,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
@@ -75,7 +76,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
@@ -89,55 +90,75 @@ func errorLine(err error) string {
 	return "experiments: " + strings.ReplaceAll(err.Error(), "experiments: ", "")
 }
 
-func run() (err error) {
-	var (
-		artifact  = flag.String("artifact", "all", "which artifact: table2|fig5|fig6|ablations|replicate|all")
-		specPath  = flag.String("spec", "", "declarative experiment spec file (JSON); replaces -artifact, -scenario and the workload flags")
-		scenario  = flag.String("scenario", "", "registered scenario for flag-driven runs (default: paper); see experiments.ScenarioNames")
-		n         = flag.Int("n", 1000, "workload size (paper: 1000)")
-		train     = flag.Int("train", 100000, "PPO training timesteps (paper: 100000)")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		fleetSeed = flag.Int64("fleet-seed", 2025, "calibration snapshot seed")
-		outdir    = flag.String("outdir", "", "optional directory for CSV artifacts")
-		workers   = flag.Int("workers", 0, "worker pool size for independent simulations, >= 1 (omit for GOMAXPROCS)")
-		reps      = flag.Int("replications", 5, "workload seeds for -artifact replicate")
-		out       = flag.String("out", "", "optional directory for the run manifest (manifest.json + manifest.csv)")
-		progress  = flag.Bool("progress", true, "report per-task completion on stderr")
-		diff      = flag.Bool("diff", false, "compare two run manifests: -diff a.json b.json (exit 1 on any difference)")
-		sig       = flag.Bool("sig", false, "with -diff: significance comparison of replicated runs (Welch's t at alpha=0.05, CI95-overlap below 2 replicas); accepts run or aggregated manifests")
-		tol       = flag.Float64("tol", 0, "with -diff: absolute tolerance on metric deltas, for cross-platform float drift (0 = exact)")
-		rtol      = flag.Float64("rtol", 0, "with -diff: relative tolerance on metric deltas (0 = exact)")
-		trendDir  = flag.String("trend", "", "report per-metric trajectories over a directory of BENCH_*.json / manifest artifacts and exit 1 on a significant shift in the newest one")
-		trendTol  = flag.Float64("trend-tol", 0.05, "with -trend: relative shift threshold for metrics without a stored stderr (e.g. bench ns/op)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of this process to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile (runtime/pprof) of this process to this file at exit")
-	)
-	flag.Parse()
+// options is one experiments invocation: fs, the command line it was
+// parsed from, and every flag's value. spec is the flag path's
+// workload, which compileSpec lowers onto an artifact's matrices and
+// runFigures builds its case study from.
+type options struct {
+	fs *flag.FlagSet
 
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateFlags(set, flag.Args(), *artifact, *specPath, *n, *train, *workers, *reps, *diff,
-		*sig, *tol, *rtol, *trendDir, *trendTol, *cpuProf, *memProf); err != nil {
+	artifact, specPath, outdir, out, trendDir, cpuProf, memProf string
+	spec                                                        experiments.Spec
+	exec                                                        experiments.ExecOptions
+	diffOpt                                                     records.DiffOptions
+	trendTol                                                    float64
+	progress, diff, sig                                         bool
+}
+
+// parseArgs defines every flag once, bound straight into options,
+// parses args and validates the combination: the one parse main and
+// the tests share. A bad flag exits 2 after printing the usage to
+// stderr, as the flag package does (-h exits 0).
+func parseArgs(args []string, stderr io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	o := &options{fs: fs, spec: experiments.Spec{Seed: new(int64), FleetSeed: new(int64)}}
+	fs.StringVar(&o.artifact, "artifact", "all", "which artifact: table2|fig5|fig6|ablations|replicate|all")
+	fs.StringVar(&o.specPath, "spec", "", "declarative experiment spec file (JSON); replaces -artifact, -scenario and the workload flags")
+	fs.StringVar(&o.spec.Scenario, "scenario", "", "registered scenario for flag-driven runs (default: paper); see experiments.ScenarioNames")
+	fs.IntVar(&o.spec.Jobs, "n", 1000, "workload size (paper: 1000)")
+	fs.IntVar(&o.spec.TrainSteps, "train", 100000, "PPO training timesteps (paper: 100000)")
+	fs.Int64Var(o.spec.Seed, "seed", 1, "workload seed")
+	fs.Int64Var(o.spec.FleetSeed, "fleet-seed", 2025, "calibration snapshot seed")
+	fs.StringVar(&o.outdir, "outdir", "", "optional directory for CSV artifacts")
+	fs.IntVar(&o.exec.Workers, "workers", 0, "worker pool size for independent simulations, >= 1 (omit for GOMAXPROCS)")
+	fs.IntVar(&o.spec.Replications, "replications", 5, "workload seeds for -artifact replicate")
+	fs.StringVar(&o.out, "out", "", "optional directory for the run manifest (manifest.json + manifest.csv)")
+	fs.BoolVar(&o.progress, "progress", true, "report per-task completion on stderr")
+	fs.BoolVar(&o.diff, "diff", false, "compare two run manifests: -diff a.json b.json (exit 1 on any difference)")
+	fs.BoolVar(&o.sig, "sig", false, "with -diff: significance comparison of replicated runs (Welch's t at alpha=0.05, CI95-overlap below 2 replicas); accepts run or aggregated manifests")
+	fs.Float64Var(&o.diffOpt.AbsTol, "tol", 0, "with -diff: absolute tolerance on metric deltas, for cross-platform float drift (0 = exact)")
+	fs.Float64Var(&o.diffOpt.RelTol, "rtol", 0, "with -diff: relative tolerance on metric deltas (0 = exact)")
+	fs.StringVar(&o.trendDir, "trend", "", "report per-metric trajectories over a directory of BENCH_*.json / manifest artifacts and exit 1 on a significant shift in the newest one")
+	fs.Float64Var(&o.trendTol, "trend-tol", 0.05, "with -trend: relative shift threshold for metrics without a stored stderr (e.g. bench ns/op)")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile (runtime/pprof) of this process to this file")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile (runtime/pprof) of this process to this file at exit")
+	fs.SetOutput(stderr)
+	fs.Parse(args) //lint:allow errlint ExitOnError: Parse exits instead of returning an error
+	return o, o.validate()
+}
+
+func run(args []string) (err error) {
+	o, err := parseArgs(args, os.Stderr)
+	if err != nil {
 		return err
 	}
-	stopProfiles, err := profiling.Start(*cpuProf, *memProf)
+	stopProfiles, err := profiling.Start(o.cpuProf, o.memProf)
 	if err != nil {
 		return err
 	}
 	defer func() { err = errors.Join(err, stopProfiles()) }()
 
-	if *trendDir != "" {
-		return runTrend(os.Stdout, *trendDir, *trendTol)
+	if o.trendDir != "" {
+		return runTrend(os.Stdout, o.trendDir, o.trendTol)
 	}
-	if *diff {
-		return diffManifests(flag.Arg(0), flag.Arg(1), *sig, *tol, *rtol)
+	if o.diff {
+		return diffManifests(o.fs.Arg(0), o.fs.Arg(1), o.sig, o.diffOpt)
 	}
-	opt := experiments.ExecOptions{Workers: *workers}
-	if *progress {
-		opt.OnProgress = progressPrinter
+	if o.progress {
+		o.exec.OnProgress = progressPrinter
 	}
 
-	for _, dir := range []string{*outdir, *out} {
+	for _, dir := range []string{o.outdir, o.out} {
 		if dir != "" {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				return err
@@ -145,133 +166,133 @@ func run() (err error) {
 		}
 	}
 
-	// Spec path: the file IS the experiment; only execution knobs come
-	// from flags.
-	if *specPath != "" {
-		spec, err := experiments.LoadSpecFile(*specPath)
+	// A -spec file is the experiment (only execution knobs come from
+	// flags), and a manifest artifact compiles to the Spec it stands
+	// for: both run through experiments.Run. Figure artifacts execute
+	// the same matrices in-process on one trained case study.
+	var spec experiments.Spec
+	switch {
+	case o.specPath != "":
+		s, err := experiments.LoadSpecFile(o.specPath)
 		if err != nil {
 			return err
 		}
-		m, err := experiments.Run(context.Background(), *spec, opt)
-		if err != nil {
+		spec = *s
+	case o.artifact == "fig5" || o.artifact == "fig6" || o.artifact == "all":
+		return runFigures(o.artifact, o.spec, o.exec, o.outdir, o.out)
+	case o.artifact == "table2" || o.artifact == "replicate" || o.artifact == "ablations":
+		if spec, err = compileSpec(o.artifact, o.spec); err != nil {
 			return err
 		}
+	default:
+		return fmt.Errorf("unknown artifact %q", o.artifact)
+	}
+	m, err := experiments.Run(context.Background(), spec, o.exec)
+	if err != nil {
+		return err
+	}
+	if o.specPath != "" {
 		fmt.Fprintf(os.Stderr, "spec %q: %d task(s)\n", m.Label, len(m.Runs))
-		if *out == "" {
+		if o.out == "" {
 			// No manifest directory: the manifest is the output, so emit
 			// it on stdout for pipelines.
 			return m.WriteJSON(os.Stdout)
 		}
-		return writeManifest(m, *out)
-	}
-
-	// Flag path. Manifest artifacts compile to a Spec and share the
-	// exact Run code path with -spec; figure artifacts execute the same
-	// matrices in-process on one trained case study.
-	switch *artifact {
-	case "table2", "replicate", "ablations":
-		spec, err := compileSpec(*artifact, *scenario, *n, *seed, *fleetSeed, *train, *reps)
-		if err != nil {
-			return err
-		}
-		m, err := experiments.Run(context.Background(), spec, opt)
-		if err != nil {
-			return err
-		}
-		if err := renderArtifact(*artifact, m, *outdir); err != nil {
-			return err
-		}
-		if *out != "" {
-			return writeManifest(m, *out)
-		}
-		return nil
-	case "fig5", "fig6", "all":
-		return runFigures(*artifact, *scenario, *n, *seed, *fleetSeed, *train, opt, *outdir, *out)
-	default:
-		return fmt.Errorf("unknown artifact %q", *artifact)
-	}
-}
-
-// validateFlags rejects inconsistent flag combinations up front, with
-// actionable messages, instead of failing late inside a run (or worse,
-// silently ignoring a flag the user set).
-func validateFlags(set map[string]bool, args []string, artifact, specPath string, n, train, workers, reps int, diff bool,
-	sig bool, tol, rtol float64, trendDir string, trendTol float64, cpuProfile, memProfile string) error {
-	if err := profiling.CheckPath("cpuprofile", cpuProfile); err != nil {
+	} else if err := renderArtifact(o.artifact, m, o.outdir); err != nil {
 		return err
 	}
-	if err := profiling.CheckPath("memprofile", memProfile); err != nil {
+	return writeManifest(m, o.out)
+}
+
+// The flags a -spec file replaces, and the only flags -diff and -trend
+// take.
+var (
+	specConflicts = []string{"artifact", "scenario", "n", "train", "seed", "fleet-seed", "replications", "outdir"}
+	diffFlags     = []string{"diff", "sig", "tol", "rtol"}
+	trendFlags    = []string{"trend", "trend-tol"}
+)
+
+// validate rejects inconsistent flag combinations up front, with
+// actionable messages, instead of failing late inside a run (or worse,
+// silently ignoring a flag the user set). Checks walk set, the flags
+// given, in name order, so several conflicts always name the same flag.
+func (o *options) validate() error {
+	var set []string
+	o.fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	has := func(f string) bool { return slices.Contains(set, f) }
+	args := o.fs.Args()
+	if err := profiling.CheckPaths(o.cpuProf, o.memProf); err != nil {
 		return err
 	}
 	switch {
-	case set["trend"]:
-		if trendDir == "" {
+	case has("trend"):
+		if o.trendDir == "" {
 			return fmt.Errorf("-trend needs the artifact directory as its value (an empty one usually means an unset shell variable)")
 		}
-		for f := range set {
-			if f != "trend" && f != "trend-tol" {
+		for _, f := range set {
+			if !slices.Contains(trendFlags, f) {
 				return fmt.Errorf("-trend reads saved artifacts only; -%s conflicts with it", f)
 			}
 		}
 		if len(args) > 0 {
 			return fmt.Errorf("-trend takes the artifact directory as its value and no positional arguments")
 		}
-		if trendTol <= 0 {
-			return fmt.Errorf("-trend-tol must be > 0, have %g", trendTol)
+		if o.trendTol <= 0 {
+			return fmt.Errorf("-trend-tol must be > 0, have %g", o.trendTol)
 		}
 		return nil
-	case diff:
-		for f := range set {
-			switch f {
-			case "diff", "sig", "tol", "rtol":
-			default:
+	case o.diff:
+		for _, f := range set {
+			if !slices.Contains(diffFlags, f) {
 				return fmt.Errorf("-diff takes exactly two manifest paths and no other flags beyond -sig/-tol/-rtol")
 			}
 		}
 		if len(args) != 2 {
 			return fmt.Errorf("-diff takes exactly two manifest paths, have %d", len(args))
 		}
-		if tol < 0 || rtol < 0 {
+		if o.diffOpt.AbsTol < 0 || o.diffOpt.RelTol < 0 {
 			return fmt.Errorf("-tol and -rtol must be >= 0")
 		}
-		if sig && (set["tol"] || set["rtol"]) {
+		if o.sig && (has("tol") || has("rtol")) {
 			return fmt.Errorf("-sig decides by statistics, not tolerances; drop -tol/-rtol")
 		}
 		return nil
-	case set["sig"] || set["tol"] || set["rtol"]:
+	case has("sig") || has("tol") || has("rtol"):
 		return fmt.Errorf("-sig, -tol and -rtol modify -diff; pass -diff with them")
-	case set["trend-tol"]:
+	case has("trend-tol"):
 		return fmt.Errorf("-trend-tol modifies -trend; pass -trend with it")
 	case len(args) > 0:
 		return fmt.Errorf("unexpected arguments %q (all inputs are flags; -diff takes the only positional arguments)", args)
 	}
-	if set["workers"] && workers < 1 {
+	if has("workers") && o.exec.Workers < 1 {
 		return fmt.Errorf("-workers must be >= 1 (omit the flag for the automatic default)")
 	}
-	if reps < 1 || reps > experiments.MaxReplications {
+	if reps := o.spec.Replications; reps < 1 || reps > experiments.MaxReplications {
 		return fmt.Errorf("-replications must be in [1, %d], have %d", experiments.MaxReplications, reps)
 	}
-	if n < 1 {
-		return fmt.Errorf("-n must be >= 1, have %d", n)
+	if o.spec.Jobs < 1 {
+		return fmt.Errorf("-n must be >= 1, have %d", o.spec.Jobs)
 	}
-	if train < 1 {
-		return fmt.Errorf("-train must be >= 1, have %d", train)
+	if o.spec.TrainSteps < 1 {
+		return fmt.Errorf("-train must be >= 1, have %d", o.spec.TrainSteps)
 	}
-	if specPath != "" {
-		for _, f := range []string{"artifact", "scenario", "n", "train", "seed", "fleet-seed", "replications", "outdir"} {
-			if set[f] {
+	if o.specPath != "" {
+		for _, f := range set {
+			if slices.Contains(specConflicts, f) {
 				return fmt.Errorf("-spec is a self-contained experiment description; -%s conflicts with it (set it inside the spec file)", f)
 			}
 		}
 		return nil
 	}
 	switch {
-	case set["replications"] && artifact != "replicate":
-		return fmt.Errorf("-replications applies to -artifact replicate only, not %q", artifact)
-	case set["seed"] && artifact == "replicate":
+	case has("replications") && o.artifact != "replicate":
+		return fmt.Errorf("-replications applies to -artifact replicate only, not %q", o.artifact)
+	case has("seed") && o.artifact == "replicate":
 		return fmt.Errorf("-seed conflicts with -artifact replicate, which runs workload seeds 1..-replications")
-	case set["outdir"] && (artifact == "ablations" || artifact == "replicate"):
-		return fmt.Errorf("-outdir: -artifact %s writes no CSV artifacts (use -out for its manifest)", artifact)
+	case has("outdir") && (o.artifact == "ablations" || o.artifact == "replicate"):
+		return fmt.Errorf("-outdir: -artifact %s writes no CSV artifacts (use -out for its manifest)", o.artifact)
+	case has("out") && o.artifact == "fig5":
+		return fmt.Errorf("-out: -artifact fig5 runs no simulation tasks and writes no manifest")
 	}
 	return nil
 }
@@ -286,23 +307,18 @@ func progressPrinter(p runner.Progress) {
 	fmt.Fprintf(os.Stderr, "[%d/%d] %s%s\n", p.Done, p.Total, p.Label, status)
 }
 
-// compileSpec lowers the artifact flags onto the declarative Spec the
-// -spec path consumes, so both are one code path by construction.
-func compileSpec(artifact, scenario string, n int, seed, fleetSeed int64, train, reps int) (experiments.Spec, error) {
-	s := experiments.Spec{
-		Name:       artifact,
-		Scenario:   scenario,
-		Jobs:       n,
-		Seed:       &seed,
-		FleetSeed:  &fleetSeed,
-		TrainSteps: train,
-	}
+// compileSpec lowers the artifact onto the declarative Spec the -spec
+// path consumes, over the flag path's workload base, so both are one
+// code path by construction. Only replicate keeps base's replications.
+func compileSpec(artifact string, base experiments.Spec) (experiments.Spec, error) {
+	s := base
+	s.Name, s.Replications = artifact, 0
 	switch artifact {
 	case "table2":
 		s.Matrices = []experiments.TaskMatrix{{Kind: "modes"}}
 	case "replicate":
 		s.Matrices = []experiments.TaskMatrix{{Kind: "modes"}}
-		s.Replications = reps
+		s.Replications = base.Replications
 	case "ablations":
 		s.Matrices = []experiments.TaskMatrix{
 			{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.85, 0.90, 0.95, 1.0}},
@@ -377,7 +393,7 @@ func renderArtifact(artifact string, m *records.RunManifest, outdir string) erro
 // diffManifests loads two saved manifests and reports their per-task
 // deltas; any difference (any *significant* difference under -sig) is
 // an error so scripts and CI can gate on the exit code.
-func diffManifests(pathA, pathB string, sig bool, absTol, relTol float64) error {
+func diffManifests(pathA, pathB string, sig bool, opt records.DiffOptions) error {
 	if sig {
 		return diffSignificance(pathA, pathB)
 	}
@@ -407,7 +423,7 @@ func diffManifests(pathA, pathB string, sig bool, absTol, relTol float64) error 
 	if err != nil {
 		return err
 	}
-	d := records.DiffManifests(a, b, records.DiffOptions{AbsTol: absTol, RelTol: relTol})
+	d := records.DiffManifests(a, b, opt)
 	if err := d.Write(os.Stdout); err != nil {
 		return err
 	}
@@ -498,9 +514,6 @@ func printTable2(rows []records.RunSummary) {
 }
 
 func writeTable2CSV(outdir string, rows []records.RunSummary) error {
-	if outdir == "" {
-		return nil
-	}
 	return writeArtifactFile(outdir, "table2.csv", func(w io.Writer) error {
 		bw := bufio.NewWriter(w)
 		fmt.Fprintln(bw, "mode,tsim_s,fidelity_mean,fidelity_std,tcomm_s,mean_devices_per_job,mean_wait_s")
@@ -512,11 +525,14 @@ func writeTable2CSV(outdir string, rows []records.RunSummary) error {
 	})
 }
 
-// writeManifest exports a run manifest as JSON and CSV. Replicated
-// runs (any "…@seed<k>" task ID) additionally get their aggregated
-// form — aggregated.json / aggregated.csv — the artifact -diff -sig
-// and -trend consume.
+// writeManifest exports a run manifest as JSON and CSV into dir, if
+// one is given (-out). Replicated runs (any "…@seed<k>" task ID)
+// additionally get their aggregated form — aggregated.json /
+// aggregated.csv — the artifact -diff -sig and -trend consume.
 func writeManifest(m *records.RunManifest, dir string) error {
+	if dir == "" {
+		return nil
+	}
 	if err := writeArtifactFile(dir, "manifest.json", m.WriteJSON); err != nil {
 		return err
 	}
@@ -538,8 +554,12 @@ func writeManifest(m *records.RunManifest, dir string) error {
 
 // writeArtifactFile creates dir/name, runs the writer, and reports the
 // path — the one create/write/close/announce sequence every manifest
-// artifact shares.
+// artifact shares. Without a dir (-outdir or -out unset) it writes
+// nothing.
 func writeArtifactFile(dir, name string, write func(io.Writer) error) error {
+	if dir == "" {
+		return nil
+	}
 	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
 	if err != nil {
@@ -576,8 +596,7 @@ func hasReplicas(m *records.RunManifest) bool {
 // invocation. Figure 6 re-runs each mode with RunMode for its per-job
 // fidelities — the same simulations as the manifest's mode rows, which
 // carry only the headline results.
-func runFigures(artifact, scenario string, n int, seed, fleetSeed int64, train int, opt experiments.ExecOptions, outdir, out string) error {
-	base := experiments.Spec{Scenario: scenario, Jobs: n, Seed: &seed, FleetSeed: &fleetSeed, TrainSteps: train}
+func runFigures(artifact string, base experiments.Spec, opt experiments.ExecOptions, outdir, out string) error {
 	cs, err := base.CaseStudy()
 	if err != nil {
 		return err
@@ -588,15 +607,12 @@ func runFigures(artifact, scenario string, n int, seed, fleetSeed int64, train i
 		}
 	}
 	if artifact == "fig5" {
-		if out != "" {
-			fmt.Fprintf(os.Stderr, "experiments: -artifact fig5 produces no simulation tasks; no manifest written to %s\n", out)
-		}
 		return nil
 	}
 
 	matrices := []experiments.TaskMatrix{{Kind: "modes"}}
 	if artifact == "all" {
-		ablations, err := compileSpec("ablations", scenario, n, seed, fleetSeed, train, 1)
+		ablations, err := compileSpec("ablations", base)
 		if err != nil {
 			return err
 		}
@@ -620,10 +636,7 @@ func runFigures(artifact, scenario string, n int, seed, fleetSeed int64, train i
 			return err
 		}
 	}
-	if out != "" {
-		return writeManifest(m, out)
-	}
-	return nil
+	return writeManifest(m, out)
 }
 
 func fig5(cs *experiments.CaseStudy, outdir string) error {
@@ -640,15 +653,9 @@ func fig5(cs *experiments.CaseStudy, outdir string) error {
 	}
 	last := len(hist) - 1
 	fmt.Printf("%10.0f %16.4f %14.3f  (final)\n", reward.X[last], reward.Y[last], entropy.Y[last])
-	if outdir != "" {
-		err := writeArtifactFile(outdir, "fig5_training.csv", func(w io.Writer) error {
-			return stats.WriteSeriesCSV(w, reward, entropy)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeArtifactFile(outdir, "fig5_training.csv", func(w io.Writer) error {
+		return stats.WriteSeriesCSV(w, reward, entropy)
+	})
 }
 
 func fig6(cs *experiments.CaseStudy, outdir string) error {
@@ -670,10 +677,8 @@ func fig6(cs *experiments.CaseStudy, outdir string) error {
 		if err := hist.RenderASCII(os.Stdout, 60); err != nil {
 			return err
 		}
-		if outdir != "" {
-			if err := writeArtifactFile(outdir, "fig6_"+mode+".csv", hist.WriteCSV); err != nil {
-				return err
-			}
+		if err := writeArtifactFile(outdir, "fig6_"+mode+".csv", hist.WriteCSV); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -45,8 +48,9 @@ func TestCommittedSpecsLoad(t *testing.T) {
 // valid Spec that survives the spec-file encoding unchanged — the
 // flag path and the -spec path describe runs in the same currency.
 func TestCompileSpecRoundTrips(t *testing.T) {
+	base := flagSpec(t, "-artifact", "replicate", "-n", "30", "-train", "2048", "-replications", "3")
 	for _, artifact := range []string{"table2", "replicate", "ablations"} {
-		spec, err := compileSpec(artifact, "", 30, 1, 2025, 2048, 3)
+		spec, err := compileSpec(artifact, base)
 		if err != nil {
 			t.Fatalf("%s: %v", artifact, err)
 		}
@@ -65,7 +69,7 @@ func TestCompileSpecRoundTrips(t *testing.T) {
 			t.Fatalf("%s: compiled spec does not round-trip:\n%+v\n%+v", artifact, spec, *loaded)
 		}
 	}
-	if _, err := compileSpec("fig5", "", 30, 1, 2025, 2048, 3); err == nil {
+	if _, err := compileSpec("fig5", base); err == nil {
 		t.Fatal("figure artifact compiled to a spec")
 	}
 }
@@ -74,19 +78,21 @@ func TestCompileSpecRoundTrips(t *testing.T) {
 // to: table2 is the four-mode fan-out, replicate is the same matrix
 // fanned out over seeds 1..reps, ablations is the paper's three sweeps.
 func TestCompileSpecShapes(t *testing.T) {
-	table2, _ := compileSpec("table2", "stress-arrivals", 50, 9, 7, 100, 3)
+	table2, _ := compileSpec("table2", flagSpec(t, "-scenario", "stress-arrivals", "-n", "50", "-seed", "9",
+		"-fleet-seed", "7", "-train", "100"))
 	if table2.Scenario != "stress-arrivals" || table2.Jobs != 50 || *table2.Seed != 9 ||
-		*table2.FleetSeed != 7 || table2.TrainSteps != 100 {
+		*table2.FleetSeed != 7 || table2.TrainSteps != 100 || table2.Replications != 0 {
 		t.Fatalf("flag overrides lost: %+v", table2)
 	}
 	if len(table2.Matrices) != 1 || table2.Matrices[0].Kind != "modes" {
 		t.Fatalf("table2 matrices = %+v", table2.Matrices)
 	}
-	rep, _ := compileSpec("replicate", "", 30, 1, 2025, 2048, 3)
+	base := flagSpec(t, "-artifact", "replicate", "-n", "30", "-train", "2048", "-replications", "3")
+	rep, _ := compileSpec("replicate", base)
 	if len(rep.Matrices) != 1 || rep.Matrices[0].Kind != "modes" || rep.Replications != 3 {
 		t.Fatalf("replicate spec = %+v, want one modes matrix with replications 3", rep)
 	}
-	abl, _ := compileSpec("ablations", "", 30, 1, 2025, 2048, 3)
+	abl, _ := compileSpec("ablations", base)
 	kinds := make([]string, len(abl.Matrices))
 	for i, m := range abl.Matrices {
 		kinds[i] = m.Kind
@@ -102,9 +108,9 @@ func TestCompileSpecShapes(t *testing.T) {
 // then ablations compiled specs produce through Run. "all" and the
 // per-artifact runs are then the same experiment.
 func TestRunFiguresAllMatchesCompiledSpecs(t *testing.T) {
-	const n, seed, fleetSeed, train = 20, 1, 2025, 2048
+	base := flagSpec(t, "-n", "20", "-train", "2048")
 	dir := t.TempDir()
-	if err := runFigures("all", "", n, seed, fleetSeed, train, experiments.ExecOptions{Workers: 2}, "", dir); err != nil {
+	if err := runFigures("all", base, experiments.ExecOptions{Workers: 2}, "", dir); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(filepath.Join(dir, "manifest.json"))
@@ -121,7 +127,7 @@ func TestRunFiguresAllMatchesCompiledSpecs(t *testing.T) {
 	}
 	want := &records.RunManifest{}
 	for _, artifact := range []string{"table2", "ablations"} {
-		spec, err := compileSpec(artifact, "", n, seed, fleetSeed, train, 1)
+		spec, err := compileSpec(artifact, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,6 +140,16 @@ func TestRunFiguresAllMatchesCompiledSpecs(t *testing.T) {
 	if g, w := normalizedRows(t, got), normalizedRows(t, want); !bytes.Equal(g, w) {
 		t.Fatalf("-artifact all rows diverge from the compiled table2+ablations specs:\n%s\n%s", g, w)
 	}
+}
+
+// flagSpec is the workload base the flag path builds from argv.
+func flagSpec(t *testing.T, argv ...string) experiments.Spec {
+	t.Helper()
+	o, err := parseArgs(argv, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o.spec
 }
 
 // normalizedRows renders a manifest's rows as JSON with the fields that
@@ -156,94 +172,56 @@ func normalizedRows(t *testing.T, m *records.RunManifest) []byte {
 // each rejected combination must fail before any simulation starts,
 // with a message naming the offending flag.
 func TestValidateFlags(t *testing.T) {
-	type args struct {
-		set      map[string]bool
-		args     []string
-		artifact string
-		spec     string
-		n        int
-		train    int
-		workers  int
-		reps     int
-		diff     bool
-		sig      bool
-		tol      float64
-		rtol     float64
-		trend    string
-		trendTol float64
-		cpuProf  string
-		memProf  string
-	}
-	ok := func(a args) args { // fill valid defaults
-		if a.artifact == "" {
-			a.artifact = "all"
-		}
-		if a.n == 0 {
-			a.n = 1000
-		}
-		if a.train == 0 {
-			a.train = 100000
-		}
-		if a.reps == 0 {
-			a.reps = 5
-		}
-		if a.set == nil {
-			a.set = map[string]bool{}
-		}
-		if a.trendTol == 0 {
-			a.trendTol = 0.05
-		}
-		return a
-	}
+	diff := func(argv ...string) []string { return append(append([]string{"-diff"}, argv...), "a.json", "b.json") }
 	cases := []struct {
 		name string
-		a    args
+		argv []string
 		want string // "" means accepted
 	}{
-		{"defaults", ok(args{}), ""},
-		{"diff two paths", ok(args{set: map[string]bool{"diff": true}, args: []string{"a.json", "b.json"}, diff: true}), ""},
-		{"diff one path", ok(args{set: map[string]bool{"diff": true}, args: []string{"a.json"}, diff: true}), "exactly two"},
-		{"diff with flags", ok(args{set: map[string]bool{"diff": true, "n": true}, args: []string{"a.json", "b.json"}, diff: true}), "no other flags"},
-		{"stray args", ok(args{args: []string{"table2"}}), "unexpected arguments"},
-		{"workers zero", ok(args{set: map[string]bool{"workers": true}}), "-workers must be >= 1"},
-		{"workers set valid", ok(args{set: map[string]bool{"workers": true}, workers: 4}), ""},
-		{"replications zero", ok(args{set: map[string]bool{"replications": true}, reps: -5}), "-replications"},
-		{"replications above max", ok(args{set: map[string]bool{"replications": true}, reps: experiments.MaxReplications + 1, artifact: "replicate"}), "-replications"},
-		{"n zero", ok(args{set: map[string]bool{"n": true}, n: -1}), "-n"},
-		{"train zero", ok(args{set: map[string]bool{"train": true}, train: -1}), "-train"},
-		{"spec with artifact", ok(args{set: map[string]bool{"spec": true, "artifact": true}, spec: "s.json"}), "-artifact conflicts"},
-		{"spec with seed", ok(args{set: map[string]bool{"spec": true, "seed": true}, spec: "s.json"}), "-seed conflicts"},
-		{"replications with table2", ok(args{set: map[string]bool{"replications": true}, artifact: "table2", reps: 3}), "-replications"},
-		{"replications with fig5", ok(args{set: map[string]bool{"replications": true}, artifact: "fig5", reps: 3}), "-replications"},
-		{"replications with replicate", ok(args{set: map[string]bool{"replications": true}, artifact: "replicate", reps: 3}), ""},
-		{"seed with replicate", ok(args{set: map[string]bool{"seed": true}, artifact: "replicate"}), "-seed"},
-		{"seed with table2", ok(args{set: map[string]bool{"seed": true}, artifact: "table2"}), ""},
-		{"outdir with ablations", ok(args{set: map[string]bool{"outdir": true}, artifact: "ablations"}), "-outdir"},
-		{"outdir with replicate", ok(args{set: map[string]bool{"outdir": true}, artifact: "replicate"}), "-outdir"},
-		{"outdir with table2", ok(args{set: map[string]bool{"outdir": true}, artifact: "table2"}), ""},
-		{"diff sig", ok(args{set: map[string]bool{"diff": true, "sig": true}, args: []string{"a.json", "b.json"}, diff: true, sig: true}), ""},
-		{"diff tol", ok(args{set: map[string]bool{"diff": true, "tol": true}, args: []string{"a.json", "b.json"}, diff: true, tol: 1e-9}), ""},
-		{"diff negative tol", ok(args{set: map[string]bool{"diff": true, "tol": true}, args: []string{"a.json", "b.json"}, diff: true, tol: -1}), ">= 0"},
-		{"diff sig with tol", ok(args{set: map[string]bool{"diff": true, "sig": true, "tol": true}, args: []string{"a.json", "b.json"}, diff: true, sig: true, tol: 1e-9}), "drop -tol"},
-		{"diff sig with other flags", ok(args{set: map[string]bool{"diff": true, "sig": true, "n": true}, args: []string{"a.json", "b.json"}, diff: true, sig: true}), "no other flags"},
-		{"sig without diff", ok(args{set: map[string]bool{"sig": true}, sig: true}), "pass -diff"},
-		{"tol without diff", ok(args{set: map[string]bool{"tol": true}, tol: 1e-9}), "pass -diff"},
-		{"trend alone", ok(args{set: map[string]bool{"trend": true}, trend: "dir"}), ""},
-		{"trend empty value", ok(args{set: map[string]bool{"trend": true}, trend: ""}), "unset shell variable"},
-		{"trend with tol", ok(args{set: map[string]bool{"trend": true, "trend-tol": true}, trend: "dir", trendTol: 0.1}), ""},
-		{"trend with n", ok(args{set: map[string]bool{"trend": true, "n": true}, trend: "dir"}), "conflicts"},
-		{"trend with args", ok(args{set: map[string]bool{"trend": true}, trend: "dir", args: []string{"x"}}), "no positional"},
-		{"trend bad tol", ok(args{set: map[string]bool{"trend": true, "trend-tol": true}, trend: "dir", trendTol: -1}), "-trend-tol"},
-		{"trend-tol without trend", ok(args{set: map[string]bool{"trend-tol": true}, trendTol: 0.1}), "pass -trend"},
-		{"profiles", ok(args{set: map[string]bool{"cpuprofile": true, "memprofile": true}, cpuProf: filepath.Join(t.TempDir(), "cpu.prof"), memProf: filepath.Join(t.TempDir(), "mem.prof")}), ""},
-		{"cpuprofile unwritable", ok(args{set: map[string]bool{"cpuprofile": true}, cpuProf: filepath.Join(t.TempDir(), "missing", "cpu.prof")}), "-cpuprofile"},
-		{"memprofile unwritable", ok(args{set: map[string]bool{"memprofile": true}, memProf: filepath.Join(t.TempDir(), "missing", "mem.prof")}), "-memprofile"},
+		{"defaults", nil, ""},
+		{"diff two paths", diff(), ""},
+		{"diff one path", []string{"-diff", "a.json"}, "exactly two"},
+		{"diff with flags", diff("-n", "5"), "no other flags"},
+		{"stray args", []string{"table2"}, "unexpected arguments"},
+		{"workers zero", []string{"-workers", "0"}, "-workers must be >= 1"},
+		{"workers set valid", []string{"-workers", "4"}, ""},
+		{"replications zero", []string{"-replications", "0"}, "-replications"},
+		{"replications above max", []string{"-artifact", "replicate", "-replications", strconv.Itoa(experiments.MaxReplications + 1)}, "-replications"},
+		{"n zero", []string{"-n", "0"}, "-n"},
+		{"train zero", []string{"-train", "0"}, "-train"},
+		{"spec with artifact", []string{"-spec", "s.json", "-artifact", "table2"}, "-artifact conflicts"},
+		{"spec with seed", []string{"-spec", "s.json", "-seed", "3"}, "-seed conflicts"},
+		{"replications with table2", []string{"-artifact", "table2", "-replications", "3"}, "-replications"},
+		{"replications with fig5", []string{"-artifact", "fig5", "-replications", "3"}, "-replications"},
+		{"replications with replicate", []string{"-artifact", "replicate", "-replications", "3"}, ""},
+		{"seed with replicate", []string{"-artifact", "replicate", "-seed", "3"}, "-seed"},
+		{"seed with table2", []string{"-artifact", "table2", "-seed", "3"}, ""},
+		{"outdir with ablations", []string{"-artifact", "ablations", "-outdir", "d"}, "-outdir"},
+		{"outdir with replicate", []string{"-artifact", "replicate", "-outdir", "d"}, "-outdir"},
+		{"outdir with table2", []string{"-artifact", "table2", "-outdir", "d"}, ""},
+		{"out with fig5", []string{"-artifact", "fig5", "-out", "d"}, "-out: -artifact fig5"},
+		{"out with fig6", []string{"-artifact", "fig6", "-out", "d"}, ""},
+		{"diff sig", diff("-sig"), ""},
+		{"diff tol", diff("-tol", "1e-9"), ""},
+		{"diff negative tol", diff("-tol", "-1"), ">= 0"},
+		{"diff sig with tol", diff("-sig", "-tol", "1e-9"), "drop -tol"},
+		{"diff sig with other flags", diff("-sig", "-n", "5"), "no other flags"},
+		{"sig without diff", []string{"-sig"}, "pass -diff"},
+		{"tol without diff", []string{"-tol", "1e-9"}, "pass -diff"},
+		{"trend alone", []string{"-trend", "dir"}, ""},
+		{"trend empty value", []string{"-trend", ""}, "unset shell variable"},
+		{"trend with tol", []string{"-trend", "dir", "-trend-tol", "0.1"}, ""},
+		{"trend with n", []string{"-trend", "dir", "-n", "5"}, "conflicts"},
+		{"trend with args", []string{"-trend", "dir", "x"}, "no positional"},
+		{"trend bad tol", []string{"-trend", "dir", "-trend-tol", "-1"}, "-trend-tol"},
+		{"trend-tol without trend", []string{"-trend-tol", "0.1"}, "pass -trend"},
+		{"profiles", []string{"-cpuprofile", filepath.Join(t.TempDir(), "cpu.prof"), "-memprofile", filepath.Join(t.TempDir(), "mem.prof")}, ""},
+		{"cpuprofile unwritable", []string{"-cpuprofile", filepath.Join(t.TempDir(), "missing", "cpu.prof")}, "-cpuprofile"},
+		{"memprofile unwritable", []string{"-memprofile", filepath.Join(t.TempDir(), "missing", "mem.prof")}, "-memprofile"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateFlags(c.a.set, c.a.args, c.a.artifact, c.a.spec,
-				c.a.n, c.a.train, c.a.workers, c.a.reps, c.a.diff,
-				c.a.sig, c.a.tol, c.a.rtol, c.a.trend, c.a.trendTol, c.a.cpuProf, c.a.memProf)
+			_, err := parseArgs(c.argv, io.Discard)
 			if c.want == "" {
 				if err != nil {
 					t.Fatalf("rejected: %v", err)
@@ -254,6 +232,66 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestValidateFlagsNamesFirstConflict: a command line with several
+// conflicting flags is refused naming the first of them in name order,
+// the same one on every run.
+func TestValidateFlagsNamesFirstConflict(t *testing.T) {
+	argv := []string{"-trend", "d", "-n", "5", "-seed", "3", "-train", "4"}
+	const want = "-trend reads saved artifacts only; -n conflicts with it"
+	for range 20 {
+		if _, err := parseArgs(argv, io.Discard); err == nil || err.Error() != want {
+			t.Fatalf("error %v, want %q", err, want)
+		}
+	}
+}
+
+// TestFlagListsNameRealFlags: every name in a flag list is a defined
+// flag; a typo would silently disable the check that list drives.
+func TestFlagListsNameRealFlags(t *testing.T) {
+	o, err := parseArgs(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range slices.Concat(specConflicts, diffFlags, trendFlags) {
+		if o.fs.Lookup(f) == nil {
+			t.Errorf("flag list names -%s, which is not defined", f)
+		}
+	}
+}
+
+// TestUsageGolden: the usage lists every flag with the name, default
+// and help text the command has always had (testdata/usage.golden is
+// the -h output from before the flags moved onto a private FlagSet).
+func TestUsageGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "usage.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := parseArgs(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	o.fs.SetOutput(&got)
+	o.fs.PrintDefaults()
+	if got.String() != string(want) {
+		t.Fatalf("usage drifted from testdata/usage.golden:\n%s", got.String())
+	}
+}
+
+// TestFig5OutRefused: -artifact fig5 writes no manifest, so -out with
+// it is refused before anything runs: exit 1 and no directory made.
+func TestFig5OutRefused(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "runs")
+	out, code := runMain(t, "-artifact", "fig5", "-out", dir)
+	if code != 1 || !strings.Contains(string(out), "-out: -artifact fig5") {
+		t.Fatalf("exit %d, want 1 naming -out:\n%s", code, out)
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused run touched %s: %v", dir, err)
 	}
 }
 

@@ -49,10 +49,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		memProfile = fs.String("memprofile", "", "write a heap profile (runtime/pprof) to this file at exit")
 	)
 	fs.Parse(args) //lint:allow errlint ExitOnError: Parse exits instead of returning an error
-	if err := profiling.CheckPath("cpuprofile", *cpuProfile); err != nil {
-		return err
-	}
-	if err := profiling.CheckPath("memprofile", *memProfile); err != nil {
+	if err := profiling.CheckPaths(*cpuProfile, *memProfile); err != nil {
 		return err
 	}
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)

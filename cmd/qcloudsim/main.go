@@ -24,6 +24,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -53,7 +54,7 @@ import (
 const exitCrash = 3
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "qcloudsim:", err)
 		if errors.Is(err, errCrash) {
 			os.Exit(exitCrash)
@@ -62,104 +63,107 @@ func main() {
 	}
 }
 
-func run() (err error) {
-	var (
-		configPath   = flag.String("config", "", "JSON run spec: fleet, policy, model and (batch only) workload (Configurations Layer; replaces their flags)")
-		polName      = flag.String("policy", "speed", "allocation policy: "+strings.Join(policy.Names(), "|"))
-		jobsPath     = flag.String("jobs", "", "CSV or JSON workload file (default: synthetic)")
-		n            = flag.Int("n", 1000, "synthetic workload size")
-		seed         = flag.Int64("seed", 1, "synthetic workload and drift-walk seed")
-		fleetSeed    = flag.Int64("fleet-seed", 2025, "calibration snapshot seed")
-		interarrival = flag.Float64("interarrival", 60, "mean inter-arrival time (s)")
-		mConst       = flag.Int("m", 10, "Eq.3 circuit-template constant M")
-		kConst       = flag.Int("k", 10, "Eq.3 parameter-update constant K")
-		phi          = flag.Float64("phi", 0.95, "Eq.8 per-link fidelity penalty")
-		lambda       = flag.Float64("lambda", 0.02, "Eq.9 per-qubit comm latency (s)")
-		rlModel      = flag.String("rlmodel", "", "trained policy JSON (required for -policy rlbase)")
-		rlSeed       = flag.Int64("rlseed", 7, "deployment sampling seed for rlbase")
-		backfill     = flag.Bool("backfill", false, "enable EASY-style backfill dispatch")
-		driftEvery   = flag.Float64("drift-interval", 0, "recalibration interval in s (0 = static calibration)")
-		driftMag     = flag.Float64("drift-magnitude", 0.2, "relative calibration drift per recalibration")
-		export       = flag.String("export", "", "write per-job records CSV to this path")
-		verbose      = flag.Bool("v", false, "print per-job records")
+// options is one qcloudsim invocation: fs, the command line it was
+// parsed from, and every flag's value. serveOptions holds the cloud,
+// broker settings and export path, which a batch run reads its cloud
+// and export from too.
+type options struct {
+	fs *flag.FlagSet
+	serveOptions
+	configPath, jobsPath, faultPlan, cpuProfile, memProfile string
+	synth                                                   job.SyntheticConfig
+	serve, verbose                                          bool
+}
 
-		serve            = flag.Bool("serve", false, "run as a broker service ingesting line-delimited JSON jobs")
-		listen           = flag.String("listen", "", "broker TCP listen address host:port (default: read stdin)")
-		httpAddr         = flag.String("http", "", "HTTP control-plane listen address host:port (submit/status/metrics API)")
-		admitPolicy      = flag.String("admit-policy", "", "admission control: reject|shed|quota (default: admit everything)")
-		admitMaxQueue    = flag.Int("admit-max-queue", 0, "queue-depth bound for -admit-policy reject|shed")
-		admitTenantQuota = flag.Int("admit-tenant-quota", 0, "per-tenant in-flight job bound for -admit-policy quota")
-		admitRetryAfter  = flag.Float64("admit-retry-after", 30, "Retry-After seconds advertised on refused submissions")
-		admitRate        = flag.Float64("admit-rate", 0, "per-tenant token-bucket admission rate (jobs per simulated second; 0 = unlimited)")
-		admitBurst       = flag.Float64("admit-burst", 1, "token-bucket burst capacity for -admit-rate")
-		timeScale        = flag.Float64("time-scale", 0, "sim seconds per wall second (0 = logical time, deterministic)")
-		window           = flag.Int("window", 512, "rolling metrics window capacity (completions per tenant)")
-		metricsEvery     = flag.Float64("metrics-every", 0, "emit a metrics line every N sim seconds (0 = final only)")
-		checkpointPath   = flag.String("checkpoint", "", "broker checkpoint file")
-		checkpointEvery  = flag.Float64("checkpoint-every", 0, "checkpoint every N sim seconds at quiescent points")
-		resume           = flag.Bool("resume", false, "restore broker state from -checkpoint before serving")
-		faultPlan        = flag.String("fault-plan", "", "JSON fault-injection plan file (see internal/faults)")
+// parseArgs defines every flag once, bound straight into options,
+// parses args and validates the combination: the one parse main and
+// the tests share. A bad flag exits 2 after printing the usage to
+// stderr, as the flag package does (-h exits 0).
+func parseArgs(args []string, stderr io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("qcloudsim", flag.ExitOnError)
+	o := &options{fs: fs, synth: job.DefaultSyntheticConfig()}
+	fs.StringVar(&o.configPath, "config", "", "JSON run spec: fleet, policy, model and (batch only) workload (Configurations Layer; replaces their flags)")
+	fs.StringVar(&o.policy, "policy", "speed", "allocation policy: "+strings.Join(policy.Names(), "|"))
+	fs.StringVar(&o.jobsPath, "jobs", "", "CSV or JSON workload file (default: synthetic)")
+	fs.IntVar(&o.synth.N, "n", 1000, "synthetic workload size")
+	fs.Int64Var(&o.synth.Seed, "seed", 1, "synthetic workload and drift-walk seed")
+	fs.Int64Var(&o.fleetSeed, "fleet-seed", 2025, "calibration snapshot seed")
+	fs.Float64Var(&o.synth.MeanInterarrival, "interarrival", 60, "mean inter-arrival time (s)")
+	fs.IntVar(&o.cfg.M, "m", 10, "Eq.3 circuit-template constant M")
+	fs.IntVar(&o.cfg.K, "k", 10, "Eq.3 parameter-update constant K")
+	fs.Float64Var(&o.cfg.Phi, "phi", 0.95, "Eq.8 per-link fidelity penalty")
+	fs.Float64Var(&o.cfg.Lambda, "lambda", 0.02, "Eq.9 per-qubit comm latency (s)")
+	fs.StringVar(&o.rlModel, "rlmodel", "", "trained policy JSON (required for -policy rlbase)")
+	fs.Int64Var(&o.rlSeed, "rlseed", 7, "deployment sampling seed for rlbase")
+	fs.BoolVar(&o.cfg.Backfill, "backfill", false, "enable EASY-style backfill dispatch")
+	fs.Float64Var(&o.cfg.Drift.IntervalS, "drift-interval", 0, "recalibration interval in s (0 = static calibration)")
+	fs.Float64Var(&o.cfg.Drift.Rel, "drift-magnitude", 0.2, "relative calibration drift per recalibration")
+	fs.StringVar(&o.export, "export", "", "write per-job records CSV to this path")
+	fs.BoolVar(&o.verbose, "v", false, "print per-job records")
 
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this file at exit")
-	)
-	flag.Parse()
+	fs.BoolVar(&o.serve, "serve", false, "run as a broker service ingesting line-delimited JSON jobs")
+	fs.StringVar(&o.listen, "listen", "", "broker TCP listen address host:port (default: read stdin)")
+	fs.StringVar(&o.httpAddr, "http", "", "HTTP control-plane listen address host:port (submit/status/metrics API)")
+	fs.StringVar((*string)(&o.admit.Policy), "admit-policy", "", "admission control: reject|shed|quota (default: admit everything)")
+	fs.IntVar(&o.admit.MaxQueue, "admit-max-queue", 0, "queue-depth bound for -admit-policy reject|shed")
+	fs.IntVar(&o.admit.TenantQuota, "admit-tenant-quota", 0, "per-tenant in-flight job bound for -admit-policy quota")
+	fs.Float64Var(&o.admit.RetryAfterS, "admit-retry-after", 30, "Retry-After seconds advertised on refused submissions")
+	fs.Float64Var(&o.admit.RatePerS, "admit-rate", 0, "per-tenant token-bucket admission rate (jobs per simulated second; 0 = unlimited)")
+	fs.Float64Var(&o.admit.Burst, "admit-burst", 1, "token-bucket burst capacity for -admit-rate")
+	fs.Float64Var(&o.timeScale, "time-scale", 0, "sim seconds per wall second (0 = logical time, deterministic)")
+	fs.IntVar(&o.window, "window", 512, "rolling metrics window capacity (completions per tenant)")
+	fs.Float64Var(&o.metricsEvery, "metrics-every", 0, "emit a metrics line every N sim seconds (0 = final only)")
+	fs.StringVar(&o.checkpointPath, "checkpoint", "", "broker checkpoint file")
+	fs.Float64Var(&o.checkpointEvery, "checkpoint-every", 0, "checkpoint every N sim seconds at quiescent points")
+	fs.BoolVar(&o.resume, "resume", false, "restore broker state from -checkpoint before serving")
+	fs.StringVar(&o.faultPlan, "fault-plan", "", "JSON fault-injection plan file (see internal/faults)")
 
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateFlags(set, flag.Args(), *serve, *polName, *rlModel, *listen, *httpAddr,
-		*admitPolicy, *admitMaxQueue, *admitTenantQuota, *admitRetryAfter, *admitRate, *admitBurst,
-		*timeScale, *window, *metricsEvery, *checkpointPath, *checkpointEvery, *resume,
-		*faultPlan, *cpuProfile, *memProfile); err != nil {
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile (runtime/pprof) to this file at exit")
+	fs.SetOutput(stderr)
+	fs.Parse(args) //lint:allow errlint ExitOnError: Parse exits instead of returning an error
+	return o, o.validate()
+}
+
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
+	o, err := parseArgs(args, stderr)
+	if err != nil {
 		return err
 	}
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	stopProfiles, err := profiling.Start(o.cpuProfile, o.memProfile)
 	if err != nil {
 		return err
 	}
 	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	var b batch
-	if *configPath != "" {
-		if b, err = loadConfigFile(*configPath, *serve); err != nil {
+	if o.configPath != "" {
+		if b, err = loadConfigFile(o.configPath, o.serve); err != nil {
 			return err
 		}
+		o.cloud = b.cloud
 	} else {
-		b.cloud = cloud{fleetSeed: *fleetSeed, policy: *polName, rlModel: *rlModel, rlSeed: *rlSeed,
-			cfg: core.Config{M: *mConst, K: *kConst, Phi: *phi, Lambda: *lambda, Backfill: *backfill,
-				Drift: core.DriftConfig{IntervalS: *driftEvery, Rel: *driftMag, Seed: *seed}}}
-		if path := *jobsPath; path != "" {
-			b.workload = func() ([]*job.QJob, error) { return job.LoadFile(path) }
+		o.cfg.Drift.Seed = o.synth.Seed
+		b.cloud = o.cloud
+		if o.jobsPath != "" {
+			b.workload = func() ([]*job.QJob, error) { return job.LoadFile(o.jobsPath) }
 		} else {
-			sc := job.DefaultSyntheticConfig()
-			sc.N, sc.Seed, sc.MeanInterarrival = *n, *seed, *interarrival
-			b.workload = func() ([]*job.QJob, error) { return job.Synthetic(sc) }
+			b.workload = func() ([]*job.QJob, error) { return job.Synthetic(o.synth) }
 		}
 	}
-	if !*serve {
-		return b.run(*export, *verbose)
+	if !o.serve {
+		return b.run(stdout, o.export, o.verbose)
 	}
-	inj, err := buildInjector(*faultPlan, *timeScale > 0, os.Stderr)
-	if err != nil {
+	if o.inj, err = buildInjector(o.faultPlan, o.timeScale > 0, stderr); err != nil {
 		return err
+	}
+	// -admit-burst sizes a token bucket only when -admit-rate sets one.
+	if o.admit.RatePerS == 0 {
+		o.admit.Burst = 0
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	opts := serveOptions{
-		cloud:           b.cloud,
-		listen:          *listen,
-		httpAddr:        *httpAddr,
-		admit:           admissionConfig(*admitPolicy, *admitMaxQueue, *admitTenantQuota, *admitRetryAfter, *admitRate, *admitBurst),
-		timeScale:       *timeScale,
-		window:          *window,
-		metricsEvery:    *metricsEvery,
-		checkpointPath:  *checkpointPath,
-		checkpointEvery: *checkpointEvery,
-		resume:          *resume,
-		export:          *export,
-		inj:             inj,
-	}
-	return runServe(ctx, opts, os.Stdin, os.Stdout, os.Stderr)
+	return runServe(ctx, o.serveOptions, stdin, stdout, stderr)
 }
 
 // cloud is a run minus its workload: fleet, policy and model. The flags
@@ -216,8 +220,8 @@ type batch struct {
 }
 
 // run assembles the simulation, runs the workload to completion and
-// reports it.
-func (b batch) run(export string, verbose bool) error {
+// reports it on stdout.
+func (b batch) run(stdout io.Writer, export string, verbose bool) error {
 	env := sim.NewEnvironment()
 	fleet, pol, err := b.build(env)
 	if err != nil {
@@ -231,7 +235,7 @@ func (b batch) run(export string, verbose bool) error {
 	if err != nil {
 		return err
 	}
-	return report(simEnv, res, export, verbose)
+	return report(stdout, simEnv, res, export, verbose)
 }
 
 // serveFlags are meaningful only with -serve.
@@ -239,25 +243,9 @@ var serveFlags = []string{"listen", "http", "admit-policy", "admit-max-queue", "
 	"admit-rate", "admit-burst",
 	"time-scale", "window", "metrics-every", "checkpoint", "checkpoint-every", "resume", "fault-plan"}
 
-// admissionConfig maps the -admit-* flags onto the broker's admission
-// configuration. validateFlags has already rejected inconsistent
-// combinations.
-func admissionConfig(policyName string, maxQueue, tenantQuota int, retryAfter, rate, burst float64) core.AdmissionConfig {
-	var cfg core.AdmissionConfig
-	switch policyName {
-	case "reject":
-		cfg = core.AdmissionConfig{Policy: core.AdmitReject, MaxQueue: maxQueue, RetryAfterS: retryAfter}
-	case "shed":
-		cfg = core.AdmissionConfig{Policy: core.AdmitShed, MaxQueue: maxQueue, RetryAfterS: retryAfter}
-	case "quota":
-		cfg = core.AdmissionConfig{Policy: core.AdmitQuota, TenantQuota: tenantQuota, RetryAfterS: retryAfter}
-	}
-	if rate > 0 {
-		cfg.RatePerS = rate
-		cfg.Burst = burst
-	}
-	return cfg
-}
+// configFlags, with serveFlags, are the flags a -config run takes: the
+// file describes everything else.
+var configFlags = []string{"config", "serve", "export", "v", "cpuprofile", "memprofile"}
 
 // faultEventLine wraps a fired fault for the JSONL telemetry stream, so
 // fault events interleave distinguishably with metrics lines on stderr.
@@ -298,178 +286,180 @@ func buildInjector(planPath string, realTime bool, errOut io.Writer) (*faults.In
 	return inj, nil
 }
 
-// validateFlags rejects inconsistent flag combinations up front, with
+// validate rejects inconsistent flag combinations up front, with
 // actionable messages, instead of silently ignoring a flag the user set
 // (the old behaviour for, e.g., -jobs alongside -n, or -rlmodel with a
-// heuristic policy).
-func validateFlags(set map[string]bool, args []string, serve bool, polName, rlModel, listen, httpAddr string,
-	admitPolicy string, admitMaxQueue, admitTenantQuota int, admitRetryAfter, admitRate, admitBurst float64,
-	timeScale float64, window int, metricsEvery float64, checkpointPath string, checkpointEvery float64, resume bool,
-	faultPlan, cpuProfile, memProfile string) error {
-	if len(args) > 0 {
+// heuristic policy). Checks walk set, the flags given, in name order,
+// so several conflicts always name the same flag.
+func (o *options) validate() error {
+	var set []string
+	o.fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	has := func(f string) bool { return slices.Contains(set, f) }
+	if args := o.fs.Args(); len(args) > 0 {
 		return fmt.Errorf("unexpected positional arguments %q (all inputs are flags)", args)
 	}
-	if err := profiling.CheckPath("cpuprofile", cpuProfile); err != nil {
+	if err := profiling.CheckPaths(o.cpuProfile, o.memProfile); err != nil {
 		return err
 	}
-	if err := profiling.CheckPath("memprofile", memProfile); err != nil {
-		return err
-	}
-	if set["config"] {
-		for f := range set {
-			switch {
-			case f == "config", f == "serve", f == "export", f == "v", f == "cpuprofile", f == "memprofile", slices.Contains(serveFlags, f):
-			default:
+	if has("config") {
+		for _, f := range set {
+			if !slices.Contains(configFlags, f) && !slices.Contains(serveFlags, f) {
 				return fmt.Errorf("-config specifies the whole simulation; -%s conflicts with it", f)
 			}
 		}
 	}
-	if serve {
-		for f := range set {
+	if o.serve {
+		for _, f := range set {
 			switch f {
 			case "jobs", "n", "interarrival":
 				return fmt.Errorf("-serve ingests jobs from the stream; -%s configures a batch workload and conflicts with it", f)
 			case "seed":
-				if !set["drift-interval"] {
+				if !has("drift-interval") {
 					return fmt.Errorf("-serve ingests jobs from the stream; -seed only seeds the drift walk there, so pass it with -drift-interval")
 				}
 			case "v":
 				return fmt.Errorf("-v prints batch per-job records; the broker already streams records to stdout")
 			}
 		}
-		if listen != "" {
-			if _, _, err := net.SplitHostPort(listen); err != nil {
-				return fmt.Errorf("-listen address %q is not host:port: %v", listen, err)
+		if o.listen != "" {
+			if _, _, err := net.SplitHostPort(o.listen); err != nil {
+				return fmt.Errorf("-listen address %q is not host:port: %v", o.listen, err)
 			}
-			if timeScale <= 0 {
+			if o.timeScale <= 0 {
 				return fmt.Errorf("-listen runs a real-time broker; pass -time-scale > 0 (sim seconds per wall second)")
 			}
 		}
-		if httpAddr != "" {
-			if _, _, err := net.SplitHostPort(httpAddr); err != nil {
-				return fmt.Errorf("-http address %q is not host:port: %v", httpAddr, err)
+		if o.httpAddr != "" {
+			if _, _, err := net.SplitHostPort(o.httpAddr); err != nil {
+				return fmt.Errorf("-http address %q is not host:port: %v", o.httpAddr, err)
 			}
 		}
-		switch admitPolicy {
-		case "":
+		switch o.admit.Policy {
+		case core.AdmitAll:
 			for _, f := range []string{"admit-max-queue", "admit-tenant-quota", "admit-retry-after"} {
-				if set[f] {
+				if has(f) {
 					return fmt.Errorf("-%s needs -admit-policy to pick an admission policy", f)
 				}
 			}
-		case "reject", "shed":
-			if admitMaxQueue <= 0 {
-				return fmt.Errorf("-admit-policy %s bounds the queue; pass -admit-max-queue > 0", admitPolicy)
+		case core.AdmitReject, core.AdmitShed:
+			if o.admit.MaxQueue <= 0 {
+				return fmt.Errorf("-admit-policy %s bounds the queue; pass -admit-max-queue > 0", o.admit.Policy)
 			}
-			if set["admit-tenant-quota"] {
-				return fmt.Errorf("-admit-tenant-quota only applies to -admit-policy quota, not %q", admitPolicy)
+			if has("admit-tenant-quota") {
+				return fmt.Errorf("-admit-tenant-quota only applies to -admit-policy quota, not %q", o.admit.Policy)
 			}
-		case "quota":
-			if admitTenantQuota <= 0 {
+		case core.AdmitQuota:
+			if o.admit.TenantQuota <= 0 {
 				return fmt.Errorf("-admit-policy quota bounds per-tenant in-flight jobs; pass -admit-tenant-quota > 0")
 			}
-			if set["admit-max-queue"] {
+			if has("admit-max-queue") {
 				return fmt.Errorf("-admit-max-queue only applies to -admit-policy reject|shed, not quota")
 			}
 		default:
-			return fmt.Errorf("unknown -admit-policy %q (reject|shed|quota)", admitPolicy)
+			return fmt.Errorf("unknown -admit-policy %q (reject|shed|quota)", o.admit.Policy)
 		}
-		if admitRetryAfter < 0 {
-			return fmt.Errorf("-admit-retry-after must be >= 0, have %g", admitRetryAfter)
+		if o.admit.RetryAfterS < 0 {
+			return fmt.Errorf("-admit-retry-after must be >= 0, have %g", o.admit.RetryAfterS)
 		}
-		if set["admit-rate"] && admitRate <= 0 {
-			return fmt.Errorf("-admit-rate must be > 0 jobs per simulated second, have %g", admitRate)
+		if has("admit-rate") && o.admit.RatePerS <= 0 {
+			return fmt.Errorf("-admit-rate must be > 0 jobs per simulated second, have %g", o.admit.RatePerS)
 		}
-		if set["admit-burst"] {
-			if !set["admit-rate"] {
+		if has("admit-burst") {
+			if !has("admit-rate") {
 				return fmt.Errorf("-admit-burst sizes the -admit-rate token bucket; pass -admit-rate with it")
 			}
-			if admitBurst < 1 {
-				return fmt.Errorf("-admit-burst must be >= 1 so a full bucket admits at least one job, have %g", admitBurst)
+			if o.admit.Burst < 1 {
+				return fmt.Errorf("-admit-burst must be >= 1 so a full bucket admits at least one job, have %g", o.admit.Burst)
 			}
 		}
-		if timeScale < 0 {
-			return fmt.Errorf("-time-scale must be >= 0, have %g", timeScale)
+		if o.timeScale < 0 {
+			return fmt.Errorf("-time-scale must be >= 0, have %g", o.timeScale)
 		}
-		if window <= 0 {
-			return fmt.Errorf("-window must be > 0, have %d", window)
+		if o.window <= 0 {
+			return fmt.Errorf("-window must be > 0, have %d", o.window)
 		}
-		if metricsEvery < 0 {
-			return fmt.Errorf("-metrics-every must be >= 0, have %g", metricsEvery)
+		if o.metricsEvery < 0 {
+			return fmt.Errorf("-metrics-every must be >= 0, have %g", o.metricsEvery)
 		}
-		if set["checkpoint-every"] {
-			if checkpointPath == "" {
+		if has("checkpoint-every") {
+			if o.checkpointPath == "" {
 				return fmt.Errorf("-checkpoint-every needs -checkpoint for the snapshot path")
 			}
-			if checkpointEvery <= 0 {
-				return fmt.Errorf("-checkpoint-every must be > 0, have %g", checkpointEvery)
+			if o.checkpointEvery <= 0 {
+				return fmt.Errorf("-checkpoint-every must be > 0, have %g", o.checkpointEvery)
 			}
 		}
-		if resume && checkpointPath == "" {
+		if o.resume && o.checkpointPath == "" {
 			return fmt.Errorf("-resume needs -checkpoint for the snapshot to restore")
 		}
 	} else {
 		for _, f := range serveFlags {
-			if set[f] {
+			if has(f) {
 				return fmt.Errorf("-%s is a broker service flag; pass -serve with it", f)
 			}
 		}
-		if set["jobs"] {
-			for _, f := range []string{"n", "seed", "interarrival"} {
-				if set[f] && !(f == "seed" && set["drift-interval"]) {
+		if has("jobs") {
+			for _, f := range []string{"interarrival", "n", "seed"} {
+				if has(f) && !(f == "seed" && has("drift-interval")) {
 					return fmt.Errorf("-jobs replays a workload file; -%s configures the synthetic generator and conflicts with it", f)
 				}
 			}
 		}
 	}
-	if set["config"] {
+	if has("drift-magnitude") && !has("drift-interval") {
+		return fmt.Errorf("-drift-magnitude sizes the -drift-interval walk's steps; pass -drift-interval with it")
+	}
+	if has("config") {
 		return nil
 	}
-	if !policy.Registered(polName) {
-		return fmt.Errorf("unknown -policy %q (registered: %s)", polName, strings.Join(policy.Names(), ", "))
+	if !policy.Registered(o.policy) {
+		return fmt.Errorf("unknown -policy %q (registered: %s)", o.policy, strings.Join(policy.Names(), ", "))
 	}
-	if policy.NeedsModel(polName) {
-		if rlModel == "" {
-			return fmt.Errorf("-policy %s requires -rlmodel (train one with ppotrain)", polName)
+	if policy.NeedsModel(o.policy) {
+		if o.rlModel == "" {
+			return fmt.Errorf("-policy %s requires -rlmodel (train one with ppotrain)", o.policy)
 		}
 	} else {
 		for _, f := range []string{"rlmodel", "rlseed"} {
-			if set[f] {
-				return fmt.Errorf("-%s only applies to -policy rlbase (a policy with a trained model), not %q", f, polName)
+			if has(f) {
+				return fmt.Errorf("-%s only applies to -policy rlbase (a policy with a trained model), not %q", f, o.policy)
 			}
 		}
 	}
 	return nil
 }
 
-// report prints the run summary and optionally exports per-job records.
-func report(simEnv *core.QCloudSimEnv, res core.Results, export string, verbose bool) error {
-	fmt.Printf("policy      %s\n", res.Policy)
-	fmt.Printf("jobs        %d\n", res.JobsFinished)
-	fmt.Printf("T_sim       %.2f s\n", res.TotalSimTime)
-	fmt.Printf("fidelity    %.5f +- %.5f\n", res.FidelityMean, res.FidelityStd)
-	fmt.Printf("T_comm      %.2f s\n", res.TotalCommTime)
-	fmt.Printf("mean wait   %.2f s\n", res.MeanWaitTime)
-	fmt.Printf("mean k      %.2f devices/job\n", res.MeanDevicesPerJob)
+// report prints the run summary to stdout and optionally exports
+// per-job records. The summary is printed even if the export fails.
+func report(stdout io.Writer, simEnv *core.QCloudSimEnv, res core.Results, export string, verbose bool) (err error) {
+	w := bufio.NewWriter(stdout)
+	defer func() { err = errors.Join(w.Flush(), err) }()
+	fmt.Fprintf(w, "policy      %s\n", res.Policy)
+	fmt.Fprintf(w, "jobs        %d\n", res.JobsFinished)
+	fmt.Fprintf(w, "T_sim       %.2f s\n", res.TotalSimTime)
+	fmt.Fprintf(w, "fidelity    %.5f +- %.5f\n", res.FidelityMean, res.FidelityStd)
+	fmt.Fprintf(w, "T_comm      %.2f s\n", res.TotalCommTime)
+	fmt.Fprintf(w, "mean wait   %.2f s\n", res.MeanWaitTime)
+	fmt.Fprintf(w, "mean k      %.2f devices/job\n", res.MeanDevicesPerJob)
 	util := make(map[string]float64, len(simEnv.Cloud.Devices()))
 	for _, d := range simEnv.Cloud.Devices() {
 		util[d.Name()] = d.Utilization()
 	}
-	fmt.Println("device load:")
+	fmt.Fprintln(w, "device load:")
 	for _, share := range simEnv.Records.DeviceLoadShare() {
-		fmt.Printf("  %-16s %5d sub-jobs (%4.1f%%)  utilization %4.1f%%\n",
+		fmt.Fprintf(w, "  %-16s %5d sub-jobs (%4.1f%%)  utilization %4.1f%%\n",
 			share.Name, share.SubJobs, 100*share.Share, 100*util[share.Name])
 	}
 	if export != "" {
 		if err := writeFile(export, simEnv.Records.WriteCSV); err != nil {
 			return err
 		}
-		fmt.Println("records written to", export)
+		fmt.Fprintln(w, "records written to", export)
 	}
 	if verbose {
-		fmt.Println("per-job records:")
+		fmt.Fprintln(w, "per-job records:")
 		for _, s := range simEnv.Records.Finished() {
-			fmt.Printf("  %-10s wait=%9.1f exec=%9.1f F=%.4f k=%d devices=%s\n",
+			fmt.Fprintf(w, "  %-10s wait=%9.1f exec=%9.1f F=%.4f k=%d devices=%s\n",
 				s.JobID, s.WaitTime(), s.ExecTime(), s.Fidelity, s.Devices,
 				strings.Join(s.DeviceNames, ","))
 		}

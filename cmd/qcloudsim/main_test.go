@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,144 +21,153 @@ import (
 	"repro/internal/sim"
 )
 
-// mkSet simulates flag.Visit output for a set of explicitly-passed flags.
-func mkSet(names ...string) map[string]bool {
-	set := map[string]bool{}
-	for _, n := range names {
-		set[n] = true
-	}
-	return set
-}
-
 func TestValidateFlagsCombinations(t *testing.T) {
-	type args struct {
-		set              map[string]bool
-		args             []string
-		serve            bool
-		polName          string
-		rlModel          string
-		listen           string
-		httpAddr         string
-		admitPolicy      string
-		admitMaxQueue    int
-		admitTenantQuota int
-		admitRetryAfter  float64
-		admitRate        float64
-		admitBurst       float64
-		timeScale        float64
-		window           int
-		metricsEvery     float64
-		checkpointPath   string
-		checkpointEvery  float64
-		resume           bool
-		faultPlan        string
-		cpuProfile       string
-		memProfile       string
-	}
-	ok := func(a args) args { // fill defaults
-		if a.polName == "" {
-			a.polName = "speed"
-		}
-		if a.window == 0 {
-			a.window = 512
-		}
-		return a
-	}
+	serve := func(argv ...string) []string { return append([]string{"-serve"}, argv...) }
 	cases := []struct {
 		name    string
-		a       args
+		argv    []string
 		wantErr string // empty = accept
 	}{
-		{"defaults", ok(args{set: mkSet()}), ""},
-		{"positional args", ok(args{set: mkSet(), args: []string{"extra"}}), "positional"},
-		{"jobs alone", ok(args{set: mkSet("jobs")}), ""},
-		{"jobs with n", ok(args{set: mkSet("jobs", "n")}), "-jobs replays a workload file"},
-		{"jobs with seed", ok(args{set: mkSet("jobs", "seed")}), "-jobs replays a workload file"},
-		{"jobs with seed and drift", ok(args{set: mkSet("jobs", "seed", "drift-interval")}), ""},
-		{"jobs with interarrival", ok(args{set: mkSet("jobs", "interarrival")}), "-jobs replays a workload file"},
-		{"jobs with policy", ok(args{set: mkSet("jobs", "policy")}), ""},
-		{"rlmodel without rlbase", ok(args{set: mkSet("rlmodel"), polName: "speed"}), "only applies to -policy rlbase"},
-		{"rlseed without rlbase", ok(args{set: mkSet("rlseed"), polName: "fidelity"}), "only applies to -policy rlbase"},
-		{"rlbase without rlmodel", ok(args{set: mkSet("policy"), polName: "rlbase"}), "requires -rlmodel"},
-		{"rlbase with rlmodel", ok(args{set: mkSet("policy", "rlmodel"), polName: "rlbase", rlModel: "m.json"}), ""},
-		{"policy oracle", ok(args{set: mkSet("policy"), polName: "oracle"}), ""},
-		{"serve policy oracle", ok(args{set: mkSet("serve", "policy"), serve: true, polName: "oracle"}), ""},
-		{"unknown policy", ok(args{set: mkSet("policy"), polName: "warp"}), "registered: " + strings.Join(policy.Names(), ", ")},
-		{"rlseed with oracle", ok(args{set: mkSet("policy", "rlseed"), polName: "oracle"}), "only applies to -policy rlbase"},
-		{"config alone", ok(args{set: mkSet("config")}), ""},
-		{"config with export", ok(args{set: mkSet("config", "export")}), ""},
-		{"config with n", ok(args{set: mkSet("config", "n")}), "-config specifies the whole simulation"},
-		{"config with policy", ok(args{set: mkSet("config", "policy")}), "-config specifies the whole simulation"},
-		{"serve flag without serve", ok(args{set: mkSet("window")}), "pass -serve with it"},
-		{"checkpoint without serve", ok(args{set: mkSet("checkpoint"), checkpointPath: "x"}), "pass -serve with it"},
-		{"serve defaults", ok(args{set: mkSet("serve"), serve: true}), ""},
-		{"serve with jobs", ok(args{set: mkSet("serve", "jobs"), serve: true}), "configures a batch workload"},
-		{"serve with n", ok(args{set: mkSet("serve", "n"), serve: true}), "configures a batch workload"},
-		{"serve with config", ok(args{set: mkSet("serve", "config"), serve: true}), ""},
-		{"serve config with checkpointing", ok(args{set: mkSet("serve", "config", "checkpoint", "checkpoint-every"), serve: true, checkpointPath: "cp.json", checkpointEvery: 50}), ""},
-		{"serve config with policy", ok(args{set: mkSet("serve", "config", "policy"), serve: true}), "-config specifies the whole simulation"},
-		{"serve config with drift", ok(args{set: mkSet("serve", "config", "drift-interval"), serve: true}), "-config specifies the whole simulation"},
-		{"serve with drift", ok(args{set: mkSet("serve", "drift-interval"), serve: true}), ""},
-		{"serve with drift magnitude", ok(args{set: mkSet("serve", "drift-interval", "drift-magnitude"), serve: true}), ""},
-		{"serve with seed", ok(args{set: mkSet("serve", "seed"), serve: true}), "pass it with -drift-interval"},
-		{"serve with seed and drift", ok(args{set: mkSet("serve", "seed", "drift-interval"), serve: true}), ""},
-		{"serve with v", ok(args{set: mkSet("serve", "v"), serve: true}), "streams records"},
-		{"serve bad listen", ok(args{set: mkSet("serve", "listen"), serve: true, listen: "9066"}), "not host:port"},
-		{"serve listen without scale", ok(args{set: mkSet("serve", "listen"), serve: true, listen: "127.0.0.1:9066"}), "-time-scale > 0"},
-		{"serve listen with scale", ok(args{set: mkSet("serve", "listen", "time-scale"), serve: true, listen: "127.0.0.1:9066", timeScale: 100}), ""},
-		{"serve negative scale", ok(args{set: mkSet("serve", "time-scale"), serve: true, timeScale: -1}), "-time-scale"},
-		{"serve zero window", args{set: mkSet("serve", "window"), serve: true, polName: "speed"}, "-window"},
-		{"serve checkpoint-every without path", ok(args{set: mkSet("serve", "checkpoint-every"), serve: true, checkpointEvery: 50}), "needs -checkpoint"},
-		{"serve resume without path", ok(args{set: mkSet("serve", "resume"), serve: true, resume: true}), "needs -checkpoint"},
-		{"serve checkpointing", ok(args{set: mkSet("serve", "checkpoint", "checkpoint-every"), serve: true, checkpointPath: "cp.json", checkpointEvery: 50}), ""},
-		{"http without serve", ok(args{set: mkSet("http"), httpAddr: "127.0.0.1:8080"}), "pass -serve with it"},
-		{"serve bad http addr", ok(args{set: mkSet("serve", "http"), serve: true, httpAddr: "8080"}), "not host:port"},
-		{"serve http logical", ok(args{set: mkSet("serve", "http"), serve: true, httpAddr: "127.0.0.1:0"}), ""},
-		{"serve http realtime", ok(args{set: mkSet("serve", "http", "time-scale"), serve: true, httpAddr: "127.0.0.1:0", timeScale: 100}), ""},
-		{"admit flag without policy", ok(args{set: mkSet("serve", "admit-max-queue"), serve: true, admitMaxQueue: 10}), "needs -admit-policy"},
-		{"admit retry-after without policy", ok(args{set: mkSet("serve", "admit-retry-after"), serve: true, admitRetryAfter: 5}), "needs -admit-policy"},
-		{"admit unknown policy", ok(args{set: mkSet("serve", "admit-policy"), serve: true, admitPolicy: "lru"}), "unknown -admit-policy"},
-		{"admit reject without bound", ok(args{set: mkSet("serve", "admit-policy"), serve: true, admitPolicy: "reject"}), "-admit-max-queue > 0"},
-		{"admit reject", ok(args{set: mkSet("serve", "admit-policy", "admit-max-queue"), serve: true, admitPolicy: "reject", admitMaxQueue: 10}), ""},
-		{"admit shed", ok(args{set: mkSet("serve", "admit-policy", "admit-max-queue"), serve: true, admitPolicy: "shed", admitMaxQueue: 10}), ""},
-		{"admit shed with tenant quota", ok(args{set: mkSet("serve", "admit-policy", "admit-max-queue", "admit-tenant-quota"), serve: true, admitPolicy: "shed", admitMaxQueue: 10, admitTenantQuota: 2}), "only applies to -admit-policy quota"},
-		{"admit quota without bound", ok(args{set: mkSet("serve", "admit-policy"), serve: true, admitPolicy: "quota"}), "-admit-tenant-quota > 0"},
-		{"admit quota", ok(args{set: mkSet("serve", "admit-policy", "admit-tenant-quota"), serve: true, admitPolicy: "quota", admitTenantQuota: 4}), ""},
-		{"admit quota with max queue", ok(args{set: mkSet("serve", "admit-policy", "admit-tenant-quota", "admit-max-queue"), serve: true, admitPolicy: "quota", admitTenantQuota: 4, admitMaxQueue: 10}), "only applies to -admit-policy reject|shed"},
-		{"admit negative retry-after", ok(args{set: mkSet("serve", "admit-policy", "admit-max-queue", "admit-retry-after"), serve: true, admitPolicy: "reject", admitMaxQueue: 10, admitRetryAfter: -1}), "-admit-retry-after"},
-		{"admit-rate without serve", ok(args{set: mkSet("admit-rate"), admitRate: 2}), "pass -serve with it"},
-		{"admit-rate alone", ok(args{set: mkSet("serve", "admit-rate"), serve: true, admitRate: 2}), ""},
-		{"admit-rate zero", ok(args{set: mkSet("serve", "admit-rate"), serve: true, admitRate: 0}), "-admit-rate must be > 0"},
-		{"admit-rate with quota policy", ok(args{set: mkSet("serve", "admit-policy", "admit-tenant-quota", "admit-rate"), serve: true, admitPolicy: "quota", admitTenantQuota: 4, admitRate: 2}), ""},
-		{"admit-burst without rate", ok(args{set: mkSet("serve", "admit-burst"), serve: true, admitBurst: 4}), "pass -admit-rate with it"},
-		{"admit-burst below one", ok(args{set: mkSet("serve", "admit-rate", "admit-burst"), serve: true, admitRate: 2, admitBurst: 0.5}), "-admit-burst must be >= 1"},
-		{"admit-burst", ok(args{set: mkSet("serve", "admit-rate", "admit-burst"), serve: true, admitRate: 2, admitBurst: 4}), ""},
-		{"fault-plan without serve", ok(args{set: mkSet("fault-plan"), faultPlan: "plan.json"}), "pass -serve with it"},
-		{"fault-plan with serve", ok(args{set: mkSet("serve", "fault-plan"), serve: true, faultPlan: "plan.json"}), ""},
-		{"cpuprofile", ok(args{set: mkSet("cpuprofile"), cpuProfile: filepath.Join(t.TempDir(), "cpu.prof")}), ""},
-		{"cpuprofile unwritable", ok(args{set: mkSet("cpuprofile"), cpuProfile: filepath.Join(t.TempDir(), "missing", "cpu.prof")}), "-cpuprofile"},
-		{"memprofile unwritable", ok(args{set: mkSet("serve", "memprofile"), serve: true, memProfile: filepath.Join(t.TempDir(), "missing", "mem.prof")}), "-memprofile"},
-		{"config with profiles", ok(args{set: mkSet("config", "cpuprofile", "memprofile"), cpuProfile: filepath.Join(t.TempDir(), "cpu.prof"), memProfile: filepath.Join(t.TempDir(), "mem.prof")}), ""},
+		{"defaults", nil, ""},
+		{"positional args", []string{"extra"}, "positional"},
+		{"jobs alone", []string{"-jobs", "w.csv"}, ""},
+		{"jobs with n", []string{"-jobs", "w.csv", "-n", "5"}, "-jobs replays a workload file"},
+		{"jobs with seed", []string{"-jobs", "w.csv", "-seed", "3"}, "-jobs replays a workload file"},
+		{"jobs with seed and drift", []string{"-jobs", "w.csv", "-seed", "3", "-drift-interval", "60"}, ""},
+		{"jobs with interarrival", []string{"-jobs", "w.csv", "-interarrival", "3"}, "-jobs replays a workload file"},
+		{"jobs with policy", []string{"-jobs", "w.csv", "-policy", "fair"}, ""},
+		{"rlmodel without rlbase", []string{"-rlmodel", "m.json"}, "only applies to -policy rlbase"},
+		{"rlseed without rlbase", []string{"-rlseed", "3", "-policy", "fidelity"}, "only applies to -policy rlbase"},
+		{"rlbase without rlmodel", []string{"-policy", "rlbase"}, "requires -rlmodel"},
+		{"rlbase with rlmodel", []string{"-policy", "rlbase", "-rlmodel", "m.json"}, ""},
+		{"policy oracle", []string{"-policy", "oracle"}, ""},
+		{"serve policy oracle", serve("-policy", "oracle"), ""},
+		{"unknown policy", []string{"-policy", "warp"}, "registered: " + strings.Join(policy.Names(), ", ")},
+		{"rlseed with oracle", []string{"-policy", "oracle", "-rlseed", "3"}, "only applies to -policy rlbase"},
+		{"config alone", []string{"-config", "c.json"}, ""},
+		{"config with export", []string{"-config", "c.json", "-export", "r.csv"}, ""},
+		{"config with n", []string{"-config", "c.json", "-n", "5"}, "-config specifies the whole simulation"},
+		{"config with policy", []string{"-config", "c.json", "-policy", "fair"}, "-config specifies the whole simulation"},
+		{"serve flag without serve", []string{"-window", "64"}, "pass -serve with it"},
+		{"checkpoint without serve", []string{"-checkpoint", "x"}, "pass -serve with it"},
+		{"serve defaults", serve(), ""},
+		{"serve with jobs", serve("-jobs", "w.csv"), "configures a batch workload"},
+		{"serve with n", serve("-n", "5"), "configures a batch workload"},
+		{"serve with config", serve("-config", "c.json"), ""},
+		{"serve config with checkpointing", serve("-config", "c.json", "-checkpoint", "cp.json", "-checkpoint-every", "50"), ""},
+		{"serve config with policy", serve("-config", "c.json", "-policy", "fair"), "-config specifies the whole simulation"},
+		{"serve config with drift", serve("-config", "c.json", "-drift-interval", "60"), "-config specifies the whole simulation"},
+		{"serve with drift", serve("-drift-interval", "60"), ""},
+		{"serve with drift magnitude", serve("-drift-interval", "60", "-drift-magnitude", "0.5"), ""},
+		{"drift magnitude without interval", []string{"-n", "20", "-drift-magnitude", "0.5"}, "pass -drift-interval with it"},
+		{"serve drift magnitude without interval", serve("-drift-magnitude", "0.5"), "pass -drift-interval with it"},
+		{"serve with seed", serve("-seed", "3"), "pass it with -drift-interval"},
+		{"serve with seed and drift", serve("-seed", "3", "-drift-interval", "60"), ""},
+		{"serve with v", serve("-v"), "streams records"},
+		{"serve bad listen", serve("-listen", "9066"), "not host:port"},
+		{"serve listen without scale", serve("-listen", "127.0.0.1:9066"), "-time-scale > 0"},
+		{"serve listen with scale", serve("-listen", "127.0.0.1:9066", "-time-scale", "100"), ""},
+		{"serve negative scale", serve("-time-scale", "-1"), "-time-scale"},
+		{"serve zero window", serve("-window", "0"), "-window"},
+		{"serve checkpoint-every without path", serve("-checkpoint-every", "50"), "needs -checkpoint"},
+		{"serve resume without path", serve("-resume"), "needs -checkpoint"},
+		{"serve checkpointing", serve("-checkpoint", "cp.json", "-checkpoint-every", "50"), ""},
+		{"http without serve", []string{"-http", "127.0.0.1:8080"}, "pass -serve with it"},
+		{"serve bad http addr", serve("-http", "8080"), "not host:port"},
+		{"serve http logical", serve("-http", "127.0.0.1:0"), ""},
+		{"serve http realtime", serve("-http", "127.0.0.1:0", "-time-scale", "100"), ""},
+		{"admit flag without policy", serve("-admit-max-queue", "10"), "needs -admit-policy"},
+		{"admit retry-after without policy", serve("-admit-retry-after", "5"), "needs -admit-policy"},
+		{"admit unknown policy", serve("-admit-policy", "lru"), "unknown -admit-policy"},
+		{"admit reject without bound", serve("-admit-policy", "reject"), "-admit-max-queue > 0"},
+		{"admit reject", serve("-admit-policy", "reject", "-admit-max-queue", "10"), ""},
+		{"admit shed", serve("-admit-policy", "shed", "-admit-max-queue", "10"), ""},
+		{"admit shed with tenant quota", serve("-admit-policy", "shed", "-admit-max-queue", "10", "-admit-tenant-quota", "2"), "only applies to -admit-policy quota"},
+		{"admit quota without bound", serve("-admit-policy", "quota"), "-admit-tenant-quota > 0"},
+		{"admit quota", serve("-admit-policy", "quota", "-admit-tenant-quota", "4"), ""},
+		{"admit quota with max queue", serve("-admit-policy", "quota", "-admit-tenant-quota", "4", "-admit-max-queue", "10"), "only applies to -admit-policy reject|shed"},
+		{"admit negative retry-after", serve("-admit-policy", "reject", "-admit-max-queue", "10", "-admit-retry-after", "-1"), "-admit-retry-after"},
+		{"admit-rate without serve", []string{"-admit-rate", "2"}, "pass -serve with it"},
+		{"admit-rate alone", serve("-admit-rate", "2"), ""},
+		{"admit-rate zero", serve("-admit-rate", "0"), "-admit-rate must be > 0"},
+		{"admit-rate with quota policy", serve("-admit-policy", "quota", "-admit-tenant-quota", "4", "-admit-rate", "2"), ""},
+		{"admit-burst without rate", serve("-admit-burst", "4"), "pass -admit-rate with it"},
+		{"admit-burst below one", serve("-admit-rate", "2", "-admit-burst", "0.5"), "-admit-burst must be >= 1"},
+		{"admit-burst", serve("-admit-rate", "2", "-admit-burst", "4"), ""},
+		{"fault-plan without serve", []string{"-fault-plan", "plan.json"}, "pass -serve with it"},
+		{"fault-plan with serve", serve("-fault-plan", "plan.json"), ""},
+		{"cpuprofile", []string{"-cpuprofile", filepath.Join(t.TempDir(), "cpu.prof")}, ""},
+		{"cpuprofile unwritable", []string{"-cpuprofile", filepath.Join(t.TempDir(), "missing", "cpu.prof")}, "-cpuprofile"},
+		{"memprofile unwritable", serve("-memprofile", filepath.Join(t.TempDir(), "missing", "mem.prof")), "-memprofile"},
+		{"config with profiles", []string{"-config", "c.json", "-cpuprofile", filepath.Join(t.TempDir(), "cpu.prof"), "-memprofile", filepath.Join(t.TempDir(), "mem.prof")}, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateFlags(c.a.set, c.a.args, c.a.serve, c.a.polName, c.a.rlModel, c.a.listen, c.a.httpAddr,
-				c.a.admitPolicy, c.a.admitMaxQueue, c.a.admitTenantQuota, c.a.admitRetryAfter, c.a.admitRate, c.a.admitBurst,
-				c.a.timeScale, c.a.window, c.a.metricsEvery, c.a.checkpointPath, c.a.checkpointEvery, c.a.resume,
-				c.a.faultPlan, c.a.cpuProfile, c.a.memProfile)
+			_, err := parseArgs(c.argv, io.Discard)
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
 				}
 				return
 			}
-			if err == nil {
-				t.Fatalf("expected error containing %q", c.wantErr)
-			}
-			if !strings.Contains(err.Error(), c.wantErr) {
-				t.Fatalf("error %q does not mention %q", err, c.wantErr)
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("error %v does not mention %q", err, c.wantErr)
 			}
 		})
+	}
+}
+
+// A command line with several conflicting flags is refused naming the
+// first of them in name order, the same one on every run.
+func TestValidateFlagsNamesFirstConflict(t *testing.T) {
+	for _, c := range []struct {
+		argv []string
+		want string
+	}{
+		{[]string{"-config", "x.json", "-n", "5", "-interarrival", "3", "-fleet-seed", "4"},
+			"-config specifies the whole simulation; -fleet-seed conflicts with it"},
+		{[]string{"-serve", "-n", "5", "-jobs", "a.csv", "-interarrival", "3"},
+			"-serve ingests jobs from the stream; -interarrival configures a batch workload and conflicts with it"},
+	} {
+		for range 20 {
+			if _, err := parseArgs(c.argv, io.Discard); err == nil || err.Error() != c.want {
+				t.Fatalf("%v: error %v, want %q", c.argv, err, c.want)
+			}
+		}
+	}
+}
+
+// Every name in a flag list is a defined flag: a typo would silently
+// disable the check that list drives.
+func TestFlagListsNameRealFlags(t *testing.T) {
+	o, err := parseArgs(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range slices.Concat(serveFlags, configFlags) {
+		if o.fs.Lookup(f) == nil {
+			t.Errorf("flag list names -%s, which is not defined", f)
+		}
+	}
+}
+
+// The usage lists every flag with the name, default and help text the
+// command has always had (testdata/usage.golden is the -h output from
+// before the flags moved onto a private FlagSet).
+func TestUsageGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "usage.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := parseArgs(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	o.fs.SetOutput(&got)
+	o.fs.PrintDefaults()
+	if got.String() != string(want) {
+		t.Fatalf("usage drifted from testdata/usage.golden:\n%s", got.String())
 	}
 }
 

@@ -34,6 +34,15 @@ func CheckPath(flagName, path string) error {
 	return nil
 }
 
+// CheckPaths is CheckPath for the -cpuprofile and -memprofile pair a
+// command takes.
+func CheckPaths(cpuPath, memPath string) error {
+	if err := CheckPath("cpuprofile", cpuPath); err != nil {
+		return err
+	}
+	return CheckPath("memprofile", memPath)
+}
+
 // Start begins CPU profiling into cpuPath when it is non-empty. The
 // returned stop ends the CPU profile and, when memPath is non-empty,
 // writes a heap profile there after a GC, so it reflects live memory at

@@ -36,9 +36,6 @@ type Policy struct {
 	// A Retry-After hint from the failing operation may exceed the cap:
 	// the server's word beats the client's guess.
 	MaxDelay time.Duration
-	// Budget bounds the total wall time spent in Do (attempts plus
-	// sleeps) by deriving a deadline context. Zero means no budget.
-	Budget time.Duration
 	// Seed fixes the jitter RNG so a policy replays the same delay
 	// sequence. The zero seed is itself a valid fixed seed.
 	Seed int64
@@ -123,7 +120,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // Do runs op under the policy: attempts are separated by capped
 // decorrelated-jitter delays, stop on success, a non-retryable error,
-// attempt exhaustion, context cancellation, or the budget running out.
+// attempt exhaustion, or context cancellation.
 // The returned error wraps the last attempt's failure.
 func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) error {
 	attempts := p.MaxAttempts
@@ -148,11 +145,6 @@ func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) erro
 	sleep := p.Sleep
 	if sleep == nil {
 		sleep = sleepCtx
-	}
-	if p.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.Budget)
-		defer cancel()
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	prev := base

@@ -161,24 +161,6 @@ func TestHintTraversesWrapping(t *testing.T) {
 	}
 }
 
-func TestBudgetBoundsTotalTime(t *testing.T) {
-	p := Policy{
-		MaxAttempts: 1 << 20,
-		BaseDelay:   20 * time.Millisecond,
-		MaxDelay:    20 * time.Millisecond,
-		Budget:      60 * time.Millisecond,
-	}
-	base := errors.New("never up")
-	start := time.Now()
-	err := p.Do(context.Background(), func(context.Context) error { return base })
-	if !errors.Is(err, base) {
-		t.Fatalf("budget exhaustion error %v does not wrap the last failure", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("budget of 60ms ran for %v", elapsed)
-	}
-}
-
 func TestZeroPolicySingleAttempt(t *testing.T) {
 	calls := 0
 	base := errors.New("x")
