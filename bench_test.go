@@ -877,7 +877,7 @@ func BenchmarkPolicyAllocate(b *testing.B) {
 	model := rl.NewGaussianPolicy(rng, rlsched.StateDim, rlsched.NumDevices, 64, 64)
 	for _, name := range []string{"speed", "fidelity", "fair", "rlbase"} {
 		b.Run(name, func(b *testing.B) {
-			pol, err := policy.New(name, policy.Params{Model: model, Seed: 1})
+			pol, err := policy.New(name, policy.Params{Model: rlsched.Deploy(model), Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

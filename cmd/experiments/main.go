@@ -112,7 +112,7 @@ type options struct {
 func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	o := &options{fs: fs, spec: experiments.Spec{Seed: new(int64), FleetSeed: new(int64)}}
-	fs.StringVar(&o.artifact, "artifact", "all", "which artifact: table2|fig5|fig6|ablations|replicate|all")
+	fs.StringVar(&o.artifact, "artifact", "all", "which artifact: "+strings.Join(artifacts, "|"))
 	fs.StringVar(&o.specPath, "spec", "", "declarative experiment spec file (JSON); replaces -artifact, -scenario and the workload flags")
 	fs.StringVar(&o.spec.Scenario, "scenario", "", "registered scenario for flag-driven runs (default: paper); see experiments.ScenarioNames")
 	fs.IntVar(&o.spec.Jobs, "n", 1000, "workload size (paper: 1000)")
@@ -180,12 +180,10 @@ func run(args []string) (err error) {
 		spec = *s
 	case o.artifact == "fig5" || o.artifact == "fig6" || o.artifact == "all":
 		return runFigures(o.artifact, o.spec, o.exec, o.outdir, o.out)
-	case o.artifact == "table2" || o.artifact == "replicate" || o.artifact == "ablations":
+	default:
 		if spec, err = compileSpec(o.artifact, o.spec); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("unknown artifact %q", o.artifact)
 	}
 	m, err := experiments.Run(context.Background(), spec, o.exec)
 	if err != nil {
@@ -204,9 +202,10 @@ func run(args []string) (err error) {
 	return writeManifest(m, o.out)
 }
 
-// The flags a -spec file replaces, and the only flags -diff and -trend
-// take.
+// The -artifact names, the flags a -spec file replaces, and the only
+// flags -diff and -trend take.
 var (
+	artifacts     = []string{"table2", "fig5", "fig6", "ablations", "replicate", "all"}
 	specConflicts = []string{"artifact", "scenario", "n", "train", "seed", "fleet-seed", "replications", "outdir"}
 	diffFlags     = []string{"diff", "sig", "tol", "rtol"}
 	trendFlags    = []string{"trend", "trend-tol"}
@@ -285,6 +284,8 @@ func (o *options) validate() error {
 		return nil
 	}
 	switch {
+	case !slices.Contains(artifacts, o.artifact):
+		return fmt.Errorf("unknown artifact %q", o.artifact)
 	case has("replications") && o.artifact != "replicate":
 		return fmt.Errorf("-replications applies to -artifact replicate only, not %q", o.artifact)
 	case has("seed") && o.artifact == "replicate":

@@ -201,6 +201,7 @@ func TestValidateFlags(t *testing.T) {
 		{"outdir with table2", []string{"-artifact", "table2", "-outdir", "d"}, ""},
 		{"out with fig5", []string{"-artifact", "fig5", "-out", "d"}, "-out: -artifact fig5"},
 		{"out with fig6", []string{"-artifact", "fig6", "-out", "d"}, ""},
+		{"unknown artifact", []string{"-artifact", "bogus", "-out", "d"}, `unknown artifact "bogus"`},
 		{"diff sig", diff("-sig"), ""},
 		{"diff tol", diff("-tol", "1e-9"), ""},
 		{"diff negative tol", diff("-tol", "-1"), ">= 0"},
@@ -292,6 +293,22 @@ func TestFig5OutRefused(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("refused run touched %s: %v", dir, err)
+	}
+}
+
+// TestUnknownArtifactRefused: an unknown -artifact is refused while
+// the flags are validated, so the refused run makes no -out or -outdir
+// directory.
+func TestUnknownArtifactRefused(t *testing.T) {
+	out, outdir := filepath.Join(t.TempDir(), "runs"), filepath.Join(t.TempDir(), "arts")
+	msg, code := runMain(t, "-artifact", "bogus", "-out", out, "-outdir", outdir)
+	if code != 1 || !strings.Contains(string(msg), `unknown artifact "bogus"`) {
+		t.Fatalf("exit %d, want 1 naming the artifact:\n%s", code, msg)
+	}
+	for _, dir := range []string{out, outdir} {
+		if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("refused run touched %s: %v", dir, err)
+		}
 	}
 }
 

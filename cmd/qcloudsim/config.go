@@ -29,7 +29,7 @@ type configFile struct {
 		Path      string               `json:"path,omitempty"`
 		Synthetic *job.SyntheticConfig `json:"synthetic,omitempty"`
 	} `json:"workload,omitempty"`
-	// Policy names any registered allocation policy (policy.Names()).
+	// Policy names one of the allocation policies in policy.Names().
 	Policy string `json:"policy"`
 	// RLModelPath locates the trained model of a model-requiring policy
 	// (rlbase); RLSeed seeds its deployment-time sampling.

@@ -173,7 +173,7 @@ type cloud struct {
 	// cloud with calibration drawn from fleetSeed.
 	devices   []device.Spec
 	fleetSeed int64
-	// policy names a registered allocation policy; rlModel and rlSeed
+	// policy names an allocation policy (policy.Names); rlModel and rlSeed
 	// feed a model-requiring one (rlbase).
 	policy  string
 	rlModel string
@@ -181,7 +181,7 @@ type cloud struct {
 	cfg     core.Config
 }
 
-// build constructs the fleet on env and, through the registry, the
+// build constructs the fleet on env and, through policy.New, the
 // allocation policy, which gets the model's Eq. 8 penalty for fidelity
 // predictions. It refuses a fleet the policy cannot schedule before
 // any job runs.
@@ -198,9 +198,11 @@ func (c cloud) build(env *sim.Environment) ([]*device.Device, policy.Policy, err
 	}
 	p := policy.Params{Seed: c.rlSeed, Phi: c.cfg.Phi}
 	if policy.NeedsModel(c.policy) {
-		if p.Model, err = rlsched.LoadPolicy(c.rlModel); err != nil {
+		trained, err := rlsched.LoadPolicy(c.rlModel)
+		if err != nil {
 			return nil, nil, err
 		}
+		p.Model = rlsched.Deploy(trained)
 	}
 	pol, err := policy.New(c.policy, p)
 	if err != nil {

@@ -97,7 +97,7 @@ func randomStates(rng *rand.Rand) []policy.DeviceState {
 }
 
 // One snapshot serves a whole dispatch pass, so no policy may write to
-// it: every registered policy (rlbase on an untrained net) must leave a
+// it: every named policy (rlbase on an untrained net) must leave a
 // random snapshot exactly as it found it, whether it places or waits.
 func TestPoliciesLeaveSnapshotUnchanged(t *testing.T) {
 	untrained := rl.NewGaussianPolicy(rand.New(rand.NewSource(3)), rlsched.StateDim, rlsched.NumDevices, 16, 16)
@@ -105,7 +105,7 @@ func TestPoliciesLeaveSnapshotUnchanged(t *testing.T) {
 	for _, name := range policy.Names() {
 		params := policy.Params{Seed: 11}
 		if policy.NeedsModel(name) {
-			params.Model = untrained
+			params.Model = rlsched.Deploy(untrained)
 		}
 		pol, err := policy.New(name, params)
 		if err != nil {

@@ -355,9 +355,6 @@ func (b *Broker) bucket(key string) *rateBucket {
 	return bk
 }
 
-// Admission returns the active admission-control configuration.
-func (b *Broker) Admission() AdmissionConfig { return b.admission }
-
 // AdmissionCounters returns the admission-control decision counts.
 func (b *Broker) AdmissionCounters() AdmissionStats { return b.admStats }
 

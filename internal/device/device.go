@@ -2,13 +2,6 @@
 // as a free-qubit count (the paper's device.container.level), coupling-map
 // topology, calibration data, and the IBM performance metrics (CLOPS,
 // quantum volume) that drive the execution-time model.
-//
-// The type hierarchy mirrors the paper's §3: BaseQDevice (capacity and
-// reservation bookkeeping) → QuantumDevice (graph-based qubit topology) →
-// IBMQuantumDevice (CLOPS, QV, calibration-derived error score). In Go
-// the refinement is expressed by struct embedding rather than
-// inheritance; Device is the full IBM-style device used everywhere, and
-// the narrower interfaces below document which layer a consumer needs.
 package device
 
 import (
@@ -21,23 +14,6 @@ import (
 	"repro/internal/sim"
 )
 
-// BaseQDevice is the capacity-management view of a device.
-type BaseQDevice interface {
-	// Name returns the device identifier, e.g. "ibm_quebec".
-	Name() string
-	// NumQubits returns the device's total qubit capacity.
-	NumQubits() int
-	// FreeQubits returns the number of currently unreserved qubits.
-	FreeQubits() int
-}
-
-// QuantumDevice adds coupling-map topology to BaseQDevice.
-type QuantumDevice interface {
-	BaseQDevice
-	// Topology returns the device's qubit connectivity graph.
-	Topology() *graph.Graph
-}
-
 // Allocation is a granted qubit reservation on one device. In strict
 // topology mode PhysicalQubits records the connected subgraph assigned;
 // in the paper's black-box mode (§5.2) it is nil.
@@ -48,8 +24,9 @@ type Allocation struct {
 	released       bool
 }
 
-// Device is a simulated quantum processor. It satisfies BaseQDevice and
-// QuantumDevice and corresponds to the paper's IBM_QuantumDevice.
+// Device is a simulated quantum processor: the paper's
+// IBM_QuantumDevice, with capacity, topology and calibration in one
+// type.
 type Device struct {
 	name     string
 	env      *sim.Environment
@@ -269,7 +246,7 @@ func (d *Device) ReleaseDirect(a *Allocation) error {
 // freeList returns the sorted free physical qubits (strict mode).
 func (d *Device) freeList() []int {
 	out := make([]int, 0, len(d.freeSet))
-	for v := range d.freeSet {
+	for v := range d.freeSet { //lint:allow detlint collect-then-sort: the sort.Ints below fixes the order before anyone observes it
 		out = append(out, v)
 	}
 	sort.Ints(out)
@@ -314,9 +291,3 @@ func (d *Device) String() string {
 	return fmt.Sprintf("%s{qubits=%d free=%d clops=%.0f score=%.5f}",
 		d.name, d.NumQubits(), d.FreeQubits(), d.clops, d.score)
 }
-
-// Interface conformance checks.
-var (
-	_ BaseQDevice   = (*Device)(nil)
-	_ QuantumDevice = (*Device)(nil)
-)

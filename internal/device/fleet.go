@@ -1,13 +1,6 @@
 package device
 
-import (
-	"fmt"
-	"math/rand"
-
-	"repro/internal/calib"
-	"repro/internal/graph"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // StandardFleet builds the paper's five-device case-study cloud:
 // ibm_strasbourg, ibm_brussels, ibm_kyiv, ibm_quebec, ibm_kawasaki — all
@@ -15,23 +8,7 @@ import (
 // ratings — using synthetic calibration snapshots drawn from the given
 // seed (see internal/calib.StandardProfiles).
 func StandardFleet(env *sim.Environment, seed int64, opts ...Option) ([]*Device, error) {
-	rng := rand.New(rand.NewSource(seed))
-	topo := graph.Eagle127()
-	edges := topo.Edges()
-	var fleet []*Device
-	for _, p := range calib.StandardProfiles() {
-		snap := calib.Synthesize(rng, p, edges, calib.CalibrationTimestamp)
-		clops, ok := calib.StandardCLOPS[p.Name]
-		if !ok {
-			return nil, fmt.Errorf("device: no CLOPS rating for %s", p.Name)
-		}
-		d, err := New(env, topo, snap, clops, calib.StandardQuantumVolume, opts...)
-		if err != nil {
-			return nil, err
-		}
-		fleet = append(fleet, d)
-	}
-	return fleet, nil
+	return standardPreset.build(env, seed, opts...)
 }
 
 // TotalCapacity sums the qubit capacities of a fleet.

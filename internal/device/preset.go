@@ -6,25 +6,29 @@ import (
 	"sort"
 
 	"repro/internal/calib"
+	"repro/internal/graph"
 	"repro/internal/sim"
 )
 
-// A fleet preset is a named, seeded fleet constructor: everything
-// needed to rebuild the same cloud is the preset name plus the
-// calibration seed, which is what lets a JSON spec name a scenario's
-// fleet. The standard (paper) fleet is the empty-name default.
+// A fleet preset is a named, seeded fleet: everything needed to
+// rebuild the same cloud is the preset name plus the calibration seed,
+// which is what lets a JSON spec name a scenario's fleet. The standard
+// (paper) fleet is the empty-name default.
 type presetDef struct {
-	build func(env *sim.Environment, seed int64, opts ...Option) ([]*Device, error)
-	// maxSingle and total are the preset's largest single-device and
-	// whole-cloud qubit capacities — the Eq. 1 constraint bounds.
-	maxSingle, total int
+	// profiles lists the devices in fleet order; clops rates each one
+	// by name.
+	profiles []calib.Profile
+	clops    map[string]float64
 }
 
-var presets = map[string]presetDef{
-	"":         {build: StandardFleet, maxSingle: 127, total: 635},
-	"standard": {build: StandardFleet, maxSingle: 127, total: 635},
-	"hetero":   {build: HeterogeneousFleet, maxSingle: 127, total: 426},
-}
+var (
+	standardPreset = presetDef{calib.StandardProfiles(), calib.StandardCLOPS}
+	presets        = map[string]presetDef{
+		"":         standardPreset,
+		"standard": standardPreset,
+		"hetero":   {heteroProfiles(), heteroCLOPS},
+	}
+)
 
 // PresetFleet builds the named fleet preset: "" or "standard" for the
 // paper's five 127-qubit devices, "hetero" for the mixed-capacity
@@ -37,6 +41,34 @@ func PresetFleet(name string, env *sim.Environment, seed int64, opts ...Option) 
 	return p.build(env, seed, opts...)
 }
 
+// build makes one device per profile, in order, on a heavy-hex lattice
+// of the profile's size (the Eagle lattice at 127 qubits, see
+// Topology). One generator seeded with seed draws every device's
+// synthetic calibration in turn. A run of same-size profiles shares
+// one read-only lattice, which is built once.
+func (p presetDef) build(env *sim.Environment, seed int64, opts ...Option) ([]*Device, error) {
+	rng := rand.New(rand.NewSource(seed))
+	fleet := make([]*Device, 0, len(p.profiles))
+	var topo *graph.Graph
+	var edges [][2]int
+	for _, prof := range p.profiles {
+		if topo == nil || topo.NumVertices() != prof.NumQubits {
+			var err error
+			if topo, err = Topology("heavy-hex", prof.NumQubits); err != nil {
+				return nil, err
+			}
+			edges = topo.Edges()
+		}
+		snap := calib.Synthesize(rng, prof, edges, calib.CalibrationTimestamp)
+		d, err := New(env, topo, snap, p.clops[prof.Name], calib.StandardQuantumVolume, opts...)
+		if err != nil {
+			return nil, err
+		}
+		fleet = append(fleet, d)
+	}
+	return fleet, nil
+}
+
 // PresetCapacity returns the named preset's largest single-device and
 // total cloud qubit capacities — the bounds of the Eq. 1 distributed
 // constraint a workload must sit between.
@@ -45,14 +77,18 @@ func PresetCapacity(name string) (maxSingle, total int, err error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("device: unknown fleet preset %q (have %v)", name, PresetNames())
 	}
-	return p.maxSingle, p.total, nil
+	for _, prof := range p.profiles {
+		maxSingle = max(maxSingle, prof.NumQubits)
+		total += prof.NumQubits
+	}
+	return maxSingle, total, nil
 }
 
-// PresetNames lists the registered fleet presets, sorted, with the
+// PresetNames lists the fleet presets, sorted, with the
 // empty default omitted.
 func PresetNames() []string {
 	out := make([]string, 0, len(presets))
-	for name := range presets {
+	for name := range presets { //lint:allow detlint collect-then-sort: the sort.Strings below fixes the order before anyone observes it
 		if name != "" {
 			out = append(out, name)
 		}
@@ -64,7 +100,11 @@ func PresetNames() []string {
 // heteroProfiles describes the mixed-capacity fleet: two full Eagle
 // processors backed by three smaller machines, so allocation policies
 // face genuinely unequal devices (capacity, speed, and calibration all
-// vary) instead of the paper's uniform 127-qubit cloud.
+// vary) instead of the paper's uniform 127-qubit cloud. That is
+// 127+127+80+65+27 qubits (426 total, largest device 127 — the paper's
+// q ∈ [130,250] workload still satisfies Eq. 1 on it). Sub-Eagle
+// devices use a heavy-hex lattice trimmed to their qubit count (see
+// Topology), like devices described by a Spec.
 func heteroProfiles() []calib.Profile {
 	return []calib.Profile{
 		{
@@ -104,31 +144,4 @@ var heteroCLOPS = map[string]float64{
 	"hx_mid":     180000,
 	"hx_small_a": 200000,
 	"hx_small_b": 220000,
-}
-
-// HeterogeneousFleet builds the mixed-capacity preset: 127+127+80+65+27
-// qubits (426 total, largest device 127 — the paper's q ∈ [130,250]
-// workload still satisfies Eq. 1 on it). Sub-Eagle devices use a
-// heavy-hex lattice trimmed to their qubit count (see Topology), like
-// devices described by a Spec.
-func HeterogeneousFleet(env *sim.Environment, seed int64, opts ...Option) ([]*Device, error) {
-	rng := rand.New(rand.NewSource(seed))
-	var fleet []*Device
-	for _, p := range heteroProfiles() {
-		topo, err := Topology("heavy-hex", p.NumQubits)
-		if err != nil {
-			return nil, err
-		}
-		snap := calib.Synthesize(rng, p, topo.Edges(), calib.CalibrationTimestamp)
-		clops, ok := heteroCLOPS[p.Name]
-		if !ok {
-			return nil, fmt.Errorf("device: no CLOPS rating for %s", p.Name)
-		}
-		d, err := New(env, topo, snap, clops, calib.StandardQuantumVolume, opts...)
-		if err != nil {
-			return nil, err
-		}
-		fleet = append(fleet, d)
-	}
-	return fleet, nil
 }

@@ -12,8 +12,7 @@
 // over the matrices of a Spec. Every task runs on the in-process
 // worker pool, and for fixed seeds the manifest is the same whatever
 // the pool size (ExecOptions.Workers). Allocation strategies resolve
-// through the internal/policy registry, so a new policy plugs in
-// without touching this package.
+// by name through policy.New, so every policy.Names entry is a mode.
 //
 // Beside the manifest path sit the single-run and figure primitives:
 // CaseStudy.RunMode (one full simulation, with per-job records),
@@ -149,11 +148,9 @@ func (cs *CaseStudy) TrainRL(onIter func(rl.TrainStats)) (*rl.GaussianPolicy, []
 	return pol, hist, nil
 }
 
-// policyFor resolves a mode name through the policy registry. Any
-// registered policy is a valid mode; model-requiring policies (rlbase)
-// get the case study's trained PPO policy as their model handle, so new
-// allocation strategies plug in by registration without touching this
-// package.
+// policyFor resolves a mode name through policy.New. Any policy name is
+// a valid mode; model-requiring policies (rlbase) deploy the case
+// study's trained PPO policy.
 func (cs *CaseStudy) policyFor(mode string) (policy.Policy, error) {
 	if err := checkMode(mode); err != nil {
 		return nil, err
@@ -164,7 +161,7 @@ func (cs *CaseStudy) policyFor(mode string) (policy.Policy, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.Model = trained
+		p.Model = rlsched.Deploy(trained)
 	}
 	return policy.New(mode, p)
 }

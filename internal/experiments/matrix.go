@@ -65,8 +65,8 @@ func (m TaskMatrix) modes() []string {
 	}
 }
 
-// checkMode rejects strategies RunMode would reject — any name without
-// a registered policy factory — so a malformed matrix fails during
+// checkMode rejects strategies RunMode would reject — any name that is
+// not a policy.Names entry — so a malformed matrix fails during
 // planning, before any task runs, rather than deep inside a worker.
 func checkMode(mode string) error {
 	if !policy.Registered(mode) {

@@ -24,7 +24,7 @@ func (cs *CaseStudy) snapshot() *CaseStudy {
 }
 
 // ensureTrained trains the PPO policy up front when any requested mode
-// needs a model (per the policy registry), so worker snapshots share
+// needs a model (policy.NeedsModel), so worker snapshots share
 // identical (cloned) weights and training cost is paid once rather
 // than once per task.
 func (cs *CaseStudy) ensureTrained(modes ...string) error {

@@ -48,7 +48,7 @@ func ScenarioNames() []string {
 
 // HeteroFleet is the paper's workload on a mixed-capacity cloud
 // (127+127+80+65+27 qubits, with the small devices rated fastest —
-// see device.HeterogeneousFleet). Capacity drops from 635 to 426
+// the "hetero" device.PresetFleet). Capacity drops from 635 to 426
 // qubits while every job still needs at least two devices, so the
 // speed/fidelity trade-off sharpens: policies must now also decide
 // whether to touch the slow large machines at all.

@@ -76,7 +76,7 @@ func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 // determinism.
 func (g *Graph) Edges() [][2]int {
 	edges := make([][2]int, 0, len(g.edgeSet))
-	for e := range g.edgeSet {
+	for e := range g.edgeSet { //lint:allow detlint collect-then-sort: the sort.Slice below fixes the order before anyone observes it
 		edges = append(edges, e)
 	}
 	sort.Slice(edges, func(i, j int) bool {

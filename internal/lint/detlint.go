@@ -9,8 +9,9 @@ import (
 const detName = "detlint"
 
 // deterministicPackages are the packages whose output feeds
-// byte-identity gates: records, manifests, and the executors that
-// produce them. detlint applies to them and their subpackages.
+// byte-identity gates: records, manifests, the executors that produce
+// them, and the fleet, workload and policy inputs they run on. detlint
+// applies to them and their subpackages.
 var deterministicPackages = []string{
 	"repro/internal/core",
 	"repro/internal/sim",
@@ -18,6 +19,11 @@ var deterministicPackages = []string{
 	"repro/internal/records",
 	"repro/internal/rl",
 	"repro/internal/nn",
+	"repro/internal/policy",
+	"repro/internal/device",
+	"repro/internal/calib",
+	"repro/internal/job",
+	"repro/internal/graph",
 }
 
 // detRandExempt lists math/rand functions that construct seeded

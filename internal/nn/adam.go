@@ -58,6 +58,3 @@ func (a *Adam) Step(params, grads [][]float64) {
 		}
 	}
 }
-
-// StepCount returns the number of updates applied so far.
-func (a *Adam) StepCount() int { return a.step }

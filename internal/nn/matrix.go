@@ -289,27 +289,3 @@ func (m *Mat) XavierInit(rng *rand.Rand, gain float64) {
 		m.Data[i] = rng.Float64()*2*a - a
 	}
 }
-
-// VecAdd returns a+b elementwise in a new slice.
-func VecAdd(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("nn: VecAdd length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("nn: Dot length mismatch")
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}

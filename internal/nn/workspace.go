@@ -52,9 +52,6 @@ func NewWorkspace(m *MLP, batch int) *Workspace {
 	return w
 }
 
-// Rows returns the current batch size set by the last Input call.
-func (w *Workspace) Rows() int { return w.acts[0].Rows }
-
 // Input resizes every view to rows samples (1 ≤ rows ≤ the batch given
 // to NewWorkspace) and returns the input matrix for the caller to fill
 // before ForwardBatch.

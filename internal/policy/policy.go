@@ -9,11 +9,10 @@
 // yet and must wait. Partitioning and execution are shared by all modes
 // (Algorithm 1); only selection differs.
 //
-// Policies resolve by name through this package's registry (Register,
-// RegisterModel, New): the shipped heuristics self-register, rlbase
-// registers from internal/rlsched as a model-requiring policy, and any
-// registered name is a valid experiments task-matrix mode and
-// config-file policy without touching the harness.
+// Policies resolve by name through one fixed, name-ordered table (New,
+// Names): the heuristics, and rlbase, which needs a trained model in
+// Params.Model (internal/rlsched's Deploy builds one). Every name is a
+// valid experiments task-matrix mode and config-file policy.
 package policy
 
 import (

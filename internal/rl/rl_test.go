@@ -13,18 +13,13 @@ func TestBoxBasics(t *testing.T) {
 	if b.Dim() != 3 {
 		t.Fatalf("Dim = %d", b.Dim())
 	}
-	if !b.Contains([]float64{0, 0.5, -1}) {
-		t.Fatal("point should be contained")
-	}
-	if b.Contains([]float64{0, 2, 0}) || b.Contains([]float64{0, 0}) {
-		t.Fatal("out-of-bounds or wrong-dim point contained")
-	}
-	if b.Contains([]float64{math.NaN(), 0, 0}) {
-		t.Fatal("NaN should not be contained")
-	}
-	c := b.Clip([]float64{-5, 0.2, 7})
+	x := []float64{-5, 0.2, 7}
+	c := b.ClipInto(x, make([]float64, 3))
 	if c[0] != -1 || c[1] != 0.2 || c[2] != 1 {
-		t.Fatalf("Clip = %v", c)
+		t.Fatalf("ClipInto = %v", c)
+	}
+	if x[0] != -5 || x[2] != 7 {
+		t.Fatalf("ClipInto modified its input: %v", x)
 	}
 }
 
@@ -32,7 +27,8 @@ func TestBoxValidation(t *testing.T) {
 	for i, fn := range []func(){
 		func() { NewBox(0, 1, 0) },
 		func() { NewBox(1, 1, 2) },
-		func() { NewBox(-1, 1, 2).Clip([]float64{0}) },
+		func() { NewBox(-1, 1, 2).ClipInto([]float64{0}, []float64{0}) },
+		func() { NewBox(-1, 1, 2).ClipInto([]float64{0, 0}, []float64{0}) },
 	} {
 		func() {
 			defer func() {

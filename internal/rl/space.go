@@ -37,31 +37,13 @@ func NewBox(low, high float64, dim int) Box {
 // Dim returns the dimensionality of the space.
 func (b Box) Dim() int { return len(b.Low) }
 
-// Contains reports whether x lies within the box (inclusive).
-func (b Box) Contains(x []float64) bool {
-	if len(x) != len(b.Low) {
-		return false
-	}
-	for i, v := range x {
-		if math.IsNaN(v) || v < b.Low[i] || v > b.High[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Clip returns a copy of x with each component clamped into the box.
-func (b Box) Clip(x []float64) []float64 {
-	out := make([]float64, len(x))
-	return b.ClipInto(x, out)
-}
-
-// ClipInto is the allocation-free Clip: each component of x is clamped
-// into the box and written to out (same length as x), which is
-// returned. x itself is never modified.
+// ClipInto clamps each component of x into the box and writes it to
+// out (same length as x), which is returned. x itself is never
+// modified, and no call allocates. It panics when x does not have the
+// box's dimension.
 func (b Box) ClipInto(x, out []float64) []float64 {
 	if len(x) != len(b.Low) {
-		panic(fmt.Sprintf("rl: Clip dim %d, want %d", len(x), len(b.Low)))
+		panic(fmt.Sprintf("rl: ClipInto dim %d, want %d", len(x), len(b.Low)))
 	}
 	if len(out) != len(x) {
 		panic(fmt.Sprintf("rl: ClipInto out dim %d, want %d", len(out), len(x)))

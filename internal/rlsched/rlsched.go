@@ -367,21 +367,19 @@ func NewRLPolicy(trained *rl.GaussianPolicy, seed int64) *RLPolicy {
 	}
 }
 
-// The rlbase mode plugs into the policy registry like the heuristics,
-// but as a model-requiring entry: callers must train (or load) the
-// Gaussian policy first and pass it via policy.Params.Model. The
-// registry stays ignorant of the learning stack; this init is the one
-// place the two meet.
-func init() {
-	policy.MustRegisterModel("rlbase", func(p policy.Params) (policy.Policy, error) {
-		trained, ok := p.Model.(*rl.GaussianPolicy)
-		if !ok || trained == nil {
-			return nil, fmt.Errorf("rlsched: rlbase needs a trained *rl.GaussianPolicy in Params.Model, have %T", p.Model)
-		}
-		rp := NewRLPolicy(trained, p.Seed)
-		rp.Deterministic = p.Deterministic
-		return rp, nil
-	})
+// Deploy wraps a trained Gaussian policy as the model policy.New builds
+// "rlbase" from: Params.Seed seeds NewRLPolicy and Params.Deterministic
+// sets its deployment mode. A nil network gives a nil model, which New
+// refuses.
+func Deploy(trained *rl.GaussianPolicy) policy.Model {
+	if trained == nil {
+		return nil
+	}
+	return func(seed int64, deterministic bool) policy.Policy {
+		rp := NewRLPolicy(trained, seed)
+		rp.Deterministic = deterministic
+		return rp
+	}
 }
 
 // Name implements policy.Policy.

@@ -229,20 +229,6 @@ func (h *Histogram) Mode() float64 {
 	return h.BinCenter(best)
 }
 
-// Fraction returns the share of samples in bins whose center is >= x.
-func (h *Histogram) Fraction(x float64) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	n := 0
-	for i, c := range h.Counts {
-		if h.BinCenter(i) >= x {
-			n += c
-		}
-	}
-	return float64(n) / float64(h.Total)
-}
-
 // RenderASCII draws the histogram as a horizontal bar chart, one row per
 // bin, scaled to width characters.
 func (h *Histogram) RenderASCII(w io.Writer, width int) error {

@@ -69,17 +69,6 @@ func TestHistogramEdgeValue(t *testing.T) {
 	}
 }
 
-func TestHistogramFraction(t *testing.T) {
-	h := NewHistogram([]float64{0.1, 0.6, 0.7, 0.9}, 0, 1, 10)
-	if got := h.Fraction(0.5); math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("Fraction(0.5) = %g, want 0.75", got)
-	}
-	empty := NewHistogram(nil, 0, 1, 10)
-	if empty.Fraction(0.5) != 0 {
-		t.Fatal("empty fraction should be 0")
-	}
-}
-
 func TestHistogramValidation(t *testing.T) {
 	for i, fn := range []func(){
 		func() { NewHistogram(nil, 0, 1, 0) },
