@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -685,6 +686,85 @@ func BenchmarkBrokerBackfillBacklog(b *testing.B) {
 	b.StopTimer()
 	if br.QueueDepth() != backlog || br.Active() != 1 {
 		b.Fatalf("backlog %d, active %d: the cycle disturbed the saturated fleet", br.QueueDepth(), br.Active())
+	}
+}
+
+// countedFidelity is Fidelity, policy.SizeRule mark included, with its
+// Allocate calls counted.
+type countedFidelity struct {
+	policy.Fidelity
+	calls int
+}
+
+func (p *countedFidelity) Allocate(j *job.QJob, devices []policy.DeviceState) []policy.Allocation {
+	p.calls++
+	return p.Fidelity.Allocate(j, devices)
+}
+
+// BenchmarkBrokerBackfillBacklogFidelity is BenchmarkBrokerBackfillBacklog's
+// backlog under the fidelity policy, whose designated set for every
+// queued job (130–250 qubits: the two lowest-error devices) is held
+// behind the broker's back but for 100 qubits on the best device. The
+// other three devices are free, so every queued job fits in the free
+// qubits and the policy is consulted, and refuses. One op is one
+// 100-qubit job's cycle on the best device; calls/op counts the
+// Allocate calls its admission, placement and release passes make,
+// which the broker's refused-by-size memo keeps near one per distinct
+// queued size rather than one per queued job.
+func BenchmarkBrokerBackfillBacklogFidelity(b *testing.B) {
+	const backlog, free = 1000, 100
+	env := sim.NewEnvironment()
+	fleet, err := deviceFleet(env)
+	if err != nil {
+		b.Fatal(err)
+	}
+	best := slices.Clone(fleet)
+	slices.SortFunc(best, func(x, y *device.Device) int { return cmp.Compare(x.ErrorScore(), y.ErrorScore()) })
+	var holds [2]device.Allocation
+	for i, d := range best[:2] {
+		q := d.NumQubits()
+		if i == 0 {
+			q -= free
+		}
+		if err := d.AllocateInto(q, &holds[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cfg := coreDefaultConfig()
+	cfg.Backfill = true
+	pol := &countedFidelity{}
+	br, err := core.NewBroker(env, fleet, pol, cfg, discardRecorder{}, 128)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < backlog; i++ {
+		q := 130 + rng.Intn(121)
+		br.Admit(&job.QJob{ID: fmt.Sprintf("backlog-%d", i), NumQubits: q, Depth: 10, Shots: 20000, TwoQubitGates: q})
+	}
+	short := &job.QJob{ID: "short", NumQubits: free, Depth: 5, Shots: 1000, TwoQubitGates: 50}
+	cycle := func() {
+		br.Admit(short)
+		if br.Active() != 1 {
+			b.Fatal("fidelity did not place the short job on the best device")
+		}
+		for br.Active() > 0 {
+			if err := env.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	cycle() // warm the run pool and the event heap
+	pol.calls = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(pol.calls)/float64(b.N), "calls/op")
+	if br.QueueDepth() != backlog {
+		b.Fatalf("backlog %d: the cycle placed a queued job", br.QueueDepth())
 	}
 }
 

@@ -484,8 +484,10 @@ func (s *server) serveRealTime(ctx context.Context, in io.Reader, errOut io.Writ
 			stdinErr <- s.feed(ctx, in, "", 0, jobs)
 		}()
 	}
+	//lint:allow detlint real-time serving paces the simulation clock by the wall clock on purpose; logical time (-time-scale 0) never reads it
 	s.wallStart = time.Now()
 	s.runRealTime(ctx, jobs)
+	//lint:allow detlint either case ends the run with nothing left to record; the error or the cancellation only picks the exit status
 	select {
 	case err := <-stdinErr:
 		return err
@@ -617,6 +619,7 @@ func (s *server) feed(ctx context.Context, r io.Reader, remote string, connID in
 		if err != nil {
 			return err
 		}
+		//lint:allow detlint cancellation only stops the feed; a job races the context, which real-time serving cannot order anyway
 		select {
 		case jobs <- j:
 		case <-ctx.Done():
@@ -641,6 +644,7 @@ func (s *server) runRealTime(ctx context.Context, jobs <-chan *job.QJob) {
 		s.gw.AdvanceTo(simStart + time.Since(s.wallStart).Seconds()*s.opts.timeScale)
 	}
 	for {
+		//lint:allow detlint real-time admission follows wall-clock delivery by design; the deterministic replay path is serveLogical
 		select {
 		case <-ctx.Done():
 			return

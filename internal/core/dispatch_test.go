@@ -9,8 +9,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/job"
 	"repro/internal/policy"
-	"repro/internal/rl"
-	"repro/internal/rlsched"
 	"repro/internal/sim"
 )
 
@@ -36,6 +34,13 @@ func (p *countingPolicy) Allocate(j *job.QJob, devices []policy.DeviceState) []p
 	}
 	return p.Policy.Allocate(j, devices)
 }
+
+// markedPolicy is a countingPolicy that forwards the policy.SizeRule
+// mark, which countingPolicy's embedded interface hides: the broker
+// remembers its refusals by size.
+type markedPolicy struct{ *countingPolicy }
+
+func (markedPolicy) RefusesBySize() {}
 
 // The broker never asks the policy to place a job larger than the
 // fleet's free qubits. Speed places a job exactly when it fits, so each
@@ -67,69 +72,6 @@ func TestDispatchSkipsOversizedJobs(t *testing.T) {
 			if n := pol.perJob[j.ID]; n != 1 {
 				t.Errorf("backfill=%v: %s saw %d Allocate calls, want 1", backfill, j.ID, n)
 			}
-		}
-	}
-}
-
-// randomStates draws a ranked fleet snapshot of 1..5 devices (rlbase
-// encodes at most five) with arbitrary occupancy, scores and
-// utilization.
-func randomStates(rng *rand.Rand) []policy.DeviceState {
-	names := []string{"ibm_strasbourg", "ibm_brussels", "ibm_kyiv", "ibm_quebec", "ibm_kawasaki"}
-	out := make([]policy.DeviceState, 1+rng.Intn(len(names)))
-	for i := range out {
-		capacity := 27 + rng.Intn(101)
-		out[i] = policy.DeviceState{
-			Index:       i,
-			Name:        names[i],
-			Free:        rng.Intn(capacity + 1),
-			Capacity:    capacity,
-			ErrorScore:  0.005 + 0.01*rng.Float64(),
-			CLOPS:       float64(20000 + rng.Intn(200000)),
-			Utilization: rng.Float64(),
-			Eps1Q:       1e-4 * rng.Float64(),
-			Eps2Q:       1e-2 * rng.Float64(),
-			EpsRO:       2e-2 * rng.Float64(),
-		}
-	}
-	policy.RankByError(out)
-	return out
-}
-
-// One snapshot serves a whole dispatch pass, so no policy may write to
-// it: every named policy (rlbase on an untrained net) must leave a
-// random snapshot exactly as it found it, whether it places or waits.
-func TestPoliciesLeaveSnapshotUnchanged(t *testing.T) {
-	untrained := rl.NewGaussianPolicy(rand.New(rand.NewSource(3)), rlsched.StateDim, rlsched.NumDevices, 16, 16)
-	rng := rand.New(rand.NewSource(42))
-	for _, name := range policy.Names() {
-		params := policy.Params{Seed: 11}
-		if policy.NeedsModel(name) {
-			params.Model = rlsched.Deploy(untrained)
-		}
-		pol, err := policy.New(name, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		placed := 0
-		for trial := 0; trial < 300; trial++ {
-			states := randomStates(rng)
-			before := slices.Clone(states)
-			capacity := 0
-			for _, d := range states {
-				capacity += d.Capacity
-			}
-			q := 1 + rng.Intn(capacity+50)
-			j := &job.QJob{ID: "snap", NumQubits: q, Depth: 10, Shots: 1000, TwoQubitGates: q}
-			if pol.Allocate(j, states) != nil {
-				placed++
-			}
-			if !slices.Equal(states, before) {
-				t.Fatalf("%s modified the snapshot:\nbefore %+v\nafter  %+v", name, before, states)
-			}
-		}
-		if placed == 0 {
-			t.Errorf("%s placed no job in 300 trials: the snapshot check saw only waits", name)
 		}
 	}
 }
@@ -203,35 +145,153 @@ func releasePass(tb testing.TB, b *Broker, holds []device.Allocation) {
 // under backfill. That pass must not allocate, whether the policy is
 // skipped (Speed: too few qubits free for any queued job) or consulted
 // and rejects every job (Fidelity: the fleet has room but its
-// designated low-error devices do not).
+// designated low-error devices do not). Unmarked, Fidelity is asked
+// about every queued job on every pass. With its policy.SizeRule mark
+// it is asked once per distinct queued size: the marked case lets the
+// broker see the holds taken back, so each release grows Free behind
+// its back and must clear the refusals of the pass before.
 func TestBrokerBackfillPassAllocFree(t *testing.T) {
 	const n = 1000
 	for _, c := range []struct {
 		pol         policy.Policy
+		marked      bool
 		hold        int
-		callsPerRun int
+		callsPerRun int // marked: at most, one per distinct size in 130–250
 	}{
-		{policy.Speed{}, 100, 0},
-		{policy.Fidelity{}, 2 * 127, n},
+		{policy.Speed{}, false, 100, 0},
+		{policy.Fidelity{}, false, 2 * 127, n},
+		{policy.Fidelity{}, true, 2 * 127, 250 - 130 + 1},
 	} {
-		pol := &countingPolicy{Policy: c.pol}
+		name := c.pol.Name()
+		counted := &countingPolicy{Policy: c.pol}
+		var pol policy.Policy = counted
+		pass := func(b *Broker, holds []device.Allocation) { releasePass(t, b, holds) }
+		if c.marked {
+			name += " (marked)"
+			pol = markedPolicy{counted}
+			pass = func(b *Broker, holds []device.Allocation) {
+				releasePass(t, b, holds)
+				b.dispatch()
+			}
+		}
 		b, holds := newBacklogBroker(t, pol, n, c.hold)
-		releasePass(t, b, holds) // warm up
-		pol.calls = 0
+		want := c.callsPerRun
+		if c.marked {
+			if want = distinctSizes(b); want > c.callsPerRun {
+				t.Fatalf("%s: %d distinct backlog sizes, want at most %d", name, want, c.callsPerRun)
+			}
+		}
+		pass(b, holds) // warm up
+		counted.calls = 0
 		const runs = 50
-		avg := testing.AllocsPerRun(runs, func() { releasePass(t, b, holds) })
+		avg := testing.AllocsPerRun(runs, func() { pass(b, holds) })
 		if avg != 0 {
-			t.Errorf("%s: release + backfill pass allocates %.2f/op, want 0", c.pol.Name(), avg)
+			t.Errorf("%s: release + backfill pass allocates %.2f/op, want 0", name, avg)
 		}
 		// AllocsPerRun adds one warm-up call.
-		if want := (runs + 1) * c.callsPerRun; pol.calls != want {
-			t.Errorf("%s: %d Allocate calls, want %d", c.pol.Name(), pol.calls, want)
+		if want := (runs + 1) * want; counted.calls != want {
+			t.Errorf("%s: %d Allocate calls, want %d", name, counted.calls, want)
 		}
-		if pol.oversized != 0 {
-			t.Errorf("%s: %d calls for jobs larger than the free qubits", c.pol.Name(), pol.oversized)
+		if counted.oversized != 0 {
+			t.Errorf("%s: %d calls for jobs larger than the free qubits", name, counted.oversized)
 		}
 		if b.QueueDepth() != n || b.Active() != 1 {
-			t.Errorf("%s: pass placed a job: queue %d, active %d", c.pol.Name(), b.QueueDepth(), b.Active())
+			t.Errorf("%s: pass placed a job: queue %d, active %d", name, b.QueueDepth(), b.Active())
 		}
+	}
+}
+
+// distinctSizes counts the distinct qubit counts in the broker's queue.
+func distinctSizes(b *Broker) int {
+	seen := make(map[int]bool)
+	for _, pj := range b.pending[b.head:] {
+		seen[pj.j.NumQubits] = true
+	}
+	return len(seen)
+}
+
+// The refused-by-size memo skips only calls whose answer is known to
+// be nil: Fidelity with its policy.SizeRule mark writes the same
+// records as Fidelity behind a wrapper that hides the mark, over random
+// small workloads in FIFO and backfill, with drift on and off, and
+// asks fewer questions doing so.
+func TestSizeMemoKeepsRecords(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	backfill := DefaultConfig()
+	backfill.Backfill = true
+	plainCalls, markedCalls := 0, 0
+	for trial := 0; trial < 6; trial++ {
+		wl := job.DefaultSyntheticConfig()
+		wl.N = 20 + rng.Intn(40)
+		wl.Seed = rng.Int63()
+		wl.MeanInterarrival = 1 + 10*rng.Float64()
+		wl.MinQubits = 5 + rng.Intn(100)
+		drift := DriftConfig{IntervalS: 50 + 200*rng.Float64(), Rel: 0.5, Seed: rng.Int63()}
+		for _, cfg := range []Config{DefaultConfig(), backfill} {
+			for _, d := range []DriftConfig{{}, drift} {
+				plain := &countingPolicy{Policy: policy.Fidelity{}}
+				marked := markedPolicy{&countingPolicy{Policy: policy.Fidelity{}}}
+				want := pinnedDigest(t, synthetic(t, wl), plain, cfg, d)
+				if got := pinnedDigest(t, synthetic(t, wl), marked, cfg, d); got != want {
+					t.Errorf("workload %+v, backfill %v, drift %+v: records %s with the mark, %s without",
+						wl, cfg.Backfill, d, got, want)
+				}
+				plainCalls += plain.calls
+				markedCalls += marked.calls
+			}
+		}
+	}
+	if markedCalls >= plainCalls {
+		t.Errorf("%d Allocate calls with the mark, %d without: the memo skipped nothing", markedCalls, plainCalls)
+	}
+}
+
+// synthetic generates the workload wl describes.
+func synthetic(t *testing.T, wl job.SyntheticConfig) []*job.QJob {
+	t.Helper()
+	jobs, err := job.Synthetic(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
+
+// newBacklogBroker's wall job fills Fidelity's designated devices, so
+// releasePass, which frees only the worst devices, never lets a queued
+// job place; this fleet frees the best one instead. A refusal made
+// while its qubits are held behind the broker's back is remembered, and
+// releasing them behind its back makes the next pass forget it and
+// place the job.
+func TestSizeMemoForgetsBehindTheBackRelease(t *testing.T) {
+	env := sim.NewEnvironment()
+	fleet, err := device.StandardFleet(env, 2025)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &countingPolicy{Policy: policy.Fidelity{}}
+	b, err := NewBroker(env, fleet, markedPolicy{counted}, DefaultConfig(), nopRecorder{}, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := slices.MinFunc(fleet, func(x, y *device.Device) int { return cmp.Compare(x.ErrorScore(), y.ErrorScore()) })
+	hold := []device.Allocation{{}}
+	if err := best.AllocateInto(best.NumQubits(), &hold[0]); err != nil {
+		t.Fatal(err)
+	}
+	b.Admit(&job.QJob{ID: "a", NumQubits: 100, Depth: 10, Shots: 20000, TwoQubitGates: 100})
+	b.Admit(&job.QJob{ID: "b", NumQubits: 100, Depth: 5, Shots: 1000, TwoQubitGates: 7})
+	b.dispatch()
+	if counted.calls != 1 || b.Active() != 0 {
+		t.Fatalf("two 100-qubit jobs with the best device held: %d calls, %d placed; want 1 call, none placed",
+			counted.calls, b.Active())
+	}
+	if err := best.ReleaseDirect(&hold[0]); err != nil {
+		t.Fatal(err)
+	}
+	b.dispatch()
+	// a places on the best device; b, asked again, finds 27 qubits there.
+	if counted.calls != 3 || b.Active() != 1 || b.QueueDepth() != 1 {
+		t.Errorf("after the release: %d calls, %d placed, %d queued; want 3 calls, 1 placed, 1 queued",
+			counted.calls, b.Active(), b.QueueDepth())
 	}
 }

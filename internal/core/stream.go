@@ -243,6 +243,15 @@ type Broker struct {
 	ranks        []int
 	rankedScores []float64
 
+	// refused[q] records that the policy refused a q-qubit job under a
+	// snapshot the current one has only shrunk from; nil unless the
+	// policy is a policy.SizeRule. memoFree and memoRank hold each
+	// device's Free and ErrorRank from the previous dispatch pass; a
+	// device's Capacity, the rule's third input, never changes.
+	refused  []bool
+	memoFree []int
+	memoRank []int
+
 	admission AdmissionConfig
 	admStats  AdmissionStats
 	inflight  map[string]int // per-tenant queued+executing counts
@@ -312,6 +321,11 @@ func NewBroker(env *sim.Environment, fleet []*device.Device, pol policy.Policy, 
 	}
 	for i := range b.rankedScores {
 		b.rankedScores[i] = math.NaN()
+	}
+	if _, ok := pol.(policy.SizeRule); ok {
+		b.refused = make([]bool, device.TotalCapacity(fleet)+1)
+		b.memoFree = make([]int, len(fleet))
+		b.memoRank = make([]int, len(fleet))
 	}
 	if d := cfg.Drift; d.Enabled() {
 		b.driftRNG = rand.New(rand.NewSource(d.Seed))
@@ -519,18 +533,28 @@ func (b *Broker) statesInto() []policy.DeviceState {
 // Each pass takes one fleet snapshot: neither the clock nor any device
 // changes between decisions until a placement, which restarts the pass.
 // A job larger than the fleet's free qubits is skipped without asking
-// the policy, whose contract forces nil there.
+// the policy, whose contract forces nil there. Under a policy.SizeRule
+// policy, so is a job whose size the policy already refused (see
+// forgetRefusals).
 //
 //repro:noalloc
 func (b *Broker) dispatch() {
 	for b.QueueDepth() > 0 {
 		placedAny := false
 		states := b.statesInto()
+		b.forgetRefusals(states)
 		free := device.TotalFree(b.devices)
 		for idx, pj := range b.pending[b.head:] {
 			var allocs []policy.Allocation
-			if pj.j.NumQubits <= free {
+			// A SizeRule table covers sizes 0..capacity, so it holds
+			// every q that fits the free qubits but a negative one.
+			q := pj.j.NumQubits
+			memo := uint(q) < uint(len(b.refused))
+			if q <= free && !(memo && b.refused[q]) {
 				allocs = b.pol.Allocate(pj.j, states)
+				if allocs == nil && memo {
+					b.refused[q] = true
+				}
 			}
 			if allocs != nil {
 				if err := policy.Validate(pj.j, states, allocs); err != nil {
@@ -548,6 +572,28 @@ func (b *Broker) dispatch() {
 		if !placedAny {
 			return
 		}
+	}
+}
+
+// forgetRefusals clears the refused-by-size table when a device's Free
+// grew or a rank changed since the previous pass. It reads the snapshot, not the events that changed it,
+// so releases, drift steps, restores and qubits released behind the
+// broker's back all count. A refusal made under a larger snapshot
+// still holds under this one, as policy.SizeRule promises.
+//
+//repro:noalloc
+func (b *Broker) forgetRefusals(states []policy.DeviceState) {
+	if b.refused == nil {
+		return
+	}
+	stale := false
+	for i := range states {
+		s := &states[i]
+		stale = stale || s.Free > b.memoFree[i] || s.ErrorRank != b.memoRank[i]
+		b.memoFree[i], b.memoRank[i] = s.Free, s.ErrorRank
+	}
+	if stale {
+		clear(b.refused)
 	}
 }
 

@@ -70,8 +70,25 @@ type Policy interface {
 	// per dispatch pass and shows it to every queued job in turn. The
 	// snapshot's ErrorRank fields are set (RankByError). The broker
 	// does not call Allocate for a job larger than the fleet's free
-	// qubits, where the contract above forces nil anyway.
+	// qubits, where the contract above forces nil anyway, nor, for a
+	// SizeRule policy, for a size it already refused under a snapshot
+	// that has only shrunk since.
 	Allocate(j *job.QJob, devices []DeviceState) []Allocation
+}
+
+// SizeRule marks a policy whose refusals the broker may remember by job
+// size. A policy implements it only if all three hold:
+//   - it keeps no state between calls;
+//   - whether Allocate returns nil depends only on j.NumQubits and the
+//     snapshot's Free, Capacity and ErrorRank;
+//   - a refusal still holds after any device's Free shrinks.
+//
+// The broker then asks about each refused size once, until a device's
+// Free grows or a rank changes. A policy that places every job that
+// fits in the free qubits gains nothing from the mark, and one that
+// draws randomness per call (rlbase) must never carry it.
+type SizeRule interface {
+	RefusesBySize()
 }
 
 // maxStackDevices sizes the on-stack device ranking buffers: fleets up
@@ -310,6 +327,11 @@ type Fidelity struct{}
 
 // Name implements Policy.
 func (Fidelity) Name() string { return "fidelity" }
+
+// RefusesBySize implements SizeRule: Fidelity refuses a job when the
+// designated set, picked by Capacity in ErrorRank order, is too small
+// or has too few Free qubits, and fewer Free qubits keep it too few.
+func (Fidelity) RefusesBySize() {}
 
 // Allocate implements Policy.
 func (Fidelity) Allocate(j *job.QJob, devices []DeviceState) []Allocation {
