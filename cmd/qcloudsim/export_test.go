@@ -65,8 +65,9 @@ func TestServeExportRefusedRetry(t *testing.T) {
 // BenchmarkServeExport is the in-process -serve rung: runServe in
 // logical time over 20k canonical NDJSON jobs (mkworkload's shape at
 // seed 1, -interarrival 400, -policy fair), with and without -export
-// into a temp dir. One op is one whole run; jobs/s and allocs/job are
-// per streamed job.
+// into a temp dir. Stdout is a pipe that a goroutine drains, so each
+// lifecycle write costs the system call it costs qcloudsim. One op is
+// one whole run; jobs/s and allocs/job are per streamed job.
 func BenchmarkServeExport(b *testing.B) {
 	const n = 20000
 	cfg := job.DefaultSyntheticConfig()
@@ -93,11 +94,25 @@ func BenchmarkServeExport(b *testing.B) {
 			if export {
 				opts.export = filepath.Join(b.TempDir(), "export.csv")
 			}
+			r, w, err := os.Pipe()
+			if err != nil {
+				b.Fatal(err)
+			}
+			drained := make(chan struct{})
+			go func() {
+				defer close(drained)
+				io.Copy(io.Discard, r) //lint:allow errlint the drain ends when the write end closes; a read error only ends it sooner
+			}()
+			defer func() {
+				w.Close()
+				<-drained
+				r.Close()
+			}()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				err := runServe(context.Background(), opts, bytes.NewReader(stream.Bytes()), io.Discard, io.Discard)
+				err := runServe(context.Background(), opts, bytes.NewReader(stream.Bytes()), w, io.Discard)
 				if err != nil {
 					b.Fatal(err)
 				}

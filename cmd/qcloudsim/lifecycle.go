@@ -9,17 +9,23 @@ import (
 	"repro/internal/job"
 )
 
-// emitChunk bounds the lifecycle lines held between flushes: a gateway
-// call that produces more (a drain of a deep queue, a huge HTTP batch)
-// writes them in pieces of about this size rather than growing the
-// buffer without limit.
-const emitChunk = 64 << 10
+// emitChunk bounds the lifecycle lines held between flushes: once the
+// held lines pass it they are written, whole, at once. It bounds both a
+// single gateway call that produces many lines (the drain of a deep
+// queue, a huge HTTP batch) and the lines the logical-time stdin loop
+// holds across stream lines. It is kept small because a held line is a
+// late line: the first line of a long burst waits until the bound
+// fills, for a quarter of the jobs at 16 KiB that it waited for at
+// 64 KiB.
+const emitChunk = 16 << 10
 
 // finishEmitter streams job lifecycle events as JSON lines. Each event
 // appends one line to a reused buffer; flush writes the buffered lines
-// in one call. The broker's gateway flushes at the end of every call
-// that drives the broker, so the lines a call produces reach the output
-// in one write before the call returns.
+// in one call. The gateway flushes at the end of every call that drives
+// the broker, except the logical-time stdin loop's submits
+// (Gateway.SubmitHeld), whose lines it holds until the loop reads more
+// of stdin, a checkpoint is written or the loop returns; and the
+// emitter writes whenever its lines pass emitChunk.
 //
 // The bytes are exactly json.Encoder's for the line
 //

@@ -7,10 +7,15 @@ import (
 	"errors"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/job"
 )
 
@@ -131,26 +136,167 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return w.Buffer.Write(p)
 }
 
-// A logical serve makes at most one stdout write per gateway call (one
-// Submit per stream line, plus the final Drain), each a run of whole
-// lines; emitting and flushing every line made three per job.
-func TestServeOneWritePerGatewayCall(t *testing.T) {
+// chunkReader hands out at most size bytes per Read and counts the
+// reads.
+type chunkReader struct {
+	r     io.Reader
+	size  int
+	reads int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	c.reads++
+	if len(p) > c.size {
+		p = p[:c.size]
+	}
+	return c.r.Read(p)
+}
+
+// A logical serve writes its held lifecycle lines once per stdin read,
+// plus once per emitChunk of lines and once at the end, each write a
+// run of whole lines; flushing after every stream line made one write
+// per job, and emitting every line made three.
+func TestServeOneWritePerStdinRead(t *testing.T) {
 	const n = 200
 	jobs := testJobs(t, n)
+	in := &chunkReader{r: bytes.NewReader(ndjson(t, jobs)), size: 1 << 10}
 	var out countingWriter
 	var errOut bytes.Buffer
 	opts := serveOptions{cloud: speedCloud(), window: 64}
-	if err := runServe(context.Background(), opts, bytes.NewReader(ndjson(t, jobs)), &out, &errOut); err != nil {
+	if err := runServe(context.Background(), opts, in, &out, &errOut); err != nil {
 		t.Fatalf("runServe: %v\n%s", err, errOut.Bytes())
 	}
 	if lines := strings.Count(out.String(), "\n"); lines != 3*n {
 		t.Fatalf("lifecycle lines = %d, want %d", lines, 3*n)
 	}
-	if out.writes > n+1 {
-		t.Fatalf("%d stdout writes for %d gateway calls", out.writes, n+1)
+	bound := in.reads + (out.Len()+emitChunk-1)/emitChunk + 1
+	if out.writes > bound {
+		t.Fatalf("%d stdout writes for %d stdin reads and %d bytes, want at most %d", out.writes, in.reads, out.Len(), bound)
 	}
 	if out.torn != 0 {
 		t.Fatalf("%d writes ended mid-line", out.torn)
+	}
+}
+
+// How stdin arrives in pieces does not change a byte of stdout or the
+// export: a stream read whole, one byte per read, or half of each read,
+// with shed drops, calibration drift, two tenants, escaped IDs and
+// checkpoints, gives the same lifecycle lines and rows.
+func TestServeOutputIndependentOfStdinChunking(t *testing.T) {
+	stream := lifecycleWorkload(t)
+	run := func(name string, in io.Reader) (stdout, export []byte) {
+		t.Helper()
+		dir := t.TempDir()
+		c := cloud{policy: "fair", fleetSeed: 2025, cfg: core.DefaultConfig()}
+		c.cfg.Drift = core.DriftConfig{IntervalS: 600, Rel: 0.3, Seed: 5}
+		opts := serveOptions{
+			cloud:           c,
+			window:          64,
+			admit:           core.AdmissionConfig{Policy: core.AdmitShed, MaxQueue: 3},
+			checkpointPath:  filepath.Join(dir, "cp.json"),
+			checkpointEvery: 500,
+			export:          filepath.Join(dir, "export.csv"),
+		}
+		var out, errOut bytes.Buffer
+		if err := runServe(context.Background(), opts, in, &out, &errOut); err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, errOut.Bytes())
+		}
+		export, err := os.ReadFile(opts.export)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes(), export
+	}
+	wantOut, wantExport := run("whole", bytes.NewReader(stream))
+	for _, ev := range []string{"arrival", "start", "finish", "drop"} {
+		if !bytes.Contains(wantOut, []byte(`"event":"`+ev+`"`)) {
+			t.Fatalf("no %s line in the lifecycle stream:\n%s", ev, wantOut)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		in   io.Reader
+	}{
+		{"one byte per read", iotest.OneByteReader(bytes.NewReader(stream))},
+		{"half of each read", iotest.HalfReader(bytes.NewReader(stream))},
+	} {
+		gotOut, gotExport := run(c.name, c.in)
+		if !bytes.Equal(gotOut, wantOut) {
+			t.Errorf("%s: stdout differs from the whole-stream run's (%d vs %d bytes)", c.name, len(gotOut), len(wantOut))
+		}
+		if !bytes.Equal(gotExport, wantExport) {
+			t.Errorf("%s: export differs from the whole-stream run's (%d vs %d bytes)", c.name, len(gotExport), len(wantExport))
+		}
+	}
+}
+
+// watchWriter is a stdout that closes seen once it holds want.
+type watchWriter struct {
+	mu   sync.Mutex
+	buf  bytes.Buffer
+	want []byte
+	seen chan struct{}
+	once sync.Once
+}
+
+func (w *watchWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n, err := w.buf.Write(p)
+	if bytes.Contains(w.buf.Bytes(), w.want) {
+		w.once.Do(func() { close(w.seen) })
+	}
+	return n, err
+}
+
+// stallReader delivers data[:cut] in its first read, then blocks until
+// release is closed (or the timeout passes, which it reports as an
+// error) before it delivers the rest.
+type stallReader struct {
+	data    []byte
+	cut     int
+	off     int
+	release <-chan struct{}
+	timeout time.Duration
+}
+
+func (r *stallReader) Read(p []byte) (int, error) {
+	if r.off == r.cut {
+		select {
+		case <-r.release:
+		case <-time.After(r.timeout):
+			return 0, errors.New("stdin stalled mid-line with the first job's arrival line still held")
+		}
+	}
+	end := len(r.data)
+	if r.off < r.cut {
+		end = r.cut
+	}
+	if r.off == len(r.data) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.data[r.off:end])
+	r.off += n
+	return n, nil
+}
+
+// The loop never waits on stdin while it holds lines: with line 1 and
+// half of line 2 delivered and the rest not yet sent, line 1's arrival
+// line is on stdout.
+func TestServeWritesHeldLinesBeforeWaitingMidLine(t *testing.T) {
+	jobs := testJobs(t, 2)
+	stream := ndjson(t, jobs)
+	line1 := bytes.IndexByte(stream, '\n') + 1
+	out := &watchWriter{want: []byte(`{"event":"arrival","job_id":"` + jobs[0].ID + `"`), seen: make(chan struct{})}
+	in := &stallReader{data: stream, cut: line1 + (len(stream)-line1)/2, release: out.seen, timeout: 10 * time.Second}
+	var errOut bytes.Buffer
+	if err := runServe(context.Background(), serveOptions{cloud: speedCloud(), window: 64}, in, out, &errOut); err != nil {
+		t.Fatalf("runServe: %v\n%s", err, errOut.Bytes())
+	}
+	for _, j := range jobs {
+		if !bytes.Contains(out.buf.Bytes(), []byte(`{"event":"finish","job_id":"`+j.ID+`"`)) {
+			t.Fatalf("no finish line for %s:\n%s", j.ID, out.buf.Bytes())
+		}
 	}
 }
 

@@ -620,11 +620,13 @@ func TestCrashExitStatus(t *testing.T) {
 
 // A real process death: qcloudsim is killed with SIGKILL while it waits
 // for more of its stream, once its checkpoint covers part of it. The
-// -resume run over the whole stream exports the uninterrupted run's
-// bytes.
+// killed run's stdout holds the finish line of every job its last
+// checkpoint covers, and the -resume run over the whole stream exports
+// the uninterrupted run's bytes.
 func TestKillResume(t *testing.T) {
 	dir := t.TempDir()
-	stream := ndjson(t, spacedJobs(t, 40))
+	jobs := spacedJobs(t, 40)
+	stream := ndjson(t, jobs)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	args := func(export string, extra ...string) []string {
@@ -638,6 +640,8 @@ func TestKillResume(t *testing.T) {
 	}
 
 	killed := qcloudsimCmd(t, ctx, args("kill.csv")...)
+	var killedOut bytes.Buffer
+	killed.Stdout = &killedOut
 	stdin, err := killed.StdinPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -666,6 +670,16 @@ func TestKillResume(t *testing.T) {
 	var ee *exec.ExitError
 	if !errors.As(err, &ee) || ee.Sys().(syscall.WaitStatus).Signal() != syscall.SIGKILL {
 		t.Fatalf("killed run = %v, want death by SIGKILL", err)
+	}
+	cp, err := loadCheckpoint(filepath.Join(dir, "cp.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs[:cp.Ingested] {
+		if !bytes.Contains(killedOut.Bytes(), []byte(`{"event":"finish","job_id":"`+j.ID+`"`)) {
+			t.Fatalf("the checkpoint covers %d lines, but the killed run's stdout has no finish line for %s:\n%s",
+				cp.Ingested, j.ID, killedOut.Bytes())
+		}
 	}
 
 	resumed := qcloudsimCmd(t, ctx, args("kill.csv", "-resume")...)

@@ -105,6 +105,7 @@ type server struct {
 	gw   *api.Gateway
 
 	idx        *core.JobIndex
+	em         *finishEmitter
 	metricsOut *bufio.Writer
 	// warnOut receives operator status lines (checkpoint failures, drain
 	// summaries); best-effort by design.
@@ -164,7 +165,9 @@ var checkpointWriteRetry = retry.Policy{
 // writeCheckpoint snapshots the broker if it is quiescent. Non-quiescent
 // ticks are skipped: the next quiescent tick (or the final drain) covers
 // them. A quiescent broker has sealed every job it admitted, so the
-// export is flushed first and its length recorded.
+// held lifecycle lines are written and the export flushed first, and
+// the export's length recorded: a kill after the checkpoint loses only
+// output of jobs that -resume runs again.
 func (s *server) writeCheckpoint() error {
 	if s.opts.checkpointPath == "" || !s.b.Quiescent() {
 		return nil
@@ -173,6 +176,7 @@ func (s *server) writeCheckpoint() error {
 	if err != nil {
 		return err
 	}
+	s.em.flush()
 	if s.export != nil {
 		if err := s.export.w.Flush(); err != nil {
 			return fmt.Errorf("export %s: %w", s.export.path, err)
@@ -351,7 +355,7 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, export *exportFile, out
 		return nil, err
 	}
 	gw.SetFlush(em.flush)
-	s := &server{opts: opts, b: b, env: env, gw: gw, idx: idx, metricsOut: bufio.NewWriter(errOut), warnOut: errOut, export: export}
+	s := &server{opts: opts, b: b, env: env, gw: gw, idx: idx, em: em, metricsOut: bufio.NewWriter(errOut), warnOut: errOut, export: export}
 	s.scheduleTicks()
 	if opts.httpAddr != "" {
 		if err := s.startHTTP(errOut); err != nil {
@@ -423,11 +427,20 @@ func runServe(ctx context.Context, opts serveOptions, in io.Reader, out, errOut 
 // batch run over the same workload. With -http the service keeps
 // serving after stdin EOF until interrupted. An injected crash returns
 // errCrash at once.
+//
+// The loop holds lifecycle lines across stream lines (SubmitHeld) and
+// never blocks on stdin while it holds any: they are written before
+// every read of stdin, even one that completes half a line, and when
+// the loop returns (stream end, crash or error), besides the emitter's
+// own emitChunk bound and each checkpoint. The flush comes before the
+// fault plan's read rules, so an injected read stall waits with the
+// lines already written.
 func (s *server) serveLogical(ctx context.Context, in io.Reader) error {
+	defer s.gw.Flush()
 	if s.opts.inj != nil {
 		in = s.opts.inj.Reader(in)
 	}
-	lr := job.NewLineReader(in)
+	lr := job.NewLineReader(flushReader{in, s.gw.Flush})
 	for pos := int64(0); pos < s.ingested; pos++ {
 		if _, _, err := lr.Next(); errors.Is(err, io.EOF) {
 			return fmt.Errorf("resume: the stream ends after %d lines, but the checkpoint covers %d; feed the stream the checkpointed run read",
@@ -455,10 +468,10 @@ func (s *server) serveLogical(ctx context.Context, in io.Reader) error {
 			return fmt.Errorf("job: stream line %d: %w", pos+1, err)
 		}
 		if j != nil {
-			s.gw.Submit(j)
+			s.gw.SubmitHeld(j)
 		}
-		// Only after Submit returns is the record fully applied; a
-		// checkpoint tick firing inside Submit's event advance must not
+		// Only after SubmitHeld returns is the record fully applied; a
+		// checkpoint tick firing inside its event advance must not
 		// claim this line as durable.
 		s.ingested = pos + 1
 	}
@@ -466,6 +479,18 @@ func (s *server) serveLogical(ctx context.Context, in io.Reader) error {
 		<-ctx.Done()
 	}
 	return nil
+}
+
+// flushReader runs flush before every read of r, so a reader that
+// blocks never leaves output held.
+type flushReader struct {
+	r     io.Reader
+	flush func()
+}
+
+func (f flushReader) Read(p []byte) (int, error) {
+	f.flush()
+	return f.r.Read(p)
 }
 
 // serveRealTime feeds stdin, or with -listen the TCP streams, to

@@ -439,8 +439,8 @@ func (r boomRecorder) Arrival(j *job.QJob, t float64) {
 }
 
 // The flush hook runs once at the end of every call that drives the
-// broker, under the gateway lock, also when the call panics; read-only
-// calls do not flush.
+// broker, under the gateway lock, also when the call panics, and on
+// Flush; SubmitHeld and read-only calls do not flush.
 func TestGatewayFlushHook(t *testing.T) {
 	env := sim.NewEnvironment()
 	fleet, err := device.StandardFleet(env, 2025)
@@ -467,16 +467,18 @@ func TestGatewayFlushHook(t *testing.T) {
 		}
 		flushes++
 	})
-	jobs := testWorkload(t, 3)
+	jobs := testWorkload(t, 4)
 	steps := []struct {
 		name string
 		call func()
 		want int
 	}{
 		{"Submit", func() { gw.Submit(jobs[0]) }, 1},
-		{"SubmitAll", func() { gw.SubmitAll(jobs[1:]) }, 2},
-		{"AdvanceTo", func() { gw.AdvanceTo(env.Now() + 1) }, 3},
-		{"reads", func() { gw.Status(); gw.Metrics(); gw.Job(jobs[0].ID) }, 3},
+		{"SubmitAll", func() { gw.SubmitAll(jobs[1:3]) }, 2},
+		{"SubmitHeld", func() { gw.SubmitHeld(jobs[3]) }, 2},
+		{"Flush", gw.Flush, 3},
+		{"AdvanceTo", func() { gw.AdvanceTo(env.Now() + 1) }, 4},
+		{"reads", func() { gw.Status(); gw.Metrics(); gw.Job(jobs[0].ID) }, 4},
 		{"panicking Submit", func() {
 			defer func() {
 				if recover() == nil {
@@ -484,12 +486,12 @@ func TestGatewayFlushHook(t *testing.T) {
 				}
 			}()
 			gw.Submit(&job.QJob{ID: "boom", NumQubits: 1, Depth: 1, Shots: 1, ArrivalTime: env.Now()})
-		}, 4},
+		}, 5},
 		{"Drain", func() {
 			if _, err := gw.Drain(); err != nil {
 				t.Fatal(err)
 			}
-		}, 5},
+		}, 6},
 	}
 	for _, s := range steps {
 		s.call()

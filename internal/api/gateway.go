@@ -48,11 +48,12 @@ func NewGateway(b *core.Broker, idx *core.JobIndex, logical bool) (*Gateway, err
 	return &Gateway{b: b, idx: idx, logical: logical}, nil
 }
 
-// SetFlush installs f to run at the end of every call that drives the
-// broker — Submit, SubmitAll, AdvanceTo and Drain — under the lock,
-// even when the call panics. A recorder that buffers its output flushes
-// there, so the output a call produces is written once, before the
-// call returns, and never interleaves with another call's.
+// SetFlush installs f to run under the lock at the end of every call
+// that drives the broker — Submit, SubmitAll, AdvanceTo and Drain —
+// even when the call panics, and on Flush. A recorder that buffers its
+// output flushes there, so the output of those calls is written before
+// they return and never interleaves with another call's. SubmitHeld
+// skips it: its output waits for the next flush.
 func (g *Gateway) SetFlush(f func()) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -80,6 +81,26 @@ func (g *Gateway) Submit(j *job.QJob) core.Decision {
 	defer g.mu.Unlock()
 	defer g.flushLocked()
 	return g.submitLocked(j)
+}
+
+// SubmitHeld is Submit without the flush: the output the job produces
+// stays buffered until a later call flushes it. A caller that submits a
+// run of jobs with nothing to wait for in between (the logical-time
+// stdin loop) calls Flush once for the run, before it waits.
+//
+//repro:noalloc
+func (g *Gateway) SubmitHeld(j *job.QJob) core.Decision {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.submitLocked(j)
+}
+
+// Flush runs the flush hook under the lock, writing the output that
+// SubmitHeld calls left buffered.
+func (g *Gateway) Flush() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.flushLocked()
 }
 
 //repro:noalloc

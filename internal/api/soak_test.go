@@ -71,14 +71,14 @@ func soakGateway(tb testing.TB, windowCap, retain int) *Gateway {
 	return gw
 }
 
-// The post-decode HTTP submit path — gateway lock, admission decision,
-// clock advance, dispatch, completion, index update — must be
-// allocation-free at steady state, like the broker cycle beneath it.
-func TestGatewaySubmitSteadyStateAllocFree(t *testing.T) {
-	gw := soakGateway(t, 128, 64)
-	// The flush hook qcloudsim installs rides every submit.
-	flushes := 0
-	gw.SetFlush(func() { flushes++ })
+// steadySubmitter returns a function that submits the next of a pool
+// of 300-qubit jobs to gw, failing tb if the job is refused. 300-qubit
+// jobs run ~486 simulated seconds and two fit the fleet at once, so the
+// 300 s cadence keeps the system saturated but stable: the queue stays
+// bounded instead of growing with every submission. It returns after a
+// warm-up that fills the run pool, event heap, windows and index free
+// list.
+func steadySubmitter(tb testing.TB, gw *Gateway) func() {
 	const pool = 256
 	jobs := make([]*job.QJob, pool)
 	for i := range jobs {
@@ -89,26 +89,55 @@ func TestGatewaySubmitSteadyStateAllocFree(t *testing.T) {
 	submit := func() {
 		j := jobs[next%pool]
 		next++
-		// 300-qubit jobs run ~486 simulated seconds and two fit the
-		// fleet at once, so a 300s cadence keeps the system saturated
-		// but stable — the queue stays bounded instead of growing with
-		// every submission.
 		clock += 300
 		j.ArrivalTime = clock
 		if d := gw.Submit(j); !d.Admitted {
-			t.Fatalf("steady-state job refused: %+v", d)
+			tb.Fatalf("steady-state job refused: %+v", d)
 		}
 	}
-	// Warm the run pool, event heap, windows, and index free list.
 	for i := 0; i < 512; i++ {
 		submit()
 	}
+	return submit
+}
+
+// The post-decode HTTP submit path — gateway lock, admission decision,
+// clock advance, dispatch, completion, index update — must be
+// allocation-free at steady state, like the broker cycle beneath it.
+func TestGatewaySubmitSteadyStateAllocFree(t *testing.T) {
+	gw := soakGateway(t, 128, 64)
+	// The flush hook qcloudsim installs rides every submit.
+	flushes := 0
+	gw.SetFlush(func() { flushes++ })
+	submit := steadySubmitter(t, gw)
 	if n := testing.AllocsPerRun(300, submit); n != 0 {
 		t.Errorf("gateway submit allocates %g/op at steady state, want 0", n)
 	}
-	if flushes != next {
-		t.Errorf("%d flushes for %d submits", flushes, next)
+	before := flushes
+	submit()
+	if flushes != before+1 {
+		t.Errorf("%d flushes for one submit", flushes-before)
 	}
+}
+
+// BenchmarkGatewaySubmit is the gateway rung: one Submit per op, with a
+// flush hook installed, on the steady saturated-but-stable stack the
+// allocation gate above uses. It reports jobs/s and allocs/job, as
+// qcloudsim's BenchmarkServeExport does for a whole -serve run.
+func BenchmarkGatewaySubmit(b *testing.B) {
+	gw := soakGateway(b, 128, 64)
+	gw.SetFlush(func() {})
+	submit := steadySubmitter(b, gw)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submit()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/job")
 }
 
 // Sustained-load soak: stream jobs through the gateway for as long as
