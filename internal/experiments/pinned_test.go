@@ -43,9 +43,22 @@ func TestPinnedManifestDigests(t *testing.T) {
 			"068bd3ff8e018c8e27bcdf632dc162c7d8233cd9cf26087fe50b22d20a158f72"},
 		{"replications=2", replicated,
 			"abe4b4208a13a578542ec69c4dc15bea287da2f3605069fb3bf1fac355edc365"},
+		{"scenario/hetero-fleet", scenarioSpec("hetero-fleet"),
+			"c7e0c25ece0db62212a107044a1b7276281e247e13ff97a20c81851a32b07236"},
+		{"scenario/stress-arrivals", scenarioSpec("stress-arrivals"),
+			"8be97e788010ab7c8f85878e4441ba7a3b00aeb2530c80c59ba04233d069e2a4"},
+		{"scenario/calibration-drift", scenarioSpec("calibration-drift"),
+			"9652b70944464808215b4ab76b9b87c833064912f9fefd178b8f16713a511c2f"},
+		{"scenario/trace-replay", scenarioSpec("trace-replay"),
+			"303ee1f83f218192fc7cdd90c124a6deb276266f8219e75b8dfc9690e43a2ed0"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			if c.spec.Scenario == "trace-replay" {
+				// The scenario's trace path is relative to the
+				// repository root.
+				t.Chdir("../..")
+			}
 			m, err := Run(context.Background(), c.spec, ExecOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -56,6 +69,18 @@ func TestPinnedManifestDigests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// scenarioSpec is the small case's speed and fair modes on the named
+// built-in scenario. A trace fixes its own job count, so the
+// trace-replay spec carries no jobs override.
+func scenarioSpec(name string) Spec {
+	s := specForSmallCase(TaskMatrix{Kind: "modes", Modes: []string{"speed", "fair"}})
+	s.Scenario = name
+	if name == "trace-replay" {
+		s.Jobs = 0
+	}
+	return s
 }
 
 // normalizedJSON renders a manifest with the fields that legitimately
