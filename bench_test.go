@@ -39,7 +39,7 @@ import (
 // benchCase builds the scaled case study shared by artifact benches.
 func benchCase() *experiments.CaseStudy {
 	cs := experiments.Default()
-	cs.Workload.N = 150
+	cs.Workload.Synthetic.N = 150
 	cs.TrainSteps = 4096
 	cs.PPO.NSteps = 1024
 	cs.PPO.NEpochs = 4
@@ -72,7 +72,7 @@ func BenchmarkTable2(b *testing.B) {
 		cs := benchCase()
 		rows := execute(b, cs, modesMatrix, oneWorker)
 		if i == 0 {
-			b.Logf("Table 2 (scaled: %d jobs):", cs.Workload.N)
+			b.Logf("Table 2 (scaled: %d jobs):", cs.Workload.Synthetic.N)
 			for _, r := range rows {
 				b.Logf("  %-8s Tsim=%.1fs muF=%.4f±%.4f Tcomm=%.1fs k=%.2f",
 					r.Mode, r.TsimS, r.FidelityMean, r.FidelityStd, r.TcommS, r.MeanDevicesPerJob)
@@ -92,7 +92,7 @@ func BenchmarkTable2(b *testing.B) {
 // pre-trained so only simulation time is measured.
 func BenchmarkSequentialRunAll(b *testing.B) {
 	cs := benchCase()
-	cs.Workload.N = 400
+	cs.Workload.Synthetic.N = 400
 	if _, _, err := cs.TrainRL(nil); err != nil {
 		b.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func BenchmarkSequentialRunAll(b *testing.B) {
 // the engine adds no meaningful overhead).
 func BenchmarkParallelRunAll(b *testing.B) {
 	cs := benchCase()
-	cs.Workload.N = 400
+	cs.Workload.Synthetic.N = 400
 	if _, _, err := cs.TrainRL(nil); err != nil {
 		b.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func BenchmarkParallelRunAll(b *testing.B) {
 // worker pool (speedup ≈ min(8, cores)).
 func BenchmarkParallelReplicated(b *testing.B) {
 	cs := benchCase()
-	cs.Workload.N = 150
+	cs.Workload.Synthetic.N = 150
 	m := experiments.TaskMatrix{Kind: "modes", Modes: []string{"speed"}, ReplicationSeeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}}
 	baseN := min(b.N, 3)
 	seqStart := time.Now()
@@ -223,7 +223,7 @@ func BenchmarkExecTimeModel(b *testing.B) {
 func BenchmarkAblationPhiSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
-		cs.Workload.N = 60
+		cs.Workload.Synthetic.N = 60
 		points := execute(b, cs,
 			experiments.TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.85, 0.90, 0.95, 1.0}}, oneWorker)
 		if i == 0 {
@@ -239,7 +239,7 @@ func BenchmarkAblationPhiSweep(b *testing.B) {
 func BenchmarkAblationLambdaSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
-		cs.Workload.N = 60
+		cs.Workload.Synthetic.N = 60
 		points := execute(b, cs,
 			experiments.TaskMatrix{Kind: "lambda-sweep", Mode: "fair", Values: []float64{0.0, 0.02, 0.05, 0.1}}, oneWorker)
 		if i == 0 {
@@ -258,13 +258,13 @@ func BenchmarkAblationLambdaSweep(b *testing.B) {
 func BenchmarkAblationMinKvsProportional(b *testing.B) {
 	run := func(pol policy.Policy) (float64, float64) {
 		cs := benchCase()
-		cs.Workload.N = 60
+		cs.Workload.Synthetic.N = 60
 		jobs, err := cs.Jobs()
 		if err != nil {
 			b.Fatal(err)
 		}
 		env := sim.NewEnvironment()
-		fleet, err := cs.Fleet(env)
+		fleet, err := cs.BuildFleet(env)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func BenchmarkAblationMinKvsProportional(b *testing.B) {
 func BenchmarkAblationRLDeployment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
-		cs.Workload.N = 60
+		cs.Workload.Synthetic.N = 60
 		rows := execute(b, cs, experiments.TaskMatrix{Kind: "rl-deploy"}, oneWorker)
 		sampled, det := rows[0], rows[1]
 		if i == 0 {
@@ -455,14 +455,14 @@ func BenchmarkAblationCalibrationDrift(b *testing.B) {
 func BenchmarkAblationOracleHeadroom(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cs := benchCase()
-		cs.Workload.N = 60
+		cs.Workload.Synthetic.N = 60
 		jobs, err := cs.Jobs()
 		if err != nil {
 			b.Fatal(err)
 		}
 		run := func(pol policy.Policy) float64 {
 			env := sim.NewEnvironment()
-			fleet, err := cs.Fleet(env)
+			fleet, err := cs.BuildFleet(env)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -99,6 +99,7 @@ type options struct {
 
 	artifact, specPath, outdir, out, trendDir, cpuProf, memProf string
 	spec                                                        experiments.Spec
+	n                                                           int
 	exec                                                        experiments.ExecOptions
 	diffOpt                                                     records.DiffOptions
 	trendTol                                                    float64
@@ -115,7 +116,7 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.artifact, "artifact", "all", "which artifact: "+strings.Join(artifacts, "|"))
 	fs.StringVar(&o.specPath, "spec", "", "declarative experiment spec file (JSON); replaces -artifact, -scenario and the workload flags")
 	fs.StringVar(&o.spec.Scenario, "scenario", "", "registered scenario for flag-driven runs (default: paper); see experiments.ScenarioNames")
-	fs.IntVar(&o.spec.Jobs, "n", 1000, "workload size (paper: 1000)")
+	fs.IntVar(&o.n, "n", 1000, "workload size (paper: 1000)")
 	fs.IntVar(&o.spec.TrainSteps, "train", 100000, "PPO training timesteps (paper: 100000)")
 	fs.Int64Var(o.spec.Seed, "seed", 1, "workload seed")
 	fs.Int64Var(o.spec.FleetSeed, "fleet-seed", 2025, "calibration snapshot seed")
@@ -134,6 +135,13 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile (runtime/pprof) of this process to this file at exit")
 	fs.SetOutput(stderr)
 	fs.Parse(args) //lint:allow errlint ExitOnError: Parse exits instead of returning an error
+	// Only a given -n overrides the scenario's workload size: a trace
+	// workload fixes its own.
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "n" {
+			o.spec.Jobs = o.n
+		}
+	})
 	return o, o.validate()
 }
 
@@ -269,8 +277,8 @@ func (o *options) validate() error {
 	if reps := o.spec.Replications; reps < 1 || reps > experiments.MaxReplications {
 		return fmt.Errorf("-replications must be in [1, %d], have %d", experiments.MaxReplications, reps)
 	}
-	if o.spec.Jobs < 1 {
-		return fmt.Errorf("-n must be >= 1, have %d", o.spec.Jobs)
+	if o.n < 1 {
+		return fmt.Errorf("-n must be >= 1, have %d", o.n)
 	}
 	if o.spec.TrainSteps < 1 {
 		return fmt.Errorf("-train must be >= 1, have %d", o.spec.TrainSteps)
@@ -295,7 +303,10 @@ func (o *options) validate() error {
 	case has("out") && o.artifact == "fig5":
 		return fmt.Errorf("-out: -artifact fig5 runs no simulation tasks and writes no manifest")
 	}
-	return nil
+	// The scenario and its overrides resolve before anything runs; a
+	// trace workload refuses -n, since it fixes its own job count.
+	_, err := o.spec.CaseStudy()
+	return err
 }
 
 // progressPrinter reports per-task completion on stderr — the one
@@ -660,7 +671,7 @@ func fig5(cs *experiments.CaseStudy, outdir string) error {
 }
 
 func fig6(cs *experiments.CaseStudy, outdir string) error {
-	fmt.Printf("== Figure 6: fidelity distributions per strategy (%d jobs) ==\n", cs.Workload.N)
+	fmt.Printf("== Figure 6: fidelity distributions per strategy (%d jobs) ==\n", cs.Workload.Synthetic.N)
 	runs := make(map[string]*experiments.ModeRun, len(experiments.Modes))
 	for _, mode := range experiments.Modes {
 		run, err := cs.RunMode(mode)

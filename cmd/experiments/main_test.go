@@ -188,6 +188,9 @@ func TestValidateFlags(t *testing.T) {
 		{"replications zero", []string{"-replications", "0"}, "-replications"},
 		{"replications above max", []string{"-artifact", "replicate", "-replications", strconv.Itoa(experiments.MaxReplications + 1)}, "-replications"},
 		{"n zero", []string{"-n", "0"}, "-n"},
+		{"n with trace-replay", []string{"-scenario", "trace-replay", "-n", "7"}, "a jobs override conflicts with the trace workload specs/trace-smoke.csv"},
+		{"trace-replay without n", []string{"-scenario", "trace-replay"}, ""},
+		{"unknown scenario", []string{"-scenario", "warp"}, `unknown scenario "warp"`},
 		{"train zero", []string{"-train", "0"}, "-train"},
 		{"spec with artifact", []string{"-spec", "s.json", "-artifact", "table2"}, "-artifact conflicts"},
 		{"spec with seed", []string{"-spec", "s.json", "-seed", "3"}, "-seed conflicts"},

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/job"
+	"repro/internal/runspec"
 )
 
 // qcloudsimExport runs qcloudsim with args plus -export in a fresh
@@ -52,7 +53,7 @@ func ndjson(t *testing.T, jobs []*job.QJob) []byte {
 // batch run and from -serve fed the workload as a stream.
 func TestServeDriftMatchesBatch(t *testing.T) {
 	jobsPath := absPath(t, "testdata/jobs.json")
-	jobs, err := job.LoadFile(jobsPath)
+	jobs, err := (&runspec.Run{Workload: &runspec.Workload{Source: "json", Path: jobsPath}}).Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +82,11 @@ func TestServeConfigMatchesBatch(t *testing.T) {
 		}
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			path := absPath(t, path)
-			b, err := loadConfigFile(path, false)
+			b, err := runspec.LoadFile(path, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			jobs, err := b.workload()
+			jobs, err := b.Jobs()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,12 +114,12 @@ func withoutWorkload(t *testing.T, path string) string {
 		t.Fatal(err)
 	}
 	delete(spec, "workload")
-	if raw, ok := spec["rl_model_path"]; ok {
-		var rel string
-		if err := json.Unmarshal(raw, &rel); err != nil {
+	if _, ok := spec["rl_model_path"]; ok {
+		r, err := runspec.LoadFile(path, false)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if spec["rl_model_path"], err = json.Marshal(resolve(filepath.Dir(path), rel)); err != nil {
+		if spec["rl_model_path"], err = json.Marshal(r.RLModelPath); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +176,7 @@ func TestServeConfigRefusals(t *testing.T) {
 		})
 	}
 	// A batch run still needs its workload.
-	if _, err := loadConfig(strings.NewReader(`{"devices": [`+device("grid_a")+`], "policy": "fair",
+	if _, err := runspec.Load(strings.NewReader(`{"devices": [`+device("grid_a")+`], "policy": "fair",
 	  "model": {"m": 10, "k": 10, "phi": 0.95, "lambda": 0.02}}`), false); err == nil || !strings.Contains(err.Error(), "workload block") {
 		t.Fatalf("batch config without a workload: %v", err)
 	}
@@ -190,9 +191,9 @@ func TestServeDriftCheckpointResume(t *testing.T) {
 	jobs := spacedJobs(t, 20)
 	dir := t.TempDir()
 	drifting := speedCloud()
-	drifting.policy = "fidelity"
-	drifting.cfg.Drift = core.DriftConfig{IntervalS: 300, Rel: 0.3, Seed: 5}
-	opts := serveOptions{cloud: drifting, window: 64, export: filepath.Join(dir, "full.csv")}
+	drifting.Policy = "fidelity"
+	drifting.Model.Drift = core.DriftConfig{IntervalS: 300, Rel: 0.3, Seed: 5}
+	opts := serveOptions{run: drifting, window: 64, export: filepath.Join(dir, "full.csv")}
 	if err := runServe(context.Background(), opts, bytes.NewReader(ndjson(t, jobs)), io.Discard, io.Discard); err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/runspec"
 	"repro/internal/sim"
 )
 
@@ -89,7 +90,7 @@ func TestConfigRejected(t *testing.T) {
 }
 
 func TestLoadValidSpec(t *testing.T) {
-	c, err := loadConfig(strings.NewReader(exampleSpec(t)), false)
+	c, err := runspec.Load(strings.NewReader(exampleSpec(t)), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestLoadValidSpec(t *testing.T) {
 func TestLoadConfigModelDrift(t *testing.T) {
 	spec := strings.Replace(exampleSpec(t), `"lambda": 0.02}`,
 		`"lambda": 0.02, "backfill": true, "drift": {"interval_s": 900, "rel": 0.2, "seed": 5}}`, 1)
-	c, err := loadConfig(strings.NewReader(spec), false)
+	c, err := runspec.Load(strings.NewReader(spec), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +132,11 @@ func TestLoadConfigModelDrift(t *testing.T) {
 func TestLoadConfigRejectsTrailingContent(t *testing.T) {
 	valid := exampleSpec(t)
 	for _, tail := range []string{"{}", `{"policy": "speed"}`, "x", "]"} {
-		if _, err := loadConfig(strings.NewReader(valid+tail), false); err == nil || !strings.Contains(err.Error(), "trailing content") {
+		if _, err := runspec.Load(strings.NewReader(valid+tail), false); err == nil || !strings.Contains(err.Error(), "trailing content") {
 			t.Errorf("trailing %q: error %v", tail, err)
 		}
 	}
-	if _, err := loadConfig(strings.NewReader(valid+"\n\t \n"), false); err != nil {
+	if _, err := runspec.Load(strings.NewReader(valid+"\n\t \n"), false); err != nil {
 		t.Errorf("trailing whitespace refused: %v", err)
 	}
 }
@@ -150,11 +151,11 @@ func TestCSVWorkloadSourceWithRelativePath(t *testing.T) {
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	b, err := loadConfigFile(path, false)
+	b, err := runspec.LoadFile(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := b.workload()
+	jobs, err := b.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,26 +167,26 @@ func TestCSVWorkloadSourceWithRelativePath(t *testing.T) {
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if b, err = loadConfigFile(path, false); err != nil {
+	if b, err = runspec.LoadFile(path, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.workload(); err == nil {
+	if _, err := b.Jobs(); err == nil {
 		t.Fatal("CSV rows decoded as a json source")
 	}
 	// A missing workload file errors cleanly.
 	if err := os.Remove(filepath.Join(dir, "jobs.txt")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.workload(); err == nil {
+	if _, err := b.Jobs(); err == nil {
 		t.Fatal("missing workload file accepted")
 	}
 }
 
 func TestLoadConfigFile(t *testing.T) {
-	if _, err := loadConfigFile("../../examples/configdriven/spec.json", false); err != nil {
+	if _, err := runspec.LoadFile("../../examples/configdriven/spec.json", false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadConfigFile(filepath.Join(t.TempDir(), "missing.json"), false); err == nil {
+	if _, err := runspec.LoadFile(filepath.Join(t.TempDir(), "missing.json"), false); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -194,7 +195,8 @@ func TestLoadConfigFile(t *testing.T) {
 // -config path alike; rlbase loads its model.
 func TestBuildPolicyVariants(t *testing.T) {
 	newPolicy := func(name, rlModel string, rlSeed int64, phi float64) (policy.Policy, error) {
-		_, pol, err := cloud{policy: name, rlModel: rlModel, rlSeed: rlSeed, cfg: core.Config{Phi: phi}}.build(sim.NewEnvironment())
+		r := runspec.Run{Policy: name, RLModelPath: rlModel, RLSeed: rlSeed, Model: core.Config{Phi: phi}}
+		_, pol, _, err := r.Build(sim.NewEnvironment(), policy.Params{})
 		return pol, err
 	}
 	for _, name := range []string{"speed", "fair", "fidelity", "speed-proportional", "fair-proportional", "oracle"} {
@@ -249,11 +251,11 @@ func manyDeviceSpec(n int, withWorkload bool) string {
 // one device more are cases of TestConfigRejected and
 // TestServeConfigRefusals.
 func TestOracleFleetAtLimitBuilds(t *testing.T) {
-	c, err := loadConfig(strings.NewReader(manyDeviceSpec(policy.OracleMaxDevices, true)), false)
+	c, err := runspec.Load(strings.NewReader(manyDeviceSpec(policy.OracleMaxDevices, true)), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := (cloud{devices: c.Devices, policy: c.Policy, cfg: c.Model}).build(sim.NewEnvironment()); err != nil {
+	if _, _, _, err := c.Build(sim.NewEnvironment(), policy.Params{}); err != nil {
 		t.Fatalf("oracle over %d devices refused: %v", policy.OracleMaxDevices, err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"repro/internal/runspec"
 	"runtime"
 	"strings"
 	"testing"
@@ -29,7 +30,7 @@ func TestServeExportRefusedRetry(t *testing.T) {
 {"job_id":"b","num_qubits":5,"depth":10,"num_shots":100,"arrival_time":5000,"tenant":"acme"}
 `
 	opts := serveOptions{
-		cloud:  cloud{policy: "fair", fleetSeed: 2025, cfg: core.DefaultConfig()},
+		run:    runspec.Run{Policy: "fair", FleetSeed: 2025, Model: core.DefaultConfig()},
 		window: 64,
 		admit:  core.AdmissionConfig{Policy: core.AdmitQuota, TenantQuota: 1},
 	}
@@ -88,7 +89,7 @@ func BenchmarkServeExport(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			opts := serveOptions{
-				cloud:  cloud{policy: "fair", fleetSeed: 2025, cfg: core.DefaultConfig()},
+				run:    runspec.Run{Policy: "fair", FleetSeed: 2025, Model: core.DefaultConfig()},
 				window: 512, // qcloudsim's -window default
 			}
 			if export {

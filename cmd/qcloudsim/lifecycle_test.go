@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"repro/internal/runspec"
 	"strings"
 	"sync"
 	"testing"
@@ -162,7 +163,7 @@ func TestServeOneWritePerStdinRead(t *testing.T) {
 	in := &chunkReader{r: bytes.NewReader(ndjson(t, jobs)), size: 1 << 10}
 	var out countingWriter
 	var errOut bytes.Buffer
-	opts := serveOptions{cloud: speedCloud(), window: 64}
+	opts := serveOptions{run: speedCloud(), window: 64}
 	if err := runServe(context.Background(), opts, in, &out, &errOut); err != nil {
 		t.Fatalf("runServe: %v\n%s", err, errOut.Bytes())
 	}
@@ -187,10 +188,10 @@ func TestServeOutputIndependentOfStdinChunking(t *testing.T) {
 	run := func(name string, in io.Reader) (stdout, export []byte) {
 		t.Helper()
 		dir := t.TempDir()
-		c := cloud{policy: "fair", fleetSeed: 2025, cfg: core.DefaultConfig()}
-		c.cfg.Drift = core.DriftConfig{IntervalS: 600, Rel: 0.3, Seed: 5}
+		c := runspec.Run{Policy: "fair", FleetSeed: 2025, Model: core.DefaultConfig()}
+		c.Model.Drift = core.DriftConfig{IntervalS: 600, Rel: 0.3, Seed: 5}
 		opts := serveOptions{
-			cloud:           c,
+			run:             c,
 			window:          64,
 			admit:           core.AdmissionConfig{Policy: core.AdmitShed, MaxQueue: 3},
 			checkpointPath:  filepath.Join(dir, "cp.json"),
@@ -290,7 +291,7 @@ func TestServeWritesHeldLinesBeforeWaitingMidLine(t *testing.T) {
 	out := &watchWriter{want: []byte(`{"event":"arrival","job_id":"` + jobs[0].ID + `"`), seen: make(chan struct{})}
 	in := &stallReader{data: stream, cut: line1 + (len(stream)-line1)/2, release: out.seen, timeout: 10 * time.Second}
 	var errOut bytes.Buffer
-	if err := runServe(context.Background(), serveOptions{cloud: speedCloud(), window: 64}, in, out, &errOut); err != nil {
+	if err := runServe(context.Background(), serveOptions{run: speedCloud(), window: 64}, in, out, &errOut); err != nil {
 		t.Fatalf("runServe: %v\n%s", err, errOut.Bytes())
 	}
 	for _, j := range jobs {
@@ -306,7 +307,7 @@ func TestServeWritesHeldLinesBeforeWaitingMidLine(t *testing.T) {
 func TestConcurrentGatewayCallsWriteWholeLines(t *testing.T) {
 	var out countingWriter
 	var errOut bytes.Buffer
-	s, err := buildServer(serveOptions{cloud: speedCloud(), window: 64, timeScale: 1000}, nil, nil, &out, &errOut)
+	s, err := buildServer(serveOptions{run: speedCloud(), window: 64, timeScale: 1000}, nil, nil, &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
 	}

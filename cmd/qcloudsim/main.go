@@ -39,12 +39,11 @@ import (
 	"syscall"
 
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/faults"
 	"repro/internal/job"
 	"repro/internal/policy"
 	"repro/internal/profiling"
-	"repro/internal/rlsched"
+	"repro/internal/runspec"
 	"repro/internal/sim"
 )
 
@@ -83,21 +82,21 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs := flag.NewFlagSet("qcloudsim", flag.ExitOnError)
 	o := &options{fs: fs, synth: job.DefaultSyntheticConfig()}
 	fs.StringVar(&o.configPath, "config", "", "JSON run spec: fleet, policy, model and (batch only) workload (Configurations Layer; replaces their flags)")
-	fs.StringVar(&o.policy, "policy", "speed", "allocation policy: "+strings.Join(policy.Names(), "|"))
+	fs.StringVar(&o.run.Policy, "policy", "speed", "allocation policy: "+strings.Join(policy.Names(), "|"))
 	fs.StringVar(&o.jobsPath, "jobs", "", "CSV or JSON workload file (default: synthetic)")
 	fs.IntVar(&o.synth.N, "n", 1000, "synthetic workload size")
 	fs.Int64Var(&o.synth.Seed, "seed", 1, "synthetic workload and drift-walk seed")
-	fs.Int64Var(&o.fleetSeed, "fleet-seed", 2025, "calibration snapshot seed")
+	fs.Int64Var(&o.run.FleetSeed, "fleet-seed", 2025, "calibration snapshot seed")
 	fs.Float64Var(&o.synth.MeanInterarrival, "interarrival", 60, "mean inter-arrival time (s)")
-	fs.IntVar(&o.cfg.M, "m", 10, "Eq.3 circuit-template constant M")
-	fs.IntVar(&o.cfg.K, "k", 10, "Eq.3 parameter-update constant K")
-	fs.Float64Var(&o.cfg.Phi, "phi", 0.95, "Eq.8 per-link fidelity penalty")
-	fs.Float64Var(&o.cfg.Lambda, "lambda", 0.02, "Eq.9 per-qubit comm latency (s)")
-	fs.StringVar(&o.rlModel, "rlmodel", "", "trained policy JSON (required for -policy rlbase)")
-	fs.Int64Var(&o.rlSeed, "rlseed", 7, "deployment sampling seed for rlbase")
-	fs.BoolVar(&o.cfg.Backfill, "backfill", false, "enable EASY-style backfill dispatch")
-	fs.Float64Var(&o.cfg.Drift.IntervalS, "drift-interval", 0, "recalibration interval in s (0 = static calibration)")
-	fs.Float64Var(&o.cfg.Drift.Rel, "drift-magnitude", 0.2, "relative calibration drift per recalibration")
+	fs.IntVar(&o.run.Model.M, "m", 10, "Eq.3 circuit-template constant M")
+	fs.IntVar(&o.run.Model.K, "k", 10, "Eq.3 parameter-update constant K")
+	fs.Float64Var(&o.run.Model.Phi, "phi", 0.95, "Eq.8 per-link fidelity penalty")
+	fs.Float64Var(&o.run.Model.Lambda, "lambda", 0.02, "Eq.9 per-qubit comm latency (s)")
+	fs.StringVar(&o.run.RLModelPath, "rlmodel", "", "trained policy JSON (required for -policy rlbase)")
+	fs.Int64Var(&o.run.RLSeed, "rlseed", 7, "deployment sampling seed for rlbase")
+	fs.BoolVar(&o.run.Model.Backfill, "backfill", false, "enable EASY-style backfill dispatch")
+	fs.Float64Var(&o.run.Model.Drift.IntervalS, "drift-interval", 0, "recalibration interval in s (0 = static calibration)")
+	fs.Float64Var(&o.run.Model.Drift.Rel, "drift-magnitude", 0.2, "relative calibration drift per recalibration")
 	fs.StringVar(&o.export, "export", "", "write per-job records CSV to this path")
 	fs.BoolVar(&o.verbose, "v", false, "print per-job records")
 
@@ -136,23 +135,33 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	}
 	defer func() { err = errors.Join(err, stopProfiles()) }()
 
-	var b batch
+	// The flags, or a -config file, describe the run; batch and -serve
+	// build it alike.
 	if o.configPath != "" {
-		if b, err = loadConfigFile(o.configPath, o.serve); err != nil {
+		r, err := runspec.LoadFile(o.configPath, o.serve)
+		if err != nil {
 			return err
 		}
-		o.cloud = b.cloud
+		o.run = *r
 	} else {
-		o.cfg.Drift.Seed = o.synth.Seed
-		b.cloud = o.cloud
+		o.run.Model.Drift.Seed = o.synth.Seed
 		if o.jobsPath != "" {
-			b.workload = func() ([]*job.QJob, error) { return job.LoadFile(o.jobsPath) }
-		} else {
-			b.workload = func() ([]*job.QJob, error) { return job.Synthetic(o.synth) }
+			o.run.Workload = &runspec.Workload{Source: runspec.FileSource(o.jobsPath), Path: o.jobsPath}
+		} else if !o.serve {
+			o.run.Workload = &runspec.Workload{Source: "synthetic", Synthetic: &o.synth}
 		}
 	}
 	if !o.serve {
-		return b.run(stdout, o.export, o.verbose)
+		env := sim.NewEnvironment()
+		fleet, pol, jobs, err := o.run.Build(env, policy.Params{})
+		if err != nil {
+			return err
+		}
+		simEnv, res, err := core.RunBatch(env, fleet, pol, o.run.Model, jobs)
+		if err != nil {
+			return err
+		}
+		return report(stdout, simEnv, res, o.export, o.verbose)
 	}
 	if o.inj, err = buildInjector(o.faultPlan, o.timeScale > 0, stderr); err != nil {
 		return err
@@ -164,80 +173,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	return runServe(ctx, o.serveOptions, stdin, stdout, stderr)
-}
-
-// cloud is a run minus its workload: fleet, policy and model. The flags
-// or a -config file describe it; batch and -serve build it alike.
-type cloud struct {
-	// devices describes the fleet; nil means the standard five-device
-	// cloud with calibration drawn from fleetSeed.
-	devices   []device.Spec
-	fleetSeed int64
-	// policy names an allocation policy (policy.Names); rlModel and rlSeed
-	// feed a model-requiring one (rlbase).
-	policy  string
-	rlModel string
-	rlSeed  int64
-	cfg     core.Config
-}
-
-// build constructs the fleet on env and, through policy.New, the
-// allocation policy, which gets the model's Eq. 8 penalty for fidelity
-// predictions. It refuses a fleet the policy cannot schedule before
-// any job runs.
-func (c cloud) build(env *sim.Environment) ([]*device.Device, policy.Policy, error) {
-	var fleet []*device.Device
-	var err error
-	if c.devices != nil {
-		fleet, err = device.BuildFleet(env, c.devices)
-	} else {
-		fleet, err = device.StandardFleet(env, c.fleetSeed)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	p := policy.Params{Seed: c.rlSeed, Phi: c.cfg.Phi}
-	if policy.NeedsModel(c.policy) {
-		trained, err := rlsched.LoadPolicy(c.rlModel)
-		if err != nil {
-			return nil, nil, err
-		}
-		p.Model = rlsched.Deploy(trained)
-	}
-	pol, err := policy.New(c.policy, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, ok := pol.(policy.Oracle); ok && len(fleet) > policy.OracleMaxDevices {
-		return nil, nil, fmt.Errorf("policy oracle enumerates device subsets and supports at most %d devices; the fleet has %d",
-			policy.OracleMaxDevices, len(fleet))
-	}
-	return fleet, pol, nil
-}
-
-// batch is one batch simulation: a cloud and the workload it runs.
-type batch struct {
-	cloud
-	workload func() ([]*job.QJob, error)
-}
-
-// run assembles the simulation, runs the workload to completion and
-// reports it on stdout.
-func (b batch) run(stdout io.Writer, export string, verbose bool) error {
-	env := sim.NewEnvironment()
-	fleet, pol, err := b.build(env)
-	if err != nil {
-		return err
-	}
-	jobs, err := b.workload()
-	if err != nil {
-		return err
-	}
-	simEnv, res, err := core.RunBatch(env, fleet, pol, b.cfg, jobs)
-	if err != nil {
-		return err
-	}
-	return report(stdout, simEnv, res, export, verbose)
 }
 
 // serveFlags are meaningful only with -serve.
@@ -414,17 +349,17 @@ func (o *options) validate() error {
 	if has("config") {
 		return nil
 	}
-	if !policy.Registered(o.policy) {
-		return fmt.Errorf("unknown -policy %q (registered: %s)", o.policy, strings.Join(policy.Names(), ", "))
+	if !policy.Registered(o.run.Policy) {
+		return fmt.Errorf("unknown -policy %q (registered: %s)", o.run.Policy, strings.Join(policy.Names(), ", "))
 	}
-	if policy.NeedsModel(o.policy) {
-		if o.rlModel == "" {
-			return fmt.Errorf("-policy %s requires -rlmodel (train one with ppotrain)", o.policy)
+	if policy.NeedsModel(o.run.Policy) {
+		if o.run.RLModelPath == "" {
+			return fmt.Errorf("-policy %s requires -rlmodel (train one with ppotrain)", o.run.Policy)
 		}
 	} else {
 		for _, f := range []string{"rlmodel", "rlseed"} {
 			if has(f) {
-				return fmt.Errorf("-%s only applies to -policy rlbase (a policy with a trained model), not %q", f, o.policy)
+				return fmt.Errorf("-%s only applies to -policy rlbase (a policy with a trained model), not %q", f, o.run.Policy)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"repro/internal/runspec"
 	"slices"
 	"strings"
 	"testing"
@@ -173,8 +174,8 @@ func TestUsageGolden(t *testing.T) {
 
 // speedCloud is the standard fleet under the speed policy with the
 // default model: the cloud most serve tests run.
-func speedCloud() cloud {
-	return cloud{policy: "speed", fleetSeed: 2025, cfg: core.DefaultConfig()}
+func speedCloud() runspec.Run {
+	return runspec.Run{Policy: "speed", FleetSeed: 2025, Model: core.DefaultConfig()}
 }
 
 func testJobs(t *testing.T, n int) []*job.QJob {
@@ -221,7 +222,7 @@ func TestServeLogicalMatchesBatch(t *testing.T) {
 	export := filepath.Join(t.TempDir(), "serve.csv")
 	var recordsOut, metricsOut bytes.Buffer
 	err = runServe(context.Background(), serveOptions{
-		cloud:        speedCloud(),
+		run:          speedCloud(),
 		window:       64,
 		metricsEvery: 10000,
 		export:       export,
@@ -280,7 +281,7 @@ func TestServeRefusesHugeTwoQubitGates(t *testing.T) {
 	line := `{"job_id":"a","num_qubits":5,"depth":10,"num_shots":100,"two_qubit_gates":9223372036854775807}` + "\n"
 	var out, errOut bytes.Buffer
 	err := runServe(context.Background(), serveOptions{
-		cloud:  cloud{policy: "fair", fleetSeed: 2025, cfg: core.DefaultConfig()},
+		run:    runspec.Run{Policy: "fair", FleetSeed: 2025, Model: core.DefaultConfig()},
 		window: 64,
 	}, strings.NewReader(line), &out, &errOut)
 	if err == nil || !strings.Contains(err.Error(), "stream line 1:") || !strings.Contains(err.Error(), "two-qubit gates") {
@@ -307,7 +308,7 @@ func TestServeCheckpointResume(t *testing.T) {
 	}
 	var out1, errOut1 bytes.Buffer
 	opts := serveOptions{
-		cloud:          speedCloud(),
+		run:            speedCloud(),
 		window:         64,
 		checkpointPath: cpPath,
 	}
@@ -363,7 +364,7 @@ func TestServeCheckpointResume(t *testing.T) {
 // for wall time × scale to catch up with the checkpoint.
 func TestResumedRealTimeClockAdvances(t *testing.T) {
 	dir := t.TempDir()
-	opts := serveOptions{cloud: speedCloud(), window: 64, checkpointPath: filepath.Join(dir, "rt.ckpt")}
+	opts := serveOptions{run: speedCloud(), window: 64, checkpointPath: filepath.Join(dir, "rt.ckpt")}
 	if err := runServe(context.Background(), opts, bytes.NewReader(ndjson(t, spacedJobs(t, 3))), io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +435,7 @@ func TestServeTCP(t *testing.T) {
 	go func() {
 		var out, errOut bytes.Buffer
 		done <- runServe(ctx, serveOptions{
-			cloud:     speedCloud(),
+			run:       speedCloud(),
 			listen:    "127.0.0.1:0",
 			timeScale: 1000,
 			window:    16,
@@ -526,7 +527,7 @@ func TestServeHTTPLogicalMatchesBatch(t *testing.T) {
 	go func() {
 		var out, errOut bytes.Buffer
 		done <- runServe(ctx, serveOptions{
-			cloud:    speedCloud(),
+			run:      speedCloud(),
 			httpAddr: "127.0.0.1:0",
 			window:   64,
 			export:   export,

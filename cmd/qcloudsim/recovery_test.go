@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"repro/internal/runspec"
 	"strings"
 	"syscall"
 	"testing"
@@ -41,7 +42,7 @@ func spacedJobs(t *testing.T, n int) []*job.QJob {
 // plan.
 func recoveryOpts(dir, name string, inj *faults.Injector) serveOptions {
 	return serveOptions{
-		cloud:          speedCloud(),
+		run:            speedCloud(),
 		window:         64,
 		checkpointPath: filepath.Join(dir, name+".ckpt"),
 		// Half the spaced workload's mean gap: every arrival is preceded
@@ -98,8 +99,8 @@ func TestSupervisedRecoveryEquivalence(t *testing.T) {
 // drift steps, so its records still match.
 func TestSupervisedDriftRecoveryEquivalence(t *testing.T) {
 	drifting := speedCloud()
-	drifting.policy = "fidelity"
-	drifting.cfg.Drift = core.DriftConfig{IntervalS: 300, Rel: 0.3, Seed: 5}
+	drifting.Policy = "fidelity"
+	drifting.Model.Drift = core.DriftConfig{IntervalS: 300, Rel: 0.3, Seed: 5}
 	checkRecoveryEquivalence(t, drifting, spacedJobs(t, 40), 12, 25000)
 }
 
@@ -138,20 +139,20 @@ func TestSupervisedDenseRecoveryEquivalence(t *testing.T) {
 // the crash left a checkpoint past line 0 and the resumed export is the
 // uninterrupted run's bytes. It returns the crashed run's stdout and the
 // checkpoint the resume started from.
-func checkRecoveryEquivalence(t *testing.T, c cloud, jobs []*job.QJob, crashAt int, checkpointEvery float64) ([]byte, *core.Checkpoint) {
+func checkRecoveryEquivalence(t *testing.T, c runspec.Run, jobs []*job.QJob, crashAt int, checkpointEvery float64) ([]byte, *core.Checkpoint) {
 	t.Helper()
 	stream := ndjson(t, jobs)
 	dir := t.TempDir()
 
 	clean := recoveryOpts(dir, "clean", nil)
-	clean.cloud = c
+	clean.run = c
 	var cleanErr bytes.Buffer
 	if err := runServe(context.Background(), clean, bytes.NewReader(stream), io.Discard, &cleanErr); err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
 
 	faulted := recoveryOpts(dir, "faulted", crashInjector(t, crashAt, 1))
-	faulted.cloud = c
+	faulted.run = c
 	faulted.checkpointEvery = checkpointEvery
 	crashed, cp := crashAndResume(t, faulted, stream)
 	if cp.Ingested == 0 {

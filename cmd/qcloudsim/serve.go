@@ -18,8 +18,10 @@ import (
 	"repro/internal/faults"
 	"repro/internal/job"
 	"repro/internal/metrics"
+	"repro/internal/policy"
 	"repro/internal/records"
 	"repro/internal/retry"
+	"repro/internal/runspec"
 	"repro/internal/sim"
 )
 
@@ -30,8 +32,9 @@ const serveJobRetention = 65536
 
 // serveOptions carries the broker service-mode configuration.
 type serveOptions struct {
-	// cloud is the fleet, policy and model served, built as in batch.
-	cloud
+	// run is the fleet, policy and model served, built as in batch; it
+	// has no workload.
+	run runspec.Run
 
 	// listen is a TCP host:port; empty means read the job stream from
 	// stdin (the reader passed to runServe).
@@ -312,7 +315,7 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, export *exportFile, out
 	} else {
 		env = sim.NewEnvironment()
 	}
-	fleet, pol, err := opts.build(env)
+	fleet, pol, _, err := opts.run.Build(env, policy.Params{})
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +336,7 @@ func buildServer(opts serveOptions, cp *core.Checkpoint, export *exportFile, out
 	}
 	em := newFinishEmitter(out)
 	recorder = append(recorder, em)
-	b, err := core.NewBroker(env, fleet, pol, opts.cfg, recorder, opts.window)
+	b, err := core.NewBroker(env, fleet, pol, opts.run.Model, recorder, opts.window)
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,8 @@ import "repro/internal/sim"
 // 127-qubit Eagle heavy-hex devices with QV 128 and the paper's CLOPS
 // ratings — using synthetic calibration snapshots drawn from the given
 // seed (see internal/calib.StandardProfiles).
-func StandardFleet(env *sim.Environment, seed int64, opts ...Option) ([]*Device, error) {
-	return standardPreset.build(env, seed, opts...)
+func StandardFleet(env *sim.Environment, seed int64) ([]*Device, error) {
+	return standardPreset.build(env, seed)
 }
 
 // TotalCapacity sums the qubit capacities of a fleet.

@@ -3,7 +3,6 @@ package device
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/calib"
 	"repro/internal/graph"
@@ -23,22 +22,39 @@ type presetDef struct {
 
 var (
 	standardPreset = presetDef{calib.StandardProfiles(), calib.StandardCLOPS}
-	presets        = map[string]presetDef{
-		"":         standardPreset,
-		"standard": standardPreset,
-		"hetero":   {heteroProfiles(), heteroCLOPS},
+	// presets lists the named fleet presets in name order; the empty
+	// name is "standard".
+	presets = []struct {
+		name string
+		def  presetDef
+	}{
+		{"hetero", presetDef{heteroProfiles(), heteroCLOPS}},
+		{"standard", standardPreset},
 	}
 )
+
+// preset looks up the named fleet preset.
+func preset(name string) (presetDef, error) {
+	if name == "" {
+		return standardPreset, nil
+	}
+	for _, p := range presets {
+		if p.name == name {
+			return p.def, nil
+		}
+	}
+	return presetDef{}, fmt.Errorf("device: unknown fleet preset %q (have %v)", name, PresetNames())
+}
 
 // PresetFleet builds the named fleet preset: "" or "standard" for the
 // paper's five 127-qubit devices, "hetero" for the mixed-capacity
 // variant.
-func PresetFleet(name string, env *sim.Environment, seed int64, opts ...Option) ([]*Device, error) {
-	p, ok := presets[name]
-	if !ok {
-		return nil, fmt.Errorf("device: unknown fleet preset %q (have %v)", name, PresetNames())
+func PresetFleet(name string, env *sim.Environment, seed int64) ([]*Device, error) {
+	p, err := preset(name)
+	if err != nil {
+		return nil, err
 	}
-	return p.build(env, seed, opts...)
+	return p.build(env, seed)
 }
 
 // build makes one device per profile, in order, on a heavy-hex lattice
@@ -46,7 +62,7 @@ func PresetFleet(name string, env *sim.Environment, seed int64, opts ...Option) 
 // Topology). One generator seeded with seed draws every device's
 // synthetic calibration in turn. A run of same-size profiles shares
 // one read-only lattice, which is built once.
-func (p presetDef) build(env *sim.Environment, seed int64, opts ...Option) ([]*Device, error) {
+func (p presetDef) build(env *sim.Environment, seed int64) ([]*Device, error) {
 	rng := rand.New(rand.NewSource(seed))
 	fleet := make([]*Device, 0, len(p.profiles))
 	var topo *graph.Graph
@@ -60,7 +76,7 @@ func (p presetDef) build(env *sim.Environment, seed int64, opts ...Option) ([]*D
 			edges = topo.Edges()
 		}
 		snap := calib.Synthesize(rng, prof, edges, calib.CalibrationTimestamp)
-		d, err := New(env, topo, snap, p.clops[prof.Name], calib.StandardQuantumVolume, opts...)
+		d, err := New(env, topo, snap, p.clops[prof.Name], calib.StandardQuantumVolume)
 		if err != nil {
 			return nil, err
 		}
@@ -69,31 +85,13 @@ func (p presetDef) build(env *sim.Environment, seed int64, opts ...Option) ([]*D
 	return fleet, nil
 }
 
-// PresetCapacity returns the named preset's largest single-device and
-// total cloud qubit capacities — the bounds of the Eq. 1 distributed
-// constraint a workload must sit between.
-func PresetCapacity(name string) (maxSingle, total int, err error) {
-	p, ok := presets[name]
-	if !ok {
-		return 0, 0, fmt.Errorf("device: unknown fleet preset %q (have %v)", name, PresetNames())
-	}
-	for _, prof := range p.profiles {
-		maxSingle = max(maxSingle, prof.NumQubits)
-		total += prof.NumQubits
-	}
-	return maxSingle, total, nil
-}
-
-// PresetNames lists the fleet presets, sorted, with the
-// empty default omitted.
+// PresetNames lists the fleet presets in name order, without the
+// empty default.
 func PresetNames() []string {
-	out := make([]string, 0, len(presets))
-	for name := range presets { //lint:allow detlint collect-then-sort: the sort.Strings below fixes the order before anyone observes it
-		if name != "" {
-			out = append(out, name)
-		}
+	out := make([]string, len(presets))
+	for i, p := range presets {
+		out[i] = p.name
 	}
-	sort.Strings(out)
 	return out
 }
 

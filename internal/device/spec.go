@@ -77,9 +77,9 @@ func ValidateFleet(specs []Spec) error {
 
 // BuildFleet validates specs (see ValidateFleet) and constructs the
 // described devices on env, each drawing its calibration snapshot from
-// its own seed. opts apply to every device; a spec's StrictTopology
-// adds WithStrictTopology to its own.
-func BuildFleet(env *sim.Environment, specs []Spec, opts ...Option) ([]*Device, error) {
+// its own seed. A spec's StrictTopology builds its device
+// WithStrictTopology.
+func BuildFleet(env *sim.Environment, specs []Spec) ([]*Device, error) {
 	if err := ValidateFleet(specs); err != nil {
 		return nil, err
 	}
@@ -101,11 +101,11 @@ func BuildFleet(env *sim.Environment, specs []Spec, opts ...Option) ([]*Device, 
 			Spread:        orDefault(c.Spread, 0.3),
 		}
 		snap := calib.Synthesize(rand.New(rand.NewSource(c.Seed)), prof, topo.Edges(), calib.CalibrationTimestamp)
-		devOpts := opts
+		var opts []Option
 		if s.StrictTopology {
-			devOpts = append(devOpts[:len(devOpts):len(devOpts)], WithStrictTopology())
+			opts = append(opts, WithStrictTopology())
 		}
-		d, err := New(env, topo, snap, s.CLOPS, orDefault(s.QuantumVolume, calib.StandardQuantumVolume), devOpts...)
+		d, err := New(env, topo, snap, s.CLOPS, orDefault(s.QuantumVolume, calib.StandardQuantumVolume), opts...)
 		if err != nil {
 			return nil, err
 		}

@@ -27,6 +27,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/rl"
 	"repro/internal/rlsched"
+	"repro/internal/runspec"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -35,36 +36,29 @@ import (
 // paper's Table 2 order.
 var Modes = []string{"speed", "fidelity", "fair", "rlbase"}
 
-// CaseStudy bundles the full experimental configuration. The zero value
-// is unusable; start from Default().
+// CaseStudy bundles the full experimental configuration: the run it
+// simulates, plus what belongs to the experiment around it — the PPO
+// training budget and configuration, the deterministic-deployment
+// switch and the trained-model cache. The zero value is unusable;
+// start from Default().
 type CaseStudy struct {
-	// Workload generates the synthetic job set (§7: 1,000 jobs,
-	// q∈[130,250], d∈[5,20], s∈[10k,100k]).
-	Workload job.SyntheticConfig
-	// TracePath, when set, replays a recorded workload trace (a CSV or
-	// JSON job file, by extension) instead of generating Workload.
-	// The trace still has to satisfy the Eq. 1 distributed constraint
-	// against the configured fleet. Workload's distribution fields are
-	// ignored; its Seed mutation under replication is a no-op, since a
-	// trace is the same jobs every time. The path resolves against the
-	// process working directory, like every other path the experiments
-	// CLI takes.
-	TracePath string
-	// Core carries the model constants (M, K, φ, λ).
-	Core core.Config
-	// FleetPreset names the device fleet (see device.PresetFleet):
-	// "" or "standard" is the paper's five-Eagle cloud, "hetero" the
-	// mixed-capacity variant.
-	FleetPreset string
-	// FleetSeed draws the synthetic calibration snapshot.
-	FleetSeed int64
+	// Run describes the simulated cloud: the fleet preset and its
+	// calibration seed, the workload, the model constants (M, K, φ, λ)
+	// and the rlbase deployment seed. Each task sets Policy to its mode,
+	// and rlbase deploys the trained network, never RLModelPath.
+	// The workload always carries its synthetic block (§7: 1,000 jobs,
+	// q∈[130,250], d∈[5,20], s∈[10k,100k]), which also sizes the rlbase
+	// training gym. A csv or json source replays the trace at Path
+	// instead; the trace must still satisfy the Eq. 1 distributed
+	// constraint, and the synthetic seed that replication varies does
+	// not change it. The path resolves against the process working
+	// directory, like every other path the experiments CLI takes.
+	runspec.Run
 	// TrainSteps is the PPO training budget for the rlbase mode (the
 	// paper trains for 100,000 timesteps).
 	TrainSteps int
 	// PPO is the trainer configuration.
 	PPO rl.PPOConfig
-	// RLSeed seeds deployment-time action sampling.
-	RLSeed int64
 	// RLDeterministic deploys mean actions instead of sampling.
 	RLDeterministic bool
 
@@ -76,43 +70,45 @@ type CaseStudy struct {
 // 20k-step training budget (pass 100000 for the paper's full budget;
 // the curves plateau around 40–50k steps, §6.6).
 func Default() *CaseStudy {
+	synth := job.DefaultSyntheticConfig()
 	return &CaseStudy{
-		Workload:   job.DefaultSyntheticConfig(),
-		Core:       core.DefaultConfig(),
-		FleetSeed:  2025,
+		Run: runspec.Run{
+			Workload:  &runspec.Workload{Source: "synthetic", Synthetic: &synth},
+			FleetSeed: 2025,
+			RLSeed:    7,
+			Model:     core.DefaultConfig(),
+		},
 		TrainSteps: 20000,
 		PPO:        rl.DefaultPPOConfig(),
-		RLSeed:     7,
 	}
 }
 
-// Fleet builds the configured device cloud (FleetPreset; the paper's
-// five-Eagle fleet by default) on a fresh simulation environment.
-func (cs *CaseStudy) Fleet(env *sim.Environment) ([]*device.Device, error) {
-	return device.PresetFleet(cs.FleetPreset, env, cs.FleetSeed)
+// replay points the workload at the recorded trace at path (a CSV or
+// JSON job file, by extension).
+func (cs *CaseStudy) replay(path string) {
+	cs.Workload.Source, cs.Workload.Path = runspec.FileSource(path), path
 }
 
-// Jobs produces the workload — the synthetic generator, or the
-// TracePath replay — and checks the Eq. 1 constraint against the
-// configured fleet preset's capacities.
+// tracePath is the replayed trace, or "" for the synthetic workload.
+func (cs *CaseStudy) tracePath() string {
+	if cs.Workload.Source == "synthetic" {
+		return ""
+	}
+	return cs.Workload.Path
+}
+
+// Jobs produces the workload — the synthetic generator, or the trace
+// replay — and checks it against the Eq. 1 constraint on the fleet.
 func (cs *CaseStudy) Jobs() ([]*job.QJob, error) {
-	var (
-		jobs []*job.QJob
-		err  error
-	)
-	if cs.TracePath == "" {
-		jobs, err = job.Synthetic(cs.Workload)
-	} else {
-		jobs, err = job.LoadFile(cs.TracePath)
-	}
+	fleet, err := cs.BuildFleet(sim.NewEnvironment())
 	if err != nil {
 		return nil, err
 	}
-	maxSingle, total, err := device.PresetCapacity(cs.FleetPreset)
+	jobs, err := cs.Run.Jobs()
 	if err != nil {
 		return nil, err
 	}
-	if err := job.CheckDistributedConstraint(jobs, maxSingle, total); err != nil {
+	if err := job.CheckDistributedConstraint(jobs, device.MaxCapacity(fleet), device.TotalCapacity(fleet)); err != nil {
 		return nil, err
 	}
 	return jobs, nil
@@ -125,20 +121,20 @@ func (cs *CaseStudy) TrainRL(onIter func(rl.TrainStats)) (*rl.GaussianPolicy, []
 	if cs.trained != nil {
 		return cs.trained, cs.history, nil
 	}
-	env := sim.NewEnvironment()
-	fleet, err := cs.Fleet(env)
+	fleet, err := cs.BuildFleet(sim.NewEnvironment())
 	if err != nil {
 		return nil, nil, err
 	}
 	info := rlsched.InfoFromFleet(fleet)
 	gymCfg := rlsched.DefaultGymConfig()
-	gymCfg.MinQubits = cs.Workload.MinQubits
-	gymCfg.MaxQubits = cs.Workload.MaxQubits
-	gymCfg.MinDepth = cs.Workload.MinDepth
-	gymCfg.MaxDepth = cs.Workload.MaxDepth
-	gymCfg.MinShots = cs.Workload.MinShots
-	gymCfg.MaxShots = cs.Workload.MaxShots
-	gymCfg.T2Factor = cs.Workload.T2Factor
+	w := cs.Workload.Synthetic
+	gymCfg.MinQubits = w.MinQubits
+	gymCfg.MaxQubits = w.MaxQubits
+	gymCfg.MinDepth = w.MinDepth
+	gymCfg.MaxDepth = w.MaxDepth
+	gymCfg.MinShots = w.MinShots
+	gymCfg.MaxShots = w.MaxShots
+	gymCfg.T2Factor = w.T2Factor
 	pol, hist, err := rlsched.Train(info, gymCfg, cs.PPO, cs.TrainSteps, onIter)
 	if err != nil {
 		return nil, nil, err
@@ -148,24 +144,6 @@ func (cs *CaseStudy) TrainRL(onIter func(rl.TrainStats)) (*rl.GaussianPolicy, []
 	return pol, hist, nil
 }
 
-// policyFor resolves a mode name through policy.New. Any policy name is
-// a valid mode; model-requiring policies (rlbase) deploy the case
-// study's trained PPO policy.
-func (cs *CaseStudy) policyFor(mode string) (policy.Policy, error) {
-	if err := checkMode(mode); err != nil {
-		return nil, err
-	}
-	p := policy.Params{Seed: cs.RLSeed, Deterministic: cs.RLDeterministic, Phi: cs.Core.Phi}
-	if policy.NeedsModel(mode) {
-		trained, _, err := cs.TrainRL(nil)
-		if err != nil {
-			return nil, err
-		}
-		p.Model = rlsched.Deploy(trained)
-	}
-	return policy.New(mode, p)
-}
-
 // ModeRun is one complete simulation of the workload under one strategy.
 type ModeRun struct {
 	Mode       string
@@ -173,22 +151,32 @@ type ModeRun struct {
 	Fidelities []float64
 }
 
-// RunMode simulates the full workload under the named strategy.
+// RunMode simulates the full workload under the named strategy. Any
+// policy name is a valid mode; a model-requiring policy (rlbase)
+// deploys the case study's trained PPO policy.
 func (cs *CaseStudy) RunMode(mode string) (*ModeRun, error) {
-	pol, err := cs.policyFor(mode)
-	if err != nil {
+	if err := checkMode(mode); err != nil {
 		return nil, err
 	}
-	jobs, err := cs.Jobs()
-	if err != nil {
-		return nil, err
+	p := policy.Params{Deterministic: cs.RLDeterministic}
+	if policy.NeedsModel(mode) {
+		trained, _, err := cs.TrainRL(nil)
+		if err != nil {
+			return nil, err
+		}
+		p.Model = rlsched.Deploy(trained)
 	}
+	run := cs.Run
+	run.Policy = mode
 	env := sim.NewEnvironment()
-	fleet, err := cs.Fleet(env)
+	fleet, pol, jobs, err := run.Build(env, p)
 	if err != nil {
 		return nil, err
 	}
-	simEnv, res, err := core.RunBatch(env, fleet, pol, cs.Core, jobs)
+	if err := job.CheckDistributedConstraint(jobs, device.MaxCapacity(fleet), device.TotalCapacity(fleet)); err != nil {
+		return nil, err
+	}
+	simEnv, res, err := core.RunBatch(env, fleet, pol, cs.Model, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/records"
+	"repro/internal/sim"
 )
 
 // smallCase returns a scaled-down case study that keeps test time low
@@ -14,8 +15,8 @@ import (
 // drains them).
 func smallCase() *CaseStudy {
 	cs := Default()
-	cs.Workload.N = 60
-	cs.Workload.Seed = 3
+	cs.Workload.Synthetic.N = 60
+	cs.Workload.Synthetic.Seed = 3
 	cs.TrainSteps = 2048
 	cs.PPO.NSteps = 512
 	cs.PPO.BatchSize = 64
@@ -40,14 +41,16 @@ func TestRunModeUnknown(t *testing.T) {
 	}
 }
 
-// TestPolicyForPassesSimulationPhi: registry-built policies receive the
-// case study's configured φ, so a phi-sweep over a fidelity-predictive
+// TestPolicyForPassesSimulationPhi: policies the run builder makes for
+// a case study receive its configured φ, so a phi-sweep over a fidelity-predictive
 // mode (oracle) scores allocations with the same penalty the
 // simulation applies — including the swept value on task snapshots.
 func TestPolicyForPassesSimulationPhi(t *testing.T) {
 	cs := smallCase()
-	cs.Core.Phi = 0.88
-	pol, err := cs.policyFor("oracle")
+	cs.Model.Phi = 0.88
+	run := cs.Run
+	run.Policy = "oracle"
+	_, pol, _, err := run.Build(sim.NewEnvironment(), policy.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func TestTable2ShapeMatchesPaper(t *testing.T) {
 		t.Skip("full case-study shape test")
 	}
 	cs := smallCase()
-	cs.Workload.N = 150
+	cs.Workload.Synthetic.N = 150
 	rows := execute(t, cs, TaskMatrix{Kind: "modes"})
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
@@ -211,7 +214,7 @@ func TestFig6EmptyRunsSafeRange(t *testing.T) {
 
 func TestPhiSweepMonotoneForMultiDeviceJobs(t *testing.T) {
 	cs := smallCase()
-	cs.Workload.N = 25
+	cs.Workload.Synthetic.N = 25
 	points := execute(t, cs, TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.85, 0.95, 1.0}})
 	if len(points) != 3 {
 		t.Fatalf("points = %d", len(points))
@@ -224,14 +227,14 @@ func TestPhiSweepMonotoneForMultiDeviceJobs(t *testing.T) {
 		}
 	}
 	// The sweep runs on task snapshots; the case study keeps its φ.
-	if cs.Core.Phi != 0.95 {
-		t.Fatalf("Phi not restored: %g", cs.Core.Phi)
+	if cs.Model.Phi != 0.95 {
+		t.Fatalf("Phi not restored: %g", cs.Model.Phi)
 	}
 }
 
 func TestLambdaSweepScalesCommTime(t *testing.T) {
 	cs := smallCase()
-	cs.Workload.N = 25
+	cs.Workload.Synthetic.N = 25
 	points := execute(t, cs, TaskMatrix{Kind: "lambda-sweep", Mode: "fair", Values: []float64{0.0, 0.02, 0.04}})
 	if points[0].TcommS != 0 {
 		t.Fatalf("λ=0 should zero comm time, got %g", points[0].TcommS)
@@ -254,7 +257,7 @@ func TestSweepValidation(t *testing.T) {
 
 func TestRLDeploymentAblation(t *testing.T) {
 	cs := smallCase()
-	cs.Workload.N = 30
+	cs.Workload.Synthetic.N = 30
 	rows := execute(t, cs, TaskMatrix{Kind: "rl-deploy"})
 	if len(rows) != 2 {
 		t.Fatalf("%d rows, want sampled and deterministic", len(rows))
@@ -276,7 +279,7 @@ func TestRLDeploymentAblation(t *testing.T) {
 
 func TestRunReplicatedAggregates(t *testing.T) {
 	cs := smallCase()
-	cs.Workload.N = 30
+	cs.Workload.Synthetic.N = 30
 	rows := execute(t, cs, TaskMatrix{Kind: "modes", Modes: []string{"speed"}, ReplicationSeeds: []int64{1, 2, 3}})
 	if len(rows) != 3 {
 		t.Fatalf("%d rows, want one per seed", len(rows))
@@ -305,8 +308,8 @@ func TestRunReplicatedAggregates(t *testing.T) {
 		t.Fatal("replication shows no variation across seeds")
 	}
 	// The replicas run on snapshots; the case study keeps its seed.
-	if cs.Workload.Seed != smallCase().Workload.Seed {
-		t.Fatalf("workload seed not restored: %d", cs.Workload.Seed)
+	if cs.Workload.Synthetic.Seed != smallCase().Workload.Synthetic.Seed {
+		t.Fatalf("workload seed not restored: %d", cs.Workload.Synthetic.Seed)
 	}
 }
 
@@ -327,7 +330,7 @@ func TestRunReplicatedValidation(t *testing.T) {
 // describe the same runs.
 func TestRunModeMatchesManifestRow(t *testing.T) {
 	cs := smallCase()
-	cs.Workload.N = 30
+	cs.Workload.Synthetic.N = 30
 	rows := execute(t, cs, TaskMatrix{Kind: "modes"})
 	for i, mode := range Modes {
 		run, err := cs.RunMode(mode)
@@ -345,8 +348,8 @@ func TestRunModeMatchesManifestRow(t *testing.T) {
 
 func TestDefaultUsesPaperWorkload(t *testing.T) {
 	cs := Default()
-	if cs.Workload.N != 1000 || cs.Workload.MinQubits != 130 || cs.Workload.MaxQubits != 250 {
-		t.Fatalf("default workload deviates from the paper: %+v", cs.Workload)
+	if cs.Workload.Synthetic.N != 1000 || cs.Workload.Synthetic.MinQubits != 130 || cs.Workload.Synthetic.MaxQubits != 250 {
+		t.Fatalf("default workload deviates from the paper: %+v", *cs.Workload.Synthetic)
 	}
 	if cs.PPO.ClipRange != 0.2 {
 		t.Fatal("default PPO should use SB3 defaults")

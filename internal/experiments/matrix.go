@@ -118,7 +118,7 @@ func (m TaskMatrix) specs() ([]runSpec, error) {
 				if inner != nil {
 					inner(snap)
 				}
-				snap.Workload.Seed = s
+				snap.Workload.Synthetic.Seed = s
 			}
 			out = append(out, r)
 		}
@@ -155,7 +155,7 @@ func (m TaskMatrix) baseSpecs() ([]runSpec, error) {
 		for i, v := range m.Values {
 			specs[i] = runSpec{
 				id: fmt.Sprintf("%s/%s/%g", m.Kind, m.Mode, v), kind: m.Kind, mode: m.Mode, param: v,
-				mutate: func(snap *CaseStudy) { set(&snap.Core, v) },
+				mutate: func(snap *CaseStudy) { set(&snap.Model, v) },
 			}
 		}
 		return specs, nil

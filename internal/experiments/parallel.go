@@ -10,13 +10,18 @@ import (
 )
 
 // snapshot returns a config-identical CaseStudy whose state is fully
-// private to one task: value fields are copied and the cached trained
-// policy (if any) is deep-cloned, because MLP forward passes mutate
-// activation caches and must not be shared across workers. Per-task
-// determinism then follows from the seeds captured in the snapshot
-// (Workload.Seed, FleetSeed, RLSeed) — no random stream is shared.
+// private to one task: value fields and the workload a task mutates
+// are copied, and the cached trained policy (if any) is deep-cloned,
+// because MLP forward passes mutate activation caches and must not be
+// shared across workers. Per-task determinism then follows from the
+// seeds captured in the snapshot (the synthetic workload seed,
+// FleetSeed, RLSeed) — no random stream is shared.
 func (cs *CaseStudy) snapshot() *CaseStudy {
 	c := *cs
+	w := *cs.Workload
+	synth := *w.Synthetic
+	w.Synthetic = &synth
+	c.Workload = &w
 	if cs.trained != nil {
 		c.trained = cs.trained.Clone()
 	}
@@ -70,14 +75,14 @@ func (cs *CaseStudy) task(spec runSpec) runner.Task[records.RunSummary] {
 				Kind:              spec.kind,
 				Mode:              spec.mode,
 				Param:             spec.param,
-				WorkloadSeed:      snap.Workload.Seed,
+				WorkloadSeed:      snap.Workload.Synthetic.Seed,
 				FleetSeed:         snap.FleetSeed,
-				FleetPreset:       snap.FleetPreset,
-				Phi:               snap.Core.Phi,
-				Lambda:            snap.Core.Lambda,
-				Jobs:              snap.Workload.N,
-				MeanInterarrivalS: snap.Workload.MeanInterarrival,
-				TracePath:         snap.TracePath,
+				FleetPreset:       snap.Preset,
+				Phi:               snap.Model.Phi,
+				Lambda:            snap.Model.Lambda,
+				Jobs:              snap.Workload.Synthetic.N,
+				MeanInterarrivalS: snap.Workload.Synthetic.MeanInterarrival,
+				TracePath:         snap.tracePath(),
 				TsimS:             res.TotalSimTime,
 				FidelityMean:      res.FidelityMean,
 				FidelityStd:       res.FidelityStd,
@@ -86,7 +91,7 @@ func (cs *CaseStudy) task(spec runSpec) runner.Task[records.RunSummary] {
 				MeanWaitS:         res.MeanWaitTime,
 				WallMS:            float64(time.Since(start)) / float64(time.Millisecond),
 			}
-			if snap.TracePath != "" {
+			if s.TracePath != "" {
 				// Trace rows report what the trace delivered; the
 				// synthetic generator's size and arrival knobs never
 				// applied.

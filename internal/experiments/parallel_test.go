@@ -66,13 +66,13 @@ func TestParallelReplicatedMatchesSequential(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4}
 	m := TaskMatrix{Kind: "modes", Modes: []string{"fair"}, ReplicationSeeds: seeds}
 	cs := smallCase()
-	cs.Workload.N = 30
+	cs.Workload.Synthetic.N = 30
 	seq, err := Execute(ctx, cs, m, ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cs2 := smallCase()
-	cs2.Workload.N = 30
+	cs2.Workload.Synthetic.N = 30
 	par, err := Execute(ctx, cs2, m, ExecOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -99,9 +99,9 @@ func TestParallelReplicatedMatchesSequential(t *testing.T) {
 // parallel sweep is in flight.
 func TestParallelDoesNotMutateCaseStudy(t *testing.T) {
 	cs := smallCase()
-	cs.Workload.N = 30
-	savedCore := cs.Core
-	savedWorkload := cs.Workload
+	cs.Workload.Synthetic.N = 30
+	savedCore := cs.Model
+	savedWorkload, savedSynthetic := *cs.Workload, *cs.Workload.Synthetic
 	opt := ExecOptions{Workers: 2}
 	if _, err := Execute(context.Background(), cs, TaskMatrix{Kind: "phi-sweep", Mode: "speed", Values: []float64{0.9, 0.95}}, opt); err != nil {
 		t.Fatal(err)
@@ -109,8 +109,8 @@ func TestParallelDoesNotMutateCaseStudy(t *testing.T) {
 	if _, err := Execute(context.Background(), cs, TaskMatrix{Kind: "modes", Modes: []string{"speed"}, ReplicationSeeds: []int64{5, 6}}, opt); err != nil {
 		t.Fatal(err)
 	}
-	if cs.Core != savedCore || cs.Workload != savedWorkload {
-		t.Fatalf("case study mutated by parallel runs: core %+v, workload %+v", cs.Core, cs.Workload)
+	if cs.Model != savedCore || *cs.Workload != savedWorkload || *cs.Workload.Synthetic != savedSynthetic {
+		t.Fatalf("case study mutated by parallel runs: core %+v, workload %+v", cs.Model, *cs.Workload.Synthetic)
 	}
 }
 
@@ -119,11 +119,11 @@ func TestParallelDoesNotMutateCaseStudy(t *testing.T) {
 // label, not hang or return partial results silently.
 func TestParallelErrorPropagates(t *testing.T) {
 	cs := smallCase()
-	cs.Workload.N = 10
+	cs.Workload.Synthetic.N = 10
 	// Jobs larger than the whole cloud can never be placed; every task
 	// fails fast inside workload validation.
-	cs.Workload.MinQubits = 10000
-	cs.Workload.MaxQubits = 10001
+	cs.Workload.Synthetic.MinQubits = 10000
+	cs.Workload.Synthetic.MaxQubits = 10001
 	_, err := Execute(context.Background(), cs, TaskMatrix{Kind: "modes"}, ExecOptions{Workers: 4})
 	if err == nil {
 		t.Fatal("impossible workload accepted")
@@ -134,7 +134,7 @@ func TestParallelProgressAndArtifacts(t *testing.T) {
 	var mu sync.Mutex
 	var events []runner.Progress
 	cs := smallCase()
-	cs.Workload.N = 30
+	cs.Workload.Synthetic.N = 30
 	opt := ExecOptions{
 		Workers: 2,
 		OnProgress: func(p runner.Progress) {

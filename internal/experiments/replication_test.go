@@ -56,8 +56,8 @@ func TestReplicatedSweepComposesMutations(t *testing.T) {
 	}
 	snap := smallCase()
 	specs[0].mutate(snap)
-	if snap.Core.Phi != 0.9 || snap.Workload.Seed != 5 {
-		t.Fatalf("mutations did not compose: phi=%g seed=%d", snap.Core.Phi, snap.Workload.Seed)
+	if snap.Model.Phi != 0.9 || snap.Workload.Synthetic.Seed != 5 {
+		t.Fatalf("mutations did not compose: phi=%g seed=%d", snap.Model.Phi, snap.Workload.Synthetic.Seed)
 	}
 }
 

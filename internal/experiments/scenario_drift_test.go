@@ -17,14 +17,14 @@ func shrinkDrift(t *testing.T) *CaseStudy {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.Workload.N = 16
+	cs.Workload.Synthetic.N = 16
 	return cs
 }
 
 func TestCalibrationDriftScenarioRegistered(t *testing.T) {
 	cs := shrinkDrift(t)
-	if !cs.Core.Drift.Enabled() {
-		t.Fatalf("scenario drift config not enabled: %+v", cs.Core.Drift)
+	if !cs.Model.Drift.Enabled() {
+		t.Fatalf("scenario drift config not enabled: %+v", cs.Model.Drift)
 	}
 }
 
@@ -41,7 +41,7 @@ func TestCalibrationDriftChangesOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static.Workload.N = drift.Workload.N
+	static.Workload.Synthetic.N = drift.Workload.Synthetic.N
 	staticRun, err := static.RunMode("speed")
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // temp CSV, returning the path and the jobs it holds. Package tests run
 // with the package directory as cwd, so the scenario's default
 // repo-root-relative trace path does not resolve here — every test
-// points TracePath at its own file.
+// replays its own file.
 func writeTrace(t *testing.T, n int) (string, []*job.QJob) {
 	t.Helper()
 	cfg := job.DefaultSyntheticConfig()
@@ -44,8 +44,8 @@ func TestTraceReplayScenarioRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.TracePath != "specs/trace-smoke.csv" {
-		t.Fatalf("default trace path = %q", cs.TracePath)
+	if cs.tracePath() != "specs/trace-smoke.csv" || cs.Workload.Source != "csv" {
+		t.Fatalf("default trace = %+v", cs.Workload)
 	}
 }
 
@@ -56,7 +56,7 @@ func TestTraceReplayScenarioRegistered(t *testing.T) {
 func TestTraceReplayJobs(t *testing.T) {
 	path, want := writeTrace(t, 12)
 	cs := Default()
-	cs.TracePath = path
+	cs.replay(path)
 
 	jobs, err := cs.Jobs()
 	if err != nil {
@@ -74,8 +74,8 @@ func TestTraceReplayJobs(t *testing.T) {
 
 	// The synthetic knobs must be dead: mutating the workload seed and
 	// size cannot change what a trace replays.
-	cs.Workload.Seed = 999
-	cs.Workload.N = 3
+	cs.Workload.Synthetic.Seed = 999
+	cs.Workload.Synthetic.N = 3
 	again, err := cs.Jobs()
 	if err != nil {
 		t.Fatal(err)
@@ -93,12 +93,12 @@ func TestTraceReplayJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.TracePath = bad
+	cs.replay(bad)
 	if _, err := cs.Jobs(); err == nil {
 		t.Fatal("oversized trace job passed the distributed constraint")
 	}
 
-	cs.TracePath = filepath.Join(t.TempDir(), "missing.csv")
+	cs.replay(filepath.Join(t.TempDir(), "missing.csv"))
 	if _, err := cs.Jobs(); err == nil {
 		t.Fatal("missing trace file did not error")
 	}
@@ -142,15 +142,35 @@ func TestTraceReplayExecutorEquivalence(t *testing.T) {
 }
 
 // TestSpecTraceJobsConflict pins the validation rule: a trace fixes its
-// own job count, so a jobs override alongside trace_path is an error.
+// own job count, so a jobs override on a trace workload is an error,
+// whether the trace comes from trace_path or from the scenario.
 func TestSpecTraceJobsConflict(t *testing.T) {
-	spec := Spec{
-		Scenario:  "trace-replay",
-		TracePath: "somewhere.csv",
-		Jobs:      10,
-		Matrices:  []TaskMatrix{{Kind: "modes", Modes: []string{"speed"}}},
+	cases := []struct {
+		name, scenario, trace string
+		jobs                  int
+		ok                    bool
+	}{
+		{"trace_path and jobs", "trace-replay", "somewhere.csv", 10, false},
+		{"trace_path on paper and jobs", "paper", "somewhere.csv", 10, false},
+		{"trace-replay scenario and jobs", "trace-replay", "", 5, false},
+		{"trace-replay scenario alone", "trace-replay", "", 0, true},
+		{"paper and jobs", "paper", "", 10, true},
 	}
-	if err := spec.Validate(); err == nil {
-		t.Fatal("trace_path + jobs override validated")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec := Spec{
+				Scenario:  c.scenario,
+				TracePath: c.trace,
+				Jobs:      c.jobs,
+				Matrices:  []TaskMatrix{{Kind: "modes", Modes: []string{"speed"}}},
+			}
+			err := spec.Validate()
+			if c.ok && err != nil {
+				t.Fatalf("rejected: %v", err)
+			}
+			if !c.ok && (err == nil || !strings.Contains(err.Error(), "a trace fixes its own job count")) {
+				t.Fatalf("err = %v, want the jobs override refused", err)
+			}
+		})
 	}
 }

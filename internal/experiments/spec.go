@@ -35,12 +35,13 @@ type Spec struct {
 	// seed lists. A matrix with its own ReplicationSeeds list keeps it;
 	// that list is the one place to pin particular seeds.
 	Replications int `json:"replications,omitempty"`
-	// Jobs overrides the scenario's workload size when > 0. Mutually
-	// exclusive with TracePath: a trace's job count is the trace's.
+	// Jobs overrides the scenario's workload size when > 0. Refused on
+	// a trace workload, the scenario's or TracePath's: a trace's job
+	// count is the trace's.
 	Jobs int `json:"jobs,omitempty"`
 	// TracePath overrides the scenario's workload with a recorded trace
 	// (CSV, or JSON by extension), resolved against the process working
-	// directory. See CaseStudy.TracePath.
+	// directory. See CaseStudy.Run.
 	TracePath string `json:"trace_path,omitempty"`
 	// Seed overrides the workload seed when set (pointer: seed 0 is a
 	// legitimate override).
@@ -102,7 +103,7 @@ func (s *Spec) WriteJSON(w io.Writer) error {
 // must be unique across the whole spec. A valid spec is executable by
 // construction — Run re-derives the same expansions.
 func (s *Spec) Validate() error {
-	if _, err := NewScenario(s.Scenario); err != nil {
+	if _, err := s.CaseStudy(); err != nil {
 		return err
 	}
 	if len(s.Matrices) == 0 {
@@ -110,9 +111,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.Jobs < 0 {
 		return fmt.Errorf("experiments: spec jobs override %d < 0", s.Jobs)
-	}
-	if s.TracePath != "" && s.Jobs > 0 {
-		return fmt.Errorf("experiments: spec sets both trace_path and a jobs override; a trace fixes its own job count")
 	}
 	if s.TrainSteps < 0 {
 		return fmt.Errorf("experiments: spec train_steps override %d < 0", s.TrainSteps)
@@ -194,21 +192,25 @@ func (s *Spec) Label() string {
 }
 
 // CaseStudy materializes the spec: the scenario's fresh case study
-// with the spec's overrides applied. Each call returns an independent
+// with the spec's overrides applied. A jobs override on the resolved
+// workload's trace is an error. Each call returns an independent
 // value.
 func (s *Spec) CaseStudy() (*CaseStudy, error) {
 	cs, err := NewScenario(s.Scenario)
 	if err != nil {
 		return nil, err
 	}
-	if s.Jobs > 0 {
-		cs.Workload.N = s.Jobs
-	}
 	if s.TracePath != "" {
-		cs.TracePath = s.TracePath
+		cs.replay(s.TracePath)
+	}
+	if s.Jobs > 0 {
+		if trace := cs.tracePath(); trace != "" {
+			return nil, fmt.Errorf("experiments: a jobs override conflicts with the trace workload %s; a trace fixes its own job count", trace)
+		}
+		cs.Workload.Synthetic.N = s.Jobs
 	}
 	if s.Seed != nil {
-		cs.Workload.Seed = *s.Seed
+		cs.Workload.Synthetic.Seed = *s.Seed
 	}
 	if s.FleetSeed != nil {
 		cs.FleetSeed = *s.FleetSeed

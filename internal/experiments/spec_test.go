@@ -196,8 +196,8 @@ func TestSpecCaseStudyOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	def := Default()
-	if cs.Workload.N != 42 || cs.Workload.Seed != 0 || cs.TrainSteps != 512 {
-		t.Fatalf("overrides not applied: %+v", cs.Workload)
+	if cs.Workload.Synthetic.N != 42 || cs.Workload.Synthetic.Seed != 0 || cs.TrainSteps != 512 {
+		t.Fatalf("overrides not applied: %+v", *cs.Workload.Synthetic)
 	}
 	if cs.FleetSeed != def.FleetSeed || !reflect.DeepEqual(cs.PPO, def.PPO) {
 		t.Fatal("unset overrides moved off the scenario defaults")
@@ -207,8 +207,8 @@ func TestSpecCaseStudyOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Workload != def.Workload || plain.Core != def.Core || plain.TrainSteps != def.TrainSteps {
-		t.Fatalf("empty spec diverges from Default(): %+v", plain.Workload)
+	if *plain.Workload.Synthetic != *def.Workload.Synthetic || plain.Model != def.Model || plain.TrainSteps != def.TrainSteps {
+		t.Fatalf("empty spec diverges from Default(): %+v", *plain.Workload.Synthetic)
 	}
 }
 
@@ -235,18 +235,24 @@ func TestScenarioRegistry(t *testing.T) {
 // workloads still satisfy the Eq. 1 constraint against their own
 // fleets.
 func TestBuiltinScenarioVariants(t *testing.T) {
-	hetero := HeteroFleet()
-	if hetero.FleetPreset != "hetero" {
-		t.Fatalf("hetero-fleet preset = %q", hetero.FleetPreset)
+	hetero, err := NewScenario("hetero-fleet")
+	if err != nil {
+		t.Fatal(err)
 	}
-	hetero.Workload.N = 20
+	if hetero.Preset != "hetero" {
+		t.Fatalf("hetero-fleet preset = %q", hetero.Preset)
+	}
+	hetero.Workload.Synthetic.N = 20
 	if _, err := hetero.Jobs(); err != nil {
 		t.Fatalf("hetero workload violates its own fleet constraint: %v", err)
 	}
-	stress := StressArrivals()
-	if stress.Workload.MeanInterarrival >= Default().Workload.MeanInterarrival {
+	stress, err := NewScenario("stress-arrivals")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stress.Workload.Synthetic.MeanInterarrival >= Default().Workload.Synthetic.MeanInterarrival {
 		t.Fatalf("stress-arrivals interarrival %g not tighter than paper %g",
-			stress.Workload.MeanInterarrival, Default().Workload.MeanInterarrival)
+			stress.Workload.Synthetic.MeanInterarrival, Default().Workload.Synthetic.MeanInterarrival)
 	}
 }
 
@@ -284,7 +290,7 @@ func specForSmallCase(matrices ...TaskMatrix) Spec {
 	return Spec{
 		Scenario:   "paper",
 		Jobs:       30,
-		Seed:       ptr64(small.Workload.Seed),
+		Seed:       ptr64(small.Workload.Synthetic.Seed),
 		TrainSteps: small.TrainSteps,
 		PPO:        &ppo,
 		Matrices:   matrices,

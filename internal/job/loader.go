@@ -7,25 +7,9 @@ import (
 	"hash/maphash"
 	"io"
 	"io/fs"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 )
-
-// LoadFile reads a workload file: LoadJSON for a ".json" extension (any
-// case), LoadCSV for anything else.
-func LoadFile(path string) ([]*QJob, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("job: %w", err)
-	}
-	defer f.Close() //lint:allow errlint close of a read-only workload file cannot lose data
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		return LoadJSON(f)
-	}
-	return LoadCSV(f)
-}
 
 // CSV column layout for deterministic workloads (§3 JobGenerator):
 //

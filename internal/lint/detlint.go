@@ -24,6 +24,7 @@ var deterministicPackages = []string{
 	"repro/internal/calib",
 	"repro/internal/job",
 	"repro/internal/graph",
+	"repro/internal/runspec",
 	"repro/cmd/qcloudsim",
 }
 

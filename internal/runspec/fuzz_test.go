@@ -1,4 +1,4 @@
-package main
+package runspec
 
 import (
 	"bytes"
@@ -10,11 +10,12 @@ import (
 )
 
 // FuzzLoadConfig feeds arbitrary bytes to the -config loader, for a
-// batch run and for -serve. Loading and validation must never panic,
+// batch run and for -serve. It is seeded from qcloudsim's committed
+// -config files and the config-driven example. Loading and validation must never panic,
 // and, since they build no device, must stay cheap whatever sizes a
 // file claims. Every accepted file is a fixed point of encode → load.
 func FuzzLoadConfig(f *testing.F) {
-	seeds, err := filepath.Glob("testdata/*.json")
+	seeds, err := filepath.Glob("../../cmd/qcloudsim/testdata/*.json")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func FuzzLoadConfig(f *testing.F) {
 	  "policy": "speed", "model": {"m": 1, "k": 1, "phi": 1, "lambda": 0}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, serve := range []bool{false, true} {
-			c, err := loadConfig(bytes.NewReader(data), serve)
+			c, err := Load(bytes.NewReader(data), serve)
 			if err != nil {
 				continue
 			}
@@ -39,7 +40,7 @@ func FuzzLoadConfig(f *testing.F) {
 			if err != nil {
 				t.Fatalf("encoding an accepted config: %v", err)
 			}
-			c2, err := loadConfig(bytes.NewReader(again), serve)
+			c2, err := Load(bytes.NewReader(again), serve)
 			if err != nil {
 				t.Fatalf("re-encoded config refused (serve %v): %v\n%s", serve, err, again)
 			}
